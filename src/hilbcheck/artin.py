@@ -7,13 +7,15 @@ the standard-monomial basis; powers of the maximal ideal are tracked as the
 chain of subspaces generated by 1 under products of at least j variables.
 """
 
+from math import gcd, lcm
+
 from .errors import HilbcheckError, PreconditionError
 from .fields import QQ
 from .linalg import DenseMatrix, RowSpace, kernel_basis, rref
 from .poly import GREVLEX, Polynomial, VariableContext, mono_deg
 from .groebner import (GroebnerBasis, Ideal, buchberger, cyclic_annihilator_gb,
                        _monomials_of_degree)
-from .scalars import rat
+from .scalars import is_prime, rat
 
 
 class IndeterminateSupport(HilbcheckError):
@@ -481,14 +483,9 @@ def _rational_roots_qq(coeffs_desc):
 
     strip_zero_roots()
     while len(coeffs) > 1:
-        den = 1
-        for c in coeffs:
-            q = int(c.denominator)
-            den = den * q // _igcd(den, q)
+        den = lcm(*(int(c.denominator) for c in coeffs))
         ints = [int(c * den) for c in coeffs]
-        g = 0
-        for c in ints:
-            g = _igcd(g, abs(c))
+        g = gcd(*ints)
         if g > 1:
             ints = [c // g for c in ints]
         dn = _bounded_divisors(abs(ints[-1]))
@@ -498,7 +495,7 @@ def _rational_roots_qq(coeffs_desc):
         found = None
         for pnum in sorted(dn):
             for qden in sorted(dq):
-                if _igcd(pnum, qden) != 1:
+                if gcd(pnum, qden) != 1:
                     continue
                 for s in (1, -1):
                     cand = rat(s * pnum, qden)
@@ -518,12 +515,6 @@ def _rational_roots_qq(coeffs_desc):
     return roots
 
 
-def _igcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 _DIVISOR_BOUND = 10 ** 6
 
 
@@ -541,18 +532,13 @@ def _bounded_divisors(n):
             m //= p
         p += 1 if p == 2 else 2
     if m > 1:
-        if m > _DIVISOR_BOUND * _DIVISOR_BOUND and not _is_prime_int(m):
+        if m > _DIVISOR_BOUND * _DIVISOR_BOUND and not is_prime(m):
             return None
         factors[m] = factors.get(m, 0) + 1
     divs = {1}
     for q, e in factors.items():
         divs = {d * q ** k for d in divs for k in range(e + 1)}
     return divs
-
-
-def _is_prime_int(n):
-    from .scalars import is_prime
-    return is_prime(n)
 
 
 def enumerate_local_hfs(d, n):

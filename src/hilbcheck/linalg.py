@@ -7,6 +7,8 @@ the maximal minors of a polynomial matrix.
 """
 
 import random
+from itertools import combinations
+from math import factorial, lcm
 
 from .fields import QQ, QT
 from .scalars import rat
@@ -196,7 +198,7 @@ def rref(rows, field):
 def mat_rank(m):
     """Rank over the entry field by exact elimination."""
     if m.field == QQ:
-        return _rank_int(_integer_rows(m.rows))
+        return len(_bareiss(_integer_rows(m.rows))[0])
     rs = RowSpace(m.field)
     for row in m.rows:
         rs.add(row)
@@ -206,35 +208,39 @@ def mat_rank(m):
 def _integer_rows(rows):
     out = []
     for row in rows:
-        den = 1
-        for x in row:
-            d = int(x.denominator)
-            den = den * d // _gcd(den, d)
+        den = lcm(*(int(x.denominator) for x in row))
         out.append([int(x.numerator) * (den // int(x.denominator)) for x in row])
     return out
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _bareiss(mat):
+    """Fraction-free (Bareiss) forward elimination of an integer matrix, in place.
 
-
-def _rank_int(mat):
-    # fraction-free forward elimination (Bareiss), integer arithmetic only
+    Returns the original indices of the pivot rows, the pivot columns, and the
+    minor on them up to sign; the sign is exact when the matrix is square and
+    nonsingular, and that minor is then its determinant.
+    """
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
-    prev = 1
+    order = list(range(nrows))
+    pivots = []
+    sign = prev = 1
     r = 0
     for c in range(ncols):
+        if r == nrows:
+            break
         p = next((i for i in range(r, nrows) if mat[i][c]), None)
         if p is None:
             continue
-        mat[r], mat[p] = mat[p], mat[r]
+        if p != r:
+            mat[r], mat[p] = mat[p], mat[r]
+            order[r], order[p] = order[p], order[r]
+            sign = -sign
         piv = mat[r][c]
+        row_r = mat[r]
         for i in range(r + 1, nrows):
-            mic = mat[i][c]
-            row_i, row_r = mat[i], mat[r]
+            row_i = mat[i]
+            mic = row_i[c]
             if mic:
                 for j in range(c, ncols):
                     row_i[j] = (row_i[j] * piv - mic * row_r[j]) // prev
@@ -242,10 +248,14 @@ def _rank_int(mat):
                 for j in range(c, ncols):
                     row_i[j] = row_i[j] * piv // prev
         prev = piv
+        pivots.append(c)
         r += 1
-        if r == nrows:
-            break
-    return r
+    return order[:r], pivots, sign * prev
+
+
+def _det_int(a):
+    rows, _, det = _bareiss(a)
+    return det if len(rows) == len(a) else 0
 
 
 def kernel_basis(m):
@@ -366,32 +376,36 @@ def t_adic_minor_valuation(m, size, cross_check=True):
 
 
 def _polynomial_entries(m):
-    """Entries as Q-coefficient lists; denominators must be t-free."""
+    """Entries as integer coefficient lists, each row scaled by the lcm of its
+    denominators, which must be t-free.  A row scale multiplies every maximal
+    minor by a nonzero constant and changes no valuation."""
     out = []
     for row in m.rows:
-        prow = []
-        for x in row:
-            if len(x.den) > 1:
-                raise ValueError("entry is not a polynomial in t")
-            d = rat(x.den[0])
-            prow.append([rat(c) / d for c in x.num])
-        out.append(prow)
+        if any(len(x.den) > 1 for x in row):
+            raise ValueError("entry is not a polynomial in t")
+        den = lcm(*(x.den[0] for x in row))
+        out.append([[c * (den // x.den[0]) for c in x.num] for x in row])
+    return out
+
+
+def _eval_matrix(polys, x):
+    """The coefficient-list matrix evaluated at t = x, by Horner's rule."""
+    out = []
+    for prow in polys:
+        row = []
+        for coeffs in prow:
+            acc = 0
+            for cf in reversed(coeffs):
+                acc = acc * x + cf
+            row.append(acc)
+        out.append(row)
     return out
 
 
 def _full_rank_certificate(m, polys, size):
     # rank at any specialization is a lower bound for the rank over Q(t)
     for c in (rat(1), rat(-2), rat(5, 3), rat(7), rat(-11, 4)):
-        rows = []
-        for prow in polys:
-            row = []
-            for coeffs in prow:
-                acc = rat(0)
-                for cf in reversed(coeffs):
-                    acc = acc * c + cf
-                row.append(acc)
-            rows.append(row)
-        if _rank_int(_integer_rows(rows)) >= size:
+        if len(_bareiss(_integer_rows(_eval_matrix(polys, c)))[0]) >= size:
             return True
     # inconclusive by sampling: decide exactly over Q(t)
     rs = RowSpace(QT)
@@ -496,179 +510,101 @@ def _series_inv(a, prec):
 def minor_gcd_sample(m, size, count=32, seed=271828):
     """Gcd (primitive, in Z[t]) of a seeded sample of nonzero size x size minors.
 
-    Vanishing minors contribute nothing to the gcd, so candidate subsets are
-    screened by specialization and rejected when they look singular; a pivot
-    subset from one elimination is always included so the sample is nonempty
-    whenever the rank is full.
+    Only minors known to be nonzero are drawn.  The screen uses Grassmann
+    duality at the integer points t = 3 and t = 5: if a block of `size` rows
+    has full rank at a point, with kernel basis K there, its minor on a column
+    subset S is nonzero exactly when the complementary (ncols - size)-minor of
+    K on the other columns is.  One kernel per block and point thus screens
+    every column subset with small integer determinants.  The blocks are all
+    rows when size == nrows, else count - 1 seeded draws and the pivot rows of
+    one elimination at t = 3.  The sample is that pivot minor plus count - 1
+    seeded draws from the pooled nonzero subsets; each drawn minor is
+    interpolated from the matrix itself, in integer arithmetic, and dropped if
+    it vanishes identically.
+
+    Limit of the screen: a minor that vanishes at every screen point without
+    vanishing identically is never drawn.
     """
     rng = random.Random(seed)
     polys = _polynomial_entries(m)
-    nrows, ncols = len(polys), len(polys[0])
-    test_points = (rat(3), rat(5), rat(-7, 2))
+    values = {}
 
-    def specialized_det(rsel, csel, x):
-        rows = []
-        for r in rsel:
-            row = []
-            for c in csel:
-                acc = rat(0)
-                for cf in reversed(polys[r][c]):
-                    acc = acc * x + cf
-                row.append(acc)
-            rows.append(row)
-        return _det_rat(rows)
+    def at(x):
+        # the whole matrix at t = x, shared by every minor
+        if x not in values:
+            values[x] = _eval_matrix(polys, x)
+        return values[x]
 
-    def looks_nonzero(rsel, csel):
-        return any(specialized_det(rsel, csel, x) for x in test_points)
-
+    nrows = len(polys)
+    blocks = {tuple(sorted(rng.sample(range(nrows), size))) for _ in range(count - 1)}
+    rows, cols, _ = _bareiss([row[:] for row in at(3)])
+    base = None
+    if len(rows) >= size:
+        base = (tuple(sorted(rows[:size])), tuple(sorted(cols[:size])))
+        blocks.add(base[0])
+    found = set()
+    for x in (3, 5):
+        vals = at(x)
+        for rsel in sorted(blocks):
+            found.update((rsel, csel) for csel in _nonzero_column_sets(
+                [vals[r] for r in rsel]))
+    found.discard(base)
+    picks = rng.sample(sorted(found), min(count - 1, len(found)))
     g = ()
-    collected = 0
-    base = _pivot_minor(polys, size, rat(3))
-    if base is not None and looks_nonzero(*base):
-        sub = [[polys[r][c] for c in base[1]] for r in base[0]]
-        g = zgcd(g, _det_poly_interpolated(sub))
-        collected += 1
-    attempts = 0
-    while collected < count and attempts < 60 * count:
-        attempts += 1
-        rsel = sorted(rng.sample(range(nrows), size))
-        csel = sorted(rng.sample(range(ncols), size))
-        if not looks_nonzero(rsel, csel):
-            continue
-        sub = [[polys[r][c] for c in csel] for r in rsel]
-        det = _det_poly_interpolated(sub)
-        if not det:
-            continue
-        g = zgcd(g, det)
-        collected += 1
-        if g == (1,):
-            break
+    for rsel, csel in ([base] if base else []) + picks:
+        det = _minor_poly(polys, rsel, csel, at)
+        if det:
+            g = zgcd(g, det)
+            if g == (1,):
+                break
     return g
 
 
-def _pivot_minor(polys, size, x):
-    """Row and column subset carrying a nonzero minor at the specialization x,
-    from one pivoted elimination; None when the rank there is below size."""
-    rows = []
-    for prow in polys:
-        row = []
-        for coeffs in prow:
-            acc = rat(0)
-            for cf in reversed(coeffs):
-                acc = acc * x + cf
-            row.append(acc)
-        rows.append(row)
-    nrows, ncols = len(rows), len(rows[0])
-    used_rows, used_cols = [], []
-    live_rows = list(range(nrows))
-    work = {r: rows[r][:] for r in live_rows}
-    for c in range(ncols):
-        if len(used_cols) == size:
-            break
-        pr = next((r for r in live_rows if work[r][c]), None)
-        if pr is None:
-            continue
-        used_rows.append(pr)
-        used_cols.append(c)
-        live_rows.remove(pr)
-        piv = work[pr][c]
-        for r in live_rows:
-            f = work[r][c] / piv
-            if f:
-                work[r] = [a - f * b for a, b in zip(work[r], work[pr])]
-    if len(used_cols) < size:
-        return None
-    return sorted(used_rows), sorted(used_cols)
+def _nonzero_column_sets(block):
+    """Column subsets on which the integer matrix `block` has a nonzero maximal
+    minor, read off the complementary minors of its kernel basis."""
+    size, ncols = len(block), len(block[0])
+    kernel = kernel_basis(DenseMatrix(QQ, block))
+    if len(kernel) != ncols - size:
+        return      # rank below size: every maximal minor vanishes here
+    kernel = _integer_rows(kernel)
+    dual = [[v[c] for v in kernel] for c in range(ncols)]
+    # a subset meeting a zero row of the kernel basis has a zero minor there
+    support = [c for c in range(ncols) if any(dual[c])]
+    for rest in combinations(support, ncols - size):
+        if _det_int([dual[c][:] for c in rest]):
+            yield tuple(c for c in range(ncols) if c not in rest)
 
 
-def _det_poly_interpolated(sub):
-    """Determinant of a Q[t]-matrix (coefficient-list entries), primitive in Z[t]."""
-    n = len(sub)
-    bound = sum(max((len(c) - 1 for c in row), default=0) for row in sub) + 1
-    xs = [rat(k) for k in range(bound)]
+def _minor_poly(polys, rsel, csel, at):
+    """Minor of the coefficient-list matrix on rows rsel and columns csel,
+    primitive in Z[t] with positive leading coefficient, interpolated from
+    its values at t = 0, 1, 2, ... up to the degree bound; at(x) gives the
+    matrix at t = x."""
+    row_deg = sum(max(len(polys[r][c]) for c in csel) - 1 for r in rsel)
+    col_deg = sum(max(len(polys[r][c]) for r in rsel) - 1 for c in csel)
     ys = []
-    for x in xs:
-        rows = []
-        for row in sub:
-            out = []
-            for coeffs in row:
-                acc = rat(0)
-                for cf in reversed(coeffs):
-                    acc = acc * x + cf
-                out.append(acc)
-            rows.append(out)
-        ys.append(_det_rat(rows))
-    coeffs = _newton_interpolate(xs, ys)
-    den = 1
-    for c in coeffs:
-        d = int(c.denominator)
-        den = den * d // _gcd(den, d)
-    ints = ztrim([int(c * den) for c in coeffs])
+    for x in range(min(row_deg, col_deg) + 1):
+        vals = at(x)
+        ys.append(_det_int([[vals[r][c] for c in csel] for r in rsel]))
+    ints = ztrim(_interpolate_scaled(ys))
     if not ints:
         return ()
     p = zprim(ints)
-    if p[-1] < 0:
-        p = tuple(-c for c in p)
-    return p
+    return p if p[-1] > 0 else tuple(-c for c in p)
 
 
-def _det_rat(rows):
-    scale = 1
-    int_rows = []
-    for row in rows:
-        den = 1
-        for x in row:
-            d = int(x.denominator)
-            den = den * d // _gcd(den, d)
-        scale *= den
-        int_rows.append([int(x.numerator) * (den // int(x.denominator)) for x in row])
-    d = _det_int(int_rows)
-    return rat(d, scale)
-
-
-def _det_int(a):
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            p = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if p is None:
-                return 0
-            a[k], a[p] = a[p], a[k]
-            sign = -sign
-        piv = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * piv - aik * a[k][j]) // prev
-            a[i][k] = 0
-        prev = piv
-    return sign * a[n - 1][n - 1]
-
-
-def _newton_interpolate(xs, ys):
-    n = len(xs)
-    coef = list(ys)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    # expand the Newton form into monomial coefficients
-    poly = [rat(0)] * n
-    acc = [rat(1)] + [rat(0)] * (n - 1)
-    deg = 0
+def _interpolate_scaled(ys):
+    """(n - 1)! times the polynomial of degree < n that takes the value ys[k]
+    at t = k, as integer coefficients (Newton's forward-difference form)."""
+    n = len(ys)
+    poly = [0] * n
+    falling = [1]       # coefficients of t (t - 1) ... (t - j + 1)
+    diffs = list(ys)
     for j in range(n):
-        for i in range(deg + 1):
-            poly[i] += coef[j] * acc[i]
-        if j < n - 1:
-            new = [rat(0)] * n
-            for i in range(deg + 1):
-                new[i + 1] += acc[i]
-                new[i] -= xs[j] * acc[i]
-            acc = new
-            deg += 1
-    while poly and not poly[-1]:
-        poly.pop()
+        f = diffs[0] * (factorial(n - 1) // factorial(j))
+        for i, c in enumerate(falling):
+            poly[i] += f * c
+        falling = [a - j * b for a, b in zip([0] + falling, falling + [0])]
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     return poly

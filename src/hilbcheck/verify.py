@@ -179,7 +179,7 @@ def _case_pfaffian_ratio(seed):
     reps = [salmon_turnbull_pfaffian(I) for I in
             (fx.seven_quadrics_ideal(4), fx.family_member_ideal(1),
              fx.family_member_ideal(2), fx.family_limit_ideal())]
-    ratios = {repr(r.ratio()) for r in reps if not r.vanishes}
+    ratios = {str(r.ratio()) for r in reps if not r.vanishes}
     zero_ok = all(bool(r.pfaffian_block) == bool(r.pfaffian_intrinsic) for r in reps)
     if not zero_ok:
         return "FAIL", "vanishing mismatch", ""

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -9,7 +10,7 @@ from hilbcheck.linalg import (DenseMatrix, RowSpace, determinant, kernel_basis,
                               mat_rank, minor_gcd_sample, pfaffian,
                               t_adic_minor_valuation)
 from hilbcheck.scalars import rat
-from hilbcheck.upoly import RATFUNC_T as t, zval
+from hilbcheck.upoly import RATFUNC_T as t, zgcd, zval
 
 
 def naive_rank(rows):
@@ -177,3 +178,77 @@ def test_rowspace_dependency_coefficients():
     assert rs.add([rat(0), rat(1)]) is None
     combo = rs.add([rat(2), rat(-3)])
     assert combo == {0: rat(2), 1: rat(-3)}
+
+
+def _maximal_minors_and_kernel_complements(m):
+    """(S, minor on S, complementary kernel minor on the other columns)."""
+    ker = kernel_basis(m)
+    assert len(ker) == m.ncols - m.nrows
+    dual = [[v[c] for v in ker] for c in range(m.ncols)]
+    for cols in combinations(range(m.ncols), m.nrows):
+        rest = [c for c in range(m.ncols) if c not in cols]
+        minor = determinant(DenseMatrix(m.field, [[row[c] for c in cols] for row in m.rows]))
+        yield cols, minor, determinant(DenseMatrix(m.field, [dual[c] for c in rest]))
+
+
+def test_maximal_minors_vanish_with_complementary_kernel_minors():
+    # Grassmann duality, which screens the minors in minor_gcd_sample
+    rng = random.Random(29)
+
+    def small():
+        return rng.randint(-3, 3)
+
+    def poly():
+        return sum((QT.from_int(small()) * t ** e for e in range(3)), QT.zero)
+
+    qq_cases, qt_cases = [], []
+    while len(qq_cases) < 6:
+        c0, c1, c2 = ([small() for _ in range(3)] for _ in range(3))
+        a, b = small(), small()
+        cols = [c0, c1, c2, [a * x + b * y for x, y in zip(c0, c1)],
+                [2 * z for z in c2], [0, 0, 0] if rng.random() < 0.5 else
+                [small() for _ in range(3)]]
+        m = DenseMatrix(QQ, [[col[i] for col in cols] for i in range(3)])
+        if mat_rank(m) == 3:
+            qq_cases.append(m)
+    while len(qt_cases) < 3:
+        c0, c1, c2 = ([poly() for _ in range(3)] for _ in range(3))
+        cols = [c0, c1, c2, [t * x + y for x, y in zip(c0, c1)],
+                [t ** 2 * z for z in c2], [poly() for _ in range(3)]]
+        m = DenseMatrix(QT, [[col[i] for col in cols] for i in range(3)])
+        if t_adic_minor_valuation(m, 3, cross_check=False) is not None:
+            qt_cases.append(m)
+    seen = set()
+    for m in qq_cases + qt_cases:
+        for cols, minor, dual in _maximal_minors_and_kernel_complements(m):
+            assert bool(minor) == bool(dual), (m, cols)
+            seen.add(bool(minor))
+    assert seen == {True, False}
+
+
+def test_minor_gcd_sample_finds_sparse_support():
+    # 2 nonzero maximal minors among C(24, 3) = 2024: t^5 (1 + t) and t^5 (1 - t)
+    z = QT.zero
+    rows = [[z] * 24 for _ in range(3)]
+    rows[0][5] = t
+    rows[1][11] = t ** 2
+    rows[2][17] = t ** 2 + t ** 3
+    rows[2][20] = t ** 2 - t ** 3
+    m = DenseMatrix(QT, rows)
+    full = ()
+    for cols in combinations(range(24), 3):
+        minor = determinant(DenseMatrix(QT, [[row[c] for c in cols] for row in rows]))
+        if minor:
+            full = zgcd(full, minor.num)
+    assert full == (0, 0, 0, 0, 0, 1)
+    assert minor_gcd_sample(m, 3, count=2) == full
+    assert t_adic_minor_valuation(m, 3) == 5
+
+
+def test_minor_gcd_sample_is_seeded():
+    rng = random.Random(31)
+    m = DenseMatrix(QT, [[sum((QT.from_int(rng.randint(-2, 2)) * t ** e for e in range(3)),
+                              QT.zero) for _ in range(7)] for _ in range(4)])
+    for seed in (1, 2):
+        first = minor_gcd_sample(m, 3, count=5, seed=seed)
+        assert first and minor_gcd_sample(m, 3, count=5, seed=seed) == first

@@ -11,9 +11,11 @@ def test_case_registry_names_unique():
 
 def test_quick_cases_pass():
     for name in ("tangent-21", "dimension-formulas", "initial-axis-100",
-                 "pfaffian-salmon", "census"):
+                 "pfaffian-salmon", "census", "pfaffian-ratio"):
         res = run_case(name)
         assert res.status == "PASS", (name, res.value, res.note)
+    # the ratio prints as a plain rational, not as a backend repr
+    assert run_case("pfaffian-ratio").value == "ratio 1"
 
 
 def test_report_rendering_and_schema():
