@@ -7,6 +7,8 @@ characteristic p all degrees in play must stay below p, where the pairing is
 perfect; higher degrees are refused rather than silently degenerate.
 """
 
+from math import factorial, prod
+
 from .errors import PreconditionError
 from .groebner import Ideal, _monomials_of_degree
 from .linalg import DenseMatrix, RowSpace, kernel_basis
@@ -56,11 +58,7 @@ def pairing(p, q):
 
 
 def _factorial_int(m):
-    out = 1
-    for e in m:
-        for k in range(2, e + 1):
-            out *= k
-    return out
+    return prod(map(factorial, m))
 
 
 def homogeneous_component_basis(I, j):

@@ -13,7 +13,7 @@ from .errors import HilbcheckError, PreconditionError
 from .fields import QQ
 from .linalg import DenseMatrix, RowSpace, kernel_basis, rref
 from .poly import GREVLEX, Polynomial, VariableContext, mono_deg
-from .groebner import (GroebnerBasis, Ideal, buchberger, cyclic_annihilator_gb,
+from .groebner import (Ideal, buchberger, cyclic_annihilator_gb,
                        _monomials_of_degree)
 from .scalars import is_prime, rat
 
@@ -162,23 +162,16 @@ def translate_ideal(I, a):
     return Ideal(ctx, [g.substitute(images) for g in I.gens])
 
 
-def _model_of(I):
-    if isinstance(I, LocalAlgebraModel):
-        return I
-    G = I if isinstance(I, GroebnerBasis) else buchberger(I)
-    return multiplication_operators(G)
-
-
 def is_primary_at_origin(I):
     """True when some power of (x_1, ..., x_d) lies in I."""
-    model = _model_of(I)
+    model = multiplication_operators(buchberger(I))
     chain = model.maximal_ideal_chain()
     return chain[-1].dim == 0
 
 
 def local_hilbert_function(I):
     """h_j = dim m^j/(m^(j+1)) for an ideal primary at the origin."""
-    model = _model_of(I)
+    model = multiplication_operators(buchberger(I))
     chain = model.maximal_ideal_chain()
     if chain[-1].dim != 0:
         raise PreconditionError("ideal is not primary at the origin")
@@ -208,19 +201,9 @@ def embedding_reduction(I):
     n = model.n
     w2 = chain[2] if len(chain) > 2 else RowSpace(field)
 
-    def reduce_mod(space, vec):
-        v = list(vec)
-        for piv, row, _ in space.rows:
-            c = v[piv]
-            if c:
-                for j, x in enumerate(row):
-                    if x:
-                        v[j] = v[j] - c * x
-        return v
-
     unit = model.unit_vector()
     var_vecs = [model.ops[i].apply(unit) for i in range(d)]
-    reduced_cols = [reduce_mod(w2, v) for v in var_vecs]
+    reduced_cols = [w2.reduce(v) for v in var_vecs]
     mat = DenseMatrix(field, [[reduced_cols[i][r] for i in range(d)] for r in range(n)])
     combos = kernel_basis(mat)
     combo_rows, _ = rref(combos, field)
@@ -287,6 +270,7 @@ def split_rational_support(I):
 
     Simultaneous generalized-eigenspace splitting of the commuting operators,
     eigenvalues found by rational-root search on characteristic polynomials.
+    Returns (point, reduced grevlex basis of the primary piece) pairs.
     Raises IndeterminateSupport when a factor has no certified rational root.
     """
     G = buchberger(I)
@@ -312,7 +296,7 @@ def split_rational_support(I):
     out.sort(key=lambda pi: tuple(repr(c) for c in pi[0]))
     if sum(len(piece.quotient_basis()) for _, piece in out) != n:
         raise ArithmeticError("component colengths do not sum to the total")
-    return [(pt, Ideal(ctx, piece.elements)) for pt, piece in out]
+    return out
 
 
 def _unit(field, n, i):

@@ -50,26 +50,33 @@ class QuotientBasis:
         return m in self.index
 
 
-class GroebnerBasis:
-    """Reduced Groebner basis: monic, auto-reduced, deterministically sorted."""
+class GroebnerBasis(Ideal):
+    """Reduced Groebner basis: monic, auto-reduced, deterministically sorted.
 
-    __slots__ = ("ctx", "order", "elements", "lts", "_qb")
+    As an Ideal its generators are the reduced basis, so every function that
+    takes an ideal takes a basis, and buchberger returns it unchanged.
+    """
+
+    __slots__ = ("order", "lts", "_qb")
 
     def __init__(self, ctx, order, elements):
-        self.ctx = ctx
+        super().__init__(ctx, elements)
         self.order = order
-        self.elements = tuple(elements)
-        self.lts = tuple(g.lm(order) for g in self.elements)
+        self.lts = tuple(g.lm(order) for g in self.gens)
         self._qb = None
+
+    @property
+    def elements(self):
+        return self.gens
 
     def normal_form(self, f):
         if f.ctx != self.ctx:
             raise PreconditionError("polynomial from a different context")
-        rem, _ = _divide(f, self.elements, self.order)
+        rem, _ = _divide(f, self.gens, self.order)
         return Polynomial(self.ctx, rem)
 
     def reduce_with_quotients(self, f):
-        rem, quots = _divide(f, self.elements, self.order, track=True)
+        rem, quots = _divide(f, self.gens, self.order, track=True)
         return Polynomial(self.ctx, rem), [Polynomial(self.ctx, q) for q in quots]
 
     def contains(self, f):
@@ -87,11 +94,8 @@ class GroebnerBasis:
     def colength(self):
         return len(self.quotient_basis())
 
-    def ideal(self):
-        return Ideal(self.ctx, self.elements)
-
     def __repr__(self):
-        return f"GB[{self.order}](" + ", ".join(map(str, self.elements)) + ")"
+        return f"GB[{self.order}](" + ", ".join(map(str, self.gens)) + ")"
 
 
 def _divide(f, basis, order, track=False):
@@ -131,7 +135,13 @@ def normal_form(f, G):
 
 
 def buchberger(ideal, order=GREVLEX):
-    """Reduced Groebner basis of an ideal; deterministic for fixed input."""
+    """Reduced Groebner basis of an ideal; deterministic for fixed input.
+
+    A reduced basis is unique, so a GroebnerBasis in this order is returned
+    as it is.
+    """
+    if isinstance(ideal, GroebnerBasis) and ideal.order == order:
+        return ideal
     if isinstance(ideal, Ideal):
         ctx, gens = ideal.ctx, ideal.gens
     else:
@@ -257,7 +267,7 @@ def ideal_equal(I, J):
         raise PreconditionError("ideals from different contexts")
     GI = buchberger(I, GREVLEX)
     GJ = buchberger(J, GREVLEX)
-    return list(GI.elements) == list(GJ.elements)
+    return GI.gens == GJ.gens
 
 
 def intersect(I, J):
@@ -279,7 +289,7 @@ def intersect(I, J):
     elim = weight_order((1,) + (0,) * ctx.d, tiebreak="grevlex")
     G = buchberger(Ideal(ext, gens), elim)
     out = []
-    for g in G.elements:
+    for g in G.gens:
         if all(m[0] == 0 for m in g.terms):
             out.append(Polynomial(ctx, {m[1:]: c for m, c in g.terms.items()}))
     return Ideal(ctx, out)
@@ -299,7 +309,7 @@ def initial_ideal(I, w):
     if all(wi >= 0 for wi in w):
         order = weight_order(w, tiebreak="grevlex")
         G = buchberger(I, order)
-        return Ideal(I.ctx, [g.weight_initial_form(w) for g in G.elements])
+        return Ideal(I.ctx, [g.weight_initial_form(w) for g in G.gens])
     return _initial_ideal_truncated(I, w)
 
 
@@ -319,7 +329,7 @@ def _initial_ideal_truncated(I, w):
     col_of = {m: i for i, m in enumerate(cols)}
     field = ctx.field
     rs = RowSpace(field)
-    for g in G.elements:
+    for g in G.gens:
         og = g.order_of_vanishing()
         for a in range(0, n - og + 1):
             for am in _monomials_of_degree(ctx.d, a):
@@ -376,7 +386,7 @@ def schreyer_syzygies(G):
     its division trace.
     """
     ctx, order = G.ctx, G.order
-    basis = list(G.elements)
+    basis = list(G.gens)
     lts = G.lts
     one = ctx.field.one
     rels = []

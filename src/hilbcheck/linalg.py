@@ -158,7 +158,8 @@ class RowSpace:
         self.pivots.append(piv)
         return None
 
-    def contains(self, vec):
+    def reduce(self, vec):
+        """Residual of vec after eliminating against the span's pivot rows."""
         v = list(vec)
         for piv, row, _ in self.rows:
             c = v[piv]
@@ -166,7 +167,10 @@ class RowSpace:
                 for j, x in enumerate(row):
                     if x:
                         v[j] = v[j] - c * x
-        return not any(v)
+        return v
+
+    def contains(self, vec):
+        return not any(self.reduce(vec))
 
 
 def rref(rows, field):

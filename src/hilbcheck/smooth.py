@@ -11,13 +11,12 @@ limit, which the classifier turns into a decision procedure.
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .apolarity import pairing, perp
+from .apolarity import _factorial_int, perp
 from .artin import (IndeterminateSupport, centroid, embedding_reduction,
                     is_primary_at_origin, local_hilbert_function,
                     multiplication_operators, split_rational_support,
                     translate_ideal)
-from .groebner import (GroebnerBasis, Ideal, buchberger, ideal_equal,
-                       initial_ideal)
+from .groebner import Ideal, buchberger, ideal_equal, initial_ideal
 from .linalg import DenseMatrix, RowSpace, determinant, kernel_basis, pfaffian
 from .poly import mono_deg
 
@@ -47,15 +46,15 @@ def salmon_turnbull_pfaffian(arg):
     to the halved quadrics, so the two Pfaffians agree up to one universal
     scalar and vanish together.
     """
-    if isinstance(arg, (Ideal, GroebnerBasis)):
-        G = arg if isinstance(arg, GroebnerBasis) else buchberger(arg)
+    if isinstance(arg, Ideal):
+        G = buchberger(arg)
         ctx = G.ctx
         if ctx.d != 4:
             raise PreconditionError("the Pfaffian criterion lives in 4 variables")
         hf = local_hilbert_function(G)
         if tuple(hf) != (1, 4, 3):
             raise PreconditionError(f"wrong Hilbert function {hf}, need (1,4,3)")
-        quadrics = perp(Ideal(ctx, G.elements), 2)
+        quadrics = perp(G, 2)
     else:
         quadrics = list(arg)
     if len(quadrics) != 3:
@@ -118,8 +117,7 @@ def _intrinsic_matrix(quadrics, field):
     computed through multiplication in the quotient of the quadrics."""
     deg2 = list(_deg2_monos())
     # primal quadrics orthogonal to the three duals: rows of the pairing kernel
-    pair_rows = [[q.terms.get(m, field.zero) * field.from_int(_fact(m)) for m in deg2]
-                 for q in quadrics]
+    pair_rows = [[_pair_mono(m, q, field) for m in deg2] for q in quadrics]
     orth = kernel_basis(DenseMatrix(field, pair_rows))
     if len(orth) != 7:
         raise PreconditionError("dual quadrics are linearly dependent")
@@ -139,11 +137,12 @@ def _intrinsic_matrix(quadrics, field):
     if len(cob) != 3:
         raise ArithmeticError("coquotient basis extraction failed")
     P = [[_pair_mono(m, q, field) for q in quadrics] for m in cob]
-    two = field.from_int(2)
-    Pinv = _inverse_3x3(P, field)
-    # mbar_i = sum_a C[a][i] cob_a with C = 2 * Pinv^T  (so <mbar_i, Q_j> = 2 delta_ij)
-    C = [[two * Pinv[i][a] for i in range(3)] for a in range(3)]
-    # multiplication table x_j x_j' expressed over mbar
+    if not determinant(DenseMatrix(field, P)):
+        raise ArithmeticError("pairing matrix is singular")
+    half = field.inv_int(2)
+    # mbar_i = sum_a C[a][i] cob_a with C = 2 (P^-1)^T, so <mbar_i, Q_j> = 2 delta_ij
+    # and coordinates over mbar are C^-1 u = P^T u / 2; multiplication table
+    # x_j x_j' expressed over mbar
     red_cache = {}
 
     def mbar_coords(j, jp):
@@ -162,8 +161,8 @@ def _intrinsic_matrix(quadrics, field):
         for idx, c in combo.items():
             if idx >= 7:
                 ucoords[cob_slot[idx]] = c
-        # coords over mbar: solve C * w = ucoords
-        w = _solve_3x3(C, ucoords, field)
+        w = [half * sum((P[a][i] * ucoords[a] for a in range(3)), start=field.zero)
+             for i in range(3)]
         red_cache[key] = w
         return w
 
@@ -197,44 +196,9 @@ def _deg2_monos():
     return out
 
 
-def _fact(m):
-    out = 1
-    for e in m:
-        for k in range(2, e + 1):
-            out *= k
-    return out
-
-
 def _pair_mono(m, q, field):
     c = q.terms.get(m, field.zero)
-    return c * field.from_int(_fact(m))
-
-
-def _inverse_3x3(P, field):
-    M = DenseMatrix(field, P)
-    det = determinant(M)
-    if not det:
-        raise ArithmeticError("pairing matrix is singular")
-    cof = [[field.zero] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            sub = [[P[r][c] for c in range(3) if c != j] for r in range(3) if r != i]
-            minor = sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
-            sign = field.one if (i + j) % 2 == 0 else -field.one
-            cof[j][i] = sign * minor / det
-    return cof
-
-
-def _solve_3x3(C, b, field):
-    M = DenseMatrix(field, C)
-    det = determinant(M)
-    if not det:
-        raise ArithmeticError("singular basis change")
-    out = []
-    for k in range(3):
-        Mk = [[C[i][j] if j != k else b[i] for j in range(3)] for i in range(3)]
-        out.append(determinant(DenseMatrix(field, Mk)) / det)
-    return out
+    return c * field.from_int(_factorial_int(m))
 
 
 def _perm_sign(p):
@@ -258,7 +222,8 @@ def project_to_graded(I):
     ctx = I.ctx
     if ctx.d != 4:
         raise PreconditionError("projection is defined in 4 variables")
-    out = initial_ideal(I, (1, 1, 1, 1))
+    G = buchberger(I)
+    out = initial_ideal(G, (1, 1, 1, 1))
     Gout = buchberger(out)
     qb = Gout.quotient_basis()
     counts = {}
@@ -267,10 +232,10 @@ def project_to_graded(I):
     hf = tuple(counts.get(j, 0) for j in range(max(counts, default=0) + 1))
     if hf != (1, 4, 3):
         raise PreconditionError(f"wrong Hilbert function {hf} after projection, need (1,4,3)")
-    if is_primary_at_origin(I):
-        if tuple(local_hilbert_function(I)) == (1, 4, 3) and not ideal_equal(out, I):
+    if is_primary_at_origin(G):
+        if tuple(local_hilbert_function(G)) == (1, 4, 3) and not ideal_equal(Gout, G):
             raise ArithmeticError("local (1,4,3) ideal failed to project to itself")
-    return Ideal(ctx, Gout.elements)
+    return Gout
 
 
 def change_coordinates(I, g):
@@ -322,27 +287,23 @@ def classify_smoothable(I):
         raise PreconditionError(f"colength {n} > 8: outside the supported range")
     evidence = [f"colength {n}"]
     try:
-        pieces = split_rational_support(Ideal(ctx, G.elements))
+        pieces = split_rational_support(G)
     except IndeterminateSupport as exc:
         evidence.append(f"splitting failed: {exc}")
         return SmoothabilityVerdict("Indeterminate", tuple(evidence))
-    evidence.append("split into colengths " +
-                    str([buchberger(p).colength() for _, p in pieces]))
+    evidence.append("split into colengths " + str([p.colength() for _, p in pieces]))
     pf_value = None
     for point, piece in pieces:
-        Gp = buchberger(piece)
-        np = Gp.colength()
-        if np <= 7:
+        if piece.colength() <= 7:
             continue
-        model = multiplication_operators(Gp)
-        center = centroid(model)
-        local = translate_ideal(piece, center)
+        center = centroid(multiplication_operators(piece))
+        local = buchberger(translate_ideal(piece, center))
         evidence.append("recentered colength-8 piece")
         hf = local_hilbert_function(local)
         evidence.append(f"local Hilbert function {hf}")
         if tuple(hf) != (1, 4, 3):
             continue
-        reduced = embedding_reduction(local)
+        reduced = buchberger(embedding_reduction(local))
         if reduced.ctx.d != 4:
             raise ArithmeticError("embedding reduction did not reach 4 variables")
         if reduced.ctx != local.ctx:

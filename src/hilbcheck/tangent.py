@@ -10,6 +10,7 @@ same assembly.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import PreconditionError
 from .fields import QQ, QT
@@ -24,7 +25,7 @@ from .artin import local_hilbert_function, multiplication_operators
 def tangent_dimension(I):
     """dim Hom_S(I, S/I): unknowns per basis element, one block row of
     constraints per syzygy generator."""
-    G = I if not isinstance(I, Ideal) else buchberger(I)
+    G = buchberger(I)
     qb = G.quotient_basis()
     n = len(qb)
     if n == 0:
@@ -52,7 +53,7 @@ def tangent_dimension(I):
 
 def graded_tangent_dimension(I, e):
     """Dimension of the degree-e part of Hom_S(I, S/I) for homogeneous I."""
-    G = I if not isinstance(I, Ideal) else buchberger(I)
+    G = buchberger(I)
     for g in G.elements:
         if not g.is_homogeneous():
             raise PreconditionError("graded tangent dimensions need a homogeneous ideal")
@@ -103,7 +104,7 @@ def graded_tangent_dimension(I, e):
 
 def graded_tangent_dimensions(I):
     """All nonzero graded pieces, as a dict degree -> dimension."""
-    G = I if not isinstance(I, Ideal) else buchberger(I)
+    G = buchberger(I)
     qb = G.quotient_basis()
     max_gen = max(g.degree() for g in G.elements)
     max_std = max((mono_deg(m) for m in qb), default=0)
@@ -124,7 +125,7 @@ class TangentReport:
 
 
 def tangent_report(I, expected_dimension=None, graded=False):
-    G = I if not isinstance(I, Ideal) else buchberger(I)
+    G = buchberger(I)
     total = tangent_dimension(G)
     gr = None
     if graded:
@@ -152,8 +153,13 @@ class TangentMachine143:
     rank_psi: int
     dim_hom_minus1: int
     corank_hbar: int
-    det_hbar: object
     singular: bool
+
+    @cached_property
+    def det_hbar(self):
+        """det hbar over the entry field when hbar is square, else None."""
+        hbar = self.hbar
+        return determinant(hbar) if hbar.nrows == hbar.ncols else None
 
 
 def build_tangent_machine(I, cobasis=None):
@@ -162,7 +168,7 @@ def build_tangent_machine(I, cobasis=None):
     Requires four variables and an ideal generated in degree 2; the verdict
     `singular` is dim Hom(I, S/I)_{-1} >= 5.
     """
-    G = I if not isinstance(I, Ideal) else buchberger(I)
+    G = buchberger(I)
     ctx = G.ctx
     if ctx.d != 4:
         raise PreconditionError("the machine needs exactly 4 variables")
@@ -241,12 +247,11 @@ def _assemble_machine(ctx, quadrics, relations, cobasis):
         raise ArithmeticError("derivative columns are dependent")
     keep = [c for c in range(28) if c not in set(tpivots)]
     hbar = DenseMatrix(field, [[psi.rows[r][c] for c in keep] for r in range(3 * nrel)])
-    det_hbar = determinant(hbar) if hbar.nrows == hbar.ncols else None
     corank = hbar.ncols - mat_rank(hbar)
     return TangentMachine143(
         quadrics=quadrics, relations=relations, cobasis=cobasis, psi=psi,
         t_columns=t_columns, hbar=hbar, rank_psi=rank_psi,
-        dim_hom_minus1=dim_hom_minus1, corank_hbar=corank, det_hbar=det_hbar,
+        dim_hom_minus1=dim_hom_minus1, corank_hbar=corank,
         singular=dim_hom_minus1 >= 5)
 
 

@@ -18,8 +18,8 @@ from .census import census_report, chain_stratum_dims, fiber_dim, \
     grassmannian_stratum_dim, pencil_cubic_stratum_dims
 from .errors import HilbcheckError
 from .fields import GF, QQ
-from .groebner import (Ideal, buchberger, delta_ratio, ideal_equal,
-                       initial_ideal, intersect, points_ideal)
+from .groebner import (buchberger, delta_ratio, ideal_equal, initial_ideal,
+                       intersect, points_ideal)
 from .linalg import DenseMatrix, determinant, pfaffian
 from .poly import context
 from .scalars import RAT_BACKEND, rat
@@ -166,9 +166,8 @@ def _case_pfaffian_points(seed):
         pts = fx.random_points(rng.randint(0, 10 ** 9))
         ctx = context(QQ, "x1 x2 x3 x4")
         G = points_ideal(pts, ctx)
-        I = Ideal(ctx, G.elements)
         center = centroid(multiplication_operators(G))
-        graded = project_to_graded(translate_ideal(I, center))
+        graded = project_to_graded(translate_ideal(G, center))
         rep = salmon_turnbull_pfaffian(graded)
         if not rep.vanishes:
             return "FAIL", f"draw {k}: {rep.pfaffian_block}", "expected exact zero"
@@ -248,8 +247,7 @@ def _case_classify_points(seed):
     ctx = context(QQ, "x1 x2 x3 x4")
     for k in range(10):
         pts = fx.random_points(rng.randint(0, 10 ** 9))
-        G = points_ideal(pts, ctx)
-        v = classify_smoothable(Ideal(ctx, G.elements))
+        v = classify_smoothable(points_ideal(pts, ctx))
         if v.outcome != "Smoothable":
             return "FAIL", f"draw {k}: {v.outcome}", ""
     return "PASS", "Smoothable on 10 draws", "ideals of 8 distinct points"
@@ -347,7 +345,7 @@ def _case_property_operators(seed):
     ideals = [fx.seven_quadrics_ideal(4), fx.monomial_143_ideal()]
     for k in range(3):
         pts = fx.random_points(rng.randint(0, 10 ** 9))
-        ideals.append(Ideal(ctx, points_ideal(pts, ctx).elements))
+        ideals.append(points_ideal(pts, ctx))
     for I in ideals:
         model = multiplication_operators(buchberger(I))
         for a in range(len(model.ops)):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hilbcheck.artin import split_rational_support
 from hilbcheck.errors import InfiniteColengthError, PreconditionError
 from hilbcheck.fields import GF, QQ
 from hilbcheck.fixtures import (degeneration_753, degeneration_axis_weight,
@@ -13,7 +14,7 @@ from hilbcheck.fixtures import (degeneration_753, degeneration_axis_weight,
 from hilbcheck.groebner import (Ideal, buchberger, delta_ratio, ideal_equal,
                                 initial_ideal, intersect, linear_syzygies,
                                 normal_form, points_ideal, schreyer_syzygies)
-from hilbcheck.poly import GREVLEX, context, parse_polynomial, weight_order
+from hilbcheck.poly import GREVLEX, LEX, context, parse_polynomial, weight_order
 from hilbcheck.scalars import rat
 
 
@@ -272,3 +273,33 @@ def test_elimination_order_is_global_weight_order():
     ctx = context(QQ, "u x y")
     G = buchberger(ideal(ctx, "u*x - 1", "y - u"), w)
     assert G.colength
+
+
+def test_buchberger_returns_a_basis_in_its_own_order():
+    _, J, _, _ = degeneration_chain(3, 3)
+    G = buchberger(J)
+    assert isinstance(G, Ideal) and G.elements == G.gens
+    assert buchberger(G) is G
+    for order in (LEX, weight_order((3, 2, 1))):
+        H = buchberger(G, order)
+        assert H.order is order
+        assert H.gens == buchberger(Ideal(J.ctx, G.gens), order).gens
+        assert buchberger(H, order) is H
+        assert buchberger(H).gens == G.gens
+
+
+def test_bases_built_by_linear_algebra_are_reduced():
+    # points_ideal and the split pieces skip Buchberger; buchberger returns
+    # them as they are, so they must already be its reduced, sorted output
+    rng = random.Random(2024)
+    bases = []
+    for d, n, field in ((2, 5, QQ), (3, 6, QQ), (4, 8, QQ), (3, 6, GF(101))):
+        ctx = context(field, [f"x{i+1}" for i in range(d)])
+        G = points_ideal(random_points(rng.randint(0, 10 ** 9), n=n, d=d, field=field), ctx)
+        bases.append(G)
+        bases.extend(piece for _, piece in split_rational_support(Ideal(ctx, G.gens)))
+    for d, m in ((2, 3), (3, 3), (4, 2)):
+        _, J, _, _ = degeneration_chain(d, m)
+        bases.extend(piece for _, piece in split_rational_support(J))
+    for G in bases:
+        assert G.gens == buchberger(Ideal(G.ctx, G.gens)).gens

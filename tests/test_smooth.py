@@ -10,6 +10,7 @@ from hilbcheck.fixtures import (bundled_monomial_ideals, degeneration_753,
                                 random_invertible_matrix, random_points,
                                 salmon_ideal, seven_quadrics_ideal,
                                 squares_cube_ideal)
+from hilbcheck import groebner
 from hilbcheck.artin import centroid, multiplication_operators, translate_ideal
 from hilbcheck.groebner import Ideal, buchberger, ideal_equal, points_ideal
 from hilbcheck.poly import context, parse_polynomial
@@ -211,3 +212,27 @@ def test_classify_dense_five_variable_witness():
 def rat_half():
     from hilbcheck.scalars import rat
     return rat(1, 2)
+
+
+
+def _eight_points_ideal():
+    ctx = context(QQ, "x1 x2 x3 x4")
+    return Ideal(ctx, points_ideal(random_points(5), ctx).gens)
+
+
+@pytest.mark.parametrize("make, most, outcome", [
+    (lambda: seven_quadrics_ideal(4), 4, "NotSmoothable"),
+    (lambda: seven_quadrics_ideal(5), 5, "NotSmoothable"),
+    (monomial_143_ideal, 4, "Smoothable"),
+    (_eight_points_ideal, 1, "Smoothable"),
+], ids=["seven-quadrics-4", "seven-quadrics-5", "monomial-143", "eight-points"])
+def test_classify_computes_each_groebner_basis_once(monkeypatch, make, most, outcome):
+    # every full Buchberger run ends in _reduce_basis; a basis passed along
+    # the pipeline is never recomputed
+    I = make()
+    runs = []
+    reduce_basis = groebner._reduce_basis
+    monkeypatch.setattr(groebner, "_reduce_basis",
+                        lambda *args: runs.append(1) or reduce_basis(*args))
+    assert classify_smoothable(I).outcome == outcome
+    assert 1 <= len(runs) <= most

@@ -10,8 +10,9 @@ from hilbcheck.fixtures import (family_limit_ideal, family_member_ideal,
                                 random_points, salmon_ideal,
                                 seven_quadrics_ideal, squares_cube_ideal,
                                 weight753_ideal)
+from hilbcheck import tangent
 from hilbcheck.groebner import Ideal, points_ideal
-from hilbcheck.linalg import kernel_basis, mat_rank
+from hilbcheck.linalg import determinant, kernel_basis, mat_rank
 from hilbcheck.poly import context
 from hilbcheck.smooth import change_coordinates
 from hilbcheck.tangent import (FAMILY_COBASIS, build_tangent_machine,
@@ -183,3 +184,14 @@ def test_curve_degenerate_quadric_gives_infinite_valuation():
             r[c] = QT.zero
     z = DenseMatrix(QT, rows)
     assert t_adic_minor_valuation(z, 24, cross_check=False) is None
+
+
+def test_family_machine_evaluates_det_hbar_only_on_request(monkeypatch):
+    def refuse(m):
+        raise AssertionError("determinant evaluated")
+
+    monkeypatch.setattr(tangent, "determinant", refuse)
+    assert family_machine().rank_psi == 24
+    m = family_machine(tval=1)
+    monkeypatch.undo()
+    assert m.det_hbar and m.det_hbar == determinant(m.hbar)
