@@ -13,8 +13,7 @@ from .errors import HilbcheckError, PreconditionError
 from .fields import QQ
 from .linalg import DenseMatrix, RowSpace, kernel_basis, rref
 from .poly import GREVLEX, Polynomial, VariableContext, mono_deg
-from .groebner import (Ideal, buchberger, cyclic_annihilator_gb,
-                       _monomials_of_degree)
+from .groebner import Ideal, buchberger, cyclic_annihilator_gb
 from .scalars import is_prime, rat
 
 
@@ -54,15 +53,6 @@ class LocalAlgebraModel:
         field = self.ctx.field
         one_pos = self.qb.index[(0,) * self.ctx.d]
         return [field.one if i == one_pos else field.zero for i in range(self.n)]
-
-    def vector_of(self, f, G):
-        """Coordinates of f mod I."""
-        nf = G.normal_form(f)
-        field = self.ctx.field
-        v = [field.zero] * self.n
-        for m, c in nf.terms.items():
-            v[self.qb.index[m]] = c
-        return v
 
     def operator_of_polynomial(self, f):
         """Matrix of multiplication by f on S/I."""
@@ -162,19 +152,27 @@ def translate_ideal(I, a):
     return Ideal(ctx, [g.substitute(images) for g in I.gens])
 
 
-def is_primary_at_origin(I):
-    """True when some power of (x_1, ..., x_d) lies in I."""
+def _local_model(I, required=True):
+    """Multiplication model of S/I and its chain of powers of the maximal
+    ideal; None when I is not primary at the origin and is not required to be.
+    """
     model = multiplication_operators(buchberger(I))
     chain = model.maximal_ideal_chain()
-    return chain[-1].dim == 0
+    if chain[-1].dim == 0:
+        return model, chain
+    if required:
+        raise PreconditionError("ideal is not primary at the origin")
+    return None
+
+
+def is_primary_at_origin(I):
+    """True when some power of (x_1, ..., x_d) lies in I."""
+    return _local_model(I, required=False) is not None
 
 
 def local_hilbert_function(I):
     """h_j = dim m^j/(m^(j+1)) for an ideal primary at the origin."""
-    model = multiplication_operators(buchberger(I))
-    chain = model.maximal_ideal_chain()
-    if chain[-1].dim != 0:
-        raise PreconditionError("ideal is not primary at the origin")
+    _, chain = _local_model(I)
     dims = [s.dim for s in chain]
     return HilbertFunction(dims[j] - dims[j + 1] for j in range(len(dims) - 1))
 
@@ -182,16 +180,14 @@ def local_hilbert_function(I):
 def embedding_reduction(I):
     """Isomorphic presentation in h_1 = dim m/m^2 variables.
 
-    Eliminates d - h_1 variables along ideal elements with independent linear
-    parts; the image ideal is the exact kernel of the substitution map, so
-    colength and local Hilbert function are preserved.
+    Keeps variables whose images span m/m^2, so by Nakayama they generate
+    S/I; the result is the kernel of k[kept] -> S/I, read off the
+    multiplication operators as a reduced grevlex basis, so colength and
+    local Hilbert function are preserved.
     """
     ctx = I.ctx
     G = buchberger(I)
-    model = multiplication_operators(G)
-    chain = model.maximal_ideal_chain()
-    if chain[-1].dim != 0:
-        raise PreconditionError("embedding reduction needs an ideal primary at the origin")
+    model, chain = _local_model(G)
     dims = [s.dim for s in chain]
     h1 = dims[1] - dims[2] if len(dims) > 2 else dims[1]
     d = ctx.d
@@ -202,67 +198,26 @@ def embedding_reduction(I):
     w2 = chain[2] if len(chain) > 2 else RowSpace(field)
 
     unit = model.unit_vector()
-    var_vecs = [model.ops[i].apply(unit) for i in range(d)]
-    reduced_cols = [w2.reduce(v) for v in var_vecs]
+    reduced_cols = [w2.reduce(model.ops[i].apply(unit)) for i in range(d)]
     mat = DenseMatrix(field, [[reduced_cols[i][r] for i in range(d)] for r in range(n)])
-    combos = kernel_basis(mat)
-    combo_rows, _ = rref(combos, field)
-    # monomial vectors of degree 2..n, tracked, to solve for the m^2 tails
-    tracked = RowSpace(field, track=True)
-    tail_monos = []
-    for j in range(2, n + 1):
-        for m in _monomials_of_degree(d, j):
-            tracked.add(model.vector_of(ctx.monomial(m), G))
-            tail_monos.append(m)
-    substitutions = {}
-    for row in combo_rows:
-        pivot = next(i for i, c in enumerate(row) if c)
-        lin = ctx.zero()
-        lvec = [field.zero] * n
-        for i, c in enumerate(row):
-            if c:
-                lin = lin + ctx.variable(i).scale(c)
-                lvec = [a + c * b for a, b in zip(lvec, var_vecs[i])]
-        combo = tracked.add([-x for x in lvec])
-        if combo is None:
-            raise ArithmeticError("linear part not in the square of the maximal ideal")
-        tail = ctx.zero()
-        for idx, c in combo.items():
-            if idx >= len(tail_monos):
-                raise ArithmeticError("tail solve referenced a non-monomial vector")
-            tail = tail + ctx.monomial(tail_monos[idx], c)
-        g = lin + tail
-        if G.normal_form(g):
-            raise ArithmeticError("constructed element is not in the ideal")
-        substitutions[pivot] = ctx.variable(pivot) - g
-
-    keep = [i for i in range(d) if i not in substitutions]
-    images = [substitutions.get(i, ctx.variable(i)) for i in range(d)]
-    # iterate until the eliminated variables only occur above the colength degree
-    final = list(images)
-    for _ in range(n + 1):
-        final = [_truncate_above(p.substitute(images), n) for p in final]
-    for p in final:
-        for m in p.terms:
-            if any(m[i] for i in substitutions):
-                raise ArithmeticError("substitution did not eliminate the variables")
+    combo_rows, _ = rref(kernel_basis(mat), field)
+    # each kernel row is a linear form in m^2; its pivot variable is redundant
+    pivots = {next(i for i, c in enumerate(row) if c) for row in combo_rows}
+    keep = [i for i in range(d) if i not in pivots]
     new_ctx = VariableContext(field, [ctx.names[i] for i in keep], dual=ctx.dual)
-    proj = {i: k for k, i in enumerate(keep)}
-    out = []
-    for g in I.gens:
-        img = g.substitute(final)
-        terms = {}
-        for m, c in img.terms.items():
-            mm = tuple(m[i] for i in keep)
-            terms[mm] = terms.get(mm, field.zero) + c
-        p = Polynomial(new_ctx, terms)
-        if p:
-            out.append(p)
-    return Ideal(new_ctx, out)
-
-
-def _truncate_above(p, n):
-    return Polynomial(p.ctx, {m: c for m, c in p.terms.items() if mono_deg(m) <= n})
+    R = cyclic_annihilator_gb(new_ctx, lambda j, v: model.ops[keep[j]].apply(v), unit)
+    if R.colength() != n:
+        raise ArithmeticError("kept variables do not generate the quotient")
+    for g in R.gens:
+        lifted = {}
+        for m, c in g.terms.items():
+            full = [0] * d
+            for k, i in enumerate(keep):
+                full[i] = m[k]
+            lifted[tuple(full)] = c
+        if G.normal_form(Polynomial(ctx, lifted)):
+            raise ArithmeticError("reduced ideal is not contained in the original")
+    return R
 
 
 def split_rational_support(I):
@@ -332,11 +287,12 @@ def _split_by(X, basis, field):
         return [basis]
     out = []
     for a in sorted(roots, key=repr):
-        # generalized eigenspace: kernel of (R - a)^r in subspace coordinates
+        # generalized eigenspace: kernel of (R - a)^k, k the multiplicity of a,
+        # which bounds the nilpotency index of R - a on that eigenspace
         shifted = DenseMatrix(field, [[R.rows[i][j] - (a if i == j else field.zero)
                                        for j in range(r)] for i in range(r)])
         power = DenseMatrix.identity(field, r)
-        for _ in range(r):
+        for _ in range(roots[a]):
             power = shifted.matmul(power)
         ker = kernel_basis(power)
         sub = []

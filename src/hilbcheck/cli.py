@@ -159,7 +159,7 @@ def cmd_verify_paper(args):
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("HILBCHECK_SEED", DEFAULT_SEED))
-    report = run_suite(case_filter=args.case, seed=seed, jobs=args.jobs)
+    report = run_suite(case_filter=args.case, seed=seed)
     if args.json:
         obj = report.to_json_obj(timings=args.timings)
         validate(obj, VERIFY_REPORT_SCHEMA)
@@ -223,7 +223,6 @@ def build_parser():
     p.add_argument("--case", default=None,
                    help="run one case (or a name prefix); known: " + ", ".join(CASE_NAMES))
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock times (breaks byte-identical output)")

@@ -298,18 +298,21 @@ def intersect(I, J):
 def initial_ideal(I, w):
     """Ideal of w-initial forms.
 
-    Nonnegative w: Groebner basis under the w-refined order, initial forms of
-    its elements.  Mixed or negative w: only for ideals containing a power of
-    the maximal ideal, by exact linear algebra on the degree truncation (the
-    all-degrees echelon makes this path noticeably slower in many variables).
+    Nonnegative w: the initial forms of the reduced basis under the w-refined
+    order, which are the reduced basis of in_w(I) in that order (Sturmfels,
+    Groebner Bases and Convex Polytopes, Prop. 1.8); equal weights refine to
+    grevlex itself.  Mixed or negative w: only for ideals containing a power
+    of the maximal ideal, by exact linear algebra on the degree truncation
+    (the all-degrees echelon makes this path noticeably slower in many
+    variables).
     """
     w = tuple(w)
     if len(w) != I.ctx.d:
         raise PreconditionError("weight length must match the variable count")
     if all(wi >= 0 for wi in w):
-        order = weight_order(w, tiebreak="grevlex")
+        order = GREVLEX if len(set(w)) == 1 else weight_order(w, tiebreak="grevlex")
         G = buchberger(I, order)
-        return Ideal(I.ctx, [g.weight_initial_form(w) for g in G.gens])
+        return GroebnerBasis(I.ctx, order, [g.weight_initial_form(w) for g in G.gens])
     return _initial_ideal_truncated(I, w)
 
 

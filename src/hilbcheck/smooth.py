@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .apolarity import _factorial_int, perp
-from .artin import (IndeterminateSupport, centroid, embedding_reduction,
+from .artin import (IndeterminateSupport, embedding_reduction,
                     is_primary_at_origin, local_hilbert_function,
-                    multiplication_operators, split_rational_support,
-                    translate_ideal)
+                    split_rational_support, translate_ideal)
 from .groebner import Ideal, buchberger, ideal_equal, initial_ideal
 from .linalg import DenseMatrix, RowSpace, determinant, kernel_basis, pfaffian
 from .poly import mono_deg
@@ -296,14 +295,13 @@ def classify_smoothable(I):
     for point, piece in pieces:
         if piece.colength() <= 7:
             continue
-        center = centroid(multiplication_operators(piece))
-        local = buchberger(translate_ideal(piece, center))
+        local = buchberger(translate_ideal(piece, point))
         evidence.append("recentered colength-8 piece")
         hf = local_hilbert_function(local)
         evidence.append(f"local Hilbert function {hf}")
         if tuple(hf) != (1, 4, 3):
             continue
-        reduced = buchberger(embedding_reduction(local))
+        reduced = embedding_reduction(local)
         if reduced.ctx.d != 4:
             raise ArithmeticError("embedding reduction did not reach 4 variables")
         if reduced.ctx != local.ctx:

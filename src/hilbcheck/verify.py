@@ -8,7 +8,6 @@ seed that is part of the report, so reports are reproducible byte for byte.
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import fixtures as fx
@@ -443,19 +442,12 @@ def run_case(name, seed=fx.DEFAULT_SEED):
     return CaseResult(name, status, value, note, time.perf_counter() - t0)
 
 
-def run_suite(case_filter=None, seed=fx.DEFAULT_SEED, jobs=1):
+def run_suite(case_filter=None, seed=fx.DEFAULT_SEED):
     selected = []
     for name, _ in CASES:
         if case_filter is None or name == case_filter or name.startswith(case_filter):
             selected.append(name)
     if not selected:
         raise HilbcheckError(f"no verification case matches {case_filter!r}")
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda n: run_case(n, seed), selected))
-    else:
-        results = [run_case(n, seed) for n in selected]
-    # canonical order regardless of scheduling
-    by_name = {c.name: c for c in results}
-    ordered = [by_name[n] for n in selected]
-    return Report(seed=seed, backend=RAT_BACKEND, cases=ordered)
+    return Report(seed=seed, backend=RAT_BACKEND,
+                  cases=[run_case(n, seed) for n in selected])

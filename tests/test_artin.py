@@ -4,9 +4,9 @@ import pytest
 
 from hilbcheck.errors import PreconditionError
 from hilbcheck.fields import GF, QQ
-from hilbcheck.fixtures import (random_points, seven_quadrics_ideal,
-                                squares_cube_ideal, weight753_ideal,
-                                degeneration_chain)
+from hilbcheck.fixtures import (random_invertible_matrix, random_points,
+                                seven_quadrics_ideal, squares_cube_ideal,
+                                weight753_ideal, degeneration_chain)
 from hilbcheck.artin import (HilbertFunction, IndeterminateSupport, centroid,
                              charpoly, embedding_reduction, enumerate_local_hfs,
                              is_primary_at_origin, local_hilbert_function,
@@ -14,8 +14,9 @@ from hilbcheck.artin import (HilbertFunction, IndeterminateSupport, centroid,
                              split_rational_support, translate_ideal)
 from hilbcheck.groebner import Ideal, buchberger, ideal_equal, intersect
 from hilbcheck.linalg import DenseMatrix
-from hilbcheck.poly import context, parse_polynomial
+from hilbcheck.poly import Polynomial, context, parse_polynomial
 from hilbcheck.scalars import rat
+from hilbcheck.smooth import change_coordinates
 from hilbcheck.tangent import tangent_dimension
 
 
@@ -54,7 +55,7 @@ def test_column_at_one_is_variable():
     m = multiplication_operators(G)
     one_col = m.qb.index[(0, 0)]
     x_vec = [m.ops[0].rows[i][one_col] for i in range(m.n)]
-    assert x_vec == m.vector_of(P("x", ctx), G)
+    assert x_vec == [rat(1) if mono == (1, 0) else rat(0) for mono in m.qb]
 
 
 def test_centroid():
@@ -202,7 +203,7 @@ def test_embedding_reduction_examples():
     # already minimal: unchanged
     I = seven_quadrics_ideal(4)
     assert embedding_reduction(I) is I
-    # nontrivial tails force substitution work
+    # x = y^2 - z^2 mod I: a linear form with a nontrivial tail in m^2
     c3 = context(QQ, "x y z")
     I2 = ideal(c3, "x - y^2 + z^2", "y^3", "z^3", "y*z^2", "y^2*z")
     r2 = embedding_reduction(I2)
@@ -218,6 +219,29 @@ def test_embedding_reduction_drops_tangent_by_8():
     assert ideal_equal(r, seven_quadrics_ideal(4))
     assert tangent_dimension(I5) == 33
     assert tangent_dimension(r) == 25
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_embedding_reduction_reads_a_reduced_basis_off_the_operators(seed):
+    # a dense GL change of the 6-variable witness mixes the two redundant
+    # variables into every generator
+    J = change_coordinates(seven_quadrics_ideal(6), random_invertible_matrix(seed, 6))
+    r = embedding_reduction(J)
+    assert r.ctx.d == 4
+    assert r.colength() == 8
+    assert local_hilbert_function(r) == (1, 4, 3)
+    assert tangent_dimension(r) == 25
+    assert buchberger(r) is r
+    keep = [J.ctx.names.index(name) for name in r.ctx.names]
+    GJ = buchberger(J)
+    for f in r.gens:
+        lifted = {}
+        for m, c in f.terms.items():
+            full = [0] * 6
+            for k, i in enumerate(keep):
+                full[i] = m[k]
+            lifted[tuple(full)] = c
+        assert GJ.contains(Polynomial(J.ctx, lifted))
 
 
 def test_census_examples():

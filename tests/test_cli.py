@@ -108,13 +108,6 @@ def test_verify_paper_deterministic_output(capsys):
     assert out1 == out2
 
 
-def test_verify_paper_jobs_merge_canonically(capsys):
-    _, seq, _ = run(capsys, "verify-paper", "--case", "initial-chain")
-    _, par, _ = run(capsys, "verify-paper", "--case", "initial-chain",
-                    "--jobs", "3")
-    assert seq == par
-
-
 def test_verify_paper_seed_env(capsys, monkeypatch):
     monkeypatch.setenv("HILBCHECK_SEED", "12345")
     _, out, _ = run(capsys, "verify-paper", "--case", "tangent-21")

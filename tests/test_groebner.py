@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hilbcheck.artin import split_rational_support
+from hilbcheck.artin import embedding_reduction, split_rational_support
 from hilbcheck.errors import InfiniteColengthError, PreconditionError
 from hilbcheck.fields import GF, QQ
 from hilbcheck.fixtures import (degeneration_753, degeneration_axis_weight,
@@ -301,5 +301,14 @@ def test_bases_built_by_linear_algebra_are_reduced():
     for d, m in ((2, 3), (3, 3), (4, 2)):
         _, J, _, _ = degeneration_chain(d, m)
         bases.extend(piece for _, piece in split_rational_support(J))
+    # embedding reduction reads its basis off the multiplication operators
+    bases.append(embedding_reduction(seven_quadrics_ideal(5)))
+    bases.append(embedding_reduction(seven_quadrics_ideal(5, GF(7))))
+    # initial forms of a reduced basis: equal weights (grevlex), positive
+    # weights, and weights with a zero
+    _, J, _, w = degeneration_pencil_deg8()
+    bases.append(initial_ideal(J, w))
+    for _, (J1, J2), w in (degeneration_753(), degeneration_axis_weight()):
+        bases.append(initial_ideal(intersect(J1, J2), w))
     for G in bases:
-        assert G.gens == buchberger(Ideal(G.ctx, G.gens)).gens
+        assert G.gens == buchberger(Ideal(G.ctx, G.gens), G.order).gens

@@ -221,9 +221,9 @@ def _eight_points_ideal():
 
 
 @pytest.mark.parametrize("make, most, outcome", [
-    (lambda: seven_quadrics_ideal(4), 4, "NotSmoothable"),
-    (lambda: seven_quadrics_ideal(5), 5, "NotSmoothable"),
-    (monomial_143_ideal, 4, "Smoothable"),
+    (lambda: seven_quadrics_ideal(4), 2, "NotSmoothable"),
+    (lambda: seven_quadrics_ideal(5), 2, "NotSmoothable"),
+    (monomial_143_ideal, 2, "Smoothable"),
     (_eight_points_ideal, 1, "Smoothable"),
 ], ids=["seven-quadrics-4", "seven-quadrics-5", "monomial-143", "eight-points"])
 def test_classify_computes_each_groebner_basis_once(monkeypatch, make, most, outcome):
