@@ -140,10 +140,13 @@ def centroid(model):
 
 
 def translate_ideal(I, a):
-    """Image of I under x_i -> x_i + a_i (moves support by -a)."""
+    """Image of I under x_i -> x_i + a_i (moves support by -a); I itself
+    when a is zero."""
     ctx = I.ctx
     if len(a) != ctx.d:
         raise PreconditionError("translation vector length must match")
+    if not any(a):
+        return I
     images = []
     for i, ai in enumerate(a):
         if isinstance(ai, int):

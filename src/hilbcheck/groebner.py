@@ -75,10 +75,6 @@ class GroebnerBasis(Ideal):
         rem, _ = _divide(f, self.gens, self.order)
         return Polynomial(self.ctx, rem)
 
-    def reduce_with_quotients(self, f):
-        rem, quots = _divide(f, self.gens, self.order, track=True)
-        return Polynomial(self.ctx, rem), [Polynomial(self.ctx, q) for q in quots]
-
     def contains(self, f):
         return not self.normal_form(f)
 

@@ -42,10 +42,6 @@ class DenseMatrix:
     def copy_rows(self):
         return [row[:] for row in self.rows]
 
-    def transpose(self):
-        return DenseMatrix(self.field, [[self.rows[i][j] for i in range(self.nrows)]
-                                        for j in range(self.ncols)])
-
     def matmul(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")

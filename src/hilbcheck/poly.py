@@ -276,9 +276,6 @@ class Polynomial:
         degs = {mono_deg(m) for m in self.terms}
         return len(degs) <= 1
 
-    def homogeneous_component(self, j):
-        return Polynomial(self.ctx, {m: c for m, c in self.terms.items() if mono_deg(m) == j})
-
     def weight_initial_form(self, w):
         """Sum of the terms of maximal w-weight; requires a nonzero input."""
         if not self.terms:

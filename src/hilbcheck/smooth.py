@@ -222,8 +222,7 @@ def project_to_graded(I):
     if ctx.d != 4:
         raise PreconditionError("projection is defined in 4 variables")
     G = buchberger(I)
-    out = initial_ideal(G, (1, 1, 1, 1))
-    Gout = buchberger(out)
+    Gout = initial_ideal(G, (1, 1, 1, 1))
     qb = Gout.quotient_basis()
     counts = {}
     for m in qb:
@@ -272,8 +271,10 @@ def classify_smoothable(I):
 
     Split over rational support; local pieces of colength at most 7 are
     always limits of distinct points, as are colength-8 pieces whose local
-    Hilbert function differs from (1,4,3).  The (1,4,3) case reduces to four
-    variables and is decided by the vanishing of the Pfaffian.
+    Hilbert function differs from (1,4,3).  A local (1,4,3) piece reduces to
+    four variables, where it is already homogeneous, and is decided by the
+    vanishing of the Pfaffian of its three dual quadrics; projection to graded
+    ideals is for chart ideals that are not local.
     """
     ctx = I.ctx
     if ctx.field.characteristic in (2, 3):
@@ -306,8 +307,9 @@ def classify_smoothable(I):
             raise ArithmeticError("embedding reduction did not reach 4 variables")
         if reduced.ctx != local.ctx:
             evidence.append("reduced to 4 variables")
-        graded = project_to_graded(reduced)
-        report = salmon_turnbull_pfaffian(graded)
+        # h_1 = 4 puts the ideal in m^2 and h_3 = 0 puts m^3 in it, so it is
+        # homogeneous and its reduced basis is its own graded projection
+        report = salmon_turnbull_pfaffian(perp(reduced, 2))
         pf_value = report.pfaffian_block
         evidence.append("pfaffian zero" if report.vanishes
                         else f"pfaffian {report.pfaffian_block}")

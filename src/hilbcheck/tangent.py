@@ -17,7 +17,7 @@ from .fields import QQ, QT
 from .linalg import (DenseMatrix, RowSpace, determinant, mat_rank, rref,
                      minor_gcd_sample, t_adic_minor_valuation)
 from .poly import context, mono_deg
-from .groebner import (Ideal, buchberger, linear_syzygies, schreyer_syzygies,
+from .groebner import (buchberger, linear_syzygies, schreyer_syzygies,
                        SyzygyBasis, _monomials_of_degree)
 from .artin import local_hilbert_function, multiplication_operators
 
@@ -277,11 +277,6 @@ def family_quadrics(ctx=None, tval=None):
     x1, x2, x3, x4 = ctx.variables()
     return [x1 * x1, x2 * x2, x3 * x3, x4 * x4, x1 * x2,
             x2 * x3 + (x3 * x4).scale(t), x1 * x4 + (x3 * x4).scale(t)]
-
-
-def family_ideal(ctx=None, tval=None):
-    qs = family_quadrics(ctx, tval)
-    return Ideal(qs[0].ctx, qs)
 
 
 def family_syzygies(ctx=None, tval=None):

@@ -45,12 +45,6 @@ def zmul(a, b):
     return ztrim(out)
 
 
-def zscale(a, c):
-    if c == 0:
-        return ()
-    return tuple(ca * c for ca in a)
-
-
 def zcontent(a):
     g = 0
     for c in a:
@@ -200,10 +194,6 @@ class RatFunc:
     def from_int(n):
         return RatFunc((n,), (1,), _reduced=True) if n else RatFunc((), (1,), _reduced=True)
 
-    @staticmethod
-    def from_rat(q):
-        return RatFunc((int(q.numerator),), (int(q.denominator),), _reduced=True)
-
     def __add__(self, other):
         return RatFunc(zadd(zmul(self.num, other.den), zmul(other.num, self.den)),
                        zmul(self.den, other.den))
@@ -243,9 +233,6 @@ class RatFunc:
 
     def __bool__(self):
         return bool(self.num)
-
-    def is_constant(self):
-        return len(self.num) <= 1 and len(self.den) <= 1
 
     def eval_at(self, x):
         d = zeval(self.den, x)

@@ -90,6 +90,10 @@ def test_translate_roundtrip():
     assert ideal_equal(back, I)
     assert ideal_equal(translate_ideal(ideal(context(QQ, "x"), "x - 1"), [1]),
                        ideal(context(QQ, "x"), "x"))
+    # a zero translation hands back the ideal itself, so a basis stays a basis
+    G = buchberger(I)
+    assert translate_ideal(G, [0, 0]) is G
+    assert translate_ideal(G, [QQ.zero, QQ.zero]) is G
 
 
 def test_recentering_kills_traces():

@@ -79,6 +79,7 @@ def test_pfaffian_determinant_and_classifier_agree():
         rep = salmon_turnbull_pfaffian(I)
         verdict = classify_smoothable(I)
         assert (verdict.outcome == "Smoothable") == rep.vanishes
+        assert verdict.pfaffian == rep.pfaffian_block
         try:
             machine = build_tangent_machine(I)
         except Exception:

@@ -10,7 +10,7 @@ from hilbcheck.fixtures import (bundled_monomial_ideals, degeneration_753,
                                 random_invertible_matrix, random_points,
                                 salmon_ideal, seven_quadrics_ideal,
                                 squares_cube_ideal)
-from hilbcheck import groebner
+from hilbcheck import artin, groebner
 from hilbcheck.artin import centroid, multiplication_operators, translate_ideal
 from hilbcheck.groebner import Ideal, buchberger, ideal_equal, points_ideal
 from hilbcheck.poly import context, parse_polynomial
@@ -220,19 +220,26 @@ def _eight_points_ideal():
     return Ideal(ctx, points_ideal(random_points(5), ctx).gens)
 
 
-@pytest.mark.parametrize("make, most, outcome", [
-    (lambda: seven_quadrics_ideal(4), 2, "NotSmoothable"),
-    (lambda: seven_quadrics_ideal(5), 2, "NotSmoothable"),
-    (monomial_143_ideal, 2, "Smoothable"),
+@pytest.mark.parametrize("make, most_models, outcome", [
+    (lambda: seven_quadrics_ideal(4), 3, "NotSmoothable"),
+    (lambda: seven_quadrics_ideal(5), 3, "NotSmoothable"),
+    (monomial_143_ideal, 3, "Smoothable"),
     (_eight_points_ideal, 1, "Smoothable"),
 ], ids=["seven-quadrics-4", "seven-quadrics-5", "monomial-143", "eight-points"])
-def test_classify_computes_each_groebner_basis_once(monkeypatch, make, most, outcome):
+def test_classify_computes_each_groebner_basis_once(monkeypatch, make, most_models,
+                                                    outcome):
     # every full Buchberger run ends in _reduce_basis; a basis passed along
-    # the pipeline is never recomputed
+    # the pipeline is never recomputed, and a local (1,4,3) piece is decided
+    # from its dual quadrics without building its quotient model again
     I = make()
     runs = []
     reduce_basis = groebner._reduce_basis
     monkeypatch.setattr(groebner, "_reduce_basis",
                         lambda *args: runs.append(1) or reduce_basis(*args))
+    models = []
+    build_model = artin.multiplication_operators
+    monkeypatch.setattr(artin, "multiplication_operators",
+                        lambda G: models.append(1) or build_model(G))
     assert classify_smoothable(I).outcome == outcome
-    assert 1 <= len(runs) <= most
+    assert len(runs) == 1
+    assert 1 <= len(models) <= most_models
