@@ -12,7 +12,7 @@ from math import gcd, lcm
 from .errors import HilbcheckError, PreconditionError
 from .fields import QQ
 from .linalg import DenseMatrix, RowSpace, kernel_basis, rref
-from .poly import GREVLEX, Polynomial, VariableContext, mono_deg
+from .poly import GREVLEX, VariableContext, mono_deg
 from .groebner import Ideal, buchberger, cyclic_annihilator_gb
 from .scalars import is_prime, rat
 
@@ -29,6 +29,12 @@ class HilbertFunction(tuple):
         while vals and vals[-1] == 0:
             vals.pop()
         return super().__new__(cls, vals)
+
+    @classmethod
+    def of_chain(cls, chain):
+        """The Hilbert function of a maximal-ideal chain that reaches 0."""
+        dims = [s.dim for s in chain]
+        return cls(dims[j] - dims[j + 1] for j in range(len(dims) - 1))
 
     def colength(self):
         return sum(self)
@@ -53,6 +59,15 @@ class LocalAlgebraModel:
         field = self.ctx.field
         one_pos = self.qb.index[(0,) * self.ctx.d]
         return [field.one if i == one_pos else field.zero for i in range(self.n)]
+
+    def shifted(self, a):
+        """The model with operators X_i - a_i: multiplication by the
+        variables of the chart centred at the point a."""
+        field = self.ctx.field
+        ops = [DenseMatrix(field, [[x - ai if r == c else x for c, x in enumerate(row)]
+                                   for r, row in enumerate(X.rows)])
+               for X, ai in zip(self.ops, a)]
+        return LocalAlgebraModel(self.ctx, self.qb, ops)
 
     def operator_of_polynomial(self, f):
         """Matrix of multiplication by f on S/I."""
@@ -147,12 +162,18 @@ def translate_ideal(I, a):
         raise PreconditionError("translation vector length must match")
     if not any(a):
         return I
+    images = _translation(ctx, a)
+    return Ideal(ctx, [g.substitute(images) for g in I.gens])
+
+
+def _translation(ctx, a):
+    """The images x_i + a_i of the variables."""
     images = []
     for i, ai in enumerate(a):
         if isinstance(ai, int):
             ai = ctx.field.from_int(ai)
         images.append(ctx.variable(i) + ctx.const(ai))
-    return Ideal(ctx, [g.substitute(images) for g in I.gens])
+    return images
 
 
 def _local_model(I, required=True):
@@ -176,8 +197,7 @@ def is_primary_at_origin(I):
 def local_hilbert_function(I):
     """h_j = dim m^j/(m^(j+1)) for an ideal primary at the origin."""
     _, chain = _local_model(I)
-    dims = [s.dim for s in chain]
-    return HilbertFunction(dims[j] - dims[j + 1] for j in range(len(dims) - 1))
+    return HilbertFunction.of_chain(chain)
 
 
 def embedding_reduction(I):
@@ -186,17 +206,29 @@ def embedding_reduction(I):
     Keeps variables whose images span m/m^2, so by Nakayama they generate
     S/I; the result is the kernel of k[kept] -> S/I, read off the
     multiplication operators as a reduced grevlex basis, so colength and
-    local Hilbert function are preserved.
+    local Hilbert function are preserved.  I itself when nothing is dropped.
     """
     ctx = I.ctx
     G = buchberger(I)
     model, chain = _local_model(G)
-    dims = [s.dim for s in chain]
-    h1 = dims[1] - dims[2] if len(dims) > 2 else dims[1]
-    d = ctx.d
-    if h1 == d:
+    hf = HilbertFunction.of_chain(chain)
+    if (hf[1] if len(hf) > 1 else 0) == ctx.d:
         return I
+    return _embedding_reduction(G, model, chain, (ctx.field.zero,) * ctx.d)
+
+
+def _embedding_reduction(G, model, chain, a):
+    """Embedding reduction of the local ring of S/G at the point a.
+
+    model is the quotient model centred at a (operators X_i - a_i) and chain
+    its maximal-ideal chain, which reaches 0.  Returns the reduced grevlex
+    basis of the kernel of k[y_kept] -> S/G, y_k -> x_k - a_k, in the
+    context of G when every variable is kept.  Checked by colength and by
+    lifting each element, translated back by a, into G.
+    """
+    ctx = G.ctx
     field = ctx.field
+    d = ctx.d
     n = model.n
     w2 = chain[2] if len(chain) > 2 else RowSpace(field)
 
@@ -207,18 +239,15 @@ def embedding_reduction(I):
     # each kernel row is a linear form in m^2; its pivot variable is redundant
     pivots = {next(i for i, c in enumerate(row) if c) for row in combo_rows}
     keep = [i for i in range(d) if i not in pivots]
-    new_ctx = VariableContext(field, [ctx.names[i] for i in keep], dual=ctx.dual)
+    new_ctx = ctx if len(keep) == d else \
+        VariableContext(field, [ctx.names[i] for i in keep], dual=ctx.dual)
     R = cyclic_annihilator_gb(new_ctx, lambda j, v: model.ops[keep[j]].apply(v), unit)
     if R.colength() != n:
         raise ArithmeticError("kept variables do not generate the quotient")
+    back = _translation(ctx, [-ai for ai in a])
+    lift = [back[i] for i in keep]
     for g in R.gens:
-        lifted = {}
-        for m, c in g.terms.items():
-            full = [0] * d
-            for k, i in enumerate(keep):
-                full[i] = m[k]
-            lifted[tuple(full)] = c
-        if G.normal_form(Polynomial(ctx, lifted)):
+        if G.normal_form(g.substitute(lift)):
             raise ArithmeticError("reduced ideal is not contained in the original")
     return R
 
@@ -231,9 +260,13 @@ def split_rational_support(I):
     Returns (point, reduced grevlex basis of the primary piece) pairs.
     Raises IndeterminateSupport when a factor has no certified rational root.
     """
-    G = buchberger(I)
-    model = multiplication_operators(G)
-    ctx, field, n = I.ctx, I.ctx.field, model.n
+    return _split_support(multiplication_operators(buchberger(I)))
+
+
+def _split_support(model):
+    """split_rational_support on the quotient model of S/I."""
+    ctx, n = model.ctx, model.n
+    field = ctx.field
     # each part: list of ambient coordinate vectors spanning an invariant subspace
     parts = [[_unit(field, n, i) for i in range(n)]]
     for i in range(ctx.d):

@@ -87,8 +87,15 @@ class GroebnerBasis(Ideal):
             self._qb = _standard_monomials(self)
         return self._qb
 
-    def colength(self):
-        return len(self.quotient_basis())
+    def colength(self, limit=None):
+        """dim S/I; with a limit, counting stops there, so limit means at
+        least limit.  Only a complete enumeration is kept."""
+        if self._qb is not None or limit is None:
+            return len(self.quotient_basis())
+        qb = _standard_monomials(self, limit)
+        if len(qb) < limit:
+            self._qb = qb
+        return len(qb)
 
     def __repr__(self):
         return f"GB[{self.order}](" + ", ".join(map(str, self.gens)) + ")"
@@ -224,7 +231,9 @@ def _reduce_basis(basis, order, ctx):
     return kept
 
 
-def _standard_monomials(G):
+def _standard_monomials(G, limit=None):
+    """Standard monomials in increasing order; only the first limit of them
+    when a limit is given."""
     ctx, order, lts = G.ctx, G.order, G.lts
     d = ctx.d
     zero = (0,) * d
@@ -243,6 +252,8 @@ def _standard_monomials(G):
         if any(mono_divides(lt, m) for lt in lts):
             continue
         out.append(m)
+        if len(out) == limit:
+            break
         for i in range(d):
             mm = list(m)
             mm[i] += 1

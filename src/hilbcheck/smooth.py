@@ -10,11 +10,12 @@ limit, which the classifier turns into a decision procedure.
 
 from dataclasses import dataclass
 
+from . import artin
 from .errors import PreconditionError
 from .apolarity import _factorial_int, perp
-from .artin import (IndeterminateSupport, embedding_reduction,
-                    is_primary_at_origin, local_hilbert_function,
-                    split_rational_support, translate_ideal)
+from .artin import (HilbertFunction, IndeterminateSupport, _embedding_reduction,
+                    _split_support, centroid, is_primary_at_origin,
+                    local_hilbert_function)
 from .groebner import Ideal, buchberger, ideal_equal, initial_ideal
 from .linalg import DenseMatrix, RowSpace, determinant, kernel_basis, pfaffian
 from .poly import mono_deg
@@ -258,7 +259,7 @@ def change_coordinates(I, g):
 
 @dataclass
 class SmoothabilityVerdict:
-    outcome: str                 # "Smoothable" | "NotSmoothable" | "Indeterminate"
+    outcome: str                 # "Smoothable" | "NotSmoothable"
     evidence: tuple
     pfaffian: object = None
 
@@ -269,50 +270,60 @@ class SmoothabilityVerdict:
 def classify_smoothable(I):
     """Decide membership in the closure of the distinct-point locus.
 
-    Split over rational support; local pieces of colength at most 7 are
-    always limits of distinct points, as are colength-8 pieces whose local
-    Hilbert function differs from (1,4,3).  A local (1,4,3) piece reduces to
-    four variables, where it is already homogeneous, and is decided by the
-    vanishing of the Pfaffian of its three dual quadrics; projection to graded
-    ideals is for chart ideals that are not local.
+    Every local algebra of colength at most 7 is a limit of distinct points,
+    so an ideal can fail only at colength 8 with its whole support one point.
+    That point is fixed by Galois, hence rational: the centroid of the
+    quotient model.  The model centred there decides it: when its maximal
+    ideal is not nilpotent the support has several points; otherwise the
+    local Hilbert function is read off the same chain, and a (1,4,3) piece
+    reduces to four variables, where it is already homogeneous, and is
+    decided by the vanishing of the Pfaffian of its three dual quadrics.
+    The split over rational support is only reported; when the search for
+    rational points fails, the evidence says so and the verdict stands.
     """
     ctx = I.ctx
     if ctx.field.characteristic in (2, 3):
         raise PreconditionError("characteristic 2 and 3 are excluded")
     G = buchberger(I)
-    n = G.colength()
+    n = G.colength(limit=9)
     if n == 0:
         raise PreconditionError("unit ideal is out of range")
     if n > 8:
-        raise PreconditionError(f"colength {n} > 8: outside the supported range")
+        raise PreconditionError("colength > 8: outside the supported range")
     evidence = [f"colength {n}"]
+    model = artin.multiplication_operators(G)
+    if n == 8:
+        a = centroid(model)
+        local = model.shifted(a)
+        chain = local.maximal_ideal_chain()
+        if chain[-1].dim == 0:
+            evidence += ["split into colengths [8]", "recentered colength-8 piece"]
+            return _decide_local(G, local, chain, a, evidence)
     try:
-        pieces = split_rational_support(G)
+        pieces = _split_support(model)
     except IndeterminateSupport as exc:
         evidence.append(f"splitting failed: {exc}")
-        return SmoothabilityVerdict("Indeterminate", tuple(evidence))
-    evidence.append("split into colengths " + str([p.colength() for _, p in pieces]))
-    pf_value = None
-    for point, piece in pieces:
-        if piece.colength() <= 7:
-            continue
-        local = buchberger(translate_ideal(piece, point))
-        evidence.append("recentered colength-8 piece")
-        hf = local_hilbert_function(local)
-        evidence.append(f"local Hilbert function {hf}")
-        if tuple(hf) != (1, 4, 3):
-            continue
-        reduced = embedding_reduction(local)
-        if reduced.ctx.d != 4:
-            raise ArithmeticError("embedding reduction did not reach 4 variables")
-        if reduced.ctx != local.ctx:
-            evidence.append("reduced to 4 variables")
-        # h_1 = 4 puts the ideal in m^2 and h_3 = 0 puts m^3 in it, so it is
-        # homogeneous and its reduced basis is its own graded projection
-        report = salmon_turnbull_pfaffian(perp(reduced, 2))
-        pf_value = report.pfaffian_block
-        evidence.append("pfaffian zero" if report.vanishes
-                        else f"pfaffian {report.pfaffian_block}")
-        if not report.vanishes:
-            return SmoothabilityVerdict("NotSmoothable", tuple(evidence), pf_value)
-    return SmoothabilityVerdict("Smoothable", tuple(evidence), pf_value)
+    else:
+        evidence.append("split into colengths " + str([p.colength() for _, p in pieces]))
+    return SmoothabilityVerdict("Smoothable", tuple(evidence))
+
+
+def _decide_local(G, local, chain, a, evidence):
+    """Verdict on S/G primary at the point a, of colength 8, from its model
+    centred at a and the maximal-ideal chain of that model."""
+    hf = HilbertFunction.of_chain(chain)
+    evidence.append(f"local Hilbert function {hf}")
+    if tuple(hf) != (1, 4, 3):
+        return SmoothabilityVerdict("Smoothable", tuple(evidence))
+    reduced = _embedding_reduction(G, local, chain, a)
+    if reduced.ctx.d != 4:
+        raise ArithmeticError("embedding reduction did not reach 4 variables")
+    if reduced.ctx != G.ctx:
+        evidence.append("reduced to 4 variables")
+    # h_1 = 4 puts the ideal in m^2 and h_3 = 0 puts m^3 in it, so it is
+    # homogeneous and its reduced basis is its own graded projection
+    report = salmon_turnbull_pfaffian(perp(reduced, 2))
+    evidence.append("pfaffian zero" if report.vanishes
+                    else f"pfaffian {report.pfaffian_block}")
+    outcome = "Smoothable" if report.vanishes else "NotSmoothable"
+    return SmoothabilityVerdict(outcome, tuple(evidence), report.pfaffian_block)

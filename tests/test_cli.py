@@ -1,5 +1,6 @@
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -120,6 +121,17 @@ def test_parse_error_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "smoothable", str(bad))
     assert code == 2
     assert "line 4" in err
+
+
+def test_smoothable_fails_fast_above_colength_8(capsys, tmp_path):
+    # x^100000000 has 10^8 standard monomials; the classifier counts only 9
+    big = tmp_path / "big.ideal"
+    big.write_text("field Q\nvars x\nideal:\nx^100000000\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "smoothable", str(big))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and not out
+    assert "colength > 8: outside the supported range" in err
 
 
 def test_unknown_case_errors(capsys):

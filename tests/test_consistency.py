@@ -5,13 +5,16 @@ the splitting machinery must tell one consistent story."""
 import random
 
 from hilbcheck.fields import GF, QQ
-from hilbcheck.fixtures import random_points
-from hilbcheck.apolarity import ideal_from_inverse_system
-from hilbcheck.artin import split_rational_support
+from hilbcheck.fixtures import random_invertible_matrix, random_points
+from hilbcheck.apolarity import ideal_from_inverse_system, perp
+from hilbcheck.artin import (embedding_reduction,
+                             local_hilbert_function, split_rational_support,
+                             translate_ideal)
 from hilbcheck.groebner import Ideal, buchberger, ideal_equal, intersect, points_ideal
 from hilbcheck.poly import Polynomial, context
 from hilbcheck.scalars import rat
-from hilbcheck.smooth import classify_smoothable, salmon_turnbull_pfaffian
+from hilbcheck.smooth import (change_coordinates, classify_smoothable,
+                              salmon_turnbull_pfaffian)
 from hilbcheck.tangent import build_tangent_machine, tangent_dimension
 
 
@@ -121,3 +124,73 @@ def test_classifier_prime_field():
         assert classify_smoothable(seven_quadrics_ideal(4, GF(p))).outcome == \
             "NotSmoothable"
         assert classify_smoothable(monomial_143_ideal(GF(p))).outcome == "Smoothable"
+
+
+def split_reference(I):
+    """(outcome, evidence, pfaffian) by splitting over rational support and
+    recentring each colength-8 piece, through the public functions only."""
+    G = buchberger(I)
+    evidence = [f"colength {G.colength()}"]
+    pieces = split_rational_support(G)
+    evidence.append("split into colengths " + str([p.colength() for _, p in pieces]))
+    pf = None
+    for point, piece in pieces:
+        if piece.colength() <= 7:
+            continue
+        local = buchberger(translate_ideal(piece, point))
+        evidence.append("recentered colength-8 piece")
+        hf = local_hilbert_function(local)
+        evidence.append(f"local Hilbert function {hf}")
+        if tuple(hf) != (1, 4, 3):
+            continue
+        reduced = embedding_reduction(local)
+        if reduced.ctx != local.ctx:
+            evidence.append("reduced to 4 variables")
+        rep = salmon_turnbull_pfaffian(perp(reduced, 2))
+        pf = rep.pfaffian_block
+        evidence.append("pfaffian zero" if rep.vanishes else f"pfaffian {pf}")
+        if not rep.vanishes:
+            return "NotSmoothable", tuple(evidence), pf
+    return "Smoothable", tuple(evidence), pf
+
+
+def _moved(I, rng):
+    """I under a seeded GL_4 change and a seeded rational translation."""
+    g = random_invertible_matrix(rng.randint(0, 10 ** 9), 4)
+    point = [rat(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)]
+    return translate_ideal(change_coordinates(I, g), point)
+
+
+def test_classifier_agrees_with_split_reference():
+    """The classifier, which splits only to report, gives the outcome,
+    evidence and Pfaffian of the split-and-recentre reference on random
+    colength-8 ideals: 8 points, moved (1,4,3) pieces, and a moved
+    colength-5 piece beside 3 points."""
+    rng = random.Random(316)
+    ctx = context(QQ, "x1 x2 x3 x4")
+    dctx = ctx.dual_context()
+    samples = [Ideal(ctx, points_ideal(random_points(rng.randint(0, 10 ** 9)), ctx).gens)
+               for _ in range(2)]
+    for make, arg, count in ((random_quadric_span_ideal, ctx, 3),
+                             (random_salmon_ideal, dctx, 3)):
+        drawn = 0
+        while drawn < count:
+            I = make(rng, arg)
+            if I is not None:
+                samples.append(_moved(I, rng))
+                drawn += 1
+    while len(samples) < 10:
+        # apolar ideal of a quadric in three variables: Hilbert function (1,3,1)
+        q = {m: rat(rng.randint(-2, 2)) for m in ((2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0),
+                                                   (0, 1, 1, 0), (0, 0, 2, 0))}
+        quadric = Polynomial(dctx, {m: c for m, c in q.items() if c})
+        if not quadric:
+            continue
+        piece = _moved(ideal_from_inverse_system([quadric]), rng)
+        pts = Ideal(ctx, points_ideal(random_points(rng.randint(0, 10 ** 9), n=3), ctx).gens)
+        I = intersect(piece, pts)
+        if buchberger(I).colength() == 8:
+            samples.append(I)
+    for I in samples:
+        verdict = classify_smoothable(I)
+        assert (verdict.outcome, verdict.evidence, verdict.pfaffian) == split_reference(I)

@@ -43,6 +43,18 @@ def test_buchberger_pencil_colength_8():
     assert buchberger(J2).colength() == 5
 
 
+def test_colength_limit_stops_counting_and_caches_only_complete_bases():
+    c2 = context(QQ, "x y")
+    G = buchberger(ideal(c2, "x^5", "y^4"))
+    assert G.colength(limit=9) == 9
+    assert G._qb is None
+    assert G.colength() == 20
+    H = buchberger(ideal(c2, "x^2", "y^3"))
+    assert H.colength(limit=9) == 6
+    assert len(H._qb) == 6
+    assert G.colength(limit=9) == 20
+
+
 def test_quotient_basis_examples():
     c2 = context(QQ, "x y")
     assert list(buchberger(ideal(c2, "x", "y")).quotient_basis()) == [(0, 0)]
