@@ -46,13 +46,14 @@ class HilbertFunction(tuple):
 class LocalAlgebraModel:
     """Colength-n quotient presented by n x n multiplication operators."""
 
-    __slots__ = ("ctx", "qb", "ops", "n")
+    __slots__ = ("ctx", "qb", "ops", "n", "_powers")
 
     def __init__(self, ctx, qb, ops):
         self.ctx = ctx
         self.qb = qb
         self.ops = ops
         self.n = len(qb)
+        self._powers = {}       # monomial -> operator, filled on first use
 
     def unit_vector(self):
         """Coordinates of 1 in the standard-monomial basis."""
@@ -69,29 +70,42 @@ class LocalAlgebraModel:
                for X, ai in zip(self.ops, a)]
         return LocalAlgebraModel(self.ctx, self.qb, ops)
 
-    def operator_of_polynomial(self, f):
-        """Matrix of multiplication by f on S/I."""
-        field = self.ctx.field
-        cache = {}
-
-        def power(m):
-            if m in cache:
-                return cache[m]
+    def _power(self, m):
+        """X^m for a nonconstant monomial m, built once per model: the
+        variable operators themselves in degree 1, else X_i times the
+        cached X^(m - e_i) for the first variable x_i dividing m."""
+        out = self._powers.get(m)
+        if out is None:
             i = next(i for i, e in enumerate(m) if e)
             prev = list(m)
             prev[i] -= 1
-            base = power(tuple(prev))
-            out = self.ops[i].matmul(base)
-            cache[m] = out
-            return out
+            prev = tuple(prev)
+            out = self.ops[i].matmul(self._power(prev)) if any(prev) else self.ops[i]
+            self._powers[m] = out
+        return out
 
-        cache[(0,) * self.ctx.d] = DenseMatrix.identity(field, self.n)
-        acc = DenseMatrix.zero(field, self.n, self.n)
+    def operator_of_polynomial(self, f):
+        """Matrix of multiplication by f on S/I: the sum of c X^m over the
+        terms c x^m of f.
+
+        The powers X^m are cached on the model and shared by every call, so
+        each one costs at most one matrix product over the model's lifetime.
+        The returned matrix is new on every call; changing it changes no
+        cached power and no later result.
+        """
+        field = self.ctx.field
+        n = self.n
+        acc = [[field.zero] * n for _ in range(n)]
         for m, c in f.terms.items():
-            pm = power(m)
-            acc = DenseMatrix(field, [[acc.rows[i][j] + c * pm.rows[i][j]
-                                       for j in range(self.n)] for i in range(self.n)])
-        return acc
+            if not any(m):
+                for i in range(n):
+                    acc[i][i] = acc[i][i] + c
+                continue
+            for arow, prow in zip(acc, self._power(m).rows):
+                for j, x in enumerate(prow):
+                    if x:
+                        arow[j] = arow[j] + c * x
+        return DenseMatrix(field, acc)
 
     def maximal_ideal_chain(self):
         """Dimensions of the images of m^0, m^1, ... in S/I, and the spaces.

@@ -1,6 +1,10 @@
-"""Coefficient field descriptors: Q, F_p (p >= 5), and Q(t)."""
+"""Coefficient field descriptors: Q, F_p (p >= 5), and Q(t).
 
-from .scalars import rat, prime_field_element_class
+Each field names the Python type of its elements as `elem`, so a value can
+be checked for membership by one type comparison.
+"""
+
+from .scalars import RAT_ZERO, rat, prime_field_element_class
 from .upoly import RatFunc, RATFUNC_T
 
 
@@ -29,6 +33,7 @@ class Field:
 class RationalField(Field):
     characteristic = 0
     tag = "Q"
+    elem = type(RAT_ZERO)
 
     def from_int(self, n):
         return rat(n)
@@ -72,6 +77,7 @@ class FunctionField(Field):
 
     characteristic = 0
     tag = "Qt"
+    elem = RatFunc
 
     def from_int(self, n):
         return RatFunc.from_int(n)

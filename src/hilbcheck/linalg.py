@@ -22,7 +22,9 @@ class DenseMatrix:
 
     def __init__(self, field, rows):
         self.field = field
-        self.rows = [[_coerce(field, x) for x in row] for row in rows]
+        elem = field.elem
+        self.rows = [[x if type(x) is elem else _coerce(field, x) for x in row]
+                     for row in rows]
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
         if any(len(r) != self.ncols for r in self.rows):
@@ -46,17 +48,19 @@ class DenseMatrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         z = self.field.zero
+        cols = list(zip(*other.rows))
         out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
+        for row in self.rows:
+            nonzero = [(k, a) for k, a in enumerate(row) if a]
+            new = []
+            for col in cols:
                 acc = z
-                for k in range(self.ncols):
-                    a = self.rows[i][k]
-                    if a:
-                        acc = acc + a * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
+                for k, a in nonzero:
+                    b = col[k]
+                    if b:
+                        acc = acc + a * b
+                new.append(acc)
+            out.append(new)
         return DenseMatrix(self.field, out)
 
     def apply(self, vec):
@@ -86,11 +90,11 @@ class DenseMatrix:
 
 
 def _coerce(field, x):
+    """x as an element of field; DenseMatrix passes here only the entries
+    whose type is not already field.elem."""
     if isinstance(x, int):
         return field.from_int(x)
     if field == QQ:
-        if type(x) is type(rat(0)):
-            return x
         if hasattr(x, "numerator") and hasattr(x, "denominator") and not isinstance(x, RatFunc):
             return rat(int(x.numerator), int(x.denominator))
         raise TypeError(f"mixed coefficient domains: {x!r} is not rational")
@@ -100,8 +104,6 @@ def _coerce(field, x):
         if hasattr(x, "numerator") and hasattr(x, "denominator"):
             return RatFunc((int(x.numerator),), (int(x.denominator),))
         raise TypeError(f"mixed coefficient domains: {x!r} is not in Q(t)")
-    if type(x) is field.elem:
-        return x
     raise TypeError(f"mixed coefficient domains: {x!r} is not in {field}")
 
 
@@ -196,11 +198,12 @@ def rref(rows, field):
 
 
 def mat_rank(m):
-    """Rank over the entry field by exact elimination."""
+    """Rank over the entry field by exact elimination of the nonzero rows."""
+    rows = [row for row in m.rows if any(row)]
     if m.field == QQ:
-        return len(_bareiss(_integer_rows(m.rows))[0])
+        return len(_bareiss(_integer_rows(rows))[0])
     rs = RowSpace(m.field)
-    for row in m.rows:
+    for row in rows:
         rs.add(row)
     return rs.dim
 

@@ -3,10 +3,16 @@
 The tangent space at an ideal I is the space of module homomorphisms from I
 to S/I.  With a reduced Groebner basis g_1..g_r and syzygy generators, such
 a homomorphism is an assignment g_k -> v_k in S/I annihilated by every
-syzygy, a finite exact linear system over the coefficient field.  The graded
-refinement, the 24 x 28 syzygy-constraint matrix of a (1,4,3) ideal, and the
-one-parameter family harness for the degree-16 multiplicity all build on the
-same assembly.
+syzygy, a finite exact linear system over the coefficient field.
+
+Both the total and the graded assembly read that system off one quotient
+model of S/I: the block of a syzygy coefficient a is the operator of
+multiplication by a, built by `LocalAlgebraModel.operator_of_polynomial`
+from monomial powers that the model caches, and a graded block is a
+sub-block of the same operator.  `tangent_report` shares one model and one
+syzygy basis between the total and every graded piece.  The 24 x 28
+syzygy-constraint matrix of a (1,4,3) ideal and the one-parameter family
+harness for the degree-16 multiplicity are assembled separately below.
 """
 
 from dataclasses import dataclass
@@ -22,98 +28,118 @@ from .groebner import (buchberger, linear_syzygies, schreyer_syzygies,
 from .artin import local_hilbert_function, multiplication_operators
 
 
+class _HomSystem:
+    """The linear system of Hom(I, S/I) for a reduced basis G: one quotient
+    model and one syzygy basis, each built on first use and shared by the
+    total and every graded piece."""
+
+    def __init__(self, G):
+        self.G = G
+        self.qb = G.quotient_basis()
+        if len(self.qb) == 0:
+            raise PreconditionError("unit ideal has no tangent space")
+        self._blocks = {}
+
+    @cached_property
+    def model(self):
+        return multiplication_operators(self.G)
+
+    @cached_property
+    def relations(self):
+        return schreyer_syzygies(self.G).relations
+
+    def blocks(self, r):
+        """Operators of the coefficients of syzygy r on S/I, None where a
+        coefficient is zero."""
+        if r not in self._blocks:
+            op = self.model.operator_of_polynomial
+            self._blocks[r] = [op(a) if a else None for a in self.relations[r]]
+        return self._blocks[r]
+
+    def total(self):
+        """dim Hom_S(I, S/I): n unknowns per basis element, one block row of
+        n constraints per syzygy generator."""
+        n = len(self.qb)
+        r = len(self.G.elements)
+        field = self.G.ctx.field
+        zeros = [field.zero] * n
+        rows = []
+        for idx in range(len(self.relations)):
+            blocks = self.blocks(idx)
+            for i in range(n):
+                row = []
+                for block in blocks:
+                    row.extend(zeros if block is None else block.rows[i])
+                rows.append(row)
+        if not rows:
+            return r * n
+        return r * n - mat_rank(DenseMatrix(field, rows))
+
+    def graded(self, e):
+        """Dimension of the degree-e part of Hom_S(I, S/I) for homogeneous G.
+
+        The unknowns are the standard monomials m of degree deg g_k + e at
+        each g_k; a homogeneous syzygy of degree D constrains degree D + e,
+        and the entry at (mm, (k, m)) is the coefficient of mm in
+        a_k * m mod I, read off the operator of a_k.
+        """
+        qb = self.qb
+        field = self.G.ctx.field
+        degs = [g.degree() for g in self.G.elements]
+        unknowns = [(k, qb.index[m]) for k, dk in enumerate(degs)
+                    for m in qb if mono_deg(m) == dk + e]
+        if not unknowns:
+            return 0
+        rows = []
+        for idx, rel in enumerate(self.relations):
+            reldeg = next(a.degree() + degs[k] for k, a in enumerate(rel) if a)
+            target = [qb.index[m] for m in qb if mono_deg(m) == reldeg + e]
+            if not target:
+                continue
+            blocks = self.blocks(idx)
+            for t in target:
+                rows.append([field.zero if blocks[k] is None else blocks[k].rows[t][j]
+                             for k, j in unknowns])
+        if not rows:
+            return len(unknowns)
+        return len(unknowns) - mat_rank(DenseMatrix(field, rows))
+
+    def graded_pieces(self):
+        """All nonzero graded pieces, as a dict degree -> dimension."""
+        max_gen = max(g.degree() for g in self.G.elements)
+        max_std = max(mono_deg(m) for m in self.qb)
+        out = {}
+        for e in range(-max_gen, max_std + 1):
+            dim = self.graded(e)
+            if dim:
+                out[e] = dim
+        return out
+
+
+def _require_homogeneous(G):
+    for g in G.elements:
+        if not g.is_homogeneous():
+            raise PreconditionError("graded tangent dimensions need a homogeneous ideal")
+
+
 def tangent_dimension(I):
     """dim Hom_S(I, S/I): unknowns per basis element, one block row of
     constraints per syzygy generator."""
-    G = buchberger(I)
-    qb = G.quotient_basis()
-    n = len(qb)
-    if n == 0:
-        raise PreconditionError("unit ideal has no tangent space")
-    model = multiplication_operators(G)
-    syz = schreyer_syzygies(G)
-    r = len(G.elements)
-    field = G.ctx.field
-    zero = field.zero
-    rows = []
-    for rel in syz.relations:
-        blocks = [model.operator_of_polynomial(a) if a else None for a in rel]
-        for i in range(n):
-            row = []
-            for k in range(r):
-                if blocks[k] is None:
-                    row.extend([zero] * n)
-                else:
-                    row.extend(blocks[k].rows[i])
-            rows.append(row)
-    if not rows:
-        return r * n
-    return r * n - mat_rank(DenseMatrix(field, rows))
+    return _HomSystem(buchberger(I)).total()
 
 
 def graded_tangent_dimension(I, e):
     """Dimension of the degree-e part of Hom_S(I, S/I) for homogeneous I."""
     G = buchberger(I)
-    for g in G.elements:
-        if not g.is_homogeneous():
-            raise PreconditionError("graded tangent dimensions need a homogeneous ideal")
-    qb = G.quotient_basis()
-    if len(qb) == 0:
-        raise PreconditionError("unit ideal has no tangent space")
-    ctx = G.ctx
-    field = ctx.field
-    gens = list(G.elements)
-    degs = [g.degree() for g in gens]
-    unknowns = []   # (generator index, standard monomial)
-    for k, dk in enumerate(degs):
-        for m in qb:
-            if mono_deg(m) == dk + e:
-                unknowns.append((k, m))
-    if not unknowns:
-        return 0
-    col = {u: i for i, u in enumerate(unknowns)}
-    syz = schreyer_syzygies(G)
-    rows = []
-    for rel in syz.relations:
-        reldeg = None
-        for k, a in enumerate(rel):
-            if a:
-                reldeg = a.degree() + degs[k]
-                break
-        target = [m for m in qb if mono_deg(m) == reldeg + e]
-        if not target:
-            continue
-        tindex = {m: i for i, m in enumerate(target)}
-        block = [[field.zero] * len(unknowns) for _ in target]
-        for k, a in enumerate(rel):
-            if not a:
-                continue
-            for m in qb:
-                if (k, m) not in col:
-                    continue
-                prod = a.mul_term(m, field.one)
-                nf = G.normal_form(prod)
-                for mm, c in nf.terms.items():
-                    if mm in tindex:
-                        block[tindex[mm]][col[(k, m)]] = block[tindex[mm]][col[(k, m)]] + c
-        rows.extend(block)
-    if not rows:
-        return len(unknowns)
-    return len(unknowns) - mat_rank(DenseMatrix(field, rows))
+    _require_homogeneous(G)
+    return _HomSystem(G).graded(e)
 
 
 def graded_tangent_dimensions(I):
     """All nonzero graded pieces, as a dict degree -> dimension."""
     G = buchberger(I)
-    qb = G.quotient_basis()
-    max_gen = max(g.degree() for g in G.elements)
-    max_std = max((mono_deg(m) for m in qb), default=0)
-    out = {}
-    for e in range(-max_gen, max_std + 1):
-        dim = graded_tangent_dimension(G, e)
-        if dim:
-            out[e] = dim
-    return out
+    _require_homogeneous(G)
+    return _HomSystem(G).graded_pieces()
 
 
 @dataclass
@@ -126,10 +152,12 @@ class TangentReport:
 
 def tangent_report(I, expected_dimension=None, graded=False):
     G = buchberger(I)
-    total = tangent_dimension(G)
+    system = _HomSystem(G)
+    total = system.total()
     gr = None
     if graded:
-        gr = graded_tangent_dimensions(G)
+        _require_homogeneous(G)
+        gr = system.graded_pieces()
         if sum(gr.values()) != total:
             raise ArithmeticError("graded pieces do not sum to the total tangent dimension")
     smooth = None

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -270,3 +271,40 @@ def test_census_report_matches_table():
     assert rep.all_match()
     assert rep.extra_functions == ()
     assert any("(N-e)*N" in note for note in rep.notes)
+
+
+def _random_polynomial(rng, ctx, degree):
+    monos = [e for e in product(range(degree + 1), repeat=ctx.d) if sum(e) <= degree]
+    terms = {m: ctx.field.from_int(rng.randint(-3, 3)) for m in rng.sample(monos, 5)}
+    return Polynomial(ctx, terms)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_operator_of_polynomial_is_the_cached_quotient_ring_map(field):
+    rng = random.Random(718)
+    for I in (seven_quadrics_ideal(4, field), squares_cube_ideal(field),
+              weight753_ideal(field)):
+        g = random_invertible_matrix(rng.randint(0, 10 ** 9), I.ctx.d, field)
+        G = buchberger(change_coordinates(I, g))
+        ctx, qb = G.ctx, G.quotient_basis()
+        model = multiplication_operators(G)
+        ops = [X.copy_rows() for X in model.ops]
+        x1 = ctx.variables()[0]
+        for _ in range(3):
+            f = _random_polynomial(rng, ctx, 3)
+            h = _random_polynomial(rng, ctx, 3)
+            F = model.operator_of_polynomial(f)
+            for j, m in enumerate(qb):
+                nf = G.normal_form(f * ctx.monomial(m))
+                assert [F.rows[i][j] for i in range(model.n)] == \
+                    [nf.terms.get(mm, field.zero) for mm in qb]
+            assert model.operator_of_polynomial(f * h) == \
+                F.matmul(model.operator_of_polynomial(h))
+            expected = F.copy_rows()
+            for poly in (f, x1):
+                returned = model.operator_of_polynomial(poly)
+                assert returned == model.operator_of_polynomial(poly)
+                for row in returned.rows:
+                    row[:] = [field.one] * len(row)
+            assert model.operator_of_polynomial(f).rows == expected
+        assert [X.rows for X in model.ops] == ops

@@ -89,6 +89,21 @@ def test_determinant_multiplicative():
         assert determinant(a.matmul(b)) == determinant(a) * determinant(b)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_matmul_matches_the_entrywise_sum(field):
+    rng = random.Random(720)
+    for rows, inner, cols in ((3, 4, 5), (5, 5, 5), (2, 3, 1), (1, 1, 1)):
+        a = [[field.from_int(rng.choice((0, 0, rng.randint(-4, 4)))) for _ in range(inner)]
+             for _ in range(rows)]
+        b = [[field.from_int(rng.choice((0, 0, rng.randint(-4, 4)))) for _ in range(cols)]
+             for _ in range(inner)]
+        expected = [[sum((a[i][k] * b[k][j] for k in range(inner)), field.zero)
+                     for j in range(cols)] for i in range(rows)]
+        assert DenseMatrix(field, a).matmul(DenseMatrix(field, b)).rows == expected
+    with pytest.raises(ValueError):
+        DenseMatrix(field, [[1, 2]]).matmul(DenseMatrix(field, [[1, 2]]))
+
+
 def test_pfaffian_conventions():
     assert pfaffian(DenseMatrix(QQ, [[0, 1], [-1, 0]])) == QQ.one
     a, b = rat(3), rat(-5)

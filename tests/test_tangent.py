@@ -6,13 +6,14 @@ import pytest
 from hilbcheck.errors import PreconditionError
 from hilbcheck.fields import GF, QQ, QT
 from hilbcheck.fixtures import (family_limit_ideal, family_member_ideal,
-                                monomial_143_ideal, random_invertible_matrix,
+                                graded_143_fixtures, monomial_143_ideal,
+                                random_invertible_matrix,
                                 random_points, salmon_ideal,
                                 seven_quadrics_ideal, squares_cube_ideal,
                                 weight753_ideal)
 from hilbcheck import tangent
-from hilbcheck.groebner import Ideal, points_ideal
-from hilbcheck.linalg import determinant, kernel_basis, mat_rank
+from hilbcheck.groebner import GroebnerBasis, Ideal, points_ideal
+from hilbcheck.linalg import DenseMatrix, determinant, kernel_basis, mat_rank
 from hilbcheck.poly import context
 from hilbcheck.smooth import change_coordinates
 from hilbcheck.tangent import (FAMILY_COBASIS, build_tangent_machine,
@@ -102,6 +103,52 @@ def test_tangent_report():
     assert rep.total == 25
     assert rep.smooth_point is False
     assert rep.graded == {0: 21, -1: 4}
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_tangent_dimension_builds_each_power_once(monkeypatch):
+    calls = _count_calls(monkeypatch, DenseMatrix, "matmul")
+    assert tangent_dimension(seven_quadrics_ideal(6)) == 41
+    assert len(calls) <= 8
+
+
+def test_graded_blocks_are_read_off_the_model(monkeypatch):
+    I = dict(graded_143_fixtures())["family-t1"]
+    calls = _count_calls(monkeypatch, GroebnerBasis, "normal_form")
+    assert graded_tangent_dimension(I, -1) == 4
+    # the d * n normal forms of the multiplication operators, and no others
+    assert len(calls) <= 4 * 8
+
+
+def test_tangent_report_shares_one_model_and_one_syzygy_basis(monkeypatch):
+    models = _count_calls(monkeypatch, tangent, "multiplication_operators")
+    syzygies = _count_calls(monkeypatch, tangent, "schreyer_syzygies")
+    rep = tangent_report(seven_quadrics_ideal(4), graded=True)
+    assert (rep.total, rep.graded) == (25, {0: 21, -1: 4})
+    assert len(models) == 1
+    assert len(syzygies) == 1
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_graded_pieces_sum_to_total_under_coordinate_change(field):
+    rng = random.Random(719)
+    for name, I in graded_143_fixtures(field):
+        g = random_invertible_matrix(rng.randint(0, 10 ** 9), 4, field)
+        J = change_coordinates(I, g)
+        graded = graded_tangent_dimensions(J)
+        assert sum(graded.values()) == tangent_dimension(J), name
+        assert graded == graded_tangent_dimensions(I), name
 
 
 def test_machine_psi_rank_against_naive_oracle():
