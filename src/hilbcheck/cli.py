@@ -22,7 +22,7 @@ import sys
 
 from .artin import local_hilbert_function
 from .census import census_report
-from .errors import HilbcheckError, ParseError
+from .errors import HilbcheckError, ParseError, PreconditionError
 from .fields import GF, QQ, QT
 from .fixtures import DEFAULT_SEED
 from .groebner import Ideal, buchberger, initial_ideal, points_ideal
@@ -32,6 +32,13 @@ from .reportschema import ANALYZE_REPORT_SCHEMA, VERIFY_REPORT_SCHEMA, validate
 from .smooth import classify_smoothable, salmon_turnbull_pfaffian
 from .tangent import tangent_report
 from .verify import CASE_NAMES, run_suite
+
+
+# `colength` and `hf` refuse a quotient of dimension above this.  `hf` builds
+# dense n x n multiplication operators, about n^4 work: at n = 64 it takes a
+# few seconds, at n = 100 about ten.  Counting stops at COLENGTH_CAP + 1
+# standard monomials, so an ideal such as x^100000000 is refused at once.
+COLENGTH_CAP = 64
 
 
 def _read_ideal(path):
@@ -52,16 +59,25 @@ def _emit(args, command, payload, text):
         print(text)
 
 
+def _capped_basis(ideal):
+    """Groebner basis of the ideal, refused when its colength is above
+    COLENGTH_CAP."""
+    G = buchberger(ideal)
+    if G.colength(limit=COLENGTH_CAP + 1) > COLENGTH_CAP:
+        raise PreconditionError(f"colength > {COLENGTH_CAP}: above the cap of colength and hf")
+    return G
+
+
 def cmd_colength(args):
     _, ideal = _read_ideal(args.file)
-    n = buchberger(ideal).colength()
+    n = _capped_basis(ideal).colength()
     _emit(args, "colength", n, str(n))
     return 0
 
 
 def cmd_hf(args):
     _, ideal = _read_ideal(args.file)
-    hf = local_hilbert_function(ideal)
+    hf = local_hilbert_function(_capped_basis(ideal))
     _emit(args, "hf", list(hf), repr(hf))
     return 0
 

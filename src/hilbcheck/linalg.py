@@ -7,7 +7,7 @@ the maximal minors of a polynomial matrix.
 """
 
 import random
-from itertools import combinations
+from itertools import chain, combinations
 from math import factorial, lcm
 
 from .fields import QQ, QT
@@ -216,12 +216,17 @@ def _integer_rows(rows):
     return out
 
 
-def _bareiss(mat):
-    """Fraction-free (Bareiss) forward elimination of an integer matrix, in place.
+def _bareiss(mat, reduce=False):
+    """Fraction-free (Bareiss) elimination of an integer matrix, in place.
 
     Returns the original indices of the pivot rows, the pivot columns, and the
-    minor on them up to sign; the sign is exact when the matrix is square and
-    nonsingular, and that minor is then its determinant.
+    minor on them up to sign; the sign is exact when the rows are independent,
+    and that minor is then the determinant of the matrix on its pivot columns.
+
+    Forward only by default.  With reduce=True each pivot also clears the
+    rows above it (fraction-free Gauss-Jordan, with the same pivots and the
+    same exact divisions): the leading rows then hold d times the reduced
+    row echelon form, where d is the last pivot, d = +-(that minor).
     """
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
@@ -241,14 +246,16 @@ def _bareiss(mat):
             sign = -sign
         piv = mat[r][c]
         row_r = mat[r]
-        for i in range(r + 1, nrows):
+        for i in chain(range(r), range(r + 1, nrows)) if reduce else range(r + 1, nrows):
+            # a row above the pivot also rescales its earlier columns
+            lo = c if i > r else 0
             row_i = mat[i]
             mic = row_i[c]
             if mic:
-                for j in range(c, ncols):
+                for j in range(lo, ncols):
                     row_i[j] = (row_i[j] * piv - mic * row_r[j]) // prev
             else:
-                for j in range(c, ncols):
+                for j in range(lo, ncols):
                     row_i[j] = row_i[j] * piv // prev
         prev = piv
         pivots.append(c)
@@ -513,17 +520,18 @@ def _series_inv(a, prec):
 def minor_gcd_sample(m, size, count=32, seed=271828):
     """Gcd (primitive, in Z[t]) of a seeded sample of nonzero size x size minors.
 
-    Only minors known to be nonzero are drawn.  The screen uses Grassmann
-    duality at the integer points t = 3 and t = 5: if a block of `size` rows
-    has full rank at a point, with kernel basis K there, its minor on a column
-    subset S is nonzero exactly when the complementary (ncols - size)-minor of
-    K on the other columns is.  One kernel per block and point thus screens
-    every column subset with small integer determinants.  The blocks are all
-    rows when size == nrows, else count - 1 seeded draws and the pivot rows of
-    one elimination at t = 3.  The sample is that pivot minor plus count - 1
-    seeded draws from the pooled nonzero subsets; each drawn minor is
-    interpolated from the matrix itself, in integer arithmetic, and dropped if
-    it vanishes identically.
+    Every minor is read off one integer elimination per (block of `size`
+    rows, integer point t = x): a fraction-free Gauss-Jordan pass gives the
+    block's integer kernel at x, and by Grassmann duality each of its maximal
+    minors there is a complementary (ncols - size)-minor of that kernel
+    (`_PointKernel`).  The screen uses the kernels at t = 3 and t = 5: a
+    minor is nonzero there exactly when its complementary kernel minor is.
+    The blocks are all rows when size == nrows, else count - 1 seeded draws
+    and the pivot rows of one elimination at t = 3.  The sample is that pivot
+    minor plus count - 1 seeded draws from the pooled nonzero subsets; each
+    drawn minor is interpolated, in integer arithmetic, from its values at
+    t = 0, 1, 2, ... read off the kernels of its block, and dropped if it
+    vanishes identically.
 
     Limit of the screen: a minor that vanishes at every screen point without
     vanishing identically is never drawn.
@@ -531,31 +539,33 @@ def minor_gcd_sample(m, size, count=32, seed=271828):
     rng = random.Random(seed)
     polys = _polynomial_entries(m)
     values = {}
+    kernels = {}
 
-    def at(x):
-        # the whole matrix at t = x, shared by every minor
-        if x not in values:
-            values[x] = _eval_matrix(polys, x)
-        return values[x]
+    def kernel(rsel, x):
+        # one elimination per (block, point), shared by every minor on the block
+        if (rsel, x) not in kernels:
+            if x not in values:
+                values[x] = _eval_matrix(polys, x)
+            vals = values[x]
+            kernels[rsel, x] = _PointKernel([vals[r] for r in rsel])
+        return kernels[rsel, x]
 
     nrows = len(polys)
     blocks = {tuple(sorted(rng.sample(range(nrows), size))) for _ in range(count - 1)}
-    rows, cols, _ = _bareiss([row[:] for row in at(3)])
+    whole = kernel(tuple(range(nrows)), 3)
     base = None
-    if len(rows) >= size:
-        base = (tuple(sorted(rows[:size])), tuple(sorted(cols[:size])))
+    if len(whole.rows) >= size:
+        base = (tuple(sorted(whole.rows[:size])), tuple(sorted(whole.pivots[:size])))
         blocks.add(base[0])
     found = set()
     for x in (3, 5):
-        vals = at(x)
         for rsel in sorted(blocks):
-            found.update((rsel, csel) for csel in _nonzero_column_sets(
-                [vals[r] for r in rsel]))
+            found.update((rsel, csel) for csel in _nonzero_column_sets(kernel(rsel, x)))
     found.discard(base)
     picks = rng.sample(sorted(found), min(count - 1, len(found)))
     g = ()
     for rsel, csel in ([base] if base else []) + picks:
-        det = _minor_poly(polys, rsel, csel, at)
+        det = _minor_poly(polys, rsel, csel, kernel)
         if det:
             g = zgcd(g, det)
             if g == (1,):
@@ -563,33 +573,77 @@ def minor_gcd_sample(m, size, count=32, seed=271828):
     return g
 
 
-def _nonzero_column_sets(block):
-    """Column subsets on which the integer matrix `block` has a nonzero maximal
-    minor, read off the complementary minors of its kernel basis."""
-    size, ncols = len(block), len(block[0])
-    kernel = kernel_basis(DenseMatrix(QQ, block))
-    if len(kernel) != ncols - size:
+class _PointKernel:
+    """One fraction-free Gauss-Jordan pass over an integer matrix A.
+
+    `rows` and `pivots` are its pivot rows and columns P.  When the rows are
+    independent, `dual[c]` is row c of the integer kernel K = d N, where d is
+    the last pivot and N the kernel basis that is the identity on the free
+    columns F; then every maximal minor of A is
+
+        det A[:, S] = sgn(P, F) sgn(S, S^c) det A[:, P] det K[S^c] / d^|F|,
+
+    with sgn(X, Y) the sign of the permutation listing X then Y.  `dual` is
+    None when the rank is below the row count, and every maximal minor is 0.
+    """
+
+    __slots__ = ("rows", "pivots", "det", "den", "dual")
+
+    def __init__(self, block):
+        mat = [row[:] for row in block]
+        self.rows, self.pivots, self.det = _bareiss(mat, reduce=True)
+        self.dual = None
+        if len(self.rows) < len(mat):
+            return
+        ncols = len(mat[0])
+        d = mat[0][self.pivots[0]]
+        pivset = set(self.pivots)
+        free = [c for c in range(ncols) if c not in pivset]
+        dual = [[0] * len(free) for _ in range(ncols)]
+        for k, f in enumerate(free):
+            dual[f][k] = d
+            for row, p in zip(mat, self.pivots):
+                dual[p][k] = -row[f]
+        self.dual = dual
+        self.den = d ** len(free)
+
+    def minor(self, csel):
+        """det A[:, csel] for an increasing tuple of len(A) columns."""
+        if self.dual is None:
+            return 0
+        chosen = set(csel)
+        rest = [self.dual[c][:] for c in range(len(self.dual)) if c not in chosen]
+        num = self.det * _det_int(rest)
+        if (sum(self.pivots) + sum(csel)) % 2:
+            num = -num
+        q, rem = divmod(num, self.den)
+        if rem:
+            raise ArithmeticError("complementary kernel minor is not divisible by the pivot power")
+        return q
+
+
+def _nonzero_column_sets(kernel):
+    """Column subsets on which the block of a `_PointKernel` has a nonzero
+    maximal minor: those whose complementary minor of the kernel is nonzero."""
+    dual = kernel.dual
+    if dual is None:
         return      # rank below size: every maximal minor vanishes here
-    kernel = _integer_rows(kernel)
-    dual = [[v[c] for v in kernel] for c in range(ncols)]
-    # a subset meeting a zero row of the kernel basis has a zero minor there
+    ncols, free = len(dual), len(dual[0])
+    # a subset meeting a zero row of the kernel has a zero minor there
     support = [c for c in range(ncols) if any(dual[c])]
-    for rest in combinations(support, ncols - size):
+    for rest in combinations(support, free):
         if _det_int([dual[c][:] for c in rest]):
             yield tuple(c for c in range(ncols) if c not in rest)
 
 
-def _minor_poly(polys, rsel, csel, at):
+def _minor_poly(polys, rsel, csel, kernel):
     """Minor of the coefficient-list matrix on rows rsel and columns csel,
     primitive in Z[t] with positive leading coefficient, interpolated from
-    its values at t = 0, 1, 2, ... up to the degree bound; at(x) gives the
-    matrix at t = x."""
+    its values at t = 0, 1, 2, ... up to the degree bound; kernel(rsel, x)
+    is the `_PointKernel` of those rows at t = x."""
     row_deg = sum(max(len(polys[r][c]) for c in csel) - 1 for r in rsel)
     col_deg = sum(max(len(polys[r][c]) for r in rsel) - 1 for c in csel)
-    ys = []
-    for x in range(min(row_deg, col_deg) + 1):
-        vals = at(x)
-        ys.append(_det_int([[vals[r][c] for c in csel] for r in rsel]))
+    ys = [kernel(rsel, x).minor(csel) for x in range(min(row_deg, col_deg) + 1)]
     ints = ztrim(_interpolate_scaled(ys))
     if not ints:
         return ()

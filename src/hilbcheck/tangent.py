@@ -17,12 +17,13 @@ harness for the degree-16 multiplicity are assembled separately below.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 from .errors import PreconditionError
 from .fields import QQ, QT
 from .linalg import (DenseMatrix, RowSpace, determinant, mat_rank, rref,
                      minor_gcd_sample, t_adic_minor_valuation)
-from .poly import context, mono_deg
+from .poly import context, mono_deg, mono_lcm
 from .groebner import (buchberger, linear_syzygies, schreyer_syzygies,
                        SyzygyBasis, _monomials_of_degree)
 from .artin import local_hilbert_function, multiplication_operators
@@ -46,7 +47,11 @@ class _HomSystem:
 
     @cached_property
     def relations(self):
-        return schreyer_syzygies(self.G).relations
+        """The syzygy generators that constrain: the coefficients of a
+        Koszul relation g_j e_i - g_i e_j lie in I, so its blocks are zero."""
+        basis = list(self.G.elements) + [-g for g in self.G.elements]
+        return [rel for rel in schreyer_syzygies(self.G).relations
+                if not all(not a or a in basis for a in rel)]
 
     def blocks(self, r):
         """Operators of the coefficients of syzygy r on S/I, None where a
@@ -90,6 +95,11 @@ class _HomSystem:
                     for m in qb if mono_deg(m) == dk + e]
         if not unknowns:
             return 0
+        # a syzygy of the pair (i, j) has degree deg lcm(lt_i, lt_j) and
+        # constrains the standard monomials of that degree + e
+        top = max(mono_deg(m) for m in qb)
+        if all(mono_deg(mono_lcm(a, b)) + e > top for a, b in combinations(self.G.lts, 2)):
+            return len(unknowns)
         rows = []
         for idx, rel in enumerate(self.relations):
             reldeg = next(a.degree() + degs[k] for k, a in enumerate(rel) if a)

@@ -1,10 +1,13 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
-from hilbcheck.cli import main
+from hilbcheck.cli import COLENGTH_CAP, main
 from hilbcheck.reportschema import (ANALYZE_REPORT_SCHEMA, SchemaError,
                                     VERIFY_REPORT_SCHEMA, validate)
 
@@ -132,6 +135,49 @@ def test_smoothable_fails_fast_above_colength_8(capsys, tmp_path):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and not out
     assert "colength > 8: outside the supported range" in err
+
+
+# colength and local Hilbert function of every bundled data file
+BUNDLED = {
+    "family_t1.ideal": (8, "(1,4,3)"),
+    "monomial_143.ideal": (8, "(1,4,3)"),
+    "pencil_deg8.ideal": (8, "(1,3,4)"),
+    "salmon.ideal": (8, "(1,4,3)"),
+    "seven_quadrics_d4.ideal": (8, "(1,4,3)"),
+    "seven_quadrics_d5.ideal": (8, "(1,4,3)"),
+    "squares_cube_d3.ideal": (7, "(1,3,3)"),
+    "squares_d3.ideal": (8, "(1,3,3,1)"),
+    "weight753_colength8.ideal": (8, "(1,3,2,1,1)"),
+}
+
+
+def test_colength_and_hf_fail_fast_above_the_cap(tmp_path):
+    big = tmp_path / "big.ideal"
+    big.write_text("field Q\nvars x\nideal:\nx^100000000\n")
+    src = str(DATA.parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for command in ("colength", "hf"):
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "hilbcheck.cli", command, str(big)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert time.perf_counter() - start < 2.0, command
+        assert proc.returncode == 2 and not proc.stdout, command
+        assert f"colength > {COLENGTH_CAP}" in proc.stderr, command
+
+
+def test_colength_and_hf_keep_their_output_under_the_cap(capsys, tmp_path):
+    assert {p.name for p in DATA.glob("*.ideal")} == set(BUNDLED)
+    for name, (colength, hf) in BUNDLED.items():
+        assert run(capsys, "colength", str(DATA / name)) == (0, f"{colength}\n", "")
+        assert run(capsys, "hf", str(DATA / name)) == (0, f"{hf}\n", "")
+    at_cap = tmp_path / "at_cap.ideal"
+    at_cap.write_text("field Q\nvars x y\nideal:\nx^32\ny^2\n")
+    assert run(capsys, "colength", str(at_cap)) == (0, f"{COLENGTH_CAP}\n", "")
+    above = tmp_path / "above.ideal"
+    above.write_text("field Q\nvars x y\nideal:\nx^13\ny^5\n")
+    code, out, err = run(capsys, "colength", str(above))
+    assert code == 2 and not out and f"colength > {COLENGTH_CAP}" in err
 
 
 def test_unknown_case_errors(capsys):

@@ -6,9 +6,11 @@ import pytest
 
 from hilbcheck.fields import GF, QQ, QT
 from hilbcheck.fixtures import random_skew_matrix
-from hilbcheck.linalg import (DenseMatrix, RowSpace, determinant, kernel_basis,
-                              mat_rank, minor_gcd_sample, pfaffian,
-                              t_adic_minor_valuation)
+from hilbcheck import linalg
+from hilbcheck.linalg import (DenseMatrix, RowSpace, _PointKernel, _nonzero_column_sets,
+                              determinant, kernel_basis, mat_rank, minor_gcd_sample,
+                              pfaffian, t_adic_minor_valuation)
+from hilbcheck.tangent import family_machine
 from hilbcheck.scalars import rat
 from hilbcheck.upoly import RATFUNC_T as t, zgcd, zval
 
@@ -267,3 +269,98 @@ def test_minor_gcd_sample_is_seeded():
     for seed in (1, 2):
         first = minor_gcd_sample(m, 3, count=5, seed=seed)
         assert first and minor_gcd_sample(m, 3, count=5, seed=seed) == first
+
+
+def _integer_at(rows, x):
+    """Rows of Z[t] entries evaluated at t = x."""
+    out = []
+    for row in rows:
+        assert all(e.den == (1,) for e in row)
+        out.append([sum(c * x ** k for k, c in enumerate(e.num)) for e in row])
+    return out
+
+
+def test_point_kernel_minors_equal_the_determinants():
+    # every maximal minor of every block, read off one kernel per (block, point),
+    # against the minor's determinant over Q(t) evaluated there
+    rng = random.Random(43)
+
+    def poly():
+        return sum((QT.from_int(rng.randint(-3, 3)) * t ** e for e in range(3)), QT.zero)
+
+    seen = set()
+    # (nrows, ncols, size): size < nrows, size == nrows, size == ncols
+    for nrows, ncols, size in ((3, 5, 2), (3, 5, 3), (4, 3, 3), (2, 2, 2), (3, 6, 3)):
+        rows = [[poly() for _ in range(ncols)] for _ in range(nrows)]
+        if ncols >= 5:
+            for row in rows:
+                row[-1] = row[0] + row[0]           # minors on both vanish
+        rows[-1] = [t * x for x in rows[0]]         # the rank drops at t = 0
+        for rsel in combinations(range(nrows), size):
+            minors = {cols: determinant(DenseMatrix(
+                QT, [[rows[r][c] for c in cols] for r in rsel]))
+                for cols in combinations(range(ncols), size)}
+            for x in (-2, 0, 1, 3):
+                kernel = _PointKernel(_integer_at([rows[r] for r in rsel], x))
+                for cols, minor in minors.items():
+                    value = _integer_at([[minor]], x)[0][0]
+                    assert kernel.minor(cols) == value, (nrows, ncols, rsel, x, cols)
+                    seen.add((kernel.dual is None, bool(minor), bool(value)))
+    # full-rank points, rank-drop points with nonzero Q(t) minors, and zero minors
+    assert {(False, True, True), (True, True, False), (False, False, False)} <= seen
+
+
+def test_point_kernel_minors_of_psi():
+    psi = family_machine().psi
+    rng = random.Random(53)
+    at0 = _integer_at(psi.rows, 0)
+    assert _PointKernel(at0).dual is None and mat_rank(DenseMatrix(QQ, at0)) < 24
+    at3 = _integer_at(psi.rows, 3)
+    kernel = _PointKernel(at3)
+    nonzero = list(_nonzero_column_sets(kernel))
+    assert len(nonzero) == 121
+    for cols in rng.sample(nonzero, 4) + [tuple(range(24)), tuple(range(4, 28))]:
+        det = determinant(DenseMatrix(QQ, [[row[c] for c in cols] for row in at3]))
+        assert kernel.minor(cols) == det
+        assert bool(det) == (cols in nonzero)
+
+
+def test_minor_gcd_sample_with_every_minor_drawn_is_the_full_gcd():
+    rng = random.Random(59)
+
+    def poly():
+        return sum((QT.from_int(rng.randint(-2, 2)) * t ** e for e in range(3)), QT.zero)
+
+    for nrows, ncols in ((2, 4), (3, 5), (3, 3)):
+        rows = [[poly() * t for _ in range(ncols)] for _ in range(nrows)]
+        full = ()
+        total = 0
+        for cols in combinations(range(ncols), nrows):
+            minor = determinant(DenseMatrix(QT, [[row[c] for c in cols] for row in rows]))
+            total += 1
+            if minor:
+                full = zgcd(full, minor.num)
+        assert full
+        assert minor_gcd_sample(DenseMatrix(QT, rows), nrows, count=total + 1) == full
+
+
+def test_minor_gcd_sample_eliminates_each_block_once_per_point(monkeypatch):
+    # psi has one block (all 24 rows); each minor value is a 4 x 4 kernel minor
+    full, small = [], []
+    bareiss, det_int = linalg._bareiss, linalg._det_int
+
+    def counted_bareiss(mat, *args, **kwargs):
+        if len(mat) > 4:
+            full.append(tuple(map(tuple, mat)))
+        return bareiss(mat, *args, **kwargs)
+
+    def counted_det_int(a):
+        small.append((len(a), len(a[0]) if a else 0))
+        return det_int(a)
+
+    monkeypatch.setattr(linalg, "_bareiss", counted_bareiss)
+    monkeypatch.setattr(linalg, "_det_int", counted_det_int)
+    assert minor_gcd_sample(family_machine().psi, 24) == (0,) * 16 + (1,)
+    assert full and len(full) == len(set(full))
+    assert all(len(m) == 24 for m in full)
+    assert small and max(small) <= (4, 4)

@@ -12,6 +12,7 @@ from hilbcheck.fixtures import (family_limit_ideal, family_member_ideal,
                                 seven_quadrics_ideal, squares_cube_ideal,
                                 weight753_ideal)
 from hilbcheck import tangent
+from hilbcheck.artin import LocalAlgebraModel
 from hilbcheck.groebner import GroebnerBasis, Ideal, points_ideal
 from hilbcheck.linalg import DenseMatrix, determinant, kernel_basis, mat_rank
 from hilbcheck.poly import context
@@ -138,6 +139,28 @@ def test_tangent_report_shares_one_model_and_one_syzygy_basis(monkeypatch):
     assert (rep.total, rep.graded) == (25, {0: 21, -1: 4})
     assert len(models) == 1
     assert len(syzygies) == 1
+
+
+def test_no_syzygy_coefficient_has_a_zero_operator(monkeypatch):
+    # Koszul relations, whose coefficients lie in I, are dropped first
+    original = LocalAlgebraModel.operator_of_polynomial
+    results = []
+
+    def recorded(model, f):
+        results.append(original(model, f))
+        return results[-1]
+
+    monkeypatch.setattr(LocalAlgebraModel, "operator_of_polynomial", recorded)
+    rep = tangent_report(seven_quadrics_ideal(4), graded=True)
+    assert (rep.total, rep.graded) == (25, {0: 21, -1: 4})
+    assert results and all(any(map(any, op.rows)) for op in results)
+
+
+def test_graded_degree_no_syzygy_reaches_builds_no_syzygies(monkeypatch):
+    # the lcm of two quadric leading terms has degree >= 3, and S/I stops at 2
+    syzygies = _count_calls(monkeypatch, tangent, "schreyer_syzygies")
+    assert graded_tangent_dimension(seven_quadrics_ideal(4), 0) == 21
+    assert not syzygies
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
