@@ -35,9 +35,11 @@ from .verify import CASE_NAMES, run_suite
 
 
 # `colength` and `hf` refuse a quotient of dimension above this.  `hf` builds
-# dense n x n multiplication operators, about n^4 work: at n = 64 it takes a
-# few seconds, at n = 100 about ten.  Counting stops at COLENGTH_CAP + 1
-# standard monomials, so an ideal such as x^100000000 is refused at once.
+# dense n x n multiplication operators, up to about n^4 work: on a 2-core VM
+# with the `fractions` backend, the Hilbert function of <x^k, y^2> and of
+# <x^k, y^2 - x^5 + 2x^3y> took 0.13-0.27 s at n = 64 and 0.34-1.24 s at
+# n = 100.  Counting stops at COLENGTH_CAP + 1 standard monomials, so an
+# ideal such as x^100000000 is refused at once.
 COLENGTH_CAP = 64
 
 

@@ -9,12 +9,12 @@ live here.
 """
 
 import heapq
+from operator import add, le, sub
 
 from .errors import PreconditionError, InfiniteColengthError
 from .linalg import DenseMatrix, RowSpace, determinant, kernel_basis
 from .poly import (GREVLEX, Polynomial, VariableContext, mono_coprime,
-                   mono_deg, mono_div, mono_divides, mono_lcm, mono_mul,
-                   weight_order)
+                   mono_deg, mono_div, mono_divides, mono_lcm, weight_order)
 
 
 class Ideal:
@@ -57,12 +57,13 @@ class GroebnerBasis(Ideal):
     takes an ideal takes a basis, and buchberger returns it unchanged.
     """
 
-    __slots__ = ("order", "lts", "_qb")
+    __slots__ = ("order", "lts", "_records", "_qb")
 
     def __init__(self, ctx, order, elements):
         super().__init__(ctx, elements)
         self.order = order
-        self.lts = tuple(g.lm(order) for g in self.gens)
+        self._records = [_division_record(g, order) for g in self.gens]
+        self.lts = tuple(r[0] for r in self._records)
         self._qb = None
 
     @property
@@ -72,7 +73,7 @@ class GroebnerBasis(Ideal):
     def normal_form(self, f):
         if f.ctx != self.ctx:
             raise PreconditionError("polynomial from a different context")
-        rem, _ = _divide(f, self.gens, self.order)
+        rem, _ = _divide(f, self._records, self.order)
         return Polynomial(self.ctx, rem)
 
     def contains(self, f):
@@ -101,22 +102,37 @@ class GroebnerBasis(Ideal):
         return f"GB[{self.order}](" + ", ".join(map(str, self.gens)) + ")"
 
 
-def _divide(f, basis, order, track=False):
-    """Multivariate division; returns (remainder dict, quotient dicts)."""
+def _division_record(g, order):
+    """(lm, lc, tail) of a nonzero polynomial, the tail being its other
+    (monomial, coefficient) pairs: what _divide reads of a divisor."""
+    terms = g.terms
+    lm = max(terms, key=order.key)
+    return lm, terms[lm], [(m, c) for m, c in terms.items() if m != lm]
+
+
+def _divide(f, records, order, track=False):
+    """Multivariate division of f by the divisors whose _division_record
+    tuples are given, in that order; returns (remainder dict, quotient dicts).
+
+    The leading work term is reduced by the first divisor whose leading
+    monomial divides it, or moved to the remainder.  Its cancellation is
+    exact, so it is popped rather than subtracted, and a monic divisor needs
+    no coefficient division.
+    """
     work = dict(f.terms)
     rem = {}
-    quots = [{} for _ in basis] if track else None
-    lminfo = [(g.lm(order), g.lc(order), g.terms) for g in basis]
+    quots = [{} for _ in records] if track else None
+    one = f.ctx.field.one
     key = order.key
     while work:
         m = max(work, key=key)
-        c = work[m]
-        for i, (lm, lc, terms) in enumerate(lminfo):
-            if lm is not None and mono_divides(lm, m):
-                mq = mono_div(m, lm)
-                cq = c / lc
-                for mm, cc in terms.items():
-                    mt = mono_mul(mm, mq)
+        c = work.pop(m)
+        for i, (lm, lc, tail) in enumerate(records):
+            if all(map(le, lm, m)):
+                mq = tuple(map(sub, m, lm))
+                cq = c if lc == one else c / lc
+                for mm, cc in tail:
+                    mt = tuple(map(add, mm, mq))
                     s = work.get(mt)
                     s = -(cq * cc) if s is None else s - cq * cc
                     if s:
@@ -129,7 +145,6 @@ def _divide(f, basis, order, track=False):
                 break
         else:
             rem[m] = c
-            del work[m]
     return rem, quots
 
 
@@ -164,7 +179,8 @@ def buchberger(ideal, order=GREVLEX):
                 seen.add(kk)
                 basis.append(gm)
     basis.sort(key=lambda g: order.key(g.lm(order)))
-    lts = [g.lm(order) for g in basis]
+    records = [_division_record(g, order) for g in basis]
+    lts = [r[0] for r in records]
     heap = []
     done = set()
 
@@ -188,11 +204,12 @@ def buchberger(ideal, order=GREVLEX):
             continue
         spoly = (basis[i].mul_term(mono_div(lcm, li), ctx.field.one)
                  - basis[j].mul_term(mono_div(lcm, lj), ctx.field.one))
-        rem, _ = _divide(spoly, basis, order)
+        rem, _ = _divide(spoly, records, order)
         if rem:
             g = Polynomial(ctx, rem).monic(order)
             basis.append(g)
-            lts.append(g.lm(order))
+            records.append(_division_record(g, order))
+            lts.append(records[-1][0])
             push_pairs(len(basis) - 1)
     return GroebnerBasis(ctx, order, _reduce_basis(basis, order, ctx))
 
@@ -209,25 +226,24 @@ def _chain_criterion(i, j, lcm, lts, done):
 
 
 def _reduce_basis(basis, order, ctx):
-    # minimalize leading terms, then inter-reduce tails
+    # minimalize leading terms, then inter-reduce tails.  In increasing order
+    # of leading terms no kept one can be a multiple of a later one.
+    # Reduction keeps every leading term, so one pass leaves every tail
+    # reduced and the result in that order.
     items = sorted(basis, key=lambda g: order.key(g.lm(order)))
-    kept = []
+    kept, records = [], []
     for g in items:
-        lm = g.lm(order)
-        if not any(mono_divides(h.lm(order), lm) for h in kept):
-            kept = [h for h in kept if not mono_divides(lm, h.lm(order))]
+        r = _division_record(g, order)
+        if not any(mono_divides(h[0], r[0]) for h in records):
             kept.append(g)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(kept)):
-            others = kept[:i] + kept[i + 1:]
-            rem, _ = _divide(kept[i], others, order)
-            g = Polynomial(ctx, rem).monic(order)
-            if g.terms != kept[i].terms:
-                kept[i] = g
-                changed = True
-    kept.sort(key=lambda g: order.key(g.lm(order)))
+            records.append(r)
+    for i in range(len(kept)):
+        rem, _ = _divide(kept[i], records[:i] + records[i + 1:], order)
+        g = Polynomial(ctx, rem).monic(order)
+        if g.terms != kept[i].terms:
+            # later divisions see the new element
+            kept[i] = g
+            records[i] = _division_record(g, order)
     return kept
 
 
@@ -413,7 +429,7 @@ def schreyer_syzygies(G):
             mi = mono_div(lcm, li)
             mj = mono_div(lcm, lj)
             spoly = basis[i].mul_term(mi, one) - basis[j].mul_term(mj, one)
-            rem, quots = _divide(spoly, basis, order, track=True)
+            rem, quots = _divide(spoly, G._records, order, track=True)
             if rem:
                 raise ArithmeticError("S-polynomial of a Groebner basis did not reduce to zero")
             rel = [-Polynomial(ctx, q) for q in quots]

@@ -65,13 +65,14 @@ class DenseMatrix:
 
     def apply(self, vec):
         z = self.field.zero
+        nonzero = [(k, v) for k, v in enumerate(vec) if v]
         out = []
-        for i in range(self.nrows):
+        for row in self.rows:
             acc = z
-            row = self.rows[i]
-            for k, v in enumerate(vec):
-                if v:
-                    acc = acc + row[k] * v
+            for k, v in nonzero:
+                a = row[k]
+                if a:
+                    acc = acc + a * v
             out.append(acc)
         return out
 

@@ -11,10 +11,13 @@ from hilbcheck.fixtures import (degeneration_753, degeneration_axis_weight,
                                 degeneration_square_pair,
                                 degeneration_two_quadrics, random_points,
                                 seven_quadrics_ideal)
-from hilbcheck.groebner import (Ideal, buchberger, delta_ratio, ideal_equal,
-                                initial_ideal, intersect, linear_syzygies,
-                                normal_form, points_ideal, schreyer_syzygies)
-from hilbcheck.poly import GREVLEX, LEX, context, parse_polynomial, weight_order
+from hilbcheck import groebner
+from hilbcheck.groebner import (Ideal, _divide, _division_record, buchberger,
+                                delta_ratio, ideal_equal, initial_ideal,
+                                intersect, linear_syzygies, normal_form,
+                                points_ideal, schreyer_syzygies)
+from hilbcheck.poly import (GREVLEX, LEX, Polynomial, context, mono_divides,
+                            parse_polynomial, weight_order)
 from hilbcheck.scalars import rat
 
 
@@ -324,3 +327,92 @@ def test_bases_built_by_linear_algebra_are_reduced():
         bases.append(initial_ideal(intersect(J1, J2), w))
     for G in bases:
         assert G.gens == buchberger(Ideal(G.ctx, G.gens), G.order).gens
+
+
+def _random_polynomial(rng, ctx, nterms, degree):
+    terms = {}
+    for _ in range(nterms):
+        m = [0] * ctx.d
+        for _ in range(rng.randint(0, degree)):
+            m[rng.randrange(ctx.d)] += 1
+        terms[tuple(m)] = ctx.field.from_int(rng.randint(-5, 5))
+    return Polynomial(ctx, terms)
+
+
+def _divisor_lists(field, make_order, rng):
+    """(divisors, basis) pairs: the reduced bases of the seven quadrics, of
+    seeded points and of seeded random generators, then those generators
+    themselves with basis None.  They are neither monic nor a basis, so the
+    division also runs with leading coefficients other than 1."""
+    I = seven_quadrics_ideal(5, field)
+    bases = [buchberger(I, make_order(I.ctx.d))]
+    ctx = context(field, "x y z")
+    bases.append(points_ideal(random_points(rng.randrange(10 ** 6), n=6, d=3, field=field),
+                              ctx, make_order(3)))
+    while True:
+        gens = [g for g in (_random_polynomial(rng, ctx, 3, 3) for _ in range(3)) if g]
+        if len(gens) == 3 and all(g.degree() for g in gens):
+            break
+    bases.append(buchberger(Ideal(ctx, gens), make_order(3)))
+    return [(G.gens, G) for G in bases] + [(gens, None)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+@pytest.mark.parametrize("make_order", [lambda d: GREVLEX, lambda d: LEX,
+                                        lambda d: weight_order((2, 1, 3, 1, 2)[:d])],
+                         ids=["grevlex", "lex", "weight"])
+def test_division_property(field, make_order):
+    # f = sum q_i g_i + r exactly, and no term of r is divisible by a leading
+    # term; against a reduced basis that r is the normal form, a fixed point
+    rng = random.Random(909)
+    for divisors, G in _divisor_lists(field, make_order, rng):
+        ctx = divisors[0].ctx
+        order = make_order(ctx.d)
+        lts = [g.lm(order) for g in divisors]
+        for _ in range(6):
+            f = _random_polynomial(rng, ctx, 6, 5)
+            records = [_division_record(g, order) for g in divisors]
+            rem, quots = _divide(f, records, order, track=True)
+            r = Polynomial(ctx, rem)
+            total = r
+            for q, g in zip(quots, divisors):
+                total = total + Polynomial(ctx, q) * g
+            assert total == f
+            assert not any(mono_divides(lt, m) for m in rem for lt in lts)
+            if G is not None:
+                assert G.normal_form(f) == r
+                assert G.normal_form(r) == r
+
+
+def test_reduce_basis_sees_a_tail_rewritten_in_mid_pass(monkeypatch):
+    # a lex Groebner basis of <z^2, y + z, x> with unreduced tails: the
+    # second element's tail holds z^2, and the third is divided after the
+    # second has been rewritten to y + z
+    ctx = context(QQ, "x y z")
+    basis = [P(s, ctx) for s in ("z^2", "y - z^2 + z", "x - y*z + 2*z^2")]
+    seen = []
+    divide = groebner._divide
+    monkeypatch.setattr(groebner, "_divide",
+                        lambda f, records, order: seen.append(records) or divide(f, records, order))
+    kept = groebner._reduce_basis(basis, LEX, ctx)
+    assert [str(g) for g in kept] == [str(P(s, ctx)) for s in ("z^2", "y + z", "x")]
+    y_plus_z = _division_record(P("y + z", ctx), LEX)
+    assert y_plus_z in seen[2]
+    lts = [g.lm(LEX) for g in kept]
+    for g, lt in zip(kept, lts):
+        assert g.lc(LEX) == QQ.one
+        assert not any(mono_divides(other, m) for m in g.terms for other in lts if other != lt)
+    assert tuple(kept) == buchberger(Ideal(ctx, basis), LEX).gens
+
+
+def test_normal_form_reads_no_leading_monomial(monkeypatch):
+    G = buchberger(seven_quadrics_ideal(4))
+    rng = random.Random(910)
+    fs = [_random_polynomial(rng, G.ctx, 6, 4) for _ in range(5)]
+    calls = []
+    lm = Polynomial.lm
+    monkeypatch.setattr(Polynomial, "lm",
+                        lambda self, order=GREVLEX: calls.append(1) or lm(self, order))
+    for f in fs:
+        G.normal_form(f)
+    assert calls == []

@@ -106,6 +106,23 @@ def test_matmul_matches_the_entrywise_sum(field):
         DenseMatrix(field, [[1, 2]]).matmul(DenseMatrix(field, [[1, 2]]))
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_apply_matches_the_entrywise_sum(field):
+    rng = random.Random(721)
+    nonzero = [c for c in range(-4, 5) if c]
+    for rows, cols in ((3, 4), (5, 5), (1, 6), (6, 1)):
+        a = [[field.from_int(rng.choice((0, 0, rng.randint(-4, 4)))) for _ in range(cols)]
+             for _ in range(rows)]
+        zero = [0] * cols
+        sparse = [rng.choice((0, 0, 0, rng.choice(nonzero))) for _ in range(cols)]
+        dense = [rng.choice(nonzero) for _ in range(cols)]
+        for vec in (zero, sparse, dense):
+            vec = [field.from_int(v) for v in vec]
+            expected = [sum((a[i][k] * vec[k] for k in range(cols)), field.zero)
+                        for i in range(rows)]
+            assert DenseMatrix(field, a).apply(vec) == expected
+
+
 def test_pfaffian_conventions():
     assert pfaffian(DenseMatrix(QQ, [[0, 1], [-1, 0]])) == QQ.one
     a, b = rat(3), rat(-5)

@@ -13,7 +13,7 @@ from hilbcheck.fixtures import (bundled_monomial_ideals, degeneration_753,
 from hilbcheck import artin, groebner
 from hilbcheck.artin import centroid, multiplication_operators, translate_ideal
 from hilbcheck.groebner import Ideal, buchberger, ideal_equal, points_ideal
-from hilbcheck.poly import context, parse_polynomial
+from hilbcheck.poly import MonomialOrder, context, parse_polynomial
 from hilbcheck.smooth import (change_coordinates, classify_smoothable,
                               project_to_graded, salmon_turnbull_pfaffian)
 from hilbcheck.tangent import tangent_dimension
@@ -264,3 +264,14 @@ def test_classify_computes_each_groebner_basis_once(monkeypatch, make, outcome):
     assert classify_smoothable(I).outcome == outcome
     assert len(runs) == 1
     assert len(models) == 1
+
+
+def test_classify_orders_the_divisor_terms_once(monkeypatch):
+    # a basis orders its divisors' terms once, when it is built, not once
+    # per division
+    I = seven_quadrics_ideal(4)
+    calls = []
+    key = MonomialOrder.key
+    monkeypatch.setattr(MonomialOrder, "key", lambda self, m: calls.append(1) or key(self, m))
+    assert classify_smoothable(I).outcome == "NotSmoothable"
+    assert len(calls) <= 300
