@@ -1,14 +1,15 @@
-"""Dense exact linear algebra over the scalar fields.
+"""Exact linear algebra over the scalar fields.
 
-Everything here is exact: pivoted elimination for rank and kernels, Bareiss
-fraction-free elimination for determinants, skew elimination for Pfaffians,
-and a discrete-valuation elimination for the t-adic valuation of the gcd of
-the maximal minors of a polynomial matrix.
+Everything here is exact: sparse fraction-free integer elimination for rank
+over Q and F_p, dense pivoted elimination for kernels and for rank over
+Q(t), Bareiss fraction-free elimination for determinants, skew elimination
+for Pfaffians, and a discrete-valuation elimination for the t-adic valuation
+of the gcd of the maximal minors of a polynomial matrix.
 """
 
 import random
 from itertools import chain, combinations
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .fields import QQ, QT
 from .scalars import rat
@@ -199,14 +200,80 @@ def rref(rows, field):
 
 
 def mat_rank(m):
-    """Rank over the entry field by exact elimination of the nonzero rows."""
-    rows = [row for row in m.rows if any(row)]
-    if m.field == QQ:
-        return len(_bareiss(_integer_rows(rows))[0])
-    rs = RowSpace(m.field)
-    for row in rows:
-        rs.add(row)
-    return rs.dim
+    """Rank over the entry field by exact elimination of the nonzero rows.
+
+    Over Q and F_p the rows go to `_sparse_rank` as integer dicts of their
+    nonzero entries: a row over Q is scaled by the lcm of the denominators
+    of its nonzero entries, and a row over F_p holds its residues.  Over
+    Q(t) the rows are eliminated by `RowSpace`.
+    """
+    field = m.field
+    if field == QT:
+        rs = RowSpace(field)
+        for row in m.rows:
+            if any(row):
+                rs.add(row)
+        return rs.dim
+    rows = []
+    if field == QQ:
+        for row in m.rows:
+            nonzero = [(j, x) for j, x in enumerate(row) if x]
+            if nonzero:
+                den = lcm(*(int(x.denominator) for _, x in nonzero))
+                rows.append({j: int(x.numerator) * (den // int(x.denominator))
+                             for j, x in nonzero})
+        return _sparse_rank(rows, 0)
+    for row in m.rows:
+        v = {j: x.v for j, x in enumerate(row) if x.v}
+        if v:
+            rows.append(v)
+    return _sparse_rank(rows, field.p)
+
+
+def _sparse_rank(rows, p):
+    """Rank of integer rows, each a dict {column: nonzero int}, over Q when
+    p == 0 and over F_p when p is a prime; the dicts are consumed.
+
+    Rows are processed shortest first, and each is reduced at its smallest
+    column against the pivot row there until it vanishes or its smallest
+    column has no pivot row, where it becomes one; the rank is the number of
+    pivot rows.  A pivot row's smallest column is its pivot, so a reduction
+    step only fills in columns to the right of the one it clears.  Over Q a
+    step is v <- a v - b w with a, b the pivot entries of w and v divided by
+    their gcd, and every row is kept primitive; over F_p pivot rows are
+    monic and entries are residues mod p.
+    """
+    pivots = {}
+    for v in sorted(rows, key=len):
+        while v:
+            if not p:
+                content = gcd(*v.values())
+                if content != 1:
+                    v = {j: x // content for j, x in v.items()}
+            c = min(v)
+            w = pivots.get(c)
+            if w is None:
+                if p and v[c] != 1:
+                    inv = pow(v[c], -1, p)
+                    v = {j: x * inv % p for j, x in v.items()}
+                pivots[c] = v
+                break
+            a, b = w[c], v[c]       # a == 1 over F_p
+            if not p:
+                g = gcd(a, b)
+                a //= g
+                b //= g
+            if a != 1:
+                v = {j: a * x for j, x in v.items()}
+            for j, x in w.items():
+                y = v.get(j, 0) - b * x
+                if p:
+                    y %= p
+                if y:
+                    v[j] = y
+                else:
+                    del v[j]
+    return len(pivots)
 
 
 def _integer_rows(rows):

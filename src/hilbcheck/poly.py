@@ -7,6 +7,7 @@ case its elements are differential polynomials acting on the primal ring.
 """
 
 import re
+from math import comb
 
 from .errors import ParseError, PreconditionError
 from .fields import QQ, QT, GF
@@ -244,8 +245,9 @@ class Polynomial:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
 
     def scale(self, c):
@@ -413,6 +415,43 @@ def poly_str(p, order=GREVLEX):
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
 
+# Fail-fast caps of the expression parser, checked before a power or a
+# product is built, so that an input such as (x+y+z+w+1)^30 raises
+# ParseError at once:
+# - a power whose base is not a single monomial with coefficient +-1 takes an
+#   exponent of at most EXPONENT_CAP;
+# - no sum, product or power has more than TERM_CAP terms (for a power, by
+#   the bound of `_power_cost`);
+# - no product or power multiplies more than PRODUCT_CAP pairs of terms:
+#   (x+1)^256*(x+3)^256, 66k pairs, took 0.6-0.75 s on a 2-core VM with the
+#   pure-Python `fractions` backend.
+# x^100000000 still parses.
+EXPONENT_CAP = 256
+TERM_CAP = 2_000
+PRODUCT_CAP = 100_000
+
+
+def _power_cost(p, e):
+    """Bounds on the number of terms of p^e and on the pairs of terms that
+    Polynomial.__pow__ multiplies to build it, along its square-and-multiply
+    chain.  A power p^a has at most as many terms as there are multisets of
+    a terms of p, and as monomials of degree at most a * deg p."""
+    k, d, deg = len(p.terms), p.ctx.d, p.degree()
+
+    def terms(a):
+        return min(comb(k + a - 1, a), comb(a * deg + d, d))
+
+    pairs, a, b = 0, 0, 1       # the chain holds p^a and p^b
+    while e:
+        if e & 1:
+            pairs += terms(a) * terms(b)
+            a += b
+        e >>= 1
+        if e:
+            pairs += terms(b) ** 2
+            b *= 2
+    return terms(a), pairs
+
 
 class _Parser:
     def __init__(self, text, ctx):
@@ -474,11 +513,13 @@ class _Parser:
         if sign < 0:
             p = -p
         while True:
-            kind, val, _ = self.peek()
+            kind, val, col = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
                 q = self.term()
                 p = p + q if val == "+" else p - q
+                if len(p.terms) > TERM_CAP:
+                    raise ParseError(f"sum of more than {TERM_CAP} terms", column=col + 1)
             else:
                 return p
 
@@ -488,7 +529,13 @@ class _Parser:
             kind, val, col = self.peek()
             if kind == "op" and val == "*":
                 self.next()
-                p = p * self.factor()
+                q = self.factor()
+                if len(p.terms) * len(q.terms) > PRODUCT_CAP:
+                    raise ParseError(f"product of more than {PRODUCT_CAP} pairs of terms",
+                                     column=col + 1)
+                p = p * q
+                if len(p.terms) > TERM_CAP:
+                    raise ParseError(f"product of more than {TERM_CAP} terms", column=col + 1)
             elif kind == "op" and val == "/":
                 self.next()
                 q = self.factor()
@@ -510,9 +557,19 @@ class _Parser:
         kind, val, col = self.peek()
         if kind == "op" and val == "^":
             self.next()
-            kind, e, col = self.next()
+            kind, e, ecol = self.next()
             if kind != "int":
-                raise ParseError("exponent must be a nonnegative integer", column=col + 1)
+                raise ParseError("exponent must be a nonnegative integer", column=ecol + 1)
+            one = self.ctx.field.one
+            if len(p.terms) > 1 or any(c != one and c != -one for c in p.terms.values()):
+                if e > EXPONENT_CAP:
+                    raise ParseError(f"exponent {e} above {EXPONENT_CAP} on a base that is "
+                                     "not a monomial with coefficient +-1", column=col + 1)
+                terms, pairs = _power_cost(p, e)
+                if terms > TERM_CAP or pairs > PRODUCT_CAP:
+                    raise ParseError(f"power may have more than {TERM_CAP} terms or "
+                                     f"multiply more than {PRODUCT_CAP} pairs of terms",
+                                     column=col + 1)
             p = p ** e
         return p
 

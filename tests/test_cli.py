@@ -166,6 +166,20 @@ def test_colength_and_hf_fail_fast_above_the_cap(tmp_path):
         assert f"colength > {COLENGTH_CAP}" in proc.stderr, command
 
 
+def test_an_oversized_power_fails_fast_at_parse_time(tmp_path):
+    big = tmp_path / "big.ideal"
+    big.write_text("field Q\nvars x y z w\nideal:\n(x+y+z+w+1)^30\nx\n")
+    src = str(DATA.parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "hilbcheck.cli", "colength", str(big)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == 2 and not proc.stdout
+    assert "parse error" in proc.stderr and "line 4" in proc.stderr
+
+
 def test_colength_and_hf_keep_their_output_under_the_cap(capsys, tmp_path):
     assert {p.name for p in DATA.glob("*.ideal")} == set(BUNDLED)
     for name, (colength, hf) in BUNDLED.items():

@@ -381,3 +381,95 @@ def test_minor_gcd_sample_eliminates_each_block_once_per_point(monkeypatch):
     assert full and len(full) == len(set(full))
     assert all(len(m) == 24 for m in full)
     assert small and max(small) <= (4, 4)
+
+
+def _scalar(rng, p, big=False):
+    """A random nonzero scalar: a residue mod p, a small rational, or (big)
+    a rational with 60-bit numerator and denominator."""
+    if p:
+        return rng.randrange(1, p)
+    sign = rng.choice((-1, 1))
+    if big:
+        return Fraction(sign * (rng.getrandbits(60) | 1 << 59), rng.getrandbits(60) | 1 << 59)
+    return Fraction(sign * rng.randint(1, 9), rng.randint(1, 4))
+
+
+def _rank_k_product(rng, p, m, n, k, density, big=False):
+    """An m x n matrix B C of rank exactly k (mod p when p).  B (m x k) holds
+    an upper-triangular block with nonzero diagonal, and C (k x n) a
+    lower-triangular block with nonzero diagonal on k distinct columns and
+    zeros elsewhere in those columns; other entries are nonzero with
+    probability `density`, and each further row of B has at least one."""
+    def maybe():
+        return _scalar(rng, p, big) if rng.random() < density else 0
+
+    B = [[_scalar(rng, p, big) if j == i else maybe() if j > i else 0 for j in range(k)]
+         for i in range(k)]
+    for _ in range(m - k):
+        row = [maybe() for _ in range(k)]
+        row[rng.randrange(k)] = _scalar(rng, p, big)
+        B.append(row)
+    cols = rng.sample(range(n), k)
+    C = [[0 if c in cols else maybe() for c in range(n)] for _ in range(k)]
+    for i in range(k):
+        for j in range(i):
+            C[i][cols[j]] = maybe()
+        C[i][cols[i]] = _scalar(rng, p, big)
+    A = [[sum(b * c for b, c in zip(brow, col)) for col in zip(*C)] for brow in B]
+    return [[x % p for x in row] for row in A] if p else A
+
+
+def _padded(rng, p, rows):
+    """rows plus a duplicated row, a zero row and a scaled row, shuffled:
+    the rank does not change."""
+    scale = _scalar(rng, p)
+    scaled = [x * scale for x in rng.choice(rows)]
+    out = rows + [list(rng.choice(rows)), [0] * len(rows[0]),
+                  [x % p for x in scaled] if p else scaled]
+    rng.shuffle(out)
+    return out
+
+
+def _density(rows):
+    return sum(1 for row in rows for x in row if x) / (len(rows) * len(rows[0]))
+
+
+def test_rank_matches_sympy_over_q():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1001)
+    cases = []
+    for _ in range(4):
+        # sparse, dense and 60-bit rational products of known rank
+        cases.append((_rank_k_product(rng, 0, 40, 60, rng.randint(1, 40), 0.03), "sparse"))
+        cases.append((_rank_k_product(rng, 0, 8, 10, rng.randint(1, 8), 1.0), "dense"))
+        cases.append((_rank_k_product(rng, 0, 7, 9, rng.randint(1, 7), 1.0, big=True), "big"))
+    for _ in range(4):
+        # random matrices, generically of full rank
+        cases.append(([[_scalar(rng, 0) if rng.random() < 0.06 else 0 for _ in range(40)]
+                       for _ in range(30)], "sparse"))
+        cases.append(([[_scalar(rng, 0, big=True) for _ in range(8)] for _ in range(6)], "big"))
+    seen = set()
+    for rows, kind in cases:
+        full = min(len(rows), len(rows[0]))
+        rows = _padded(rng, 0, rows)
+        if kind == "sparse":
+            assert _density(rows) <= 0.10
+        m = DenseMatrix(QQ, rows)
+        expected = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                                 for row in rows]).rank()
+        assert mat_rank(m) == expected, kind
+        seen.add(expected < full)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("p", [5, 7, 10007])
+def test_rank_over_prime_fields_by_construction(p):
+    rng = random.Random(1002 + p)
+    field = GF(p)
+    for m, n, density in ((60, 80, 0.02), (40, 30, 0.03), (12, 15, 1.0), (9, 6, 1.0)):
+        for _ in range(4):
+            k = rng.randint(1, min(m, n))
+            rows = _padded(rng, p, _rank_k_product(rng, p, m, n, k, density))
+            if density < 1:
+                assert _density(rows) <= 0.10
+            assert mat_rank(DenseMatrix(field, rows)) == k, (m, n, k)

@@ -4,9 +4,9 @@ import pytest
 
 from hilbcheck.errors import ParseError, PreconditionError
 from hilbcheck.fields import GF, QQ, QT
-from hilbcheck.poly import (GREVLEX, LEX, compare, context, format_ideal_file,
-                            parse_ideal_file, parse_points_file,
-                            parse_polynomial, poly_str, weight_order)
+from hilbcheck.poly import (EXPONENT_CAP, GREVLEX, LEX, PRODUCT_CAP, TERM_CAP, compare,
+                            context, format_ideal_file, parse_ideal_file,
+                            parse_points_file, parse_polynomial, poly_str, weight_order)
 from hilbcheck.scalars import rat
 
 
@@ -33,6 +33,25 @@ def test_parse_errors():
     with pytest.raises(ParseError):
         parse_polynomial("x +", ctx)
 
+
+def test_parse_caps_refuse_large_powers_and_products():
+    ctx = context(QQ, "x y z w")
+    # a power of a monomial with coefficient +-1 is never capped
+    assert parse_polynomial("x^100000000", ctx).terms == {(100000000, 0, 0, 0): QQ.one}
+    assert len(parse_polynomial("(-x*y)^1000001", ctx).terms) == 1
+    assert len(parse_polynomial("(x+y+z+w+1)^12", ctx).terms) == 1820
+    assert len(parse_polynomial(f"(x+1)^{EXPONENT_CAP}", ctx).terms) == EXPONENT_CAP + 1
+    assert len(parse_polynomial(f"(2*x)^{EXPONENT_CAP}", ctx).terms) == 1
+    with pytest.raises(ParseError, match="exponent"):
+        parse_polynomial(f"(2*x)^{EXPONENT_CAP + 1}", ctx)
+    with pytest.raises(ParseError, match=str(TERM_CAP)):
+        parse_polynomial("(x+y+z+w+1)^30", ctx)
+    with pytest.raises(ParseError, match=str(PRODUCT_CAP)):
+        parse_polynomial("(x+y+z+w+1)^8*(x-y+z-w+2)^8", ctx)
+    with pytest.raises(ParseError, match=str(TERM_CAP)):
+        parse_polynomial(" + ".join(f"x^{i}" for i in range(TERM_CAP + 1)), ctx)
+    assert len(parse_polynomial(" + ".join(f"x^{i}" for i in range(TERM_CAP)), ctx).terms) \
+        == TERM_CAP
 
 def random_poly(ctx, rng, nterms=5, maxdeg=3):
     terms = {}

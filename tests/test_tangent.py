@@ -11,10 +11,10 @@ from hilbcheck.fixtures import (family_limit_ideal, family_member_ideal,
                                 random_points, salmon_ideal,
                                 seven_quadrics_ideal, squares_cube_ideal,
                                 weight753_ideal)
-from hilbcheck import tangent
+from hilbcheck import linalg, tangent
 from hilbcheck.artin import LocalAlgebraModel
 from hilbcheck.groebner import GroebnerBasis, Ideal, points_ideal
-from hilbcheck.linalg import DenseMatrix, determinant, kernel_basis, mat_rank
+from hilbcheck.linalg import DenseMatrix, RowSpace, determinant, kernel_basis, mat_rank
 from hilbcheck.poly import context
 from hilbcheck.smooth import change_coordinates
 from hilbcheck.tangent import (FAMILY_COBASIS, build_tangent_machine,
@@ -172,6 +172,48 @@ def test_graded_pieces_sum_to_total_under_coordinate_change(field):
         graded = graded_tangent_dimensions(J)
         assert sum(graded.values()) == tangent_dimension(J), name
         assert graded == graded_tangent_dimensions(I), name
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_mat_rank_runs_no_dense_elimination(monkeypatch, field):
+    # the tangent ranks come from the sparse integer kernel: no Bareiss pass
+    # and no RowSpace row inside mat_rank
+    inside, calls, dense = [False], [], []
+    rank, bareiss, add = linalg.mat_rank, linalg._bareiss, RowSpace.add
+
+    def counted_rank(m):
+        calls.append(m.nrows)
+        inside[0] = True
+        try:
+            return rank(m)
+        finally:
+            inside[0] = False
+
+    def counted_bareiss(mat, *args, **kwargs):
+        if inside[0]:
+            dense.append("_bareiss")
+        return bareiss(mat, *args, **kwargs)
+
+    def counted_add(self, vec):
+        if inside[0]:
+            dense.append("RowSpace.add")
+        return add(self, vec)
+
+    monkeypatch.setattr(tangent, "mat_rank", counted_rank)
+    monkeypatch.setattr(linalg, "_bareiss", counted_bareiss)
+    monkeypatch.setattr(RowSpace, "add", counted_add)
+    assert tangent_dimension(seven_quadrics_ideal(5, field)) == 33
+    assert calls and not dense
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(10007)], ids=str)
+def test_seven_quadrics_tangent_is_8d_minus_7_across_fields(field):
+    # Q and F_p agree at good primes, under a seeded GL_d change
+    rng = random.Random(1003)
+    for d in (4, 5, 6):
+        g = random_invertible_matrix(rng.randint(0, 10 ** 9), d, field)
+        J = change_coordinates(seven_quadrics_ideal(d, field), g)
+        assert tangent_dimension(J) == 8 * d - 7, d
 
 
 def test_machine_psi_rank_against_naive_oracle():
