@@ -249,9 +249,8 @@ def _embedding_reduction(G, model, chain, a):
     unit = model.unit_vector()
     reduced_cols = [w2.reduce(model.ops[i].apply(unit)) for i in range(d)]
     mat = DenseMatrix(field, [[reduced_cols[i][r] for i in range(d)] for r in range(n)])
-    combo_rows, _ = rref(kernel_basis(mat), field)
     # each kernel row is a linear form in m^2; its pivot variable is redundant
-    pivots = {next(i for i, c in enumerate(row) if c) for row in combo_rows}
+    _, pivots = rref(kernel_basis(mat), field)
     keep = [i for i in range(d) if i not in pivots]
     new_ctx = ctx if len(keep) == d else \
         VariableContext(field, [ctx.names[i] for i in keep], dual=ctx.dual)

@@ -1,10 +1,21 @@
 """Exact linear algebra over the scalar fields.
 
-Everything here is exact: sparse fraction-free integer elimination for rank
-over Q and F_p, dense pivoted elimination for kernels and for rank over
-Q(t), Bareiss fraction-free elimination for determinants, skew elimination
-for Pfaffians, and a discrete-valuation elimination for the t-adic valuation
-of the gcd of the maximal minors of a polynomial matrix.
+Everything here is exact, and five elimination loops do all of it, each
+kept for work the others would do slower:
+
+- `RowSpace`, the one field-generic echelon.  It is incremental, and can
+  track each vector's coefficients over those added before it.  `rref` and
+  `kernel_basis` read one tracked pass over the columns, `determinant` one
+  over the rows, and `mat_rank` uses it over Q(t).
+- `_sparse_rank`, rank of integer rows held as dicts of their nonzero
+  entries, over Q and F_p: the large, mostly zero tangent systems.
+- `_bareiss`, fraction-free Gauss-Jordan elimination of integer matrices:
+  the integer kernels that every sampled maximal minor is read from.
+- `_pf`, the Schur-complement recursion for Pfaffians, which no echelon of
+  a skew-symmetric matrix gives.
+- `_dvr_eliminate`, elimination over the local ring at t on integer power
+  series, for the t-adic valuation of the gcd of the maximal minors of a
+  polynomial matrix.
 """
 
 import random
@@ -133,15 +144,7 @@ class RowSpace:
         v = list(vec)
         combo = {self.count: self.field.one} if self.track else None
         self.count += 1
-        for piv, row, rcombo in self.rows:
-            c = v[piv]
-            if c:
-                for j, x in enumerate(row):
-                    if x:
-                        v[j] = v[j] - c * x
-                if self.track:
-                    for idx, x in rcombo.items():
-                        combo[idx] = combo.get(idx, self.field.zero) - c * x
+        self._eliminate(v, combo)
         piv = next((j for j, x in enumerate(v) if x), None)
         if piv is None:
             # residual 0 = vec + sum(combo[i] * earlier_i): report vec over the earlier vectors
@@ -161,42 +164,59 @@ class RowSpace:
     def reduce(self, vec):
         """Residual of vec after eliminating against the span's pivot rows."""
         v = list(vec)
-        for piv, row, _ in self.rows:
+        self._eliminate(v, None)
+        return v
+
+    def _eliminate(self, v, combo):
+        # rows go in insertion order: each is zero at the pivots before it;
+        # combo, when given, takes the same steps on the coefficients
+        zero = self.field.zero
+        for piv, row, rcombo in self.rows:
             c = v[piv]
             if c:
                 for j, x in enumerate(row):
                     if x:
                         v[j] = v[j] - c * x
-        return v
+                if combo is not None:
+                    for idx, x in rcombo.items():
+                        combo[idx] = combo.get(idx, zero) - c * x
 
     def contains(self, vec):
         return not any(self.reduce(vec))
 
 
+def _column_relations(rows, field):
+    """One tracked `RowSpace` pass over the columns of the matrix with these
+    rows, column c added as vector c.  Returns the pivot columns, those
+    independent of the columns before them, and for every other column f its
+    unique coefficients {p: c} over the pivot columns: column f is the sum
+    of c * column p."""
+    rs = RowSpace(field, track=True)
+    pivots, relations = [], {}
+    for c, col in enumerate(zip(*rows)):
+        combo = rs.add(col)
+        if combo is None:
+            pivots.append(c)
+        else:
+            relations[c] = combo
+    return pivots, relations
+
+
 def rref(rows, field):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    mat = [row[:] for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if p is None:
-            continue
-        mat[r], mat[p] = mat[p], mat[r]
-        lead = mat[r][c]
-        if lead != field.one:
-            mat[r] = [x / lead for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [mat[i][j] - f * mat[r][j] for j in range(ncols)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return mat[:r], pivots
+    """Reduced row echelon form; returns (rref_rows, pivot_columns).
+
+    Row ops keep every relation among the columns, so column f of the RREF
+    holds the coefficients of column f over the pivot columns."""
+    pivots, relations = _column_relations(rows, field)
+    ncols = len(rows[0]) if rows else 0
+    out = [[field.zero] * ncols for _ in pivots]
+    where = {p: i for i, p in enumerate(pivots)}
+    for i, p in enumerate(pivots):
+        out[i][p] = field.one
+    for f, combo in relations.items():
+        for p, c in combo.items():
+            out[where[p]][f] = c
+    return out, pivots
 
 
 def mat_rank(m):
@@ -276,14 +296,6 @@ def _sparse_rank(rows, p):
     return len(pivots)
 
 
-def _integer_rows(rows):
-    out = []
-    for row in rows:
-        den = lcm(*(int(x.denominator) for x in row))
-        out.append([int(x.numerator) * (den // int(x.denominator)) for x in row])
-    return out
-
-
 def _bareiss(mat, reduce=False):
     """Fraction-free (Bareiss) elimination of an integer matrix, in place.
 
@@ -337,47 +349,41 @@ def _det_int(a):
 
 
 def kernel_basis(m):
-    """Basis of the right null space; len == ncols - rank."""
-    red, pivots = rref(m.rows, m.field)
+    """Basis of the right null space; len == ncols - rank.
+
+    One vector per non-pivot column f: e_f minus its coefficients over the
+    pivot columns, so it is 1 at f and 0 at every other non-pivot column."""
     field = m.field
-    pivset = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivset]
+    _, relations = _column_relations(m.rows, field)
     basis = []
-    for f in free:
+    for f, combo in relations.items():
         v = [field.zero] * m.ncols
         v[f] = field.one
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
+        for p, c in combo.items():
+            v[p] = -c
         basis.append(v)
     return basis
 
 
 def determinant(m):
-    """Exact determinant via Bareiss fraction-free elimination."""
+    """Exact determinant from one tracked `RowSpace` pass over the rows.
+
+    Row k is stored divided by its pivot lead_k with coefficient 1/lead_k on
+    itself; the residuals before that division are zero at the pivots of the
+    rows before them, so det = sgn(pivot columns) * prod lead_k."""
     if m.nrows != m.ncols:
         raise ValueError("determinant of a non-square matrix")
-    n = m.nrows
-    if n == 0:
-        return m.field.one
-    a = m.copy_rows()
     field = m.field
-    sign = field.one
-    prev = field.one
-    for k in range(n - 1):
-        if not a[k][k]:
-            p = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if p is None:
-                return field.zero
-            a[k], a[p] = a[p], a[k]
-            sign = -sign
-        piv = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * piv - aik * a[k][j]) / prev
-            a[i][k] = field.zero
-        prev = piv
-    return sign * a[n - 1][n - 1]
+    rs = RowSpace(field, track=True)
+    for row in m.rows:
+        if rs.add(row) is not None:
+            return field.zero
+    inv = field.one
+    for k, (_, _, combo) in enumerate(rs.rows):
+        inv = inv * combo[k]
+    det = field.one / inv
+    inversions = sum(a > b for a, b in combinations(rs.pivots, 2))
+    return -det if inversions % 2 else det
 
 
 def pfaffian(m):
@@ -483,15 +489,10 @@ def _eval_matrix(polys, x):
 def _full_rank_certificate(m, polys, size):
     # rank at any specialization is a lower bound for the rank over Q(t)
     for c in (rat(1), rat(-2), rat(5, 3), rat(7), rat(-11, 4)):
-        if len(_bareiss(_integer_rows(_eval_matrix(polys, c)))[0]) >= size:
+        if mat_rank(DenseMatrix(QQ, _eval_matrix(polys, c))) >= size:
             return True
     # inconclusive by sampling: decide exactly over Q(t)
-    rs = RowSpace(QT)
-    for row in m.rows:
-        rs.add(row)
-        if rs.dim >= size:
-            return True
-    return False
+    return mat_rank(m) >= size
 
 
 def _dvr_pivot_valuations(polys, size):
@@ -513,7 +514,16 @@ def _series_val(s):
 
 
 def _dvr_eliminate(polys, size, prec):
-    # truncated power series elimination; None means precision ran out
+    """Sum of the pivot valuations of `size` elimination steps over Z[[t]],
+    entries known mod t^p; None means precision ran out.
+
+    Each step takes an entry t^v u of least valuation (u a unit) as pivot and
+    sets row_r <- u row_r - (e / t^v) pivot_row for the entry e of row r in
+    the pivot column, known mod t^(p - v), then divides row_r by its integer
+    content.  That is u times the field step row_r - (e / t^v) u^-1
+    pivot_row, up to a constant, and a unit or a constant changes no
+    valuation, so pivots and valuations are those of the field step.
+    """
     rows = [[list(coeffs[:prec]) for coeffs in prow] for prow in polys]
     live_rows = list(range(len(rows)))
     live_cols = list(range(len(rows[0])))
@@ -532,24 +542,22 @@ def _dvr_eliminate(polys, size, prec):
         total += v
         newp = p - v
         unit = rows[pr][pc][v:p]
-        inv = _series_inv(unit, newp)
         pivrow = {c: rows[pr][c][:p] for c in live_cols}
         for r in live_rows:
             if r == pr:
                 continue
             e = rows[r][pc][:p]
-            ev = _series_val(e)
-            if ev is None:
+            if _series_val(e) is None:
                 continue
-            f = _series_mul(e[v:], inv, newp)
+            f = e[v:]
+            row = rows[r]
             for c in live_cols:
-                acc = _series_mul(f, pivrow[c], newp)
-                tgt = rows[r][c]
-                if len(tgt) < newp:
-                    tgt.extend([rat(0)] * (newp - len(tgt)))
-                for i in range(newp):
-                    tgt[i] = tgt[i] - acc[i]
-                del tgt[newp:]
+                row[c] = [a - b for a, b in zip(_series_mul(unit, row[c], newp),
+                                                _series_mul(f, pivrow[c], newp))]
+            content = gcd(*chain.from_iterable(row[c] for c in live_cols))
+            if content > 1:
+                for c in live_cols:
+                    row[c] = [x // content for x in row[c]]
         live_rows.remove(pr)
         live_cols.remove(pc)
         p = newp
@@ -557,31 +565,12 @@ def _dvr_eliminate(polys, size, prec):
 
 
 def _series_mul(a, b, prec):
-    out = [rat(0)] * prec
-    for i, ca in enumerate(a):
-        if i >= prec:
-            break
+    out = [0] * prec
+    for i, ca in enumerate(a[:prec]):
         if ca:
-            top = min(len(b), prec - i)
-            for j in range(top):
-                if b[j]:
-                    out[i + j] += ca * b[j]
-    return out
-
-
-def _series_inv(a, prec):
-    if not a or not a[0]:
-        raise ZeroDivisionError("series inverse of non-unit")
-    inv0 = rat(1) / a[0]
-    out = [rat(0)] * prec
-    out[0] = inv0
-    for k in range(1, prec):
-        acc = rat(0)
-        top = min(k, len(a) - 1)
-        for i in range(1, top + 1):
-            if a[i]:
-                acc += a[i] * out[k - i]
-        out[k] = -acc * inv0
+            for j, cb in enumerate(b[:prec - i]):
+                if cb:
+                    out[i + j] += ca * cb
     return out
 
 

@@ -280,7 +280,7 @@ def _assemble_machine(ctx, quadrics, relations, cobasis):
             raise ArithmeticError("derivative column is not in the kernel of psi")
     rank_psi = mat_rank(psi)
     dim_hom_minus1 = 28 - rank_psi
-    tred, tpivots = rref(t_columns, field)
+    _, tpivots = rref(t_columns, field)
     if len(tpivots) != 4:
         raise ArithmeticError("derivative columns are dependent")
     keep = [c for c in range(28) if c not in set(tpivots)]

@@ -12,7 +12,7 @@ from hilbcheck.linalg import (DenseMatrix, RowSpace, _PointKernel, _nonzero_colu
                               pfaffian, t_adic_minor_valuation)
 from hilbcheck.tangent import family_machine
 from hilbcheck.scalars import rat
-from hilbcheck.upoly import RATFUNC_T as t, zgcd, zval
+from hilbcheck.upoly import RATFUNC_T as t, RatFunc, zgcd, zval
 
 
 def naive_rank(rows):
@@ -473,3 +473,117 @@ def test_rank_over_prime_fields_by_construction(p):
             if density < 1:
                 assert _density(rows) <= 0.10
             assert mat_rank(DenseMatrix(field, rows)) == k, (m, n, k)
+
+
+def _to_sympy(sympy, rows):
+    return sympy.Matrix([[sympy.Rational(int(x.numerator), int(x.denominator)) for x in row]
+                         for row in rows])
+
+
+def _from_sympy(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+def test_rref_kernel_and_determinant_match_sympy_over_q():
+    # sympy's nullspace also sets one free variable to 1 and the others to 0
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1101)
+    cases = []
+    for _ in range(3):
+        cases.append([[_scalar(rng, 0) for _ in range(7)] for _ in range(4)])      # wide
+        cases.append([[_scalar(rng, 0) for _ in range(4)] for _ in range(7)])      # tall
+        for n in (5, 6):                                                           # deficient
+            cases.append(_rank_k_product(rng, 0, n, n, rng.randint(1, n - 1), 0.6))
+        square = [[_scalar(rng, 0) if rng.random() < 0.7 else 0 for _ in range(5)]
+                  for _ in range(5)]
+        cases.append(square)
+        zero_col = [row[:] for row in square]                                      # zero column
+        for row in zero_col:
+            row[rng.randrange(5)] = 0
+            row[2] = 0
+        cases.append(zero_col)
+    cases.append([[0] * 3 for _ in range(2)])
+    seen = set()
+    for rows in cases:
+        m = DenseMatrix(QQ, rows)
+        s = _to_sympy(sympy, m.rows)
+        red, pivots = linalg.rref(m.rows, QQ)
+        s_red, s_pivots = s.rref()
+        assert pivots == list(s_pivots)
+        assert red == [[_from_sympy(x) for x in s_red.row(i)] for i in range(len(pivots))]
+        assert kernel_basis(m) == [[_from_sympy(x) for x in v] for v in s.nullspace()]
+        if m.nrows == m.ncols:
+            det = determinant(m)
+            assert det == _from_sympy(s.det())
+            seen.add(bool(det))
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("p", [7, 10007])
+def test_determinant_over_prime_fields_matches_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1102 + p)
+    field = GF(p)
+    seen = set()
+    for n in (1, 2, 3, 5, 6, 8):
+        for k in (n, n, max(1, n - 2)):
+            rows = _rank_k_product(rng, p, n, n, k, rng.choice((0.3, 1.0)))
+            det = determinant(DenseMatrix(field, rows))
+            assert det == field.from_int(int(sympy.Matrix(rows).det()) % p), (n, k)
+            seen.add(bool(det))
+    assert seen == {True, False}
+
+
+def test_t_adic_valuation_is_that_of_the_gcd_of_all_minors():
+    # entries t^a (c0 + ...) with c0 not +-1, so the integer elimination
+    # scales rows by pivot units that are not 1
+    rng = random.Random(1103)
+
+    def entry():
+        if rng.random() < 0.25:
+            return QT.zero
+        coeffs = [0] * rng.choice((0, 0, 1, 2, 3)) + [rng.choice((-6, -3, -2, 2, 3, 5))]
+        coeffs += [rng.randint(-4, 4) for _ in range(rng.randint(0, 2))]
+        return RatFunc(tuple(coeffs))
+
+    two, three = QT.from_int(2), QT.from_int(3)
+    seen = set()
+    for nrows, ncols in ((3, 3), (3, 4), (4, 3), (4, 4)) * 4:
+        rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+        kind = rng.choice(("random", "close", "close", "dependent"))
+        if kind == "close":
+            # the minors through the last row cancel to order s: the pivot
+            # units then decide the valuation
+            s = rng.randint(1, 3)
+            rows[-1] = [two * x - three * y + t ** s * entry()
+                        for x, y in zip(rows[0], rows[1])]
+        elif kind == "dependent":
+            rows[-1] = [x * t + y for x, y in zip(rows[0], rows[1])]
+        for size in range(1, min(nrows, ncols) + 1):
+            g = ()
+            for rsel in combinations(range(nrows), size):
+                for csel in combinations(range(ncols), size):
+                    minor = determinant(DenseMatrix(QT, [[rows[r][c] for c in csel]
+                                                         for r in rsel]))
+                    assert minor.den == (1,)
+                    g = zgcd(g, minor.num)
+            expected = zval(g) if g else None
+            got = t_adic_minor_valuation(DenseMatrix(QT, rows), size, cross_check=False)
+            assert got == expected, (rows, size)
+            seen.add(expected if expected is None else expected > 0)
+    assert seen == {None, True, False}
+
+
+def test_t_adic_valuation_doubles_the_precision(monkeypatch):
+    # the second pivot t^25 needs 2 * 25 + 8 > 48 terms: the first pass gives up
+    precs = []
+    eliminate = linalg._dvr_eliminate
+
+    def counted(polys, size, prec):
+        precs.append(prec)
+        return eliminate(polys, size, prec)
+
+    monkeypatch.setattr(linalg, "_dvr_eliminate", counted)
+    d = DenseMatrix(QT, [[t ** 25, QT.zero], [QT.zero, QT.one]])
+    assert t_adic_minor_valuation(d, 2) == 25
+    assert precs == [48, 96]
