@@ -269,46 +269,123 @@ def split_rational_support(I):
     """Primary decomposition over points with coordinates in the base field.
 
     Simultaneous generalized-eigenspace splitting of the commuting operators,
-    eigenvalues found by rational-root search on characteristic polynomials.
+    one variable at a time, eigenvalues found by rational-root search on
+    characteristic polynomials; the eigenvalues of a part are its point.
     Returns (point, reduced grevlex basis of the primary piece) pairs.
     Raises IndeterminateSupport when a factor has no certified rational root.
     """
-    return _split_support(multiplication_operators(buchberger(I)))
-
-
-def _split_support(model):
-    """split_rational_support on the quotient model of S/I."""
+    model = multiplication_operators(buchberger(I))
     ctx, n = model.ctx, model.n
     field = ctx.field
-    # each part: list of ambient coordinate vectors spanning an invariant subspace
-    parts = [[_unit(field, n, i) for i in range(n)]]
-    for i in range(ctx.d):
-        refined = []
-        for basis in parts:
-            refined.extend(_split_by(model.ops[i], basis, field))
-        parts = refined
+    parts = _refine(model, _units(field, n))
+    bases = [basis for _, basis in parts]
     out = []
-    for basis in parts:
-        point = []
-        for i in range(ctx.d):
-            point.append(_single_eigenvalue(_restrict(model.ops[i], basis, field), field))
-        start = _project_of_unit(parts, basis, model, field)
+    for point, basis in parts:
+        start = _project_of_unit(bases, basis, model, field)
         piece = cyclic_annihilator_gb(ctx, lambda j, v: model.ops[j].apply(v), start)
         if len(piece.quotient_basis()) != len(basis):
             raise ArithmeticError("component colength mismatch")
-        out.append((tuple(point), piece))
-    out.sort(key=lambda pi: tuple(repr(c) for c in pi[0]))
+        out.append((point, piece))
+    out.sort(key=lambda pi: _point_key(pi[0]))
     if sum(len(piece.quotient_basis()) for _, piece in out) != n:
         raise ArithmeticError("component colengths do not sum to the total")
     return out
 
 
-def _unit(field, n, i):
-    return [field.one if j == i else field.zero for j in range(n)]
+def support_colengths(model):
+    """Colengths of the primary pieces of the quotient model, ordered by
+    their points as split_rational_support orders its pieces, without
+    building the pieces.
+
+    The linear form L = X_1 + 2 X_2 + ... + d X_d splits the space first.
+    Its eigenvalues are the values of L at the support points
+    (Cox-Little-O'Shea, Using Algebraic Geometry, ch. 2, 4), so a simple
+    root is one rational point of colength 1.  Only the generalized
+    eigenspace of a multiple root, where L may not separate the points, is
+    split variable by variable.  Points are read only when the colengths
+    differ, a simple root's from one eigenvector of L.  When any of this
+    finds no certified rational root, the variable-by-variable split of the
+    whole space decides, so a failure raises the IndeterminateSupport that
+    split_rational_support raises.  The converse can fail only for points
+    with coordinates too large to factor: L's values may still factor, and
+    then this succeeds where split_rational_support's search is
+    inconclusive.
+    """
+    field = model.ctx.field
+    try:
+        L, simple, parts = _split_by_form(model)
+    except IndeterminateSupport:
+        L, simple = None, []
+        parts = _refine(model, _units(field, model.n))
+    sizes = [len(basis) for _, basis in parts] + [1] * len(simple)
+    if len(set(sizes)) == 1:
+        return sizes
+    parts += [_simple_part(model, L, a) for a in simple]
+    parts.sort(key=lambda pb: _point_key(pb[0]))
+    return [len(basis) for _, basis in parts]
+
+
+def _split_by_form(model):
+    """The generic form L, its simple eigenvalues, and the (point, basis)
+    parts of its multiple ones."""
+    field = model.ctx.field
+    n = model.n
+    units = _units(field, n)
+    L = _linear_form(model)
+    roots = _roots(L, field)
+    simple = [a for a, m in roots.items() if m == 1]
+    parts = []
+    for a, m in roots.items():
+        if m > 1:
+            basis = units if m == n else _eigenspace(L, a, m, units, field)
+            parts.extend(_refine(model, basis))
+    return L, simple, parts
+
+
+def _linear_form(model):
+    """Multiplication by x_1 + 2 x_2 + ... + d x_d: small coefficients keep
+    few rational-root candidates for its characteristic polynomial."""
+    ctx = model.ctx
+    return model.operator_of_polynomial(sum(
+        (ctx.monomial(tuple(int(j == i) for j in range(ctx.d)), i + 1) for i in range(ctx.d)),
+        start=ctx.zero()))
+
+
+def _simple_part(model, L, a):
+    """(point, basis) of the simple eigenvalue a of L: its eigenvector v is 1
+    at some index f, and x_i acts on v by the entry f of X_i v."""
+    field = model.ctx.field
+    (v,) = _eigenspace(L, a, 1, _units(field, model.n), field)
+    f = v.index(field.one)
+    point = tuple(sum((x * y for x, y in zip(X.rows[f], v) if x and y), start=field.zero)
+                  for X in model.ops)
+    return point, [v]
+
+
+def _point_key(point):
+    return tuple(repr(c) for c in point)
+
+
+def _units(field, n):
+    return [[field.one if j == i else field.zero for j in range(n)] for i in range(n)]
+
+
+def _refine(model, basis):
+    """(point, basis) of each joint generalized eigenspace of the variables
+    on the invariant subspace spanned by basis, split by one variable at a
+    time; the point is the variables' eigenvalues there."""
+    field = model.ctx.field
+    parts = [((), basis)]
+    for X in model.ops:
+        parts = [(point + (a,), sub) for point, basis in parts
+                 for a, sub in _split_by(X, basis, field)]
+    return parts
 
 
 def _restrict(X, basis, field):
     """Matrix of X on the invariant subspace spanned by basis (columns)."""
+    if len(basis) == X.nrows and basis == _units(field, X.nrows):
+        return X
     rs = RowSpace(field, track=True)
     for v in basis:
         if rs.add(v) is not None:
@@ -324,42 +401,43 @@ def _restrict(X, basis, field):
 
 
 def _split_by(X, basis, field):
-    r = len(basis)
-    if r == 0:
+    """(eigenvalue, basis of its generalized eigenspace) of X on the span of
+    basis, eigenvalues sorted by repr."""
+    if not basis:
         return []
     R = _restrict(X, basis, field)
-    coeffs = charpoly(R)
-    roots = rational_roots(coeffs, field)
-    if sum(roots.values()) != r:
-        raise IndeterminateSupport("support not rational")
+    roots = _roots(R, field)
     if len(roots) == 1:
-        return [basis]
-    out = []
-    for a in sorted(roots, key=repr):
-        # generalized eigenspace: kernel of (R - a)^k, k the multiplicity of a,
-        # which bounds the nilpotency index of R - a on that eigenspace
-        shifted = DenseMatrix(field, [[R.rows[i][j] - (a if i == j else field.zero)
-                                       for j in range(r)] for i in range(r)])
-        power = DenseMatrix.identity(field, r)
-        for _ in range(roots[a]):
-            power = shifted.matmul(power)
-        ker = kernel_basis(power)
-        sub = []
-        for kv in ker:
-            vec = [field.zero] * len(basis[0])
-            for c, bv in zip(kv, basis):
-                if c:
-                    vec = [x + c * y for x, y in zip(vec, bv)]
-            sub.append(vec)
-        out.append(sub)
-    return out
+        return [(next(iter(roots)), basis)]
+    return [(a, _eigenspace(R, a, roots[a], basis, field)) for a in sorted(roots, key=repr)]
 
 
-def _single_eigenvalue(R, field):
+def _roots(R, field):
+    """Eigenvalues of R with multiplicities; all of them lie in the field."""
     roots = rational_roots(charpoly(R), field)
-    if len(roots) != 1 or sum(roots.values()) != R.nrows:
+    if sum(roots.values()) != R.nrows:
         raise IndeterminateSupport("support not rational")
-    return next(iter(roots))
+    return roots
+
+
+def _eigenspace(R, a, k, basis, field):
+    """Generalized eigenspace of R for a, of multiplicity k, as combinations
+    of basis: the kernel of (R - a)^k, since k bounds the nilpotency index of
+    R - a there."""
+    r = len(basis)
+    shifted = DenseMatrix(field, [[R.rows[i][j] - (a if i == j else field.zero)
+                                   for j in range(r)] for i in range(r)])
+    power = shifted
+    for _ in range(k - 1):
+        power = shifted.matmul(power)
+    out = []
+    for kv in kernel_basis(power):
+        vec = [field.zero] * len(basis[0])
+        for c, bv in zip(kv, basis):
+            if c:
+                vec = [x + c * y for x, y in zip(vec, bv)]
+        out.append(vec)
+    return out
 
 
 def _project_of_unit(parts, target, model, field):
@@ -386,14 +464,22 @@ def charpoly(M):
     """Characteristic polynomial det(xI - M), coefficients descending, monic.
 
     Berkowitz's division-free algorithm, valid over any field including small
-    characteristic.
+    characteristic.  Over Q it runs on the integer matrix D M, D the lcm of
+    the denominators, whose coefficient k is D^k times that of M.
     """
     field = M.field
-    n = M.nrows
-    one, zero = field.one, field.zero
+    if field == QQ:
+        D = lcm(*(int(x.denominator) for row in M.rows for x in row))
+        scaled = [[int(x.numerator) * (D // int(x.denominator)) for x in row] for row in M.rows]
+        return [rat(b, D ** k) for k, b in enumerate(_berkowitz(scaled, 1, 0))]
+    return _berkowitz(M.rows, field.one, field.zero)
+
+
+def _berkowitz(A, one, zero):
+    """det(xI - A) for the square rows A over any commutative ring."""
+    n = len(A)
     if n == 0:
         return [one]
-    A = M.rows
     C = [one, -A[0][0]]
     for i in range(1, n):
         R = A[i][:i]
@@ -461,53 +547,91 @@ def _deflate(coeffs, a, field):
 
 
 def _rational_roots_qq(coeffs_desc):
+    """rational_roots over Q, on the primitive integer multiple of the
+    polynomial.
+
+    A root P/q in lowest terms makes q x - P a factor in Z[x] (Gauss), so P
+    divides the constant term and q the leading coefficient, and q - P and
+    q + P divide the integers f(1) and f(-1); only the candidates that pass
+    these tests are evaluated, as sum a_i P^(n-i) q^i = 0.  Candidates go by
+    P, then q, then sign, and each root found is divided out with its
+    multiplicity.
+    """
     roots = {}
-    coeffs = list(coeffs_desc)
-
-    def strip_zero_roots():
-        while len(coeffs) > 1 and not coeffs[-1]:
-            coeffs.pop()
-            z = rat(0)
-            roots[z] = roots.get(z, 0) + 1
-
-    strip_zero_roots()
-    while len(coeffs) > 1:
-        den = lcm(*(int(c.denominator) for c in coeffs))
-        ints = [int(c * den) for c in coeffs]
-        g = gcd(*ints)
-        if g > 1:
-            ints = [c // g for c in ints]
-        dn = _bounded_divisors(abs(ints[-1]))
-        dq = _bounded_divisors(abs(ints[0]))
-        if dn is None or dq is None:
-            raise IndeterminateSupport("support not rational (root search inconclusive)")
-        found = None
-        for pnum in sorted(dn):
-            for qden in sorted(dq):
-                if gcd(pnum, qden) != 1:
-                    continue
-                for s in (1, -1):
-                    cand = rat(s * pnum, qden)
-                    if not _poly_eval(coeffs, cand, QQ):
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            return roots
-        while len(coeffs) > 1 and not _poly_eval(coeffs, found, QQ):
-            coeffs = _deflate(coeffs, found, QQ)
-            roots[found] = roots.get(found, 0) + 1
-        strip_zero_roots()
+    den = lcm(*(int(c.denominator) for c in coeffs_desc))
+    ints = [int(c.numerator) * (den // int(c.denominator)) for c in coeffs_desc]
+    while len(ints) > 1 and not ints[-1]:
+        ints.pop()
+        roots[rat(0)] = roots.get(rat(0), 0) + 1
+    if len(ints) <= 1:
+        return roots
+    g = gcd(*ints)
+    ints = [c // g for c in ints]
+    dn = _bounded_divisors(abs(ints[-1]))
+    dq = _bounded_divisors(abs(ints[0]))
+    if dn is None or dq is None:
+        raise IndeterminateSupport("support not rational (root search inconclusive)")
+    dq = sorted(dq)
+    f1, fm1 = _at_one(ints)
+    for pnum in sorted(dn):
+        if pnum > abs(ints[-1]):
+            break
+        if ints[-1] % pnum:
+            continue
+        for qden in dq:
+            if ints[0] % qden or gcd(pnum, qden) != 1:
+                continue
+            for s in (pnum, -pnum):
+                while len(ints) > 1 and _divides(qden - s, f1) and \
+                        _divides(qden + s, fm1) and not _eval_homogeneous(ints, s, qden):
+                    ints = _deflate_linear(ints, s, qden)
+                    f1, fm1 = _at_one(ints)
+                    root = rat(s, qden)
+                    roots[root] = roots.get(root, 0) + 1
+            if len(ints) == 1:
+                return roots
     return roots
+
+
+def _at_one(ints):
+    """f(1) and f(-1) of the polynomial with descending coefficients ints."""
+    last = len(ints) - 1
+    return sum(ints), sum(-c if (last - i) % 2 else c for i, c in enumerate(ints))
+
+
+def _divides(k, m):
+    return m % k == 0 if k else m == 0
+
+
+def _eval_homogeneous(ints, pnum, qden):
+    """q^n f(P/q) for the descending integer coefficients of f."""
+    acc = 0
+    qpow = 1
+    for c in ints:
+        acc = acc * pnum + c * qpow
+        qpow *= qden
+    return acc
+
+
+def _deflate_linear(ints, pnum, qden):
+    """f / (q x - P) by exact synthetic division."""
+    out = []
+    acc = 0
+    for c in ints[:-1]:
+        acc, r = divmod(c + pnum * acc, qden)
+        if r:
+            raise ArithmeticError("inexact deflation")
+        out.append(acc)
+    return out
 
 
 _DIVISOR_BOUND = 10 ** 6
 
 
 def _bounded_divisors(n):
+    """The positive divisors of n, or None when n exceeds 10^24 or its part
+    free of primes up to 10^6 is neither 1 nor prime.  Trial division stops
+    as soon as what is left of n is prime."""
     if n == 0:
         return {1}
     if n > 10 ** 24:
@@ -515,13 +639,16 @@ def _bounded_divisors(n):
     factors = {}
     m = n
     p = 2
-    while p * p <= m and p <= _DIVISOR_BOUND:
-        while m % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            m //= p
+    prime = is_prime(m)
+    while not prime and p * p <= m and p <= _DIVISOR_BOUND:
+        if m % p == 0:
+            while m % p == 0:
+                factors[p] = factors.get(p, 0) + 1
+                m //= p
+            prime = is_prime(m)
         p += 1 if p == 2 else 2
     if m > 1:
-        if m > _DIVISOR_BOUND * _DIVISOR_BOUND and not is_prime(m):
+        if m > _DIVISOR_BOUND * _DIVISOR_BOUND and not prime:
             return None
         factors[m] = factors.get(m, 0) + 1
     divs = {1}

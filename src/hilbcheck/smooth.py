@@ -14,8 +14,8 @@ from . import artin
 from .errors import PreconditionError
 from .apolarity import _factorial_int, perp
 from .artin import (HilbertFunction, IndeterminateSupport, _embedding_reduction,
-                    _split_support, centroid, is_primary_at_origin,
-                    local_hilbert_function)
+                    centroid, is_primary_at_origin, local_hilbert_function,
+                    support_colengths)
 from .groebner import Ideal, buchberger, ideal_equal, initial_ideal
 from .linalg import DenseMatrix, RowSpace, determinant, kernel_basis, pfaffian
 from .poly import mono_deg
@@ -278,8 +278,12 @@ def classify_smoothable(I):
     local Hilbert function is read off the same chain, and a (1,4,3) piece
     reduces to four variables, where it is already homogeneous, and is
     decided by the vanishing of the Pfaffian of its three dual quadrics.
-    The split over rational support is only reported; when the search for
-    rational points fails, the evidence says so and the verdict stands.
+    The split over rational support is only reported, as the colengths of
+    its pieces: one generic linear form splits the support, and only the
+    space of a multiple root of its characteristic polynomial is split
+    further, variable by variable (artin.support_colengths).  When the
+    search for rational points fails, the evidence says so and the verdict
+    stands.
     """
     ctx = I.ctx
     if ctx.field.characteristic in (2, 3):
@@ -300,11 +304,11 @@ def classify_smoothable(I):
             evidence += ["split into colengths [8]", "recentered colength-8 piece"]
             return _decide_local(G, local, chain, a, evidence)
     try:
-        pieces = _split_support(model)
+        colengths = support_colengths(model)
     except IndeterminateSupport as exc:
         evidence.append(f"splitting failed: {exc}")
     else:
-        evidence.append("split into colengths " + str([p.colength() for _, p in pieces]))
+        evidence.append(f"split into colengths {colengths}")
     return SmoothabilityVerdict("Smoothable", tuple(evidence))
 
 

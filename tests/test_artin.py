@@ -8,12 +8,13 @@ from hilbcheck.fields import GF, QQ
 from hilbcheck.fixtures import (random_invertible_matrix, random_points,
                                 seven_quadrics_ideal, squares_cube_ideal,
                                 weight753_ideal, degeneration_chain)
-from hilbcheck.artin import (HilbertFunction, IndeterminateSupport, centroid,
-                             charpoly, embedding_reduction, enumerate_local_hfs,
+from hilbcheck import artin
+from hilbcheck.artin import (HilbertFunction, IndeterminateSupport, _bounded_divisors,
+                             centroid, charpoly, embedding_reduction, enumerate_local_hfs,
                              is_primary_at_origin, local_hilbert_function,
                              multiplication_operators, rational_roots,
                              split_rational_support, translate_ideal)
-from hilbcheck.groebner import Ideal, buchberger, ideal_equal, intersect
+from hilbcheck.groebner import Ideal, buchberger, ideal_equal, intersect, points_ideal
 from hilbcheck.linalg import DenseMatrix
 from hilbcheck.poly import Polynomial, context, parse_polynomial
 from hilbcheck.scalars import rat
@@ -308,3 +309,128 @@ def test_operator_of_polynomial_is_the_cached_quotient_ring_map(field):
                     row[:] = [field.one] * len(row)
             assert model.operator_of_polynomial(f).rows == expected
         assert [X.rows for X in model.ops] == ops
+
+
+def _poly_from_roots(lead, roots, quadratics=()):
+    """Descending coefficients of lead * prod (x - r) * prod (x^2 + b x + c)."""
+    coeffs = [rat(lead)]
+    factors = [[rat(1), -r] for r in roots] + [[rat(1), rat(b), rat(c)] for b, c in quadratics]
+    for f in factors:
+        out = [rat(0)] * (len(coeffs) + len(f) - 1)
+        for i, a in enumerate(coeffs):
+            for j, b in enumerate(f):
+                out[i + j] += a * b
+        coeffs = out
+    return coeffs
+
+
+def test_rational_roots_over_q_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(4242)
+    for _ in range(60):
+        lead = rat(rng.choice([1, -1, 2, 3, -6, 10]), rng.choice([1, 1, 4, 9]))
+        roots = [rat(rng.randint(-9, 9), rng.randint(1, 5))
+                 for _ in range(rng.randint(0, 4))]
+        roots += roots[:rng.randint(0, 2)]                 # repeated roots
+        roots += [rat(0)] * rng.choice([0, 0, 1, 2])       # zero roots
+        quadratics = [(b, c) for b, c in ((rng.randint(-4, 4), rng.randint(1, 7))
+                                          for _ in range(rng.randint(0, 2)))
+                      if b * b < 4 * c]                    # irreducible over Q
+        coeffs = _poly_from_roots(lead, roots, quadratics)
+        expr = sum(sympy.Rational(int(c.numerator), int(c.denominator)) * x ** k
+                   for k, c in enumerate(reversed(coeffs)))
+        expected = {rat(int(sympy.fraction(r)[0]), int(sympy.fraction(r)[1])): m
+                    for r, m in sympy.roots(sympy.Poly(expr, x), filter="Q").items()}
+        assert rational_roots(coeffs, QQ) == expected
+
+
+def test_rational_roots_over_fp_match_brute_force():
+    rng = random.Random(4343)
+    for p in (5, 7, 101):
+        F = GF(p)
+        for _ in range(20):
+            coeffs = [F.from_int(rng.randint(1, p - 1))] + \
+                [F.from_int(rng.randint(0, p - 1)) for _ in range(rng.randint(1, 6))]
+            roots = rational_roots(coeffs, F)
+            for v in range(p):
+                a = F.from_int(v)
+                # multiplicity: the number of times x - a divides the polynomial
+                rest, mult = list(coeffs), 0
+                while len(rest) > 1:
+                    acc, quotient = F.zero, []
+                    for c in rest:
+                        acc = acc * a + c
+                        quotient.append(acc)
+                    if acc:
+                        break
+                    rest, mult = quotient[:-1], mult + 1
+                assert roots.get(a, 0) == mult
+
+
+def test_rational_roots_inconclusive_and_out_of_range():
+    # a constant whose part free of primes up to 10^6 is composite
+    big = (10 ** 6 + 3) * (10 ** 6 + 33)
+    with pytest.raises(IndeterminateSupport, match="root search inconclusive"):
+        rational_roots([rat(1), rat(0), rat(-big)], QQ)
+    with pytest.raises(IndeterminateSupport, match="root search inconclusive"):
+        rational_roots([rat(1), rat(-(10 ** 25))], QQ)
+    # a prime constant term of any size below the cap is conclusive
+    assert rational_roots([rat(1), rat(-(10 ** 12 + 39))], QQ) == {rat(10 ** 12 + 39): 1}
+    with pytest.raises(IndeterminateSupport, match="out of range"):
+        rational_roots([GF(10007).one, GF(10007).zero], GF(10007))
+
+
+def test_bounded_divisors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(4444)
+    values = [rng.randint(1, 10 ** 6) for _ in range(40)]
+    values += [rng.randint(1, 10 ** 4) * rng.choice([10 ** 12 + 39, 999999000001])
+               for _ in range(10)]
+    for n in values:
+        assert _bounded_divisors(n) == set(sympy.divisors(n))
+    assert _bounded_divisors(0) == {1}
+    # primes above 10^6 whose product exceeds 10^12: not factored, not guessed
+    assert _bounded_divisors(24 * (10 ** 6 + 3) * (10 ** 6 + 33)) is None
+    assert _bounded_divisors(10 ** 24 + 1) is None
+
+
+class _CountingBound(int):
+    """An int that records each trial divisor compared against it."""
+
+    def __new__(cls, value, seen):
+        out = super().__new__(cls, value)
+        out.seen = seen
+        return out
+
+    def __ge__(self, p):
+        self.seen.append(p)
+        return int(self) >= p
+
+
+def test_bounded_divisors_stop_on_a_prime_cofactor(monkeypatch):
+    # 24 (10^12 + 39): the cofactor left after 2 and 3 is prime, so trial
+    # division stops there instead of running on to 10^6
+    tried = []
+    monkeypatch.setattr(artin, "_DIVISOR_BOUND", _CountingBound(10 ** 6, tried))
+    assert _bounded_divisors(24 * (10 ** 12 + 39)) == \
+        {d * e for d in (1, 2, 3, 4, 6, 8, 12, 24) for e in (1, 10 ** 12 + 39)}
+    assert tried == [2, 3]
+
+
+def test_split_by_distinct_first_coordinates_multiplies_no_matrices(monkeypatch):
+    rng = random.Random(4545)
+    while True:
+        pts = random_points(rng.randint(0, 10 ** 9))
+        if len({repr(p[0]) for p in pts}) == len(pts):
+            break
+    ctx = context(QQ, "x1 x2 x3 x4")
+    I = Ideal(ctx, points_ideal(pts, ctx).gens)
+    products = []
+    matmul = DenseMatrix.matmul
+    monkeypatch.setattr(DenseMatrix, "matmul",
+                        lambda self, other: products.append(1) or matmul(self, other))
+    pieces = split_rational_support(I)
+    assert sorted(tuple(map(repr, pt)) for pt, _ in pieces) == \
+        sorted(tuple(map(repr, q)) for q in pts)
+    assert products == []

@@ -275,3 +275,71 @@ def test_classify_orders_the_divisor_terms_once(monkeypatch):
     monkeypatch.setattr(MonomialOrder, "key", lambda self, m: calls.append(1) or key(self, m))
     assert classify_smoothable(I).outcome == "NotSmoothable"
     assert len(calls) <= 300
+
+
+def _split_colengths(I):
+    """Colengths of split_rational_support's pieces, in its order (by point)."""
+    return [piece.colength() for _, piece in artin.split_rational_support(I)]
+
+
+def _colength_samples():
+    rng = random.Random(9090)
+    out = []
+    for field in (QQ, GF(101)):
+        ctx = context(field, "x1 x2 x3 x4")
+        out.append(Ideal(ctx, points_ideal(
+            random_points(rng.randint(0, 10 ** 9), field=field), ctx).gens))
+    # colength <= 7 with several points: a local piece beside points
+    c3 = context(QQ, "x y z")
+    piece = translate_ideal(Ideal(c3, [parse_polynomial(s, c3) for s in
+                                       ("x^2", "x*y", "y^2", "z^2", "x*z", "y*z")]),
+                            [1, -2, 3])
+    for n in (1, 2, 3):
+        pts = Ideal(c3, points_ideal(random_points(rng.randint(0, 10 ** 9), n=n, d=3), c3).gens)
+        out.append(groebner.intersect(piece, pts))
+    # the 5 + 3 mixed case: a colength-5 piece beside 3 points
+    c4 = context(QQ, "x1 x2 x3 x4")
+    five = translate_ideal(Ideal(c4, [parse_polynomial(s, c4) for s in
+                                      ("x1^2", "x1*x2", "x2^2", "x3", "x4^2", "x1*x4")]),
+                            [2, 0, -1, 1])
+    pts = Ideal(c4, points_ideal(random_points(rng.randint(0, 10 ** 9), n=3), c4).gens)
+    out.append(groebner.intersect(five, pts))
+    # L = x1 + 2 x2 + 3 x3 + 4 x4 takes one value at two of the points, so
+    # its double root is split variable by variable; over Q and over F_101
+    for field in (QQ, GF(101)):
+        ctx = context(field, "x1 x2 x3 x4")
+        pts = random_points(rng.randint(0, 10 ** 9), n=5, field=field)
+        two = field.from_int(2)
+        pts.append((pts[0][0] + two, pts[0][1] - field.one, pts[0][2], pts[0][3]))
+        out.append(Ideal(ctx, points_ideal(pts, ctx).gens))
+    return out
+
+
+def test_classify_colengths_match_split_rational_support():
+    seen = set()
+    for I in _colength_samples():
+        v = classify_smoothable(I)
+        colengths = _split_colengths(I)
+        seen.add(tuple(colengths))
+        assert v.evidence[1] == f"split into colengths {colengths}"
+    # the samples cover parts of different sizes, not only points
+    assert (1, 1, 1, 1, 1, 1, 1, 1) in seen
+    assert any(len(set(c)) > 1 for c in seen)
+
+
+def test_classify_splits_separated_points_with_one_charpoly(monkeypatch):
+    rng = random.Random(9191)
+    ctx = context(QQ, "x1 x2 x3 x4")
+    while True:
+        pts = random_points(rng.randint(0, 10 ** 9))
+        if len({sum((i + 1) * c for i, c in enumerate(p)) for p in pts}) == 8:
+            break
+    I = Ideal(ctx, points_ideal(pts, ctx).gens)
+    calls = {"charpoly": 0, "kernel_basis": 0, "cyclic_annihilator_gb": 0}
+    for name in calls:
+        fn = getattr(artin, name)
+        monkeypatch.setattr(artin, name, lambda *a, fn=fn, name=name:
+                            calls.__setitem__(name, calls[name] + 1) or fn(*a))
+    v = classify_smoothable(I)
+    assert v.evidence == ("colength 8", "split into colengths [1, 1, 1, 1, 1, 1, 1, 1]")
+    assert calls == {"charpoly": 1, "kernel_basis": 0, "cyclic_annihilator_gb": 0}
