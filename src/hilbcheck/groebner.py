@@ -6,15 +6,27 @@ breaking, sorted reduced output.  Normal forms, initial ideals, ideal
 intersection and equality, Schreyer syzygies from S-pair reduction traces,
 and the evaluation-matrix construction of ideals of finite point sets all
 live here.
+
+Buchberger, division and the Schreyer traces run on integer dicts over Q:
+each polynomial is a primitive integer polynomial, standing for its
+rational multiples, and a reduction step multiplies the dividend rather
+than dividing by the divisor's leading coefficient, then removes the
+content (pseudo-division, as Singular's std does over Q).  Over F_p the
+coefficients are int residues and over Q(t) field elements.  Only that
+coefficient arithmetic differs per field; a reduced basis is made monic
+once, at the end.
 """
 
 import heapq
+from math import gcd, lcm
 from operator import add, le, sub
 
 from .errors import PreconditionError, InfiniteColengthError
+from .fields import QQ
 from .linalg import DenseMatrix, RowSpace, determinant, kernel_basis
 from .poly import (GREVLEX, Polynomial, VariableContext, mono_coprime,
                    mono_deg, mono_div, mono_divides, mono_lcm, weight_order)
+from .scalars import rat
 
 
 class Ideal:
@@ -73,8 +85,10 @@ class GroebnerBasis(Ideal):
     def normal_form(self, f):
         if f.ctx != self.ctx:
             raise PreconditionError("polynomial from a different context")
-        rem, _ = _divide(f, self._records, self.order)
-        return Polynomial(self.ctx, rem)
+        field = self.ctx.field
+        work, (num, den) = _working_terms(f)
+        rem, _, (lam_num, lam_den) = _divide(work, self._records, self.order, field)
+        return Polynomial(self.ctx, _field_terms(rem, field, num * lam_den, den * lam_num))
 
     def contains(self, f):
         return not self.normal_form(f)
@@ -102,27 +116,134 @@ class GroebnerBasis(Ideal):
         return f"GB[{self.order}](" + ", ".join(map(str, self.gens)) + ")"
 
 
-def _division_record(g, order):
-    """(lm, lc, tail) of a nonzero polynomial, the tail being its other
-    (monomial, coefficient) pairs: what _divide reads of a divisor."""
-    terms = g.terms
+# --- working coefficients ---------------------------------------------------
+#
+# Inside the Groebner loops a polynomial is a dict {monomial: coefficient} in
+# the working coefficients of its field (see the module docstring): integers
+# over Q, int residues over F_p, field elements over Q(t).  A divisor is
+# primitive with a positive leading coefficient over Q and monic otherwise.
+
+
+def _modulus(field):
+    """0 over Q, p over F_p, and None over Q(t)."""
+    if field == QQ:
+        return 0
+    return getattr(field, "p", None)
+
+
+def _working_terms(f):
+    """The terms of a polynomial in working coefficients, and (num, den)
+    with f = num/den times them; over the fields that factor is 1."""
+    terms = f.terms
+    p = _modulus(f.ctx.field)
+    if p == 0 and terms:
+        den = lcm(*(int(c.denominator) for c in terms.values()))
+        ints = [int(c.numerator) * (den // int(c.denominator)) for c in terms.values()]
+        num = gcd(*ints)
+        return {m: c // num for m, c in zip(terms, ints)}, (num, den)
+    if p:
+        return {m: c.v for m, c in terms.items()}, (1, 1)
+    return dict(terms), (1, 1)
+
+
+def _field_terms(terms, field, num, den):
+    """num/den times working terms, as field elements; over the fields the
+    factor is 1."""
+    p = _modulus(field)
+    if p == 0:
+        return {m: rat(c * num, den) for m, c in terms.items()}
+    if p:
+        return {m: field.elem(c) for m, c in terms.items()}
+    return terms
+
+
+def _record(terms, order, field):
+    """(lm, lc, tail) of the normalized multiple of nonzero working terms:
+    primitive with a positive leading coefficient over Q, monic over the
+    fields.  The tail is the list of the other (monomial, coefficient)
+    pairs: what _divide reads of a divisor."""
     lm = max(terms, key=order.key)
+    lc = terms[lm]
+    p = _modulus(field)
+    if p == 0:
+        g = gcd(*terms.values())
+        if lc < 0:
+            g = -g
+        if g != 1:
+            terms = {m: c // g for m, c in terms.items()}
+    elif p:
+        if lc != 1:
+            inv = pow(lc, -1, p)
+            terms = {m: c * inv % p for m, c in terms.items()}
+    elif lc != field.one:
+        terms = {m: c / lc for m, c in terms.items()}
     return lm, terms[lm], [(m, c) for m, c in terms.items() if m != lm]
 
 
-def _divide(f, records, order, track=False):
-    """Multivariate division of f by the divisors whose _division_record
-    tuples are given, in that order; returns (remainder dict, quotient dicts).
+def _division_record(g, order):
+    """The _record of a nonzero polynomial."""
+    return _record(_working_terms(g)[0], order, g.ctx.field)
+
+
+def _monic(ctx, record):
+    """The monic polynomial of a record."""
+    lm, lc, tail = record
+    terms = {lm: lc}
+    terms.update(tail)
+    return Polynomial(ctx, _field_terms(terms, ctx.field, 1, lc))
+
+
+def _subtract(work, b, mq, tail, p):
+    """work -= b * x^mq * tail, in place, reducing mod p over F_p."""
+    for mm, cc in tail:
+        mt = tuple(map(add, mm, mq))
+        s = work.get(mt)
+        s = -(b * cc) if s is None else s - b * cc
+        if p:
+            s %= p
+        if s:
+            work[mt] = s
+        elif mt in work:
+            del work[mt]
+
+
+def _spoly(ri, rj, top, field):
+    """The S-polynomial of the records ri and rj, top being the lcm of their
+    leading monomials: (terms, lam) with terms lam times mi g_i - mj g_j for
+    the monic g_i, g_j.  lam is an integer over Q and 1 over the fields."""
+    (li, ci, ti), (lj, cj, tj) = ri, rj
+    p = _modulus(field)
+    if p == 0:
+        g = gcd(ci, cj)
+        a, b = cj // g, ci // g
+    else:
+        a = b = field.one if p is None else 1
+    work = {tuple(map(add, m, mono_div(top, li))): a * c for m, c in ti}
+    _subtract(work, b, mono_div(top, lj), tj, p)
+    return work, a * ci if p == 0 else 1
+
+
+def _divide(work, records, order, field, track=False, scale=1):
+    """Multivariate division of working terms, consumed, by the divisors
+    whose records are given, in that order.
 
     The leading work term is reduced by the first divisor whose leading
     monomial divides it, or moved to the remainder.  Its cancellation is
-    exact, so it is popped rather than subtracted, and a monic divisor needs
-    no coefficient division.
+    exact, so it is popped rather than subtracted.  Over Q a step is
+    v <- a v - b x^mq w with a, b the leading coefficients of w and v divided
+    by their gcd, as in linalg._sparse_rank; a step with a != 1 scales the
+    remainder too, and then removes the content of work and remainder
+    together.  Over the fields the divisor is monic and a is 1.
+
+    work stands for scale times a polynomial f, and the result is (rem,
+    quots, (num, den)): f = sum q_k g_k + den/num rem with g_k the monic
+    divisors.  With track the quotients q_k are dicts of field elements,
+    else quots is None.
     """
-    work = dict(f.terms)
+    p = _modulus(field)
     rem = {}
     quots = [{} for _ in records] if track else None
-    one = f.ctx.field.one
+    num, den = scale, 1
     key = order.key
     while work:
         m = max(work, key=key)
@@ -130,22 +251,30 @@ def _divide(f, records, order, track=False):
         for i, (lm, lc, tail) in enumerate(records):
             if all(map(le, lm, m)):
                 mq = tuple(map(sub, m, lm))
-                cq = c if lc == one else c / lc
-                for mm, cc in tail:
-                    mt = tuple(map(add, mm, mq))
-                    s = work.get(mt)
-                    s = -(cq * cc) if s is None else s - cq * cc
-                    if s:
-                        work[mt] = s
-                    elif mt in work:
-                        del work[mt]
                 if track:
-                    q = quots[i]
-                    q[mq] = q.get(mq, f.ctx.field.zero) + cq
+                    quots[i][mq] = (rat(c * den, num) if p == 0
+                                    else field.elem(c) if p else c)
+                a = 1
+                if p == 0 and lc != 1:
+                    g = gcd(c, lc)
+                    a, c = lc // g, c // g
+                    if a != 1:
+                        num *= a
+                        for part in (work, rem):
+                            for mm in part:
+                                part[mm] *= a
+                _subtract(work, c, mq, tail, p)
+                if a != 1:
+                    content = gcd(*work.values(), *rem.values())
+                    if content > 1:
+                        den *= content
+                        for part in (work, rem):
+                            for mm in part:
+                                part[mm] //= content
                 break
         else:
             rem[m] = c
-    return rem, quots
+    return rem, quots, (num, den)
 
 
 def normal_form(f, G):
@@ -156,7 +285,8 @@ def buchberger(ideal, order=GREVLEX):
     """Reduced Groebner basis of an ideal; deterministic for fixed input.
 
     A reduced basis is unique, so a GroebnerBasis in this order is returned
-    as it is.
+    as it is.  The basis is built in working coefficients and made monic
+    once, at the end.
     """
     if isinstance(ideal, GroebnerBasis) and ideal.order == order:
         return ideal
@@ -169,17 +299,17 @@ def buchberger(ideal, order=GREVLEX):
         ctx = gens[0].ctx
     if not order.is_global(ctx.d):
         raise PreconditionError(f"{order} is not a global monomial order")
-    basis = []
+    field = ctx.field
+    records = []
     seen = set()
     for g in gens:
         if g:
-            gm = g.monic(order)
-            kk = tuple(sorted(gm.terms.items(), key=lambda kv: kv[0]))
+            r = _division_record(g, order)
+            kk = (r[0], r[1], frozenset(r[2]))
             if kk not in seen:
                 seen.add(kk)
-                basis.append(gm)
-    basis.sort(key=lambda g: order.key(g.lm(order)))
-    records = [_division_record(g, order) for g in basis]
+                records.append(r)
+    records.sort(key=lambda r: order.key(r[0]))
     lts = [r[0] for r in records]
     heap = []
     done = set()
@@ -189,7 +319,7 @@ def buchberger(ideal, order=GREVLEX):
             lcm = mono_lcm(lts[i], lts[j])
             heapq.heappush(heap, (mono_deg(lcm), i, j))
 
-    for j in range(len(basis)):
+    for j in range(len(records)):
         push_pairs(j)
     while heap:
         _, i, j = heapq.heappop(heap)
@@ -202,16 +332,13 @@ def buchberger(ideal, order=GREVLEX):
         lcm = mono_lcm(li, lj)
         if _chain_criterion(i, j, lcm, lts, done):
             continue
-        spoly = (basis[i].mul_term(mono_div(lcm, li), ctx.field.one)
-                 - basis[j].mul_term(mono_div(lcm, lj), ctx.field.one))
-        rem, _ = _divide(spoly, records, order)
+        spoly, _ = _spoly(records[i], records[j], lcm, field)
+        rem, _, _ = _divide(spoly, records, order, field)
         if rem:
-            g = Polynomial(ctx, rem).monic(order)
-            basis.append(g)
-            records.append(_division_record(g, order))
+            records.append(_record(rem, order, field))
             lts.append(records[-1][0])
-            push_pairs(len(basis) - 1)
-    return GroebnerBasis(ctx, order, _reduce_basis(basis, order, ctx))
+            push_pairs(len(records) - 1)
+    return GroebnerBasis(ctx, order, _reduce_basis(records, order, ctx))
 
 
 def _chain_criterion(i, j, lcm, lts, done):
@@ -225,26 +352,23 @@ def _chain_criterion(i, j, lcm, lts, done):
     return False
 
 
-def _reduce_basis(basis, order, ctx):
+def _reduce_basis(records, order, ctx):
+    """The monic reduced basis from the records of a Groebner basis."""
     # minimalize leading terms, then inter-reduce tails.  In increasing order
     # of leading terms no kept one can be a multiple of a later one.
     # Reduction keeps every leading term, so one pass leaves every tail
     # reduced and the result in that order.
-    items = sorted(basis, key=lambda g: order.key(g.lm(order)))
-    kept, records = [], []
-    for g in items:
-        r = _division_record(g, order)
-        if not any(mono_divides(h[0], r[0]) for h in records):
-            kept.append(g)
-            records.append(r)
-    for i in range(len(kept)):
-        rem, _ = _divide(kept[i], records[:i] + records[i + 1:], order)
-        g = Polynomial(ctx, rem).monic(order)
-        if g.terms != kept[i].terms:
-            # later divisions see the new element
-            kept[i] = g
-            records[i] = _division_record(g, order)
-    return kept
+    kept = []
+    for r in sorted(records, key=lambda r: order.key(r[0])):
+        if not any(mono_divides(h[0], r[0]) for h in kept):
+            kept.append(r)
+    for i, (lm, lc, tail) in enumerate(kept):
+        work = {lm: lc}
+        work.update(tail)
+        rem, _, _ = _divide(work, kept[:i] + kept[i + 1:], order, ctx.field)
+        # later divisions see the new element
+        kept[i] = _record(rem, order, ctx.field)
+    return [_monic(ctx, r) for r in kept]
 
 
 def _standard_monomials(G, limit=None):
@@ -390,11 +514,12 @@ class SyzygyBasis:
     def __init__(self, generators, relations):
         self.generators = tuple(generators)
         self.relations = tuple(tuple(r) for r in relations)
+        if not self.relations:
+            return
+        p = _modulus(self.generators[0].ctx.field)
+        gens = [(list(t.items()), scale) for t, scale in map(_working_terms, self.generators)]
         for rel in self.relations:
-            acc = self.generators[0].ctx.zero()
-            for r, g in zip(rel, self.generators):
-                acc = acc + r * g
-            if acc:
+            if _combination(rel, gens, p):
                 raise ArithmeticError("syzygy does not annihilate the generators")
 
     def __len__(self):
@@ -404,6 +529,25 @@ class SyzygyBasis:
         return iter(self.relations)
 
 
+def _combination(rel, gens, p):
+    """sum_k rel[k] g_k times a nonzero constant, in working coefficients:
+    empty exactly when the sum is zero.  Each g_k is given as its working
+    terms, as a list, and their scale; over Q the denominators are
+    cleared."""
+    parts = []
+    for r, (g, (gnum, gden)) in zip(rel, gens):
+        if r:
+            t, (num, den) = _working_terms(r)
+            parts.append((t, g, num * gnum, den * gden))
+    common = lcm(*(den for *_, den in parts))
+    acc = {}
+    for t, g, num, den in parts:
+        w = num * (common // den)
+        for m, c in t.items():
+            _subtract(acc, c * w if w != 1 else c, m, g, p)
+    return acc
+
+
 def schreyer_syzygies(G):
     """Generators of the syzygy module of a reduced basis, from S-pair traces.
 
@@ -411,32 +555,45 @@ def schreyer_syzygies(G):
     what the S-pair trace reduces to in that case; every other pair records
     its division trace.
     """
-    ctx, order = G.ctx, G.order
-    basis = list(G.gens)
-    lts = G.lts
-    one = ctx.field.one
+    return SyzygyBasis(G.gens, _schreyer_relations(G, koszul=True))
+
+
+def trace_syzygies(G):
+    """The S-pair-trace relations of schreyer_syzygies, in its order, without
+    the Koszul relations of coprime leading-term pairs."""
+    return SyzygyBasis(G.gens, _schreyer_relations(G, koszul=False))
+
+
+def _schreyer_relations(G, koszul):
+    """The relations of the pairs i < j of a reduced basis, by j and then i:
+    the trace of each S-pair, and with koszul the Koszul relation of each
+    coprime pair."""
+    ctx, order, field = G.ctx, G.order, G.ctx.field
+    basis, records, lts = G.gens, G._records, G.lts
+    one = field.one
+    minus_one = -one
     rels = []
     for j in range(len(basis)):
         for i in range(j):
             li, lj = lts[i], lts[j]
             if mono_coprime(li, lj):
-                rel = [ctx.zero()] * len(basis)
-                rel[i] = basis[j]
-                rel[j] = -basis[i]
-                rels.append(rel)
+                if koszul:
+                    rel = [ctx.zero()] * len(basis)
+                    rel[i] = basis[j]
+                    rel[j] = -basis[i]
+                    rels.append(rel)
                 continue
+            # divide mj g_j - mi g_i, so that the quotients are the
+            # relation's coefficients
             lcm = mono_lcm(li, lj)
-            mi = mono_div(lcm, li)
-            mj = mono_div(lcm, lj)
-            spoly = basis[i].mul_term(mi, one) - basis[j].mul_term(mj, one)
-            rem, quots = _divide(spoly, G._records, order, track=True)
+            spoly, lam = _spoly(records[j], records[i], lcm, field)
+            rem, quots, _ = _divide(spoly, records, order, field, track=True, scale=lam)
             if rem:
                 raise ArithmeticError("S-polynomial of a Groebner basis did not reduce to zero")
-            rel = [-Polynomial(ctx, q) for q in quots]
-            rel[i] = rel[i] + ctx.monomial(mi)
-            rel[j] = rel[j] - ctx.monomial(mj)
-            rels.append(rel)
-    return SyzygyBasis(basis, rels)
+            quots[i][mono_div(lcm, li)] = one
+            quots[j][mono_div(lcm, lj)] = minus_one
+            rels.append([Polynomial(ctx, q) for q in quots])
+    return rels
 
 
 def linear_syzygies(quadrics, ctx):

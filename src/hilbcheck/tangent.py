@@ -24,7 +24,7 @@ from .fields import QQ, QT
 from .linalg import (DenseMatrix, RowSpace, determinant, mat_rank, rref,
                      minor_gcd_sample, t_adic_minor_valuation)
 from .poly import context, mono_deg, mono_lcm
-from .groebner import (buchberger, linear_syzygies, schreyer_syzygies,
+from .groebner import (buchberger, linear_syzygies, trace_syzygies,
                        SyzygyBasis, _monomials_of_degree)
 from .artin import local_hilbert_function, multiplication_operators
 
@@ -47,11 +47,10 @@ class _HomSystem:
 
     @cached_property
     def relations(self):
-        """The syzygy generators that constrain: the coefficients of a
-        Koszul relation g_j e_i - g_i e_j lie in I, so its blocks are zero."""
-        basis = list(self.G.elements) + [-g for g in self.G.elements]
-        return [rel for rel in schreyer_syzygies(self.G).relations
-                if not all(not a or a in basis for a in rel)]
+        """The syzygy generators that constrain: the S-pair traces.  The
+        coefficients of a Koszul relation g_j e_i - g_i e_j lie in I, so its
+        blocks are zero, and it is never built."""
+        return trace_syzygies(self.G).relations
 
     def blocks(self, r):
         """Operators of the coefficients of syzygy r on S/I, None where a

@@ -4,7 +4,7 @@ import pytest
 
 from hilbcheck.artin import embedding_reduction, split_rational_support
 from hilbcheck.errors import InfiniteColengthError, PreconditionError
-from hilbcheck.fields import GF, QQ
+from hilbcheck.fields import GF, QQ, QT
 from hilbcheck.fixtures import (degeneration_753, degeneration_axis_weight,
                                 degeneration_chain, degeneration_cubic_pair,
                                 degeneration_pencil_deg8,
@@ -12,12 +12,13 @@ from hilbcheck.fixtures import (degeneration_753, degeneration_axis_weight,
                                 degeneration_two_quadrics, random_points,
                                 seven_quadrics_ideal)
 from hilbcheck import groebner
-from hilbcheck.groebner import (Ideal, _divide, _division_record, buchberger,
+from hilbcheck.groebner import (Ideal, SyzygyBasis, _divide, _division_record,
+                                _field_terms, _working_terms, buchberger,
                                 delta_ratio, ideal_equal, initial_ideal,
                                 intersect, linear_syzygies, normal_form,
                                 points_ideal, schreyer_syzygies)
 from hilbcheck.poly import (GREVLEX, LEX, Polynomial, context, mono_divides,
-                            parse_polynomial, weight_order)
+                            parse_ideal_file, parse_polynomial, weight_order)
 from hilbcheck.scalars import rat
 
 
@@ -339,11 +340,25 @@ def _random_polynomial(rng, ctx, nterms, degree):
     return Polynomial(ctx, terms)
 
 
+def _division(f, divisors, order):
+    """(remainder, quotients) of f by the divisors, as polynomials: f is the
+    sum of the quotients times the monic divisors, plus the remainder."""
+    ctx, field = f.ctx, f.ctx.field
+    records = [_division_record(g, order) for g in divisors]
+    # f = s * work, and _divide returns the quotients of work
+    work, (num, den) = _working_terms(f)
+    s = field.from_int(num) / field.from_int(den)
+    rem, quots, (lam_num, lam_den) = _divide(work, records, order, field, track=True)
+    r = Polynomial(ctx, _field_terms(rem, field, num * lam_den, den * lam_num))
+    return r, [Polynomial(ctx, q).scale(s) for q in quots]
+
+
 def _divisor_lists(field, make_order, rng):
     """(divisors, basis) pairs: the reduced bases of the seven quadrics, of
     seeded points and of seeded random generators, then those generators
-    themselves with basis None.  They are neither monic nor a basis, so the
-    division also runs with leading coefficients other than 1."""
+    themselves with basis None.  They are neither monic nor a basis, so over
+    Q the division also scales the dividend by leading coefficients other
+    than 1."""
     I = seven_quadrics_ideal(5, field)
     bases = [buchberger(I, make_order(I.ctx.d))]
     ctx = context(field, "x y z")
@@ -371,14 +386,12 @@ def test_division_property(field, make_order):
         lts = [g.lm(order) for g in divisors]
         for _ in range(6):
             f = _random_polynomial(rng, ctx, 6, 5)
-            records = [_division_record(g, order) for g in divisors]
-            rem, quots = _divide(f, records, order, track=True)
-            r = Polynomial(ctx, rem)
+            r, quots = _division(f, divisors, order)
             total = r
             for q, g in zip(quots, divisors):
-                total = total + Polynomial(ctx, q) * g
+                total = total + q * g.monic(order)
             assert total == f
-            assert not any(mono_divides(lt, m) for m in rem for lt in lts)
+            assert not any(mono_divides(lt, m) for m in r.terms for lt in lts)
             if G is not None:
                 assert G.normal_form(f) == r
                 assert G.normal_form(r) == r
@@ -393,8 +406,9 @@ def test_reduce_basis_sees_a_tail_rewritten_in_mid_pass(monkeypatch):
     seen = []
     divide = groebner._divide
     monkeypatch.setattr(groebner, "_divide",
-                        lambda f, records, order: seen.append(records) or divide(f, records, order))
-    kept = groebner._reduce_basis(basis, LEX, ctx)
+                        lambda work, records, *args: seen.append(records)
+                        or divide(work, records, *args))
+    kept = groebner._reduce_basis([_division_record(g, LEX) for g in basis], LEX, ctx)
     assert [str(g) for g in kept] == [str(P(s, ctx)) for s in ("z^2", "y + z", "x")]
     y_plus_z = _division_record(P("y + z", ctx), LEX)
     assert y_plus_z in seen[2]
@@ -416,3 +430,43 @@ def test_normal_form_reads_no_leading_monomial(monkeypatch):
     for f in fs:
         G.normal_form(f)
     assert calls == []
+
+
+QT_IDEAL = "field Qt\nvars x y\nideal:\nx^2 - t*y\nt*x*y + y^2 - (t+1)*x\n"
+
+
+def test_buchberger_over_the_function_field():
+    # the reduced grevlex basis over Q(t), as sympy gives it over QQ(t); the
+    # generators are not monic, so their records divide by t
+    ctx, gens = parse_ideal_file(QT_IDEAL)
+    G = buchberger(Ideal(ctx, gens))
+    assert [str(g) for g in G.gens] == [
+        "x*y + (1/(t))*y^2 + ((-t - 1)/(t))*x",
+        "x^2 + (-t)*y",
+        "y^3 + ((-t^4 + t + 1)/(t))*y^2 + ((-t^2 - 2*t - 1)/(t))*x + (t^3 + t^2)*y"]
+    assert G.colength() == 4
+    f = P("x^3*y - (t^2 + 1)*x^2*y + x*y^2 - 3*t*y^3 + x + t", ctx)
+    for divisors in (gens, G.gens):
+        r, quots = _division(f, divisors, GREVLEX)
+        total = r
+        for q, g in zip(quots, divisors):
+            total = total + q * g.monic(GREVLEX)
+        assert total == f
+        assert not any(mono_divides(g.lm(GREVLEX), m) for m in r.terms for g in divisors)
+    # by the reduced basis, the remainder is the normal form
+    assert r and G.normal_form(f) == r
+    # two S-pair traces and the Koszul relation of x^2 and y^3
+    assert len(schreyer_syzygies(G)) == 3
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), QT], ids=str)
+def test_syzygy_basis_rejects_a_relation_that_does_not_annihilate(field):
+    ctx = context(field, "x y")
+    third = field.one / field.from_int(3)
+    f = P("x^2", ctx) + P("y", ctx).scale(third)
+    g = P("x*y - 1", ctx).scale(field.from_int(2))
+    half = field.one / field.from_int(2)
+    SyzygyBasis([f, g], [[g, -f], [g.scale(half), -f.scale(half)]])
+    for bad in ([g, f], [g.scale(half), -f.scale(third)], [g + f, -f]):
+        with pytest.raises(ArithmeticError):
+            SyzygyBasis([f, g], [[g, -f], bad])

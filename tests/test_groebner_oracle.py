@@ -7,16 +7,19 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from hilbcheck.fields import QQ
+from hilbcheck.fields import GF, QQ
 from hilbcheck.groebner import Ideal, buchberger, intersect
-from hilbcheck.poly import GREVLEX, Polynomial, context
+from hilbcheck.poly import GREVLEX, LEX, Polynomial, context
 from hilbcheck.scalars import rat
 
 
 def to_sympy(p, syms):
     expr = 0
     for m, c in p.terms.items():
-        term = sympy.Rational(int(c.numerator), int(c.denominator))
+        if p.ctx.field == QQ:
+            term = sympy.Rational(int(c.numerator), int(c.denominator))
+        else:
+            term = sympy.Integer(c.v)
         for x, e in zip(syms, m):
             term *= x ** e
         expr += term
@@ -24,11 +27,13 @@ def to_sympy(p, syms):
 
 
 def from_sympy(expr, ctx, syms):
+    field = ctx.field
     poly = sympy.Poly(expr, *syms)
     terms = {}
     for mono, coeff in poly.terms():
         q = sympy.Rational(coeff)
-        terms[tuple(int(e) for e in mono)] = rat(int(q.p), int(q.q))
+        terms[tuple(int(e) for e in mono)] = (field.from_int(int(q.p))
+                                              / field.from_int(int(q.q)))
     return Polynomial(ctx, terms)
 
 
@@ -48,6 +53,31 @@ def random_ideal(ctx, rng, ngens=3, maxdeg=2):
         if p:
             gens.append(p)
     return Ideal(ctx, gens)
+
+
+def dense_ideal(ctx, rng, coeff, ngens=3, degree=3):
+    """ngens nonconstant generators of 3 to 5 terms of degree <= degree,
+    with coefficients coeff(rng)."""
+    gens = []
+    while len(gens) < ngens:
+        terms = {}
+        for _ in range(rng.randint(3, 5)):
+            m = [0] * ctx.d
+            for _ in range(rng.randint(0, degree)):
+                m[rng.randrange(ctx.d)] += 1
+            terms[tuple(m)] = coeff(rng)
+        p = Polynomial(ctx, terms)
+        if p.degree():
+            gens.append(p)
+    return Ideal(ctx, gens)
+
+
+def sympy_basis(I, order, syms, **options):
+    """sympy's reduced basis of I, as our monic polynomials in our order."""
+    theirs = sympy.groebner([to_sympy(g, syms) for g in I.gens], *syms,
+                            order=str(order), **options)
+    return sorted((from_sympy(e, I.ctx, syms).monic(order) for e in theirs.exprs),
+                  key=lambda g: order.key(g.lm(order)))
 
 
 def test_reduced_bases_match_sympy():
@@ -81,3 +111,40 @@ def test_intersection_matches_sympy():
         theirs = buchberger(Ideal(ctx, [from_sympy(e, ctx, syms[:2]) for e in kept]),
                             GREVLEX)
         assert list(ours.elements) == list(theirs.elements)
+
+
+@pytest.mark.parametrize("p", [7, 10007])
+def test_reduced_bases_over_prime_fields_match_sympy(p):
+    rng = random.Random(108)
+    field = GF(p)
+    ctx = context(field, "x y z")
+    syms = sympy.symbols("x y z")
+    for _ in range(8):
+        I = dense_ideal(ctx, rng, lambda rng: field.from_int(rng.randint(-4, 4)))
+        assert list(buchberger(I, GREVLEX).elements) == \
+            sympy_basis(I, GREVLEX, syms, modulus=p)
+
+
+def test_reduced_lex_bases_match_sympy():
+    rng = random.Random(109)
+    ctx = context(QQ, "x y z")
+    syms = sympy.symbols("x y z")
+    for _ in range(6):
+        I = dense_ideal(ctx, rng, lambda rng: rat(rng.randint(-4, 4)), degree=2)
+        assert list(buchberger(I, LEX).elements) == sympy_basis(I, LEX, syms)
+
+
+def test_reduced_bases_of_rational_generators_match_sympy():
+    # coefficients with unlike denominators: the primitive integer form of
+    # each generator clears them, and the monic basis brings them back
+    rng = random.Random(110)
+    ctx = context(QQ, "x y z")
+    syms = sympy.symbols("x y z")
+
+    def coeff(rng):
+        return rat(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 35)))
+
+    for _ in range(8):
+        I = dense_ideal(ctx, rng, coeff)
+        assert any(c.denominator != 1 for g in I.gens for c in g.terms.values())
+        assert list(buchberger(I, GREVLEX).elements) == sympy_basis(I, GREVLEX, syms)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -13,9 +14,10 @@ from hilbcheck.fixtures import (family_limit_ideal, family_member_ideal,
                                 weight753_ideal)
 from hilbcheck import linalg, tangent
 from hilbcheck.artin import LocalAlgebraModel
-from hilbcheck.groebner import GroebnerBasis, Ideal, points_ideal
+from hilbcheck.groebner import (GroebnerBasis, Ideal, SyzygyBasis, buchberger,
+                                points_ideal)
 from hilbcheck.linalg import DenseMatrix, RowSpace, determinant, kernel_basis, mat_rank
-from hilbcheck.poly import context
+from hilbcheck.poly import context, mono_coprime
 from hilbcheck.smooth import change_coordinates
 from hilbcheck.tangent import (FAMILY_COBASIS, build_tangent_machine,
                                curve_multiplicity, family_machine,
@@ -134,11 +136,31 @@ def test_graded_blocks_are_read_off_the_model(monkeypatch):
 
 def test_tangent_report_shares_one_model_and_one_syzygy_basis(monkeypatch):
     models = _count_calls(monkeypatch, tangent, "multiplication_operators")
-    syzygies = _count_calls(monkeypatch, tangent, "schreyer_syzygies")
+    syzygies = _count_calls(monkeypatch, tangent, "trace_syzygies")
     rep = tangent_report(seven_quadrics_ideal(4), graded=True)
     assert (rep.total, rep.graded) == (25, {0: 21, -1: 4})
     assert len(models) == 1
     assert len(syzygies) == 1
+
+
+def test_tangent_checks_only_the_s_pair_relations(monkeypatch):
+    # a coprime leading-term pair gives a Koszul relation, whose blocks are
+    # zero: tangent builds and checks one relation per other pair
+    I = seven_quadrics_ideal(4)
+    lts = buchberger(I).lts
+    pairs = sum(1 for a, b in combinations(lts, 2) if not mono_coprime(a, b))
+    handed = []
+    init = SyzygyBasis.__init__
+
+    def counted(basis, generators, relations):
+        relations = list(relations)
+        handed.append(len(relations))
+        init(basis, generators, relations)
+
+    monkeypatch.setattr(SyzygyBasis, "__init__", counted)
+    assert tangent_dimension(I) == 25
+    assert handed == [pairs]
+    assert pairs < len(lts) * (len(lts) - 1) // 2
 
 
 def test_no_syzygy_coefficient_has_a_zero_operator(monkeypatch):
@@ -158,7 +180,7 @@ def test_no_syzygy_coefficient_has_a_zero_operator(monkeypatch):
 
 def test_graded_degree_no_syzygy_reaches_builds_no_syzygies(monkeypatch):
     # the lcm of two quadric leading terms has degree >= 3, and S/I stops at 2
-    syzygies = _count_calls(monkeypatch, tangent, "schreyer_syzygies")
+    syzygies = _count_calls(monkeypatch, tangent, "trace_syzygies")
     assert graded_tangent_dimension(seven_quadrics_ideal(4), 0) == 21
     assert not syzygies
 
