@@ -7,7 +7,7 @@ characteristic p all degrees in play must stay below p, where the pairing is
 perfect; higher degrees are refused rather than silently degenerate.
 """
 
-from math import factorial, prod
+from math import factorial, perm, prod
 
 from .errors import PreconditionError
 from .groebner import Ideal, _monomials_of_degree
@@ -35,10 +35,7 @@ def apply_operator(f, g):
     for a, c in f.terms.items():
         for b, e in g.terms.items():
             if all(ai <= bi for ai, bi in zip(a, b)):
-                coeff = 1
-                for ai, bi in zip(a, b):
-                    for k in range(bi - ai + 1, bi + 1):
-                        coeff *= k
+                coeff = prod(map(perm, b, a))
                 add = c * e * field.from_int(coeff)
                 if add:
                     m = tuple(bi - ai for ai, bi in zip(a, b))

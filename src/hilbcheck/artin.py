@@ -7,14 +7,13 @@ the standard-monomial basis; powers of the maximal ideal are tracked as the
 chain of subspaces generated by 1 under products of at least j variables.
 """
 
-from math import gcd, lcm
+from math import gcd
 
 from .errors import HilbcheckError, PreconditionError
-from .fields import QQ
 from .linalg import DenseMatrix, RowSpace, kernel_basis, rref
 from .poly import GREVLEX, VariableContext, mono_deg
 from .groebner import Ideal, buchberger, cyclic_annihilator_gb
-from .scalars import is_prime, rat
+from .scalars import is_prime
 
 
 class IndeterminateSupport(HilbcheckError):
@@ -414,6 +413,7 @@ def _split_by(X, basis, field):
 
 def _roots(R, field):
     """Eigenvalues of R with multiplicities; all of them lie in the field."""
+    _check_root_search(field)
     roots = rational_roots(charpoly(R), field)
     if sum(roots.values()) != R.nrows:
         raise IndeterminateSupport("support not rational")
@@ -463,92 +463,72 @@ def _project_of_unit(parts, target, model, field):
 def charpoly(M):
     """Characteristic polynomial det(xI - M), coefficients descending, monic.
 
-    Berkowitz's division-free algorithm, valid over any field including small
-    characteristic.  Over Q it runs on the integer matrix D M, D the lcm of
-    the denominators, whose coefficient k is D^k times that of M.
+    Berkowitz's division-free algorithm on the working integers of M over Q
+    or F_p (`Field.integers`).  Over Q that is the integer matrix D M, D the
+    lcm of the denominators, whose coefficient k is D^k times that of M;
+    over F_p the residues, whose coefficients are reduced mod p at the end.
     """
     field = M.field
-    if field == QQ:
-        D = lcm(*(int(x.denominator) for row in M.rows for x in row))
-        scaled = [[int(x.numerator) * (D // int(x.denominator)) for x in row] for row in M.rows]
-        return [rat(b, D ** k) for k, b in enumerate(_berkowitz(scaled, 1, 0))]
-    return _berkowitz(M.rows, field.one, field.zero)
+    n = M.nrows
+    ints, D = field.integers([x for row in M.rows for x in row])
+    A = [ints[i:i + n] for i in range(0, n * n, n)]
+    return [field.element(b, D ** k) for k, b in enumerate(_berkowitz(A))]
 
 
-def _berkowitz(A, one, zero):
-    """det(xI - A) for the square rows A over any commutative ring."""
+def _berkowitz(A):
+    """det(xI - A) for the square integer rows A."""
     n = len(A)
     if n == 0:
-        return [one]
-    C = [one, -A[0][0]]
+        return [1]
+    C = [1, -A[0][0]]
     for i in range(1, n):
         R = A[i][:i]
         col = [A[k][i] for k in range(i)]
         sub = [row[:i] for row in A[:i]]
-        vals = [one, -A[i][i]]
+        vals = [1, -A[i][i]]
         v = col
         for k in range(2, i + 2):
             if k > 2:
-                v = [sum((sub[r][c] * v[c] for c in range(i) if v[c]), start=zero)
-                     for r in range(i)]
-            dot = zero
-            for c in range(i):
-                if v[c]:
-                    dot = dot + R[c] * v[c]
-            vals.append(-dot)
-        newC = [zero] * (i + 2)
-        for r in range(i + 2):
-            acc = zero
-            for c in range(min(r, len(C) - 1) + 1):
-                if r - c < len(vals):
-                    acc = acc + vals[r - c] * C[c]
-            newC[r] = acc
-        C = newC
+                v = [sum(sub[r][c] * v[c] for c in range(i) if v[c]) for r in range(i)]
+            vals.append(-sum(R[c] * v[c] for c in range(i) if v[c]))
+        C = [sum(vals[r - c] * C[c] for c in range(min(r, len(C) - 1) + 1) if r - c < len(vals))
+             for r in range(i + 2)]
     return C
 
 
+def _check_root_search(field):
+    if field.modulus is None:
+        raise IndeterminateSupport(f"root search is not available over {field}")
+
+
 def rational_roots(coeffs_desc, field):
-    """Roots in the base field with multiplicities, by explicit search.
+    """Roots in the base field with multiplicities, by explicit search on the
+    working integers of the polynomial (`Field.integers`).
 
     Over Q: rational-root candidates from divisor enumeration (trial-division
     factoring with a bound; an unfactorable constant term is reported as
     indeterminate rather than guessed).  Over F_p: all residues are tried for
-    moderate p.
+    moderate p.  Over Q(t) there is no search, and the roots are
+    indeterminate.
     """
-    if field == QQ:
-        return _rational_roots_qq(coeffs_desc)
-    p = field.characteristic
+    _check_root_search(field)
+    p = field.modulus
     if p > 4096:
         raise IndeterminateSupport(f"root search over F_{p} is out of range")
+    ints, _ = field.integers(coeffs_desc)
+    if not p:
+        return _rational_roots_qq(ints, field)
     roots = {}
-    coeffs = list(coeffs_desc)
     for v in range(p):
-        a = field.from_int(v)
-        while len(coeffs) > 1 and not _poly_eval(coeffs, a, field):
-            coeffs = _deflate(coeffs, a, field)
+        while len(ints) > 1 and not _eval_homogeneous(ints, v, 1) % p:
+            ints = [c % p for c in _deflate_linear(ints, v, 1)]
+            a = field.element(v)
             roots[a] = roots.get(a, 0) + 1
     return roots
 
 
-def _poly_eval(coeffs, a, field):
-    acc = field.zero
-    for c in coeffs:
-        acc = acc * a + c
-    return acc
-
-
-def _deflate(coeffs, a, field):
-    out = []
-    acc = field.zero
-    for c in coeffs[:-1]:
-        acc = acc * a + c
-        out.append(acc)
-    return out
-
-
-def _rational_roots_qq(coeffs_desc):
-    """rational_roots over Q, on the primitive integer multiple of the
-    polynomial.
+def _rational_roots_qq(ints, field):
+    """rational_roots over Q, on an integer multiple ints of the polynomial.
 
     A root P/q in lowest terms makes q x - P a factor in Z[x] (Gauss), so P
     divides the constant term and q the leading coefficient, and q - P and
@@ -558,11 +538,9 @@ def _rational_roots_qq(coeffs_desc):
     multiplicity.
     """
     roots = {}
-    den = lcm(*(int(c.denominator) for c in coeffs_desc))
-    ints = [int(c.numerator) * (den // int(c.denominator)) for c in coeffs_desc]
     while len(ints) > 1 and not ints[-1]:
         ints.pop()
-        roots[rat(0)] = roots.get(rat(0), 0) + 1
+        roots[field.zero] = roots.get(field.zero, 0) + 1
     if len(ints) <= 1:
         return roots
     g = gcd(*ints)
@@ -586,7 +564,7 @@ def _rational_roots_qq(coeffs_desc):
                         _divides(qden + s, fm1) and not _eval_homogeneous(ints, s, qden):
                     ints = _deflate_linear(ints, s, qden)
                     f1, fm1 = _at_one(ints)
-                    root = rat(s, qden)
+                    root = field.element(s, qden)
                     roots[root] = roots.get(root, 0) + 1
             if len(ints) == 1:
                 return roots

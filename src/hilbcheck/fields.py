@@ -2,17 +2,45 @@
 
 Each field names the Python type of its elements as `elem`, so a value can
 be checked for membership by one type comparison.
+
+The field also owns the working-coefficient format of the integer kernels
+(Groebner, rank, characteristic polynomial, root search).  `modulus` is 0
+over Q, p over F_p and None over Q(t), which has no integer format.  A list
+of elements becomes `(ints, den)` with `integers`: over Q, den is the lcm of
+the denominators and ints are den times the elements; over F_p, den is 1 and
+ints are the residues.  `element(num, den)` maps back.  A kernel reduces
+its integers mod p over F_p and not at all over Q, where it divides them by
+their gcd itself when it wants a primitive vector.
 """
+
+from math import lcm
 
 from .scalars import RAT_ZERO, rat, prime_field_element_class
 from .upoly import RatFunc, RATFUNC_T
 
 
 class Field:
-    """Common interface: constants, coercion from int, characteristic."""
+    """Common interface: constants, coercion, characteristic, and the
+    working-coefficient format (module docstring)."""
+
+    modulus = None
 
     def from_int(self, n):
         raise NotImplementedError
+
+    def coerce(self, x):
+        """x, an int or an element of this field, as an element of it."""
+        if isinstance(x, int):
+            return self.from_int(x)
+        raise TypeError(f"mixed coefficient domains: {x!r} is not in {self}")
+
+    def integers(self, values):
+        """(ints, den) with ints den times the sequence values."""
+        raise TypeError(f"{self} has no integer working coefficients")
+
+    def element(self, num, den=1):
+        """The field element num / den of integers num and den."""
+        raise TypeError(f"{self} has no integer working coefficients")
 
     @property
     def zero(self):
@@ -32,11 +60,25 @@ class Field:
 
 class RationalField(Field):
     characteristic = 0
+    modulus = 0
     tag = "Q"
     elem = type(RAT_ZERO)
 
     def from_int(self, n):
         return rat(n)
+
+    def coerce(self, x):
+        if isinstance(x, int):
+            return rat(x)
+        if hasattr(x, "numerator") and hasattr(x, "denominator") and not isinstance(x, RatFunc):
+            return rat(int(x.numerator), int(x.denominator))
+        raise TypeError(f"mixed coefficient domains: {x!r} is not rational")
+
+    def integers(self, values):
+        den = lcm(*[int(x.denominator) for x in values])
+        return [int(x.numerator) * (den // int(x.denominator)) for x in values], den
+
+    element = staticmethod(rat)
 
     def __repr__(self):
         return "Q"
@@ -52,7 +94,7 @@ class PrimeField(Field):
     tag = "F"
 
     def __init__(self, p):
-        self.p = p
+        self.p = self.modulus = p
         self.elem = prime_field_element_class(p)
 
     @property
@@ -61,6 +103,12 @@ class PrimeField(Field):
 
     def from_int(self, n):
         return self.elem(n)
+
+    def integers(self, values):
+        return [x.v for x in values], 1
+
+    def element(self, num, den=1):
+        return self.elem(num if den == 1 else num * pow(den, -1, self.p))
 
     def __repr__(self):
         return f"F_{self.p}"
@@ -81,6 +129,15 @@ class FunctionField(Field):
 
     def from_int(self, n):
         return RatFunc.from_int(n)
+
+    def coerce(self, x):
+        if isinstance(x, int):
+            return RatFunc.from_int(x)
+        if isinstance(x, RatFunc):
+            return x
+        if hasattr(x, "numerator") and hasattr(x, "denominator"):
+            return RatFunc((int(x.numerator),), (int(x.denominator),))
+        raise TypeError(f"mixed coefficient domains: {x!r} is not in Q(t)")
 
     @property
     def t(self):

@@ -7,14 +7,13 @@ intersection and equality, Schreyer syzygies from S-pair reduction traces,
 and the evaluation-matrix construction of ideals of finite point sets all
 live here.
 
-Buchberger, division and the Schreyer traces run on integer dicts over Q:
-each polynomial is a primitive integer polynomial, standing for its
-rational multiples, and a reduction step multiplies the dividend rather
-than dividing by the divisor's leading coefficient, then removes the
-content (pseudo-division, as Singular's std does over Q).  Over F_p the
-coefficients are int residues and over Q(t) field elements.  Only that
-coefficient arithmetic differs per field; a reduced basis is made monic
-once, at the end.
+Buchberger, division and the Schreyer traces run on dicts of working
+coefficients, in the integer format of `fields` over Q and F_p and on field
+elements over Q(t).  Over Q each polynomial is a primitive integer
+polynomial, standing for its rational multiples, and a reduction step
+multiplies the dividend rather than dividing by the divisor's leading
+coefficient, then removes the content (pseudo-division, as Singular's std
+does over Q).  A reduced basis is made monic once, at the end.
 """
 
 import heapq
@@ -22,11 +21,9 @@ from math import gcd, lcm
 from operator import add, le, sub
 
 from .errors import PreconditionError, InfiniteColengthError
-from .fields import QQ
 from .linalg import DenseMatrix, RowSpace, determinant, kernel_basis
 from .poly import (GREVLEX, Polynomial, VariableContext, mono_coprime,
                    mono_deg, mono_div, mono_divides, mono_lcm, weight_order)
-from .scalars import rat
 
 
 class Ideal:
@@ -119,42 +116,34 @@ class GroebnerBasis(Ideal):
 # --- working coefficients ---------------------------------------------------
 #
 # Inside the Groebner loops a polynomial is a dict {monomial: coefficient} in
-# the working coefficients of its field (see the module docstring): integers
-# over Q, int residues over F_p, field elements over Q(t).  A divisor is
-# primitive with a positive leading coefficient over Q and monic otherwise.
-
-
-def _modulus(field):
-    """0 over Q, p over F_p, and None over Q(t)."""
-    if field == QQ:
-        return 0
-    return getattr(field, "p", None)
+# the working coefficients of its field (see the module docstring): the
+# integers of `Field.integers` over Q and F_p, field elements over Q(t).  A
+# divisor is primitive with a positive leading coefficient over Q and monic
+# otherwise.
 
 
 def _working_terms(f):
-    """The terms of a polynomial in working coefficients, and (num, den)
-    with f = num/den times them; over the fields that factor is 1."""
+    """The terms of a polynomial in working coefficients, primitive over Q,
+    and (num, den) with f = num/den times them; over the fields that factor
+    is 1."""
     terms = f.terms
-    p = _modulus(f.ctx.field)
-    if p == 0 and terms:
-        den = lcm(*(int(c.denominator) for c in terms.values()))
-        ints = [int(c.numerator) * (den // int(c.denominator)) for c in terms.values()]
+    field = f.ctx.field
+    if field.modulus is None:
+        return dict(terms), (1, 1)
+    ints, den = field.integers(terms.values())
+    if field.modulus == 0 and ints:
         num = gcd(*ints)
         return {m: c // num for m, c in zip(terms, ints)}, (num, den)
-    if p:
-        return {m: c.v for m, c in terms.items()}, (1, 1)
-    return dict(terms), (1, 1)
+    return dict(zip(terms, ints)), (1, 1)
 
 
 def _field_terms(terms, field, num, den):
     """num/den times working terms, as field elements; over the fields the
     factor is 1."""
-    p = _modulus(field)
-    if p == 0:
-        return {m: rat(c * num, den) for m, c in terms.items()}
-    if p:
-        return {m: field.elem(c) for m, c in terms.items()}
-    return terms
+    if field.modulus is None:
+        return terms
+    element = field.element
+    return {m: element(c * num, den) for m, c in terms.items()}
 
 
 def _record(terms, order, field):
@@ -164,7 +153,7 @@ def _record(terms, order, field):
     pairs: what _divide reads of a divisor."""
     lm = max(terms, key=order.key)
     lc = terms[lm]
-    p = _modulus(field)
+    p = field.modulus
     if p == 0:
         g = gcd(*terms.values())
         if lc < 0:
@@ -212,7 +201,7 @@ def _spoly(ri, rj, top, field):
     leading monomials: (terms, lam) with terms lam times mi g_i - mj g_j for
     the monic g_i, g_j.  lam is an integer over Q and 1 over the fields."""
     (li, ci, ti), (lj, cj, tj) = ri, rj
-    p = _modulus(field)
+    p = field.modulus
     if p == 0:
         g = gcd(ci, cj)
         a, b = cj // g, ci // g
@@ -240,7 +229,8 @@ def _divide(work, records, order, field, track=False, scale=1):
     divisors.  With track the quotients q_k are dicts of field elements,
     else quots is None.
     """
-    p = _modulus(field)
+    p = field.modulus
+    element = field.element
     rem = {}
     quots = [{} for _ in records] if track else None
     num, den = scale, 1
@@ -252,8 +242,7 @@ def _divide(work, records, order, field, track=False, scale=1):
             if all(map(le, lm, m)):
                 mq = tuple(map(sub, m, lm))
                 if track:
-                    quots[i][mq] = (rat(c * den, num) if p == 0
-                                    else field.elem(c) if p else c)
+                    quots[i][mq] = c if p is None else element(c * den, num)
                 a = 1
                 if p == 0 and lc != 1:
                     g = gcd(c, lc)
@@ -516,7 +505,7 @@ class SyzygyBasis:
         self.relations = tuple(tuple(r) for r in relations)
         if not self.relations:
             return
-        p = _modulus(self.generators[0].ctx.field)
+        p = self.generators[0].ctx.field.modulus
         gens = [(list(t.items()), scale) for t, scale in map(_working_terms, self.generators)]
         for rel in self.relations:
             if _combination(rel, gens, p):
@@ -720,14 +709,6 @@ def points_ideal(points, ctx, order=GREVLEX):
     return G
 
 
-def _eval_mono(m, q, field):
-    v = field.one
-    for i, e in enumerate(m):
-        for _ in range(e):
-            v = v * q[i]
-    return v
-
-
 def delta_ratio(points, lam, m, m_prime, ctx):
     """Ratio of evaluation-matrix determinants giving a chart coordinate.
 
@@ -743,10 +724,10 @@ def delta_ratio(points, lam, m, m_prime, ctx):
     pts = [tuple(field.from_int(c) if isinstance(c, int) else c for c in q) for q in points]
     if len(pts) != len(monos):
         raise PreconditionError("need as many points as basis monomials")
-    base = DenseMatrix(field, [[_eval_mono(mi, q, field) for q in pts] for mi in monos])
+    base = DenseMatrix(field, [[ctx.monomial(mi).evaluate(q) for q in pts] for mi in monos])
     d0 = determinant(base)
     if not d0:
         raise PreconditionError("points lie outside this chart (denominator vanishes)")
     replaced = [m if mi == m_prime else mi for mi in monos]
-    num = DenseMatrix(field, [[_eval_mono(mi, q, field) for q in pts] for mi in replaced])
+    num = DenseMatrix(field, [[ctx.monomial(mi).evaluate(q) for q in pts] for mi in replaced])
     return determinant(num) / d0

@@ -24,7 +24,7 @@ from math import factorial, gcd, lcm
 
 from .fields import QQ, QT
 from .scalars import rat
-from .upoly import RatFunc, zgcd, ztrim, zprim, zval
+from .upoly import zeval, zgcd, ztrim, zprim, zval
 
 
 class DenseMatrix:
@@ -34,9 +34,8 @@ class DenseMatrix:
 
     def __init__(self, field, rows):
         self.field = field
-        elem = field.elem
-        self.rows = [[x if type(x) is elem else _coerce(field, x) for x in row]
-                     for row in rows]
+        elem, coerce = field.elem, field.coerce
+        self.rows = [[x if type(x) is elem else coerce(x) for x in row] for row in rows]
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
         if any(len(r) != self.ncols for r in self.rows):
@@ -100,24 +99,6 @@ class DenseMatrix:
 
     def __repr__(self):
         return "\n".join("[" + ", ".join(map(str, row)) + "]" for row in self.rows)
-
-
-def _coerce(field, x):
-    """x as an element of field; DenseMatrix passes here only the entries
-    whose type is not already field.elem."""
-    if isinstance(x, int):
-        return field.from_int(x)
-    if field == QQ:
-        if hasattr(x, "numerator") and hasattr(x, "denominator") and not isinstance(x, RatFunc):
-            return rat(int(x.numerator), int(x.denominator))
-        raise TypeError(f"mixed coefficient domains: {x!r} is not rational")
-    if field == QT:
-        if isinstance(x, RatFunc):
-            return x
-        if hasattr(x, "numerator") and hasattr(x, "denominator"):
-            return RatFunc((int(x.numerator),), (int(x.denominator),))
-        raise TypeError(f"mixed coefficient domains: {x!r} is not in Q(t)")
-    raise TypeError(f"mixed coefficient domains: {x!r} is not in {field}")
 
 
 class RowSpace:
@@ -222,32 +203,30 @@ def rref(rows, field):
 def mat_rank(m):
     """Rank over the entry field by exact elimination of the nonzero rows.
 
-    Over Q and F_p the rows go to `_sparse_rank` as integer dicts of their
-    nonzero entries: a row over Q is scaled by the lcm of the denominators
-    of its nonzero entries, and a row over F_p holds its residues.  Over
-    Q(t) the rows are eliminated by `RowSpace`.
+    Over Q and F_p the rows go to `_sparse_rank` as dicts of the working
+    integers (`Field.integers`) of their nonzero entries.  Over Q(t) the
+    rows are eliminated by `RowSpace`.
     """
     field = m.field
-    if field == QT:
+    p = field.modulus
+    if p is None:
         rs = RowSpace(field)
         for row in m.rows:
             if any(row):
                 rs.add(row)
         return rs.dim
+    integers = field.integers
     rows = []
-    if field == QQ:
-        for row in m.rows:
-            nonzero = [(j, x) for j, x in enumerate(row) if x]
-            if nonzero:
-                den = lcm(*(int(x.denominator) for _, x in nonzero))
-                rows.append({j: int(x.numerator) * (den // int(x.denominator))
-                             for j, x in nonzero})
-        return _sparse_rank(rows, 0)
     for row in m.rows:
-        v = {j: x.v for j, x in enumerate(row) if x.v}
+        if p:
+            # reading every residue is cheaper than testing every entry
+            v = {j: c for j, c in enumerate(integers(row)[0]) if c}
+        else:
+            cols = [j for j, x in enumerate(row) if x]
+            v = dict(zip(cols, integers([row[j] for j in cols])[0]))
         if v:
             rows.append(v)
-    return _sparse_rank(rows, field.p)
+    return _sparse_rank(rows, p)
 
 
 def _sparse_rank(rows, p):
@@ -473,17 +452,8 @@ def _polynomial_entries(m):
 
 
 def _eval_matrix(polys, x):
-    """The coefficient-list matrix evaluated at t = x, by Horner's rule."""
-    out = []
-    for prow in polys:
-        row = []
-        for coeffs in prow:
-            acc = 0
-            for cf in reversed(coeffs):
-                acc = acc * x + cf
-            row.append(acc)
-        out.append(row)
-    return out
+    """The coefficient-list matrix evaluated at t = x."""
+    return [[zeval(coeffs, x) for coeffs in prow] for prow in polys]
 
 
 def _full_rank_certificate(m, polys, size):

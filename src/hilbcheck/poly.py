@@ -10,7 +10,7 @@ import re
 from math import comb
 
 from .errors import ParseError, PreconditionError
-from .fields import QQ, QT, GF
+from .fields import QT, field_from_tag
 
 # --- monomial helpers (exponent tuples) ------------------------------------
 
@@ -598,6 +598,10 @@ def parse_polynomial(text, ctx):
 # --- ideal file format --------------------------------------------------------
 
 
+# words on the field line of each field tag: 'field Q' | 'field F <p>' | 'field Qt'
+_FIELD_LINE_WORDS = {"Q": 2, "F": 3, "Qt": 2}
+
+
 def parse_ideal_file(text):
     """Parse the ideal file format; returns (ctx, [Polynomial])."""
     lines = text.splitlines()
@@ -612,17 +616,12 @@ def parse_ideal_file(text):
     ftok = field_line.split()
     if not ftok or ftok[0] != "field":
         raise ParseError("first line must be 'field Q' | 'field F <p>' | 'field Qt'", line=meat[0][0])
-    if ftok[1:] == ["Q"]:
-        field = QQ
-    elif ftok[1:] == ["Qt"]:
-        field = QT
-    elif len(ftok) == 3 and ftok[1] == "F":
-        try:
-            field = GF(int(ftok[2]))
-        except ValueError as exc:
-            raise ParseError(str(exc), line=meat[0][0])
-    else:
+    if len(ftok) < 2 or len(ftok) != _FIELD_LINE_WORDS.get(ftok[1]):
         raise ParseError(f"bad field line {field_line!r}", line=meat[0][0])
+    try:
+        field = field_from_tag(ftok[1], *map(int, ftok[2:]))
+    except ValueError as exc:
+        raise ParseError(str(exc), line=meat[0][0])
     vtok = vars_line.split()
     if not vtok or vtok[0] != "vars" or len(vtok) < 2:
         raise ParseError("second line must be 'vars <name_1> ... <name_d>'", line=meat[1][0])
@@ -650,12 +649,8 @@ def format_ideal_file(ctx, polys, comment=None):
     if comment:
         for c in comment.splitlines():
             lines.append(f"# {c}")
-    if ctx.field == QQ:
-        lines.append("field Q")
-    elif ctx.field == QT:
-        lines.append("field Qt")
-    else:
-        lines.append(f"field F {ctx.field.p}")
+    field = ctx.field
+    lines.append(f"field {field.tag} {field.modulus}" if field.modulus else f"field {field.tag}")
     lines.append("vars " + " ".join(ctx.names))
     lines.append("ideal:")
     for p in polys:

@@ -5,7 +5,7 @@ zeros, () for zero.  RatFunc is a reduced ratio of two such tuples; it is the
 coefficient type for computations along one-parameter families.
 """
 
-from math import gcd
+from math import gcd, lcm
 
 from .scalars import rat
 
@@ -68,7 +68,8 @@ def zval(a):
 
 
 def zeval(a, x):
-    acc = rat(0)
+    """a(x) by Horner's rule; an int at an int point."""
+    acc = 0
     for c in reversed(a):
         acc = acc * x + c
     return acc
@@ -110,9 +111,7 @@ def zgcd(a, b):
     fb = [rat(c) for c in b]
     while fb and any(fb):
         fa, fb = fb, _qrem(fa, fb)
-    num_lcm = 1
-    for c in fa:
-        num_lcm = num_lcm * c.denominator // gcd(num_lcm, int(c.denominator))
+    num_lcm = lcm(*(int(c.denominator) for c in fa))
     ints = ztrim([int(c * num_lcm) for c in fa])
     return _poslc(zprim(ints))
 
@@ -238,7 +237,7 @@ class RatFunc:
         d = zeval(self.den, x)
         if not d:
             raise ZeroDivisionError("denominator vanishes at evaluation point")
-        return zeval(self.num, x) / d
+        return rat(zeval(self.num, x)) / d
 
     def valuation(self):
         """t-adic valuation; None for zero."""

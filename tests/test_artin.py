@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from hilbcheck.errors import PreconditionError
-from hilbcheck.fields import GF, QQ
+from hilbcheck.fields import GF, QQ, QT
 from hilbcheck.fixtures import (random_invertible_matrix, random_points,
                                 seven_quadrics_ideal, squares_cube_ideal,
                                 weight753_ideal, degeneration_chain)
@@ -201,6 +201,16 @@ def test_split_irrational_support_indeterminate():
         split_rational_support(Ideal(c2, [P("x^2 - 2", c2)]))   # 2 is not a square mod 5
 
 
+def test_split_over_function_field_is_indeterminate():
+    # the points (+-1, +-2) are rational, but Q(t) has no root search: the
+    # split says so instead of calling the support irrational
+    ct = context(QT, "x y")
+    with pytest.raises(IndeterminateSupport, match=r"^root search is not available over Q\(t\)$"):
+        split_rational_support(ideal(ct, "x^2 - 1", "y^2 - 4"))
+    with pytest.raises(IndeterminateSupport, match=r"not available over Q\(t\)"):
+        rational_roots([QT.one, -QT.one], QT)
+
+
 def test_embedding_reduction_examples():
     c2 = context(QQ, "x y")
     r = embedding_reduction(ideal(c2, "x", "y^2"))
@@ -345,27 +355,33 @@ def test_rational_roots_over_q_match_sympy():
         assert rational_roots(coeffs, QQ) == expected
 
 
+def _roots_mod_p(coeffs, p):
+    """{v: multiplicity} of the roots v in 0..p-1 of the integer polynomial
+    with descending coefficients coeffs, reduced mod p."""
+    out = {}
+    for v in range(p):
+        rest = [c % p for c in coeffs]
+        while len(rest) > 1:
+            acc, quotient = 0, []
+            for c in rest:
+                acc = (acc * v + c) % p
+                quotient.append(acc)
+            if acc:
+                break
+            rest = quotient[:-1]
+            out[v] = out.get(v, 0) + 1
+    return out
+
+
 def test_rational_roots_over_fp_match_brute_force():
     rng = random.Random(4343)
     for p in (5, 7, 101):
         F = GF(p)
         for _ in range(20):
-            coeffs = [F.from_int(rng.randint(1, p - 1))] + \
-                [F.from_int(rng.randint(0, p - 1)) for _ in range(rng.randint(1, 6))]
-            roots = rational_roots(coeffs, F)
-            for v in range(p):
-                a = F.from_int(v)
-                # multiplicity: the number of times x - a divides the polynomial
-                rest, mult = list(coeffs), 0
-                while len(rest) > 1:
-                    acc, quotient = F.zero, []
-                    for c in rest:
-                        acc = acc * a + c
-                        quotient.append(acc)
-                    if acc:
-                        break
-                    rest, mult = quotient[:-1], mult + 1
-                assert roots.get(a, 0) == mult
+            ints = [rng.randint(1, p - 1)] + \
+                [rng.randint(0, p - 1) for _ in range(rng.randint(1, 6))]
+            roots = rational_roots([F.from_int(c) for c in ints], F)
+            assert roots == {F.from_int(v): m for v, m in _roots_mod_p(ints, p).items()}
 
 
 def test_rational_roots_inconclusive_and_out_of_range():
@@ -434,3 +450,20 @@ def test_split_by_distinct_first_coordinates_multiplies_no_matrices(monkeypatch)
     assert sorted(tuple(map(repr, pt)) for pt, _ in pieces) == \
         sorted(tuple(map(repr, q)) for q in pts)
     assert products == []
+
+
+def test_charpoly_and_roots_over_fp_agree_with_q_reduced_mod_p():
+    rng = random.Random(1414)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        over_q = charpoly(DenseMatrix(QQ, rows))
+        assert all(c.denominator == 1 for c in over_q)
+        ints = [int(c) for c in over_q]
+        for p in (7, 13, 101, 10007):
+            F = GF(p)
+            over_p = charpoly(DenseMatrix(F, rows))
+            assert over_p == [F.from_int(c) for c in ints]
+            if p <= 4096:
+                expected = {F.from_int(v): m for v, m in _roots_mod_p(ints, p).items()}
+                assert rational_roots(over_p, F) == expected

@@ -126,6 +126,15 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "line 4" in err
 
 
+def test_smoothable_over_function_field_says_why_splitting_failed(capsys, tmp_path):
+    path = tmp_path / "qt.ideal"
+    path.write_text("field Qt\nvars x y\nideal:\nx^2 - 1\ny^2 - 4\n")
+    code, out, _ = run(capsys, "smoothable", str(path))
+    assert code == 0
+    assert out.splitlines() == ["Smoothable", "  - colength 4",
+                                "  - splitting failed: root search is not available over Q(t)"]
+
+
 def test_smoothable_fails_fast_above_colength_8(capsys, tmp_path):
     # x^100000000 has 10^8 standard monomials; the classifier counts only 9
     big = tmp_path / "big.ideal"

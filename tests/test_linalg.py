@@ -156,6 +156,11 @@ def test_mixed_domains_rejected():
         DenseMatrix(F, [[rat(1, 2)]])
     with pytest.raises(TypeError):
         DenseMatrix(GF(5), [[GF(7).from_int(1)]])
+    with pytest.raises(TypeError):
+        DenseMatrix(QQ, [[QT.t]])
+    with pytest.raises(TypeError):
+        DenseMatrix(QT, [[F.from_int(1)]])
+    assert DenseMatrix(QT, [[rat(1, 2), 3]]).rows == [[QT.one / QT.from_int(2), QT.from_int(3)]]
 
 
 def test_t_adic_valuation_basics():

@@ -48,3 +48,30 @@ def test_field_descriptors():
     assert QQ.one / QQ.from_int(4) == rat(1, 4)
     with pytest.raises(ZeroDivisionError):
         QQ.inv_int(0)
+
+
+def test_working_integers_round_trip():
+    # over Q: den is the lcm of the denominators, ints den times the values
+    values = [rat(1, 2), rat(-3, 4), rat(0), rat(5), rat(-7, 6)]
+    ints, den = QQ.integers(values)
+    assert (ints, den) == ([6, -9, 0, 60, -14], 12)
+    assert all(type(c) is int for c in ints)
+    assert [QQ.element(c, den) for c in ints] == values
+    assert QQ.integers([]) == ([], 1)
+    assert QQ.integers([rat(0), rat(-2)]) == ([0, -2], 1)
+    # over F_p: den is 1 and ints are the residues
+    for p in (7, 10007):
+        F = GF(p)
+        values = [F.from_int(n) for n in (3, 0, -1, p + 2, 10 ** 9)]
+        ints, den = F.integers(values)
+        assert den == 1 and ints == [3, 0, p - 1, 2, 10 ** 9 % p]
+        assert [F.element(c, den) for c in ints] == values
+        assert F.element(-1) == F.from_int(p - 1)
+        assert F.element(1, 3) * F.from_int(3) == F.one
+        assert F.element(p + 5, 2) == F.from_int(5) / F.from_int(2)
+    assert (QQ.modulus, GF(7).modulus, QT.modulus) == (0, 7, None)
+    with pytest.raises(TypeError):
+        QT.integers([QT.one])
+    with pytest.raises(TypeError):
+        QT.element(1)
+

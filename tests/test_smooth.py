@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hilbcheck.errors import PreconditionError
-from hilbcheck.fields import GF, QQ
+from hilbcheck.fields import GF, QQ, QT
 from hilbcheck.fixtures import (bundled_monomial_ideals, degeneration_753,
                                 family_limit_ideal, family_member_ideal,
                                 limit_to_quadrics_change, monomial_143_ideal,
@@ -201,6 +201,14 @@ def test_classify_out_of_range_and_indeterminate():
     v = classify_smoothable(conj)
     assert v.outcome == "Smoothable"
     assert v.evidence == ("colength 8", "splitting failed: support not rational")
+
+
+def test_classify_over_function_field_reports_no_root_search():
+    ct = context(QT, "x y")
+    v = classify_smoothable(Ideal(ct, [parse_polynomial(s, ct) for s in ("x^2 - 1", "y^2 - 4")]))
+    assert v.outcome == "Smoothable"
+    assert v.evidence == ("colength 4",
+                          "splitting failed: root search is not available over Q(t)")
 
 
 def test_classify_translated_witness_over_large_prime():

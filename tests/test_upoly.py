@@ -59,6 +59,10 @@ def test_ratfunc_eval_and_valuation():
     f = (t ** 2 - RatFunc.from_int(1)) / (t + RatFunc.from_int(1))
     assert f == t - RatFunc.from_int(1)
     assert f.eval_at(rat(3)) == rat(2)
+    # an int point divides exactly too
+    g = t / (t + RatFunc.from_int(1))
+    assert g.eval_at(3) == rat(3, 4) and type(g.eval_at(3)) is type(rat(1))
+    assert g.eval_at(rat(1, 2)) == rat(1, 3)
     assert (t ** 3).valuation() == 3
     assert (RatFunc.from_int(1) / t).valuation() == -1
     assert RatFunc.from_int(0).valuation() is None
