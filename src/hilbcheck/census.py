@@ -152,10 +152,10 @@ class CensusReport:
             r.formulas_match and (r.census_hit or r.h[1] > 4) for r in self.rows)
 
 
-def census_report(max_colength=8):
+def census_report():
     """Compare the staircase census and the dimension formulas to the table."""
     found = {}
-    for n in range(1, max_colength + 1):
+    for n in range(1, 9):
         for d in range(1, 5):
             for h in enumerate_local_hfs(d, n):
                 if len(h) > 1 and h[1] >= 3:
@@ -163,8 +163,6 @@ def census_report(max_colength=8):
     rows = []
     listed = set()
     for n, h, graded, local in CENSUS_TABLE + KNOWN_OMISSIONS:
-        if n > max_colength:
-            continue
         listed.add((n, h))
         g = graded_stratum_dims(h)
         l = local_stratum_dims(h)

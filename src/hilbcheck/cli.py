@@ -23,7 +23,7 @@ import sys
 from .artin import local_hilbert_function
 from .census import census_report
 from .errors import HilbcheckError, ParseError, PreconditionError
-from .fields import GF, QQ, QT
+from .fields import field_from_tag
 from .fixtures import DEFAULT_SEED
 from .groebner import Ideal, buchberger, initial_ideal, points_ideal
 from .poly import (VariableContext, format_ideal_file, parse_ideal_file,
@@ -142,12 +142,13 @@ def cmd_points_ideal(args):
     else:
         if args.d is None:
             raise HilbcheckError("points-ideal needs -d or --ctx")
-        if args.field == "Q":
-            field = QQ
-        elif args.field == "Qt":
-            field = QT
-        else:
-            field = GF(int(args.field))
+        try:
+            if args.field in ("Q", "Qt"):
+                field = field_from_tag(args.field)
+            else:
+                field = field_from_tag("F", int(args.field))
+        except ValueError as exc:
+            raise ParseError(f"bad --field {args.field!r}: {exc}")
         names = tuple(f"x{i+1}" for i in range(args.d))
         ctx = VariableContext(field, names)
     with open(args.file, encoding="utf-8") as fh:

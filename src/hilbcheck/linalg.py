@@ -476,13 +476,6 @@ def _dvr_pivot_valuations(polys, size):
             raise ArithmeticError("t-adic precision exhausted")
 
 
-def _series_val(s):
-    for i, c in enumerate(s):
-        if c:
-            return i
-    return None
-
-
 def _dvr_eliminate(polys, size, prec):
     """Sum of the pivot valuations of `size` elimination steps over Z[[t]],
     entries known mod t^p; None means precision ran out.
@@ -503,7 +496,7 @@ def _dvr_eliminate(polys, size, prec):
         best = None
         for r in live_rows:
             for c in live_cols:
-                v = _series_val(rows[r][c][:p])
+                v = zval(rows[r][c][:p])
                 if v is not None and (best is None or v < best[0]):
                     best = (v, r, c)
         if best is None or best[0] * 2 + 8 > p:
@@ -517,7 +510,7 @@ def _dvr_eliminate(polys, size, prec):
             if r == pr:
                 continue
             e = rows[r][pc][:p]
-            if _series_val(e) is None:
+            if zval(e) is None:
                 continue
             f = e[v:]
             row = rows[r]

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 from . import artin
 from .errors import PreconditionError
-from .apolarity import _factorial_int, perp
+from .apolarity import perp
 from .artin import (HilbertFunction, IndeterminateSupport, _embedding_reduction,
                     centroid, is_primary_at_origin, local_hilbert_function,
                     support_colengths)
 from .groebner import Ideal, buchberger, ideal_equal, initial_ideal
-from .linalg import DenseMatrix, RowSpace, determinant, kernel_basis, pfaffian
+from .linalg import DenseMatrix, determinant, mat_rank, pfaffian
 from .poly import mono_deg
 
 
@@ -43,8 +43,8 @@ def salmon_turnbull_pfaffian(arg):
     The block matrix is assembled from the symmetric coefficient matrices of
     the dual quadrics; the intrinsic matrix represents the wedge-valued form
     on linear forms tensored with the quadric coquotient, in the basis dual
-    to the halved quadrics, so the two Pfaffians agree up to one universal
-    scalar and vanish together.
+    to the halved quadrics.  It is the negated block matrix, so the two
+    Pfaffians are equal (12/2 is even) and vanish together.
     """
     if isinstance(arg, Ideal):
         G = buchberger(arg)
@@ -68,22 +68,19 @@ def salmon_turnbull_pfaffian(arg):
     for q in quadrics:
         if not q or not q.is_homogeneous() or q.degree() != 2:
             raise PreconditionError("dual generators must be nonzero quadrics")
+    monos = {m for q in quadrics for m in q.terms}
+    coeffs = [[q.terms.get(m, field.zero) for m in monos] for q in quadrics]
+    if mat_rank(DenseMatrix(field, coeffs)) != 3:
+        raise PreconditionError("dual quadrics are linearly dependent")
+    # Gram matrices A_k[j][j'] = <x_j x_j', Q_k> / 2, the pairing of x^m with
+    # its own monomial being m!
     half = field.inv_int(2)
     mats = []
     for q in quadrics:
         A = [[field.zero] * 4 for _ in range(4)]
         for m, c in q.terms.items():
-            idx = [i for i, e in enumerate(m) if e]
-            if len(idx) == 1:
-                i = idx[0]
-                if m[i] == 2:
-                    A[i][i] = c
-                else:
-                    raise PreconditionError("dual generators must be quadrics")
-            else:
-                i, j = idx
-                A[i][j] = c * half
-                A[j][i] = c * half
+            i, j = (v for v, e in enumerate(m) for _ in range(e))
+            A[i][j] = A[j][i] = c if i == j else c * half
         mats.append(A)
     A1, A2, A3 = mats
     zero4 = [[field.zero] * 4 for _ in range(4)]
@@ -95,7 +92,7 @@ def salmon_turnbull_pfaffian(arg):
                            [neg(A1), zero4, A3],
                            [A2, neg(A3), zero4]], field)
     pf_block = pfaffian(block)
-    intrinsic = _intrinsic_matrix(quadrics, field)
+    intrinsic = _intrinsic_matrix(mats, field)
     pf_intrinsic = pfaffian(intrinsic)
     if bool(pf_block) != bool(pf_intrinsic):
         raise ArithmeticError("block and intrinsic Pfaffians disagree on vanishing")
@@ -112,103 +109,30 @@ def _stack_blocks(blocks, field):
     return DenseMatrix(field, rows)
 
 
-def _intrinsic_matrix(quadrics, field):
+def _intrinsic_matrix(mats, field):
     """Gram matrix of (l1 l2) wedge q1 wedge q2 on the 12-dimensional space,
-    computed through multiplication in the quotient of the quadrics."""
-    deg2 = list(_deg2_monos())
-    # primal quadrics orthogonal to the three duals: rows of the pairing kernel
-    pair_rows = [[_pair_mono(m, q, field) for m in deg2] for q in quadrics]
-    orth = kernel_basis(DenseMatrix(field, pair_rows))
-    if len(orth) != 7:
-        raise PreconditionError("dual quadrics are linearly dependent")
-    # coquotient basis dual to the halved quadrics, as combinations of monomials
-    # whose pairing matrix against the quadrics is invertible
-    rs = RowSpace(field, track=True)
-    for v in orth:
-        rs.add(v)
-    cob = []
-    cob_slot = {}   # insertion index in rs -> position in cob
-    for i, m in enumerate(deg2):
-        vec = [field.zero] * len(deg2)
-        vec[i] = field.one
-        if rs.add(vec) is None:
-            cob_slot[7 + i] = len(cob)
-            cob.append(m)
-    if len(cob) != 3:
-        raise ArithmeticError("coquotient basis extraction failed")
-    P = [[_pair_mono(m, q, field) for q in quadrics] for m in cob]
-    if not determinant(DenseMatrix(field, P)):
-        raise ArithmeticError("pairing matrix is singular")
-    half = field.inv_int(2)
-    # mbar_i = sum_a C[a][i] cob_a with C = 2 (P^-1)^T, so <mbar_i, Q_j> = 2 delta_ij
-    # and coordinates over mbar are C^-1 u = P^T u / 2; multiplication table
-    # x_j x_j' expressed over mbar
-    red_cache = {}
+    from the Gram matrices A_k of the dual quadrics Q_k.
 
-    def mbar_coords(j, jp):
-        key = (min(j, jp), max(j, jp))
-        if key in red_cache:
-            return red_cache[key]
-        m = [0, 0, 0, 0]
-        m[j] += 1
-        m[jp] += 1
-        vec = [field.zero] * len(deg2)
-        vec[deg2.index(tuple(m))] = field.one
-        combo = rs.add(vec)
-        if combo is None:
-            raise ArithmeticError("quadric monomial escaped the span")
-        ucoords = [field.zero] * 3
-        for idx, c in combo.items():
-            if idx >= 7:
-                ucoords[cob_slot[idx]] = c
-        w = [half * sum((P[a][i] * ucoords[a] for a in range(3)), start=field.zero)
-             for i in range(3)]
-        red_cache[key] = w
-        return w
-
+    On the coquotient basis mbar_k dual to the halved quadrics
+    (<mbar_k, Q_l> = 2 delta_kl) the product x_j x_j' has coordinate
+    <x_j x_j', Q_k> / 2 = A_k[j][j'], so the entry at (x_j (x) mbar_i,
+    x_j' (x) mbar_i') is sgn(i'', i, i') A_i''[j][j'], i'' the third index.
+    """
     # basis x_1 (x) mbar_3, ..., x_4 (x) mbar_1: block i runs over 3, 2, 1
-    blocks = [2, 1, 0]
-    n = 12
-    rows = [[field.zero] * n for _ in range(n)]
-    for bi, i in enumerate(blocks):
+    blocks = (2, 1, 0)
+    rows = []
+    for i in blocks:
         for j in range(4):
-            r = 4 * bi + j
-            for bip, ip in enumerate(blocks):
-                for jp in range(4):
-                    c = 4 * bip + jp
-                    if i == ip:
-                        continue
-                    ipp = 3 - i - ip
-                    coeff = mbar_coords(j, jp)[ipp]
-                    sign = _perm_sign((ipp, i, ip))
-                    rows[r][c] = coeff * field.from_int(sign)
+            row = []
+            for ip in blocks:
+                if ip == i:
+                    row += [field.zero] * 4
+                elif ip == (i + 1) % 3:     # (i'', i, i') is a cyclic shift
+                    row += mats[3 - i - ip][j]
+                else:
+                    row += [-x for x in mats[3 - i - ip][j]]
+            rows.append(row)
     return DenseMatrix(field, rows)
-
-
-def _deg2_monos():
-    out = []
-    for i in range(4):
-        for j in range(i, 4):
-            m = [0, 0, 0, 0]
-            m[i] += 1
-            m[j] += 1
-            out.append(tuple(m))
-    return out
-
-
-def _pair_mono(m, q, field):
-    c = q.terms.get(m, field.zero)
-    return c * field.from_int(_factorial_int(m))
-
-
-def _perm_sign(p):
-    sign = 1
-    p = list(p)
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                sign = -sign
-    return sign
 
 
 def project_to_graded(I):

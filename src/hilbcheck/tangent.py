@@ -300,26 +300,23 @@ def family_context():
     return context(QT, "x1 x2 x3 x4")
 
 
-def family_quadrics(ctx=None, tval=None):
+def family_quadrics(tval=None):
     """The seven quadric generators of the family, in their fixed order.
 
     Over Q(t) when tval is None; specialized to a rational tval otherwise.
     """
-    if ctx is None:
-        ctx = family_context() if tval is None else context(QQ, "x1 x2 x3 x4")
+    ctx = family_context() if tval is None else context(QQ, "x1 x2 x3 x4")
     field = ctx.field
-    if tval is None and field != QT:
-        raise PreconditionError("symbolic family members need the Q(t) coefficient field")
     t = field.t if tval is None else field.from_int(tval) if isinstance(tval, int) else tval
     x1, x2, x3, x4 = ctx.variables()
     return [x1 * x1, x2 * x2, x3 * x3, x4 * x4, x1 * x2,
             x2 * x3 + (x3 * x4).scale(t), x1 * x4 + (x3 * x4).scale(t)]
 
 
-def family_syzygies(ctx=None, tval=None):
+def family_syzygies(tval=None):
     """The eight linear syzygies of the family generators, entered explicitly
     and verified to annihilate the generators."""
-    qs = family_quadrics(ctx, tval)
+    qs = family_quadrics(tval)
     ctx = qs[0].ctx
     field = ctx.field
     t = field.t if tval is None else field.from_int(tval) if isinstance(tval, int) else tval

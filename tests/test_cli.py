@@ -68,6 +68,16 @@ def test_points_ideal_command(capsys):
     assert code2 == 0 and out2 == out
 
 
+@pytest.mark.parametrize("tag, reason", [("4", "not prime"),
+                                         ("3", "characteristic 2 and 3"),
+                                         ("abc", "invalid literal")])
+def test_points_ideal_bad_field_is_a_parse_error(capsys, tag, reason):
+    code, out, err = run(capsys, "points-ideal", str(DATA / "points8.pts"),
+                         "-d", "4", "--field", tag)
+    assert code == 2 and not out
+    assert err.startswith(f"parse error: bad --field {tag!r}") and reason in err
+
+
 def test_census_command(capsys):
     code, out, _ = run(capsys, "census", "-d", "2", "-n", "4")
     assert code == 0

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -10,10 +11,11 @@ from hilbcheck.fixtures import (bundled_monomial_ideals, degeneration_753,
                                 random_invertible_matrix, random_points,
                                 salmon_ideal, seven_quadrics_ideal,
                                 squares_cube_ideal)
-from hilbcheck import artin, groebner
+from hilbcheck import artin, groebner, linalg
+from hilbcheck.apolarity import perp
 from hilbcheck.artin import centroid, multiplication_operators, translate_ideal
 from hilbcheck.groebner import Ideal, buchberger, ideal_equal, points_ideal
-from hilbcheck.poly import MonomialOrder, context, parse_polynomial
+from hilbcheck.poly import MonomialOrder, Polynomial, context, parse_polynomial
 from hilbcheck.smooth import (change_coordinates, classify_smoothable,
                               project_to_graded, salmon_turnbull_pfaffian)
 from hilbcheck.tangent import tangent_dimension
@@ -86,6 +88,66 @@ def test_pfaffian_vanishing_invariant_under_coordinate_changes():
         assert not salmon_turnbull_pfaffian(change_coordinates(witness, g)).vanishes
         g2 = random_invertible_matrix(rng.randint(0, 10 ** 9), 4)
         assert salmon_turnbull_pfaffian(change_coordinates(vanishing, g2)).vanishes
+
+
+def _random_dual_quadric(dctx, rng):
+    field = dctx.field
+    terms = {}
+    for i in range(4):
+        for j in range(i, 4):
+            if rng.random() < 0.6:
+                m = tuple(int(k == i) + int(k == j) for k in range(4))
+                c = field.from_int(rng.randint(-9, 9))
+                terms[m] = c + field.t * field.from_int(rng.randint(-2, 2)) if field == QT else c
+    return Polynomial(dctx, terms)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(7), GF(101), QT],
+                         ids=["Q", "F5", "F7", "F101", "Qt"])
+def test_intrinsic_matrix_is_the_negated_block_matrix(field):
+    rng = random.Random(1515)
+    dctx = context(field, "x1 x2 x3 x4").dual_context()
+    reports = 0
+    for _ in range(12):
+        qs = [_random_dual_quadric(dctx, rng) for _ in range(3)]
+        if not all(qs):
+            continue
+        a, b = field.from_int(rng.randint(1, 4)), field.from_int(rng.randint(-4, 4))
+        for dependent in ([qs[0], qs[1], qs[0].scale(a) + qs[1].scale(b)],
+                          [qs[2], qs[2], qs[0]]):
+            with pytest.raises(PreconditionError, match="linearly dependent"):
+                salmon_turnbull_pfaffian(dependent)
+        try:
+            rep = salmon_turnbull_pfaffian(qs)
+        except PreconditionError as exc:
+            assert "linearly dependent" in str(exc)
+            continue
+        reports += 1
+        block, intrinsic = rep.block_matrix.rows, rep.intrinsic_matrix.rows
+        assert all(intrinsic[r][c] == -block[r][c] for r in range(12) for c in range(12))
+        assert rep.pfaffian_intrinsic == rep.pfaffian_block
+        assert rep.vanishes == (not rep.pfaffian_block)
+    assert reports >= 5
+
+
+def test_pfaffian_reads_the_intrinsic_matrix_off_the_gram_matrices():
+    # the intrinsic matrix needs no kernel, echelon span or determinant
+    quadrics = perp(seven_quadrics_ideal(4), 2)
+    watched = {fn.__code__: fn.__qualname__ for fn in
+               (linalg.RowSpace.add, linalg.kernel_basis, linalg.determinant)}
+    calls = dict.fromkeys(watched.values(), 0)
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            calls[watched[frame.f_code]] += 1
+
+    sys.setprofile(count)
+    try:
+        rep = salmon_turnbull_pfaffian(quadrics)
+    finally:
+        sys.setprofile(None)
+    assert not rep.vanishes
+    assert calls == {"RowSpace.add": 0, "kernel_basis": 0, "determinant": 0}
 
 
 def test_limit_transforms_to_witness():
