@@ -15,7 +15,7 @@ from .groebner import (GroebnerBasis, Ideal, QuotientBasis, buchberger,
                        delta_ratio, ideal_equal, initial_ideal, intersect,
                        linear_syzygies, normal_form, points_ideal,
                        quotient_basis, schreyer_syzygies)
-from .linalg import (DenseMatrix, determinant, kernel_basis, mat_rank,
+from .linalg import (DenseMatrix, determinant, kernel_basis, mat_rank, rank,
                      minor_gcd_sample, pfaffian, t_adic_minor_valuation)
 from .artin import (HilbertFunction, LocalAlgebraModel, centroid,
                     embedding_reduction, enumerate_local_hfs,

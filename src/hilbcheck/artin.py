@@ -10,7 +10,7 @@ chain of subspaces generated by 1 under products of at least j variables.
 from math import gcd
 
 from .errors import HilbcheckError, PreconditionError
-from .linalg import DenseMatrix, RowSpace, kernel_basis, rref
+from .linalg import DenseMatrix, RowSpace, kernel_basis
 from .poly import GREVLEX, VariableContext, mono_deg
 from .groebner import Ideal, buchberger, cyclic_annihilator_gb
 from .scalars import is_prime
@@ -246,11 +246,13 @@ def _embedding_reduction(G, model, chain, a):
     w2 = chain[2] if len(chain) > 2 else RowSpace(field)
 
     unit = model.unit_vector()
-    reduced_cols = [w2.reduce(model.ops[i].apply(unit)) for i in range(d)]
-    mat = DenseMatrix(field, [[reduced_cols[i][r] for i in range(d)] for r in range(n)])
-    # each kernel row is a linear form in m^2; its pivot variable is redundant
-    _, pivots = rref(kernel_basis(mat), field)
-    keep = [i for i in range(d) if i not in pivots]
+    # x_i is redundant when its image mod m^2 lies in the span of the images
+    # of x_(i+1), ..., x_d: scanning from the last variable, keep the rest
+    images = RowSpace(field)
+    keep = []
+    for i in reversed(range(d)):
+        if images.add(w2.reduce(model.ops[i].apply(unit))) is None:
+            keep.insert(0, i)
     new_ctx = ctx if len(keep) == d else \
         VariableContext(field, [ctx.names[i] for i in keep], dual=ctx.dual)
     R = cyclic_annihilator_gb(new_ctx, lambda j, v: model.ops[keep[j]].apply(v), unit)

@@ -15,13 +15,14 @@ their gcd itself when it wants a primitive vector.
 
 from math import lcm
 
-from .scalars import RAT_ZERO, rat, prime_field_element_class
+from .scalars import RAT_ONE, RAT_ZERO, rat, prime_field_element_class
 from .upoly import RatFunc, RATFUNC_T
 
 
 class Field:
     """Common interface: constants, coercion, characteristic, and the
-    working-coefficient format (module docstring)."""
+    working-coefficient format (module docstring).  `zero` and `one` are
+    built once: elements have no in-place operators, so readers share them."""
 
     modulus = None
 
@@ -42,14 +43,6 @@ class Field:
         """The field element num / den of integers num and den."""
         raise TypeError(f"{self} has no integer working coefficients")
 
-    @property
-    def zero(self):
-        return self.from_int(0)
-
-    @property
-    def one(self):
-        return self.from_int(1)
-
     def inv_int(self, n):
         """1/n as a field element; raises when n vanishes in the field."""
         nf = self.from_int(n)
@@ -63,6 +56,8 @@ class RationalField(Field):
     modulus = 0
     tag = "Q"
     elem = type(RAT_ZERO)
+    zero = RAT_ZERO
+    one = RAT_ONE
 
     def from_int(self, n):
         return rat(n)
@@ -96,6 +91,8 @@ class PrimeField(Field):
     def __init__(self, p):
         self.p = self.modulus = p
         self.elem = prime_field_element_class(p)
+        self.zero = self.elem(0)
+        self.one = self.elem(1)
 
     @property
     def characteristic(self):
@@ -126,6 +123,8 @@ class FunctionField(Field):
     characteristic = 0
     tag = "Qt"
     elem = RatFunc
+    zero = RatFunc.from_int(0)
+    one = RatFunc.from_int(1)
 
     def from_int(self, n):
         return RatFunc.from_int(n)

@@ -21,7 +21,7 @@ from math import gcd, lcm
 from operator import add, le, sub
 
 from .errors import PreconditionError, InfiniteColengthError
-from .linalg import DenseMatrix, RowSpace, determinant, kernel_basis
+from .linalg import DenseMatrix, RowSpace, determinant, kernel_basis, rank
 from .poly import (GREVLEX, Polynomial, VariableContext, mono_coprime,
                    mono_deg, mono_div, mono_divides, mono_lcm, weight_order)
 
@@ -600,11 +600,7 @@ def linear_syzygies(quadrics, ctx):
         if not q or not q.is_homogeneous() or q.degree() != 2:
             raise PreconditionError("generators must be nonzero homogeneous quadrics")
     field = ctx.field
-    deg2 = list(_monomials_of_degree(4, 2))
-    rs = RowSpace(field)
-    for q in quadrics:
-        rs.add([q.terms.get(m, field.zero) for m in deg2])
-    if rs.dim != 7:
+    if rank(field, [q.terms for q in quadrics]) != 7:
         raise PreconditionError("quadrics are linearly dependent")
     deg3 = list(_monomials_of_degree(4, 3))
     row_of = {m: i for i, m in enumerate(deg3)}

@@ -6,7 +6,7 @@ kept for work the others would do slower:
 - `RowSpace`, the one field-generic echelon.  It is incremental, and can
   track each vector's coefficients over those added before it.  `rref` and
   `kernel_basis` read one tracked pass over the columns, `determinant` one
-  over the rows, and `mat_rank` uses it over Q(t).
+  over the rows, and `rank` uses it over Q(t).
 - `_sparse_rank`, rank of integer rows held as dicts of their nonzero
   entries, over Q and F_p: the large, mostly zero tangent systems.
 - `_bareiss`, fraction-free Gauss-Jordan elimination of integer matrices:
@@ -16,6 +16,10 @@ kept for work the others would do slower:
 - `_dvr_eliminate`, elimination over the local ring at t on integer power
   series, for the t-adic valuation of the gcd of the maximal minors of a
   polynomial matrix.
+
+`rank(field, rows)` is the one rank entry, on sparse rows {column: element}
+as the tangent systems and the rank-only checks hold them; it runs one of
+the first two loops by field.  `mat_rank(m)` is its `DenseMatrix` form.
 """
 
 import random
@@ -200,33 +204,39 @@ def rref(rows, field):
     return out, pivots
 
 
-def mat_rank(m):
-    """Rank over the entry field by exact elimination of the nonzero rows.
+def rank(field, rows):
+    """Rank over `field` of rows given as dicts {column: element}.
 
-    Over Q and F_p the rows go to `_sparse_rank` as dicts of the working
-    integers (`Field.integers`) of their nonzero entries.  Over Q(t) the
-    rows are eliminated by `RowSpace`.
+    Columns are any sortable keys; zero entries may be present and are
+    dropped.  Over Q and F_p the rows go to `_sparse_rank` as dicts of the
+    working integers (`Field.integers`) of their nonzero entries.  Over Q(t)
+    `RowSpace` eliminates them on the sorted union of their columns.
     """
-    field = m.field
     p = field.modulus
     if p is None:
+        cols = sorted({j for row in rows for j in row})
+        zero = field.zero
         rs = RowSpace(field)
-        for row in m.rows:
-            if any(row):
-                rs.add(row)
+        for row in rows:
+            rs.add([row.get(j, zero) for j in cols])
         return rs.dim
     integers = field.integers
-    rows = []
-    for row in m.rows:
+    out = []
+    for row in rows:
         if p:
             # reading every residue is cheaper than testing every entry
-            v = {j: c for j, c in enumerate(integers(row)[0]) if c}
+            v = {j: c for j, c in zip(row, integers(row.values())[0]) if c}
         else:
-            cols = [j for j, x in enumerate(row) if x]
+            cols = [j for j, x in row.items() if x]
             v = dict(zip(cols, integers([row[j] for j in cols])[0]))
         if v:
-            rows.append(v)
-    return _sparse_rank(rows, p)
+            out.append(v)
+    return _sparse_rank(out, p)
+
+
+def mat_rank(m):
+    """Rank of a `DenseMatrix`: `rank` of its rows."""
+    return rank(m.field, [dict(enumerate(r)) for r in m.rows])
 
 
 def _sparse_rank(rows, p):

@@ -17,7 +17,7 @@ from .artin import (HilbertFunction, IndeterminateSupport, _embedding_reduction,
                     centroid, is_primary_at_origin, local_hilbert_function,
                     support_colengths)
 from .groebner import Ideal, buchberger, ideal_equal, initial_ideal
-from .linalg import DenseMatrix, determinant, mat_rank, pfaffian
+from .linalg import DenseMatrix, determinant, pfaffian, rank
 from .poly import mono_deg
 
 
@@ -40,11 +40,11 @@ class PfaffianReport:
 def salmon_turnbull_pfaffian(arg):
     """Pfaffian report of a (1,4,3) ideal or of a 3-space of dual quadrics.
 
-    The block matrix is assembled from the symmetric coefficient matrices of
-    the dual quadrics; the intrinsic matrix represents the wedge-valued form
-    on linear forms tensored with the quadric coquotient, in the basis dual
-    to the halved quadrics.  It is the negated block matrix, so the two
-    Pfaffians are equal (12/2 is even) and vanish together.
+    The block matrix and its Pfaffian are those of `_block_pfaffian`; the
+    intrinsic matrix represents the wedge-valued form on linear forms
+    tensored with the quadric coquotient, in the basis dual to the halved
+    quadrics.  It is the negated block matrix, so the two Pfaffians are
+    equal (12/2 is even) and vanish together, which is checked.
     """
     if isinstance(arg, Ideal):
         G = buchberger(arg)
@@ -57,6 +57,20 @@ def salmon_turnbull_pfaffian(arg):
         quadrics = perp(G, 2)
     else:
         quadrics = list(arg)
+    mats, block, pf_block = _block_pfaffian(quadrics)
+    intrinsic = _intrinsic_matrix(mats, block.field)
+    pf_intrinsic = pfaffian(intrinsic)
+    if bool(pf_block) != bool(pf_intrinsic):
+        raise ArithmeticError("block and intrinsic Pfaffians disagree on vanishing")
+    return PfaffianReport(dual_quadrics=quadrics, block_matrix=block,
+                          intrinsic_matrix=intrinsic, pfaffian_block=pf_block,
+                          pfaffian_intrinsic=pf_intrinsic, vanishes=not pf_block)
+
+
+def _block_pfaffian(quadrics):
+    """Gram matrices A_1, A_2, A_3 of a 3-space of dual quadrics, the 12 x 12
+    block matrix [[0, A1, -A2], [-A1, 0, A3], [A2, -A3, 0]] and its Pfaffian,
+    which vanishes exactly on the smoothable (1,4,3) ideals."""
     if len(quadrics) != 3:
         raise PreconditionError("need a 3-dimensional space of dual quadrics")
     dctx = quadrics[0].ctx
@@ -68,9 +82,7 @@ def salmon_turnbull_pfaffian(arg):
     for q in quadrics:
         if not q or not q.is_homogeneous() or q.degree() != 2:
             raise PreconditionError("dual generators must be nonzero quadrics")
-    monos = {m for q in quadrics for m in q.terms}
-    coeffs = [[q.terms.get(m, field.zero) for m in monos] for q in quadrics]
-    if mat_rank(DenseMatrix(field, coeffs)) != 3:
+    if rank(field, [q.terms for q in quadrics]) != 3:
         raise PreconditionError("dual quadrics are linearly dependent")
     # Gram matrices A_k[j][j'] = <x_j x_j', Q_k> / 2, the pairing of x^m with
     # its own monomial being m!
@@ -91,14 +103,7 @@ def salmon_turnbull_pfaffian(arg):
     block = _stack_blocks([[zero4, A1, neg(A2)],
                            [neg(A1), zero4, A3],
                            [A2, neg(A3), zero4]], field)
-    pf_block = pfaffian(block)
-    intrinsic = _intrinsic_matrix(mats, field)
-    pf_intrinsic = pfaffian(intrinsic)
-    if bool(pf_block) != bool(pf_intrinsic):
-        raise ArithmeticError("block and intrinsic Pfaffians disagree on vanishing")
-    return PfaffianReport(dual_quadrics=quadrics, block_matrix=block,
-                          intrinsic_matrix=intrinsic, pfaffian_block=pf_block,
-                          pfaffian_intrinsic=pf_intrinsic, vanishes=not pf_block)
+    return mats, block, pfaffian(block)
 
 
 def _stack_blocks(blocks, field):
@@ -250,8 +255,7 @@ def _decide_local(G, local, chain, a, evidence):
         evidence.append("reduced to 4 variables")
     # h_1 = 4 puts the ideal in m^2 and h_3 = 0 puts m^3 in it, so it is
     # homogeneous and its reduced basis is its own graded projection
-    report = salmon_turnbull_pfaffian(perp(reduced, 2))
-    evidence.append("pfaffian zero" if report.vanishes
-                    else f"pfaffian {report.pfaffian_block}")
-    outcome = "Smoothable" if report.vanishes else "NotSmoothable"
-    return SmoothabilityVerdict(outcome, tuple(evidence), report.pfaffian_block)
+    _, _, pf = _block_pfaffian(perp(reduced, 2))
+    evidence.append(f"pfaffian {pf}" if pf else "pfaffian zero")
+    outcome = "NotSmoothable" if pf else "Smoothable"
+    return SmoothabilityVerdict(outcome, tuple(evidence), pf)

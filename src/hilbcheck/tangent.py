@@ -9,8 +9,9 @@ Both the total and the graded assembly read that system off one quotient
 model of S/I: the block of a syzygy coefficient a is the operator of
 multiplication by a, built by `LocalAlgebraModel.operator_of_polynomial`
 from monomial powers that the model caches, and a graded block is a
-sub-block of the same operator.  `tangent_report` shares one model and one
-syzygy basis between the total and every graded piece.  The 24 x 28
+sub-block of the same operator.  Rows are assembled sparse, as dicts of
+the blocks present, for `linalg.rank`.  `tangent_report` shares one model
+and one syzygy basis between the total and every graded piece.  The 24 x 28
 syzygy-constraint matrix of a (1,4,3) ideal and the one-parameter family
 harness for the degree-16 multiplicity are assembled separately below.
 """
@@ -21,7 +22,7 @@ from itertools import combinations
 
 from .errors import PreconditionError
 from .fields import QQ, QT
-from .linalg import (DenseMatrix, RowSpace, determinant, mat_rank, rref,
+from .linalg import (DenseMatrix, RowSpace, determinant, mat_rank, rank, rref,
                      minor_gcd_sample, t_adic_minor_valuation)
 from .poly import context, mono_deg, mono_lcm
 from .groebner import (buchberger, linear_syzygies, trace_syzygies,
@@ -62,22 +63,18 @@ class _HomSystem:
 
     def total(self):
         """dim Hom_S(I, S/I): n unknowns per basis element, one block row of
-        n constraints per syzygy generator."""
+        n constraints per syzygy generator, holding the blocks present."""
         n = len(self.qb)
-        r = len(self.G.elements)
-        field = self.G.ctx.field
-        zeros = [field.zero] * n
         rows = []
         for idx in range(len(self.relations)):
-            blocks = self.blocks(idx)
+            blocks = [(k * n, block.rows) for k, block in enumerate(self.blocks(idx))
+                      if block is not None]
             for i in range(n):
-                row = []
-                for block in blocks:
-                    row.extend(zeros if block is None else block.rows[i])
+                row = {}
+                for base, brows in blocks:
+                    row.update(enumerate(brows[i], base))
                 rows.append(row)
-        if not rows:
-            return r * n
-        return r * n - mat_rank(DenseMatrix(field, rows))
+        return len(self.G.elements) * n - rank(self.G.ctx.field, rows)
 
     def graded(self, e):
         """Dimension of the degree-e part of Hom_S(I, S/I) for homogeneous G.
@@ -88,7 +85,6 @@ class _HomSystem:
         a_k * m mod I, read off the operator of a_k.
         """
         qb = self.qb
-        field = self.G.ctx.field
         degs = [g.degree() for g in self.G.elements]
         unknowns = [(k, qb.index[m]) for k, dk in enumerate(degs)
                     for m in qb if mono_deg(m) == dk + e]
@@ -107,11 +103,9 @@ class _HomSystem:
                 continue
             blocks = self.blocks(idx)
             for t in target:
-                rows.append([field.zero if blocks[k] is None else blocks[k].rows[t][j]
-                             for k, j in unknowns])
-        if not rows:
-            return len(unknowns)
-        return len(unknowns) - mat_rank(DenseMatrix(field, rows))
+                rows.append({u: blocks[k].rows[t][j] for u, (k, j) in enumerate(unknowns)
+                             if blocks[k] is not None})
+        return len(unknowns) - rank(self.G.ctx.field, rows)
 
     def graded_pieces(self):
         """All nonzero graded pieces, as a dict degree -> dimension."""
@@ -368,17 +362,10 @@ def curve_multiplicity():
     qs = family_quadrics()
     ours = linear_syzygies(qs, ctx)
     rels = family_syzygies()
-    span = RowSpace(QT)
-    for basis in (rels, ours):
-        for rel in basis:
-            vec = []
-            for l in rel:
-                for jv in range(4):
-                    e = [0, 0, 0, 0]
-                    e[jv] = 1
-                    vec.append(l.terms.get(tuple(e), QT.zero))
-            span.add(vec)
-    if span.dim != 8 or len(ours) != 8:
+    # each relation as its coefficient vector, keyed by (generator, monomial)
+    dim = rank(QT, [{(k, m): c for k, l in enumerate(rel) for m, c in l.terms.items()}
+                    for basis in (rels, ours) for rel in basis])
+    if dim != 8 or len(ours) != 8:
         raise ArithmeticError("linear syzygy space of the family is not 8-dimensional")
     machine = family_machine()
     psi = machine.psi
@@ -388,4 +375,4 @@ def curve_multiplicity():
     sval = zval(gcd_poly) if gcd_poly else None
     at1 = family_machine(tval=1)
     return CurveReport(valuation=val, sampled_gcd=gcd_poly, sampled_valuation=sval,
-                       rank_at_one=at1.rank_psi, syzygy_dimension=span.dim)
+                       rank_at_one=at1.rank_psi, syzygy_dimension=dim)

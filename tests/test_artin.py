@@ -5,8 +5,8 @@ import pytest
 
 from hilbcheck.errors import PreconditionError
 from hilbcheck.fields import GF, QQ, QT
-from hilbcheck.fixtures import (random_invertible_matrix, random_points,
-                                seven_quadrics_ideal, squares_cube_ideal,
+from hilbcheck.fixtures import (graded_143_fixtures, random_invertible_matrix,
+                                random_points, seven_quadrics_ideal, squares_cube_ideal,
                                 weight753_ideal, degeneration_chain)
 from hilbcheck import artin
 from hilbcheck.artin import (HilbertFunction, IndeterminateSupport, _bounded_divisors,
@@ -15,7 +15,7 @@ from hilbcheck.artin import (HilbertFunction, IndeterminateSupport, _bounded_div
                              multiplication_operators, rational_roots,
                              split_rational_support, translate_ideal)
 from hilbcheck.groebner import Ideal, buchberger, ideal_equal, intersect, points_ideal
-from hilbcheck.linalg import DenseMatrix
+from hilbcheck.linalg import DenseMatrix, RowSpace, kernel_basis, rref
 from hilbcheck.poly import Polynomial, context, parse_polynomial
 from hilbcheck.scalars import rat
 from hilbcheck.smooth import change_coordinates
@@ -258,6 +258,48 @@ def test_embedding_reduction_reads_a_reduced_basis_off_the_operators(seed):
                 full[i] = m[k]
             lifted[tuple(full)] = c
         assert GJ.contains(Polynomial(J.ctx, lifted))
+
+
+def _kernel_rref_keep(model, chain, d):
+    """Kept variables by the reference construction: the relations among
+    the images of the variables mod m^2 are the kernel of the matrix with
+    those columns, and the pivot variables of its RREF are redundant."""
+    field = model.ctx.field
+    w2 = chain[2] if len(chain) > 2 else RowSpace(field)
+    unit = model.unit_vector()
+    images = [w2.reduce(model.ops[i].apply(unit)) for i in range(d)]
+    mat = DenseMatrix(field, [list(row) for row in zip(*images)])
+    _, pivots = rref(kernel_basis(mat), field)
+    return [i for i in range(d) if i not in pivots]
+
+
+def test_embedding_reduction_keeps_the_kernel_rref_complement():
+    # seeded GL changes and translations of local colength-8 ideals in 4 to 6
+    # variables: the kept variables are the complement of the RREF pivots
+    rng = random.Random(1604)
+    base = [seven_quadrics_ideal(d, field) for d in (4, 5, 6) for field in (QQ, GF(7), GF(101))]
+    base += [I for _, I in graded_143_fixtures()]
+    cases = list(base)
+    for k in range(30):
+        I = base[k % len(base)]
+        field = I.ctx.field
+        J = change_coordinates(I, random_invertible_matrix(rng.randrange(10 ** 9), I.ctx.d, field))
+        if k % 3 == 0:
+            J = translate_ideal(J, [field.from_int(rng.randint(-2, 2)) for _ in range(I.ctx.d)])
+        cases.append(J)
+    firsts = set()
+    for I in cases:
+        G = buchberger(I)
+        model = multiplication_operators(G)
+        a = centroid(model)
+        local = model.shifted(a)
+        chain = local.maximal_ideal_chain()
+        assert chain[-1].dim == 0
+        keep = _kernel_rref_keep(local, chain, I.ctx.d)
+        R = artin._embedding_reduction(G, local, chain, a)
+        assert R.ctx.names == tuple(I.ctx.names[i] for i in keep)
+        firsts.add(keep[0])
+    assert len(firsts) > 1
 
 
 def test_census_examples():

@@ -592,3 +592,51 @@ def test_t_adic_valuation_doubles_the_precision(monkeypatch):
     d = DenseMatrix(QT, [[t ** 25, QT.zero], [QT.zero, QT.one]])
     assert t_adic_minor_valuation(d, 2) == 25
     assert precs == [48, 96]
+
+
+def _rank_entry(rng, field):
+    if field == QT:
+        return RatFunc((rng.randint(-3, 3), rng.randint(-2, 2)), (rng.randint(1, 3),))
+    if field == QQ:
+        return rat(rng.randint(-9, 9), rng.randint(1, 4))
+    return field.from_int(rng.randint(-9, 9))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(10007), QT], ids=str)
+def test_rank_of_sparse_rows_matches_mat_rank(field):
+    # rows as dicts with explicit zeros, empty rows, dependent rows and
+    # int or monomial-tuple columns, against mat_rank of the dense matrix
+    # and, over Q, sympy
+    sympy = pytest.importorskip("sympy") if field == QQ else None
+    rng = random.Random(1601)
+    assert linalg.rank(field, []) == 0
+    assert linalg.rank(field, [{}, {3: field.zero}]) == 0
+    zero = field.zero
+    sizes = (5, 6) if field == QT else (9, 12)
+    seen = set()
+    for case in range(40):
+        ncols = rng.randint(1, sizes[1])
+        if case % 2:
+            cols = sorted({tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(ncols)})
+        else:
+            cols = list(range(ncols))
+        dense = []
+        for _ in range(rng.randint(0, sizes[0])):
+            if len(dense) >= 2 and rng.random() < 0.3:
+                a, b = rng.sample(dense, 2)
+                u, v = _rank_entry(rng, field), _rank_entry(rng, field)
+                dense.append([u * x + v * y for x, y in zip(a, b)])
+            else:
+                dense.append([_rank_entry(rng, field) if rng.random() < 0.3 else zero
+                              for _ in cols])
+        sparse = [{c: x for c, x in zip(cols, row) if x or rng.random() < 0.3}
+                  for row in dense]
+        seen.update(("zero entry" for row in sparse if zero in row.values()),
+                    ("empty row" for row in sparse if not row))
+        got = linalg.rank(field, sparse)
+        assert got == (mat_rank(DenseMatrix(field, dense)) if dense else 0), case
+        if sympy is not None and dense:
+            assert got == sympy.Matrix([[sympy.Rational(int(x.numerator), int(x.denominator))
+                                         for x in row] for row in dense]).rank(), case
+        seen.add(got < min(len(dense), len(cols)))
+    assert seen == {True, False, "zero entry", "empty row"}

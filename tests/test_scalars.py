@@ -50,6 +50,17 @@ def test_field_descriptors():
         QQ.inv_int(0)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(10007), QT], ids=str)
+def test_field_constants_are_shared(field):
+    # zero and one are built once per field; arithmetic leaves them intact
+    zero, one = field.zero, field.one
+    assert field.zero is zero and field.one is one
+    assert type(zero) is field.elem and type(one) is field.elem
+    assert zero == field.from_int(0) and one == field.from_int(1)
+    assert (one + one) - one == one and -zero == zero
+    assert field.zero == field.from_int(0) and field.one == field.from_int(1)
+
+
 def test_working_integers_round_trip():
     # over Q: den is the lcm of the denominators, ints den times the values
     values = [rat(1, 2), rat(-3, 4), rat(0), rat(5), rat(-7, 6)]

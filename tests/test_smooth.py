@@ -11,7 +11,7 @@ from hilbcheck.fixtures import (bundled_monomial_ideals, degeneration_753,
                                 random_invertible_matrix, random_points,
                                 salmon_ideal, seven_quadrics_ideal,
                                 squares_cube_ideal)
-from hilbcheck import artin, groebner, linalg
+from hilbcheck import artin, groebner, linalg, smooth
 from hilbcheck.apolarity import perp
 from hilbcheck.artin import centroid, multiplication_operators, translate_ideal
 from hilbcheck.groebner import Ideal, buchberger, ideal_equal, points_ideal
@@ -334,6 +334,17 @@ def test_classify_computes_each_groebner_basis_once(monkeypatch, make, outcome):
     assert classify_smoothable(I).outcome == outcome
     assert len(runs) == 1
     assert len(models) == 1
+
+
+def test_classify_computes_one_pfaffian(monkeypatch):
+    # the decision reads the block Pfaffian only; the intrinsic matrix and
+    # its Pfaffian belong to the salmon_turnbull_pfaffian report
+    calls = []
+    pf = linalg.pfaffian
+    monkeypatch.setattr(smooth, "pfaffian", lambda m: calls.append(m.nrows) or pf(m))
+    verdict = classify_smoothable(seven_quadrics_ideal(4))
+    assert verdict.outcome == "NotSmoothable" and verdict.pfaffian
+    assert calls == [12]
 
 
 def test_classify_orders_the_divisor_terms_once(monkeypatch):

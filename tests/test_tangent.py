@@ -199,15 +199,15 @@ def test_graded_pieces_sum_to_total_under_coordinate_change(field):
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
 def test_mat_rank_runs_no_dense_elimination(monkeypatch, field):
     # the tangent ranks come from the sparse integer kernel: no Bareiss pass
-    # and no RowSpace row inside mat_rank
+    # and no RowSpace row inside the linalg.rank call that tangent makes
     inside, calls, dense = [False], [], []
-    rank, bareiss, add = linalg.mat_rank, linalg._bareiss, RowSpace.add
+    rank, bareiss, add = linalg.rank, linalg._bareiss, RowSpace.add
 
-    def counted_rank(m):
-        calls.append(m.nrows)
+    def counted_rank(field, rows):
+        calls.append(len(rows))
         inside[0] = True
         try:
-            return rank(m)
+            return rank(field, rows)
         finally:
             inside[0] = False
 
@@ -221,11 +221,26 @@ def test_mat_rank_runs_no_dense_elimination(monkeypatch, field):
             dense.append("RowSpace.add")
         return add(self, vec)
 
-    monkeypatch.setattr(tangent, "mat_rank", counted_rank)
+    monkeypatch.setattr(tangent, "rank", counted_rank)
     monkeypatch.setattr(linalg, "_bareiss", counted_bareiss)
     monkeypatch.setattr(RowSpace, "add", counted_add)
     assert tangent_dimension(seven_quadrics_ideal(5, field)) == 33
     assert calls and not dense
+
+
+def test_tangent_builds_no_dense_matrix_wider_than_the_colength(monkeypatch):
+    # the Hom system hands its rows to rank sparse: the only dense matrices
+    # are the 8 x 8 operators of the quotient model
+    widths = []
+    init = DenseMatrix.__init__
+
+    def recorded(self, field, rows):
+        init(self, field, rows)
+        widths.append(self.ncols)
+
+    monkeypatch.setattr(DenseMatrix, "__init__", recorded)
+    assert tangent_dimension(seven_quadrics_ideal(5)) == 33
+    assert widths and max(widths) <= 8
 
 
 @pytest.mark.parametrize("field", [QQ, GF(101), GF(10007)], ids=str)
