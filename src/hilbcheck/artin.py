@@ -270,15 +270,18 @@ def split_rational_support(I):
     """Primary decomposition over points with coordinates in the base field.
 
     Simultaneous generalized-eigenspace splitting of the commuting operators,
-    one variable at a time, eigenvalues found by rational-root search on
-    characteristic polynomials; the eigenvalues of a part are its point.
+    one variable at a time (`_refine` over the variables), eigenvalues found
+    by rational-root search on characteristic polynomials; the eigenvalues of
+    a part are its point.  It does not use the generic linear form of
+    support_colengths: it is the variable-by-variable reference that the
+    classifier's reported colengths are tested against.
     Returns (point, reduced grevlex basis of the primary piece) pairs.
     Raises IndeterminateSupport when a factor has no certified rational root.
     """
     model = multiplication_operators(buchberger(I))
     ctx, n = model.ctx, model.n
     field = ctx.field
-    parts = _refine(model, _units(field, n))
+    parts = _refine(model.ops, _units(field, n), field)
     bases = [basis for _, basis in parts]
     out = []
     for point, basis in parts:
@@ -298,49 +301,29 @@ def support_colengths(model):
     their points as split_rational_support orders its pieces, without
     building the pieces.
 
-    The linear form L = X_1 + 2 X_2 + ... + d X_d splits the space first.
-    Its eigenvalues are the values of L at the support points
-    (Cox-Little-O'Shea, Using Algebraic Geometry, ch. 2, 4), so a simple
-    root is one rational point of colength 1.  Only the generalized
-    eigenspace of a multiple root, where L may not separate the points, is
-    split variable by variable.  Points are read only when the colengths
-    differ, a simple root's from one eigenvector of L.  When any of this
-    finds no certified rational root, the variable-by-variable split of the
-    whole space decides, so a failure raises the IndeterminateSupport that
-    split_rational_support raises.  The converse can fail only for points
-    with coordinates too large to factor: L's values may still factor, and
-    then this succeeds where split_rational_support's search is
-    inconclusive.
+    The refinement runs over the linear form L = X_1 + 2 X_2 + ... + d X_d,
+    then the variables, and drops L's value from each point.  L's
+    eigenvalues are its values at the support points (Cox-Little-O'Shea,
+    Using Algebraic Geometry, ch. 2, 4), so when all of them are simple the
+    support is n points and L's characteristic polynomial alone decides.
+    When the refinement finds no certified rational root, the
+    variable-by-variable split of the whole space decides, so a failure
+    raises the IndeterminateSupport that split_rational_support raises.  The
+    converse can fail only for points with coordinates too large to factor:
+    L's values may still factor, and then this succeeds where
+    split_rational_support's search is inconclusive.
     """
     field = model.ctx.field
+    units = _units(field, model.n)
+    L = _linear_form(model)
     try:
-        L, simple, parts = _split_by_form(model)
+        if max(_roots(L, field).values()) == 1:
+            return [1] * model.n
+        parts = [(point[1:], basis) for point, basis in _refine([L] + model.ops, units, field)]
     except IndeterminateSupport:
-        L, simple = None, []
-        parts = _refine(model, _units(field, model.n))
-    sizes = [len(basis) for _, basis in parts] + [1] * len(simple)
-    if len(set(sizes)) == 1:
-        return sizes
-    parts += [_simple_part(model, L, a) for a in simple]
+        parts = _refine(model.ops, units, field)
     parts.sort(key=lambda pb: _point_key(pb[0]))
     return [len(basis) for _, basis in parts]
-
-
-def _split_by_form(model):
-    """The generic form L, its simple eigenvalues, and the (point, basis)
-    parts of its multiple ones."""
-    field = model.ctx.field
-    n = model.n
-    units = _units(field, n)
-    L = _linear_form(model)
-    roots = _roots(L, field)
-    simple = [a for a, m in roots.items() if m == 1]
-    parts = []
-    for a, m in roots.items():
-        if m > 1:
-            basis = units if m == n else _eigenspace(L, a, m, units, field)
-            parts.extend(_refine(model, basis))
-    return L, simple, parts
 
 
 def _linear_form(model):
@@ -352,17 +335,6 @@ def _linear_form(model):
         start=ctx.zero()))
 
 
-def _simple_part(model, L, a):
-    """(point, basis) of the simple eigenvalue a of L: its eigenvector v is 1
-    at some index f, and x_i acts on v by the entry f of X_i v."""
-    field = model.ctx.field
-    (v,) = _eigenspace(L, a, 1, _units(field, model.n), field)
-    f = v.index(field.one)
-    point = tuple(sum((x * y for x, y in zip(X.rows[f], v) if x and y), start=field.zero)
-                  for X in model.ops)
-    return point, [v]
-
-
 def _point_key(point):
     return tuple(repr(c) for c in point)
 
@@ -371,13 +343,15 @@ def _units(field, n):
     return [[field.one if j == i else field.zero for j in range(n)] for i in range(n)]
 
 
-def _refine(model, basis):
-    """(point, basis) of each joint generalized eigenspace of the variables
-    on the invariant subspace spanned by basis, split by one variable at a
-    time; the point is the variables' eigenvalues there."""
-    field = model.ctx.field
+def _refine(ops, basis, field):
+    """(point, basis) of each joint generalized eigenspace of the commuting
+    operators ops on the invariant subspace spanned by basis, split by one
+    operator at a time; the point is the operators' eigenvalues there.  The
+    split needs a root search, so it is refused where there is none, even on
+    a line."""
+    _check_root_search(field)
     parts = [((), basis)]
-    for X in model.ops:
+    for X in ops:
         parts = [(point + (a,), sub) for point, basis in parts
                  for a, sub in _split_by(X, basis, field)]
     return parts
@@ -403,9 +377,18 @@ def _restrict(X, basis, field):
 
 def _split_by(X, basis, field):
     """(eigenvalue, basis of its generalized eigenspace) of X on the span of
-    basis, eigenvalues sorted by repr."""
+    basis, eigenvalues sorted by repr.  On a line v the eigenvalue is read
+    off one product: (X v)_f / v_f at the first f with v_f nonzero."""
     if not basis:
         return []
+    if len(basis) == 1:
+        (v,) = basis
+        w = X.apply(v)
+        f = next(f for f, x in enumerate(v) if x)
+        a = w[f] / v[f]
+        if any(x != a * y for x, y in zip(w, v)):
+            raise ArithmeticError("subspace is not invariant")
+        return [(a, basis)]
     R = _restrict(X, basis, field)
     roots = _roots(R, field)
     if len(roots) == 1:
@@ -499,8 +482,11 @@ def _berkowitz(A):
 
 
 def _check_root_search(field):
-    if field.modulus is None:
+    p = field.modulus
+    if p is None:
         raise IndeterminateSupport(f"root search is not available over {field}")
+    if p > 4096:
+        raise IndeterminateSupport(f"root search over F_{p} is out of range")
 
 
 def rational_roots(coeffs_desc, field):
@@ -515,8 +501,6 @@ def rational_roots(coeffs_desc, field):
     """
     _check_root_search(field)
     p = field.modulus
-    if p > 4096:
-        raise IndeterminateSupport(f"root search over F_{p} is out of range")
     ints, _ = field.integers(coeffs_desc)
     if not p:
         return _rational_roots_qq(ints, field)

@@ -279,13 +279,7 @@ def buchberger(ideal, order=GREVLEX):
     """
     if isinstance(ideal, GroebnerBasis) and ideal.order == order:
         return ideal
-    if isinstance(ideal, Ideal):
-        ctx, gens = ideal.ctx, ideal.gens
-    else:
-        gens = tuple(g for g in ideal if g)
-        if not gens:
-            raise PreconditionError("empty generating set")
-        ctx = gens[0].ctx
+    ctx, gens = ideal.ctx, ideal.gens
     if not order.is_global(ctx.d):
         raise PreconditionError(f"{order} is not a global monomial order")
     field = ctx.field

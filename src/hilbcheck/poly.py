@@ -240,6 +240,9 @@ class Polynomial:
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative polynomial power")
+        if len(self.terms) == 1:
+            ((m, c),) = self.terms.items()
+            return Polynomial(self.ctx, {tuple(e * x for x in m): c ** e})
         out = self.ctx.one()
         base = self
         while e:
@@ -509,19 +512,24 @@ class _Parser:
                     sign = -sign
             else:
                 break
-        p = self.term()
-        if sign < 0:
-            p = -p
+        # the summands accumulate into one term dict, as Polynomial.__add__
+        # would merge them, without copying the sum per summand
+        acc = {m: -c if sign < 0 else c for m, c in self.term().terms.items()}
         while True:
             kind, val, col = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                q = self.term()
-                p = p + q if val == "+" else p - q
-                if len(p.terms) > TERM_CAP:
-                    raise ParseError(f"sum of more than {TERM_CAP} terms", column=col + 1)
-            else:
-                return p
+            if kind != "op" or val not in "+-":
+                return Polynomial(self.ctx, acc)
+            self.next()
+            for m, c in self.term().terms.items():
+                s = acc.get(m)
+                c = c if val == "+" else -c
+                s = c if s is None else s + c
+                if s:
+                    acc[m] = s
+                elif m in acc:
+                    del acc[m]
+            if len(acc) > TERM_CAP:
+                raise ParseError(f"sum of more than {TERM_CAP} terms", column=col + 1)
 
     def term(self):
         p = self.factor()

@@ -14,8 +14,7 @@ from . import artin
 from .errors import PreconditionError
 from .apolarity import perp
 from .artin import (HilbertFunction, IndeterminateSupport, _embedding_reduction,
-                    centroid, is_primary_at_origin, local_hilbert_function,
-                    support_colengths)
+                    centroid, local_hilbert_function, support_colengths)
 from .groebner import Ideal, buchberger, ideal_equal, initial_ideal
 from .linalg import DenseMatrix, determinant, pfaffian, rank
 from .poly import mono_deg
@@ -77,8 +76,6 @@ def _block_pfaffian(quadrics):
     if dctx.d != 4:
         raise PreconditionError("the Pfaffian criterion lives in 4 variables")
     field = dctx.field
-    if field.characteristic in (2, 3):
-        raise PreconditionError("characteristic 2 and 3 are excluded")
     for q in quadrics:
         if not q or not q.is_homogeneous() or q.degree() != 2:
             raise PreconditionError("dual generators must be nonzero quadrics")
@@ -160,9 +157,10 @@ def project_to_graded(I):
     hf = tuple(counts.get(j, 0) for j in range(max(counts, default=0) + 1))
     if hf != (1, 4, 3):
         raise PreconditionError(f"wrong Hilbert function {hf} after projection, need (1,4,3)")
-    if is_primary_at_origin(G):
-        if tuple(local_hilbert_function(G)) == (1, 4, 3) and not ideal_equal(Gout, G):
-            raise ArithmeticError("local (1,4,3) ideal failed to project to itself")
+    local = artin._local_model(G, required=False)
+    if local is not None and tuple(HilbertFunction.of_chain(local[1])) == (1, 4, 3) \
+            and not ideal_equal(Gout, G):
+        raise ArithmeticError("local (1,4,3) ideal failed to project to itself")
     return Gout
 
 
@@ -208,15 +206,13 @@ def classify_smoothable(I):
     reduces to four variables, where it is already homogeneous, and is
     decided by the vanishing of the Pfaffian of its three dual quadrics.
     The split over rational support is only reported, as the colengths of
-    its pieces: one generic linear form splits the support, and only the
-    space of a multiple root of its characteristic polynomial is split
-    further, variable by variable (artin.support_colengths).  When the
-    search for rational points fails, the evidence says so and the verdict
-    stands.
+    its pieces (artin.support_colengths): the support is refined by the
+    operators of a generic linear form L and then of the variables, and
+    when L's characteristic polynomial has only simple roots it alone
+    decides.  When the search for rational points fails, the evidence says
+    so and the verdict stands.  Characteristic 2 and 3 never reach here:
+    the prime fields start at 5.
     """
-    ctx = I.ctx
-    if ctx.field.characteristic in (2, 3):
-        raise PreconditionError("characteristic 2 and 3 are excluded")
     G = buchberger(I)
     n = G.colength(limit=9)
     if n == 0:

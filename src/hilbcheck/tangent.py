@@ -226,38 +226,38 @@ def _assemble_machine(ctx, quadrics, relations, cobasis):
         raise PreconditionError("cobasis of S_2/I_2 must have 3 monomials")
     deg2 = list(_monomials_of_degree(4, 2))
     col = {m: i for i, m in enumerate(deg2)}
+
+    def unit(m):
+        vec = [field.zero] * len(deg2)
+        vec[col[m]] = field.one
+        return vec
+
     rs = RowSpace(field, track=True)
     for q in quadrics:
         rs.add([q.terms.get(m, field.zero) for m in deg2])
     for b in cobasis:
-        vec = [field.zero] * len(deg2)
-        vec[col[b]] = field.one
-        if rs.add(vec) is not None:
+        if rs.add(unit(b)) is not None:
             raise PreconditionError("cobasis monomials do not complement I_2")
-
-    def reduce_coords(q):
-        # coordinates of q mod I_2 over the cobasis
-        combo = rs.add([q.terms.get(m, field.zero) for m in deg2])
+    # coordinates over the cobasis, mod I_2, of each quadratic monomial: its
+    # combination's coefficients on the cobasis rows, added after the 7 quadrics
+    coords = {}
+    for m in deg2:
+        combo = rs.add(unit(m))
         if combo is None:
             raise ArithmeticError("quadric escaped S_2")
-        out = [field.zero] * 3
-        for idx, c in combo.items():
-            if idx >= 7:
-                out[idx - 7] = c
-        return out
-
-    xs = ctx.variables()
+        coords[m] = [combo.get(7 + b, field.zero) for b in range(3)]
+    # the entry of x_jv * l, for l a linear form, by linearity in the terms of l
     nrel = len(relations.relations)
     psi_rows = [[field.zero] * 28 for _ in range(3 * nrel)]
     for j, rel in enumerate(relations.relations):
         for i, l in enumerate(rel):
-            if not l:
-                continue
-            for jv in range(4):
-                coords = reduce_coords(xs[jv] * l)
-                for b in range(3):
-                    if coords[b]:
-                        psi_rows[3 * j + b][4 * i + jv] = coords[b]
+            for m, c in l.terms.items():
+                for jv in range(4):
+                    xm = tuple(e + (v == jv) for v, e in enumerate(m))
+                    for b, x in enumerate(coords[xm]):
+                        if x:
+                            row = psi_rows[3 * j + b]
+                            row[4 * i + jv] = row[4 * i + jv] + c * x
     psi = DenseMatrix(field, psi_rows)
     t_columns = []
     for i in range(4):

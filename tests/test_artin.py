@@ -494,6 +494,66 @@ def test_split_by_distinct_first_coordinates_multiplies_no_matrices(monkeypatch)
     assert products == []
 
 
+def test_split_by_distinct_first_coordinates_takes_one_charpoly(monkeypatch):
+    # the first variable separates the eight points, and on each of its lines
+    # the other coordinates are read off one product each
+    rng = random.Random(4545)
+    while True:
+        pts = random_points(rng.randint(0, 10 ** 9))
+        if len({repr(p[0]) for p in pts}) == len(pts):
+            break
+    ctx = context(QQ, "x1 x2 x3 x4")
+    I = Ideal(ctx, points_ideal(pts, ctx).gens)
+    calls = []
+    monkeypatch.setattr(artin, "charpoly", lambda M: calls.append(M.nrows) or charpoly(M))
+    assert len(split_rational_support(I)) == 8
+    assert calls == [8]
+
+
+def _refinement_samples():
+    rng = random.Random(4646)
+    out = []
+    for field in (QQ, GF(101)):
+        ctx = context(field, "x1 x2 x3 x4")
+        for repeat in (False, True):
+            pts = random_points(rng.randint(0, 10 ** 9), n=6, field=field)
+            if repeat:
+                # L = x1 + 2 x2 + 3 x3 + 4 x4 takes one value at two points
+                two = field.from_int(2)
+                pts.append((pts[0][0] + two, pts[0][1] - field.one, pts[0][2], pts[0][3]))
+            out.append(Ideal(ctx, points_ideal(pts, ctx).gens))
+    # a colength-3 piece beside two points
+    c3 = context(QQ, "x y z")
+    fat = translate_ideal(ideal(c3, "x^2", "x*y", "y^2", "z"), [1, 0, 0])
+    out.append(intersect(fat, ideal(c3, "x*(x+2)", "y", "z")))
+    return out
+
+
+def test_refinement_by_the_generic_form_keeps_the_parts():
+    repeats, sizes = set(), set()
+    for I in _refinement_samples():
+        model = multiplication_operators(buchberger(I))
+        field = model.ctx.field
+        units = artin._units(field, model.n)
+        L = artin._linear_form(model)
+        plain = [(tuple(map(repr, pt)), len(b)) for pt, b in artin._refine(model.ops, units, field)]
+        assert plain == sorted(plain)
+        by_form = sorted((tuple(map(repr, pt[1:])), len(b))
+                         for pt, b in artin._refine([L] + model.ops, units, field))
+        assert by_form == plain
+        repeats.add(len(artin._refine([L], units, field)) < len(plain))
+        sizes.update(size for _, size in plain)
+    # L separates some samples and repeats a value on others; one has a fat part
+    assert repeats == {False, True} and sizes == {1, 3}
+
+
+def test_refinement_refuses_a_line_that_is_not_invariant():
+    X = DenseMatrix(QQ, [[rat(0), rat(1)], [rat(0), rat(0)]])
+    with pytest.raises(ArithmeticError, match="not invariant"):
+        artin._refine([X], [[rat(0), rat(1)]], QQ)
+    assert artin._refine([X], [[rat(1), rat(0)]], QQ) == [((rat(0),), [[rat(1), rat(0)]])]
+
+
 def test_charpoly_and_roots_over_fp_agree_with_q_reduced_mod_p():
     rng = random.Random(1414)
     for _ in range(40):

@@ -4,8 +4,8 @@ import pytest
 
 from hilbcheck.errors import ParseError, PreconditionError
 from hilbcheck.fields import GF, QQ, QT
-from hilbcheck.poly import (EXPONENT_CAP, GREVLEX, LEX, PRODUCT_CAP, TERM_CAP, compare,
-                            context, format_ideal_file, parse_ideal_file,
+from hilbcheck.poly import (EXPONENT_CAP, GREVLEX, LEX, PRODUCT_CAP, TERM_CAP, Polynomial,
+                            compare, context, format_ideal_file, parse_ideal_file,
                             parse_points_file, parse_polynomial, poly_str, weight_order)
 from hilbcheck.scalars import rat
 
@@ -52,6 +52,23 @@ def test_parse_caps_refuse_large_powers_and_products():
         parse_polynomial(" + ".join(f"x^{i}" for i in range(TERM_CAP + 1)), ctx)
     assert len(parse_polynomial(" + ".join(f"x^{i}" for i in range(TERM_CAP)), ctx).terms) \
         == TERM_CAP
+
+def test_parse_a_sum_without_adding_polynomials(monkeypatch):
+    ctx = context(QQ, "x y")
+    text = " + ".join(f"x^{i}*y" for i in range(100))
+    expected = {(i, 1): QQ.one for i in range(100)}
+    calls = []
+    for name in ("__add__", "__sub__"):
+        fn = getattr(Polynomial, name)
+        monkeypatch.setattr(Polynomial, name, lambda p, q, fn=fn, name=name:
+                            calls.append(name) or fn(p, q))
+    p = parse_polynomial(text, ctx)
+    assert p.terms == expected and list(p.terms) == list(expected)
+    assert calls == []
+    # a power of one term is that term, as square-and-multiply would build it
+    q = parse_polynomial("(-2/3*x*y^2)^5", ctx)
+    assert q.terms == {(5, 10): rat(-32, 243)}
+
 
 def random_poly(ctx, rng, nterms=5, maxdeg=3):
     terms = {}

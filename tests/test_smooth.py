@@ -424,3 +424,12 @@ def test_classify_splits_separated_points_with_one_charpoly(monkeypatch):
     v = classify_smoothable(I)
     assert v.evidence == ("colength 8", "split into colengths [1, 1, 1, 1, 1, 1, 1, 1]")
     assert calls == {"charpoly": 1, "kernel_basis": 0, "cyclic_annihilator_gb": 0}
+
+
+def test_project_to_graded_builds_one_quotient_model(monkeypatch):
+    calls = []
+    build = artin.multiplication_operators
+    monkeypatch.setattr(artin, "multiplication_operators", lambda G: calls.append(1) or build(G))
+    I = seven_quadrics_ideal(4)
+    assert ideal_equal(project_to_graded(I), I)
+    assert calls == [1]

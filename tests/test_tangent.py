@@ -344,3 +344,13 @@ def test_family_machine_evaluates_det_hbar_only_on_request(monkeypatch):
     m = family_machine(tval=1)
     monkeypatch.undo()
     assert m.det_hbar and m.det_hbar == determinant(m.hbar)
+
+
+def test_family_machine_reduces_each_quadratic_monomial_once(monkeypatch):
+    # psi is assembled by linearity from the cobasis coordinates of the 10
+    # quadratic monomials, not from one reduction per entry
+    calls = []
+    add = RowSpace.add
+    monkeypatch.setattr(RowSpace, "add", lambda self, v: calls.append(1) or add(self, v))
+    family_machine()
+    assert len(calls) <= 100
