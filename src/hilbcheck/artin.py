@@ -7,7 +7,7 @@ the standard-monomial basis; powers of the maximal ideal are tracked as the
 chain of subspaces generated by 1 under products of at least j variables.
 """
 
-from math import gcd
+from math import gcd, lcm
 
 from .errors import HilbcheckError, PreconditionError
 from .linalg import DenseMatrix, RowSpace, kernel_basis
@@ -43,7 +43,16 @@ class HilbertFunction(tuple):
 
 
 class LocalAlgebraModel:
-    """Colength-n quotient presented by n x n multiplication operators."""
+    """Colength-n quotient presented by n x n multiplication operators.
+
+    `ops` are the variable operators as `DenseMatrix`es of field elements.
+    Products of them, the operators of polynomials, are built in the
+    working coefficients of `fields`: a working operator is (rows, den),
+    the matrix rows / den, with rows integers and den the one denominator
+    over Q, residues and den 1 over F_p, and field elements and den 1 over
+    Q(t).  The working form of each variable operator is derived from `ops`
+    once, on first use, and the powers X^m are cached in that form.
+    """
 
     __slots__ = ("ctx", "qb", "ops", "n", "_powers")
 
@@ -52,7 +61,7 @@ class LocalAlgebraModel:
         self.qb = qb
         self.ops = ops
         self.n = len(qb)
-        self._powers = {}       # monomial -> operator, filled on first use
+        self._powers = {}       # monomial -> working operator, filled on first use
 
     def unit_vector(self):
         """Coordinates of 1 in the standard-monomial basis."""
@@ -70,41 +79,68 @@ class LocalAlgebraModel:
         return LocalAlgebraModel(self.ctx, self.qb, ops)
 
     def _power(self, m):
-        """X^m for a nonconstant monomial m, built once per model: the
-        variable operators themselves in degree 1, else X_i times the
-        cached X^(m - e_i) for the first variable x_i dividing m."""
+        """Working X^m for a nonconstant monomial m, built once per model:
+        the working form of the variable operator in degree 1, else X_i
+        times the cached X^(m - e_i) for the first variable x_i dividing m."""
         out = self._powers.get(m)
         if out is None:
             i = next(i for i, e in enumerate(m) if e)
             prev = list(m)
             prev[i] -= 1
             prev = tuple(prev)
-            out = self.ops[i].matmul(self._power(prev)) if any(prev) else self.ops[i]
+            if any(prev):
+                out = _product(self._power(tuple(int(j == i) for j in range(len(m)))),
+                               self._power(prev), self.ctx.field)
+            else:
+                out = _working(self.ops[i], self.ctx.field)
             self._powers[m] = out
         return out
 
-    def operator_of_polynomial(self, f):
-        """Matrix of multiplication by f on S/I: the sum of c X^m over the
-        terms c x^m of f.
+    def working_operator(self, f):
+        """Multiplication by f on S/I as a working operator (rows, den): the
+        sum of c X^m over the terms c x^m of f.
 
         The powers X^m are cached on the model and shared by every call, so
         each one costs at most one matrix product over the model's lifetime.
-        The returned matrix is new on every call; changing it changes no
-        cached power and no later result.
+        The rows are new on every call; changing them changes no cached
+        power and no later result.
         """
         field = self.ctx.field
+        p = field.modulus
         n = self.n
-        acc = [[field.zero] * n for _ in range(n)]
-        for m, c in f.terms.items():
-            if not any(m):
+        terms = f.terms
+        if p is None:
+            coeffs, den = list(terms.values()), 1
+        else:
+            coeffs, den = field.integers(terms.values())
+        powers = [self._power(m) if any(m) else None for m in terms]
+        if p == 0:
+            # over Q the common denominator of the powers
+            scale = lcm(*(pw[1] for pw in powers if pw))
+            coeffs = [c * (scale // pw[1] if pw else scale) for c, pw in zip(coeffs, powers)]
+            den *= scale
+        zero = field.zero if p is None else 0
+        acc = [[zero] * n for _ in range(n)]
+        for c, pw in zip(coeffs, powers):
+            if pw is None:
                 for i in range(n):
                     acc[i][i] = acc[i][i] + c
                 continue
-            for arow, prow in zip(acc, self._power(m).rows):
+            for arow, prow in zip(acc, pw[0]):
                 for j, x in enumerate(prow):
                     if x:
                         arow[j] = arow[j] + c * x
-        return DenseMatrix(field, acc)
+        return _normalized(acc, den, p)
+
+    def operator_of_polynomial(self, f):
+        """Matrix of multiplication by f on S/I: the `DenseMatrix` of field
+        elements of `working_operator(f)`, new on every call."""
+        field = self.ctx.field
+        rows, den = self.working_operator(f)
+        if field.modulus is not None:
+            element, zero = field.element, field.zero
+            rows = [[element(x, den) if x else zero for x in row] for row in rows]
+        return DenseMatrix(field, rows)
 
     def maximal_ideal_chain(self):
         """Dimensions of the images of m^0, m^1, ... in S/I, and the spaces.
@@ -131,6 +167,52 @@ class LocalAlgebraModel:
             spaces.append(nxt)
             if nxt.dim == 0 or nxt.dim == prev.dim:
                 return spaces
+
+
+def _working(X, field):
+    """The working operator of the `DenseMatrix` X."""
+    if field.modulus is None:
+        return X.rows, 1
+    n = X.ncols
+    ints, den = field.integers([x for row in X.rows for x in row])
+    return [ints[i:i + n] for i in range(0, len(ints), n)], den
+
+
+def _product(a, b, field):
+    """The product of the working operators a and b over field."""
+    (arows, aden), (brows, bden) = a, b
+    p = field.modulus
+    zero = field.zero if p is None else 0
+    cols = list(zip(*brows))
+    out = []
+    for row in arows:
+        nonzero = [(k, x) for k, x in enumerate(row) if x]
+        new = []
+        for col in cols:
+            acc = zero
+            for k, x in nonzero:
+                y = col[k]
+                if y:
+                    acc = acc + x * y
+            new.append(acc)
+        out.append(new)
+    return _normalized(out, aden * bden, p)
+
+
+def _normalized(rows, den, p):
+    """The working operator rows / den with its entries reduced mod p over
+    F_p, and divided with den by their common content over Q."""
+    if p:
+        return [[x % p for x in row] for row in rows], 1
+    if p == 0:
+        g = den
+        for row in rows:
+            if g == 1:
+                return rows, den
+            g = gcd(g, *row)
+        if g != 1:
+            return [[x // g for x in row] for row in rows], den // g
+    return rows, den
 
 
 def multiplication_operators(G):
@@ -301,11 +383,12 @@ def support_colengths(model):
     their points as split_rational_support orders its pieces, without
     building the pieces.
 
-    The refinement runs over the linear form L = X_1 + 2 X_2 + ... + d X_d,
-    then the variables, and drops L's value from each point.  L's
+    The split runs over the linear form L = X_1 + 2 X_2 + ... + d X_d, then
+    the variables refine each of L's generalized eigenspaces.  L's
     eigenvalues are its values at the support points (Cox-Little-O'Shea,
     Using Algebraic Geometry, ch. 2, 4), so when all of them are simple the
-    support is n points and L's characteristic polynomial alone decides.
+    support is n points and L's characteristic polynomial alone decides;
+    that one polynomial also gives the eigenspaces otherwise.
     When the refinement finds no certified rational root, the
     variable-by-variable split of the whole space decides, so a failure
     raises the IndeterminateSupport that split_rational_support raises.  The
@@ -317,9 +400,14 @@ def support_colengths(model):
     units = _units(field, model.n)
     L = _linear_form(model)
     try:
-        if max(_roots(L, field).values()) == 1:
+        roots = _roots(L, field)
+        if max(roots.values()) == 1:
             return [1] * model.n
-        parts = [(point[1:], basis) for point, basis in _refine([L] + model.ops, units, field)]
+        # L's eigenspaces from the roots just found, each then refined by
+        # the variables
+        spaces = [units] if len(roots) == 1 else \
+            [_eigenspace(L, a, roots[a], units, field) for a in sorted(roots, key=repr)]
+        parts = [part for basis in spaces for part in _refine(model.ops, basis, field)]
     except IndeterminateSupport:
         parts = _refine(model.ops, units, field)
     parts.sort(key=lambda pb: _point_key(pb[0]))

@@ -4,7 +4,8 @@ Each field names the Python type of its elements as `elem`, so a value can
 be checked for membership by one type comparison.
 
 The field also owns the working-coefficient format of the integer kernels
-(Groebner, rank, characteristic polynomial, root search).  `modulus` is 0
+(Groebner, rank, characteristic polynomial, root search, and the quotient
+model's operator products that the tangent Hom system is built from).  `modulus` is 0
 over Q, p over F_p and None over Q(t), which has no integer format.  A list
 of elements becomes `(ints, den)` with `integers`: over Q, den is the lcm of
 the denominators and ints are den times the elements; over F_p, den is 1 and

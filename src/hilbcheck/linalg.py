@@ -17,9 +17,11 @@ kept for work the others would do slower:
   series, for the t-adic valuation of the gcd of the maximal minors of a
   polynomial matrix.
 
-`rank(field, rows)` is the one rank entry, on sparse rows {column: element}
-as the tangent systems and the rank-only checks hold them; it runs one of
-the first two loops by field.  `mat_rank(m)` is its `DenseMatrix` form.
+`working_rank(field, rows)` ranks sparse rows {column: working coefficient}
+in the format of `fields` by one of the first two loops, chosen by field;
+the tangent systems build their rows in that format.  `rank(field, rows)`
+is its entry for rows of field elements, as the rank-only checks hold
+them, and `mat_rank(m)` is the `DenseMatrix` form of `rank`.
 """
 
 import random
@@ -208,18 +210,13 @@ def rank(field, rows):
     """Rank over `field` of rows given as dicts {column: element}.
 
     Columns are any sortable keys; zero entries may be present and are
-    dropped.  Over Q and F_p the rows go to `_sparse_rank` as dicts of the
-    working integers (`Field.integers`) of their nonzero entries.  Over Q(t)
-    `RowSpace` eliminates them on the sorted union of their columns.
+    dropped.  Over Q and F_p each row becomes a dict of the working integers
+    (`Field.integers`) of its nonzero entries; over Q(t) the elements are
+    the working coefficients.  `working_rank` then ranks them.
     """
     p = field.modulus
     if p is None:
-        cols = sorted({j for row in rows for j in row})
-        zero = field.zero
-        rs = RowSpace(field)
-        for row in rows:
-            rs.add([row.get(j, zero) for j in cols])
-        return rs.dim
+        return working_rank(field, rows)
     integers = field.integers
     out = []
     for row in rows:
@@ -231,7 +228,27 @@ def rank(field, rows):
             v = dict(zip(cols, integers([row[j] for j in cols])[0]))
         if v:
             out.append(v)
-    return _sparse_rank(out, p)
+    return working_rank(field, out)
+
+
+def working_rank(field, rows):
+    """Rank over `field` of rows given as dicts {column: working
+    coefficient}: nonzero integers over Q (each row may carry its own scale),
+    residues over F_p, elements over Q(t).
+
+    Over Q and F_p `_sparse_rank` eliminates them and consumes the dicts.
+    Over Q(t) `RowSpace` eliminates them on the sorted union of their
+    columns, where zero entries are harmless.
+    """
+    p = field.modulus
+    if p is not None:
+        return _sparse_rank(rows, p)
+    cols = sorted({j for row in rows for j in row})
+    zero = field.zero
+    rs = RowSpace(field)
+    for row in rows:
+        rs.add([row.get(j, zero) for j in cols])
+    return rs.dim
 
 
 def mat_rank(m):

@@ -7,23 +7,28 @@ syzygy, a finite exact linear system over the coefficient field.
 
 Both the total and the graded assembly read that system off one quotient
 model of S/I: the block of a syzygy coefficient a is the operator of
-multiplication by a, built by `LocalAlgebraModel.operator_of_polynomial`
-from monomial powers that the model caches, and a graded block is a
-sub-block of the same operator.  Rows are assembled sparse, as dicts of
-the blocks present, for `linalg.rank`.  `tangent_report` shares one model
-and one syzygy basis between the total and every graded piece.  The 24 x 28
-syzygy-constraint matrix of a (1,4,3) ideal and the one-parameter family
-harness for the degree-16 multiplicity are assembled separately below.
+multiplication by a, built by `LocalAlgebraModel.working_operator` from
+monomial powers that the model caches, and a graded block is a sub-block
+of the same operator.  The blocks stay in the working coefficients of
+`fields` (integers over Q, residues over F_p, elements over Q(t)), those
+of one syzygy over one denominator, and the rows are assembled sparse, as
+dicts of their nonzero entries, for `linalg.working_rank`: no field element
+is made between the quotient model and the rank.  `tangent_report` shares
+one model and one syzygy basis between the total and every graded piece.
+The 24 x 28 syzygy-constraint matrix of a (1,4,3) ideal and the
+one-parameter family harness for the degree-16 multiplicity are assembled
+separately below.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 
 from .errors import PreconditionError
 from .fields import QQ, QT
 from .linalg import (DenseMatrix, RowSpace, determinant, mat_rank, rank, rref,
-                     minor_gcd_sample, t_adic_minor_valuation)
+                     minor_gcd_sample, t_adic_minor_valuation, working_rank)
 from .poly import context, mono_deg, mono_lcm
 from .groebner import (buchberger, linear_syzygies, trace_syzygies,
                        SyzygyBasis, _monomials_of_degree)
@@ -54,11 +59,21 @@ class _HomSystem:
         return trace_syzygies(self.G).relations
 
     def blocks(self, r):
-        """Operators of the coefficients of syzygy r on S/I, None where a
-        coefficient is zero."""
+        """Working operators (`LocalAlgebraModel.working_operator`) of the
+        coefficients of syzygy r on S/I, as their rows over one common
+        denominator, which scales every constraint of r alike and changes
+        no rank; None where a coefficient is zero."""
         if r not in self._blocks:
-            op = self.model.operator_of_polynomial
-            self._blocks[r] = [op(a) if a else None for a in self.relations[r]]
+            op = self.model.working_operator
+            ops = [op(a) if a else None for a in self.relations[r]]
+            den = lcm(*(d for _, d in filter(None, ops)))
+            blocks = []
+            for o in ops:
+                if o is not None:
+                    rows, d = o
+                    o = rows if d == den else [[x * (den // d) for x in row] for row in rows]
+                blocks.append(o)
+            self._blocks[r] = blocks
         return self._blocks[r]
 
     def total(self):
@@ -67,14 +82,15 @@ class _HomSystem:
         n = len(self.qb)
         rows = []
         for idx in range(len(self.relations)):
-            blocks = [(k * n, block.rows) for k, block in enumerate(self.blocks(idx))
-                      if block is not None]
+            blocks = [(k * n, brows) for k, brows in enumerate(self.blocks(idx))
+                      if brows is not None]
             for i in range(n):
                 row = {}
                 for base, brows in blocks:
-                    row.update(enumerate(brows[i], base))
-                rows.append(row)
-        return len(self.G.elements) * n - rank(self.G.ctx.field, rows)
+                    row.update((base + j, x) for j, x in enumerate(brows[i]) if x)
+                if row:
+                    rows.append(row)
+        return len(self.G.elements) * n - working_rank(self.G.ctx.field, rows)
 
     def graded(self, e):
         """Dimension of the degree-e part of Hom_S(I, S/I) for homogeneous G.
@@ -102,10 +118,17 @@ class _HomSystem:
             if not target:
                 continue
             blocks = self.blocks(idx)
+            present = [(u, blocks[k], j) for u, (k, j) in enumerate(unknowns)
+                       if blocks[k] is not None]
             for t in target:
-                rows.append({u: blocks[k].rows[t][j] for u, (k, j) in enumerate(unknowns)
-                             if blocks[k] is not None})
-        return len(unknowns) - rank(self.G.ctx.field, rows)
+                row = {}
+                for u, brows, j in present:
+                    x = brows[t][j]
+                    if x:
+                        row[u] = x
+                if row:
+                    rows.append(row)
+        return len(unknowns) - working_rank(self.G.ctx.field, rows)
 
     def graded_pieces(self):
         """All nonzero graded pieces, as a dict degree -> dimension."""

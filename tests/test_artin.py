@@ -332,7 +332,7 @@ def _random_polynomial(rng, ctx, degree):
     return Polynomial(ctx, terms)
 
 
-@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(10007), QT], ids=str)
 def test_operator_of_polynomial_is_the_cached_quotient_ring_map(field):
     rng = random.Random(718)
     for I in (seven_quadrics_ideal(4, field), squares_cube_ideal(field),
@@ -361,6 +361,44 @@ def test_operator_of_polynomial_is_the_cached_quotient_ring_map(field):
                     row[:] = [field.one] * len(row)
             assert model.operator_of_polynomial(f).rows == expected
         assert [X.rows for X in model.ops] == ops
+
+
+def _sum_of_powers(model, f):
+    """Sum of c X^m over the terms c x^m of f, with the powers X^m built by
+    `DenseMatrix.matmul` from the variable operators."""
+    field = model.ctx.field
+    acc = DenseMatrix.zero(field, model.n, model.n).rows
+    for m, c in f.terms.items():
+        power = DenseMatrix.identity(field, model.n)
+        for i, e in enumerate(m):
+            for _ in range(e):
+                power = model.ops[i].matmul(power)
+        acc = [[a + c * x for a, x in zip(arow, prow)] for arow, prow in zip(acc, power.rows)]
+    return DenseMatrix(field, acc)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(10007), QT], ids=str)
+def test_working_operator_is_the_sum_of_matrix_powers(field):
+    # the field view of the working operator, on a model and on its shift,
+    # is the sum of c X^m with the powers multiplied out as field matrices
+    rng = random.Random(1818)
+    I = squares_cube_ideal(field)
+    g = random_invertible_matrix(rng.randint(0, 10 ** 9), I.ctx.d, field)
+    G = buchberger(change_coordinates(I, g))
+    ctx = G.ctx
+    model = multiplication_operators(G)
+    # over Q(t) the shift and the constant terms involve t
+    t = field.t if field.modulus is None else field.zero
+    a = tuple(field.from_int(rng.randint(-3, 3)) + t for _ in range(ctx.d))
+    for m in (model, model.shifted(a)):
+        for _ in range(3):
+            f = _random_polynomial(rng, ctx, 3) + ctx.const(field.from_int(rng.randint(1, 5)) - t)
+            assert any(not any(mono) for mono in f.terms)
+            rows, den = m.working_operator(f)
+            if field.modulus is not None:
+                rows = [[field.element(x, den) for x in row] for row in rows]
+            assert DenseMatrix(field, rows) == _sum_of_powers(m, f)
+            assert m.operator_of_polynomial(f) == _sum_of_powers(m, f)
 
 
 def _poly_from_roots(lead, roots, quadratics=()):

@@ -2,16 +2,18 @@
 the skew-form criterion, the 24 x 24 syzygy reduction, the classifier, and
 the splitting machinery must tell one consistent story."""
 
+import pathlib
 import random
 
 from hilbcheck.fields import GF, QQ
-from hilbcheck.fixtures import random_invertible_matrix, random_points
+from hilbcheck.fixtures import (monomial_143_ideal, random_invertible_matrix,
+                                random_points, seven_quadrics_ideal)
 from hilbcheck.apolarity import ideal_from_inverse_system, perp
 from hilbcheck.artin import (embedding_reduction,
                              local_hilbert_function, split_rational_support,
                              translate_ideal)
 from hilbcheck.groebner import Ideal, buchberger, ideal_equal, intersect, points_ideal
-from hilbcheck.poly import Polynomial, context
+from hilbcheck.poly import Polynomial, context, parse_ideal_file
 from hilbcheck.scalars import rat
 from hilbcheck.smooth import (change_coordinates, classify_smoothable,
                               salmon_turnbull_pfaffian)
@@ -194,3 +196,50 @@ def test_classifier_agrees_with_split_reference():
     for I in samples:
         verdict = classify_smoothable(I)
         assert (verdict.outcome, verdict.evidence, verdict.pfaffian) == split_reference(I)
+
+
+def _classify_inputs():
+    """The nine bundled ideal files and one seeded round of each classify
+    stratum: 8 rational points, the seven quadrics and the monomial (1,4,3)
+    ideal under GL_4, and a translated apolar ideal of cubic partials."""
+    data = pathlib.Path(__file__).resolve().parent.parent / "src" / "hilbcheck" / "data"
+    out = []
+    for path in sorted(data.glob("*.ideal")):
+        ctx, polys = parse_ideal_file(path.read_text())
+        out.append((path.name, Ideal(ctx, polys)))
+    rng = random.Random(1819)
+    ctx = context(QQ, "x1 x2 x3 x4")
+    out.append(("points", Ideal(ctx, points_ideal(random_points(rng.randint(0, 10 ** 9)),
+                                                  ctx).gens)))
+    for name, I in (("witness", seven_quadrics_ideal(4)), ("monomial143", monomial_143_ideal())):
+        out.append((name, change_coordinates(I, random_invertible_matrix(
+            rng.randint(0, 10 ** 9), 4))))
+    while True:
+        I = random_salmon_ideal(rng, ctx.dual_context())
+        if I is not None:
+            break
+    point = [rat(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)]
+    out.append(("cubic", translate_ideal(I, point)))
+    return out
+
+
+def test_verdict_and_tangent_dimension_agree():
+    """At colength 8 in d variables the smoothable component has dimension
+    8d and every component at least 8d - 7: a Smoothable verdict needs
+    T >= 8d for the tangent dimension T, and T >= 8d - 7 always."""
+    samples = _classify_inputs()
+    assert len(samples) == 13
+    outcomes = set()
+    for name, I in samples:
+        if buchberger(I).colength() != 8:
+            continue
+        d = I.ctx.d
+        T = tangent_dimension(I)
+        verdict = classify_smoothable(I)
+        outcomes.add(verdict.outcome)
+        assert T >= 8 * d - 7, name
+        if verdict.outcome == "Smoothable":
+            assert T >= 8 * d, name
+        if T < 8 * d:
+            assert verdict.outcome == "NotSmoothable", name
+    assert outcomes == {"Smoothable", "NotSmoothable"}

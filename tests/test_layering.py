@@ -1,8 +1,9 @@
 """The integer kernels read the working-coefficient format from `fields`.
 
-groebner, linalg and artin convert between field elements and integers only
-through `Field.integers`, `Field.element` and `Field.modulus`: they read no
-numerator, denominator or residue of a scalar and compare no field with Q.
+groebner, linalg, artin and tangent convert between field elements and
+integers only through `Field.integers`, `Field.element` and `Field.modulus`:
+they read no numerator, denominator or residue of a scalar and compare no
+field with Q.
 """
 
 import ast
@@ -30,7 +31,7 @@ def boundary_violations(source):
     return sorted(out)
 
 
-@pytest.mark.parametrize("module", ["groebner", "linalg", "artin"])
+@pytest.mark.parametrize("module", ["groebner", "linalg", "artin", "tangent"])
 def test_kernels_read_the_format_from_fields(module):
     source = (SRC / f"{module}.py").read_text()
     assert boundary_violations(source) == []

@@ -1,3 +1,4 @@
+import pathlib
 import random
 import sys
 
@@ -15,10 +16,13 @@ from hilbcheck import artin, groebner, linalg, smooth
 from hilbcheck.apolarity import perp
 from hilbcheck.artin import centroid, multiplication_operators, translate_ideal
 from hilbcheck.groebner import Ideal, buchberger, ideal_equal, points_ideal
-from hilbcheck.poly import MonomialOrder, Polynomial, context, parse_polynomial
+from hilbcheck.poly import (MonomialOrder, Polynomial, context, parse_ideal_file,
+                            parse_polynomial)
 from hilbcheck.smooth import (change_coordinates, classify_smoothable,
                               project_to_graded, salmon_turnbull_pfaffian)
 from hilbcheck.tangent import tangent_dimension
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "hilbcheck" / "data"
 
 
 def test_pfaffian_nonzero_on_witness():
@@ -424,6 +428,18 @@ def test_classify_splits_separated_points_with_one_charpoly(monkeypatch):
     v = classify_smoothable(I)
     assert v.evidence == ("colength 8", "split into colengths [1, 1, 1, 1, 1, 1, 1, 1]")
     assert calls == {"charpoly": 1, "kernel_basis": 0, "cyclic_annihilator_gb": 0}
+
+
+def test_classify_computes_the_linear_forms_charpoly_once(monkeypatch):
+    # L has one root of multiplicity 7 here: its eigenspaces come from the
+    # roots of the shortcut, and the d = 3 variables take one charpoly each
+    ctx, polys = parse_ideal_file((DATA / "squares_cube_d3.ideal").read_text())
+    calls = []
+    charpoly = artin.charpoly
+    monkeypatch.setattr(artin, "charpoly", lambda M: calls.append(M.nrows) or charpoly(M))
+    v = classify_smoothable(Ideal(ctx, polys))
+    assert v.evidence == ("colength 7", "split into colengths [7]")
+    assert calls == [7] * 4
 
 
 def test_project_to_graded_builds_one_quotient_model(monkeypatch):

@@ -12,12 +12,12 @@ from hilbcheck.fixtures import (family_limit_ideal, family_member_ideal,
                                 random_points, salmon_ideal,
                                 seven_quadrics_ideal, squares_cube_ideal,
                                 weight753_ideal)
-from hilbcheck import linalg, tangent
+from hilbcheck import artin, linalg, tangent
 from hilbcheck.artin import LocalAlgebraModel
 from hilbcheck.groebner import (GroebnerBasis, Ideal, SyzygyBasis, buchberger,
                                 points_ideal)
 from hilbcheck.linalg import DenseMatrix, RowSpace, determinant, kernel_basis, mat_rank
-from hilbcheck.poly import context, mono_coprime
+from hilbcheck.poly import context, mono_coprime, parse_polynomial
 from hilbcheck.smooth import change_coordinates
 from hilbcheck.tangent import (FAMILY_COBASIS, build_tangent_machine,
                                curve_multiplicity, family_machine,
@@ -121,17 +121,20 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def test_tangent_dimension_builds_each_power_once(monkeypatch):
-    calls = _count_calls(monkeypatch, DenseMatrix, "matmul")
+    # a power is built from ops in degree 1 and as one product above
+    built = [_count_calls(monkeypatch, artin, name) for name in ("_working", "_product")]
     assert tangent_dimension(seven_quadrics_ideal(6)) == 41
-    assert len(calls) <= 8
+    assert sum(map(len, built)) <= 8
 
 
 def test_graded_blocks_are_read_off_the_model(monkeypatch):
     I = dict(graded_143_fixtures())["family-t1"]
     calls = _count_calls(monkeypatch, GroebnerBasis, "normal_form")
+    operators = _count_calls(monkeypatch, LocalAlgebraModel, "working_operator")
     assert graded_tangent_dimension(I, -1) == 4
     # the d * n normal forms of the multiplication operators, and no others
     assert len(calls) <= 4 * 8
+    assert operators
 
 
 def test_tangent_report_shares_one_model_and_one_syzygy_basis(monkeypatch):
@@ -165,17 +168,17 @@ def test_tangent_checks_only_the_s_pair_relations(monkeypatch):
 
 def test_no_syzygy_coefficient_has_a_zero_operator(monkeypatch):
     # Koszul relations, whose coefficients lie in I, are dropped first
-    original = LocalAlgebraModel.operator_of_polynomial
+    original = LocalAlgebraModel.working_operator
     results = []
 
     def recorded(model, f):
         results.append(original(model, f))
         return results[-1]
 
-    monkeypatch.setattr(LocalAlgebraModel, "operator_of_polynomial", recorded)
+    monkeypatch.setattr(LocalAlgebraModel, "working_operator", recorded)
     rep = tangent_report(seven_quadrics_ideal(4), graded=True)
     assert (rep.total, rep.graded) == (25, {0: 21, -1: 4})
-    assert results and all(any(map(any, op.rows)) for op in results)
+    assert results and all(any(map(any, rows)) for rows, _ in results)
 
 
 def test_graded_degree_no_syzygy_reaches_builds_no_syzygies(monkeypatch):
@@ -199,9 +202,9 @@ def test_graded_pieces_sum_to_total_under_coordinate_change(field):
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
 def test_mat_rank_runs_no_dense_elimination(monkeypatch, field):
     # the tangent ranks come from the sparse integer kernel: no Bareiss pass
-    # and no RowSpace row inside the linalg.rank call that tangent makes
+    # and no RowSpace row inside the linalg.working_rank call that tangent makes
     inside, calls, dense = [False], [], []
-    rank, bareiss, add = linalg.rank, linalg._bareiss, RowSpace.add
+    rank, bareiss, add = linalg.working_rank, linalg._bareiss, RowSpace.add
 
     def counted_rank(field, rows):
         calls.append(len(rows))
@@ -221,7 +224,7 @@ def test_mat_rank_runs_no_dense_elimination(monkeypatch, field):
             dense.append("RowSpace.add")
         return add(self, vec)
 
-    monkeypatch.setattr(tangent, "rank", counted_rank)
+    monkeypatch.setattr(tangent, "working_rank", counted_rank)
     monkeypatch.setattr(linalg, "_bareiss", counted_bareiss)
     monkeypatch.setattr(RowSpace, "add", counted_add)
     assert tangent_dimension(seven_quadrics_ideal(5, field)) == 33
@@ -354,3 +357,33 @@ def test_family_machine_reduces_each_quadratic_monomial_once(monkeypatch):
     monkeypatch.setattr(RowSpace, "add", lambda self, v: calls.append(1) or add(self, v))
     family_machine()
     assert len(calls) <= 100
+
+
+def test_hom_system_makes_no_fraction_once_model_and_relations_exist(monkeypatch):
+    # the blocks, rows and ranks of the Hom system stay in working integers
+    import fractions
+    from hilbcheck import scalars
+    if scalars.RAT_BACKEND != "fractions":
+        pytest.skip("counts Fraction objects of the fractions backend")
+    J = change_coordinates(seven_quadrics_ideal(4), random_invertible_matrix(1818, 4, QQ))
+    system = tangent._HomSystem(buchberger(J))
+    system.model, system.relations
+    made = []
+    new = fractions.Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(1)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", counted)
+    assert (system.total(), system.graded(-1)) == (25, 4)
+    assert not made
+
+
+def test_tangent_dimensions_over_the_function_field():
+    ctx = context(QT, "x y")
+    P = lambda *texts: Ideal(ctx, [parse_polynomial(s, ctx) for s in texts])
+    assert tangent_dimension(P("x^2 - t", "y^2 - 4")) == 8
+    I = P("x^2", "x*y", "y^3")
+    assert tangent_dimension(I) == 8
+    assert graded_tangent_dimension(I, -1) == 4
