@@ -9,21 +9,27 @@ live here.
 
 Buchberger, division and the Schreyer traces run on dicts of working
 coefficients, in the integer format of `fields` over Q and F_p and on field
-elements over Q(t).  Over Q each polynomial is a primitive integer
-polynomial, standing for its rational multiples, and a reduction step
-multiplies the dividend rather than dividing by the divisor's leading
-coefficient, then removes the content (pseudo-division, as Singular's std
-does over Q).  A reduced basis is made monic once, at the end.
+elements over Q(t).  Their terms are keyed by the monomial order's
+coordinates (`MonomialOrder.key`), which sort as the order and are linear in
+the exponents: the leading term is max() with no key function, a shifted
+term is a sum of coordinates and a quotient a difference, and divisibility
+is a comparison with the divisor's bound.
+
+Over Q each polynomial is a primitive integer polynomial, standing for its
+rational multiples, and a reduction step multiplies the dividend rather than
+dividing by the divisor's leading coefficient, then removes the content
+(pseudo-division, as Singular's std does over Q).  A reduced basis is made
+monic once, at the end.
 """
 
 import heapq
 from math import gcd, lcm
-from operator import add, le, sub
+from operator import add, itemgetter, sub
 
 from .errors import PreconditionError, InfiniteColengthError
 from .linalg import DenseMatrix, RowSpace, determinant, kernel_basis, rank
 from .poly import (GREVLEX, Polynomial, VariableContext, mono_coprime,
-                   mono_deg, mono_div, mono_divides, mono_lcm, weight_order)
+                   mono_deg, mono_divides, mono_lcm, weight_order)
 
 
 class Ideal:
@@ -72,7 +78,7 @@ class GroebnerBasis(Ideal):
         super().__init__(ctx, elements)
         self.order = order
         self._records = [_division_record(g, order) for g in self.gens]
-        self.lts = tuple(r[0] for r in self._records)
+        self.lts = tuple(order.monomial(r[0]) for r in self._records)
         self._qb = None
 
     @property
@@ -83,9 +89,10 @@ class GroebnerBasis(Ideal):
         if f.ctx != self.ctx:
             raise PreconditionError("polynomial from a different context")
         field = self.ctx.field
-        work, (num, den) = _working_terms(f)
-        rem, _, (lam_num, lam_den) = _divide(work, self._records, self.order, field)
-        return Polynomial(self.ctx, _field_terms(rem, field, num * lam_den, den * lam_num))
+        order = self.order
+        work, (num, den) = _working_terms(f, order)
+        rem, _, (lam_num, lam_den) = _divide(work, self._records, order, field)
+        return Polynomial(self.ctx, _field_terms(rem, order, field, num * lam_den, den * lam_num))
 
     def contains(self, f):
         return not self.normal_form(f)
@@ -115,43 +122,51 @@ class GroebnerBasis(Ideal):
 
 # --- working coefficients ---------------------------------------------------
 #
-# Inside the Groebner loops a polynomial is a dict {monomial: coefficient} in
+# Inside the Groebner loops a polynomial is a dict {coordinates: coefficient}:
+# each monomial is keyed by its coordinates in the monomial order (see
+# MonomialOrder), so max() picks the leading term, a product of monomials is
+# a sum of coordinates and a quotient a difference.  The coefficients are
 # the working coefficients of its field (see the module docstring): the
 # integers of `Field.integers` over Q and F_p, field elements over Q(t).  A
 # divisor is primitive with a positive leading coefficient over Q and monic
-# otherwise.
+# otherwise.  Terms enter through _working_terms and leave through
+# _field_terms, _monic and the quotients of _schreyer_relations.
 
 
-def _working_terms(f):
+def _working_terms(f, order=None):
     """The terms of a polynomial in working coefficients, primitive over Q,
-    and (num, den) with f = num/den times them; over the fields that factor
+    keyed by the order's coordinates or, with no order, by monomial; and
+    (num, den) with f = num/den times them.  Over the fields that factor
     is 1."""
     terms = f.terms
+    monos = terms if order is None else map(order.key, terms)
     field = f.ctx.field
     if field.modulus is None:
-        return dict(terms), (1, 1)
+        return dict(zip(monos, terms.values())), (1, 1)
     ints, den = field.integers(terms.values())
     if field.modulus == 0 and ints:
         num = gcd(*ints)
-        return {m: c // num for m, c in zip(terms, ints)}, (num, den)
-    return dict(zip(terms, ints)), (1, 1)
+        return {m: c // num for m, c in zip(monos, ints)}, (num, den)
+    return dict(zip(monos, ints)), (1, 1)
 
 
-def _field_terms(terms, field, num, den):
-    """num/den times working terms, as field elements; over the fields the
-    factor is 1."""
+def _field_terms(terms, order, field, num, den):
+    """num/den times working terms keyed by the order's coordinates, as field
+    elements keyed by monomial; over the fields the factor is 1."""
+    monomial = order.monomial
     if field.modulus is None:
-        return terms
+        return {monomial(k): c for k, c in terms.items()}
     element = field.element
-    return {m: element(c * num, den) for m, c in terms.items()}
+    return {monomial(k): element(c * num, den) for k, c in terms.items()}
 
 
 def _record(terms, order, field):
-    """(lm, lc, tail) of the normalized multiple of nonzero working terms:
-    primitive with a positive leading coefficient over Q, monic over the
-    fields.  The tail is the list of the other (monomial, coefficient)
-    pairs: what _divide reads of a divisor."""
-    lm = max(terms, key=order.key)
+    """(lm, bound, lc, tail) of the normalized multiple of nonzero working
+    terms: primitive with a positive leading coefficient over Q, monic over
+    the fields.  lm is the leading coordinates, bound its divisor_bound and
+    the tail the list of the other (coordinates, coefficient) pairs: what
+    _divide reads of a divisor."""
+    lm = max(terms)
     lc = terms[lm]
     p = field.modulus
     if p == 0:
@@ -166,24 +181,25 @@ def _record(terms, order, field):
             terms = {m: c * inv % p for m, c in terms.items()}
     elif lc != field.one:
         terms = {m: c / lc for m, c in terms.items()}
-    return lm, terms[lm], [(m, c) for m, c in terms.items() if m != lm]
+    return lm, order.divisor_bound(lm), terms[lm], [(m, c) for m, c in terms.items() if m != lm]
 
 
 def _division_record(g, order):
     """The _record of a nonzero polynomial."""
-    return _record(_working_terms(g)[0], order, g.ctx.field)
+    return _record(_working_terms(g, order)[0], order, g.ctx.field)
 
 
-def _monic(ctx, record):
+def _monic(ctx, order, record):
     """The monic polynomial of a record."""
-    lm, lc, tail = record
+    lm, _, lc, tail = record
     terms = {lm: lc}
     terms.update(tail)
-    return Polynomial(ctx, _field_terms(terms, ctx.field, 1, lc))
+    return Polynomial(ctx, _field_terms(terms, order, ctx.field, 1, lc))
 
 
 def _subtract(work, b, mq, tail, p):
-    """work -= b * x^mq * tail, in place, reducing mod p over F_p."""
+    """work -= b * x^mq * tail, in place, reducing mod p over F_p.  Terms are
+    keyed by monomial or by coordinates, both of which add in a product."""
     for mm, cc in tail:
         mt = tuple(map(add, mm, mq))
         s = work.get(mt)
@@ -197,18 +213,20 @@ def _subtract(work, b, mq, tail, p):
 
 
 def _spoly(ri, rj, top, field):
-    """The S-polynomial of the records ri and rj, top being the lcm of their
-    leading monomials: (terms, lam) with terms lam times mi g_i - mj g_j for
-    the monic g_i, g_j.  lam is an integer over Q and 1 over the fields."""
-    (li, ci, ti), (lj, cj, tj) = ri, rj
+    """The S-polynomial of the records ri and rj, top being the coordinates
+    of the lcm of their leading monomials: (terms, lam) with terms lam times
+    mi g_i - mj g_j for the monic g_i, g_j.  lam is an integer over Q and 1
+    over the fields."""
+    (li, _, ci, ti), (lj, _, cj, tj) = ri, rj
     p = field.modulus
     if p == 0:
         g = gcd(ci, cj)
         a, b = cj // g, ci // g
     else:
         a = b = field.one if p is None else 1
-    work = {tuple(map(add, m, mono_div(top, li))): a * c for m, c in ti}
-    _subtract(work, b, mono_div(top, lj), tj, p)
+    mi = tuple(map(sub, top, li))
+    work = {tuple(map(add, m, mi)): a * c for m, c in ti}
+    _subtract(work, b, tuple(map(sub, top, lj)), tj, p)
     return work, a * ci if p == 0 else 1
 
 
@@ -227,19 +245,20 @@ def _divide(work, records, order, field, track=False, scale=1):
     work stands for scale times a polynomial f, and the result is (rem,
     quots, (num, den)): f = sum q_k g_k + den/num rem with g_k the monic
     divisors.  With track the quotients q_k are dicts of field elements,
-    else quots is None.
+    else quots is None.  Every term, of work, rem and the quotients, is
+    keyed by the order's coordinates.
     """
     p = field.modulus
     element = field.element
+    within = order.within
     rem = {}
     quots = [{} for _ in records] if track else None
     num, den = scale, 1
-    key = order.key
     while work:
-        m = max(work, key=key)
+        m = max(work)
         c = work.pop(m)
-        for i, (lm, lc, tail) in enumerate(records):
-            if all(map(le, lm, m)):
+        for i, (lm, bound, lc, tail) in enumerate(records):
+            if all(map(within, m, bound)):
                 mq = tuple(map(sub, m, lm))
                 if track:
                     quots[i][mq] = c if p is None else element(c * den, num)
@@ -288,12 +307,12 @@ def buchberger(ideal, order=GREVLEX):
     for g in gens:
         if g:
             r = _division_record(g, order)
-            kk = (r[0], r[1], frozenset(r[2]))
+            kk = (r[0], r[2], frozenset(r[3]))
             if kk not in seen:
                 seen.add(kk)
                 records.append(r)
-    records.sort(key=lambda r: order.key(r[0]))
-    lts = [r[0] for r in records]
+    records.sort(key=itemgetter(0))
+    lts = [order.monomial(r[0]) for r in records]
     heap = []
     done = set()
 
@@ -315,11 +334,11 @@ def buchberger(ideal, order=GREVLEX):
         lcm = mono_lcm(li, lj)
         if _chain_criterion(i, j, lcm, lts, done):
             continue
-        spoly, _ = _spoly(records[i], records[j], lcm, field)
+        spoly, _ = _spoly(records[i], records[j], order.key(lcm), field)
         rem, _, _ = _divide(spoly, records, order, field)
         if rem:
             records.append(_record(rem, order, field))
-            lts.append(records[-1][0])
+            lts.append(order.monomial(records[-1][0]))
             push_pairs(len(records) - 1)
     return GroebnerBasis(ctx, order, _reduce_basis(records, order, ctx))
 
@@ -341,17 +360,18 @@ def _reduce_basis(records, order, ctx):
     # of leading terms no kept one can be a multiple of a later one.
     # Reduction keeps every leading term, so one pass leaves every tail
     # reduced and the result in that order.
+    within = order.within
     kept = []
-    for r in sorted(records, key=lambda r: order.key(r[0])):
-        if not any(mono_divides(h[0], r[0]) for h in kept):
+    for r in sorted(records, key=itemgetter(0)):
+        if not any(all(map(within, r[0], h[1])) for h in kept):
             kept.append(r)
-    for i, (lm, lc, tail) in enumerate(kept):
+    for i, (lm, _, lc, tail) in enumerate(kept):
         work = {lm: lc}
         work.update(tail)
         rem, _, _ = _divide(work, kept[:i] + kept[i + 1:], order, ctx.field)
         # later divisions see the new element
         kept[i] = _record(rem, order, ctx.field)
-    return [_monic(ctx, r) for r in kept]
+    return [_monic(ctx, order, r) for r in kept]
 
 
 def _standard_monomials(G, limit=None):
@@ -555,6 +575,7 @@ def _schreyer_relations(G, koszul):
     basis, records, lts = G.gens, G._records, G.lts
     one = field.one
     minus_one = -one
+    monomial = order.monomial
     rels = []
     for j in range(len(basis)):
         for i in range(j):
@@ -568,14 +589,15 @@ def _schreyer_relations(G, koszul):
                 continue
             # divide mj g_j - mi g_i, so that the quotients are the
             # relation's coefficients
-            lcm = mono_lcm(li, lj)
-            spoly, lam = _spoly(records[j], records[i], lcm, field)
+            top = order.key(mono_lcm(li, lj))
+            spoly, lam = _spoly(records[j], records[i], top, field)
             rem, quots, _ = _divide(spoly, records, order, field, track=True, scale=lam)
             if rem:
                 raise ArithmeticError("S-polynomial of a Groebner basis did not reduce to zero")
-            quots[i][mono_div(lcm, li)] = one
-            quots[j][mono_div(lcm, lj)] = minus_one
-            rels.append([Polynomial(ctx, q) for q in quots])
+            quots[i][tuple(map(sub, top, records[i][0]))] = one
+            quots[j][tuple(map(sub, top, records[j][0]))] = minus_one
+            rels.append([Polynomial(ctx, {monomial(k): c for k, c in q.items()})
+                         for q in quots])
     return rels
 
 

@@ -7,7 +7,8 @@ case its elements are differential polynomials acting on the primal ring.
 """
 
 import re
-from math import comb
+from math import comb, inf
+from operator import add, ge, le, mul, neg
 
 from .errors import ParseError, PreconditionError
 from .fields import QT, field_from_tag
@@ -16,23 +17,15 @@ from .fields import QT, field_from_tag
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_div(a, b):
-    """a / b, or None when b does not divide a."""
-    out = tuple(x - y for x, y in zip(a, b))
-    if any(x < 0 for x in out):
-        return None
-    return out
+    return all(map(le, a, b))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_deg(a):
@@ -40,17 +33,29 @@ def mono_deg(a):
 
 
 def mono_coprime(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+    # exponents are nonnegative, so min is 0 exactly when one of them is
+    return not any(map(min, a, b))
 
 
 class MonomialOrder:
     """Total order on monomials: grevlex, lex, or a weight order with tiebreak.
 
-    key(m) is a tuple that sorts consistently with the order, so max() over
-    keys picks the leading monomial.
+    key(m) is the monomial's coordinates in the order: a flat tuple, linear
+    in the exponents, that sorts as the order does.
+
+    - grevlex: (|m|, -m_d, ..., -m_1);
+    - lex: m;
+    - weight w, grevlex tiebreak: (w.m, |m|, -m_d, ..., -m_1);
+    - weight w, lex tiebreak: (w.m, m_1, ..., m_d).
+
+    So max() over coordinates picks the leading monomial with no key
+    function, key(a b) = key(a) + key(b) entrywise, and a quotient is a
+    difference of coordinates.  monomial(k) inverts key.  Divisibility
+    reads the last d coordinates: a divides b exactly when
+    all(map(order.within, key(b), order.divisor_bound(key(a)))).
     """
 
-    __slots__ = ("kind", "weight", "tiebreak")
+    __slots__ = ("kind", "weight", "tiebreak", "within", "_prefix")
 
     def __init__(self, kind, weight=None, tiebreak="grevlex"):
         if kind not in ("grevlex", "lex", "weight"):
@@ -62,16 +67,37 @@ class MonomialOrder:
         self.kind = kind
         self.weight = tuple(weight) if weight is not None else None
         self.tiebreak = tiebreak
+        # the coordinates are a prefix of order data (weight, degree), then
+        # the exponents: as they are when lex breaks ties, else negated and
+        # reversed, so that a multiple has the larger or the smaller ones
+        lexical = kind == "lex" or kind == "weight" and tiebreak == "lex"
+        self._prefix = (kind == "weight") + (not lexical)
+        self.within = ge if lexical else le
 
     def key(self, m):
         if self.kind == "grevlex":
-            return (sum(m), tuple(-e for e in reversed(m)))
+            return (sum(m), *map(neg, reversed(m)))
         if self.kind == "lex":
             return m
-        w = sum(wi * ei for wi, ei in zip(self.weight, m))
+        w = sum(map(mul, self.weight, m))
         if self.tiebreak == "grevlex":
-            return (w, sum(m), tuple(-e for e in reversed(m)))
-        return (w, m)
+            return (w, sum(m), *map(neg, reversed(m)))
+        return (w, *m)
+
+    def monomial(self, k):
+        """The monomial whose coordinates are k: the inverse of key."""
+        p = self._prefix
+        if self.within is ge:   # the exponents as they are
+            return tuple(k[p:])
+        return tuple(map(neg, k[:p - 1:-1]))
+
+    def divisor_bound(self, k):
+        """The coordinates k with their order prefix made unbounded: the
+        multiples of monomial(k) are the coordinates c with
+        all(map(self.within, c, bound))."""
+        p = self._prefix
+        far = inf if self.within is le else -inf
+        return (far,) * p + tuple(k[p:])
 
     def compare(self, a, b):
         if len(a) != len(b):

@@ -9,17 +9,18 @@ from hilbcheck.fixtures import (degeneration_753, degeneration_axis_weight,
                                 degeneration_chain, degeneration_cubic_pair,
                                 degeneration_pencil_deg8,
                                 degeneration_square_pair,
-                                degeneration_two_quadrics, random_points,
-                                seven_quadrics_ideal)
+                                degeneration_two_quadrics, random_invertible_matrix,
+                                random_points, seven_quadrics_ideal)
 from hilbcheck import groebner
 from hilbcheck.groebner import (Ideal, SyzygyBasis, _divide, _division_record,
                                 _field_terms, _working_terms, buchberger,
                                 delta_ratio, ideal_equal, initial_ideal,
                                 intersect, linear_syzygies, normal_form,
                                 points_ideal, schreyer_syzygies)
-from hilbcheck.poly import (GREVLEX, LEX, Polynomial, context, mono_divides,
-                            parse_ideal_file, parse_polynomial, weight_order)
+from hilbcheck.poly import (GREVLEX, LEX, MonomialOrder, Polynomial, context,
+                            mono_divides, parse_ideal_file, parse_polynomial, weight_order)
 from hilbcheck.scalars import rat
+from hilbcheck.smooth import change_coordinates
 
 
 def P(s, ctx):
@@ -345,12 +346,14 @@ def _division(f, divisors, order):
     sum of the quotients times the monic divisors, plus the remainder."""
     ctx, field = f.ctx, f.ctx.field
     records = [_division_record(g, order) for g in divisors]
-    # f = s * work, and _divide returns the quotients of work
-    work, (num, den) = _working_terms(f)
+    # f = s * work, and _divide returns the quotients of work; _divide keys
+    # every term by the order's coordinates
+    work, (num, den) = _working_terms(f, order)
     s = field.from_int(num) / field.from_int(den)
     rem, quots, (lam_num, lam_den) = _divide(work, records, order, field, track=True)
-    r = Polynomial(ctx, _field_terms(rem, field, num * lam_den, den * lam_num))
-    return r, [Polynomial(ctx, q).scale(s) for q in quots]
+    r = Polynomial(ctx, _field_terms(rem, order, field, num * lam_den, den * lam_num))
+    return r, [Polynomial(ctx, {order.monomial(k): c for k, c in q.items()}).scale(s)
+               for q in quots]
 
 
 def _divisor_lists(field, make_order, rng):
@@ -374,8 +377,9 @@ def _divisor_lists(field, make_order, rng):
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
 @pytest.mark.parametrize("make_order", [lambda d: GREVLEX, lambda d: LEX,
-                                        lambda d: weight_order((2, 1, 3, 1, 2)[:d])],
-                         ids=["grevlex", "lex", "weight"])
+                                        lambda d: weight_order((2, 1, 3, 1, 2)[:d]),
+                                        lambda d: weight_order((2, 1, 3, 1, 2)[:d], "lex")],
+                         ids=["grevlex", "lex", "weight", "weight-lex"])
 def test_division_property(field, make_order):
     # f = sum q_i g_i + r exactly, and no term of r is divisible by a leading
     # term; against a reduced basis that r is the normal form, a fixed point
@@ -430,6 +434,20 @@ def test_normal_form_reads_no_leading_monomial(monkeypatch):
     for f in fs:
         G.normal_form(f)
     assert calls == []
+
+
+def test_buchberger_evaluates_few_order_keys(monkeypatch):
+    # division works in the order's coordinates: a monomial is keyed when it
+    # enters the working dicts and once per S-pair, not at every reduction
+    # step
+    I = change_coordinates(seven_quadrics_ideal(6, GF(7)),
+                           random_invertible_matrix(1919, 6, GF(7)))
+    calls = []
+    key = MonomialOrder.key
+    monkeypatch.setattr(MonomialOrder, "key", lambda self, m: calls.append(1) or key(self, m))
+    G = buchberger(Ideal(I.ctx, I.gens))
+    assert len(calls) <= 250
+    assert G.colength() == 8
 
 
 QT_IDEAL = "field Qt\nvars x y\nideal:\nx^2 - t*y\nt*x*y + y^2 - (t+1)*x\n"

@@ -1,9 +1,14 @@
-"""The integer kernels read the working-coefficient format from `fields`.
+"""Formats stay behind the module that owns them.
 
+The integer kernels read the working-coefficient format from `fields`:
 groebner, linalg, artin and tangent convert between field elements and
-integers only through `Field.integers`, `Field.element` and `Field.modulus`:
-they read no numerator, denominator or residue of a scalar and compare no
+integers only through `Field.integers`, `Field.element` and `Field.modulus`.
+They read no numerator, denominator or residue of a scalar and compare no
 field with Q.
+
+A monomial order is read through its coordinates (`MonomialOrder.key`,
+`monomial`, `divisor_bound`, `within`): no module but `poly` reads its kind,
+weight or tiebreak.
 """
 
 import ast
@@ -47,3 +52,27 @@ def test_boundary_scan_sees_each_violation():
     assert boundary_violations(source) == [
         (2, "comparison with QQ"), (3, ".denominator"), (3, ".numerator"),
         (4, "comparison with QQ"), (5, ".v")]
+
+
+ORDER_INTERNALS = {"kind", "weight", "tiebreak"}
+
+
+def order_violations(source):
+    """(line, what) of each read of a monomial order's internals in the
+    module source."""
+    return sorted((node.lineno, f".{node.attr}") for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in ORDER_INTERNALS)
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.stem != "poly"))
+def test_only_poly_reads_the_order_internals(module):
+    source = (SRC / f"{module}.py").read_text()
+    assert order_violations(source) == []
+
+
+def test_order_scan_sees_each_violation():
+    source = ("def f(order, m):\n"
+              "    if order.kind == 'weight':\n"
+              "        return order.weight, order.tiebreak\n"
+              "    return order.key(m), order.within\n")
+    assert order_violations(source) == [(2, ".kind"), (3, ".tiebreak"), (3, ".weight")]

@@ -5,8 +5,9 @@ import pytest
 from hilbcheck.errors import ParseError, PreconditionError
 from hilbcheck.fields import GF, QQ, QT
 from hilbcheck.poly import (EXPONENT_CAP, GREVLEX, LEX, PRODUCT_CAP, TERM_CAP, Polynomial,
-                            compare, context, format_ideal_file, parse_ideal_file,
-                            parse_points_file, parse_polynomial, poly_str, weight_order)
+                            compare, context, format_ideal_file, mono_divides, mono_mul,
+                            parse_ideal_file, parse_points_file, parse_polynomial, poly_str,
+                            weight_order)
 from hilbcheck.scalars import rat
 
 
@@ -123,6 +124,43 @@ def test_compare_total_order_random():
             if compare(order, a, b) >= 0 and compare(order, b, c) >= 0:
                 assert compare(order, a, c) >= 0
             assert (compare(order, a, b) == 0) == (a == b)
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _reference_compare(kind, a, b, weight=None, tiebreak="grevlex"):
+    """The order by its textbook definition, not by key."""
+    if kind == "weight":
+        by_weight = _sign(sum(w * (x - y) for w, x, y in zip(weight, a, b)))
+        return by_weight or _reference_compare(tiebreak, a, b)
+    diff = [x - y for x, y in zip(a, b)]
+    if kind == "lex":
+        return next((_sign(e) for e in diff if e), 0)
+    # grevlex: higher degree wins, then the smaller last differing exponent
+    return _sign(sum(diff)) or next((-_sign(e) for e in reversed(diff) if e), 0)
+
+
+@pytest.mark.parametrize("kind,weight,tiebreak", [
+    ("grevlex", None, "grevlex"), ("lex", None, "grevlex"),
+    ("weight", (2, 1, 3, 1), "grevlex"), ("weight", (2, 1, 3, 1), "lex")],
+    ids=["grevlex", "lex", "weight", "weight-lex"])
+def test_order_coordinates_are_linear_and_invertible(kind, weight, tiebreak):
+    # key(m) sorts as the order, adds under products and inverts through
+    # monomial; the divisor bound tests divisibility in coordinates
+    order = GREVLEX if kind == "grevlex" else LEX if kind == "lex" \
+        else weight_order(weight, tiebreak)
+    rng = random.Random(4040)
+    for _ in range(300):
+        a, c = (tuple(rng.randint(0, 3) for _ in range(4)) for _ in range(2))
+        # a multiple of a half of the time, so that divisibility holds often
+        b = mono_mul(a, c) if rng.random() < 0.5 else tuple(rng.randint(0, 5) for _ in range(4))
+        ka, kb = order.key(a), order.key(b)
+        assert (ka > kb) - (ka < kb) == _reference_compare(kind, a, b, weight, tiebreak)
+        assert order.key(mono_mul(a, c)) == tuple(x + y for x, y in zip(ka, order.key(c)))
+        assert order.monomial(ka) == a and order.monomial(kb) == b
+        assert all(map(order.within, kb, order.divisor_bound(ka))) == mono_divides(a, b)
 
 
 def test_order_globality():
