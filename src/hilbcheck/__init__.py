@@ -13,8 +13,7 @@ from .poly import (GREVLEX, LEX, MonomialOrder, Polynomial, VariableContext,
                    weight_order)
 from .groebner import (GroebnerBasis, Ideal, QuotientBasis, buchberger,
                        delta_ratio, ideal_equal, initial_ideal, intersect,
-                       linear_syzygies, normal_form, points_ideal,
-                       quotient_basis, schreyer_syzygies)
+                       linear_syzygies, points_ideal, schreyer_syzygies)
 from .linalg import (DenseMatrix, determinant, kernel_basis, mat_rank, rank,
                      minor_gcd_sample, pfaffian, t_adic_minor_valuation)
 from .artin import (HilbertFunction, LocalAlgebraModel, centroid,

@@ -58,6 +58,19 @@ def _factorial_int(m):
     return prod(map(factorial, m))
 
 
+def _apolar_complement(rows, monos, ctx):
+    """The forms of ctx on the monomials monos orthogonal, under the
+    factorial pairing, to each coefficient row over monos: every monomial
+    when there is no row."""
+    field = ctx.field
+    if not rows:
+        return [Polynomial(ctx, {m: field.one}) for m in monos]
+    weights = [field.from_int(_factorial_int(m)) for m in monos]
+    ker = kernel_basis(DenseMatrix(field, [[x * w for x, w in zip(row, weights)]
+                                           for row in rows]))
+    return [Polynomial(ctx, {m: c for m, c in zip(monos, v) if c}) for v in ker]
+
+
 def homogeneous_component_basis(I, j):
     """Echelonized coefficient rows spanning the degree-j part of a
     homogeneous ideal, together with the monomial column list."""
@@ -85,19 +98,10 @@ def homogeneous_component_basis(I, j):
 def perp(I, j):
     """Basis of the subspace of degree-j dual forms annihilated by I_j."""
     ctx = I.ctx
-    field = ctx.field
-    _char_guard(field, j)
+    _char_guard(ctx.field, j)
     rows, monos = homogeneous_component_basis(I, j)
     dual_ctx = ctx.dual_context() if not ctx.dual else ctx
-    if not rows:
-        return [Polynomial(dual_ctx, {m: field.one}) for m in monos]
-    scaled = [[r[i] * field.from_int(_factorial_int(monos[i])) for i in range(len(monos))]
-              for r in rows]
-    ker = kernel_basis(DenseMatrix(field, scaled))
-    out = []
-    for v in ker:
-        out.append(Polynomial(dual_ctx, {m: c for m, c in zip(monos, v) if c}))
-    return out
+    return _apolar_complement(rows, monos, dual_ctx)
 
 
 class InverseSystem:
@@ -173,18 +177,11 @@ def ideal_from_inverse_system(gens):
     primal = ctx.dual_context()
     top = max(system.components, default=0)
     out = []
-    for j in range(top + 1):
+    # the closure has no form of degree top + 1, so every monomial of that
+    # degree is in the ideal
+    for j in range(top + 2):
         monos = list(_monomials_of_degree(ctx.d, j))
-        duals = system.components.get(j, ())
-        if not duals:
-            out.extend(Polynomial(primal, {m: field.one}) for m in monos)
-            continue
-        # orthogonal complement under the factorial pairing
-        rows = [[q.terms.get(m, field.zero) * field.from_int(_factorial_int(m))
-                 for m in monos] for q in duals]
-        ker = kernel_basis(DenseMatrix(field, rows))
-        for v in ker:
-            out.append(Polynomial(primal, {m: c for m, c in zip(monos, v) if c}))
-    for m in _monomials_of_degree(ctx.d, top + 1):
-        out.append(Polynomial(primal, {m: field.one}))
+        rows = [[q.terms.get(m, field.zero) for m in monos]
+                for q in system.components.get(j, ())]
+        out.extend(_apolar_complement(rows, monos, primal))
     return Ideal(primal, out)

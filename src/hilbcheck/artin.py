@@ -10,7 +10,7 @@ chain of subspaces generated by 1 under products of at least j variables.
 from math import gcd, lcm
 
 from .errors import HilbcheckError, PreconditionError
-from .linalg import DenseMatrix, RowSpace, kernel_basis
+from .linalg import DenseMatrix, RowSpace, kernel_basis, row_product
 from .poly import GREVLEX, VariableContext, mono_deg
 from .groebner import Ideal, buchberger, cyclic_annihilator_gb
 from .scalars import is_prime
@@ -183,20 +183,7 @@ def _product(a, b, field):
     (arows, aden), (brows, bden) = a, b
     p = field.modulus
     zero = field.zero if p is None else 0
-    cols = list(zip(*brows))
-    out = []
-    for row in arows:
-        nonzero = [(k, x) for k, x in enumerate(row) if x]
-        new = []
-        for col in cols:
-            acc = zero
-            for k, x in nonzero:
-                y = col[k]
-                if y:
-                    acc = acc + x * y
-            new.append(acc)
-        out.append(new)
-    return _normalized(out, aden * bden, p)
+    return _normalized(row_product(arows, brows, zero), aden * bden, p)
 
 
 def _normalized(rows, den, p):

@@ -249,8 +249,16 @@ def build_parser():
 
 
 def main(argv=None):
+    # argparse reads a weight vector that starts with a minus sign, such as
+    # -1,1,1, as an option of its own, so `-w W` is passed on as `-w=W`
+    words = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if words and words[-1] == "-w":
+            words[-1] = f"-w={arg}"
+        else:
+            words.append(arg)
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(words)
     try:
         return args.fn(args)
     except ParseError as exc:

@@ -68,17 +68,19 @@ class QuotientBasis:
 class GroebnerBasis(Ideal):
     """Reduced Groebner basis: monic, auto-reduced, deterministically sorted.
 
-    As an Ideal its generators are the reduced basis, so every function that
-    takes an ideal takes a basis, and buchberger returns it unchanged.
+    It is built from the division records of its elements (see _record), in
+    the basis order.  As an Ideal its generators are the reduced basis, the
+    monic polynomials of the records, so every function that takes an ideal
+    takes a basis, and buchberger returns it unchanged.
     """
 
     __slots__ = ("order", "lts", "_records", "_qb")
 
-    def __init__(self, ctx, order, elements):
-        super().__init__(ctx, elements)
+    def __init__(self, ctx, order, records):
+        super().__init__(ctx, [_monic(ctx, order, r) for r in records])
         self.order = order
-        self._records = [_division_record(g, order) for g in self.gens]
-        self.lts = tuple(order.monomial(r[0]) for r in self._records)
+        self._records = records
+        self.lts = tuple(order.monomial(r[0]) for r in records)
         self._qb = None
 
     @property
@@ -285,10 +287,6 @@ def _divide(work, records, order, field, track=False, scale=1):
     return rem, quots, (num, den)
 
 
-def normal_form(f, G):
-    return G.normal_form(f)
-
-
 def buchberger(ideal, order=GREVLEX):
     """Reduced Groebner basis of an ideal; deterministic for fixed input.
 
@@ -340,7 +338,7 @@ def buchberger(ideal, order=GREVLEX):
             records.append(_record(rem, order, field))
             lts.append(order.monomial(records[-1][0]))
             push_pairs(len(records) - 1)
-    return GroebnerBasis(ctx, order, _reduce_basis(records, order, ctx))
+    return GroebnerBasis(ctx, order, _reduce_basis(records, order, field))
 
 
 def _chain_criterion(i, j, lcm, lts, done):
@@ -354,8 +352,9 @@ def _chain_criterion(i, j, lcm, lts, done):
     return False
 
 
-def _reduce_basis(records, order, ctx):
-    """The monic reduced basis from the records of a Groebner basis."""
+def _reduce_basis(records, order, field):
+    """The records of the reduced basis from the records of a Groebner
+    basis."""
     # minimalize leading terms, then inter-reduce tails.  In increasing order
     # of leading terms no kept one can be a multiple of a later one.
     # Reduction keeps every leading term, so one pass leaves every tail
@@ -368,10 +367,10 @@ def _reduce_basis(records, order, ctx):
     for i, (lm, _, lc, tail) in enumerate(kept):
         work = {lm: lc}
         work.update(tail)
-        rem, _, _ = _divide(work, kept[:i] + kept[i + 1:], order, ctx.field)
+        rem, _, _ = _divide(work, kept[:i] + kept[i + 1:], order, field)
         # later divisions see the new element
-        kept[i] = _record(rem, order, ctx.field)
-    return [_monic(ctx, order, r) for r in kept]
+        kept[i] = _record(rem, order, field)
+    return kept
 
 
 def _standard_monomials(G, limit=None):
@@ -405,10 +404,6 @@ def _standard_monomials(G, limit=None):
                 seen.add(mm)
                 heapq.heappush(heap, (order.key(mm), mm))
     return QuotientBasis(out)
-
-
-def quotient_basis(G):
-    return G.quotient_basis()
 
 
 def ideal_equal(I, J):
@@ -462,7 +457,8 @@ def initial_ideal(I, w):
     if all(wi >= 0 for wi in w):
         order = GREVLEX if len(set(w)) == 1 else weight_order(w, tiebreak="grevlex")
         G = buchberger(I, order)
-        return GroebnerBasis(I.ctx, order, [g.weight_initial_form(w) for g in G.gens])
+        forms = [g.weight_initial_form(w) for g in G.gens]
+        return GroebnerBasis(I.ctx, order, [_division_record(f, order) for f in forms])
     return _initial_ideal_truncated(I, w)
 
 
@@ -651,9 +647,9 @@ def linear_syzygies(quadrics, ctx):
     return SyzygyBasis(quadrics, rels)
 
 
-def cyclic_annihilator_gb(ctx, apply_var, start, order=GREVLEX):
-    """Reduced basis of the annihilator of a cyclic vector under commuting
-    variable actions.
+def cyclic_annihilator_gb(ctx, apply_var, start):
+    """Reduced grevlex basis of the annihilator of a cyclic vector under
+    commuting variable actions.
 
     apply_var(i, vec) is multiplication by the i-th variable.  Monomials are
     scanned in increasing order; a linear dependence of x^m * start on the
@@ -667,7 +663,7 @@ def cyclic_annihilator_gb(ctx, apply_var, start, order=GREVLEX):
     gb = []
     lts = []
     zero = (0,) * ctx.d
-    heap = [(order.key(zero), zero)]
+    heap = [(GREVLEX.key(zero), zero)]
     seen = {zero}
     pending = {zero: list(start)}
     while heap:
@@ -685,24 +681,25 @@ def cyclic_annihilator_gb(ctx, apply_var, start, order=GREVLEX):
                 mm = tuple(mm)
                 if mm not in seen:
                     seen.add(mm)
-                    heapq.heappush(heap, (order.key(mm), mm))
+                    heapq.heappush(heap, (GREVLEX.key(mm), mm))
                     pending[mm] = apply_var(i, vec)
         else:
             terms = {m: field.one}
             for idx, c in combo.items():
                 if c:
                     terms[lam[lam_slot[idx]]] = -c
-            gb.append(Polynomial(ctx, terms))
+            gb.append(_division_record(Polynomial(ctx, terms), GREVLEX))
             lts.append(m)
-    gb.sort(key=lambda g: order.key(g.lm(order)))
-    G = GroebnerBasis(ctx, order, gb)
+    gb.sort(key=itemgetter(0))
+    G = GroebnerBasis(ctx, GREVLEX, gb)
     G._qb = QuotientBasis(lam)
     return G
 
 
-def points_ideal(points, ctx, order=GREVLEX):
-    """Reduced basis of the vanishing ideal of distinct points (evaluation
-    matrix elimination, one monomial at a time in increasing order)."""
+def points_ideal(points, ctx):
+    """Reduced grevlex basis of the vanishing ideal of distinct points
+    (evaluation matrix elimination, one monomial at a time in increasing
+    order)."""
     field = ctx.field
     pts = [tuple(field.from_int(c) if isinstance(c, int) else c for c in q) for q in points]
     for q in pts:
@@ -715,7 +712,7 @@ def points_ideal(points, ctx, order=GREVLEX):
     def apply_var(i, vec):
         return [v * q[i] for v, q in zip(vec, pts)]
 
-    G = cyclic_annihilator_gb(ctx, apply_var, [field.one] * n, order)
+    G = cyclic_annihilator_gb(ctx, apply_var, [field.one] * n)
     if len(G.quotient_basis()) != n:
         raise ArithmeticError("evaluation matrix did not reach full rank")
     return G

@@ -22,6 +22,8 @@ in the format of `fields` by one of the first two loops, chosen by field;
 the tangent systems build their rows in that format.  `rank(field, rows)`
 is its entry for rows of field elements, as the rank-only checks hold
 them, and `mat_rank(m)` is the `DenseMatrix` form of `rank`.
+`row_product` is the one matrix-product loop, on field elements for
+`DenseMatrix.matmul` and on working integers for `artin`'s operators.
 """
 
 import random
@@ -64,21 +66,7 @@ class DenseMatrix:
     def matmul(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        z = self.field.zero
-        cols = list(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            nonzero = [(k, a) for k, a in enumerate(row) if a]
-            new = []
-            for col in cols:
-                acc = z
-                for k, a in nonzero:
-                    b = col[k]
-                    if b:
-                        acc = acc + a * b
-                new.append(acc)
-            out.append(new)
-        return DenseMatrix(self.field, out)
+        return DenseMatrix(self.field, row_product(self.rows, other.rows, self.field.zero))
 
     def apply(self, vec):
         z = self.field.zero
@@ -105,6 +93,26 @@ class DenseMatrix:
 
     def __repr__(self):
         return "\n".join("[" + ", ".join(map(str, row)) + "]" for row in self.rows)
+
+
+def row_product(arows, brows, zero):
+    """The rows of the product of the matrices whose rows are arows and
+    brows, zero being the zero of their entries: field elements, or the
+    working integers of `fields`."""
+    cols = list(zip(*brows))
+    out = []
+    for row in arows:
+        nonzero = [(k, a) for k, a in enumerate(row) if a]
+        new = []
+        for col in cols:
+            acc = zero
+            for k, a in nonzero:
+                b = col[k]
+                if b:
+                    acc = acc + a * b
+            new.append(acc)
+        out.append(new)
+    return out
 
 
 class RowSpace:

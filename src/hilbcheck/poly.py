@@ -322,18 +322,6 @@ class Polynomial:
             return None
         return max(self.terms, key=order.key)
 
-    def lc(self, order=GREVLEX):
-        m = self.lm(order)
-        return self.ctx.field.zero if m is None else self.terms[m]
-
-    def monic(self, order=GREVLEX):
-        if not self.terms:
-            return self
-        c = self.terms[self.lm(order)]
-        if c == self.ctx.field.one:
-            return self
-        return Polynomial(self.ctx, {m: x / c for m, x in self.terms.items()})
-
     def partial(self, i):
         out = {}
         for m, c in self.terms.items():
@@ -385,16 +373,8 @@ class Polynomial:
             acc = acc + v
         return acc
 
-    def sorted_terms(self, order=GREVLEX):
-        return sorted(self.terms.items(), key=lambda mc: order.key(mc[0]), reverse=True)
-
     def __repr__(self):
         return poly_str(self)
-
-
-def compare(order, a, b):
-    """Three-way comparison of monomials: -1, 0, or 1."""
-    return order.compare(tuple(a), tuple(b))
 
 
 # --- printing ----------------------------------------------------------------
@@ -412,12 +392,13 @@ def _mono_str(m, names):
     return "*".join(parts)
 
 
-def poly_str(p, order=GREVLEX):
+def poly_str(p):
+    """The text of p, its terms in decreasing grevlex order."""
     if not p.terms:
         return "0"
     names = p.ctx.names
     chunks = []
-    for m, c in p.sorted_terms(order):
+    for m, c in sorted(p.terms.items(), key=lambda mc: GREVLEX.key(mc[0]), reverse=True):
         mono = _mono_str(m, names)
         cs = str(c)
         simple = bool(_SIMPLE_COEFF.match(cs))

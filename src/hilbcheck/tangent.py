@@ -172,11 +172,9 @@ def graded_tangent_dimensions(I):
 class TangentReport:
     total: int
     graded: dict | None
-    expected_dimension: int | None
-    smooth_point: bool | None
 
 
-def tangent_report(I, expected_dimension=None, graded=False):
+def tangent_report(I, graded=False):
     G = buchberger(I)
     system = _HomSystem(G)
     total = system.total()
@@ -186,10 +184,7 @@ def tangent_report(I, expected_dimension=None, graded=False):
         gr = system.graded_pieces()
         if sum(gr.values()) != total:
             raise ArithmeticError("graded pieces do not sum to the total tangent dimension")
-    smooth = None
-    if expected_dimension is not None:
-        smooth = total == expected_dimension
-    return TangentReport(total, gr, expected_dimension, smooth)
+    return TangentReport(total, gr)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +211,7 @@ class TangentMachine143:
         return determinant(hbar) if hbar.nrows == hbar.ncols else None
 
 
-def build_tangent_machine(I, cobasis=None):
+def build_tangent_machine(I):
     """Syzygy-constraint matrix psi and its reduction hbar for a (1,4,3) ideal.
 
     Requires four variables and an ideal generated in degree 2; the verdict
@@ -238,9 +233,8 @@ def build_tangent_machine(I, cobasis=None):
         if "cubic" in str(exc) or "Hilbert" in str(exc):
             raise PreconditionError("requires cubic generator: " + str(exc)) from None
         raise
-    if cobasis is None:
-        cobasis = [m for m in G.quotient_basis() if mono_deg(m) == 2]
-    return _assemble_machine(ctx, quadrics, relations, list(cobasis))
+    cobasis = [m for m in G.quotient_basis() if mono_deg(m) == 2]
+    return _assemble_machine(ctx, quadrics, relations, cobasis)
 
 
 def _assemble_machine(ctx, quadrics, relations, cobasis):

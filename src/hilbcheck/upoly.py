@@ -45,15 +45,8 @@ def zmul(a, b):
     return ztrim(out)
 
 
-def zcontent(a):
-    g = 0
-    for c in a:
-        g = gcd(g, abs(c))
-    return g
-
-
 def zprim(a):
-    g = zcontent(a)
+    g = gcd(*a)
     if g <= 1:
         return a
     return tuple(c // g for c in a)
@@ -141,7 +134,7 @@ def _qrem(a, b):
     return a
 
 
-def zpoly_str(p, var="t"):
+def zpoly_str(p):
     if not p:
         return "0"
     parts = []
@@ -152,9 +145,9 @@ def zpoly_str(p, var="t"):
         if i == 0:
             mono = ""
         elif i == 1:
-            mono = var
+            mono = "t"
         else:
-            mono = f"{var}^{i}"
+            mono = f"t^{i}"
         mag = abs(c)
         if mono and mag == 1:
             body = mono
@@ -269,7 +262,7 @@ def _reduce(num, den):
             den = zdiv_exact(den, g)
             if den[-1] < 0:
                 num, den = zneg(num), zneg(den)
-    c = gcd(zcontent(num), zcontent(den))
+    c = gcd(*num, *den)
     if c > 1:
         num = tuple(x // c for x in num)
         den = tuple(x // c for x in den)

@@ -21,7 +21,7 @@ from .groebner import (buchberger, delta_ratio, ideal_equal, initial_ideal,
                        intersect, points_ideal)
 from .linalg import DenseMatrix, determinant, pfaffian
 from .poly import context
-from .scalars import RAT_BACKEND, rat
+from .scalars import RAT_BACKEND
 from .smooth import (change_coordinates, classify_smoothable, project_to_graded,
                      salmon_turnbull_pfaffian)
 from .tangent import (build_tangent_machine, curve_multiplicity,
@@ -64,73 +64,62 @@ def _case_tangent_33(seed):
     return ("PASS" if td == 33 else "FAIL"), str(td), "monomial (1,4,3)"
 
 
+def _degeneration_case(I, J1, J2, w, value, note, J=None):
+    """PASS with value and note when in_w(J) = I for J the intersection of J1
+    and J2, else FAIL; a J that the fixture gives is checked to be that
+    intersection first."""
+    if J is None:
+        J = intersect(J1, J2)
+    elif not ideal_equal(intersect(J1, J2), J):
+        return "FAIL", "intersection", note
+    if not ideal_equal(initial_ideal(J, w), I):
+        return "FAIL", "initial", note
+    return "PASS", value, note
+
+
 def _case_initial_pencil(seed):
     I, J, (J1, J2), w = fx.degeneration_pencil_deg8()
-    if not ideal_equal(intersect(J1, J2), J):
-        return "FAIL", "intersection", "J != J1 meet J2"
-    if not ideal_equal(initial_ideal(J, w), I):
-        return "FAIL", "initial", "in_w(J) != I"
+    result = _degeneration_case(I, J1, J2, w, "in_(1,1,1) and 3+5 split", "", J)
+    if result[0] != "PASS":
+        return result
     n1 = buchberger(J1).colength()
     n2 = buchberger(J2).colength()
     if (n1, n2) != (3, 5):
         return "FAIL", f"colengths {n1}+{n2}", ""
-    return "PASS", "in_(1,1,1) and 3+5 split", ""
+    return result
 
 
 def _case_initial_axis(seed):
     I, (J1, J2), w = fx.degeneration_axis_weight()
-    J = intersect(J1, J2)
-    ok = ideal_equal(initial_ideal(J, w), I)
-    return ("PASS" if ok else "FAIL"), "in_(1,0,0)", ""
+    return _degeneration_case(I, J1, J2, w, "in_(1,0,0)", "")
 
 
 def _case_initial_753(seed):
     I, (J1, J2), w = fx.degeneration_753()
-    J = intersect(J1, J2)
-    ok = ideal_equal(initial_ideal(J, w), I)
-    return ("PASS" if ok else "FAIL"), "in_(7,5,3)", ""
+    return _degeneration_case(I, J1, J2, w, "in_(7,5,3)", "")
 
 
 def _chain_case(d, m):
-    I, J, (J1, J2), w = fx.degeneration_chain(d, m)
-    if not ideal_equal(intersect(J1, J2), J):
-        return "FAIL", "intersection", f"d={d}, m={m}"
-    if not ideal_equal(initial_ideal(J, w), I):
-        return "FAIL", "initial", f"d={d}, m={m}"
-    return "PASS", f"in_{w}", f"d={d}, m={m}"
-
-
-def _case_initial_chain_d2m3(seed):
-    return _chain_case(2, 3)
-
-
-def _case_initial_chain_d3m3(seed):
-    return _chain_case(3, 3)
-
-
-def _case_initial_chain_d3m4(seed):
-    return _chain_case(3, 4)
+    """The case of the degeneration chain fixture of d and m."""
+    def case(seed):
+        I, J, (J1, J2), w = fx.degeneration_chain(d, m)
+        return _degeneration_case(I, J1, J2, w, f"in_{w}", f"d={d}, m={m}", J)
+    return case
 
 
 def _case_initial_two_quadrics(seed):
-    I, (J1, J2), w = fx.degeneration_two_quadrics(3, 2, 3)
-    J = intersect(J1, J2)
-    ok = ideal_equal(initial_ideal(J, w), I)
-    return ("PASS" if ok else "FAIL"), "in_(1,1,1)", "pencil of quadrics stratum"
+    I, (J1, J2), w = fx.degeneration_two_quadrics()
+    return _degeneration_case(I, J1, J2, w, "in_(1,1,1)", "pencil of quadrics stratum")
 
 
 def _case_initial_cubic_socle(seed):
-    I, (J1, J2), w = fx.degeneration_cubic_pair(3)
-    J = intersect(J1, J2)
-    ok = ideal_equal(initial_ideal(J, w), I)
-    return ("PASS" if ok else "FAIL"), "in_(2,2,3)", "cubic-socle stratum"
+    I, (J1, J2), w = fx.degeneration_cubic_pair()
+    return _degeneration_case(I, J1, J2, w, "in_(2,2,3)", "cubic-socle stratum")
 
 
 def _case_initial_square_socle(seed):
-    I, (J1, J2), w = fx.degeneration_square_pair(3)
-    J = intersect(J1, J2)
-    ok = ideal_equal(initial_ideal(J, w), I)
-    return ("PASS" if ok else "FAIL"), "in_(2,3,3)", "square-socle stratum"
+    I, (J1, J2), w = fx.degeneration_square_pair()
+    return _degeneration_case(I, J1, J2, w, "in_(2,3,3)", "square-socle stratum")
 
 
 def _case_curve16(seed):
@@ -368,9 +357,9 @@ CASES = (
     ("initial-pencil-111", _case_initial_pencil),
     ("initial-axis-100", _case_initial_axis),
     ("initial-753", _case_initial_753),
-    ("initial-chain-d2m3", _case_initial_chain_d2m3),
-    ("initial-chain-d3m3", _case_initial_chain_d3m3),
-    ("initial-chain-d3m4", _case_initial_chain_d3m4),
+    ("initial-chain-d2m3", _chain_case(2, 3)),
+    ("initial-chain-d3m3", _chain_case(3, 3)),
+    ("initial-chain-d3m4", _chain_case(3, 4)),
     ("initial-two-quadrics", _case_initial_two_quadrics),
     ("initial-cubic-socle", _case_initial_cubic_socle),
     ("initial-square-socle", _case_initial_square_socle),

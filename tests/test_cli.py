@@ -48,6 +48,14 @@ def test_initial_command(capsys, tmp_path):
     assert "x^2 + z^2" in out and "x +" not in out
 
 
+@pytest.mark.parametrize("weights", [["-w", "-1,1,1,1"], ["-w=-1,1,1,1"]], ids=["-w W", "-w=W"])
+def test_initial_command_takes_a_negative_weight_in_either_form(capsys, weights):
+    code, out, _ = run(capsys, "initial", *weights, str(DATA / "salmon.ideal"))
+    assert code == 0
+    assert out.splitlines()[3:] == ["x3*x4", "x2*x4", "x3^2 - 3*x4^2", "x2*x3", "x1*x3",
+                                    "x2^2", "x1*x2", "x4^3", "x1*x4^2", "x1^2*x4", "x1^3"]
+
+
 def test_pfaffian_and_smoothable_commands(capsys):
     code, out, _ = run(capsys, "pfaffian", str(DATA / "seven_quadrics_d4.ideal"))
     assert code == 0 and "does not vanish" in out

@@ -15,8 +15,8 @@ from hilbcheck import groebner
 from hilbcheck.groebner import (Ideal, SyzygyBasis, _divide, _division_record,
                                 _field_terms, _working_terms, buchberger,
                                 delta_ratio, ideal_equal, initial_ideal,
-                                intersect, linear_syzygies, normal_form,
-                                points_ideal, schreyer_syzygies)
+                                intersect, linear_syzygies, points_ideal,
+                                schreyer_syzygies)
 from hilbcheck.poly import (GREVLEX, LEX, MonomialOrder, Polynomial, context,
                             mono_divides, parse_ideal_file, parse_polynomial, weight_order)
 from hilbcheck.scalars import rat
@@ -25,6 +25,11 @@ from hilbcheck.smooth import change_coordinates
 
 def P(s, ctx):
     return parse_polynomial(s, ctx)
+
+
+def monic(g, order):
+    """g divided by its leading coefficient in the order."""
+    return g.scale(g.ctx.field.one / g.terms[g.lm(order)])
 
 
 def ideal(ctx, *texts):
@@ -365,8 +370,8 @@ def _divisor_lists(field, make_order, rng):
     I = seven_quadrics_ideal(5, field)
     bases = [buchberger(I, make_order(I.ctx.d))]
     ctx = context(field, "x y z")
-    bases.append(points_ideal(random_points(rng.randrange(10 ** 6), n=6, d=3, field=field),
-                              ctx, make_order(3)))
+    pts = random_points(rng.randrange(10 ** 6), n=6, d=3, field=field)
+    bases.append(buchberger(points_ideal(pts, ctx), make_order(3)))
     while True:
         gens = [g for g in (_random_polynomial(rng, ctx, 3, 3) for _ in range(3)) if g]
         if len(gens) == 3 and all(g.degree() for g in gens):
@@ -393,7 +398,7 @@ def test_division_property(field, make_order):
             r, quots = _division(f, divisors, order)
             total = r
             for q, g in zip(quots, divisors):
-                total = total + q * g.monic(order)
+                total = total + q * monic(g, order)
             assert total == f
             assert not any(mono_divides(lt, m) for m in r.terms for lt in lts)
             if G is not None:
@@ -412,13 +417,14 @@ def test_reduce_basis_sees_a_tail_rewritten_in_mid_pass(monkeypatch):
     monkeypatch.setattr(groebner, "_divide",
                         lambda work, records, *args: seen.append(records)
                         or divide(work, records, *args))
-    kept = groebner._reduce_basis([_division_record(g, LEX) for g in basis], LEX, ctx)
+    records = groebner._reduce_basis([_division_record(g, LEX) for g in basis], LEX, QQ)
+    kept = [groebner._monic(ctx, LEX, r) for r in records]
     assert [str(g) for g in kept] == [str(P(s, ctx)) for s in ("z^2", "y + z", "x")]
     y_plus_z = _division_record(P("y + z", ctx), LEX)
     assert y_plus_z in seen[2]
     lts = [g.lm(LEX) for g in kept]
     for g, lt in zip(kept, lts):
-        assert g.lc(LEX) == QQ.one
+        assert g.terms[lt] == QQ.one
         assert not any(mono_divides(other, m) for m in g.terms for other in lts if other != lt)
     assert tuple(kept) == buchberger(Ideal(ctx, basis), LEX).gens
 
@@ -468,7 +474,7 @@ def test_buchberger_over_the_function_field():
         r, quots = _division(f, divisors, GREVLEX)
         total = r
         for q, g in zip(quots, divisors):
-            total = total + q * g.monic(GREVLEX)
+            total = total + q * monic(g, GREVLEX)
         assert total == f
         assert not any(mono_divides(g.lm(GREVLEX), m) for m in r.terms for g in divisors)
     # by the reduced basis, the remainder is the normal form

@@ -37,6 +37,11 @@ def from_sympy(expr, ctx, syms):
     return Polynomial(ctx, terms)
 
 
+def monic(g, order):
+    """g divided by its leading coefficient in the order."""
+    return g.scale(g.ctx.field.one / g.terms[g.lm(order)])
+
+
 def random_ideal(ctx, rng, ngens=3, maxdeg=2):
     gens = []
     d = ctx.d
@@ -76,7 +81,7 @@ def sympy_basis(I, order, syms, **options):
     """sympy's reduced basis of I, as our monic polynomials in our order."""
     theirs = sympy.groebner([to_sympy(g, syms) for g in I.gens], *syms,
                             order=str(order), **options)
-    return sorted((from_sympy(e, I.ctx, syms).monic(order) for e in theirs.exprs),
+    return sorted((monic(from_sympy(e, I.ctx, syms), order) for e in theirs.exprs),
                   key=lambda g: order.key(g.lm(order)))
 
 
@@ -89,7 +94,7 @@ def test_reduced_bases_match_sympy():
         ours = buchberger(I, GREVLEX)
         theirs = sympy.groebner([to_sympy(g, syms) for g in I.gens],
                                 *syms, order="grevlex")
-        converted = sorted((from_sympy(e, ctx, syms).monic(GREVLEX)
+        converted = sorted((monic(from_sympy(e, ctx, syms), GREVLEX)
                             for e in theirs.exprs),
                            key=lambda g: GREVLEX.key(g.lm(GREVLEX)))
         assert list(ours.elements) == converted
