@@ -22,10 +22,10 @@ from .artin import (HilbertFunction, LocalAlgebraModel, centroid,
                     multiplication_operators, split_rational_support,
                     translate_ideal)
 from .apolarity import (apply_operator, ideal_from_inverse_system,
-                        inverse_system, pairing, perp)
+                        inverse_system, perp)
 from .tangent import (build_tangent_machine, curve_multiplicity,
-                      graded_tangent_dimension, graded_tangent_dimensions,
-                      tangent_dimension, tangent_report)
+                      graded_tangent_dimension, tangent_dimension,
+                      tangent_report)
 from .smooth import (PfaffianReport, SmoothabilityVerdict, change_coordinates,
                      classify_smoothable, project_to_graded,
                      salmon_turnbull_pfaffian)

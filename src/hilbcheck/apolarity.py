@@ -48,12 +48,6 @@ def apply_operator(f, g):
     return Polynomial(g.ctx, out)
 
 
-def pairing(p, q):
-    """Scalar pairing of equal-degree forms: apply and read the constant."""
-    res = apply_operator(p, q)
-    return res.terms.get((0,) * p.ctx.d, p.ctx.field.zero)
-
-
 def _factorial_int(m):
     return prod(map(factorial, m))
 
@@ -112,10 +106,6 @@ class InverseSystem:
     def __init__(self, ctx, components):
         self.ctx = ctx
         self.components = {j: tuple(polys) for j, polys in components.items() if polys}
-
-    def dimensions(self):
-        top = max(self.components, default=-1)
-        return tuple(len(self.components.get(j, ())) for j in range(top + 1))
 
 
 def inverse_system(gens):

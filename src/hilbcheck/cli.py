@@ -34,12 +34,13 @@ from .tangent import tangent_report
 from .verify import CASE_NAMES, run_suite
 
 
-# `colength` and `hf` refuse a quotient of dimension above this.  `hf` builds
-# dense n x n multiplication operators, up to about n^4 work: on a 2-core VM
-# with the `fractions` backend, the Hilbert function of <x^k, y^2> and of
-# <x^k, y^2 - x^5 + 2x^3y> took 0.13-0.27 s at n = 64 and 0.34-1.24 s at
-# n = 100.  Counting stops at COLENGTH_CAP + 1 standard monomials, so an
-# ideal such as x^100000000 is refused at once.
+# `colength`, `hf` and `initial` with a negative weight refuse a quotient of
+# dimension above this.  `hf` builds dense n x n multiplication operators, up
+# to about n^4 work: on a 2-core VM with the `fractions` backend, the Hilbert
+# function of <x^k, y^2> and of <x^k, y^2 - x^5 + 2x^3y> took 0.13-0.27 s at
+# n = 64 and 0.34-1.24 s at n = 100.  A negative weight normal-forms every
+# monomial below the socle degree.  Counting stops at COLENGTH_CAP + 1
+# standard monomials, so an ideal such as x^100000000 is refused at once.
 COLENGTH_CAP = 64
 
 
@@ -66,7 +67,8 @@ def _capped_basis(ideal):
     COLENGTH_CAP."""
     G = buchberger(ideal)
     if G.colength(limit=COLENGTH_CAP + 1) > COLENGTH_CAP:
-        raise PreconditionError(f"colength > {COLENGTH_CAP}: above the cap of colength and hf")
+        raise PreconditionError(f"colength > {COLENGTH_CAP}: above the cap of colength, hf "
+                                "and initial with a negative weight")
     return G
 
 
@@ -105,6 +107,9 @@ def cmd_initial(args):
         w = tuple(int(x) for x in args.w.split(","))
     except ValueError:
         raise ParseError(f"bad weight vector {args.w!r}")
+    if min(w) < 0:
+        # the nonnegative path enumerates no quotient, so only this one is capped
+        ideal = _capped_basis(ideal)
     out = initial_ideal(ideal, w)
     G = buchberger(out)
     text = format_ideal_file(ctx, list(G.elements)).rstrip("\n")

@@ -59,12 +59,6 @@ def family_limit_ideal(field=QQ):
                   "x2*x3 - x1*x4", "x3*x4")
 
 
-def limit_to_quadrics_change():
-    """Coordinate change taking the t = infinity member to the seven-quadrics
-    ideal: negate the second variable."""
-    return [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-
-
 def squares_cube_ideal(field=QQ):
     """x^2, y^2, z^2, xyz: tangent dimension 21."""
     ctx = context(field, "x y z")

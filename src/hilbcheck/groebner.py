@@ -96,13 +96,6 @@ class GroebnerBasis(Ideal):
         rem, _, (lam_num, lam_den) = _divide(work, self._records, order, field)
         return Polynomial(self.ctx, _field_terms(rem, order, field, num * lam_den, den * lam_num))
 
-    def contains(self, f):
-        return not self.normal_form(f)
-
-    def is_unit_ideal(self):
-        zero_mono = (0,) * self.ctx.d
-        return any(lt == zero_mono for lt in self.lts)
-
     def quotient_basis(self):
         if self._qb is None:
             self._qb = _standard_monomials(self)
@@ -431,7 +424,7 @@ def intersect(I, J):
         return Polynomial(ext, {(0,) + m: c for m, c in p.terms.items()})
 
     gens = [u * lift(f) for f in I.gens] + [(one - u) * lift(g) for g in J.gens]
-    elim = weight_order((1,) + (0,) * ctx.d, tiebreak="grevlex")
+    elim = weight_order((1,) + (0,) * ctx.d)
     G = buchberger(Ideal(ext, gens), elim)
     out = []
     for g in G.gens:
@@ -447,15 +440,16 @@ def initial_ideal(I, w):
     order, which are the reduced basis of in_w(I) in that order (Sturmfels,
     Groebner Bases and Convex Polytopes, Prop. 1.8); equal weights refine to
     grevlex itself.  Mixed or negative w: only for ideals containing a power
-    of the maximal ideal, by exact linear algebra on the degree truncation
-    (the all-degrees echelon makes this path noticeably slower in many
-    variables).
+    of the maximal ideal.  With s the largest degree of a monomial outside I,
+    m^(s+1) lies in I, so in_w(I) = <in_w(I cap S_<=s)> + m^(s+1); I cap
+    S_<=s is the kernel of the normal-form map on the monomials of degree at
+    most s, read off one degree at a time.
     """
     w = tuple(w)
     if len(w) != I.ctx.d:
         raise PreconditionError("weight length must match the variable count")
     if all(wi >= 0 for wi in w):
-        order = GREVLEX if len(set(w)) == 1 else weight_order(w, tiebreak="grevlex")
+        order = GREVLEX if len(set(w)) == 1 else weight_order(w)
         G = buchberger(I, order)
         forms = [g.weight_initial_form(w) for g in G.gens]
         return GroebnerBasis(I.ctx, order, [_division_record(f, order) for f in forms])
@@ -466,33 +460,31 @@ def _initial_ideal_truncated(I, w):
     ctx = I.ctx
     G = buchberger(I, GREVLEX)
     n = G.colength()
-    for m in _monomials_of_degree(ctx.d, n):
-        if not G.contains(ctx.monomial(m)):
-            raise PreconditionError(
-                "negative weights need an ideal containing a power of the maximal ideal")
-    monos = [m for j in range(n + 1) for m in _monomials_of_degree(ctx.d, j)]
-    # columns by w-weight descending, grevlex descending within a weight
-    wkey = {m: (-sum(wi * ei for wi, ei in zip(w, m)),
-                -mono_deg(m), tuple(reversed(m))) for m in monos}
-    cols = sorted(monos, key=lambda m: wkey[m])
-    col_of = {m: i for i, m in enumerate(cols)}
-    field = ctx.field
-    rs = RowSpace(field)
-    for g in G.gens:
-        og = g.order_of_vanishing()
-        for a in range(0, n - og + 1):
-            for am in _monomials_of_degree(ctx.d, a):
-                prod = g.mul_term(am, field.one)
-                vec = [field.zero] * len(cols)
-                for m, c in prod.terms.items():
-                    if mono_deg(m) <= n:
-                        vec[col_of[m]] = c
-                rs.add(vec)
-    gens = []
-    for _, row, _ in rs.rows:
-        p = Polynomial(ctx, {cols[i]: c for i, c in enumerate(row) if c})
-        gens.append(p.weight_initial_form(w))
-    return Ideal(ctx, gens)
+    # normal forms of the monomials of degree <= s; the loop stops at the
+    # first degree s + 1 whose monomials, the generators of m^(s+1), all
+    # reduce to 0
+    nf = {}
+    for j in range(n + 1):
+        top = list(_monomials_of_degree(ctx.d, j))
+        forms = [G.normal_form(ctx.monomial(m)) for m in top]
+        if not any(forms):
+            break
+        nf.update(zip(top, forms))
+    else:
+        raise PreconditionError(
+            "negative weights need an ideal containing a power of the maximal ideal")
+    # columns ascending in the w-refined order: each kernel vector ends at
+    # its leading monomial, so the leading monomials are distinct and the
+    # initial forms of the kernel basis span those of the whole kernel
+    cols = sorted(nf, key=weight_order(w).key)
+    index = G.quotient_basis().index
+    rows = [[ctx.field.zero] * len(cols) for _ in index]
+    for c, m in enumerate(cols):
+        for mm, x in nf[m].terms.items():
+            rows[index[mm]][c] = x
+    gens = [Polynomial(ctx, {cols[c]: x for c, x in enumerate(v) if x}).weight_initial_form(w)
+            for v in kernel_basis(DenseMatrix(ctx.field, rows))]
+    return Ideal(ctx, gens + [ctx.monomial(m) for m in top])
 
 
 def _monomials_of_degree(d, j):

@@ -50,12 +50,6 @@ class DenseMatrix:
             raise ValueError("ragged rows")
 
     @staticmethod
-    def identity(field, n):
-        one, zero = field.one, field.zero
-        return DenseMatrix(field, [[one if i == j else zero for j in range(n)]
-                                   for i in range(n)])
-
-    @staticmethod
     def zero(field, nrows, ncols):
         z = field.zero
         return DenseMatrix(field, [[z] * ncols for _ in range(nrows)])
@@ -175,9 +169,6 @@ class RowSpace:
                 if combo is not None:
                     for idx, x in rcombo.items():
                         combo[idx] = combo.get(idx, zero) - c * x
-
-    def contains(self, vec):
-        return not any(self.reduce(vec))
 
 
 def _column_relations(rows, field):

@@ -38,15 +38,15 @@ def mono_coprime(a, b):
 
 
 class MonomialOrder:
-    """Total order on monomials: grevlex, lex, or a weight order with tiebreak.
+    """Total order on monomials: grevlex, lex, or a weight order refined by
+    grevlex.
 
     key(m) is the monomial's coordinates in the order: a flat tuple, linear
     in the exponents, that sorts as the order does.
 
     - grevlex: (|m|, -m_d, ..., -m_1);
     - lex: m;
-    - weight w, grevlex tiebreak: (w.m, |m|, -m_d, ..., -m_1);
-    - weight w, lex tiebreak: (w.m, m_1, ..., m_d).
+    - weight w: (w.m, |m|, -m_d, ..., -m_1).
 
     So max() over coordinates picks the leading monomial with no key
     function, key(a b) = key(a) + key(b) entrywise, and a quotient is a
@@ -55,40 +55,33 @@ class MonomialOrder:
     all(map(order.within, key(b), order.divisor_bound(key(a)))).
     """
 
-    __slots__ = ("kind", "weight", "tiebreak", "within", "_prefix")
+    __slots__ = ("kind", "weight", "within", "_prefix")
 
-    def __init__(self, kind, weight=None, tiebreak="grevlex"):
+    def __init__(self, kind, weight=None):
         if kind not in ("grevlex", "lex", "weight"):
             raise ValueError(f"unknown order kind {kind!r}")
         if kind == "weight" and weight is None:
             raise ValueError("weight order needs a weight vector")
-        if tiebreak not in ("grevlex", "lex"):
-            raise ValueError(f"unknown tiebreak {tiebreak!r}")
         self.kind = kind
         self.weight = tuple(weight) if weight is not None else None
-        self.tiebreak = tiebreak
         # the coordinates are a prefix of order data (weight, degree), then
-        # the exponents: as they are when lex breaks ties, else negated and
-        # reversed, so that a multiple has the larger or the smaller ones
-        lexical = kind == "lex" or kind == "weight" and tiebreak == "lex"
-        self._prefix = (kind == "weight") + (not lexical)
-        self.within = ge if lexical else le
+        # the exponents: as they are under lex, else negated and reversed,
+        # so that a multiple has the larger or the smaller ones
+        self._prefix = ("lex", "grevlex", "weight").index(kind)
+        self.within = ge if kind == "lex" else le
 
     def key(self, m):
         if self.kind == "grevlex":
             return (sum(m), *map(neg, reversed(m)))
         if self.kind == "lex":
             return m
-        w = sum(map(mul, self.weight, m))
-        if self.tiebreak == "grevlex":
-            return (w, sum(m), *map(neg, reversed(m)))
-        return (w, *m)
+        return (sum(map(mul, self.weight, m)), sum(m), *map(neg, reversed(m)))
 
     def monomial(self, k):
         """The monomial whose coordinates are k: the inverse of key."""
         p = self._prefix
-        if self.within is ge:   # the exponents as they are
-            return tuple(k[p:])
+        if not p:   # lex: the exponents as they are
+            return tuple(k)
         return tuple(map(neg, k[:p - 1:-1]))
 
     def divisor_bound(self, k):
@@ -96,14 +89,7 @@ class MonomialOrder:
         multiples of monomial(k) are the coordinates c with
         all(map(self.within, c, bound))."""
         p = self._prefix
-        far = inf if self.within is le else -inf
-        return (far,) * p + tuple(k[p:])
-
-    def compare(self, a, b):
-        if len(a) != len(b):
-            raise PreconditionError("monomials from different contexts")
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
+        return (inf,) * p + tuple(k[p:])
 
     def is_global(self, d):
         """True when every variable exceeds 1, i.e. the order is a well-order."""
@@ -117,23 +103,23 @@ class MonomialOrder:
 
     def __repr__(self):
         if self.kind == "weight":
-            return f"weight{self.weight}/{self.tiebreak}"
+            return f"weight{self.weight}/grevlex"
         return self.kind
 
     def __eq__(self, other):
         return (isinstance(other, MonomialOrder) and self.kind == other.kind
-                and self.weight == other.weight and self.tiebreak == other.tiebreak)
+                and self.weight == other.weight)
 
     def __hash__(self):
-        return hash((self.kind, self.weight, self.tiebreak))
+        return hash((self.kind, self.weight))
 
 
 GREVLEX = MonomialOrder("grevlex")
 LEX = MonomialOrder("lex")
 
 
-def weight_order(w, tiebreak="grevlex"):
-    return MonomialOrder("weight", weight=w, tiebreak=tiebreak)
+def weight_order(w):
+    return MonomialOrder("weight", weight=w)
 
 
 class VariableContext:
@@ -296,12 +282,6 @@ class Polynomial:
         if not self.terms:
             return None
         return max(mono_deg(m) for m in self.terms)
-
-    def order_of_vanishing(self):
-        """Smallest total degree of a term, or None for zero."""
-        if not self.terms:
-            return None
-        return min(mono_deg(m) for m in self.terms)
 
     def is_homogeneous(self):
         degs = {mono_deg(m) for m in self.terms}

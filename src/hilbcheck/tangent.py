@@ -27,7 +27,7 @@ from math import lcm
 
 from .errors import PreconditionError
 from .fields import QQ, QT
-from .linalg import (DenseMatrix, RowSpace, determinant, mat_rank, rank, rref,
+from .linalg import (DenseMatrix, RowSpace, mat_rank, rank, rref,
                      minor_gcd_sample, t_adic_minor_valuation, working_rank)
 from .poly import context, mono_deg, mono_lcm
 from .groebner import (buchberger, linear_syzygies, trace_syzygies,
@@ -161,13 +161,6 @@ def graded_tangent_dimension(I, e):
     return _HomSystem(G).graded(e)
 
 
-def graded_tangent_dimensions(I):
-    """All nonzero graded pieces, as a dict degree -> dimension."""
-    G = buchberger(I)
-    _require_homogeneous(G)
-    return _HomSystem(G).graded_pieces()
-
-
 @dataclass
 class TangentReport:
     total: int
@@ -203,12 +196,6 @@ class TangentMachine143:
     dim_hom_minus1: int
     corank_hbar: int
     singular: bool
-
-    @cached_property
-    def det_hbar(self):
-        """det hbar over the entry field when hbar is square, else None."""
-        hbar = self.hbar
-        return determinant(hbar) if hbar.nrows == hbar.ncols else None
 
 
 def build_tangent_machine(I):

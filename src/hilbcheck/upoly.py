@@ -226,12 +226,6 @@ class RatFunc:
     def __bool__(self):
         return bool(self.num)
 
-    def eval_at(self, x):
-        d = zeval(self.den, x)
-        if not d:
-            raise ZeroDivisionError("denominator vanishes at evaluation point")
-        return rat(zeval(self.num, x)) / d
-
     def valuation(self):
         """t-adic valuation; None for zero."""
         if not self.num:

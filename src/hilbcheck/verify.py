@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass
 
 from . import fixtures as fx
-from .apolarity import ideal_from_inverse_system, perp
+from .apolarity import apply_operator, ideal_from_inverse_system, perp
 from .artin import centroid, multiplication_operators, translate_ideal
 from .census import census_report, chain_stratum_dims, fiber_dim, \
     grassmannian_stratum_dim, pencil_cubic_stratum_dims
@@ -319,6 +319,10 @@ def _case_property_double_perp(seed):
             basis = perp(I, j)
             if not basis and j > 0:
                 break
+            # perp read off the factorial pairing, checked by the action itself:
+            # every generator of degree <= j kills each form of degree j
+            if any(apply_operator(g, q) for g in I.gens if g.degree() <= j for q in basis):
+                return "FAIL", f"{I}", "the ideal does not annihilate its perpendicular space"
             comps.extend(basis)
             j += 1
         back = ideal_from_inverse_system(comps)

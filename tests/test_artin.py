@@ -45,7 +45,7 @@ def test_operators_commute_and_are_nilpotent():
     for i in range(4):
         for j in range(i + 1, 4):
             assert m.ops[i].matmul(m.ops[j]) == m.ops[j].matmul(m.ops[i])
-        power = DenseMatrix.identity(QQ, m.n)
+        power = DenseMatrix(QQ, [[int(r == c) for c in range(m.n)] for r in range(m.n)])
         for _ in range(m.n):
             power = m.ops[i].matmul(power)
         assert power.rows == DenseMatrix.zero(QQ, m.n, m.n).rows
@@ -176,7 +176,7 @@ def test_split_chain_fixture():
     assert ideal_equal(inter, J)
     # pairwise coprime: the sum of the two pieces is the unit ideal
     both = Ideal(J.ctx, list(pieces[0][1].gens) + list(pieces[1][1].gens))
-    assert buchberger(both).is_unit_ideal()
+    assert not buchberger(both).normal_form(J.ctx.one())
 
 
 def test_split_points_ideal():
@@ -257,7 +257,7 @@ def test_embedding_reduction_reads_a_reduced_basis_off_the_operators(seed):
             for k, i in enumerate(keep):
                 full[i] = m[k]
             lifted[tuple(full)] = c
-        assert GJ.contains(Polynomial(J.ctx, lifted))
+        assert not GJ.normal_form(Polynomial(J.ctx, lifted))
 
 
 def _kernel_rref_keep(model, chain, d):
@@ -369,7 +369,8 @@ def _sum_of_powers(model, f):
     field = model.ctx.field
     acc = DenseMatrix.zero(field, model.n, model.n).rows
     for m, c in f.terms.items():
-        power = DenseMatrix.identity(field, model.n)
+        power = DenseMatrix(field, [[int(r == k) for k in range(model.n)]
+                                    for r in range(model.n)])
         for i, e in enumerate(m):
             for _ in range(e):
                 power = model.ops[i].matmul(power)

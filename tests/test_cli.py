@@ -184,9 +184,9 @@ def test_colength_and_hf_fail_fast_above_the_cap(tmp_path):
     src = str(DATA.parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    for command in ("colength", "hf"):
+    for command in (["colength"], ["hf"], ["initial", "-w=-1"]):
         start = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "hilbcheck.cli", command, str(big)],
+        proc = subprocess.run([sys.executable, "-m", "hilbcheck.cli", *command, str(big)],
                               capture_output=True, text=True, env=env, timeout=60)
         assert time.perf_counter() - start < 2.0, command
         assert proc.returncode == 2 and not proc.stdout, command

@@ -1,4 +1,5 @@
-"""Every option of the package has a caller that sets it.
+"""Every option of the package has a caller that sets it, and every public
+function has a caller.
 
 A defaulted parameter of a public function or method in `src/hilbcheck` is
 an option: each one doubles the configurations that tests must cover.  An
@@ -10,6 +11,11 @@ Calls are matched to definitions by name, so a call of any function or
 method of the same name counts: the scan can miss an unset option, but it
 reports no set one.  `fixtures` is exempt, since its `field` parameters are
 the levers of the cross-field tests, and so is `cli.main(argv)`.
+
+Likewise a public function or method that nothing in the package or the
+benchmark names is code that only tests reach.  A name counts when it is
+loaded, as a name or an attribute, or written as a string, as the
+benchmark's tracer names the functions it wraps.
 """
 
 import ast
@@ -112,3 +118,68 @@ def test_option_scan_sees_each_unset_option():
               "    def s(u, v=0):\n"
               "        return f(1, z=3)\n")
     assert unset_options([source], [source]) == ["H.m(k)", "H.s(v)", "f(y)", "g(c)"]
+
+
+def public_functions(source):
+    """(name, what) of each public function and non-dunder public method in
+    the module source; `what` is `function` or `Class.method`."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            out.append((node.name, node.name))
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            out += [(fn.name, f"{node.name}.{fn.name}") for fn in node.body
+                    if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
+    return out
+
+
+def named(source):
+    """Every name loaded in the module source, as a name or an attribute, and
+    every string constant."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def uncalled(definition_sources, caller_sources):
+    """What of each public function or method that no caller source names."""
+    names = set().union(*map(named, caller_sources))
+    return sorted({what for source in definition_sources
+                   for name, what in public_functions(source) if name not in names})
+
+
+def test_every_public_function_has_a_caller():
+    modules = sorted(SRC.glob("*.py"))
+    sources = [p.read_text() for p in modules]
+    callers = sources + [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert uncalled(sources, callers) == []
+
+
+def test_caller_scan_sees_each_uncalled_function():
+    source = ("TRACED = ('traced',)\n"
+              "def f(x):\n"
+              "    return g(x).used + x.method\n"
+              "def g(x):\n"
+              "    return x\n"
+              "def traced():\n"
+              "    pass\n"
+              "def orphan():\n"
+              "    return 'orphan()'\n"
+              "def _private():\n"
+              "    pass\n"
+              "class H:\n"
+              "    def __init__(self):\n"
+              "        self.stored = 0\n"
+              "    def method(self):\n"
+              "        return self\n"
+              "    def stored(self):\n"
+              "        return self\n"
+              "    def unused(self):\n"
+              "        return self\n")
+    assert uncalled([source], [source]) == ["H.stored", "H.unused", "f", "orphan"]
