@@ -12,7 +12,7 @@ from math import factorial, perm, prod
 from .errors import PreconditionError
 from .groebner import Ideal, _monomials_of_degree
 from .linalg import DenseMatrix, RowSpace, kernel_basis
-from .poly import Polynomial
+from .poly import Polynomial, mono_mul
 
 
 def _char_guard(field, degree):
@@ -81,10 +81,9 @@ def homogeneous_component_basis(I, j):
         if dg is None or dg > j:
             continue
         for am in _monomials_of_degree(ctx.d, j - dg):
-            prod = g.mul_term(am, field.one)
             vec = [field.zero] * len(monos)
-            for m, c in prod.terms.items():
-                vec[col[m]] = c
+            for m, c in g.terms.items():
+                vec[col[mono_mul(m, am)]] = c
             rs.add(vec)
     return [row for _, row, _ in rs.rows], monos
 

@@ -74,7 +74,7 @@ class LocalAlgebraModel:
         variables of the chart centred at the point a."""
         field = self.ctx.field
         ops = [DenseMatrix(field, [[x - ai if r == c else x for c, x in enumerate(row)]
-                                   for r, row in enumerate(X.rows)])
+                                   for r, row in enumerate(X.rows)]) if ai else X
                for X, ai in zip(self.ops, a)]
         return LocalAlgebraModel(self.ctx, self.qb, ops)
 
@@ -146,20 +146,30 @@ class LocalAlgebraModel:
         """Dimensions of the images of m^0, m^1, ... in S/I, and the spaces.
 
         Stops when the chain stabilizes; it reaches 0 exactly when I is
-        primary at the origin.
+        primary at the origin.  Each space is spanned by the products of the
+        variable operators with the rows of the space before, all in working
+        coefficients: the rows of a working operator (`_power`) span what
+        the operator's do, whatever its denominator.
         """
         field = self.ctx.field
-        spaces = []
+        p = field.modulus
+        n, d = self.n, self.ctx.d
+        zero, one = (field.zero, field.one) if p is None else (0, 1)
+        # the rows of W X^T are the products X w of the rows w of W
+        transposed = [list(zip(*self._power(tuple(int(j == i) for j in range(d)))[0]))
+                      for i in range(d)]
         current = RowSpace(field)
-        for i in range(self.n):
-            current.add([field.one if j == i else field.zero for j in range(self.n)])
-        spaces.append(current)
+        for i in range(n):
+            current.add_working([one if j == i else zero for j in range(n)], one)
+        spaces = [current]
         while True:
             prev = spaces[-1]
+            rows = [w for _, w, _ in prev.working]
+            images = [row_product(rows, XT, zero) for XT in transposed]
             nxt = RowSpace(field)
-            for _, row, _ in prev.rows:
-                for X in self.ops:
-                    nxt.add(X.apply(row))
+            for k in range(prev.dim):
+                for image in images:
+                    nxt.add_working([x % p for x in image[k]] if p else image[k], one)
                     if nxt.dim == prev.dim:
                         break
                 if nxt.dim == prev.dim:
@@ -176,6 +186,22 @@ def _working(X, field):
     n = X.ncols
     ints, den = field.integers([x for row in X.rows for x in row])
     return [ints[i:i + n] for i in range(0, len(ints), n)], den
+
+
+def _apply(op, vec, field):
+    """The product of the working operator op with the vector vec of field
+    elements, as field elements."""
+    rows, den = op
+    if field.modulus is None:
+        return [sum((a * x for a, x in zip(row, vec) if a), field.zero) for row in rows]
+    ints, vden = field.integers(vec)
+    den *= vden
+    element, zero = field.element, field.zero
+    out = []
+    for row in rows:
+        s = sum(a * x for a, x in zip(row, ints))
+        out.append(element(s, den) if s else zero)
+    return out
 
 
 def _product(a, b, field):
@@ -216,11 +242,14 @@ def multiplication_operators(G):
         for m in qb:
             mm = list(m)
             mm[i] += 1
-            xim = ctx.monomial(tuple(mm))
-            nf = G.normal_form(xim)
+            mm = tuple(mm)
             col = [field.zero] * n
-            for mono, c in nf.terms.items():
-                col[qb.index[mono]] = c
+            if mm in qb:
+                # a standard monomial is its own normal form
+                col[qb.index[mm]] = field.one
+            else:
+                for mono, c in G.normal_form(ctx.monomial(mm, field.one)).terms.items():
+                    col[qb.index[mono]] = c
             cols.append(col)
         ops.append(DenseMatrix(field, [[cols[j][i2] for j in range(n)] for i2 in range(n)]))
     return LocalAlgebraModel(ctx, qb, ops)
@@ -312,19 +341,23 @@ def _embedding_reduction(G, model, chain, a):
     field = ctx.field
     d = ctx.d
     n = model.n
-    w2 = chain[2] if len(chain) > 2 else RowSpace(field)
-
-    unit = model.unit_vector()
-    # x_i is redundant when its image mod m^2 lies in the span of the images
+    one = field.one if field.modulus is None else 1
+    ops = [model._power(tuple(int(j == i) for j in range(d))) for i in range(d)]
+    col = model.qb.index[(0,) * d]
+    # x_i is redundant when its image lies in the span of m^2 and the images
     # of x_(i+1), ..., x_d: scanning from the last variable, keep the rest
     images = RowSpace(field)
+    if len(chain) > 2:
+        for _, w, _ in chain[2].working:
+            images.add_working(list(w), one)
     keep = []
     for i in reversed(range(d)):
-        if images.add(w2.reduce(model.ops[i].apply(unit))) is None:
+        if images.add_working([row[col] for row in ops[i][0]], one) is None:
             keep.insert(0, i)
     new_ctx = ctx if len(keep) == d else \
         VariableContext(field, [ctx.names[i] for i in keep], dual=ctx.dual)
-    R = cyclic_annihilator_gb(new_ctx, lambda j, v: model.ops[keep[j]].apply(v), unit)
+    R = cyclic_annihilator_gb(new_ctx, lambda j, v: _apply(ops[keep[j]], v, field),
+                              model.unit_vector())
     if R.colength() != n:
         raise ArithmeticError("kept variables do not generate the quotient")
     back = _translation(ctx, [-ai for ai in a])

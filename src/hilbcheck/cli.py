@@ -37,8 +37,8 @@ from .verify import CASE_NAMES, run_suite
 # `colength`, `hf` and `initial` with a negative weight refuse a quotient of
 # dimension above this.  `hf` builds dense n x n multiplication operators, up
 # to about n^4 work: on a 2-core VM with the `fractions` backend, the Hilbert
-# function of <x^k, y^2> and of <x^k, y^2 - x^5 + 2x^3y> took 0.13-0.27 s at
-# n = 64 and 0.34-1.24 s at n = 100.  A negative weight normal-forms every
+# function of <x^k, y^2> and of <x^k, y^2 - x^5 + 2x^3y> took 0.03-0.04 s at
+# n = 64 and 0.10-0.20 s at n = 100.  A negative weight normal-forms every
 # monomial below the socle degree.  Counting stops at COLENGTH_CAP + 1
 # standard monomials, so an ideal such as x^100000000 is refused at once.
 COLENGTH_CAP = 64

@@ -4,14 +4,15 @@ Each field names the Python type of its elements as `elem`, so a value can
 be checked for membership by one type comparison.
 
 The field also owns the working-coefficient format of the integer kernels
-(Groebner, rank, characteristic polynomial, root search, and the quotient
-model's operator products that the tangent Hom system is built from).  `modulus` is 0
-over Q, p over F_p and None over Q(t), which has no integer format.  A list
-of elements becomes `(ints, den)` with `integers`: over Q, den is the lcm of
-the denominators and ints are den times the elements; over F_p, den is 1 and
-ints are the residues.  `element(num, den)` maps back.  A kernel reduces
-its integers mod p over F_p and not at all over Q, where it divides them by
-their gcd itself when it wants a primitive vector.
+(Groebner, rank, the `RowSpace` echelon, the Pfaffian, characteristic
+polynomial, root search, and the quotient model's operator products that
+the maximal-ideal chain and the tangent Hom system are built from).
+`modulus` is 0 over Q, p over F_p and None over Q(t), which has no integer
+format.  A list of elements becomes `(ints, den)` with `integers`: over Q,
+den is the lcm of the denominators and ints are den times the elements; over
+F_p, den is 1 and ints are the residues.  `element(num, den)` maps back.  A
+kernel reduces its integers mod p over F_p and not at all over Q, where it
+divides them by their gcd itself when it wants a primitive vector.
 """
 
 from math import lcm

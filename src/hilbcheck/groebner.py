@@ -484,7 +484,15 @@ def _initial_ideal_truncated(I, w):
             rows[index[mm]][c] = x
     gens = [Polynomial(ctx, {cols[c]: x for c, x in enumerate(v) if x}).weight_initial_form(w)
             for v in kernel_basis(DenseMatrix(ctx.field, rows))]
-    return Ideal(ctx, gens + [ctx.monomial(m) for m in top])
+    gens += [ctx.monomial(m) for m in top]
+    # a monomial generator that another one divides is redundant; by degree,
+    # a monomial is kept when no kept monomial divides it
+    kept = []
+    for m in sorted((next(iter(g.terms)) for g in gens if len(g.terms) == 1), key=mono_deg):
+        if not any(mono_divides(k, m) for k in kept):
+            kept.append(m)
+    kept = set(kept)
+    return Ideal(ctx, [g for g in gens if len(g.terms) > 1 or next(iter(g.terms)) in kept])
 
 
 def _monomials_of_degree(d, j):

@@ -3,16 +3,18 @@
 Everything here is exact, and five elimination loops do all of it, each
 kept for work the others would do slower:
 
-- `RowSpace`, the one field-generic echelon.  It is incremental, and can
-  track each vector's coefficients over those added before it.  `rref` and
-  `kernel_basis` read one tracked pass over the columns, `determinant` one
-  over the rows, and `rank` uses it over Q(t).
+- `RowSpace`, the one field-generic echelon, on the working coefficients
+  of `fields`: primitive integer rows over Q, residues over F_p, elements
+  over Q(t).  It is incremental, and can track each vector's coefficients
+  over those added before it.  `rref` and `kernel_basis` read one tracked
+  pass over the columns, `determinant` one over the rows, and `rank` uses
+  it over Q(t).
 - `_sparse_rank`, rank of integer rows held as dicts of their nonzero
   entries, over Q and F_p: the large, mostly zero tangent systems.
 - `_bareiss`, fraction-free Gauss-Jordan elimination of integer matrices:
   the integer kernels that every sampled maximal minor is read from.
-- `_pf`, the Schur-complement recursion for Pfaffians, which no echelon of
-  a skew-symmetric matrix gives.
+- `_pf`, fraction-free Schur steps for Pfaffians on working coefficients,
+  which no echelon of a skew-symmetric matrix gives.
 - `_dvr_eliminate`, elimination over the local ring at t on integer power
   series, for the t-adic valuation of the gcd of the maximal minors of a
   polynomial matrix.
@@ -113,62 +115,127 @@ class RowSpace:
     """Incremental echelon span with optional dependency coefficients.
 
     add(v) returns None when v enlarges the span, else (when track=True) the
-    coefficients expressing v over the vectors added so far.
+    coefficients expressing v over the vectors added so far, and {} when
+    track=False.
+
+    The span is kept in the working coefficients of `fields` as `working`:
+    one (pivot column, row, combo) per independent vector, where combo, when
+    tracked, holds the row's coefficients over the vectors added, so row =
+    sum combo[idx] * vector idx.  A vector is reduced against the rows in
+    insertion order by steps v <- a v - b w, with b the entry of v at the
+    pivot of w; the combination takes the same steps.  Over Q rows are
+    integer vectors, a and b are the pivot entries of w and v divided by
+    their gcd, and the content of v and its combination together is divided
+    out; over F_p rows are monic residues and over Q(t) monic elements, so
+    a = 1.  Field elements appear only in what add returns and in `rows`.
     """
 
-    __slots__ = ("field", "track", "rows", "pivots", "count")
+    __slots__ = ("field", "track", "working", "pivots", "count")
 
     def __init__(self, field, track=False):
         self.field = field
         self.track = track
-        self.rows = []      # (pivot_col, vector, combo dict idx -> coeff)
+        self.working = []   # (pivot, row, combo or None) in working coefficients
         self.pivots = []
         self.count = 0
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self.working)
+
+    @property
+    def rows(self):
+        """(pivot, row, combo) of each row as field elements, scaled to 1 at
+        the pivot, combo None when untracked."""
+        value, zero = self._value, self.field.zero
+        out = []
+        for piv, w, combo in self.working:
+            lead = w[piv]
+            out.append((piv, [value(x, lead) if x else zero for x in w],
+                        combo and {idx: value(c, lead) for idx, c in combo.items()}))
+        return out
 
     def add(self, vec):
-        v = list(vec)
-        combo = {self.count: self.field.one} if self.track else None
+        return self.add_working(*self._working(vec))
+
+    def add_working(self, v, den):
+        """`add` of the vector v / den, v a list of working coefficients,
+        which is consumed."""
+        idx = self.count
         self.count += 1
-        self._eliminate(v, combo)
+        v, combo = self._eliminate(v, {idx: den} if self.track else None)
         piv = next((j for j, x in enumerate(v) if x), None)
         if piv is None:
-            # residual 0 = vec + sum(combo[i] * earlier_i): report vec over the earlier vectors
-            if self.track:
-                combo.pop(self.count - 1)
-                return {idx: -c for idx, c in combo.items() if c}
-            return {}
+            # residual 0 = own * vec + sum(combo[i] * earlier_i): report vec
+            # over the earlier vectors
+            if combo is None:
+                return {}
+            own = combo.pop(idx)
+            return {i: self._value(-c, own) for i, c in combo.items() if c}
+        p = self.field.modulus
         lead = v[piv]
-        if lead != self.field.one:
-            v = [x / lead for x in v]
-            if self.track:
-                combo = {idx: c / lead for idx, c in combo.items()}
-        self.rows.append((piv, v, combo))
+        if p:
+            inv = pow(lead, -1, p)
+            v = [x * inv % p for x in v]
+            if combo is not None:
+                combo = {i: c * inv % p for i, c in combo.items()}
+        elif p is None and lead != self.field.one:
+            v = [x / lead if x else x for x in v]
+            if combo is not None:
+                combo = {i: c / lead for i, c in combo.items()}
+        self.working.append((piv, v, combo))
         self.pivots.append(piv)
         return None
 
-    def reduce(self, vec):
-        """Residual of vec after eliminating against the span's pivot rows."""
-        v = list(vec)
-        self._eliminate(v, None)
-        return v
+    def _working(self, vec):
+        """(v, den) with v the working coefficients of den times vec."""
+        field = self.field
+        if field.modulus is None:
+            return list(vec), field.one
+        return field.integers(list(vec))
+
+    def _value(self, num, den):
+        """The field element num / den of working coefficients."""
+        if self.field.modulus is None:
+            return num / den
+        return self.field.element(num, den)
 
     def _eliminate(self, v, combo):
-        # rows go in insertion order: each is zero at the pivots before it;
-        # combo, when given, takes the same steps on the coefficients
-        zero = self.field.zero
-        for piv, row, rcombo in self.rows:
-            c = v[piv]
-            if c:
-                for j, x in enumerate(row):
-                    if x:
-                        v[j] = v[j] - c * x
+        # rows go in insertion order: each is zero before its pivot and at
+        # the pivots before it; combo, when given, takes the same steps, and
+        # the rows' combinations enter it when they are tracked
+        p = self.field.modulus
+        zero = self.field.zero if p is None else 0
+        n = len(v)
+        for piv, w, wcombo in self.working:
+            b = v[piv]
+            if not b:
+                continue
+            if p == 0:
+                a = w[piv]
+                g = gcd(a, b)
+                a //= g
+                b //= g
+                if a != 1:
+                    v = [a * x for x in v]
+                    if combo is not None:
+                        combo = {i: a * c for i, c in combo.items()}
+            for j in range(piv, n):
+                x = w[j]
+                if x:
+                    y = v[j] - b * x
+                    v[j] = y % p if p else y
+            if combo is not None and wcombo is not None:
+                for i, x in wcombo.items():
+                    y = combo.get(i, zero) - b * x
+                    combo[i] = y % p if p else y
+        if p == 0:
+            g = gcd(*v, *combo.values()) if combo else gcd(*v)
+            if g > 1:
+                v = [x // g for x in v]
                 if combo is not None:
-                    for idx, x in rcombo.items():
-                        combo[idx] = combo.get(idx, zero) - c * x
+                    combo = {i: c // g for i, c in combo.items()}
+        return v, combo
 
 
 def _column_relations(rows, field):
@@ -373,9 +440,11 @@ def kernel_basis(m):
 def determinant(m):
     """Exact determinant from one tracked `RowSpace` pass over the rows.
 
-    Row k is stored divided by its pivot lead_k with coefficient 1/lead_k on
-    itself; the residuals before that division are zero at the pivots of the
-    rows before them, so det = sgn(pivot columns) * prod lead_k."""
+    Working row k is sum_i combo_k[i] * row i of m, with combo_k[i] = 0 for
+    i > k, and is zero at the pivots of the rows before it.  So the working
+    rows are a lower triangular matrix times m, upper triangular on the
+    pivot columns in pivot order, and
+    det = sgn(pivot columns) * prod (pivot entry_k / combo_k[k])."""
     if m.nrows != m.ncols:
         raise ValueError("determinant of a non-square matrix")
     field = m.field
@@ -383,55 +452,93 @@ def determinant(m):
     for row in m.rows:
         if rs.add(row) is not None:
             return field.zero
-    inv = field.one
-    for k, (_, _, combo) in enumerate(rs.rows):
-        inv = inv * combo[k]
-    det = field.one / inv
+    num = den = 1 if field.modulus is not None else field.one
+    for k, (piv, row, combo) in enumerate(rs.working):
+        num = num * row[piv]
+        den = den * combo[k]
+    det = rs._value(num, den)
     inversions = sum(a > b for a, b in combinations(rs.pivots, 2))
     return -det if inversions % 2 else det
 
 
 def pfaffian(m):
-    """Pfaffian of a skew-symmetric even-size matrix, pf([[0,a],[-a,0]]) = a."""
+    """Pfaffian of a skew-symmetric even-size matrix, pf([[0,a],[-a,0]]) = a.
+
+    `_pf` evaluates it on the working coefficients: over Q on the integer
+    matrix D m, D the lcm of the denominators, whose Pfaffian is
+    D^(n/2) pf(m)."""
     if m.nrows != m.ncols:
         raise ValueError("pfaffian needs a square matrix")
     if m.nrows % 2 != 0:
         raise ValueError("pfaffian needs even size")
-    for i in range(m.nrows):
-        if m.rows[i][i]:
+    field = m.field
+    p = field.modulus
+    n = m.ncols
+    if p is None:
+        rows = m.copy_rows()
+    else:
+        ints, den = field.integers([x for row in m.rows for x in row])
+        rows = [ints[i * n:(i + 1) * n] for i in range(n)]
+    for i in range(n):
+        if rows[i][i]:
             raise ValueError("matrix is not skew-symmetric")
-        for j in range(i + 1, m.ncols):
-            if m.rows[i][j] != -m.rows[j][i]:
+        for j in range(i + 1, n):
+            s = rows[i][j] + rows[j][i]
+            if s % p if p else s:
                 raise ValueError("matrix is not skew-symmetric")
-    return _pf(m.copy_rows(), m.field)
+    pf = _pf(rows, field)
+    return pf if p is None else field.element(pf, den ** (n // 2))
 
 
 def _pf(a, field):
-    n = len(a)
-    if n == 0:
-        return field.one
-    j = next((c for c in range(1, n) if a[0][c]), None)
-    if j is None:
-        return field.zero
-    sign = field.one
-    if j != 1:
-        # simultaneous row and column swap 1 <-> j flips the sign
-        a[1], a[j] = a[j], a[1]
-        for row in a:
-            row[1], row[j] = row[j], row[1]
-        sign = -sign
-    piv = a[0][1]
-    u = a[0][2:]
-    v = a[1][2:]
-    schur = []
-    for i in range(2, n):
-        ui, vi = u[i - 2], v[i - 2]
-        row = []
-        for k in range(2, n):
-            x = a[i][k] + (vi * u[k - 2] - ui * v[k - 2]) / piv
-            row.append(x)
-        schur.append(row)
-    return sign * piv * _pf(schur, field)
+    """Pfaffian of the skew-symmetric rows a, consumed, in the working
+    coefficients of `fields`: integers over Q, residues over F_p (the result
+    unreduced), elements over Q(t).
+
+    Fraction-free Schur steps.  A simultaneous row and column swap puts a
+    nonzero entry piv at (0, 1), flipping the sign; with u and v rows 0 and
+    1, the next matrix, on the indices after 1, is
+
+        (piv A' + v u^T - u v^T) / prev,
+
+    prev the pivot of the step before (1 at the first).  By the Pfaffian
+    form of Sylvester's identity its entry (i, k) is the Pfaffian of the
+    principal submatrix on the pivot indices so far and i, k, so each
+    division is exact, as in Bareiss elimination, and the last pivot is the
+    Pfaffian.
+    """
+    p = field.modulus
+    one = 1 if p is not None else field.one
+    sign, prev = 1, one
+    while a:
+        n = len(a)
+        j = next((c for c in range(1, n) if a[0][c]), None)
+        if j is None:
+            return field.zero if p is None else 0
+        if j != 1:
+            a[1], a[j] = a[j], a[1]
+            for row in a:
+                row[1], row[j] = row[j], row[1]
+            sign = -sign
+        piv, u, v = a[0][1], a[0], a[1]
+        inv = pow(prev, -1, p) if p else None
+        zero = a[0][0]
+        schur = [[zero] * (n - 2) for _ in range(n - 2)]
+        for i in range(2, n):
+            ui, vi, ai, si = u[i], v[i], a[i], schur[i - 2]
+            for k in range(i + 1, n):
+                x = piv * ai[k] + vi * u[k] - ui * v[k]
+                if p:
+                    x = x * inv % p
+                elif p == 0:
+                    x //= prev
+                elif prev != one:
+                    x = x / prev
+                si[k - 2] = x
+                schur[k - 2][i - 2] = -x
+        a = schur
+        prev = piv
+    return prev if sign > 0 else -prev
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,13 @@ class Polynomial:
 
     def __mul__(self, other):
         self._check(other)
+        one = self.ctx.field.one
+        # a factor x^m with coefficient 1 only shifts the other's exponents
+        for a, b in ((self, other), (other, self)):
+            if len(b.terms) == 1:
+                ((m2, c2),) = b.terms.items()
+                if c2 == one:
+                    return Polynomial(self.ctx, {mono_mul(m, m2): c for m, c in a.terms.items()})
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -332,14 +339,22 @@ class Polynomial:
                 cache[e] = power(i, e - 1) * images[i]
             return cache[e]
 
-        out = target.zero()
+        # the terms' expansions accumulate into one term dict, as
+        # Polynomial.__add__ would merge them, without copying the sum per term
+        out = {}
         for m, c in self.terms.items():
             term = target.const(c)
             for i, e in enumerate(m):
                 if e:
                     term = term * power(i, e)
-            out = out + term
-        return out
+            for mm, x in term.terms.items():
+                s = out.get(mm)
+                s = x if s is None else s + x
+                if s:
+                    out[mm] = s
+                elif mm in out:
+                    del out[mm]
+        return Polynomial(target, out)
 
     def evaluate(self, point):
         if len(point) != self.ctx.d:
@@ -404,6 +419,7 @@ def poly_str(p):
 # --- parsing -----------------------------------------------------------------
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
+_TOKEN_KINDS = (None, "int", "name", "op")
 
 # Fail-fast caps of the expression parser, checked before a power or a
 # product is built, so that an input such as (x+y+z+w+1)^30 raises
@@ -447,7 +463,7 @@ class _Parser:
     def __init__(self, text, ctx):
         self.text = text
         self.ctx = ctx
-        self.pos = 0
+        self.index = {name: i for i, name in enumerate(ctx.names)}
         self.tokens = []
         self._tokenize()
         self.i = 0
@@ -461,12 +477,9 @@ class _Parser:
                 if not rest:
                     break
                 raise ParseError(f"unexpected character {rest[0]!r}", column=pos + 1)
-            if m.group(1) is not None:
-                self.tokens.append(("int", int(m.group(1)), m.start(1)))
-            elif m.group(2) is not None:
-                self.tokens.append(("name", m.group(2), m.start(2)))
-            else:
-                self.tokens.append(("op", m.group(3), m.start(3)))
+            g = m.lastindex     # the one group that matched
+            text = m.group(g)
+            self.tokens.append((_TOKEN_KINDS[g], int(text) if g == 1 else text, m.start(g)))
             pos = m.end()
 
     def peek(self):
@@ -519,15 +532,34 @@ class _Parser:
                 raise ParseError(f"sum of more than {TERM_CAP} terms", column=col + 1)
 
     def term(self):
+        # a product of single-term factors is built as one monomial and one
+        # coefficient, with no Polynomial per factor; a factor of more terms
+        # multiplies the Polynomial of the product so far
+        one = self.ctx.field.one
         p = self.factor()
+        mono = coeff = None
+        if len(p.terms) == 1:
+            ((mono, coeff),) = p.terms.items()
         while True:
             kind, val, col = self.peek()
             if kind == "op" and val == "*":
                 self.next()
+                power = None if mono is None else self._variable_power()
+                if power:
+                    i, e = power
+                    mono = mono[:i] + (mono[i] + e,) + mono[i + 1:]
+                    continue
                 q = self.factor()
-                if len(p.terms) * len(q.terms) > PRODUCT_CAP:
+                if (1 if mono is not None else len(p.terms)) * len(q.terms) > PRODUCT_CAP:
                     raise ParseError(f"product of more than {PRODUCT_CAP} pairs of terms",
                                      column=col + 1)
+                if mono is not None and len(q.terms) == 1:
+                    ((m, c),) = q.terms.items()
+                    mono = mono_mul(mono, m)
+                    coeff = c if coeff is one else coeff if c is one else coeff * c
+                    continue
+                if mono is not None:
+                    p, mono = Polynomial(self.ctx, {mono: coeff}), None
                 p = p * q
                 if len(p.terms) > TERM_CAP:
                     raise ParseError(f"product of more than {TERM_CAP} terms", column=col + 1)
@@ -539,9 +571,28 @@ class _Parser:
                 if not q:
                     raise ParseError("division by zero", column=col + 1)
                 c = q.terms[(0,) * q.ctx.d]
-                p = p.scale(self.ctx.field.one / c)
+                if mono is not None:
+                    coeff = coeff / c
+                else:
+                    p = p.scale(one / c)
             else:
-                return p
+                return p if mono is None else Polynomial(self.ctx, {mono: coeff})
+
+    def _variable_power(self):
+        """(i, e) for a factor x_i or x_i^e at the cursor, which it consumes;
+        None, consuming nothing, for any other factor."""
+        kind, val, _ = self.peek()
+        i = self.index.get(val) if kind == "name" else None
+        if i is None:
+            return None
+        j = self.i + 1
+        if j < len(self.tokens) and self.tokens[j][:2] == ("op", "^"):
+            if j + 1 < len(self.tokens) and self.tokens[j + 1][0] == "int":
+                self.i = j + 2
+                return i, self.tokens[j + 1][1]
+            return None
+        self.i = j
+        return i, 1
 
     def factor(self):
         kind, val, col = self.peek()

@@ -15,7 +15,7 @@ from hilbcheck.artin import (HilbertFunction, IndeterminateSupport, _bounded_div
                              multiplication_operators, rational_roots,
                              split_rational_support, translate_ideal)
 from hilbcheck.groebner import Ideal, buchberger, ideal_equal, intersect, points_ideal
-from hilbcheck.linalg import DenseMatrix, RowSpace, kernel_basis, rref
+from hilbcheck.linalg import DenseMatrix, kernel_basis, rref
 from hilbcheck.poly import Polynomial, context, parse_polynomial
 from hilbcheck.scalars import rat
 from hilbcheck.smooth import change_coordinates
@@ -263,13 +263,15 @@ def test_embedding_reduction_reads_a_reduced_basis_off_the_operators(seed):
 def _kernel_rref_keep(model, chain, d):
     """Kept variables by the reference construction: the relations among
     the images of the variables mod m^2 are the kernel of the matrix with
-    those columns, and the pivot variables of its RREF are redundant."""
+    those columns and the rows of m^2, cut to the images' coordinates, and
+    the pivot variables of its RREF are redundant."""
     field = model.ctx.field
-    w2 = chain[2] if len(chain) > 2 else RowSpace(field)
     unit = model.unit_vector()
-    images = [w2.reduce(model.ops[i].apply(unit)) for i in range(d)]
-    mat = DenseMatrix(field, [list(row) for row in zip(*images)])
-    _, pivots = rref(kernel_basis(mat), field)
+    columns = [model.ops[i].apply(unit) for i in range(d)]
+    if len(chain) > 2:
+        columns += [row for _, row, _ in chain[2].rows]
+    mat = DenseMatrix(field, [list(row) for row in zip(*columns)])
+    _, pivots = rref([v[:d] for v in kernel_basis(mat)], field)
     return [i for i in range(d) if i not in pivots]
 
 

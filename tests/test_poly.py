@@ -1,7 +1,9 @@
+import pathlib
 import random
 
 import pytest
 
+from hilbcheck import poly
 from hilbcheck.errors import ParseError, PreconditionError
 from hilbcheck.fields import GF, QQ, QT
 from hilbcheck.poly import (EXPONENT_CAP, GREVLEX, LEX, PRODUCT_CAP, TERM_CAP, Polynomial,
@@ -236,3 +238,151 @@ def test_substitute_and_partial():
     shifted = f.substitute([ctx.variable(0) + ctx.one(), ctx.variable(1)])
     assert shifted == parse_polynomial("(x+1)^2*y - 3*y", ctx)
     assert f.evaluate([rat(2), rat(5)]) == rat(4 * 5 - 15)
+
+
+def _product_by_pairs(p, q):
+    """p * q as Polynomial.__mul__ built it before its one-term shortcut:
+    every pair of terms multiplied and merged in turn."""
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            m, c = mono_mul(m1, m2), c1 * c2
+            s = out.get(m)
+            s = c if s is None else s + c
+            if s:
+                out[m] = s
+            elif m in out:
+                del out[m]
+    return Polynomial(p.ctx, out)
+
+
+def _substitute_by_fold(f, images):
+    """The reference substitution: each term's expansion added to a running
+    sum, which `+` copies once per term."""
+    target = images[0].ctx
+    powers = [{0: target.one()} for _ in images]
+
+    def power(i, e):
+        if e not in powers[i]:
+            powers[i][e] = _product_by_pairs(power(i, e - 1), images[i])
+        return powers[i][e]
+
+    out = target.zero()
+    for m, c in f.terms.items():
+        term = target.const(c)
+        for i, e in enumerate(m):
+            if e:
+                term = _product_by_pairs(term, power(i, e))
+        out = out + term
+    return out
+
+
+def _random_element(field, rng):
+    c = field.from_int(rng.randint(-4, 4))
+    if field == QQ:
+        return c / field.from_int(rng.randint(1, 3))
+    return c + field.t * field.from_int(rng.randint(-1, 1)) if field == QT else c
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), QT], ids=str)
+def test_substitute_matches_the_running_sum(field):
+    rng = random.Random(2204 + (field.modulus or 0))
+    ctx = context(field, "x y z")
+    xs = ctx.variables()
+    cancelled = 0
+    for _ in range(40):
+        f = Polynomial(ctx, {tuple(rng.randint(0, 3) for _ in range(3)): _random_element(field, rng)
+                             for _ in range(rng.randint(1, 8))})
+        # images: a variable, a translated variable, a scaled monomial, or a
+        # short sum of variables, so terms merge and cancel
+        images = []
+        for i in range(3):
+            kind = rng.randrange(4)
+            if kind == 0:
+                images.append(xs[rng.randrange(3)])
+            elif kind == 1:
+                images.append(xs[i] + ctx.const(_random_element(field, rng)))
+            elif kind == 2:
+                images.append(ctx.monomial((rng.randint(0, 2), 1, 0), _random_element(field, rng)))
+            else:
+                images.append(xs[0].scale(_random_element(field, rng)) + xs[rng.randrange(3)])
+        got, ref = f.substitute(images), _substitute_by_fold(f, images)
+        assert got.terms == ref.terms and list(got.terms) == list(ref.terms)
+        cancelled += len(got.terms) < len(f.terms)
+    assert cancelled
+
+
+class _PairwiseParser(poly._Parser):
+    """The parser with its products built one Polynomial product per factor,
+    as before single-term products were built directly."""
+
+    def term(self):
+        p = self.factor()
+        while True:
+            kind, val, col = self.peek()
+            if kind == "op" and val == "*":
+                self.next()
+                q = self.factor()
+                if len(p.terms) * len(q.terms) > PRODUCT_CAP:
+                    raise ParseError(f"product of more than {PRODUCT_CAP} pairs of terms",
+                                     column=col + 1)
+                p = _product_by_pairs(p, q)
+                if len(p.terms) > TERM_CAP:
+                    raise ParseError(f"product of more than {TERM_CAP} terms", column=col + 1)
+            elif kind == "op" and val == "/":
+                self.next()
+                q = self.factor()
+                if q.degree() not in (None, 0):
+                    raise ParseError("division by a non-constant", column=col + 1)
+                if not q:
+                    raise ParseError("division by zero", column=col + 1)
+                c = q.terms[(0,) * q.ctx.d]
+                p = p.scale(self.ctx.field.one / c)
+            else:
+                return p
+
+
+def _expression_lines(text, skip):
+    bodies = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
+    return [b for b in bodies if b][skip:]
+
+
+def _perfbench_workloads():
+    import importlib.util
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_parser_builds_the_same_term_dicts_as_pairwise_products():
+    data = pathlib.Path(__file__).resolve().parent.parent / "src" / "hilbcheck" / "data"
+    texts = [f.read_text() for f in sorted(data.glob("*.ideal"))]
+    workloads = _perfbench_workloads()
+    texts += [r.text for workload in ("classify", "tangent")
+              for r in workloads.make_requests(workload, 7, 1)]
+    lines = 0
+    for text in texts:
+        ctx, polys = parse_ideal_file(text)
+        bodies = _expression_lines(text, 3)
+        assert len(bodies) == len(polys)
+        for body, p in zip(bodies, polys):
+            ref = _PairwiseParser(body, ctx).parse()
+            assert p.terms == ref.terms and list(p.terms) == list(ref.terms), body
+            lines += 1
+    point_ctx = context(QQ, ["_p0"])
+    for body in _expression_lines((data / "points8.pts").read_text(), 0):
+        for c in body.split(","):
+            ref = _PairwiseParser(c, point_ctx).parse()
+            assert parse_polynomial(c, point_ctx).terms == ref.terms
+    assert lines > 200
+    # the caps and their columns are those of the pairwise parser
+    ctx = context(QQ, "x y z w")
+    for text in ("(x+y+z+w+1)^8*(x-y+z-w+2)^8", "x*y*(x+y+z+w+1)^8*(x-y+z-w+2)^8",
+                 "2*x^3*y/0", "x*y/(x+1)", "x*y^z", "3*x*q"):
+        with pytest.raises(ParseError) as new:
+            parse_polynomial(text, ctx)
+        with pytest.raises(ParseError) as old:
+            _PairwiseParser(text, ctx).parse()
+        assert str(new.value) == str(old.value) and new.value.column == old.value.column

@@ -451,3 +451,58 @@ def test_project_to_graded_builds_one_quotient_model(monkeypatch):
     I = seven_quadrics_ideal(4)
     assert ideal_equal(project_to_graded(I), I)
     assert calls == [1]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(7)], ids=str)
+def test_block_pfaffian_is_covariant(field):
+    # g in GL_4 acts on each Gram matrix by A -> g^T A g, that is on each dual
+    # quadric by Q(y) -> Q(g y), and h in GL_3 mixes the three quadrics.  The
+    # block matrix is sum_k F_k (x) A_k with F_k the 3 x 3 skew blocks, and
+    # pf(P^T B P) = det(P) pf(B), so pf(h.(g.Q)) = det(g)^3 det(h)^2 pf(Q).
+    # Unlike the verdict, this pins the Pfaffian's value.
+    rng = random.Random(2203 + (field.modulus or 0))
+    dctx = context(field, "x1 x2 x3 x4").dual_context()
+    ys = dctx.variables()
+    nonzero = 0
+    for _ in range(14):
+        qs = [_random_dual_quadric(dctx, rng) for _ in range(3)]
+        g = random_invertible_matrix(rng.randrange(10 ** 9), 4, field)
+        h = random_invertible_matrix(rng.randrange(10 ** 9), 3, field)
+        try:
+            pf = salmon_turnbull_pfaffian(qs).pfaffian_block
+        except PreconditionError as exc:
+            assert "linearly dependent" in str(exc) or "nonzero quadrics" in str(exc)
+            continue
+        images = [sum((ys[j].scale(g[i][j]) for j in range(4)), dctx.zero()) for i in range(4)]
+        moved = [q.substitute(images) for q in qs]
+        mixed = [sum((moved[l].scale(h[k][l]) for l in range(3)), dctx.zero()) for k in range(3)]
+        det_g = linalg.determinant(linalg.DenseMatrix(field, g))
+        det_h = linalg.determinant(linalg.DenseMatrix(field, h))
+        assert salmon_turnbull_pfaffian(mixed).pfaffian_block == det_g ** 3 * det_h ** 2 * pf
+        nonzero += bool(pf)
+    assert nonzero >= 8
+
+
+def test_classify_makes_few_fractions_on_the_bundled_witness(monkeypatch):
+    # the local decision runs in working integers: the Fraction objects left
+    # are the centroid, the reduced bases' coefficients, the dual quadrics,
+    # the Gram and block matrices and the verdict's Pfaffian
+    import fractions
+    from hilbcheck import scalars
+    if scalars.RAT_BACKEND != "fractions":
+        pytest.skip("counts Fraction objects of the fractions backend")
+    ctx, polys = parse_ideal_file((DATA / "seven_quadrics_d4.ideal").read_text())
+    I = Ideal(ctx, polys)
+    made = []
+    new = fractions.Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(1)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", counted)
+    verdict = classify_smoothable(I)
+    monkeypatch.undo()
+    assert verdict.outcome == "NotSmoothable"
+    assert verdict.evidence[-1] == "pfaffian 1/64"
+    assert len(made) <= 300     # 215; 1,615 with the Fraction echelon, chain and Pfaffian
