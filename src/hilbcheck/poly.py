@@ -236,13 +236,6 @@ class Polynomial:
 
     def __mul__(self, other):
         self._check(other)
-        one = self.ctx.field.one
-        # a factor x^m with coefficient 1 only shifts the other's exponents
-        for a, b in ((self, other), (other, self)):
-            if len(b.terms) == 1:
-                ((m2, c2),) = b.terms.items()
-                if c2 == one:
-                    return Polynomial(self.ctx, {mono_mul(m, m2): c for m, c in a.terms.items()})
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -463,7 +456,6 @@ class _Parser:
     def __init__(self, text, ctx):
         self.text = text
         self.ctx = ctx
-        self.index = {name: i for i, name in enumerate(ctx.names)}
         self.tokens = []
         self._tokenize()
         self.i = 0
@@ -544,11 +536,6 @@ class _Parser:
             kind, val, col = self.peek()
             if kind == "op" and val == "*":
                 self.next()
-                power = None if mono is None else self._variable_power()
-                if power:
-                    i, e = power
-                    mono = mono[:i] + (mono[i] + e,) + mono[i + 1:]
-                    continue
                 q = self.factor()
                 if (1 if mono is not None else len(p.terms)) * len(q.terms) > PRODUCT_CAP:
                     raise ParseError(f"product of more than {PRODUCT_CAP} pairs of terms",
@@ -577,22 +564,6 @@ class _Parser:
                     p = p.scale(one / c)
             else:
                 return p if mono is None else Polynomial(self.ctx, {mono: coeff})
-
-    def _variable_power(self):
-        """(i, e) for a factor x_i or x_i^e at the cursor, which it consumes;
-        None, consuming nothing, for any other factor."""
-        kind, val, _ = self.peek()
-        i = self.index.get(val) if kind == "name" else None
-        if i is None:
-            return None
-        j = self.i + 1
-        if j < len(self.tokens) and self.tokens[j][:2] == ("op", "^"):
-            if j + 1 < len(self.tokens) and self.tokens[j + 1][0] == "int":
-                self.i = j + 2
-                return i, self.tokens[j + 1][1]
-            return None
-        self.i = j
-        return i, 1
 
     def factor(self):
         kind, val, col = self.peek()

@@ -1,5 +1,4 @@
 import random
-import time
 
 import pytest
 
@@ -250,16 +249,12 @@ def test_negative_weight_initial_ideal_has_few_generators():
 
 
 def test_negative_weight_initial_ideal_drops_divisible_monomials():
-    # x^32 divides 529 of the monomials that the read-off returns, and
-    # buchberger took 1.4-1.5 s on all 531 generators
+    # x^32 divides 529 of the 531 monomials that the read-off finds; only the
+    # two minimal generators go on to buchberger
     I = ideal(context(QQ, "x y"), "x^32", "y^2")
-    start = time.perf_counter()
     out = initial_ideal(I, (-1, 1))
-    G = buchberger(out)
-    elapsed = time.perf_counter() - start
     assert sorted(map(str, out.gens)) == ["x^32", "y^2"]
-    assert ideal_equal(G, I)
-    assert elapsed < 0.2
+    assert ideal_equal(buchberger(out), I)
     for I in (salmon_ideal(), seven_quadrics_ideal(4)):
         monos = [next(iter(g.terms)) for g in initial_ideal(I, (-1, 1, 1, 1)).gens
                  if len(g.terms) == 1]

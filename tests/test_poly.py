@@ -240,22 +240,6 @@ def test_substitute_and_partial():
     assert f.evaluate([rat(2), rat(5)]) == rat(4 * 5 - 15)
 
 
-def _product_by_pairs(p, q):
-    """p * q as Polynomial.__mul__ built it before its one-term shortcut:
-    every pair of terms multiplied and merged in turn."""
-    out = {}
-    for m1, c1 in p.terms.items():
-        for m2, c2 in q.terms.items():
-            m, c = mono_mul(m1, m2), c1 * c2
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-    return Polynomial(p.ctx, out)
-
-
 def _substitute_by_fold(f, images):
     """The reference substitution: each term's expansion added to a running
     sum, which `+` copies once per term."""
@@ -264,7 +248,7 @@ def _substitute_by_fold(f, images):
 
     def power(i, e):
         if e not in powers[i]:
-            powers[i][e] = _product_by_pairs(power(i, e - 1), images[i])
+            powers[i][e] = power(i, e - 1) * images[i]
         return powers[i][e]
 
     out = target.zero()
@@ -272,7 +256,7 @@ def _substitute_by_fold(f, images):
         term = target.const(c)
         for i, e in enumerate(m):
             if e:
-                term = _product_by_pairs(term, power(i, e))
+                term = term * power(i, e)
         out = out + term
     return out
 
@@ -326,7 +310,7 @@ class _PairwiseParser(poly._Parser):
                 if len(p.terms) * len(q.terms) > PRODUCT_CAP:
                     raise ParseError(f"product of more than {PRODUCT_CAP} pairs of terms",
                                      column=col + 1)
-                p = _product_by_pairs(p, q)
+                p = p * q
                 if len(p.terms) > TERM_CAP:
                     raise ParseError(f"product of more than {TERM_CAP} terms", column=col + 1)
             elif kind == "op" and val == "/":

@@ -505,4 +505,4 @@ def test_classify_makes_few_fractions_on_the_bundled_witness(monkeypatch):
     monkeypatch.undo()
     assert verdict.outcome == "NotSmoothable"
     assert verdict.evidence[-1] == "pfaffian 1/64"
-    assert len(made) <= 300     # 215; 1,615 with the Fraction echelon, chain and Pfaffian
+    assert len(made) <= 300     # 243; 1,615 with the Fraction echelon, chain and Pfaffian
