@@ -11,7 +11,7 @@ from math import gcd, lcm
 
 from .errors import HilbcheckError, PreconditionError
 from .linalg import DenseMatrix, RowSpace, kernel_basis, row_product
-from .poly import GREVLEX, VariableContext, mono_deg
+from .poly import GREVLEX, Substitution, VariableContext, mono_deg
 from .groebner import Ideal, buchberger, cyclic_annihilator_gb
 from .scalars import is_prime
 
@@ -273,8 +273,8 @@ def translate_ideal(I, a):
         raise PreconditionError("translation vector length must match")
     if not any(a):
         return I
-    images = _translation(ctx, a)
-    return Ideal(ctx, [g.substitute(images) for g in I.gens])
+    translate = Substitution(_translation(ctx, a))
+    return Ideal(ctx, [g.substitute(translate) for g in I.gens])
 
 
 def _translation(ctx, a):
@@ -361,7 +361,7 @@ def _embedding_reduction(G, model, chain, a):
     if R.colength() != n:
         raise ArithmeticError("kept variables do not generate the quotient")
     back = _translation(ctx, [-ai for ai in a])
-    lift = [back[i] for i in keep]
+    lift = Substitution([back[i] for i in keep])
     for g in R.gens:
         if G.normal_form(g.substitute(lift)):
             raise ArithmeticError("reduced ideal is not contained in the original")

@@ -13,6 +13,12 @@ kept for work the others would do slower:
   entries, over Q and F_p: the large, mostly zero tangent systems.
 - `_bareiss`, fraction-free Gauss-Jordan elimination of integer matrices:
   the integer kernels that every sampled maximal minor is read from.
+  `minor_gcd_sample` eliminates a block's core, not the block: a row whose
+  one nonzero entry e lies in column c is in every nonzero maximal minor,
+  with c, and such a minor is +-e times the minor without that row and that
+  column, so peeling these rows one after another leaves a smaller matrix of
+  lower degree.  The seeded screen and draws still read the whole blocks,
+  so the drawn minors, and their gcd, do not change.
 - `_pf`, fraction-free Schur steps for Pfaffians on working coefficients,
   which no echelon of a skew-symmetric matrix gives.
 - `_dvr_eliminate`, elimination over the local ring at t on integer power
@@ -34,7 +40,7 @@ from math import factorial, gcd, lcm
 
 from .fields import QQ, QT
 from .scalars import rat
-from .upoly import zeval, zgcd, ztrim, zprim, zval
+from .upoly import zeval, zgcd, zmul, ztrim, zprim, zval
 
 
 class DenseMatrix:
@@ -673,39 +679,47 @@ def _series_mul(a, b, prec):
 def minor_gcd_sample(m, size, count=32, seed=271828):
     """Gcd (primitive, in Z[t]) of a seeded sample of nonzero size x size minors.
 
-    Every minor is read off one integer elimination per (block of `size`
-    rows, integer point t = x): a fraction-free Gauss-Jordan pass gives the
-    block's integer kernel at x, and by Grassmann duality each of its maximal
-    minors there is a complementary (ncols - size)-minor of that kernel
-    (`_PointKernel`).  The screen uses the kernels at t = 3 and t = 5: a
-    minor is nonzero there exactly when its complementary kernel minor is.
-    The blocks are all rows when size == nrows, else count - 1 seeded draws
-    and the pivot rows of one elimination at t = 3.  The sample is that pivot
-    minor plus count - 1 seeded draws from the pooled nonzero subsets; each
-    drawn minor is interpolated, in integer arithmetic, from its values at
-    t = 0, 1, 2, ... read off the kernels of its block, and dropped if it
-    vanishes identically.
+    Every minor is read off integer eliminations at integer points t = x: a
+    fraction-free Gauss-Jordan pass gives a block's integer kernel at x, and
+    by Grassmann duality each of its maximal minors there is a complementary
+    (ncols - size)-minor of that kernel (`_PointKernel`).  The blocks are all
+    rows when size == nrows, else count - 1 seeded draws and the pivot rows
+    of one elimination at t = 3.  The screen uses the whole blocks' kernels
+    at t = 3 and t = 5: a minor is nonzero there exactly when its
+    complementary kernel minor is.  The sample is that pivot minor plus
+    count - 1 seeded draws from the pooled nonzero (rows, columns) subsets.
+
+    A drawn minor is interpolated off the block's core (`_peel`).  When a row
+    of the block has one nonzero entry e, in column c, every nonzero maximal
+    minor contains c and is +-e times the minor without that row and column;
+    peeling such rows until none is left gives a core and the product f of
+    the peeled entries, and each minor is prim(f * core minor).  The core
+    minor is interpolated, in integer arithmetic, from its values at
+    t = 0, 1, 2, ... up to the core's degree bound, read off the core's
+    kernels.  The peel changes how a drawn minor is evaluated, not which are
+    drawn: the screen and the draws stay on the whole blocks, so the sample
+    is the same, and a block with no singleton row is its own core.  Minors
+    that vanish identically are dropped.
 
     Limit of the screen: a minor that vanishes at every screen point without
     vanishing identically is never drawn.
     """
     rng = random.Random(seed)
     polys = _polynomial_entries(m)
-    values = {}
+    nrows, ncols = len(polys), len(polys[0])
+    every = tuple(range(ncols))
     kernels = {}
+    cores = {}
 
-    def kernel(rsel, x):
-        # one elimination per (block, point), shared by every minor on the block
-        if (rsel, x) not in kernels:
-            if x not in values:
-                values[x] = _eval_matrix(polys, x)
-            vals = values[x]
-            kernels[rsel, x] = _PointKernel([vals[r] for r in rsel])
-        return kernels[rsel, x]
+    def kernel(rows, cols, x):
+        # one elimination per (rows, columns, point), shared by every minor on them
+        if (rows, cols, x) not in kernels:
+            kernels[rows, cols, x] = _PointKernel(
+                [[zeval(polys[r][c], x) for c in cols] for r in rows])
+        return kernels[rows, cols, x]
 
-    nrows = len(polys)
     blocks = {tuple(sorted(rng.sample(range(nrows), size))) for _ in range(count - 1)}
-    whole = kernel(tuple(range(nrows)), 3)
+    whole = kernel(tuple(range(nrows)), every, 3)
     base = None
     if len(whole.rows) >= size:
         base = (tuple(sorted(whole.rows[:size])), tuple(sorted(whole.pivots[:size])))
@@ -713,17 +727,40 @@ def minor_gcd_sample(m, size, count=32, seed=271828):
     found = set()
     for x in (3, 5):
         for rsel in sorted(blocks):
-            found.update((rsel, csel) for csel in _nonzero_column_sets(kernel(rsel, x)))
+            found.update((rsel, csel) for csel in _nonzero_column_sets(kernel(rsel, every, x)))
     found.discard(base)
     picks = rng.sample(sorted(found), min(count - 1, len(found)))
     g = ()
     for rsel, csel in ([base] if base else []) + picks:
-        det = _minor_poly(polys, rsel, csel, kernel)
+        if rsel not in cores:
+            cores[rsel] = _peel(polys, rsel)
+        det = _minor_poly(polys, cores[rsel], csel, kernel)
         if det:
             g = zgcd(g, det)
             if g == (1,):
                 break
     return g
+
+
+def _peel(polys, rsel):
+    """The core of the block of rows rsel: (rows, columns, product).
+
+    Peels a row whose one nonzero entry lies in a column c, with c, until
+    no row of what is left has exactly one; product is the product of the
+    peeled entries."""
+    rows = list(rsel)
+    cols = set(range(len(polys[0])))
+    product = (1,)
+    while True:
+        for r in rows:
+            support = [c for c in cols if polys[r][c]]
+            if len(support) == 1:
+                break
+        else:
+            return tuple(rows), tuple(sorted(cols)), product
+        rows.remove(r)
+        cols.remove(support[0])
+        product = zmul(product, polys[r][support[0]])
 
 
 class _PointKernel:
@@ -789,19 +826,27 @@ def _nonzero_column_sets(kernel):
             yield tuple(c for c in range(ncols) if c not in rest)
 
 
-def _minor_poly(polys, rsel, csel, kernel):
-    """Minor of the coefficient-list matrix on rows rsel and columns csel,
-    primitive in Z[t] with positive leading coefficient, interpolated from
-    its values at t = 0, 1, 2, ... up to the degree bound; kernel(rsel, x)
-    is the `_PointKernel` of those rows at t = x."""
-    row_deg = sum(max(len(polys[r][c]) for c in csel) - 1 for r in rsel)
-    col_deg = sum(max(len(polys[r][c]) for r in rsel) - 1 for c in csel)
-    ys = [kernel(rsel, x).minor(csel) for x in range(min(row_deg, col_deg) + 1)]
-    ints = ztrim(_interpolate_scaled(ys))
-    if not ints:
-        return ()
-    p = zprim(ints)
-    return p if p[-1] > 0 else tuple(-c for c in p)
+def _minor_poly(polys, core, csel, kernel):
+    """Minor of the coefficient-list matrix on a block's rows and columns csel,
+    primitive in Z[t] with positive leading coefficient: prim(product * the
+    core's minor on csel without the peeled columns), for the block's core
+    (rows, columns, product) from `_peel`.  The core minor is interpolated
+    from its values at t = 0, 1, 2, ... up to its degree bound;
+    kernel(rows, columns, x) is the `_PointKernel` of the core at t = x."""
+    rows, cols, product = core
+    chosen = set(csel)
+    sub = tuple(k for k, c in enumerate(cols) if c in chosen)
+    if len(sub) != len(rows):
+        return ()       # csel misses a peeled column, whose row is then zero
+    if rows:
+        row_deg = sum(max(len(polys[r][cols[k]]) for k in sub) - 1 for r in rows)
+        col_deg = sum(max(len(polys[r][cols[k]]) for r in rows) - 1 for k in sub)
+        ys = [kernel(rows, cols, x).minor(sub) for x in range(min(row_deg, col_deg) + 1)]
+        minor = ztrim(_interpolate_scaled(ys))
+    else:
+        minor = (1,)    # every row peeled: the empty determinant
+    p = zprim(zmul(product, minor))
+    return p if not p or p[-1] > 0 else tuple(-c for c in p)
 
 
 def _interpolate_scaled(ys):

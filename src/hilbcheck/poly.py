@@ -320,26 +320,22 @@ class Polynomial:
         return Polynomial(self.ctx, out)
 
     def substitute(self, images):
-        """Evaluate at polynomial images of the variables (same context)."""
-        if len(images) != self.ctx.d:
+        """Evaluate at polynomial images of the variables (same context).
+
+        images is a list of them, or a `Substitution` of them, whose cache
+        of their powers is then shared with every polynomial it is passed to."""
+        sub = images if isinstance(images, Substitution) else Substitution(images)
+        if len(sub.images) != self.ctx.d:
             raise PreconditionError("need one image per variable")
-        target = images[0].ctx
-        powers = [{0: target.one()} for _ in images]
-
-        def power(i, e):
-            cache = powers[i]
-            if e not in cache:
-                cache[e] = power(i, e - 1) * images[i]
-            return cache[e]
-
         # the terms' expansions accumulate into one term dict, as
         # Polynomial.__add__ would merge them, without copying the sum per term
+        target = sub.target
         out = {}
         for m, c in self.terms.items():
             term = target.const(c)
             for i, e in enumerate(m):
                 if e:
-                    term = term * power(i, e)
+                    term = term * sub.power(i, e)
             for mm, x in term.terms.items():
                 s = out.get(mm)
                 s = x if s is None else s + x
@@ -363,6 +359,23 @@ class Polynomial:
 
     def __repr__(self):
         return poly_str(self)
+
+
+class Substitution:
+    """Images of the variables, x_i -> images[i], for `Polynomial.substitute`,
+    with a cache of their powers: each is built once, as the one before it
+    times the image, however many polynomials are substituted."""
+
+    def __init__(self, images):
+        self.images = images
+        self.target = images[0].ctx
+        self.powers = [{0: self.target.one()} for _ in images]
+
+    def power(self, i, e):
+        cache = self.powers[i]
+        if e not in cache:
+            cache[e] = self.power(i, e - 1) * self.images[i]
+        return cache[e]
 
 
 # --- printing ----------------------------------------------------------------

@@ -17,7 +17,7 @@ from .artin import (HilbertFunction, IndeterminateSupport, _embedding_reduction,
                     centroid, local_hilbert_function, support_colengths)
 from .groebner import Ideal, buchberger, ideal_equal, initial_ideal
 from .linalg import DenseMatrix, determinant, pfaffian, rank
-from .poly import mono_deg
+from .poly import Substitution, mono_deg
 
 
 @dataclass
@@ -181,7 +181,8 @@ def change_coordinates(I, g):
             if rows[i][j]:
                 img = img + xs[j].scale(rows[i][j])
         images.append(img)
-    return Ideal(ctx, [p.substitute(images) for p in I.gens])
+    change = Substitution(images)
+    return Ideal(ctx, [p.substitute(change) for p in I.gens])
 
 
 @dataclass

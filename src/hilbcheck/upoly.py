@@ -249,7 +249,8 @@ def _reduce(num, den):
         return (), (1,)
     if den[-1] < 0:
         num, den = zneg(num), zneg(den)
-    if len(den) > 1 or len(num) > 1:
+    # a constant side has gcd 1 with the other in Q[t]: only content is shared
+    if len(den) > 1 and len(num) > 1:
         g = zgcd(num, den)
         if zdeg(g) > 0 or g != (1,):
             num = zdiv_exact(num, g)

@@ -371,7 +371,9 @@ def test_minor_gcd_sample_with_every_minor_drawn_is_the_full_gcd():
 
 
 def test_minor_gcd_sample_eliminates_each_block_once_per_point(monkeypatch):
-    # psi has one block (all 24 rows); each minor value is a 4 x 4 kernel minor
+    # psi has one block (all 24 rows), screened whole at t = 3 and 5; its
+    # drawn minors are read off its 10 x 14 core at t = 0..16, and each minor
+    # value is a 4 x 4 kernel minor
     full, small = [], []
     bareiss, det_int = linalg._bareiss, linalg._det_int
 
@@ -388,7 +390,7 @@ def test_minor_gcd_sample_eliminates_each_block_once_per_point(monkeypatch):
     monkeypatch.setattr(linalg, "_det_int", counted_det_int)
     assert minor_gcd_sample(family_machine().psi, 24) == (0,) * 16 + (1,)
     assert full and len(full) == len(set(full))
-    assert all(len(m) == 24 for m in full)
+    assert sorted(len(m) for m in full) == [10] * 17 + [24] * 2
     assert small and max(small) <= (4, 4)
 
 

@@ -1,11 +1,13 @@
-"""`RowSpace` and the Pfaffian against the field-element algorithms they
-replaced, kept here as references.
+"""`RowSpace`, the Pfaffian and the sampled minor gcd against the algorithms
+they replaced, kept here as references.
 
 `RowSpace` eliminates working coefficients (primitive integer rows over Q)
 and `_pf` takes fraction-free Schur steps.  The references below are the
 echelon that held rows of field elements scaled to 1 at the pivot, and the
 Schur-complement recursion that divided by the pivot at every entry.  Both
-sides must return the same field elements.
+sides must return the same field elements.  `minor_gcd_sample` reads each
+drawn minor off its block's peeled core; the reference reads it off the
+whole block, and both must draw the same minors and return the same gcd.
 """
 
 import random
@@ -14,10 +16,15 @@ from math import gcd
 
 import pytest
 
+from hilbcheck import linalg
 from hilbcheck.fields import GF, QQ, QT
-from hilbcheck.linalg import DenseMatrix, RowSpace, determinant, kernel_basis, pfaffian, rref
+from hilbcheck.linalg import (DenseMatrix, RowSpace, _PointKernel, _eval_matrix,
+                              _interpolate_scaled, _nonzero_column_sets, _peel,
+                              _polynomial_entries, determinant, kernel_basis, minor_gcd_sample,
+                              pfaffian, rref)
 from hilbcheck.scalars import rat
-from hilbcheck.upoly import RATFUNC_T as t
+from hilbcheck.tangent import family_machine
+from hilbcheck.upoly import RATFUNC_T as t, zeval, zgcd, zprim, ztrim
 
 
 class ReferenceRowSpace:
@@ -230,3 +237,144 @@ def test_pfaffian_agrees_with_the_field_element_recursion(field):
                 assert pf == reference_pf([row[:] for row in rows], field), (n, density)
                 values.add(bool(pf))
     assert values == {True, False}
+
+
+def reference_minor_gcd_sample(m, size, count=32, seed=271828):
+    """`minor_gcd_sample` before the peel: every drawn minor interpolated off
+    eliminations of its whole block, at t = 0 up to the block's degree bound."""
+    rng = random.Random(seed)
+    polys = _polynomial_entries(m)
+    values = {}
+    kernels = {}
+
+    def kernel(rsel, x):
+        # one elimination per (block, point), shared by every minor on the block
+        if (rsel, x) not in kernels:
+            if x not in values:
+                values[x] = _eval_matrix(polys, x)
+            vals = values[x]
+            kernels[rsel, x] = _PointKernel([vals[r] for r in rsel])
+        return kernels[rsel, x]
+
+    nrows = len(polys)
+    blocks = {tuple(sorted(rng.sample(range(nrows), size))) for _ in range(count - 1)}
+    whole = kernel(tuple(range(nrows)), 3)
+    base = None
+    if len(whole.rows) >= size:
+        base = (tuple(sorted(whole.rows[:size])), tuple(sorted(whole.pivots[:size])))
+        blocks.add(base[0])
+    found = set()
+    for x in (3, 5):
+        for rsel in sorted(blocks):
+            found.update((rsel, csel) for csel in _nonzero_column_sets(kernel(rsel, x)))
+    found.discard(base)
+    picks = rng.sample(sorted(found), min(count - 1, len(found)))
+    g = ()
+    for rsel, csel in ([base] if base else []) + picks:
+        det = reference_minor_poly(polys, rsel, csel, kernel)
+        if det:
+            g = zgcd(g, det)
+            if g == (1,):
+                break
+    return g
+
+
+def reference_minor_poly(polys, rsel, csel, kernel):
+    row_deg = sum(max(len(polys[r][c]) for c in csel) - 1 for r in rsel)
+    col_deg = sum(max(len(polys[r][c]) for r in rsel) - 1 for c in csel)
+    ys = [kernel(rsel, x).minor(csel) for x in range(min(row_deg, col_deg) + 1)]
+    ints = ztrim(_interpolate_scaled(ys))
+    if not ints:
+        return ()
+    p = zprim(ints)
+    return p if p[-1] > 0 else tuple(-c for c in p)
+
+
+# entries of the sparse matrices: the three that vanish at t = 0, 3 or 5,
+# where the minors are screened, and dense polynomials of degree <= 2
+_SPECIAL = (t, t - QT.from_int(3), t - QT.from_int(5))
+
+
+def _poly_entry(rng):
+    if rng.random() < 0.4:
+        return rng.choice(_SPECIAL) * QT.from_int(rng.choice((-2, -1, 1, 3)))
+    while True:
+        x = sum((QT.from_int(rng.randint(-3, 3)) * t ** e for e in range(rng.randint(1, 3))),
+                QT.zero)
+        if x:
+            return x
+
+
+def _sparse_qt_case(rng):
+    """(rows, size, count) of a sparse Q(t) matrix: a chain of rows whose
+    peels make the next one a singleton, singleton rows, denser rows, and at
+    times a zero row, with the rows shuffled."""
+    nrows = rng.randint(2, 7)
+    ncols = nrows + rng.randint(0, 3)
+    rows = [[QT.zero] * ncols for _ in range(nrows)]
+    cols = rng.sample(range(ncols), ncols)
+    chain_len = rng.randint(0, nrows)
+    for i in range(chain_len):
+        # row i meets the columns of the chain's rows before it and one new column
+        rows[i][cols[i]] = _poly_entry(rng)
+        for c in cols[:i]:
+            if rng.random() < 0.4:
+                rows[i][c] = _poly_entry(rng)
+    for i in range(chain_len, nrows):
+        for c in rng.sample(range(ncols), rng.randint(1, ncols)):
+            rows[i][c] = _poly_entry(rng)
+    if rng.random() < 0.15:
+        rows[rng.randrange(nrows)] = [QT.zero] * ncols
+    rng.shuffle(rows)
+    size = rng.randint(1, nrows) if rng.random() < 0.4 else nrows
+    # count at times above the number of nonzero minors, which caps the draws
+    count = rng.choice((2, 4, 32, 200))
+    return rows, size, count
+
+
+def test_minor_gcd_sample_off_the_peeled_core_matches_the_whole_blocks():
+    rng = random.Random(2301)
+    seen = set()
+    for _ in range(120):
+        rows, size, count = _sparse_qt_case(rng)
+        m = DenseMatrix(QT, rows)
+        seed = rng.randrange(10 ** 6)
+        got = minor_gcd_sample(m, size, count=count, seed=seed)
+        assert got == reference_minor_gcd_sample(m, size, count=count, seed=seed), (rows, size)
+        polys = _polynomial_entries(m)
+        block = tuple(range(len(rows)))
+        core_rows, _, product = _peel(polys, block)
+        singletons = sum(sum(map(bool, row)) == 1 for row in polys)
+        seen.add(("peels that make a singleton", len(rows) - len(core_rows) > singletons))
+        seen.add(("fully peeled", not core_rows))
+        seen.add(("zero row", not all(map(any, polys))))
+        seen.add(("partial block", size < len(rows)))
+        seen.add(("gcd", len(got)))
+        seen.update(("vanishes at", x) for x in (0, 3, 5) if zeval(product, x) == 0)
+    assert {("peels that make a singleton", True), ("fully peeled", True),
+            ("partial block", True), ("zero row", True),
+            ("vanishes at", 0), ("vanishes at", 3), ("vanishes at", 5),
+            ("gcd", 0), ("gcd", 1), ("gcd", 2)} <= seen
+
+
+def test_minor_gcd_sample_reads_psis_drawn_minors_off_its_core(monkeypatch):
+    psi = family_machine().psi
+    drawn = {"core": [], "whole": []}
+
+    def recorded(name, minor_poly):
+        def wrapper(polys, block, csel, kernel):
+            det = minor_poly(polys, block, csel, kernel)
+            drawn[name].append((csel, det))
+            return det
+        return wrapper
+
+    monkeypatch.setattr(linalg, "_minor_poly", recorded("core", linalg._minor_poly))
+    monkeypatch.setitem(globals(), "reference_minor_poly",
+                        recorded("whole", reference_minor_poly))
+    got = minor_gcd_sample(psi, 24, count=32, seed=271828)
+    assert got == reference_minor_gcd_sample(psi, 24, count=32, seed=271828)
+    assert got == (0,) * 16 + (1,)
+    assert len(drawn["core"]) == 32 and drawn["core"] == drawn["whole"]
+    core_rows, core_cols, product = _peel(_polynomial_entries(psi), tuple(range(24)))
+    assert (len(core_rows), len(core_cols)) == (10, 14) and product in {(0,) * 6 + (1,),
+                                                                      (0,) * 6 + (-1,)}

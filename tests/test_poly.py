@@ -7,7 +7,7 @@ from hilbcheck import poly
 from hilbcheck.errors import ParseError, PreconditionError
 from hilbcheck.fields import GF, QQ, QT
 from hilbcheck.poly import (EXPONENT_CAP, GREVLEX, LEX, PRODUCT_CAP, TERM_CAP, Polynomial,
-                            context, format_ideal_file, mono_divides, mono_mul,
+                            Substitution, context, format_ideal_file, mono_divides, mono_mul,
                             parse_ideal_file, parse_points_file, parse_polynomial, poly_str,
                             weight_order)
 from hilbcheck.scalars import rat
@@ -294,6 +294,44 @@ def test_substitute_matches_the_running_sum(field):
         assert got.terms == ref.terms and list(got.terms) == list(ref.terms)
         cancelled += len(got.terms) < len(f.terms)
     assert cancelled
+
+
+def test_one_substitution_per_image_list_matches_per_call_substitute(monkeypatch):
+    # translate_ideal and change_coordinates share one power cache over the
+    # generators; each generator must come out as its own substitute would
+    from hilbcheck.artin import _translation, translate_ideal
+    from hilbcheck.fixtures import random_invertible_matrix
+    from hilbcheck.groebner import Ideal
+    from hilbcheck.smooth import change_coordinates
+
+    made = []
+    init = Substitution.__init__
+    monkeypatch.setattr(Substitution, "__init__",
+                        lambda self, images: made.append(1) or init(self, images))
+    data = pathlib.Path(__file__).resolve().parent.parent / "src" / "hilbcheck" / "data"
+    texts = [f.read_text() for f in sorted(data.glob("*.ideal"))]
+    texts += [r.text for r in _perfbench_workloads().make_requests("classify", 7, 1)]
+    gens = 0
+    for k, text in enumerate(texts):
+        ctx, polys = parse_ideal_file(text)
+        I = Ideal(ctx, polys)
+        field = ctx.field
+        a = [field.from_int(k % 3 - 1) / field.from_int(i + 1) for i in range(ctx.d)]
+        a[0] = field.one
+        g = random_invertible_matrix(k, ctx.d, field)
+        xs = ctx.variables()
+        change = [sum((xs[j].scale(g[i][j]) for j in range(ctx.d)), ctx.zero())
+                  for i in range(ctx.d)]
+        for move, images in ((lambda: translate_ideal(I, a), _translation(ctx, a)),
+                             (lambda: change_coordinates(I, g), change)):
+            made.clear()
+            moved = move()
+            assert made == [1]
+            for p, q in zip(moved.gens, I.gens):
+                ref = q.substitute(images)
+                assert p.terms == ref.terms and list(p.terms) == list(ref.terms)
+            gens += len(I.gens)
+    assert gens > 100
 
 
 class _PairwiseParser(poly._Parser):

@@ -453,7 +453,7 @@ def test_project_to_graded_builds_one_quotient_model(monkeypatch):
     assert calls == [1]
 
 
-@pytest.mark.parametrize("field", [QQ, GF(101), GF(7)], ids=str)
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(7), QT], ids=str)
 def test_block_pfaffian_is_covariant(field):
     # g in GL_4 acts on each Gram matrix by A -> g^T A g, that is on each dual
     # quadric by Q(y) -> Q(g y), and h in GL_3 mixes the three quadrics.  The

@@ -12,7 +12,7 @@ from hilbcheck.fixtures import (family_limit_ideal, family_member_ideal,
                                 random_points, salmon_ideal,
                                 seven_quadrics_ideal, squares_cube_ideal,
                                 weight753_ideal)
-from hilbcheck import artin, linalg, tangent
+from hilbcheck import artin, linalg, tangent, upoly
 from hilbcheck.artin import LocalAlgebraModel
 from hilbcheck.groebner import (GroebnerBasis, Ideal, SyzygyBasis, buchberger,
                                 points_ideal)
@@ -323,6 +323,29 @@ def test_curve_multiplicity_sixteen():
     assert rep.sampled_gcd == (0,) * 16 + (rep.sampled_gcd[16],)
     assert rep.rank_at_one == 24
     assert rep.syzygy_dimension == 8
+
+
+def test_curve_multiplicity_eliminates_psi_whole_only_to_screen(monkeypatch):
+    # psi is eliminated whole only at the screen points t = 3 and 5, and every
+    # drawn minor is read off its peeled core.  Q(t) runs no gcd against a
+    # constant, so the request makes 145 gcds, not 567.
+    whole, gcds = [], []
+    bareiss, zgcd = linalg._bareiss, upoly.zgcd
+
+    def counted_bareiss(mat, *args, **kwargs):
+        whole.append(len(mat) == 24)
+        return bareiss(mat, *args, **kwargs)
+
+    def counted_zgcd(a, b):
+        gcds.append(1)
+        return zgcd(a, b)
+
+    monkeypatch.setattr(linalg, "_bareiss", counted_bareiss)
+    monkeypatch.setattr(linalg, "zgcd", counted_zgcd)
+    monkeypatch.setattr(upoly, "zgcd", counted_zgcd)
+    assert curve_multiplicity().sampled_valuation == 16
+    assert 0 < sum(whole) <= 2
+    assert len(gcds) <= 200
 
 
 def test_curve_degenerate_quadric_gives_infinite_valuation():

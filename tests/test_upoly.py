@@ -1,10 +1,12 @@
 import random
+from math import gcd
 
 import pytest
 
+from hilbcheck import upoly
 from hilbcheck.scalars import rat
-from hilbcheck.upoly import (RATFUNC_T as t, RatFunc, zdiv_exact, zeval, zgcd, zmul,
-                             zpoly_str, ztrim, zval)
+from hilbcheck.upoly import (RATFUNC_T as t, RatFunc, zdeg, zdiv_exact, zeval, zgcd, zmul,
+                             zneg, zpoly_str, ztrim, zval)
 
 
 def test_zpoly_basics():
@@ -53,6 +55,50 @@ def test_ratfunc_field_axioms_random():
         if a:
             assert a / a == one
         assert (a * b) * c == a * (b * c)
+
+
+def _reduce_through_the_gcd(num, den):
+    """`upoly._reduce` with the polynomial gcd run whenever either side is
+    non-constant, as it was before a constant side skipped it."""
+    if not num:
+        return (), (1,)
+    if den[-1] < 0:
+        num, den = zneg(num), zneg(den)
+    if len(den) > 1 or len(num) > 1:
+        g = zgcd(num, den)
+        if zdeg(g) > 0 or g != (1,):
+            num = zdiv_exact(num, g)
+            den = zdiv_exact(den, g)
+            if den[-1] < 0:
+                num, den = zneg(num), zneg(den)
+    c = gcd(*num, *den)
+    if c > 1:
+        num = tuple(x // c for x in num)
+        den = tuple(x // c for x in den)
+    return num, den
+
+
+def test_reduce_with_a_constant_side_matches_the_gcd_path():
+    rng = random.Random(2302)
+
+    def constant():
+        return (rng.choice((-12, -6, -4, -3, -2, -1, 1, 2, 3, 4, 6, 12)),)
+
+    def poly():
+        # non-constant, with an integer content at times
+        while True:
+            p = ztrim(rng.randint(-4, 4) for _ in range(rng.randint(2, 4)))
+            if len(p) > 1:
+                return tuple(c * rng.choice((1, 1, 2, -3, 6)) for c in p)
+
+    seen = set()
+    for _ in range(400):
+        kind = rng.choice(("constant den", "constant num", "zero num", "both constant"))
+        num = () if kind == "zero num" else constant() if kind != "constant den" else poly()
+        den = constant() if kind != "constant num" else poly()
+        assert upoly._reduce(num, den) == _reduce_through_the_gcd(num, den), (num, den)
+        seen.add((kind, den[-1] < 0))
+    assert len(seen) == 8
 
 
 def test_ratfunc_eval_and_valuation():
