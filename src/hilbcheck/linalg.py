@@ -8,38 +8,44 @@ kept for work the others would do slower:
   over Q(t).  It is incremental, and can track each vector's coefficients
   over those added before it.  `rref` and `kernel_basis` read one tracked
   pass over the columns, `determinant` one over the rows, and `rank` uses
-  it over Q(t).
+  it over Q(t) when the rank at a point does not settle it.
 - `_sparse_rank`, rank of integer rows held as dicts of their nonzero
-  entries, over Q and F_p: the large, mostly zero tangent systems.
+  entries, over Q and F_p: the large, mostly zero tangent systems, and Q(t)
+  rows evaluated at t = 7.  That rank is a lower bound for the rank over
+  Q(t), and the rank itself when it reaches min(rows, columns).
 - `_bareiss`, fraction-free Gauss-Jordan elimination of integer matrices:
-  the integer kernels that every sampled maximal minor is read from.
-  `minor_gcd_sample` eliminates a block's core, not the block: a row whose
-  one nonzero entry e lies in column c is in every nonzero maximal minor,
-  with c, and such a minor is +-e times the minor without that row and that
-  column, so peeling these rows one after another leaves a smaller matrix of
-  lower degree.  The seeded screen and draws still read the whole blocks,
-  so the drawn minors, and their gcd, do not change.
+  the integer kernels at a point that every sampled maximal minor is read
+  from.  Each `_PointKernel` keeps one table of the minors of its kernel on
+  row subsets, filled by cofactor expansion, so the screen and the
+  interpolation share every minor they both meet.
 - `_pf`, fraction-free Schur steps for Pfaffians on working coefficients,
   which no echelon of a skew-symmetric matrix gives.
 - `_dvr_eliminate`, elimination over the local ring at t on integer power
-  series, for the t-adic valuation of the gcd of the maximal minors of a
-  polynomial matrix.
+  series, for the t-adic valuation of the gcd of the minors of a polynomial
+  matrix.
+
+Maximal minors are read off a block's core (`_peel`) by both
+`minor_gcd_sample`, for its drawn minors, and `t_adic_minor_valuation`: a
+row whose one nonzero entry e lies in column c is in every nonzero maximal
+minor, with c, and such a minor is +-e times the minor without that row and
+that column, so peeling these rows one after another leaves a smaller matrix
+of lower degree.  The seeded screen and draws still read the whole blocks,
+so the drawn minors, and their gcd, do not change.
 
 `working_rank(field, rows)` ranks sparse rows {column: working coefficient}
-in the format of `fields` by one of the first two loops, chosen by field;
-the tangent systems build their rows in that format.  `rank(field, rows)`
-is its entry for rows of field elements, as the rank-only checks hold
-them, and `mat_rank(m)` is the `DenseMatrix` form of `rank`.
-`row_product` is the one matrix-product loop, on field elements for
-`DenseMatrix.matmul` and on working integers for `artin`'s operators.
+in the format of `fields`, by `_sparse_rank` over Q and F_p and as above
+over Q(t); the tangent systems build their rows in that format.
+`rank(field, rows)` is its entry for rows of field elements, as the
+rank-only checks hold them, and `mat_rank(m)` is the `DenseMatrix` form of
+`rank`.  `row_product` is the one matrix-product loop, on field elements
+for `DenseMatrix.matmul` and on working integers for `artin`'s operators.
 """
 
 import random
 from itertools import chain, combinations
 from math import factorial, gcd, lcm
 
-from .fields import QQ, QT
-from .scalars import rat
+from .fields import QT
 from .upoly import zeval, zgcd, zmul, ztrim, zprim, zval
 
 
@@ -309,18 +315,48 @@ def working_rank(field, rows):
     residues over F_p, elements over Q(t).
 
     Over Q and F_p `_sparse_rank` eliminates them and consumes the dicts.
-    Over Q(t) `RowSpace` eliminates them on the sorted union of their
-    columns, where zero entries are harmless.
+    Over Q(t) the rank at t = _RANK_POINT is a lower bound, and the rank when
+    it reaches min(rows, columns); else `RowSpace` eliminates the rows on the
+    sorted union of their columns, where zero entries are harmless.
     """
     p = field.modulus
     if p is not None:
         return _sparse_rank(rows, p)
     cols = sorted({j for row in rows for j in row})
+    bound = min(len(rows), len(cols))
+    if _rank_at_point(rows, _RANK_POINT) == bound:
+        return bound
     zero = field.zero
     rs = RowSpace(field)
     for row in rows:
         rs.add([row.get(j, zero) for j in cols])
     return rs.dim
+
+
+# A specialisation t -> x maps every minor of a Q(t) matrix to its value at x
+# when no denominator vanishes there, so the rank at x is at most the rank
+# over Q(t).  Small points such as 0 and 1 are roots of structured entries.
+_RANK_POINT = 7
+
+
+def _rank_at_point(rows, x):
+    """Rank over Q at t = x, an integer, of Q(t) rows {column: element}; None
+    when a denominator vanishes at x.  Each row is scaled to integers by the
+    lcm of its denominators' values and ranked by `_sparse_rank`."""
+    out = []
+    for row in rows:
+        values = []
+        for j, e in row.items():
+            if e:
+                den = zeval(e.den, x)
+                if not den:
+                    return None
+                values.append((j, zeval(e.num, x), den))
+        scale = lcm(*(den for _, _, den in values))
+        v = {j: num * (scale // den) for j, num, den in values if num}
+        if v:
+            out.append(v)
+    return _sparse_rank(out, 0)
 
 
 def mat_rank(m):
@@ -419,11 +455,6 @@ def _bareiss(mat, reduce=False):
         pivots.append(c)
         r += 1
     return order[:r], pivots, sign * prev
-
-
-def _det_int(a):
-    rows, _, det = _bareiss(a)
-    return det if len(rows) == len(a) else 0
 
 
 def kernel_basis(m):
@@ -558,15 +589,30 @@ def t_adic_minor_valuation(m, size, cross_check=True):
     valuation; the answer is the sum of the pivot valuations), and optionally
     cross-checked against a seeded sample of full minors.  Returns None when
     the rank over Q(t) is below `size` (the valuation is infinite).
+
+    For maximal minors (size == nrows) the elimination runs on the core of
+    `_peel`: every nonzero maximal minor is +-product times a maximal minor
+    of the core, and the rank is the number of peeled rows plus the core's,
+    so the valuation is that of the product plus the core's.
     """
     if m.field != QT:
         raise TypeError("t-adic valuation needs entries in Q(t)")
     if m.nrows < size or m.ncols < size:
         raise ValueError("matrix smaller than requested minor size")
     polys = _polynomial_entries(m)
-    if not _full_rank_certificate(m, polys, size):
+    if size == m.nrows:
+        rows, cols, product = _peel(polys, tuple(range(size)))
+        core = DenseMatrix(QT, [[m.rows[r][c] for c in cols] for r in rows])
+        if mat_rank(core) < len(rows):
+            return None
+        total = zval(product)
+        if rows:
+            total += _dvr_pivot_valuations([[polys[r][c] for c in cols] for r in rows],
+                                           len(rows))
+    elif mat_rank(m) < size:
         return None
-    total = _dvr_pivot_valuations(polys, size)
+    else:
+        total = _dvr_pivot_valuations(polys, size)
     if cross_check:
         g = minor_gcd_sample(m, size, count=32, seed=271828)
         if not g:
@@ -588,20 +634,6 @@ def _polynomial_entries(m):
         den = lcm(*(x.den[0] for x in row))
         out.append([[c * (den // x.den[0]) for c in x.num] for x in row])
     return out
-
-
-def _eval_matrix(polys, x):
-    """The coefficient-list matrix evaluated at t = x."""
-    return [[zeval(coeffs, x) for coeffs in prow] for prow in polys]
-
-
-def _full_rank_certificate(m, polys, size):
-    # rank at any specialization is a lower bound for the rank over Q(t)
-    for c in (rat(1), rat(-2), rat(5, 3), rat(7), rat(-11, 4)):
-        if mat_rank(DenseMatrix(QQ, _eval_matrix(polys, c))) >= size:
-            return True
-    # inconclusive by sampling: decide exactly over Q(t)
-    return mat_rank(m) >= size
 
 
 def _dvr_pivot_valuations(polys, size):
@@ -775,9 +807,10 @@ class _PointKernel:
 
     with sgn(X, Y) the sign of the permutation listing X then Y.  `dual` is
     None when the rank is below the row count, and every maximal minor is 0.
+    The minors of K come from one memoised table (`kernel_minor`).
     """
 
-    __slots__ = ("rows", "pivots", "det", "den", "dual")
+    __slots__ = ("rows", "pivots", "det", "den", "dual", "table")
 
     def __init__(self, block):
         mat = [row[:] for row in block]
@@ -796,14 +829,37 @@ class _PointKernel:
                 dual[p][k] = -row[f]
         self.dual = dual
         self.den = d ** len(free)
+        self.table = {(): 1}
+
+    def kernel_minor(self, rest):
+        """det of K on the rows rest, an increasing tuple, and its last
+        len(rest) columns: det K[rest] when rest has |F| rows.
+
+        The table holds this minor for every row tuple met so far.
+        Expanding along the first of those columns writes a minor on k rows
+        as a sum over minors on k - 1 of them, so minors that share rows
+        share the work below them."""
+        table = self.table
+        m = table.get(rest)
+        if m is not None:
+            return m
+        col = len(self.dual[0]) - len(rest)
+        m = 0
+        for i, r in enumerate(rest):
+            a = self.dual[r][col]
+            if a:
+                b = self.kernel_minor(rest[:i] + rest[i + 1:])
+                m += -a * b if i & 1 else a * b
+        table[rest] = m
+        return m
 
     def minor(self, csel):
         """det A[:, csel] for an increasing tuple of len(A) columns."""
         if self.dual is None:
             return 0
         chosen = set(csel)
-        rest = [self.dual[c][:] for c in range(len(self.dual)) if c not in chosen]
-        num = self.det * _det_int(rest)
+        rest = tuple(c for c in range(len(self.dual)) if c not in chosen)
+        num = self.det * self.kernel_minor(rest)
         if (sum(self.pivots) + sum(csel)) % 2:
             num = -num
         q, rem = divmod(num, self.den)
@@ -822,7 +878,7 @@ def _nonzero_column_sets(kernel):
     # a subset meeting a zero row of the kernel has a zero minor there
     support = [c for c in range(ncols) if any(dual[c])]
     for rest in combinations(support, free):
-        if _det_int([dual[c][:] for c in rest]):
+        if kernel.kernel_minor(rest):
             yield tuple(c for c in range(ncols) if c not in rest)
 
 

@@ -33,6 +33,7 @@ from .poly import context, mono_deg, mono_lcm
 from .groebner import (buchberger, linear_syzygies, trace_syzygies,
                        SyzygyBasis, _monomials_of_degree)
 from .artin import local_hilbert_function, multiplication_operators
+from .upoly import zval
 
 
 class _HomSystem:
@@ -375,7 +376,6 @@ def curve_multiplicity():
     psi = machine.psi
     val = t_adic_minor_valuation(psi, 24, cross_check=False)
     gcd_poly = minor_gcd_sample(psi, 24, count=32, seed=271828)
-    from .upoly import zval
     sval = zval(gcd_poly) if gcd_poly else None
     at1 = family_machine(tval=1)
     return CurveReport(valuation=val, sampled_gcd=gcd_poly, sampled_valuation=sval,

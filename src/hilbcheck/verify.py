@@ -15,12 +15,12 @@ from .apolarity import apply_operator, ideal_from_inverse_system, perp
 from .artin import centroid, multiplication_operators, translate_ideal
 from .census import census_report, chain_stratum_dims, fiber_dim, \
     grassmannian_stratum_dim, pencil_cubic_stratum_dims
-from .errors import HilbcheckError
+from .errors import HilbcheckError, PreconditionError
 from .fields import GF, QQ
 from .groebner import (buchberger, delta_ratio, ideal_equal, initial_ideal,
                        intersect, points_ideal)
 from .linalg import DenseMatrix, determinant, pfaffian
-from .poly import context
+from .poly import Polynomial, Substitution, context
 from .scalars import RAT_BACKEND
 from .smooth import (change_coordinates, classify_smoothable, project_to_graded,
                      salmon_turnbull_pfaffian)
@@ -173,6 +173,47 @@ def _case_pfaffian_ratio(seed):
     if len(ratios) != 1:
         return "FAIL", f"ratios {sorted(ratios)}", "expected one constant"
     return "PASS", f"ratio {ratios.pop()}", "block vs intrinsic"
+
+
+def _random_dual_quadric(rng, dctx):
+    terms = {}
+    for i in range(4):
+        for j in range(i, 4):
+            if rng.random() < 0.6:
+                m = tuple(int(k == i) + int(k == j) for k in range(4))
+                terms[m] = dctx.field.from_int(rng.randint(-9, 9))
+    return Polynomial(dctx, terms)
+
+
+def _case_pfaffian_covariance(seed):
+    # g in GL_4 moves each dual quadric by Q(y) -> Q(g y), and h in GL_3 mixes
+    # the three; the block matrix is sum_k F_k (x) A_k with F_k the 3 x 3 skew
+    # blocks, and pf(P^T B P) = det(P) pf(B) gives the law below
+    rng = random.Random(seed)
+    draws = nonzero = 0
+    for field in (QQ, GF(101)):
+        dctx = context(field, "x1 x2 x3 x4").dual_context()
+        ys = dctx.variables()
+        for _ in range(10):
+            qs = [_random_dual_quadric(rng, dctx) for _ in range(3)]
+            try:
+                pf = salmon_turnbull_pfaffian(qs).pfaffian_block
+            except PreconditionError:
+                continue        # dependent or zero quadrics have no Pfaffian
+            g = fx.random_invertible_matrix(rng.randrange(10 ** 9), 4, field)
+            h = fx.random_invertible_matrix(rng.randrange(10 ** 9), 3, field)
+            sub = Substitution([sum((ys[j].scale(g[i][j]) for j in range(4)), dctx.zero())
+                                for i in range(4)])
+            moved = [q.substitute(sub) for q in qs]
+            mixed = [sum((moved[l].scale(h[k][l]) for l in range(3)), dctx.zero())
+                     for k in range(3)]
+            law = determinant(DenseMatrix(field, g)) ** 3 * determinant(DenseMatrix(field, h)) ** 2
+            if salmon_turnbull_pfaffian(mixed).pfaffian_block != law * pf:
+                return "FAIL", f"draw {draws} over {field}", "pf(h.(g.Q)) != det(g)^3 det(h)^2 pf(Q)"
+            draws += 1
+            nonzero += bool(pf)
+    return "PASS", f"{draws} draws, {nonzero} nonzero", \
+        "pf(h.(g.Q)) = det(g)^3 det(h)^2 pf(Q) over Q and F_101"
 
 
 def _case_graded_hom0(seed):
@@ -372,6 +413,7 @@ CASES = (
     ("pfaffian-salmon", _case_pfaffian_salmon),
     ("pfaffian-points", _case_pfaffian_points),
     ("pfaffian-ratio", _case_pfaffian_ratio),
+    ("pfaffian-covariance", _case_pfaffian_covariance),
     ("graded-hom0", _case_graded_hom0),
     ("graded-homm2", _case_graded_homm2),
     ("graded-homm1", _case_graded_homm1),

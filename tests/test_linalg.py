@@ -372,26 +372,27 @@ def test_minor_gcd_sample_with_every_minor_drawn_is_the_full_gcd():
 
 def test_minor_gcd_sample_eliminates_each_block_once_per_point(monkeypatch):
     # psi has one block (all 24 rows), screened whole at t = 3 and 5; its
-    # drawn minors are read off its 10 x 14 core at t = 0..16, and each minor
-    # value is a 4 x 4 kernel minor
-    full, small = [], []
-    bareiss, det_int = linalg._bareiss, linalg._det_int
+    # drawn minors are read off its 10 x 14 core at t = 0..16.  Every kernel
+    # minor comes from the kernel's memoised table: no elimination of 4 rows
+    # or fewer, and no table entry computed twice (3,008 of them)
+    eliminated, entries = [], []
+    bareiss, kernel_minor = linalg._bareiss, _PointKernel.kernel_minor
 
     def counted_bareiss(mat, *args, **kwargs):
-        if len(mat) > 4:
-            full.append(tuple(map(tuple, mat)))
+        eliminated.append(tuple(map(tuple, mat)))
         return bareiss(mat, *args, **kwargs)
 
-    def counted_det_int(a):
-        small.append((len(a), len(a[0]) if a else 0))
-        return det_int(a)
+    def counted_kernel_minor(self, rest):
+        if rest not in self.table:
+            entries.append((id(self), rest))
+        return kernel_minor(self, rest)
 
     monkeypatch.setattr(linalg, "_bareiss", counted_bareiss)
-    monkeypatch.setattr(linalg, "_det_int", counted_det_int)
+    monkeypatch.setattr(_PointKernel, "kernel_minor", counted_kernel_minor)
     assert minor_gcd_sample(family_machine().psi, 24) == (0,) * 16 + (1,)
-    assert full and len(full) == len(set(full))
-    assert sorted(len(m) for m in full) == [10] * 17 + [24] * 2
-    assert small and max(small) <= (4, 4)
+    assert len(eliminated) == len(set(eliminated))
+    assert sorted(len(m) for m in eliminated) == [10] * 17 + [24] * 2
+    assert len(set(entries)) == len(entries) <= 3008
 
 
 def _scalar(rng, p, big=False):
@@ -586,7 +587,8 @@ def test_t_adic_valuation_is_that_of_the_gcd_of_all_minors():
 
 
 def test_t_adic_valuation_doubles_the_precision(monkeypatch):
-    # the second pivot t^25 needs 2 * 25 + 8 > 48 terms: the first pass gives up
+    # the second pivot t^25 needs 2 * 25 + 8 > 48 terms: the first pass gives
+    # up.  Neither row has a single nonzero entry, so nothing is peeled
     precs = []
     eliminate = linalg._dvr_eliminate
 
@@ -595,7 +597,7 @@ def test_t_adic_valuation_doubles_the_precision(monkeypatch):
         return eliminate(polys, size, prec)
 
     monkeypatch.setattr(linalg, "_dvr_eliminate", counted)
-    d = DenseMatrix(QT, [[t ** 25, QT.zero], [QT.zero, QT.one]])
+    d = DenseMatrix(QT, [[t ** 25, t ** 25], [QT.one, QT.from_int(2)]])
     assert t_adic_minor_valuation(d, 2) == 25
     assert precs == [48, 96]
 

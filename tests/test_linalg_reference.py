@@ -1,13 +1,17 @@
-"""`RowSpace`, the Pfaffian and the sampled minor gcd against the algorithms
-they replaced, kept here as references.
+"""`RowSpace`, the Pfaffian, the sampled minor gcd, the t-adic valuation and
+the Q(t) rank against the algorithms they replaced, kept here as references.
 
 `RowSpace` eliminates working coefficients (primitive integer rows over Q)
 and `_pf` takes fraction-free Schur steps.  The references below are the
 echelon that held rows of field elements scaled to 1 at the pivot, and the
 Schur-complement recursion that divided by the pivot at every entry.  Both
 sides must return the same field elements.  `minor_gcd_sample` reads each
-drawn minor off its block's peeled core; the reference reads it off the
-whole block, and both must draw the same minors and return the same gcd.
+drawn minor off its block's peeled core and each kernel minor off a memoised
+cofactor table; the reference reads it off the whole block, with one Bareiss
+pass per kernel minor, and both must draw the same minors and return the
+same gcd.  `t_adic_minor_valuation` eliminates the peeled core of a block
+and `working_rank` over Q(t) first ranks the rows at a point; the references
+eliminate the whole matrix and rank it exactly.
 """
 
 import random
@@ -18,13 +22,13 @@ import pytest
 
 from hilbcheck import linalg
 from hilbcheck.fields import GF, QQ, QT
-from hilbcheck.linalg import (DenseMatrix, RowSpace, _PointKernel, _eval_matrix,
-                              _interpolate_scaled, _nonzero_column_sets, _peel,
-                              _polynomial_entries, determinant, kernel_basis, minor_gcd_sample,
-                              pfaffian, rref)
+from hilbcheck.linalg import (DenseMatrix, RowSpace, _bareiss, _dvr_pivot_valuations,
+                              _interpolate_scaled, _peel, _polynomial_entries, determinant,
+                              kernel_basis, minor_gcd_sample, pfaffian, rref,
+                              t_adic_minor_valuation)
 from hilbcheck.scalars import rat
 from hilbcheck.tangent import family_machine
-from hilbcheck.upoly import RATFUNC_T as t, zeval, zgcd, zprim, ztrim
+from hilbcheck.upoly import RATFUNC_T as t, RatFunc, zeval, zgcd, zprim, ztrim
 
 
 class ReferenceRowSpace:
@@ -239,9 +243,61 @@ def test_pfaffian_agrees_with_the_field_element_recursion(field):
     assert values == {True, False}
 
 
+def reference_det_int(a):
+    rows, _, det = _bareiss(a)
+    return det if len(rows) == len(a) else 0
+
+
+class ReferencePointKernel:
+    """The kernel of `linalg._PointKernel` with one Bareiss pass per kernel
+    minor, as `minor` read it before the memoised table."""
+
+    def __init__(self, block):
+        mat = [row[:] for row in block]
+        self.rows, self.pivots, self.det = _bareiss(mat, reduce=True)
+        self.dual = None
+        if len(self.rows) < len(mat):
+            return
+        ncols = len(mat[0])
+        d = mat[0][self.pivots[0]]
+        pivset = set(self.pivots)
+        free = [c for c in range(ncols) if c not in pivset]
+        dual = [[0] * len(free) for _ in range(ncols)]
+        for k, f in enumerate(free):
+            dual[f][k] = d
+            for row, p in zip(mat, self.pivots):
+                dual[p][k] = -row[f]
+        self.dual = dual
+        self.den = d ** len(free)
+
+    def minor(self, csel):
+        if self.dual is None:
+            return 0
+        chosen = set(csel)
+        rest = [self.dual[c][:] for c in range(len(self.dual)) if c not in chosen]
+        num = self.det * reference_det_int(rest)
+        if (sum(self.pivots) + sum(csel)) % 2:
+            num = -num
+        q, rem = divmod(num, self.den)
+        assert not rem
+        return q
+
+
+def reference_nonzero_column_sets(kernel):
+    dual = kernel.dual
+    if dual is None:
+        return
+    ncols, free = len(dual), len(dual[0])
+    support = [c for c in range(ncols) if any(dual[c])]
+    for rest in combinations(support, free):
+        if reference_det_int([dual[c][:] for c in rest]):
+            yield tuple(c for c in range(ncols) if c not in rest)
+
+
 def reference_minor_gcd_sample(m, size, count=32, seed=271828):
-    """`minor_gcd_sample` before the peel: every drawn minor interpolated off
-    eliminations of its whole block, at t = 0 up to the block's degree bound."""
+    """`minor_gcd_sample` before the peel and the minor table: every drawn
+    minor interpolated off eliminations of its whole block, at t = 0 up to
+    the block's degree bound, and every kernel minor a Bareiss pass."""
     rng = random.Random(seed)
     polys = _polynomial_entries(m)
     values = {}
@@ -251,9 +307,9 @@ def reference_minor_gcd_sample(m, size, count=32, seed=271828):
         # one elimination per (block, point), shared by every minor on the block
         if (rsel, x) not in kernels:
             if x not in values:
-                values[x] = _eval_matrix(polys, x)
+                values[x] = [[zeval(coeffs, x) for coeffs in prow] for prow in polys]
             vals = values[x]
-            kernels[rsel, x] = _PointKernel([vals[r] for r in rsel])
+            kernels[rsel, x] = ReferencePointKernel([vals[r] for r in rsel])
         return kernels[rsel, x]
 
     nrows = len(polys)
@@ -266,7 +322,8 @@ def reference_minor_gcd_sample(m, size, count=32, seed=271828):
     found = set()
     for x in (3, 5):
         for rsel in sorted(blocks):
-            found.update((rsel, csel) for csel in _nonzero_column_sets(kernel(rsel, x)))
+            found.update((rsel, csel)
+                         for csel in reference_nonzero_column_sets(kernel(rsel, x)))
     found.discard(base)
     picks = rng.sample(sorted(found), min(count - 1, len(found)))
     g = ()
@@ -378,3 +435,104 @@ def test_minor_gcd_sample_reads_psis_drawn_minors_off_its_core(monkeypatch):
     core_rows, core_cols, product = _peel(_polynomial_entries(psi), tuple(range(24)))
     assert (len(core_rows), len(core_cols)) == (10, 14) and product in {(0,) * 6 + (1,),
                                                                       (0,) * 6 + (-1,)}
+
+
+def reference_t_adic_minor_valuation(m, size):
+    """The valuation before the peel: the exact rank over Q(t) by the field
+    element echelon, then the local elimination of the whole matrix."""
+    rs = ReferenceRowSpace(QT)
+    for row in m.rows:
+        rs.add(row)
+    if rs.dim < size:
+        return None
+    return _dvr_pivot_valuations(_polynomial_entries(m), size)
+
+
+def test_t_adic_valuation_off_the_peeled_core_matches_the_whole_matrix():
+    rng = random.Random(2401)
+    seen = set()
+    for _ in range(120):
+        rows, size, _ = _sparse_qt_case(rng)
+        m = DenseMatrix(QT, rows)
+        got = t_adic_minor_valuation(m, size, cross_check=False)
+        assert got == reference_t_adic_minor_valuation(m, size), (rows, size)
+        polys = _polynomial_entries(m)
+        seen.add(("zero row", not all(map(any, polys))))
+        seen.add(("valuation", got if got is None else got > 0))
+        if size < len(rows):
+            seen.add("partial block")
+            continue
+        core_rows, _, product = _peel(polys, tuple(range(len(rows))))
+        seen.add(("fully peeled", not core_rows))
+        seen.add(("product vanishes at 0", zeval(product, 0) == 0))
+    assert {"partial block", ("fully peeled", True), ("fully peeled", False),
+            ("zero row", True), ("product vanishes at 0", True),
+            ("valuation", None), ("valuation", True), ("valuation", False)} <= seen
+    psi = family_machine().psi
+    assert t_adic_minor_valuation(psi, 24, cross_check=False) == 16
+    assert reference_t_adic_minor_valuation(psi, 24) == 16
+
+
+def _qt_entry(rng):
+    # denominators 1, t + a and t^2 + 1, none of which vanishes at the rank point
+    den = rng.choice(((1,), (rng.choice((1, 2, -3)), 1), (1, 0, 1)))
+    return RatFunc(tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 3))), den)
+
+
+def _exact_qt_rank(rows):
+    cols = sorted({j for row in rows for j in row})
+    rs = RowSpace(QT)
+    for row in rows:
+        rs.add([row.get(j, QT.zero) for j in cols])
+    return rs.dim
+
+
+def test_qt_rank_at_a_point_matches_the_exact_rank(monkeypatch):
+    # the rank at the point is taken when it reaches min(rows, columns); the
+    # echelon runs otherwise: on rank-deficient matrices, on full-rank ones
+    # whose rank drops at the point, and when a denominator vanishes there
+    echelons = []
+
+    class Counted(RowSpace):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            echelons.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "RowSpace", Counted)
+    rng = random.Random(2402)
+    x = QT.from_int(linalg._RANK_POINT)
+    drop = (t - x) * (t + QT.from_int(2))
+    seen = {}
+    for case in range(40):
+        kind = ("full", "deficient", "drops at the point", "denominator vanishes")[case % 4]
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        if kind == "drops at the point":
+            # a wide matrix whose last row is the first at the point
+            nrows = rng.randint(2, 4)
+            ncols = rng.randint(nrows, 4)
+        rows = [[_qt_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+        if kind == "deficient":
+            k = rng.randint(0, min(nrows, ncols) - 1)
+            basis = [[_qt_entry(rng) for _ in range(ncols)] for _ in range(k)]
+            coeffs = [[_qt_entry(rng) for _ in basis] for _ in range(nrows)]
+            rows = [[sum((c * b[j] for c, b in zip(row, basis)), QT.zero) for j in range(ncols)]
+                    for row in coeffs]
+        elif kind == "drops at the point":
+            rows[-1] = [a + drop * b for a, b in zip(rows[0], rows[-1])]
+        elif kind == "denominator vanishes":
+            pole = QT.from_int(rng.choice((-2, 1, 3))) / (t - x)
+            rows[rng.randrange(nrows)][rng.randrange(ncols)] = pole + _qt_entry(rng)
+        sparse = [{j: e for j, e in enumerate(row) if e or rng.random() < 0.3} for row in rows]
+        exact = _exact_qt_rank(sparse)
+        del echelons[:]
+        assert linalg.working_rank(QT, sparse) == exact, (kind, rows)
+        assert linalg.mat_rank(DenseMatrix(QT, rows)) == exact, (kind, rows)
+        full = exact == min(nrows, ncols)
+        seen.setdefault(kind, set()).add((full, bool(echelons)))
+    # the point decides every full-rank case it can; the rest fall back
+    assert seen["full"] == {(True, False)}
+    assert seen["deficient"] == {(False, True)}
+    for kind in ("drops at the point", "denominator vanishes"):
+        assert (True, True) in seen[kind] and all(echelon for _, echelon in seen[kind])

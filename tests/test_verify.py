@@ -11,7 +11,7 @@ def test_case_registry_names_unique():
 
 def test_quick_cases_pass():
     for name in ("tangent-21", "dimension-formulas", "initial-axis-100",
-                 "pfaffian-salmon", "census", "pfaffian-ratio"):
+                 "pfaffian-salmon", "census", "pfaffian-ratio", "pfaffian-covariance"):
         res = run_case(name)
         assert res.status == "PASS", (name, res.value, res.note)
     # the ratio prints as a plain rational, not as a backend repr
