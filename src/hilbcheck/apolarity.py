@@ -54,20 +54,24 @@ def _factorial_int(m):
 
 def _apolar_complement(rows, monos, ctx):
     """The forms of ctx on the monomials monos orthogonal, under the
-    factorial pairing, to each coefficient row over monos: every monomial
-    when there is no row."""
+    factorial pairing, to each coefficient row, a dict {position in monos:
+    coefficient}: every monomial when there is no row."""
     field = ctx.field
     if not rows:
         return [Polynomial(ctx, {m: field.one}) for m in monos]
     weights = [field.from_int(_factorial_int(m)) for m in monos]
-    ker = kernel_basis(DenseMatrix(field, [[x * w for x, w in zip(row, weights)]
-                                           for row in rows]))
+    mat = [[field.zero] * len(monos) for _ in rows]
+    for weighted, row in zip(mat, rows):
+        for k, x in row.items():
+            weighted[k] = x * weights[k]
+    ker = kernel_basis(DenseMatrix(field, mat))
     return [Polynomial(ctx, {m: c for m, c in zip(monos, v) if c}) for v in ker]
 
 
 def homogeneous_component_basis(I, j):
-    """Echelonized coefficient rows spanning the degree-j part of a
-    homogeneous ideal, together with the monomial column list."""
+    """Echelonized coefficient rows, dicts {column: coefficient}, spanning
+    the degree-j part of a homogeneous ideal, together with the monomial
+    column list."""
     ctx = I.ctx
     field = ctx.field
     for g in I.gens:
@@ -162,7 +166,6 @@ def ideal_from_inverse_system(gens):
     """
     system = inverse_system(gens)
     ctx = system.ctx
-    field = ctx.field
     primal = ctx.dual_context()
     top = max(system.components, default=0)
     out = []
@@ -170,7 +173,7 @@ def ideal_from_inverse_system(gens):
     # degree is in the ideal
     for j in range(top + 2):
         monos = list(_monomials_of_degree(ctx.d, j))
-        rows = [[q.terms.get(m, field.zero) for m in monos]
+        rows = [{k: q.terms[m] for k, m in enumerate(monos) if m in q.terms}
                 for q in system.components.get(j, ())]
         out.extend(_apolar_complement(rows, monos, primal))
     return Ideal(primal, out)

@@ -155,21 +155,29 @@ class LocalAlgebraModel:
         p = field.modulus
         n, d = self.n, self.ctx.d
         zero, one = (field.zero, field.one) if p is None else (0, 1)
-        # the rows of W X^T are the products X w of the rows w of W
-        transposed = [list(zip(*self._power(tuple(int(j == i) for j in range(d)))[0]))
-                      for i in range(d)]
+        # the columns of each variable operator X as dicts: X w is the sum of
+        # w[k] times column k over the entries of a row w
+        columns = [[{j: x for j, x in enumerate(col) if x}
+                    for col in zip(*self._power(tuple(int(j == i) for j in range(d)))[0])]
+                   for i in range(d)]
         current = RowSpace(field)
         for i in range(n):
-            current.add_working([one if j == i else zero for j in range(n)], one)
+            current.add_working({i: one}, one)
         spaces = [current]
         while True:
             prev = spaces[-1]
-            rows = [w for _, w, _ in prev.working]
-            images = [row_product(rows, XT, zero) for XT in transposed]
             nxt = RowSpace(field)
-            for k in range(prev.dim):
-                for image in images:
-                    nxt.add_working([x % p for x in image[k]] if p else image[k], one)
+            for _, w, _ in prev.working:
+                for cols in columns:
+                    image = {}
+                    for k, a in w.items():
+                        for j, x in cols[k].items():
+                            image[j] = image.get(j, zero) + a * x
+                    if p:
+                        image = {j: y % p for j, y in image.items() if y % p}
+                    else:
+                        image = {j: y for j, y in image.items() if y}
+                    nxt.add_working(image, one)
                     if nxt.dim == prev.dim:
                         break
                 if nxt.dim == prev.dim:
@@ -349,10 +357,11 @@ def _embedding_reduction(G, model, chain, a):
     images = RowSpace(field)
     if len(chain) > 2:
         for _, w, _ in chain[2].working:
-            images.add_working(list(w), one)
+            images.add_working(dict(w), one)
     keep = []
     for i in reversed(range(d)):
-        if images.add_working([row[col] for row in ops[i][0]], one) is None:
+        if images.add_working({j: row[col] for j, row in enumerate(ops[i][0]) if row[col]},
+                              one) is None:
             keep.insert(0, i)
     new_ctx = ctx if len(keep) == d else \
         VariableContext(field, [ctx.names[i] for i in keep], dual=ctx.dual)

@@ -4,9 +4,10 @@ Each field names the Python type of its elements as `elem`, so a value can
 be checked for membership by one type comparison.
 
 The field also owns the working-coefficient format of the integer kernels
-(Groebner, rank, the `RowSpace` echelon, the Pfaffian, characteristic
-polynomial, root search, and the quotient model's operator products that
-the maximal-ideal chain and the tangent Hom system are built from).
+(Groebner division, the `RowSpace` echelon behind every rank, span, kernel
+and determinant, the Pfaffian, characteristic polynomial, root search, and
+the quotient model's operator products that the maximal-ideal chain and the
+tangent Hom system are built from).
 `modulus` is 0 over Q, p over F_p and None over Q(t), which has no integer
 format.  A list of elements becomes `(ints, den)` with `integers`: over Q,
 den is the lcm of the denominators and ints are den times the elements; over

@@ -233,7 +233,7 @@ def _divide(work, records, order, field, track=False, scale=1):
     monomial divides it, or moved to the remainder.  Its cancellation is
     exact, so it is popped rather than subtracted.  Over Q a step is
     v <- a v - b x^mq w with a, b the leading coefficients of w and v divided
-    by their gcd, as in linalg._sparse_rank; a step with a != 1 scales the
+    by their gcd, as in linalg.RowSpace; a step with a != 1 scales the
     remainder too, and then removes the content of work and remainder
     together.  Over the fields the divisor is monic and a is 1.
 

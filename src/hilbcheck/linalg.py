@@ -1,28 +1,30 @@
 """Exact linear algebra over the scalar fields.
 
-Everything here is exact, and five elimination loops do all of it, each
-kept for work the others would do slower:
+Everything here is exact, and four elimination loops do all of it.  One
+is the echelon; each of the other three runs an algorithm the echelon does
+not:
 
-- `RowSpace`, the one field-generic echelon, on the working coefficients
-  of `fields`: primitive integer rows over Q, residues over F_p, elements
-  over Q(t).  It is incremental, and can track each vector's coefficients
-  over those added before it.  `rref` and `kernel_basis` read one tracked
-  pass over the columns, `determinant` one over the rows, and `rank` uses
-  it over Q(t) when the rank at a point does not settle it.
-- `_sparse_rank`, rank of integer rows held as dicts of their nonzero
-  entries, over Q and F_p: the large, mostly zero tangent systems, and Q(t)
-  rows evaluated at t = 7.  That rank is a lower bound for the rank over
-  Q(t), and the rank itself when it reaches min(rows, columns).
-- `_bareiss`, fraction-free Gauss-Jordan elimination of integer matrices:
-  the integer kernels at a point that every sampled maximal minor is read
-  from.  Each `_PointKernel` keeps one table of the minors of its kernel on
-  row subsets, filled by cofactor expansion, so the screen and the
-  interpolation share every minor they both meet.
+- `RowSpace`, the one sparse echelon, on the working coefficients of
+  `fields`: rows are dicts of their nonzero entries, primitive integers over
+  Q, monic residues over F_p, monic elements over Q(t).  It is incremental,
+  and can track each vector's coefficients over those added before it.
+  `rref` and `kernel_basis` read one tracked pass over the columns,
+  `determinant` one over the rows, `working_rank` one untracked pass over
+  the rows (the large, mostly zero tangent systems), and `artin` builds the
+  maximal-ideal chain in it.
+- `_bareiss`, fraction-free Gauss-Jordan elimination of integer matrices,
+  whose exact divisions keep every entry a minor of the input: the integer
+  kernels at a point that every sampled maximal minor is read from need
+  that scale, which primitive rows drop.  Each `_PointKernel` keeps one
+  table of the minors of its kernel on row subsets, filled by cofactor
+  expansion, so the screen and the interpolation share every minor they
+  both meet.
 - `_pf`, fraction-free Schur steps for Pfaffians on working coefficients,
   which no echelon of a skew-symmetric matrix gives.
 - `_dvr_eliminate`, elimination over the local ring at t on integer power
-  series, for the t-adic valuation of the gcd of the minors of a polynomial
-  matrix.
+  series, pivoting on an entry of least valuation rather than the first
+  nonzero one, for the t-adic valuation of the gcd of the minors of a
+  polynomial matrix.
 
 Maximal minors are read off a block's core (`_peel`) by both
 `minor_gcd_sample`, for its drawn minors, and `t_adic_minor_valuation`: a
@@ -33,8 +35,9 @@ of lower degree.  The seeded screen and draws still read the whole blocks,
 so the drawn minors, and their gcd, do not change.
 
 `working_rank(field, rows)` ranks sparse rows {column: working coefficient}
-in the format of `fields`, by `_sparse_rank` over Q and F_p and as above
-over Q(t); the tangent systems build their rows in that format.
+in the format of `fields`; over Q(t) it first ranks the rows at t = 7 over
+Q, which settles every rank that reaches min(rows, columns).  The tangent
+systems build their rows in that format.
 `rank(field, rows)` is its entry for rows of field elements, as the
 rank-only checks hold them, and `mat_rank(m)` is the `DenseMatrix` form of
 `rank`.  `row_product` is the one matrix-product loop, on field elements
@@ -45,7 +48,7 @@ import random
 from itertools import chain, combinations
 from math import factorial, gcd, lcm
 
-from .fields import QT
+from .fields import QQ, QT
 from .upoly import zeval, zgcd, zmul, ztrim, zprim, zval
 
 
@@ -124,25 +127,34 @@ def row_product(arows, brows, zero):
 
 
 class RowSpace:
-    """Incremental echelon span with optional dependency coefficients.
+    """Incremental sparse echelon span with optional dependency coefficients.
 
     add(v) returns None when v enlarges the span, else (when track=True) the
     coefficients expressing v over the vectors added so far, and {} when
     track=False.
 
     The span is kept in the working coefficients of `fields` as `working`:
-    one (pivot column, row, combo) per independent vector, where combo, when
-    tracked, holds the row's coefficients over the vectors added, so row =
-    sum combo[idx] * vector idx.  A vector is reduced against the rows in
-    insertion order by steps v <- a v - b w, with b the entry of v at the
-    pivot of w; the combination takes the same steps.  Over Q rows are
+    one (pivot column, row, combo) per independent vector, in the order
+    added, where row is a dict {column: nonzero working coefficient} whose
+    smallest column is the pivot, and combo, when tracked, holds the row's
+    coefficients over the vectors added, so row = sum combo[idx] * vector
+    idx.  A vector is reduced at its smallest column against the row whose
+    pivot is there, by steps v <- a v - b w with b the entry of v there; the
+    combination takes the same steps.  Reduction stops when v vanishes or
+    its smallest column has no row, and that column becomes its pivot.
+    Rows are not cleared at later pivots: that costs fill-in and coefficient
+    growth that neither the rank nor the span needs.  Over Q rows are
     integer vectors, a and b are the pivot entries of w and v divided by
     their gcd, and the content of v and its combination together is divided
-    out; over F_p rows are monic residues and over Q(t) monic elements, so
-    a = 1.  Field elements appear only in what add returns and in `rows`.
+    out at every step; over F_p rows are monic residues and over Q(t) monic
+    elements, so a = 1.
+
+    Field elements appear only in what add returns and in `rows`, which
+    gives each row as a dict of field elements, 1 at its pivot: a basis of
+    the span in echelon form, not reduced.
     """
 
-    __slots__ = ("field", "track", "working", "pivots", "count")
+    __slots__ = ("field", "track", "working", "pivots", "count", "_at")
 
     def __init__(self, field, track=False):
         self.field = field
@@ -150,6 +162,7 @@ class RowSpace:
         self.working = []   # (pivot, row, combo or None) in working coefficients
         self.pivots = []
         self.count = 0
+        self._at = {}       # pivot -> (row, combo)
 
     @property
     def dim(self):
@@ -157,54 +170,83 @@ class RowSpace:
 
     @property
     def rows(self):
-        """(pivot, row, combo) of each row as field elements, scaled to 1 at
-        the pivot, combo None when untracked."""
-        value, zero = self._value, self.field.zero
-        out = []
-        for piv, w, combo in self.working:
-            lead = w[piv]
-            out.append((piv, [value(x, lead) if x else zero for x in w],
-                        combo and {idx: value(c, lead) for idx, c in combo.items()}))
-        return out
+        """(pivot, row, combo) of each row as field elements, row a dict
+        {column: element} that is 1 at the pivot and has no column left of
+        it, combo None when untracked."""
+        value = self._value
+        return [(piv, {j: value(x, w[piv]) for j, x in w.items()},
+                 combo and {idx: value(c, w[piv]) for idx, c in combo.items()})
+                for piv, w, combo in self.working]
 
     def add(self, vec):
-        return self.add_working(*self._working(vec))
+        """`add_working` of the list of field elements vec."""
+        return self.add_working(*_working_row(self.field, enumerate(vec)))
 
     def add_working(self, v, den):
-        """`add` of the vector v / den, v a list of working coefficients,
-        which is consumed."""
+        """`add` of the vector v / den, v a dict {column: nonzero working
+        coefficient}, which is consumed."""
         idx = self.count
         self.count += 1
-        v, combo = self._eliminate(v, {idx: den} if self.track else None)
-        piv = next((j for j, x in enumerate(v) if x), None)
-        if piv is None:
-            # residual 0 = own * vec + sum(combo[i] * earlier_i): report vec
-            # over the earlier vectors
+        combo = {idx: den} if self.track else None
+        p = self.field.modulus
+        zero = self.field.zero if p is None else 0
+        at = self._at
+        while v:
+            if p == 0:
+                g = gcd(*v.values(), *combo.values()) if combo else gcd(*v.values())
+                if g != 1:
+                    v = {j: x // g for j, x in v.items()}
+                    if combo is not None:
+                        combo = {i: c // g for i, c in combo.items()}
+            piv = min(v)
+            hit = at.get(piv)
+            if hit is None:
+                break
+            w, wcombo = hit
+            b = v[piv]
+            if p == 0:
+                a = w[piv]
+                g = gcd(a, b)
+                a //= g
+                b //= g
+                if a != 1:
+                    v = {j: a * x for j, x in v.items()}
+                    if combo is not None:
+                        combo = {i: a * c for i, c in combo.items()}
+            for j, x in w.items():
+                y = v.get(j, zero) - b * x
+                if p:
+                    y %= p
+                if y:
+                    v[j] = y
+                else:
+                    del v[j]
+            if combo is not None:
+                for i, x in wcombo.items():
+                    y = combo.get(i, zero) - b * x
+                    combo[i] = y % p if p else y
+        if not v:
+            # 0 = own * vec + sum(combo[i] * earlier_i): report vec over the
+            # earlier vectors
             if combo is None:
                 return {}
             own = combo.pop(idx)
             return {i: self._value(-c, own) for i, c in combo.items() if c}
-        p = self.field.modulus
         lead = v[piv]
         if p:
-            inv = pow(lead, -1, p)
-            v = [x * inv % p for x in v]
-            if combo is not None:
-                combo = {i: c * inv % p for i, c in combo.items()}
+            if lead != 1:
+                inv = pow(lead, -1, p)
+                v = {j: x * inv % p for j, x in v.items()}
+                if combo is not None:
+                    combo = {i: c * inv % p for i, c in combo.items()}
         elif p is None and lead != self.field.one:
-            v = [x / lead if x else x for x in v]
+            v = {j: x / lead for j, x in v.items()}
             if combo is not None:
                 combo = {i: c / lead for i, c in combo.items()}
+        at[piv] = (v, combo)
         self.working.append((piv, v, combo))
         self.pivots.append(piv)
         return None
-
-    def _working(self, vec):
-        """(v, den) with v the working coefficients of den times vec."""
-        field = self.field
-        if field.modulus is None:
-            return list(vec), field.one
-        return field.integers(list(vec))
 
     def _value(self, num, den):
         """The field element num / den of working coefficients."""
@@ -212,42 +254,19 @@ class RowSpace:
             return num / den
         return self.field.element(num, den)
 
-    def _eliminate(self, v, combo):
-        # rows go in insertion order: each is zero before its pivot and at
-        # the pivots before it; combo, when given, takes the same steps, and
-        # the rows' combinations enter it when they are tracked
-        p = self.field.modulus
-        zero = self.field.zero if p is None else 0
-        n = len(v)
-        for piv, w, wcombo in self.working:
-            b = v[piv]
-            if not b:
-                continue
-            if p == 0:
-                a = w[piv]
-                g = gcd(a, b)
-                a //= g
-                b //= g
-                if a != 1:
-                    v = [a * x for x in v]
-                    if combo is not None:
-                        combo = {i: a * c for i, c in combo.items()}
-            for j in range(piv, n):
-                x = w[j]
-                if x:
-                    y = v[j] - b * x
-                    v[j] = y % p if p else y
-            if combo is not None and wcombo is not None:
-                for i, x in wcombo.items():
-                    y = combo.get(i, zero) - b * x
-                    combo[i] = y % p if p else y
-        if p == 0:
-            g = gcd(*v, *combo.values()) if combo else gcd(*v)
-            if g > 1:
-                v = [x // g for x in v]
-                if combo is not None:
-                    combo = {i: c // g for i, c in combo.items()}
-        return v, combo
+
+def _working_row(field, items):
+    """(v, den): v the dict {column: working coefficient} of den times the
+    nonzero entries of the (column, element) pairs items."""
+    if field.modulus:
+        # reading every residue is cheaper than testing every entry
+        items = list(items)
+    else:
+        items = [(j, x) for j, x in items if x]
+        if field.modulus is None:
+            return dict(items), field.one
+    ints, den = field.integers([x for _, x in items])
+    return {j: c for (j, _), c in zip(items, ints) if c}, den
 
 
 def _column_relations(rows, field):
@@ -292,21 +311,9 @@ def rank(field, rows):
     (`Field.integers`) of its nonzero entries; over Q(t) the elements are
     the working coefficients.  `working_rank` then ranks them.
     """
-    p = field.modulus
-    if p is None:
+    if field.modulus is None:
         return working_rank(field, rows)
-    integers = field.integers
-    out = []
-    for row in rows:
-        if p:
-            # reading every residue is cheaper than testing every entry
-            v = {j: c for j, c in zip(row, integers(row.values())[0]) if c}
-        else:
-            cols = [j for j, x in row.items() if x]
-            v = dict(zip(cols, integers([row[j] for j in cols])[0]))
-        if v:
-            out.append(v)
-    return working_rank(field, out)
+    return working_rank(field, [_working_row(field, row.items())[0] for row in rows])
 
 
 def working_rank(field, rows):
@@ -314,22 +321,20 @@ def working_rank(field, rows):
     coefficient}: nonzero integers over Q (each row may carry its own scale),
     residues over F_p, elements over Q(t).
 
-    Over Q and F_p `_sparse_rank` eliminates them and consumes the dicts.
-    Over Q(t) the rank at t = _RANK_POINT is a lower bound, and the rank when
-    it reaches min(rows, columns); else `RowSpace` eliminates the rows on the
-    sorted union of their columns, where zero entries are harmless.
+    An untracked `RowSpace` eliminates them, shortest first, and consumes
+    the dicts.  Over Q(t) the rank at t = _RANK_POINT comes first: it is a
+    lower bound, and the rank when it reaches min(rows, columns); only
+    otherwise are the rows, their zero entries dropped, eliminated over
+    Q(t).
     """
-    p = field.modulus
-    if p is not None:
-        return _sparse_rank(rows, p)
-    cols = sorted({j for row in rows for j in row})
-    bound = min(len(rows), len(cols))
-    if _rank_at_point(rows, _RANK_POINT) == bound:
-        return bound
-    zero = field.zero
+    if field.modulus is None:
+        bound = min(len(rows), len({j for row in rows for j in row}))
+        if _rank_at_point(rows, _RANK_POINT) == bound:
+            return bound
+        rows = [{j: e for j, e in row.items() if e} for row in rows]
     rs = RowSpace(field)
-    for row in rows:
-        rs.add([row.get(j, zero) for j in cols])
+    for row in sorted(rows, key=len):
+        rs.add_working(row, 1)
     return rs.dim
 
 
@@ -342,7 +347,7 @@ _RANK_POINT = 7
 def _rank_at_point(rows, x):
     """Rank over Q at t = x, an integer, of Q(t) rows {column: element}; None
     when a denominator vanishes at x.  Each row is scaled to integers by the
-    lcm of its denominators' values and ranked by `_sparse_rank`."""
+    lcm of its denominators' values and ranked by `working_rank` over Q."""
     out = []
     for row in rows:
         values = []
@@ -353,61 +358,13 @@ def _rank_at_point(rows, x):
                     return None
                 values.append((j, zeval(e.num, x), den))
         scale = lcm(*(den for _, _, den in values))
-        v = {j: num * (scale // den) for j, num, den in values if num}
-        if v:
-            out.append(v)
-    return _sparse_rank(out, 0)
+        out.append({j: num * (scale // den) for j, num, den in values if num})
+    return working_rank(QQ, out)
 
 
 def mat_rank(m):
     """Rank of a `DenseMatrix`: `rank` of its rows."""
     return rank(m.field, [dict(enumerate(r)) for r in m.rows])
-
-
-def _sparse_rank(rows, p):
-    """Rank of integer rows, each a dict {column: nonzero int}, over Q when
-    p == 0 and over F_p when p is a prime; the dicts are consumed.
-
-    Rows are processed shortest first, and each is reduced at its smallest
-    column against the pivot row there until it vanishes or its smallest
-    column has no pivot row, where it becomes one; the rank is the number of
-    pivot rows.  A pivot row's smallest column is its pivot, so a reduction
-    step only fills in columns to the right of the one it clears.  Over Q a
-    step is v <- a v - b w with a, b the pivot entries of w and v divided by
-    their gcd, and every row is kept primitive; over F_p pivot rows are
-    monic and entries are residues mod p.
-    """
-    pivots = {}
-    for v in sorted(rows, key=len):
-        while v:
-            if not p:
-                content = gcd(*v.values())
-                if content != 1:
-                    v = {j: x // content for j, x in v.items()}
-            c = min(v)
-            w = pivots.get(c)
-            if w is None:
-                if p and v[c] != 1:
-                    inv = pow(v[c], -1, p)
-                    v = {j: x * inv % p for j, x in v.items()}
-                pivots[c] = v
-                break
-            a, b = w[c], v[c]       # a == 1 over F_p
-            if not p:
-                g = gcd(a, b)
-                a //= g
-                b //= g
-            if a != 1:
-                v = {j: a * x for j, x in v.items()}
-            for j, x in w.items():
-                y = v.get(j, 0) - b * x
-                if p:
-                    y %= p
-                if y:
-                    v[j] = y
-                else:
-                    del v[j]
-    return len(pivots)
 
 
 def _bareiss(mat, reduce=False):
@@ -478,9 +435,9 @@ def determinant(m):
     """Exact determinant from one tracked `RowSpace` pass over the rows.
 
     Working row k is sum_i combo_k[i] * row i of m, with combo_k[i] = 0 for
-    i > k, and is zero at the pivots of the rows before it.  So the working
-    rows are a lower triangular matrix times m, upper triangular on the
-    pivot columns in pivot order, and
+    i > k, and is zero left of its pivot.  So the working rows are a lower
+    triangular matrix times m, upper triangular on the pivot columns in
+    pivot order, and
     det = sgn(pivot columns) * prod (pivot entry_k / combo_k[k])."""
     if m.nrows != m.ncols:
         raise ValueError("determinant of a non-square matrix")

@@ -269,7 +269,7 @@ def _kernel_rref_keep(model, chain, d):
     unit = model.unit_vector()
     columns = [model.ops[i].apply(unit) for i in range(d)]
     if len(chain) > 2:
-        columns += [row for _, row, _ in chain[2].rows]
+        columns += [[row.get(j, field.zero) for j in range(model.n)] for _, row, _ in chain[2].rows]
     mat = DenseMatrix(field, [list(row) for row in zip(*columns)])
     _, pivots = rref([v[:d] for v in kernel_basis(mat)], field)
     return [i for i in range(d) if i not in pivots]

@@ -244,3 +244,45 @@ def test_verdict_and_tangent_dimension_agree():
         if T < 8 * d:
             assert verdict.outcome == "NotSmoothable", name
     assert outcomes == {"Smoothable", "NotSmoothable"}
+
+
+def _random_staircase(rng, d, n):
+    """The monomial ideal whose standard monomials are a random order ideal
+    of n monomials in d variables: each step adds a monomial all of whose
+    divisors are already in."""
+    inside = {(0,) * d}
+
+    def border():
+        # the monomials outside all of whose divisors are inside: the
+        # candidates for the next step, and the ideal's minimal generators
+        up = {m[:k] + (m[k] + 1,) + m[k + 1:] for m in inside for k in range(d)} - inside
+        return sorted(m for m in up if all(m[:k] + (m[k] - 1,) + m[k + 1:] in inside
+                                           for k in range(d) if m[k]))
+
+    while len(inside) < n:
+        inside.add(rng.choice(border()))
+    ctx = context(QQ, " ".join(f"x{i + 1}" for i in range(d)))
+    return Ideal(ctx, [ctx.monomial(m) for m in border()])
+
+
+def test_colength_at_most_seven_is_smoothable_with_large_tangent_space():
+    """For n <= 7 every ideal of colength n is a limit of n distinct points,
+    so it is classified Smoothable and its tangent dimension is at least
+    n d, the dimension of the smoothable component."""
+    rng = random.Random(2503)
+    samples = []
+    for d, n in [(d, n) for d in (3, 4) for n in range(3, 8)] * 2:
+        I = _random_staircase(rng, d, n)
+        I = change_coordinates(I, random_invertible_matrix(rng.randint(0, 10 ** 9), d))
+        point = [rat(rng.randint(-2, 2)) for _ in range(d)]
+        samples.append((n, translate_ideal(I, point)))
+    # mixed support: points and one local piece at the origin
+    for d, npoints, n in ((3, 2, 3), (3, 1, 4), (4, 3, 3)):
+        local = _random_staircase(rng, d, n)
+        points = Ideal(local.ctx, points_ideal(
+            random_points(rng.randint(0, 10 ** 9), npoints, d), local.ctx).gens)
+        samples.append((n + npoints, intersect(local, points)))
+    for n, I in samples:
+        assert buchberger(I).colength() == n
+        assert classify_smoothable(I).outcome == "Smoothable"
+        assert tangent_dimension(I) >= n * I.ctx.d, (n, I)

@@ -207,7 +207,7 @@ def _echelon_initial_ideal(I, w):
                     if sum(m) <= n:
                         vec[col_of[m]] = c
                 rs.add(vec)
-    return Ideal(ctx, [Polynomial(ctx, {cols[i]: c for i, c in enumerate(row) if c})
+    return Ideal(ctx, [Polynomial(ctx, {cols[i]: c for i, c in row.items()})
                        .weight_initial_form(w) for _, row, _ in rs.rows])
 
 

@@ -1,31 +1,38 @@
 """`RowSpace`, the Pfaffian, the sampled minor gcd, the t-adic valuation and
 the Q(t) rank against the algorithms they replaced, kept here as references.
 
-`RowSpace` eliminates working coefficients (primitive integer rows over Q)
-and `_pf` takes fraction-free Schur steps.  The references below are the
-echelon that held rows of field elements scaled to 1 at the pivot, and the
+`RowSpace` eliminates sparse working coefficients (primitive integer rows
+over Q) and `_pf` takes fraction-free Schur steps.  The references below
+are the echelon that held dense rows of field elements, each zero at the
+pivots of the rows before it and scaled to 1 at its own, and the
 Schur-complement recursion that divided by the pivot at every entry.  Both
-sides must return the same field elements.  `minor_gcd_sample` reads each
-drawn minor off its block's peeled core and each kernel minor off a memoised
-cofactor table; the reference reads it off the whole block, with one Bareiss
-pass per kernel minor, and both must draw the same minors and return the
-same gcd.  `t_adic_minor_valuation` eliminates the peeled core of a block
-and `working_rank` over Q(t) first ranks the rows at a point; the references
-eliminate the whole matrix and rank it exactly.
+sides must return the same field elements; the echelons' rows differ, but
+span the same space.  `working_rank` over Q and F_p once ran a loop of its
+own on dict rows, `_sparse_rank`, kept here as the reference of the rank.
+`minor_gcd_sample` reads each drawn minor off its block's peeled core and
+each kernel minor off a memoised cofactor table; the reference reads it off
+the whole block, with one Bareiss pass per kernel minor, and both must draw
+the same minors and return the same gcd.  `t_adic_minor_valuation`
+eliminates the peeled core of a block and `working_rank` over Q(t) first
+ranks the rows at a point; the references eliminate the whole matrix and
+rank it exactly.
 """
 
+import pathlib
 import random
 from itertools import combinations
 from math import gcd
 
 import pytest
 
-from hilbcheck import linalg
+from hilbcheck import linalg, tangent
 from hilbcheck.fields import GF, QQ, QT
+from hilbcheck.groebner import Ideal
 from hilbcheck.linalg import (DenseMatrix, RowSpace, _bareiss, _dvr_pivot_valuations,
                               _interpolate_scaled, _peel, _polynomial_entries, determinant,
                               kernel_basis, minor_gcd_sample, pfaffian, rref,
                               t_adic_minor_valuation)
+from hilbcheck.poly import parse_ideal_file
 from hilbcheck.scalars import rat
 from hilbcheck.tangent import family_machine
 from hilbcheck.upoly import RATFUNC_T as t, RatFunc, zeval, zgcd, zprim, ztrim
@@ -199,7 +206,19 @@ def test_rowspace_agrees_with_the_field_element_echelon(field):
                 dependent += got is not None
                 independent += got is None
             assert rs.pivots == ref.pivots
-            assert rs.rows == ref.rows
+            # the rows are not reduced at later pivots, so they differ from
+            # the reference's: each is 1 at its pivot with nothing left of
+            # it, they span the same space, and a tracked row is its
+            # combination of the vectors added
+            dense = []
+            for piv, row, combo in rs.rows:
+                assert min(row) == piv and row[piv] == field.one
+                dense.append([row.get(j, field.zero) for j in range(n)])
+                if track:
+                    assert dense[-1] == [sum((c * rows[idx][j] for idx, c in combo.items()),
+                                             field.zero) for j in range(n)]
+            assert reference_rref(dense, field) == \
+                reference_rref([row for _, row, _ in ref.rows], field)
         assert rref(rows, field) == reference_rref(rows, field)
         assert kernel_basis(DenseMatrix(field, rows)) == \
             reference_kernel_basis(DenseMatrix(field, rows))
@@ -215,9 +234,111 @@ def test_rowspace_keeps_primitive_integer_rows_over_q():
     assert rs.add([rat(1, 2), rat(1, 3), rat(0)]) is None
     assert rs.add([rat(2), rat(-4, 7), rat(5, 3)]) is None
     for piv, row, combo in rs.working:
-        assert all(type(x) is int for x in row) and all(type(c) is int for c in combo.values())
-        assert gcd(*row, *combo.values()) == 1
+        values = list(row.values())
+        assert all(type(x) is int for x in values) and all(type(c) is int for c in combo.values())
+        assert values and gcd(*values, *combo.values()) == 1
     assert rs.add([rat(5, 2), rat(-5, 21), rat(5, 3)]) == {0: rat(1), 1: rat(1)}
+
+
+def reference_sparse_rank(rows, p):
+    """Rank of integer rows, each a dict {column: nonzero int}, over Q when
+    p == 0 and over F_p when p is a prime; the dicts are consumed.
+
+    Rows are processed shortest first, and each is reduced at its smallest
+    column against the pivot row there until it vanishes or its smallest
+    column has no pivot row, where it becomes one; the rank is the number of
+    pivot rows.  Over Q a step is v <- a v - b w with a, b the pivot entries
+    of w and v divided by their gcd, and every row is kept primitive; over
+    F_p pivot rows are monic and entries are residues mod p.
+    """
+    pivots = {}
+    for v in sorted(rows, key=len):
+        while v:
+            if not p:
+                content = gcd(*v.values())
+                if content != 1:
+                    v = {j: x // content for j, x in v.items()}
+            c = min(v)
+            w = pivots.get(c)
+            if w is None:
+                if p and v[c] != 1:
+                    inv = pow(v[c], -1, p)
+                    v = {j: x * inv % p for j, x in v.items()}
+                pivots[c] = v
+                break
+            a, b = w[c], v[c]       # a == 1 over F_p
+            if not p:
+                g = gcd(a, b)
+                a //= g
+                b //= g
+            if a != 1:
+                v = {j: a * x for j, x in v.items()}
+            for j, x in w.items():
+                y = v.get(j, 0) - b * x
+                if p:
+                    y %= p
+                if y:
+                    v[j] = y
+                else:
+                    del v[j]
+    return len(pivots)
+
+
+def _sparse_integer_rows(rng, nrows, ncols, k):
+    """Sparse integer rows spanning at most k dimensions, some entries above
+    2^200, plus an empty row, a duplicate and a single-column row."""
+    basis = [{j: rng.randint(-9, 9) * rng.choice((1, 2 ** 200))
+              for j in rng.sample(range(ncols), rng.randint(1, min(4, ncols)))}
+             for _ in range(k)]
+    rows = []
+    for _ in range(nrows):
+        row = {}
+        for b in rng.sample(basis, rng.randint(1, min(2, k))):
+            c = rng.randint(-3, 3)
+            for j, x in b.items():
+                row[j] = row.get(j, 0) + c * x
+        rows.append({j: x for j, x in row.items() if x})
+    rows += [{}, dict(rng.choice(rows)), {rng.randrange(ncols): 2 ** 201 + 1}]
+    rng.shuffle(rows)
+    return rows
+
+
+def _hom_rows(monkeypatch):
+    """The Hom-system rows that `tangent_dimension` ranks over Q on the
+    nine bundled ideal files."""
+    data = pathlib.Path(tangent.__file__).resolve().parent / "data"
+    captured = []
+    rank = tangent.working_rank
+
+    def recorded(field, rows):
+        captured.append([dict(row) for row in rows])
+        return rank(field, rows)
+
+    monkeypatch.setattr(tangent, "working_rank", recorded)
+    for path in sorted(data.glob("*.ideal")):
+        ctx, polys = parse_ideal_file(path.read_text())
+        assert ctx.field == QQ
+        tangent.tangent_dimension(Ideal(ctx, polys))
+    return captured
+
+
+def test_working_rank_matches_the_dict_elimination_it_replaced(monkeypatch):
+    # integer rows over Q, and their residues over F_5, F_7 and F_101
+    rng = random.Random(2501)
+    systems = [_sparse_integer_rows(rng, rng.randint(1, 12), rng.randint(1, 10),
+                                    rng.randint(1, 6)) for _ in range(60)]
+    hom = _hom_rows(monkeypatch)
+    assert len(hom) == 9
+    deficient = set()
+    for rows in systems + hom:
+        for p in (0, 5, 7, 101):
+            residues = [{j: x % p for j, x in row.items() if x % p} for row in rows] if p \
+                else rows
+            got = linalg.working_rank(GF(p) if p else QQ, [dict(r) for r in residues])
+            assert got == reference_sparse_rank([dict(r) for r in residues], p), (p, rows)
+            if got < len(rows):
+                deficient.add(p)
+    assert deficient == {0, 5, 7, 101}
 
 
 def _skew(rng, field, n, density):
@@ -489,16 +610,18 @@ def _exact_qt_rank(rows):
 
 def test_qt_rank_at_a_point_matches_the_exact_rank(monkeypatch):
     # the rank at the point is taken when it reaches min(rows, columns); the
-    # echelon runs otherwise: on rank-deficient matrices, on full-rank ones
-    # whose rank drops at the point, and when a denominator vanishes there
+    # Q(t) echelon runs otherwise: on rank-deficient matrices, on full-rank
+    # ones whose rank drops at the point, and when a denominator vanishes
+    # there.  The rank at the point runs an echelon over Q, not counted.
     echelons = []
 
     class Counted(RowSpace):
         __slots__ = ()
 
-        def __init__(self, *args, **kwargs):
-            echelons.append(1)
-            super().__init__(*args, **kwargs)
+        def __init__(self, field, *args, **kwargs):
+            if field == QT:
+                echelons.append(1)
+            super().__init__(field, *args, **kwargs)
 
     monkeypatch.setattr(linalg, "RowSpace", Counted)
     rng = random.Random(2402)

@@ -199,8 +199,9 @@ def test_graded_pieces_sum_to_total_under_coordinate_change(field):
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
 def test_mat_rank_runs_no_dense_elimination(monkeypatch, field):
-    # the tangent ranks come from the sparse integer kernel: no Bareiss pass
-    # and no RowSpace row inside the linalg.working_rank call that tangent makes
+    # the tangent ranks come from the sparse echelon on working integers: no
+    # Bareiss pass and no row of field elements (RowSpace.add) inside the
+    # linalg.working_rank call that tangent makes
     inside, calls, dense = [False], [], []
     rank, bareiss, add = linalg.working_rank, linalg._bareiss, RowSpace.add
 
