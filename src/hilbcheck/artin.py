@@ -7,6 +7,7 @@ the standard-monomial basis; powers of the maximal ideal are tracked as the
 chain of subspaces generated by 1 under products of at least j variables.
 """
 
+import random
 from math import gcd, lcm
 
 from .errors import HilbcheckError, PreconditionError
@@ -14,6 +15,7 @@ from .linalg import DenseMatrix, RowSpace, kernel_basis, row_product
 from .poly import GREVLEX, Substitution, VariableContext, mono_deg
 from .groebner import Ideal, buchberger, cyclic_annihilator_gb
 from .scalars import is_prime
+from .upoly import zdiv_exact, zeval, zgcd, zmul, zprim, zsub, ztrim
 
 
 class IndeterminateSupport(HilbcheckError):
@@ -387,7 +389,8 @@ def split_rational_support(I):
     support_colengths: it is the variable-by-variable reference that the
     classifier's reported colengths are tested against.
     Returns (point, reduced grevlex basis of the primary piece) pairs.
-    Raises IndeterminateSupport when a factor has no certified rational root.
+    Raises IndeterminateSupport when the support is not rational, and over
+    Q(t), which has no root search.
     """
     model = multiplication_operators(buchberger(I))
     ctx, n = model.ctx, model.n
@@ -418,34 +421,28 @@ def support_colengths(model):
     Using Algebraic Geometry, ch. 2, 4), so when all of them are simple the
     support is n points and L's characteristic polynomial alone decides;
     that one polynomial also gives the eigenspaces otherwise.
-    When the refinement finds no certified rational root, the
-    variable-by-variable split of the whole space decides, so a failure
-    raises the IndeterminateSupport that split_rational_support raises.  The
-    converse can fail only for points with coordinates too large to factor:
-    L's values may still factor, and then this succeeds where
-    split_rational_support's search is inconclusive.
+    Raises IndeterminateSupport exactly when split_rational_support does:
+    a value of L outside the field puts a coordinate outside it, and a
+    point with such a coordinate gives L a value outside the field or its
+    coordinate as an eigenvalue of a variable on one of L's eigenspaces.
     """
     field = model.ctx.field
     units = _units(field, model.n)
     L = _linear_form(model)
-    try:
-        roots = _roots(L, field)
-        if max(roots.values()) == 1:
-            return [1] * model.n
-        # L's eigenspaces from the roots just found, each then refined by
-        # the variables
-        spaces = [units] if len(roots) == 1 else \
-            [_eigenspace(L, a, roots[a], units, field) for a in sorted(roots, key=repr)]
-        parts = [part for basis in spaces for part in _refine(model.ops, basis, field)]
-    except IndeterminateSupport:
-        parts = _refine(model.ops, units, field)
+    roots = _roots(L, field)
+    if max(roots.values()) == 1:
+        return [1] * model.n
+    # L's eigenspaces, each then refined by the variables
+    spaces = [units] if len(roots) == 1 else \
+        [_eigenspace(L, a, roots[a], units, field) for a in sorted(roots, key=repr)]
+    parts = [part for basis in spaces for part in _refine(model.ops, basis, field)]
     parts.sort(key=lambda pb: _point_key(pb[0]))
     return [len(basis) for _, basis in parts]
 
 
 def _linear_form(model):
     """Multiplication by x_1 + 2 x_2 + ... + d x_d: small coefficients keep
-    few rational-root candidates for its characteristic polynomial."""
+    its characteristic polynomial's coefficients, and the root search, small."""
     ctx = model.ctx
     return model.operator_of_polynomial(sum(
         (ctx.monomial(tuple(int(j == i) for j in range(ctx.d)), i + 1) for i in range(ctx.d)),
@@ -599,89 +596,123 @@ def _berkowitz(A):
 
 
 def _check_root_search(field):
-    p = field.modulus
-    if p is None:
+    if field.modulus is None:
         raise IndeterminateSupport(f"root search is not available over {field}")
-    if p > 4096:
-        raise IndeterminateSupport(f"root search over F_{p} is out of range")
 
 
 def rational_roots(coeffs_desc, field):
-    """Roots in the base field with multiplicities, by explicit search on the
-    working integers of the polynomial (`Field.integers`).
-
-    Over Q: rational-root candidates from divisor enumeration (trial-division
-    factoring with a bound; an unfactorable constant term is reported as
-    indeterminate rather than guessed).  Over F_p: all residues are tried for
-    moderate p.  Over Q(t) there is no search, and the roots are
-    indeterminate.
+    """Roots in the base field with multiplicities, on the working integers
+    of the polynomial (`Field.integers`): after the zero roots, the roots
+    mod p over F_p (`_roots_mod`), over Q those lifted from a prime
+    (`_lifted_roots`), each checked exactly and divided out with its
+    multiplicity.  Over Q(t) there is no search.
     """
     _check_root_search(field)
     p = field.modulus
     ints, _ = field.integers(coeffs_desc)
-    if not p:
-        return _rational_roots_qq(ints, field)
-    roots = {}
-    for v in range(p):
-        while len(ints) > 1 and not _eval_homogeneous(ints, v, 1) % p:
-            ints = [c % p for c in _deflate_linear(ints, v, 1)]
-            a = field.element(v)
-            roots[a] = roots.get(a, 0) + 1
-    return roots
-
-
-def _rational_roots_qq(ints, field):
-    """rational_roots over Q, on an integer multiple ints of the polynomial.
-
-    A root P/q in lowest terms makes q x - P a factor in Z[x] (Gauss), so P
-    divides the constant term and q the leading coefficient, and q - P and
-    q + P divide the integers f(1) and f(-1); only the candidates that pass
-    these tests are evaluated, as sum a_i P^(n-i) q^i = 0.  Candidates go by
-    P, then q, then sign, and each root found is divided out with its
-    multiplicity.
-    """
     roots = {}
     while len(ints) > 1 and not ints[-1]:
         ints.pop()
         roots[field.zero] = roots.get(field.zero, 0) + 1
-    if len(ints) <= 1:
+    if len(ints) == 1:
         return roots
-    g = gcd(*ints)
-    ints = [c // g for c in ints]
-    dn = _bounded_divisors(abs(ints[-1]))
-    dq = _bounded_divisors(abs(ints[0]))
-    if dn is None or dq is None:
-        raise IndeterminateSupport("support not rational (root search inconclusive)")
-    dq = sorted(dq)
-    f1, fm1 = _at_one(ints)
-    for pnum in sorted(dn):
-        if pnum > abs(ints[-1]):
-            break
-        if ints[-1] % pnum:
-            continue
-        for qden in dq:
-            if ints[0] % qden or gcd(pnum, qden) != 1:
-                continue
-            for s in (pnum, -pnum):
-                while len(ints) > 1 and _divides(qden - s, f1) and \
-                        _divides(qden + s, fm1) and not _eval_homogeneous(ints, s, qden):
-                    ints = _deflate_linear(ints, s, qden)
-                    f1, fm1 = _at_one(ints)
-                    root = field.element(s, qden)
-                    roots[root] = roots.get(root, 0) + 1
-            if len(ints) == 1:
-                return roots
+    f = ztrim(ints[::-1])
+    for pnum, qden in [(r, 1) for r in _roots_mod(f, p)] if p else _lifted_roots(zprim(f)):
+        while len(ints) > 1:
+            value = _eval_homogeneous(ints, pnum, qden)
+            if value % p if p else value:
+                break
+            ints = [c % p if p else c for c in _deflate_linear(ints, pnum, qden)]
+            root = field.element(pnum, qden)
+            roots[root] = roots.get(root, 0) + 1
     return roots
 
 
-def _at_one(ints):
-    """f(1) and f(-1) of the polynomial with descending coefficients ints."""
-    last = len(ints) - 1
-    return sum(ints), sum(-c if (last - i) % 2 else c for i, c in enumerate(ints))
+def _lifted_roots(f):
+    """Yields (P, s), s > 0 and coprime to P, for candidate roots P/s of the
+    primitive integer polynomial f (ascending, f(0) nonzero), among them
+    every rational root (Loos, SIAM J. Comput. 1983).  g is f, or its
+    squarefree part if f is not squarefree mod 101; the roots r of g mod
+    the first prime q >= 101 that keeps it squarefree and of its degree
+    are Newton-lifted to M = q^(2^k) > 2 |lc(g) g(0)| (von zur Gathen-
+    Gerhard, Modern Computer Algebra, ch. 15).  A root P/s of g has s | lc(g)
+    and P | g(0), so lc(g) P / s is the symmetric residue of lc(g) r mod M.
+    """
+    q, df = 101, _derivative(f)
+    while not f[-1] % q or _gcd_mod(_mod(f, q), _mod(df, q), q) != (1,):
+        if q == 101:
+            f = zdiv_exact(f, zgcd(f, df))
+            df = _derivative(f)
+        q = next(k for k in range(q + 2, 2 * q, 2) if is_prime(k))
+    lc = f[-1]
+    for r in _roots_mod(f, q):
+        m = q
+        while m <= 2 * abs(lc * f[0]):
+            m *= m
+            r = (r - zeval(f, r) * pow(zeval(df, r), -1, m)) % m
+        c = lc * r % m
+        c -= m if 2 * c > m else 0
+        g = gcd(c, lc) if lc > 0 else -gcd(c, lc)
+        yield c // g, lc // g
 
 
-def _divides(k, m):
-    return m % k == 0 if k else m == 0
+def _derivative(f):
+    return ztrim([i * c for i, c in enumerate(f)][1:])
+
+
+def _roots_mod(f, p):
+    """The distinct roots in 0..p-1 of the integer polynomial f over F_p
+    (ascending, nonzero mod p), sorted: those of h = gcd(f, x^p - x), a
+    factor of which is split by its gcd with (x + a)^((p-1)/2) - 1, the
+    roots r with r + a a nonzero square, for a drawn from a generator
+    seeded by p (Cantor-Zassenhaus; Modern Computer Algebra, ch. 14).
+    """
+    f = _mod(f, p)
+    rng = random.Random(p)
+    out = []
+    stack = [_gcd_mod(f, _mod(zsub(_powmod_mod((0, 1), p, f, p), (0, 1)), p), p)]
+    while stack:
+        h = stack.pop()
+        if len(h) == 2:
+            out.append(-h[0] % p)
+        elif len(h) > 2:
+            w = _powmod_mod((rng.randrange(p), 1), (p - 1) // 2, h, p)
+            g = _gcd_mod(h, _mod(zsub(w, (1,)), p), p)
+            stack += [g, _divmod_mod(h, g, p)[0]] if 1 < len(g) < len(h) else [h]
+    return sorted(out)
+
+
+def _mod(a, p):
+    return ztrim([c % p for c in a])
+
+
+def _divmod_mod(a, b, p):
+    """Quotient and remainder of a by b over F_p, lc(b) nonzero mod p."""
+    n = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    r = list(a)
+    quot = [0] * max(len(r) - n, 0)
+    for i in range(len(r) - 1, n - 1, -1):
+        quot[i - n] = c = r[i] * inv % p
+        for j in range(n):
+            r[i - n + j] -= c * b[j]
+    return ztrim(quot), _mod(r[:n], p)
+
+
+def _gcd_mod(a, b, p):
+    """Monic gcd over F_p of the residues a and b, trimmed, a nonzero."""
+    while b:
+        a, b = b, _divmod_mod(a, b, p)[1]
+    return _divmod_mod(a, (a[-1],), p)[0]
+
+
+def _powmod_mod(b, e, f, p):
+    """b^e mod f over F_p, f of positive degree."""
+    if not e:
+        return (1,)
+    half = _powmod_mod(b, e // 2, f, p)
+    square = zmul(half, half)
+    return _divmod_mod(zmul(square, b) if e & 1 else square, f, p)[1]
 
 
 def _eval_homogeneous(ints, pnum, qden):
@@ -704,38 +735,6 @@ def _deflate_linear(ints, pnum, qden):
             raise ArithmeticError("inexact deflation")
         out.append(acc)
     return out
-
-
-_DIVISOR_BOUND = 10 ** 6
-
-
-def _bounded_divisors(n):
-    """The positive divisors of n, or None when n exceeds 10^24 or its part
-    free of primes up to 10^6 is neither 1 nor prime.  Trial division stops
-    as soon as what is left of n is prime."""
-    if n == 0:
-        return {1}
-    if n > 10 ** 24:
-        return None
-    factors = {}
-    m = n
-    p = 2
-    prime = is_prime(m)
-    while not prime and p * p <= m and p <= _DIVISOR_BOUND:
-        if m % p == 0:
-            while m % p == 0:
-                factors[p] = factors.get(p, 0) + 1
-                m //= p
-            prime = is_prime(m)
-        p += 1 if p == 2 else 2
-    if m > 1:
-        if m > _DIVISOR_BOUND * _DIVISOR_BOUND and not prime:
-            return None
-        factors[m] = factors.get(m, 0) + 1
-    divs = {1}
-    for q, e in factors.items():
-        divs = {d * q ** k for d in divs for k in range(e + 1)}
-    return divs
 
 
 def enumerate_local_hfs(d, n):

@@ -210,8 +210,8 @@ def classify_smoothable(I):
     its pieces (artin.support_colengths): the support is refined by the
     operators of a generic linear form L and then of the variables, and
     when L's characteristic polynomial has only simple roots it alone
-    decides.  When the search for rational points fails, the evidence says
-    so and the verdict stands.  Characteristic 2 and 3 never reach here:
+    decides.  When the support is not rational, or over Q(t), the evidence
+    says so and the verdict stands.  Characteristic 2 and 3 never reach here:
     the prime fields start at 5.
     """
     G = buchberger(I)

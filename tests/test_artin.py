@@ -9,10 +9,9 @@ from hilbcheck.fixtures import (graded_143_fixtures, random_invertible_matrix,
                                 random_points, seven_quadrics_ideal, squares_cube_ideal,
                                 weight753_ideal, degeneration_chain)
 from hilbcheck import artin
-from hilbcheck.artin import (HilbertFunction, IndeterminateSupport, _bounded_divisors,
-                             centroid, charpoly, embedding_reduction, enumerate_local_hfs,
-                             is_primary_at_origin, local_hilbert_function,
-                             multiplication_operators, rational_roots,
+from hilbcheck.artin import (HilbertFunction, IndeterminateSupport, centroid, charpoly,
+                             embedding_reduction, enumerate_local_hfs, is_primary_at_origin,
+                             local_hilbert_function, multiplication_operators, rational_roots,
                              split_rational_support, translate_ideal)
 from hilbcheck.groebner import Ideal, buchberger, ideal_equal, intersect, points_ideal
 from hilbcheck.linalg import DenseMatrix, kernel_basis, rref
@@ -417,9 +416,16 @@ def _poly_from_roots(lead, roots, quadratics=()):
     return coeffs
 
 
+def _sympy_rational_roots(sympy, coeffs):
+    x = sympy.Symbol("x")
+    expr = sum(sympy.Rational(int(c.numerator), int(c.denominator)) * x ** k
+               for k, c in enumerate(reversed(coeffs)))
+    return {rat(int(sympy.fraction(r)[0]), int(sympy.fraction(r)[1])): m
+            for r, m in sympy.roots(sympy.Poly(expr, x), filter="Q").items()}
+
+
 def test_rational_roots_over_q_match_sympy():
     sympy = pytest.importorskip("sympy")
-    x = sympy.Symbol("x")
     rng = random.Random(4242)
     for _ in range(60):
         lead = rat(rng.choice([1, -1, 2, 3, -6, 10]), rng.choice([1, 1, 4, 9]))
@@ -431,11 +437,20 @@ def test_rational_roots_over_q_match_sympy():
                                           for _ in range(rng.randint(0, 2)))
                       if b * b < 4 * c]                    # irreducible over Q
         coeffs = _poly_from_roots(lead, roots, quadratics)
-        expr = sum(sympy.Rational(int(c.numerator), int(c.denominator)) * x ** k
-                   for k, c in enumerate(reversed(coeffs)))
-        expected = {rat(int(sympy.fraction(r)[0]), int(sympy.fraction(r)[1])): m
-                    for r, m in sympy.roots(sympy.Poly(expr, x), filter="Q").items()}
-        assert rational_roots(coeffs, QQ) == expected
+        assert rational_roots(coeffs, QQ) == _sympy_rational_roots(sympy, coeffs)
+    # degree up to 8, roots of up to 12 digits, leading coefficients up to 10^13
+    rng = random.Random(4848)
+    for _ in range(40):
+        lead = rat(rng.choice([1, -1]) * rng.randint(1, 10 ** rng.randint(0, 13)))
+        roots = [rat(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 10 ** rng.randint(0, 3)))
+                 for _ in range(rng.randint(0, 5))]
+        roots += roots[:rng.randint(0, 2)]
+        roots += [rat(0)] * rng.choice([0, 0, 1])
+        quadratics = [(b, c) for b, c in ((rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 12))
+                                          for _ in range(rng.randint(0, 1)))
+                      if b * b < 4 * c]
+        coeffs = _poly_from_roots(lead, roots[:8 - 2 * len(quadratics)], quadratics)
+        assert rational_roots(coeffs, QQ) == _sympy_rational_roots(sympy, coeffs)
 
 
 def _roots_mod_p(coeffs, p):
@@ -465,56 +480,43 @@ def test_rational_roots_over_fp_match_brute_force():
                 [rng.randint(0, p - 1) for _ in range(rng.randint(1, 6))]
             roots = rational_roots([F.from_int(c) for c in ints], F)
             assert roots == {F.from_int(v): m for v, m in _roots_mod_p(ints, p).items()}
-
-
-def test_rational_roots_inconclusive_and_out_of_range():
-    # a constant whose part free of primes up to 10^6 is composite
-    big = (10 ** 6 + 3) * (10 ** 6 + 33)
-    with pytest.raises(IndeterminateSupport, match="root search inconclusive"):
-        rational_roots([rat(1), rat(0), rat(-big)], QQ)
-    with pytest.raises(IndeterminateSupport, match="root search inconclusive"):
-        rational_roots([rat(1), rat(-(10 ** 25))], QQ)
-    # a prime constant term of any size below the cap is conclusive
-    assert rational_roots([rat(1), rat(-(10 ** 12 + 39))], QQ) == {rat(10 ** 12 + 39): 1}
-    with pytest.raises(IndeterminateSupport, match="out of range"):
-        rational_roots([GF(10007).one, GF(10007).zero], GF(10007))
-
-
-def test_bounded_divisors_match_sympy():
+    # against sympy's factorization mod p, on products of linear factors,
+    # some repeated or zero, and a random factor
     sympy = pytest.importorskip("sympy")
-    rng = random.Random(4444)
-    values = [rng.randint(1, 10 ** 6) for _ in range(40)]
-    values += [rng.randint(1, 10 ** 4) * rng.choice([10 ** 12 + 39, 999999000001])
-               for _ in range(10)]
-    for n in values:
-        assert _bounded_divisors(n) == set(sympy.divisors(n))
-    assert _bounded_divisors(0) == {1}
-    # primes above 10^6 whose product exceeds 10^12: not factored, not guessed
-    assert _bounded_divisors(24 * (10 ** 6 + 3) * (10 ** 6 + 33)) is None
-    assert _bounded_divisors(10 ** 24 + 1) is None
+    x = sympy.Symbol("x")
+    rng = random.Random(4949)
+    for p in (5, 7, 101, 10007, 1000003):
+        F = GF(p)
+        for _ in range(12):
+            roots = [rng.randrange(p) for _ in range(rng.randint(0, 4))]
+            roots += roots[:rng.randint(0, 2)] + [0] * rng.choice([0, 0, 1])
+            rest = [rng.randint(1, p - 1)] + [rng.randrange(p) for _ in range(rng.randint(0, 2))]
+            linear = [int(c) for c in _poly_from_roots(rat(1), [rat(r) for r in roots])]
+            ints = [sum(linear[i] * rest[k - i] for i in range(len(linear))
+                        if 0 <= k - i < len(rest)) % p
+                    for k in range(len(linear) + len(rest) - 1)]
+            _, factors = sympy.Poly(ints, x, modulus=p).factor_list()
+            expected = {}
+            for fac, m in factors:
+                if fac.degree() == 1:
+                    a, b = (int(c) for c in fac.all_coeffs())
+                    root = F.from_int(-b) / F.from_int(a)
+                    expected[root] = expected.get(root, 0) + m
+            if p <= 101:
+                assert expected == {F.from_int(v): m for v, m in _roots_mod_p(ints, p).items()}
+            assert rational_roots([F.from_int(c) for c in ints], F) == expected
 
 
-class _CountingBound(int):
-    """An int that records each trial divisor compared against it."""
-
-    def __new__(cls, value, seen):
-        out = super().__new__(cls, value)
-        out.seen = seen
-        return out
-
-    def __ge__(self, p):
-        self.seen.append(p)
-        return int(self) >= p
-
-
-def test_bounded_divisors_stop_on_a_prime_cofactor(monkeypatch):
-    # 24 (10^12 + 39): the cofactor left after 2 and 3 is prime, so trial
-    # division stops there instead of running on to 10^6
-    tried = []
-    monkeypatch.setattr(artin, "_DIVISOR_BOUND", _CountingBound(10 ** 6, tried))
-    assert _bounded_divisors(24 * (10 ** 12 + 39)) == \
-        {d * e for d in (1, 2, 3, 4, 6, 8, 12, 24) for e in (1, 10 ** 12 + 39)}
-    assert tried == [2, 3]
+def test_rational_roots_are_complete():
+    # the product of two primes above 10^6 is not a square: no rational root
+    big = (10 ** 6 + 3) * (10 ** 6 + 33)
+    assert rational_roots([rat(1), rat(0), rat(-big)], QQ) == {}
+    assert rational_roots([rat(1), rat(-(10 ** 25))], QQ) == {rat(10 ** 25): 1}
+    assert rational_roots([rat(1), rat(-(10 ** 12 + 39))], QQ) == {rat(10 ** 12 + 39): 1}
+    # a root whose numerator is as large as the constant term
+    coeffs = _poly_from_roots(rat(5), [rat(10 ** 40 + 1, 3)], [(0, 1)])
+    assert rational_roots(coeffs, QQ) == {rat(10 ** 40 + 1, 3): 1}
+    assert rational_roots([GF(10007).one, GF(10007).zero], GF(10007)) == {GF(10007).zero: 1}
 
 
 def test_split_by_distinct_first_coordinates_multiplies_no_matrices(monkeypatch):
@@ -607,6 +609,6 @@ def test_charpoly_and_roots_over_fp_agree_with_q_reduced_mod_p():
             F = GF(p)
             over_p = charpoly(DenseMatrix(F, rows))
             assert over_p == [F.from_int(c) for c in ints]
-            if p <= 4096:
+            if p <= 101:    # the brute force is too slow at 10007
                 expected = {F.from_int(v): m for v, m in _roots_mod_p(ints, p).items()}
                 assert rational_roots(over_p, F) == expected

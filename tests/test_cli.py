@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -151,6 +152,25 @@ def test_smoothable_over_function_field_says_why_splitting_failed(capsys, tmp_pa
     assert code == 0
     assert out.splitlines() == ["Smoothable", "  - colength 4",
                                 "  - splitting failed: root search is not available over Q(t)"]
+
+
+@pytest.mark.parametrize("p", [1000003, 2 ** 61 - 1])
+def test_smoothable_splits_support_over_a_large_prime_field(capsys, tmp_path, p):
+    # x takes three values, one of them twice, and y two: six points, two of
+    # them double, found by the root search mod p for any p
+    rng = random.Random(p)
+    a, b, c, d = (rng.randrange(1, p) for _ in range(4))
+    path = tmp_path / "fp.ideal"
+    path.write_text(f"field F {p}\nvars x y\nideal:\n"
+                    f"(x - {a})*(x - {b})^2*(x - {c})\ny^2 - {d * d % p}\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "smoothable", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:2] == ["Smoothable", "  - colength 8"]
+    assert lines[2].startswith("  - split into colengths [")
+    assert sorted(json.loads(lines[2].split("colengths ")[1])) == [1, 1, 1, 1, 2, 2]
 
 
 def test_smoothable_fails_fast_above_colength_8(capsys, tmp_path):

@@ -18,6 +18,7 @@ from hilbcheck.artin import centroid, multiplication_operators, translate_ideal
 from hilbcheck.groebner import Ideal, buchberger, ideal_equal, points_ideal
 from hilbcheck.poly import (MonomialOrder, Polynomial, context, parse_ideal_file,
                             parse_polynomial)
+from hilbcheck.scalars import rat
 from hilbcheck.smooth import (change_coordinates, classify_smoothable,
                               project_to_graded, salmon_turnbull_pfaffian)
 from hilbcheck.tangent import tangent_dimension
@@ -257,18 +258,28 @@ def test_classify_out_of_range_and_indeterminate():
     v = classify_smoothable(irr)
     assert v.outcome == "Smoothable"
     assert any("support not rational" in e for e in v.evidence)
-    # root search finds no point, yet every ideal of colength <= 7 and every
-    # colength-8 ideal supported at several points is a limit of distinct points
+    # 3 is a square mod 10007: the support is two rational points
     cp = context(GF(10007), "x")
     v = classify_smoothable(Ideal(cp, [parse_polynomial("x^2 - 3", cp)]))
     assert v.outcome == "Smoothable"
-    assert v.evidence == ("colength 2",
-                          "splitting failed: root search over F_10007 is out of range")
+    assert v.evidence == ("colength 2", "split into colengths [1, 1]")
     c2 = context(QQ, "x y")
     conj = Ideal(c2, [parse_polynomial(s, c2) for s in ("x^2 - 2", "y^4")])
     v = classify_smoothable(conj)
     assert v.outcome == "Smoothable"
     assert v.evidence == ("colength 8", "splitting failed: support not rational")
+
+
+@pytest.mark.parametrize("digits", [4, 8, 12])
+def test_classify_splits_points_with_large_integer_coordinates(digits):
+    # the root search is complete: no coordinate is too large to split
+    rng = random.Random(2600 + digits)
+    ctx = context(QQ, "x1 x2 x3 x4")
+    pts = [tuple(rat(rng.randint(-10 ** digits, 10 ** digits)) for _ in range(4))
+           for _ in range(8)]
+    v = classify_smoothable(Ideal(ctx, points_ideal(pts, ctx).gens))
+    assert v.outcome == "Smoothable"
+    assert v.evidence == ("colength 8", "split into colengths [1, 1, 1, 1, 1, 1, 1, 1]")
 
 
 def test_classify_over_function_field_reports_no_root_search():
