@@ -74,12 +74,13 @@ class GroebnerBasis(Ideal):
     takes a basis, and buchberger returns it unchanged.
     """
 
-    __slots__ = ("order", "lts", "_records", "_qb")
+    __slots__ = ("order", "lts", "_records", "_first", "_qb")
 
     def __init__(self, ctx, order, records):
         super().__init__(ctx, [_monic(ctx, order, r) for r in records])
         self.order = order
         self._records = records
+        self._first = {}    # the first-divisor table of _divide
         self.lts = tuple(order.monomial(r[0]) for r in records)
         self._qb = None
 
@@ -93,7 +94,8 @@ class GroebnerBasis(Ideal):
         field = self.ctx.field
         order = self.order
         work, (num, den) = _working_terms(f, order)
-        rem, _, (lam_num, lam_den) = _divide(work, self._records, order, field)
+        rem, _, (lam_num, lam_den) = _divide(work, self._records, order, field,
+                                             first=self._first)
         return Polynomial(self.ctx, _field_terms(rem, order, field, num * lam_den, den * lam_num))
 
     def quotient_basis(self):
@@ -225,7 +227,7 @@ def _spoly(ri, rj, top, field):
     return work, a * ci if p == 0 else 1
 
 
-def _divide(work, records, order, field, track=False, scale=1):
+def _divide(work, records, order, field, track=False, scale=1, first=None):
     """Multivariate division of working terms, consumed, by the divisors
     whose records are given, in that order.
 
@@ -236,6 +238,13 @@ def _divide(work, records, order, field, track=False, scale=1):
     by their gcd, as in linalg.RowSpace; a step with a != 1 scales the
     remainder too, and then removes the content of work and remainder
     together.  Over the fields the divisor is monic and a is 1.
+
+    first is the first-divisor table of these records, a dict that divisions
+    by the same records, or by the same list grown at its end, share: it maps
+    the coordinates of a term seen before to the index of its first divisor,
+    or to ~n when none of the first n records divides it, so that only the
+    records appended since are scanned again.  Without it the records are
+    scanned for every term.
 
     work stands for scale times a polynomial f, and the result is (rem,
     quots, (num, den)): f = sum q_k g_k + den/num rem with g_k the monic
@@ -249,34 +258,43 @@ def _divide(work, records, order, field, track=False, scale=1):
     rem = {}
     quots = [{} for _ in records] if track else None
     num, den = scale, 1
+    if first is None:
+        first = {}
     while work:
         m = max(work)
         c = work.pop(m)
-        for i, (lm, bound, lc, tail) in enumerate(records):
-            if all(map(within, m, bound)):
-                mq = tuple(map(sub, m, lm))
-                if track:
-                    quots[i][mq] = c if p is None else element(c * den, num)
-                a = 1
-                if p == 0 and lc != 1:
-                    g = gcd(c, lc)
-                    a, c = lc // g, c // g
-                    if a != 1:
-                        num *= a
-                        for part in (work, rem):
-                            for mm in part:
-                                part[mm] *= a
-                _subtract(work, c, mq, tail, p)
-                if a != 1:
-                    content = gcd(*work.values(), *rem.values())
-                    if content > 1:
-                        den *= content
-                        for part in (work, rem):
-                            for mm in part:
-                                part[mm] //= content
-                break
-        else:
-            rem[m] = c
+        i = first.get(m, -1)
+        if i < 0:
+            for i in range(~i, len(records)):
+                if all(map(within, m, records[i][1])):
+                    break
+            else:
+                i = ~len(records)
+            first[m] = i
+            if i < 0:
+                rem[m] = c
+                continue
+        lm, _, lc, tail = records[i]
+        mq = tuple(map(sub, m, lm))
+        if track:
+            quots[i][mq] = c if p is None else element(c * den, num)
+        a = 1
+        if p == 0 and lc != 1:
+            g = gcd(c, lc)
+            a, c = lc // g, c // g
+            if a != 1:
+                num *= a
+                for part in (work, rem):
+                    for mm in part:
+                        part[mm] *= a
+        _subtract(work, c, mq, tail, p)
+        if a != 1:
+            content = gcd(*work.values(), *rem.values())
+            if content > 1:
+                den *= content
+                for part in (work, rem):
+                    for mm in part:
+                        part[mm] //= content
     return rem, quots, (num, den)
 
 
@@ -306,6 +324,7 @@ def buchberger(ideal, order=GREVLEX):
     lts = [order.monomial(r[0]) for r in records]
     heap = []
     done = set()
+    first = {}      # records only grow, so one table serves every division
 
     def push_pairs(j):
         for i in range(j):
@@ -326,7 +345,7 @@ def buchberger(ideal, order=GREVLEX):
         if _chain_criterion(i, j, lcm, lts, done):
             continue
         spoly, _ = _spoly(records[i], records[j], order.key(lcm), field)
-        rem, _, _ = _divide(spoly, records, order, field)
+        rem, _, _ = _divide(spoly, records, order, field, first=first)
         if rem:
             records.append(_record(rem, order, field))
             lts.append(order.monomial(records[-1][0]))
@@ -558,20 +577,47 @@ def schreyer_syzygies(G):
 
 
 def trace_syzygies(G):
-    """The S-pair-trace relations of schreyer_syzygies, in its order, without
-    the Koszul relations of coprime leading-term pairs."""
+    """The S-pair traces of schreyer_syzygies, in its order, that together
+    with the Koszul relations of the coprime pairs still generate the
+    syzygy module: those of the pairs that `_minimal_pairs` keeps, coprime
+    pairs not built."""
     return SyzygyBasis(G.gens, _schreyer_relations(G, koszul=False))
+
+
+def _minimal_pairs(lts):
+    """The pairs i < j of leading terms whose Schreyer leading term is a
+    minimal generator of the initial syzygy module.
+
+    The trace of pair (i, j), and its Koszul relation when the pair is
+    coprime, has leading term m_ij e_i, m_ij = lcm(lt_i, lt_j) / lt_i, in
+    Schreyer's order (ties to the smaller index), and these relations are a
+    Groebner basis of the syzygies (Schreyer's theorem; Eisenbud,
+    Commutative Algebra, Thm 15.10).  So the pairs whose m_ij is a minimal
+    generator of <m_ik : k > i> keep that leading-term module and still
+    generate (Gebauer and Moeller, JSC 6, 1988).  A pair is dropped when
+    another m_ik divides m_ij, an equal one only for k < j.
+    """
+    keep = set()
+    for i, li in enumerate(lts):
+        ms = {k: tuple(map(sub, mono_lcm(li, lk), li)) for k, lk in enumerate(lts) if k > i}
+        for j, mij in ms.items():
+            if not any(k != j and mono_divides(mik, mij) and (k < j or mik != mij)
+                       for k, mik in ms.items()):
+                keep.add((i, j))
+    return keep
 
 
 def _schreyer_relations(G, koszul):
     """The relations of the pairs i < j of a reduced basis, by j and then i:
-    the trace of each S-pair, and with koszul the Koszul relation of each
-    coprime pair."""
+    with koszul the trace of each S-pair and the Koszul relation of each
+    coprime pair, without it the traces of the non-coprime pairs that
+    `_minimal_pairs` keeps."""
     ctx, order, field = G.ctx, G.order, G.ctx.field
     basis, records, lts = G.gens, G._records, G.lts
     one = field.one
     minus_one = -one
     monomial = order.monomial
+    keep = None if koszul else _minimal_pairs(lts)
     rels = []
     for j in range(len(basis)):
         for i in range(j):
@@ -583,11 +629,14 @@ def _schreyer_relations(G, koszul):
                     rel[j] = -basis[i]
                     rels.append(rel)
                 continue
+            if keep is not None and (i, j) not in keep:
+                continue
             # divide mj g_j - mi g_i, so that the quotients are the
             # relation's coefficients
             top = order.key(mono_lcm(li, lj))
             spoly, lam = _spoly(records[j], records[i], top, field)
-            rem, quots, _ = _divide(spoly, records, order, field, track=True, scale=lam)
+            rem, quots, _ = _divide(spoly, records, order, field, track=True, scale=lam,
+                                    first=G._first)
             if rem:
                 raise ArithmeticError("S-polynomial of a Groebner basis did not reduce to zero")
             quots[i][tuple(map(sub, top, records[i][0]))] = one

@@ -6,8 +6,11 @@ not:
 
 - `RowSpace`, the one sparse echelon, on the working coefficients of
   `fields`: rows are dicts of their nonzero entries, primitive integers over
-  Q, monic residues over F_p, monic elements over Q(t).  It is incremental,
-  and can track each vector's coefficients over those added before it.
+  Q (the content is divided out when a vector enters, after its entries
+  have grown by `_CONTENT_BITS` bits, and before its row is stored, not at
+  every step), monic residues over F_p, monic elements over Q(t).  It is
+  incremental, and can track each vector's coefficients over those added
+  before it.
   `rref` and `kernel_basis` read one tracked pass over the columns,
   `determinant` one over the rows, `working_rank` one untracked pass over
   the rows (the large, mostly zero tangent systems), and `artin` builds the
@@ -144,10 +147,15 @@ class RowSpace:
     its smallest column has no row, and that column becomes its pivot.
     Rows are not cleared at later pivots: that costs fill-in and coefficient
     growth that neither the rank nor the span needs.  Over Q rows are
-    integer vectors, a and b are the pivot entries of w and v divided by
-    their gcd, and the content of v and its combination together is divided
-    out at every step; over F_p rows are monic residues and over Q(t) monic
-    elements, so a = 1.
+    integer vectors and a and b are the pivot entries of w and v divided by
+    their gcd.  The content of v and its combination together is divided
+    out when v enters, again once the multipliers a have grown v by
+    `_CONTENT_BITS` bits, and before its row is stored, not at every step.
+    When it is divided out does not change the result: a step from a
+    multiple c v, c > 0, gives a positive multiple of the step from v, since
+    a has the sign of w's pivot entry either way, so the stored primitive
+    row and its combination are the same.  Over F_p rows are monic residues
+    and over Q(t) monic elements, so a = 1.
 
     Field elements appear only in what add returns and in `rows`, which
     gives each row as a dict of field elements, 1 at its pivot: a basis of
@@ -191,13 +199,10 @@ class RowSpace:
         p = self.field.modulus
         zero = self.field.zero if p is None else 0
         at = self._at
+        if p == 0 and v:
+            v, combo = _primitive(v, combo)
+        grown = 0           # bits the multipliers a added since then
         while v:
-            if p == 0:
-                g = gcd(*v.values(), *combo.values()) if combo else gcd(*v.values())
-                if g != 1:
-                    v = {j: x // g for j, x in v.items()}
-                    if combo is not None:
-                        combo = {i: c // g for i, c in combo.items()}
             piv = min(v)
             hit = at.get(piv)
             if hit is None:
@@ -213,6 +218,7 @@ class RowSpace:
                     v = {j: a * x for j, x in v.items()}
                     if combo is not None:
                         combo = {i: a * c for i, c in combo.items()}
+                    grown += a.bit_length()
             for j, x in w.items():
                 y = v.get(j, zero) - b * x
                 if p:
@@ -225,6 +231,9 @@ class RowSpace:
                 for i, x in wcombo.items():
                     y = combo.get(i, zero) - b * x
                     combo[i] = y % p if p else y
+            if grown > _CONTENT_BITS and v:
+                v, combo = _primitive(v, combo)
+                grown = 0
         if not v:
             # 0 = own * vec + sum(combo[i] * earlier_i): report vec over the
             # earlier vectors
@@ -233,7 +242,9 @@ class RowSpace:
             own = combo.pop(idx)
             return {i: self._value(-c, own) for i, c in combo.items() if c}
         lead = v[piv]
-        if p:
+        if p == 0:
+            v, combo = _primitive(v, combo)
+        elif p:
             if lead != 1:
                 inv = pow(lead, -1, p)
                 v = {j: x * inv % p for j, x in v.items()}
@@ -253,6 +264,24 @@ class RowSpace:
         if self.field.modulus is None:
             return num / den
         return self.field.element(num, den)
+
+
+# Over Q the content of a vector is divided out again once the multipliers
+# a have grown its entries by this many bits.  A content pass at every step
+# costs the small tangent systems more than the growth it saves; with no
+# pass between entry and storage the Hom system of 8 rational points, whose
+# entries run to a thousand bits, took 2.7 times as long.  Any bound from
+# 64 to 1024 bits served both.
+_CONTENT_BITS = 512
+
+
+def _primitive(v, combo):
+    """v and combo divided by the content of their integers together."""
+    g = gcd(*v.values(), *combo.values()) if combo else gcd(*v.values())
+    if g == 1:
+        return v, combo
+    return ({j: x // g for j, x in v.items()},
+            combo and {i: c // g for i, c in combo.items()})
 
 
 def _working_row(field, items):

@@ -15,6 +15,10 @@ of one syzygy over one denominator, and the rows are assembled sparse, as
 dicts of their nonzero entries, for `linalg.working_rank`: no field element
 is made between the quotient model and the rank.  `tangent_report` shares
 one model and one syzygy basis between the total and every graded piece.
+The syzygies are the S-pair traces that `groebner.trace_syzygies` keeps: a
+pair whose Schreyer leading term another pair's divides is not built, and
+neither is a Koszul relation, whose blocks are zero, so the system has one
+block row per minimal non-Koszul generator of the initial syzygy module.
 The 24 x 28 syzygy-constraint matrix of a (1,4,3) ideal and the
 one-parameter family harness for the degree-16 multiplicity are assembled
 separately below.
@@ -54,9 +58,13 @@ class _HomSystem:
 
     @cached_property
     def relations(self):
-        """The syzygy generators that constrain: the S-pair traces.  The
-        coefficients of a Koszul relation g_j e_i - g_i e_j lie in I, so its
-        blocks are zero, and it is never built."""
+        """The syzygy generators that constrain: the S-pair traces of
+        `trace_syzygies`.  With the Koszul relations they generate the
+        syzygy module, and an assignment that every generator annihilates is
+        annihilated by the whole module, so Hom(I, S/I) is the same as on
+        every S-pair trace.  The coefficients of a Koszul relation
+        g_j e_i - g_i e_j lie in I, so its blocks are zero, and it is never
+        built."""
         return trace_syzygies(self.G).relations
 
     def blocks(self, r):

@@ -15,26 +15,38 @@ the whole block, with one Bareiss pass per kernel minor, and both must draw
 the same minors and return the same gcd.  `t_adic_minor_valuation`
 eliminates the peeled core of a block and `working_rank` over Q(t) first
 ranks the rows at a point; the references eliminate the whole matrix and
-rank it exactly.
+rank it exactly.  Over Q `RowSpace` divides out the content of a vector
+and its combination when it enters, after its entries have grown by
+`_CONTENT_BITS` bits and before its row is stored, and
+`groebner._divide` finds a term's first divisor in a table that divisions
+by the same, growing records share; the references divide out the content
+at every step and scan the records for every term, and both must give the
+same rows, combinations, remainders, quotients and reduced bases.
 """
 
 import pathlib
 import random
 from itertools import combinations
 from math import gcd
+from operator import sub
 
 import pytest
 
-from hilbcheck import linalg, tangent
+from hilbcheck import groebner, linalg, tangent
 from hilbcheck.fields import GF, QQ, QT
-from hilbcheck.groebner import Ideal
+from hilbcheck.fixtures import (monomial_143_ideal, random_invertible_matrix,
+                                seven_quadrics_ideal, squares_cube_ideal, weight753_ideal)
+from hilbcheck.groebner import (Ideal, _divide, _division_record, _subtract,
+                                _working_terms, buchberger)
 from hilbcheck.linalg import (DenseMatrix, RowSpace, _bareiss, _dvr_pivot_valuations,
                               _interpolate_scaled, _peel, _polynomial_entries, determinant,
                               kernel_basis, minor_gcd_sample, pfaffian, rref,
                               t_adic_minor_valuation)
-from hilbcheck.poly import parse_ideal_file
+from hilbcheck.poly import (GREVLEX, LEX, Polynomial, context, parse_ideal_file,
+                            parse_polynomial, weight_order)
 from hilbcheck.scalars import rat
-from hilbcheck.tangent import family_machine
+from hilbcheck.smooth import change_coordinates
+from hilbcheck.tangent import family_context, family_machine, family_quadrics
 from hilbcheck.upoly import RATFUNC_T as t, RatFunc, zeval, zgcd, zprim, ztrim
 
 
@@ -339,6 +351,202 @@ def test_working_rank_matches_the_dict_elimination_it_replaced(monkeypatch):
             if got < len(rows):
                 deficient.add(p)
     assert deficient == {0, 5, 7, 101}
+
+
+class StepContentRowSpace(RowSpace):
+    """`RowSpace` as it was when the content of v and its combination was
+    divided out at every reduction step."""
+
+    def add_working(self, v, den):
+        idx = self.count
+        self.count += 1
+        combo = {idx: den} if self.track else None
+        p = self.field.modulus
+        zero = self.field.zero if p is None else 0
+        at = self._at
+        while v:
+            if p == 0:
+                g = gcd(*v.values(), *combo.values()) if combo else gcd(*v.values())
+                if g != 1:
+                    v = {j: x // g for j, x in v.items()}
+                    if combo is not None:
+                        combo = {i: c // g for i, c in combo.items()}
+            piv = min(v)
+            hit = at.get(piv)
+            if hit is None:
+                break
+            w, wcombo = hit
+            b = v[piv]
+            if p == 0:
+                a = w[piv]
+                g = gcd(a, b)
+                a //= g
+                b //= g
+                if a != 1:
+                    v = {j: a * x for j, x in v.items()}
+                    if combo is not None:
+                        combo = {i: a * c for i, c in combo.items()}
+            for j, x in w.items():
+                y = v.get(j, zero) - b * x
+                if p:
+                    y %= p
+                if y:
+                    v[j] = y
+                else:
+                    del v[j]
+            if combo is not None:
+                for i, x in wcombo.items():
+                    y = combo.get(i, zero) - b * x
+                    combo[i] = y % p if p else y
+        if not v:
+            if combo is None:
+                return {}
+            own = combo.pop(idx)
+            return {i: self._value(-c, own) for i, c in combo.items() if c}
+        lead = v[piv]
+        if p:
+            if lead != 1:
+                inv = pow(lead, -1, p)
+                v = {j: x * inv % p for j, x in v.items()}
+                if combo is not None:
+                    combo = {i: c * inv % p for i, c in combo.items()}
+        elif p is None and lead != self.field.one:
+            v = {j: x / lead for j, x in v.items()}
+            if combo is not None:
+                combo = {i: c / lead for i, c in combo.items()}
+        at[piv] = (v, combo)
+        self.working.append((piv, v, combo))
+        self.pivots.append(piv)
+        return None
+
+
+def test_rowspace_over_q_matches_the_per_step_content_it_replaced():
+    # each step multiplies v by a pivot entry over a gcd, which has that
+    # entry's sign either way, so the primitive rows and combinations agree;
+    # rows and single entries scaled by 10^9 + 7 give the content something
+    # to remove, and entries of 2^200 make it grow past _CONTENT_BITS
+    rng = random.Random(2701)
+    big = 10 ** 9 + 7
+    dependent = scaled = 0
+    for _ in range(120):
+        rows = _sparse_integer_rows(rng, rng.randint(1, 12), rng.randint(1, 10),
+                                    rng.randint(1, 6))
+        system = []
+        for row in rows:
+            k = rng.choice((0, 0, 1, 2))
+            row = {j: x * big ** k * (big if rng.random() < 0.2 else 1) for j, x in row.items()}
+            scaled += k > 0
+            system.append((row, rng.choice((1, 1, 6, big, 2 ** 70))))
+        for track in (False, True):
+            rs, ref = RowSpace(QQ, track), StepContentRowSpace(QQ, track)
+            for row, den in system:
+                got = rs.add_working(dict(row), den)
+                assert got == ref.add_working(dict(row), den)
+                dependent += got is not None
+            assert rs.working == ref.working
+            assert rs.pivots == ref.pivots
+    assert dependent and scaled
+
+
+def reference_divide(work, records, order, field, track=False, scale=1):
+    """`groebner._divide` as it was when every term scanned the records for
+    its first divisor."""
+    p = field.modulus
+    element = field.element
+    within = order.within
+    rem = {}
+    quots = [{} for _ in records] if track else None
+    num, den = scale, 1
+    while work:
+        m = max(work)
+        c = work.pop(m)
+        for i, (lm, bound, lc, tail) in enumerate(records):
+            if all(map(within, m, bound)):
+                mq = tuple(map(sub, m, lm))
+                if track:
+                    quots[i][mq] = c if p is None else element(c * den, num)
+                a = 1
+                if p == 0 and lc != 1:
+                    g = gcd(c, lc)
+                    a, c = lc // g, c // g
+                    if a != 1:
+                        num *= a
+                        for part in (work, rem):
+                            for mm in part:
+                                part[mm] *= a
+                _subtract(work, c, mq, tail, p)
+                if a != 1:
+                    content = gcd(*work.values(), *rem.values())
+                    if content > 1:
+                        den *= content
+                        for part in (work, rem):
+                            for mm in part:
+                                part[mm] //= content
+                break
+        else:
+            rem[m] = c
+    return rem, quots, (num, den)
+
+
+def _random_polynomial(rng, ctx, nterms, degree):
+    terms = {}
+    for _ in range(nterms):
+        m = [0] * ctx.d
+        for _ in range(rng.randint(0, degree)):
+            m[rng.randrange(ctx.d)] += 1
+        terms[tuple(m)] = _entry(rng, ctx.field, 0.9)
+    return Polynomial(ctx, terms)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_divide_with_a_first_divisor_table_matches_the_linear_scan(field):
+    # one table serves divisions by a list of records that grows at its
+    # end, as in buchberger, and by a fixed list, as in a GroebnerBasis
+    rng = random.Random(2702 + (field.modulus or 0))
+    ctx = context(field, "x y z")
+    rounds = 4 if field is QT else 12
+    for order in (GREVLEX, LEX, weight_order((3, 1, 2))):
+        for _ in range(rounds):
+            divisors = [_random_polynomial(rng, ctx, rng.randint(1, 4), 3) for _ in range(6)]
+            records = [_division_record(g, order) for g in divisors if g]
+            first = {}
+            for k in range(1, len(records) + 1):
+                for _ in range(3):
+                    f = _random_polynomial(rng, ctx, rng.randint(1, 8), 5)
+                    work = _working_terms(f, order)[0]
+                    track = rng.random() < 0.5
+                    scale = rng.choice((1, 3)) if field.modulus == 0 else 1
+                    got = _divide(dict(work), records[:k], order, field, track, scale, first)
+                    assert got == reference_divide(dict(work), records[:k], order, field,
+                                                   track, scale)
+        assert first
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_buchberger_with_the_table_matches_the_linear_scan(field, monkeypatch):
+    rng = random.Random(2703 + (field.modulus or 0))
+    if field is QT:
+        ctx = context(QT, "x y z")
+        ideals = [Ideal(ctx, [parse_polynomial(s, ctx) for s in texts])
+                  for texts in (("x^2 - t*y", "y^2 - x*z", "z^2 - t*x*y"),
+                                ("x*y - t*z^2", "x^2 + y^2 - z^2", "y^3 + t*x"))]
+        ideals.append(Ideal(family_context(), family_quadrics()))
+    else:
+        ideals = [change_coordinates(I, random_invertible_matrix(rng.randint(0, 10 ** 9),
+                                                                 I.ctx.d, field))
+                  for I in (seven_quadrics_ideal(4, field), seven_quadrics_ideal(5, field),
+                            monomial_143_ideal(field), squares_cube_ideal(field),
+                            weight753_ideal(field))]
+
+    def bases():
+        return [buchberger(I, order).gens for I in ideals
+                for order in (GREVLEX, LEX, weight_order(range(I.ctx.d, 0, -1)))]
+
+    expected = bases()
+    assert max(map(len, expected)) >= 7
+    monkeypatch.setattr(groebner, "_divide",
+                        lambda *args, first=None, **kwargs: reference_divide(*args, **kwargs))
+    assert bases() == expected
 
 
 def _skew(rng, field, n, density):

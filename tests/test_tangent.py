@@ -1,5 +1,7 @@
+import pathlib
 import random
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 import pytest
@@ -13,16 +15,19 @@ from hilbcheck.fixtures import (family_limit_ideal, family_member_ideal,
                                 seven_quadrics_ideal, squares_cube_ideal,
                                 weight753_ideal)
 from hilbcheck import artin, linalg, tangent, upoly
-from hilbcheck.artin import LocalAlgebraModel
+from hilbcheck.artin import LocalAlgebraModel, multiplication_operators
 from hilbcheck.groebner import (GroebnerBasis, Ideal, SyzygyBasis, buchberger,
-                                points_ideal)
+                                intersect, points_ideal, schreyer_syzygies)
 from hilbcheck.linalg import DenseMatrix, RowSpace, determinant, kernel_basis, mat_rank
-from hilbcheck.poly import context, mono_coprime, parse_polynomial
+from hilbcheck.poly import (context, mono_coprime, mono_deg, parse_ideal_file,
+                            parse_polynomial)
 from hilbcheck.smooth import change_coordinates
 from hilbcheck.tangent import (FAMILY_COBASIS, build_tangent_machine,
                                curve_multiplicity, family_machine,
                                family_syzygies, graded_tangent_dimension,
                                tangent_dimension, tangent_report)
+
+DATA = pathlib.Path(tangent.__file__).resolve().parent / "data"
 
 
 def naive_rank(rows):
@@ -146,8 +151,10 @@ def test_tangent_report_shares_one_model_and_one_syzygy_basis(monkeypatch):
 
 def test_tangent_checks_only_the_s_pair_relations(monkeypatch):
     # a coprime leading-term pair gives a Koszul relation, whose blocks are
-    # zero: tangent builds and checks one relation per other pair
-    I = seven_quadrics_ideal(4)
+    # zero, and a pair whose Schreyer leading term another pair's divides is
+    # not needed: under a GL_4 change tangent builds and checks 20 of the 24
+    # traces of the other pairs
+    I = change_coordinates(seven_quadrics_ideal(4), random_invertible_matrix(1818, 4))
     lts = buchberger(I).lts
     pairs = sum(1 for a, b in combinations(lts, 2) if not mono_coprime(a, b))
     handed = []
@@ -160,8 +167,7 @@ def test_tangent_checks_only_the_s_pair_relations(monkeypatch):
 
     monkeypatch.setattr(SyzygyBasis, "__init__", counted)
     assert tangent_dimension(I) == 25
-    assert handed == [pairs]
-    assert pairs < len(lts) * (len(lts) - 1) // 2
+    assert (handed, pairs) == ([20], 24)
 
 
 def test_no_syzygy_coefficient_has_a_zero_operator(monkeypatch):
@@ -184,6 +190,102 @@ def test_graded_degree_no_syzygy_reaches_builds_no_syzygies(monkeypatch):
     syzygies = _count_calls(monkeypatch, tangent, "trace_syzygies")
     assert graded_tangent_dimension(seven_quadrics_ideal(4), 0) == 21
     assert not syzygies
+
+
+def _changed_tangent_fixtures(field):
+    """Reduced bases of the benchmark's tangent fixtures under seeded GL_d
+    changes: the seven quadrics for d = 4, 5, 6, monomial-143,
+    squares-cube, weight753 and the three family members."""
+    rng = random.Random(2704)
+    fixtures = [(f"seven-quadrics-d{d}", seven_quadrics_ideal(d, field)) for d in (4, 5, 6)]
+    fixtures += [("monomial-143", monomial_143_ideal(field)),
+                 ("squares-cube", squares_cube_ideal(field)),
+                 ("weight753", weight753_ideal(field))]
+    fixtures += [(name, I) for name, I in graded_143_fixtures(field) if name.startswith("family")]
+    return [(name, buchberger(change_coordinates(
+                I, random_invertible_matrix(rng.randint(0, 10 ** 9), I.ctx.d, field))))
+            for name, I in fixtures]
+
+
+def _bundled_bases(field):
+    """Reduced bases of the bundled ideal files, read over field."""
+    header = f"field F {field.p}\n" if field.modulus else "field Q\n"
+    out = []
+    for path in sorted(DATA.glob("*.ideal")):
+        ctx, polys = parse_ideal_file(path.read_text().replace("field Q\n", header))
+        out.append((path.name, buchberger(Ideal(ctx, polys))))
+    return out
+
+
+def _point_bases(field):
+    """Reduced bases of seeded point ideals, and of their intersections with
+    a local ideal of colength 3 at the origin."""
+    rng = random.Random(2705)
+    ctx = context(field, "x y z")
+    local = Ideal(ctx, [ctx.monomial(m) for m in ((2, 0, 0), (0, 2, 0), (1, 1, 0), (0, 0, 1))])
+    out = []
+    for n in (3, 4, 5):
+        pts = random_points(rng.randint(0, 10 ** 9), n=n, d=3, field=field)
+        G = points_ideal(pts, ctx)
+        out.append((f"points-{n}", G))
+        if not any(all(not c for c in q) for q in pts):
+            out.append((f"mixed-{n}", buchberger(intersect(Ideal(ctx, G.gens), local))))
+    return out
+
+
+class _EveryTraceHomSystem(tangent._HomSystem):
+    """The Hom system on every S-pair trace and Koszul relation."""
+
+    @cached_property
+    def relations(self):
+        return schreyer_syzygies(self.G).relations
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
+def test_pruned_hom_system_matches_every_s_pair_trace(field):
+    # the traces _minimal_pairs keeps and the Koszul relations generate the
+    # syzygies, so the total and every graded piece stay as they were
+    pruned = 0
+    for name, G in _changed_tangent_fixtures(field) + _bundled_bases(field) + \
+            _point_bases(field):
+        system, every = tangent._HomSystem(G), _EveryTraceHomSystem(G)
+        assert system.total() == every.total(), name
+        if all(g.is_homogeneous() for g in G.elements):
+            top = max(mono_deg(m) for m in G.quotient_basis())
+            for e in range(-max(g.degree() for g in G.elements), top + 1):
+                assert system.graded(e) == every.graded(e), (name, e)
+        pairs = sum(1 for a, b in combinations(G.lts, 2) if not mono_coprime(a, b))
+        assert len(system.relations) <= pairs
+        pruned += len(system.relations) < pairs
+    assert pruned
+
+
+def _commuting_tangent_dimension(G):
+    """dim{(Y_1..Y_d) : [Y_i, X_j] + [X_i, Y_j] = 0 for i < j} + n - n^2 for
+    the multiplication operators X_i of S/I: the tangent space of the
+    commuting matrices with a cyclic vector, modulo the free GL_n action.
+    It shares no syzygy and no Hom block with tangent_dimension."""
+    X = [op.rows for op in multiplication_operators(G).ops]
+    field, d, n = G.ctx.field, len(X), len(X[0])
+    rows = []
+    for i, j in combinations(range(d), 2):
+        for r in range(n):
+            for c in range(n):
+                # the (r, c) entry of Y_i X_j - X_j Y_i + X_i Y_j - Y_j X_i
+                row = {}
+                for s in range(n):
+                    for key, x in (((i, r, s), X[j][s][c]), ((i, s, c), -X[j][r][s]),
+                                   ((j, s, c), X[i][r][s]), ((j, r, s), -X[i][s][c])):
+                        if x:
+                            row[key] = row.get(key, field.zero) + x
+                rows.append(row)
+    return d * n * n - linalg.rank(field, rows) + n - n * n
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
+def test_tangent_dimension_matches_the_commuting_matrices(field):
+    for name, G in _changed_tangent_fixtures(field) + _bundled_bases(field):
+        assert tangent_dimension(G) == _commuting_tangent_dimension(G), name
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
