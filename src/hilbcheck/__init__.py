@@ -19,8 +19,8 @@ from .linalg import (DenseMatrix, determinant, kernel_basis, mat_rank, rank,
 from .artin import (HilbertFunction, LocalAlgebraModel, centroid,
                     embedding_reduction, enumerate_local_hfs,
                     is_primary_at_origin, local_hilbert_function,
-                    multiplication_operators, split_rational_support,
-                    translate_ideal)
+                    multiplication_operators, quotient_model,
+                    split_rational_support, translate_ideal)
 from .apolarity import (apply_operator, ideal_from_inverse_system,
                         inverse_system, perp)
 from .tangent import (build_tangent_machine, curve_multiplicity,

@@ -10,10 +10,11 @@ chain of subspaces generated by 1 under products of at least j variables.
 import random
 from math import gcd, lcm
 
-from .errors import HilbcheckError, PreconditionError
+from .errors import HilbcheckError, InfiniteColengthError, PreconditionError
 from .linalg import DenseMatrix, RowSpace, kernel_basis, row_product
 from .poly import GREVLEX, Substitution, VariableContext, mono_deg
-from .groebner import Ideal, buchberger, cyclic_annihilator_gb
+from .groebner import (GroebnerBasis, Ideal, _complete, _input_records, _reduced_candidate,
+                       buchberger, cyclic_annihilator_gb)
 from .scalars import is_prime
 from .upoly import zdiv_exact, zeval, zgcd, zmul, zprim, zsub, ztrim
 
@@ -265,6 +266,55 @@ def multiplication_operators(G):
     return LocalAlgebraModel(ctx, qb, ops)
 
 
+def quotient_model(I, check=None):
+    """(G, model): the reduced grevlex basis G of I and the multiplication
+    model of S/G.  check, when given, is called with G before the model is
+    built, so that it can refuse G first.
+
+    An input of the shape of a reduced basis (`groebner._reduced_candidate`)
+    with at most 8 standard monomials is taken as it is when the operators
+    X_i read off it commute; otherwise `buchberger`'s basis is computed from
+    the same division records.  The check is exact.  Each border relation
+    b - NF(b) of the candidate G lies in <G>, and each g in G is, up to its
+    leading coefficient, its own border relation, since its tail is
+    standard, so the border relations generate <G>.  Commuting operators
+    make them a border basis (Mourrain, AAECC 1999; Kehrein-Kreuzer-
+    Robbiano, JSC 2005), so dim S/<G> is the number of standard monomials
+    of the leading terms of G.  Then in(<G>) = <lt G>, and G, of reduced
+    shape, is the reduced basis.
+    """
+    G, model = I, None
+    if not (isinstance(I, GroebnerBasis) and I.order == GREVLEX):
+        records = _input_records(I, GREVLEX)
+        G = _reduced_candidate(I.ctx, GREVLEX, records)
+        try:
+            n = G.colength(limit=9) if G is not None else 0
+        except InfiniteColengthError:
+            n = 0
+        if 0 < n <= 8:
+            model = multiplication_operators(G)
+        if model is None or not _commuting(model):
+            G, model = _complete(I.ctx, GREVLEX, records), None
+    if check is not None:
+        check(G)
+    return G, model if model is not None else multiplication_operators(G)
+
+
+def _commuting(model):
+    """True when the variable operators of the model commute, compared as
+    working operators; the products X_i X_j, i < j, stay cached as powers."""
+    field = model.ctx.field
+    d = model.ctx.d
+    units = [tuple(int(j == i) for j in range(d)) for i in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            both = tuple(a + b for a, b in zip(units[i], units[j]))
+            if model._power(both) != _product(model._power(units[j]),
+                                              model._power(units[i]), field):
+                return False
+    return True
+
+
 def centroid(model):
     """Coordinate-wise average of the support: (tr X_1, ..., tr X_d) / n."""
     field = model.ctx.field
@@ -301,7 +351,7 @@ def _local_model(I, required=True):
     """Multiplication model of S/I and its chain of powers of the maximal
     ideal; None when I is not primary at the origin and is not required to be.
     """
-    model = multiplication_operators(buchberger(I))
+    _, model = quotient_model(I)
     chain = model.maximal_ideal_chain()
     if chain[-1].dim == 0:
         return model, chain
@@ -392,7 +442,7 @@ def split_rational_support(I):
     Raises IndeterminateSupport when the support is not rational, and over
     Q(t), which has no root search.
     """
-    model = multiplication_operators(buchberger(I))
+    _, model = quotient_model(I)
     ctx, n = model.ctx, model.n
     field = ctx.field
     parts = _refine(model.ops, _units(field, n), field)
@@ -420,19 +470,27 @@ def support_colengths(model):
     eigenvalues are its values at the support points (Cox-Little-O'Shea,
     Using Algebraic Geometry, ch. 2, 4), so when all of them are simple the
     support is n points and L's characteristic polynomial alone decides;
-    that one polynomial also gives the eigenspaces otherwise.
+    that one polynomial also gives the eigenspaces otherwise.  When L has a
+    repeated root and at least two roots, the support has several points,
+    and the second form L' = X_1 + 3 X_2 + ... + 3^(d-1) X_d decides when
+    its roots are all simple; a single root of L, a piece that may be local,
+    goes straight to the refinement.
     Raises IndeterminateSupport exactly when split_rational_support does:
-    a value of L outside the field puts a coordinate outside it, and a
-    point with such a coordinate gives L a value outside the field or its
+    a value of L or L' outside the field puts a coordinate outside it, and
+    a point with such a coordinate gives L a value outside the field or its
     coordinate as an eigenvalue of a variable on one of L's eigenspaces.
     """
     field = model.ctx.field
-    units = _units(field, model.n)
+    n, d = model.n, model.ctx.d
     L = _linear_form(model)
     roots = _roots(L, field)
     if max(roots.values()) == 1:
-        return [1] * model.n
+        return [1] * n
+    if len(roots) > 1 and \
+            max(_roots(_linear_form(model, [3 ** i for i in range(d)]), field).values()) == 1:
+        return [1] * n
     # L's eigenspaces, each then refined by the variables
+    units = _units(field, n)
     spaces = [units] if len(roots) == 1 else \
         [_eigenspace(L, a, roots[a], units, field) for a in sorted(roots, key=repr)]
     parts = [part for basis in spaces for part in _refine(model.ops, basis, field)]
@@ -440,13 +498,16 @@ def support_colengths(model):
     return [len(basis) for _, basis in parts]
 
 
-def _linear_form(model):
-    """Multiplication by x_1 + 2 x_2 + ... + d x_d: small coefficients keep
-    its characteristic polynomial's coefficients, and the root search, small."""
+def _linear_form(model, weights=None):
+    """Multiplication by the linear form sum w_i x_i of the integer weights,
+    by default L = x_1 + 2 x_2 + ... + d x_d: small weights keep its
+    characteristic polynomial's coefficients, and the root search, small."""
     ctx = model.ctx
+    if weights is None:
+        weights = range(1, ctx.d + 1)
     return model.operator_of_polynomial(sum(
-        (ctx.monomial(tuple(int(j == i) for j in range(ctx.d)), i + 1) for i in range(ctx.d)),
-        start=ctx.zero()))
+        (ctx.monomial(tuple(int(j == i) for j in range(ctx.d)), w)
+         for i, w in enumerate(weights)), start=ctx.zero()))
 
 
 def _point_key(point):

@@ -307,13 +307,17 @@ def buchberger(ideal, order=GREVLEX):
     """
     if isinstance(ideal, GroebnerBasis) and ideal.order == order:
         return ideal
-    ctx, gens = ideal.ctx, ideal.gens
-    if not order.is_global(ctx.d):
+    if not order.is_global(ideal.ctx.d):
         raise PreconditionError(f"{order} is not a global monomial order")
-    field = ctx.field
+    return _complete(ideal.ctx, order, _input_records(ideal, order))
+
+
+def _input_records(ideal, order):
+    """The division records of the generators of an ideal, without repeats,
+    sorted by leading monomial: where a Buchberger run starts."""
     records = []
     seen = set()
-    for g in gens:
+    for g in ideal.gens:
         if g:
             r = _division_record(g, order)
             kk = (r[0], r[2], frozenset(r[3]))
@@ -321,6 +325,15 @@ def buchberger(ideal, order=GREVLEX):
                 seen.add(kk)
                 records.append(r)
     records.sort(key=itemgetter(0))
+    return records
+
+
+def _complete(ctx, order, records):
+    """The reduced basis of the ideal of the records of `_input_records`:
+    Buchberger's S-pair loop, then `_reduce_basis`.  The list is not
+    changed."""
+    field = ctx.field
+    records = list(records)
     lts = [order.monomial(r[0]) for r in records]
     heap = []
     done = set()
@@ -351,6 +364,23 @@ def buchberger(ideal, order=GREVLEX):
             lts.append(order.monomial(records[-1][0]))
             push_pairs(len(records) - 1)
     return GroebnerBasis(ctx, order, _reduce_basis(records, order, field))
+
+
+def _reduced_candidate(ctx, order, records):
+    """The GroebnerBasis of the records of `_input_records` when they have
+    the shape of a reduced basis, else None: no leading monomial divides
+    another and no tail monomial is divisible by a leading monomial.  The
+    shape alone does not make a basis; see `artin.quotient_model`.  Tails
+    are put in decreasing order, as `_reduce_basis` leaves them."""
+    within = order.within
+    bounds = [r[1] for r in records]
+    for lm, _, _, tail in records:
+        if sum(all(map(within, lm, b)) for b in bounds) > 1 or \
+                any(all(map(within, m, b)) for m, _ in tail for b in bounds):
+            return None
+    return GroebnerBasis(ctx, order, [(lm, bound, lc, sorted(tail, key=itemgetter(0),
+                                                             reverse=True))
+                                      for lm, bound, lc, tail in records])
 
 
 def _chain_criterion(i, j, lcm, lts, done):

@@ -198,6 +198,11 @@ class SmoothabilityVerdict:
 def classify_smoothable(I):
     """Decide membership in the closure of the distinct-point locus.
 
+    The reduced basis and the quotient model come from
+    artin.quotient_model: an input that already is a reduced basis, such as
+    the basis of a set of points, is certified by its commuting operators
+    rather than recomputed.
+
     Every local algebra of colength at most 7 is a limit of distinct points,
     so an ideal can fail only at colength 8 with its whole support one point.
     That point is fixed by Galois, hence rational: the centroid of the
@@ -209,19 +214,14 @@ def classify_smoothable(I):
     The split over rational support is only reported, as the colengths of
     its pieces (artin.support_colengths): the support is refined by the
     operators of a generic linear form L and then of the variables, and
-    when L's characteristic polynomial has only simple roots it alone
-    decides.  When the support is not rational, or over Q(t), the evidence
-    says so and the verdict stands.  Characteristic 2 and 3 never reach here:
-    the prime fields start at 5.
+    when L's characteristic polynomial, or that of a second form L', has
+    only simple roots it alone decides.  When the support is not rational,
+    or over Q(t), the evidence says so and the verdict stands.
+    Characteristic 2 and 3 never reach here: the prime fields start at 5.
     """
-    G = buchberger(I)
-    n = G.colength(limit=9)
-    if n == 0:
-        raise PreconditionError("unit ideal is out of range")
-    if n > 8:
-        raise PreconditionError("colength > 8: outside the supported range")
+    G, model = artin.quotient_model(I, check=_check_colength)
+    n = model.n
     evidence = [f"colength {n}"]
-    model = artin.multiplication_operators(G)
     if n == 8:
         a = centroid(model)
         local = model.shifted(a)
@@ -236,6 +236,15 @@ def classify_smoothable(I):
     else:
         evidence.append(f"split into colengths {colengths}")
     return SmoothabilityVerdict("Smoothable", tuple(evidence))
+
+
+def _check_colength(G):
+    """Refuses a basis outside the supported colengths 1 to 8."""
+    n = G.colength(limit=9)
+    if n == 0:
+        raise PreconditionError("unit ideal is out of range")
+    if n > 8:
+        raise PreconditionError("colength > 8: outside the supported range")
 
 
 def _decide_local(G, local, chain, a, evidence):

@@ -99,7 +99,16 @@ def zgcd(a, b):
         return _poslc(zprim(b))
     if not b:
         return _poslc(zprim(a))
-    # monic Euclid over Q, then primitive part; degrees stay small here
+    # against a monomial c t^k the gcd is t^min(k, val(other))
+    va, vb = zval(a), zval(b)
+    if va is not None and vb is not None and (va == len(a) - 1 or vb == len(b) - 1):
+        return (0,) * min(va, vb) + (1,)
+    return _euclid(a, b)
+
+
+def _euclid(a, b):
+    """zgcd of nonzero a and b by a monic Euclid over Q, then the primitive
+    part; degrees stay small here."""
     fa = [rat(c) for c in a]
     fb = [rat(c) for c in b]
     while fb and any(fb):

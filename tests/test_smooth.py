@@ -329,16 +329,25 @@ def _eight_points_ideal():
     return Ideal(ctx, points_ideal(random_points(5), ctx).gens)
 
 
-@pytest.mark.parametrize("make, outcome", [
-    (lambda: seven_quadrics_ideal(4), "NotSmoothable"),
-    (lambda: seven_quadrics_ideal(5), "NotSmoothable"),
-    (monomial_143_ideal, "Smoothable"),
-    (_eight_points_ideal, "Smoothable"),
-], ids=["seven-quadrics-4", "seven-quadrics-5", "monomial-143", "eight-points"])
-def test_classify_computes_each_groebner_basis_once(monkeypatch, make, outcome):
-    # every full Buchberger run ends in _reduce_basis; a basis passed along
-    # the pipeline is never recomputed, and one quotient model serves the
-    # support, the local Hilbert function and the embedding reduction
+def _changed_seven_quadrics():
+    return change_coordinates(seven_quadrics_ideal(4),
+                              random_invertible_matrix(random.Random(3838).randrange(10 ** 9), 4))
+
+
+@pytest.mark.parametrize("make, outcome, full_runs", [
+    (lambda: seven_quadrics_ideal(4), "NotSmoothable", 0),
+    (lambda: seven_quadrics_ideal(5), "NotSmoothable", 0),
+    (monomial_143_ideal, "Smoothable", 0),
+    (_eight_points_ideal, "Smoothable", 0),
+    (_changed_seven_quadrics, "NotSmoothable", 1),
+], ids=["seven-quadrics-4", "seven-quadrics-5", "monomial-143", "eight-points",
+        "changed-seven-quadrics"])
+def test_classify_computes_each_groebner_basis_once(monkeypatch, make, outcome, full_runs):
+    # every full Buchberger run ends in _reduce_basis; an input that already
+    # is a reduced basis is certified by its commuting operators and not
+    # recomputed, a basis passed along the pipeline is never recomputed, and
+    # one quotient model serves the support, the local Hilbert function and
+    # the embedding reduction
     I = make()
     runs = []
     reduce_basis = groebner._reduce_basis
@@ -349,7 +358,7 @@ def test_classify_computes_each_groebner_basis_once(monkeypatch, make, outcome):
     monkeypatch.setattr(artin, "multiplication_operators",
                         lambda G: models.append(1) or build_model(G))
     assert classify_smoothable(I).outcome == outcome
-    assert len(runs) == 1
+    assert len(runs) == full_runs
     assert len(models) == 1
 
 
@@ -517,3 +526,136 @@ def test_classify_makes_few_fractions_on_the_bundled_witness(monkeypatch):
     assert verdict.outcome == "NotSmoothable"
     assert verdict.evidence[-1] == "pfaffian 1/64"
     assert len(made) <= 300     # 243; 1,615 with the Fraction echelon, chain and Pfaffian
+
+
+def _verdict_or_error(I):
+    try:
+        v = classify_smoothable(I)
+    except PreconditionError as exc:
+        return str(exc)
+    return v.outcome, v.evidence, v.pfaffian
+
+
+def _model_or_error(make):
+    try:
+        G, model = make()
+    except PreconditionError as exc:
+        return str(exc)
+    return G.gens, model.qb.monomials, [X.rows for X in model.ops]
+
+
+def _perturbed_points_bases():
+    # a points basis with one tail coefficient moved: the shape of a reduced
+    # basis, the same staircase, and operators that do not commute
+    rng = random.Random(4747)
+    out = []
+    for field in (QQ, GF(101)):
+        ctx = context(field, "x1 x2 x3 x4")
+        for _ in range(6):
+            gens = list(points_ideal(random_points(rng.randrange(10 ** 9), field=field), ctx).gens)
+            k = rng.randrange(len(gens))
+            terms = dict(gens[k].terms)
+            m = rng.choice([m for m in terms if m != gens[k].lm()])
+            terms[m] = terms[m] + field.from_int(rng.randint(1, 5))
+            gens[k] = Polynomial(ctx, terms)
+            out.append(Ideal(ctx, gens))
+    return out
+
+
+def test_certificate_refuses_a_reduced_shape_that_is_not_a_basis(monkeypatch):
+    colengths = set()
+    for I in _perturbed_points_bases():
+        candidate = groebner._reduced_candidate(I.ctx, groebner.GREVLEX,
+                                                groebner._input_records(I, groebner.GREVLEX))
+        assert not artin._commuting(multiplication_operators(candidate))
+        B = buchberger(I)
+        colengths.add(B.colength())
+        certified = _model_or_error(lambda: artin.quotient_model(I))
+        assert certified == _model_or_error(lambda: (B, multiplication_operators(B)))
+        verdict = _verdict_or_error(I)
+        with monkeypatch.context() as m:
+            # the path with no certificate: every input goes to buchberger
+            m.setattr(artin, "_reduced_candidate", lambda *args: None)
+            assert _verdict_or_error(I) == verdict
+    # the samples reach the unit ideal and proper quotients
+    assert 0 in colengths and max(colengths) > 0
+
+
+def test_certificate_accepts_reduced_bases(monkeypatch):
+    rng = random.Random(4848)
+    inputs = []
+    for field in (QQ, GF(101)):
+        ctx = context(field, "x1 x2 x3 x4")
+        for _ in range(3):
+            inputs.append(Ideal(ctx, points_ideal(
+                random_points(rng.randrange(10 ** 9), field=field), ctx).gens))
+    for name in ("family_t1", "monomial_143", "pencil_deg8", "seven_quadrics_d4",
+                 "seven_quadrics_d5", "squares_cube_d3", "squares_d3"):
+        ctx, polys = parse_ideal_file((DATA / f"{name}.ideal").read_text())
+        inputs.append(Ideal(ctx, polys))
+    runs = []
+    complete = artin._complete
+    monkeypatch.setattr(artin, "_complete", lambda *args: runs.append(1) or complete(*args))
+    for I in inputs:
+        B = buchberger(I)
+        assert _model_or_error(lambda: artin.quotient_model(I)) == \
+            _model_or_error(lambda: (B, multiplication_operators(B)))
+    assert runs == []
+
+
+def _colliding_points(rng, field, step):
+    """Eight points, the last one the first moved by step."""
+    pts = random_points(rng.randint(0, 10 ** 9), n=7, field=field)
+    moved = tuple(c + field.from_int(s) for c, s in zip(pts[0], step))
+    assert moved not in pts
+    return pts + [moved]
+
+
+def test_a_second_form_separates_points_that_l_does_not(monkeypatch):
+    # (2, -1, 0, 0) keeps L = x1 + 2 x2 + 3 x3 + 4 x4 and moves
+    # L' = x1 + 3 x2 + 9 x3 + 27 x4: where L' separates the eight points, it
+    # alone splits them
+    rng = random.Random(6161)
+    calls = {"charpoly": 0, "kernel_basis": 0}
+    for name in calls:
+        fn = getattr(artin, name)
+        monkeypatch.setattr(artin, name, lambda *a, fn=fn, name=name:
+                            calls.__setitem__(name, calls[name] + 1) or fn(*a))
+    for field in (QQ, GF(101)):
+        ctx = context(field, "x1 x2 x3 x4")
+        weights = [field.from_int(3 ** i) for i in range(4)]
+        for _ in range(3):
+            while True:
+                pts = _colliding_points(rng, field, (2, -1, 0, 0))
+                if len({repr(sum((w * c for w, c in zip(weights, p)), field.zero))
+                        for p in pts}) == 8:
+                    break
+            _, model = artin.quotient_model(Ideal(ctx, points_ideal(pts, ctx).gens))
+            calls.update(charpoly=0, kernel_basis=0)
+            assert artin.support_colengths(model) == [1] * 8
+            assert calls == {"charpoly": 2, "kernel_basis": 0}
+
+
+def test_colengths_past_both_forms_match_split_rational_support():
+    # (9, -6, 1, 0) keeps both L and L', so the variables refine L's
+    # eigenspaces; and a fat point beside points repeats both forms' values
+    rng = random.Random(6262)
+    samples = []
+    for field in (QQ, GF(101)):
+        ctx = context(field, "x1 x2 x3 x4")
+        for _ in range(2):
+            pts = _colliding_points(rng, field, (9, -6, 1, 0))
+            samples.append(Ideal(ctx, points_ideal(pts, ctx).gens))
+    c4 = context(QQ, "x1 x2 x3 x4")
+    fat = translate_ideal(Ideal(c4, [parse_polynomial(s, c4) for s in
+                                     ("x1^2", "x1*x2", "x2^2", "x3", "x4")]), [1, 1, 0, 2])
+    for n in (2, 5):
+        pts = Ideal(c4, points_ideal(random_points(rng.randint(0, 10 ** 9), n=n), c4).gens)
+        samples.append(groebner.intersect(fat, pts))
+    seen = set()
+    for I in samples:
+        _, model = artin.quotient_model(I)
+        colengths = artin.support_colengths(model)
+        assert colengths == _split_colengths(I)
+        seen.add(tuple(sorted(colengths)))
+    assert seen == {(1,) * 8, (1, 1, 3), (1, 1, 1, 1, 1, 3)}

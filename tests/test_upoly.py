@@ -122,3 +122,27 @@ def test_zpoly_str():
     assert zpoly_str(()) == "0"
     assert zpoly_str((0, -1, 2)) == "2*t^2 - t"
     assert zpoly_str((5,)) == "5"
+
+
+def test_zgcd_against_a_monomial_matches_the_euclid(monkeypatch):
+    # c t^k against b: t^min(k, val b), with no Euclid; checked against the
+    # Euclid for monomials, constants, zero and either sign, with the other
+    # valuation above and below k
+    rng = random.Random(2828)
+    cases = []
+    for _ in range(300):
+        k = rng.randint(0, 6)
+        mono = (0,) * k + (rng.choice((-1, 1)) * rng.randint(1, 9),)
+        v = rng.randint(0, 9)
+        other = ztrim([0] * v + [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))]
+                      + [rng.choice((-1, 1)) * rng.randint(1, 9)])
+        cases.append((mono, other, (0,) * min(k, zval(other)) + (1,)))
+    expected = [(upoly._euclid(a, b), upoly._euclid(b, a)) for a, b, _ in cases]
+    assert all(e == (want, want) for e, (_, _, want) in zip(expected, cases))
+    assert {len(a) - 1 < zval(b) for a, b, _ in cases} == {False, True}
+    euclids = []
+    monkeypatch.setattr(upoly, "_euclid", lambda a, b: euclids.append(1))
+    for a, b, want in cases:
+        assert zgcd(a, b) == zgcd(b, a) == want
+        assert zgcd(a, ()) == zgcd((), a) == (0,) * (len(a) - 1) + (1,)
+    assert euclids == []
