@@ -190,6 +190,37 @@ def context(field, names):
     return VariableContext(field, names)
 
 
+def _mul_terms(a, b):
+    """The term dict of the product of the term dicts a and b."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = mono_mul(m1, m2)
+            c = c1 * c2
+            s = out.get(m)
+            s = c if s is None else s + c
+            if s:
+                out[m] = s
+            elif m in out:
+                del out[m]
+    return out
+
+
+def _pow_terms(terms, e, ctx):
+    """The term dict of terms^e, e >= 0, by square-and-multiply."""
+    if len(terms) == 1:
+        ((m, c),) = terms.items()
+        return {tuple(e * x for x in m): c ** e}
+    out, base = {(0,) * ctx.d: ctx.field.one}, terms
+    while e:
+        if e & 1:
+            out = _mul_terms(out, base)
+        e >>= 1
+        if e:
+            base = _mul_terms(base, base)
+    return out
+
+
 class Polynomial:
     __slots__ = ("ctx", "terms")
 
@@ -236,34 +267,12 @@ class Polynomial:
 
     def __mul__(self, other):
         self._check(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                c = c1 * c2
-                s = out.get(m)
-                s = c if s is None else s + c
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
-        return Polynomial(self.ctx, out)
+        return Polynomial(self.ctx, _mul_terms(self.terms, other.terms))
 
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative polynomial power")
-        if len(self.terms) == 1:
-            ((m, c),) = self.terms.items()
-            return Polynomial(self.ctx, {tuple(e * x for x in m): c ** e})
-        out = self.ctx.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+        return Polynomial(self.ctx, _pow_terms(self.terms, e, self.ctx))
 
     def scale(self, c):
         if isinstance(c, int):
@@ -424,8 +433,9 @@ def poly_str(p):
 
 # --- parsing -----------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
-_TOKEN_KINDS = (None, "int", "name", "op")
+_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|[()+\-*/^])")
+_BAD_CHAR = re.compile(r"[^\s\dA-Za-z_()+\-*/^]")      # no space, starts no token
+_END = "$"      # the tokens past the last one: no token is "$"
 
 # Fail-fast caps of the expression parser, checked before a power or a
 # product is built, so that an input such as (x+y+z+w+1)^30 raises
@@ -443,12 +453,13 @@ TERM_CAP = 2_000
 PRODUCT_CAP = 100_000
 
 
-def _power_cost(p, e):
-    """Bounds on the number of terms of p^e and on the pairs of terms that
-    Polynomial.__pow__ multiplies to build it, along its square-and-multiply
-    chain.  A power p^a has at most as many terms as there are multisets of
-    a terms of p, and as monomials of degree at most a * deg p."""
-    k, d, deg = len(p.terms), p.ctx.d, p.degree()
+def _power_cost(p, d, e):
+    """Bounds on the number of terms of p^e, p a term dict in d variables,
+    and on the pairs of terms that `_pow_terms` multiplies to build it, along
+    its square-and-multiply chain.  A power p^a has at most as many terms as
+    there are multisets of a terms of p, and as monomials of degree at most
+    a * deg p."""
+    k, deg = len(p), max(map(sum, p))
 
     def terms(a):
         return min(comb(k + a - 1, a), comb(a * deg + d, d))
@@ -466,163 +477,171 @@ def _power_cost(p, e):
 
 
 class _Parser:
-    def __init__(self, text, ctx):
-        self.text = text
-        self.ctx = ctx
-        self.tokens = []
-        self._tokenize()
-        self.i = 0
+    """One pass over expr := ('+' | '-')* term (('+' | '-') term)*,
+    term := factor (('*' | '/') factor)*, factor := '-' factor | atom ['^' int],
+    atom := int | name | '(' expr ')' in one context.  The tokens are the
+    strings of one `findall`; a value is a term dict {monomial: coefficient}
+    with no zero coefficient, and `parse` makes the one Polynomial.  A
+    token's column is found only for a ParseError, by tokenizing again."""
 
-    def _tokenize(self):
-        pos = 0
-        while pos < len(self.text):
-            m = _TOKEN.match(self.text, pos)
-            if m is None:
-                rest = self.text[pos:].strip()
-                if not rest:
-                    break
-                raise ParseError(f"unexpected character {rest[0]!r}", column=pos + 1)
-            g = m.lastindex     # the one group that matched
-            text = m.group(g)
-            self.tokens.append((_TOKEN_KINDS[g], int(text) if g == 1 else text, m.start(g)))
-            pos = m.end()
+    def __init__(self, ctx):
+        self.ctx, field = ctx, ctx.field
+        self.one, self.p, self.zero = field.one, field.modulus, (0,) * ctx.d
+        # num / den for integers num and den, den nonzero in the field
+        self.element = field.element if self.p is not None else \
+            lambda num, den: field.from_int(num) / field.from_int(den)
+        self.index = {name: i for i, name in enumerate(ctx.names)}
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else ("end", None, len(self.text))
+    def parse(self, text):
+        bad = _BAD_CHAR.search(text)
+        if bad:
+            raise ParseError(f"unexpected character {bad.group()!r}", column=bad.start() + 1)
+        self.text, self.toks, self.i = text, _TOKEN.findall(text) + [_END, _END], 0
+        terms = self.expr()
+        if self.toks[self.i] != _END:
+            self.fail(None, self.i)
+        return Polynomial(self.ctx, terms)
 
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val, col = self.next()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", column=col + 1)
-
-    def parse(self):
-        p = self.expr()
-        kind, val, col = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected token {val!r}", column=col + 1)
-        return p
+    def fail(self, message, k):
+        """Raise a ParseError, "unexpected token" for message None, at the
+        k-th token or past the end of the text."""
+        tok = self.toks[k]
+        if message is None:
+            val = None if tok == _END else int(tok) if tok[0].isdecimal() else tok
+            message = f"unexpected token {val!r}"
+        ms = list(_TOKEN.finditer(self.text))
+        raise ParseError(message, column=ms[k].start(1) + 1 if k < len(ms) else len(self.text) + 1)
 
     def expr(self):
+        toks = self.toks
         sign = 1
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                if val == "-":
-                    sign = -sign
-            else:
-                break
-        # the summands accumulate into one term dict, as Polynomial.__add__
-        # would merge them, without copying the sum per summand
-        acc = {m: -c if sign < 0 else c for m, c in self.term().terms.items()}
-        while True:
-            kind, val, col = self.peek()
-            if kind != "op" or val not in "+-":
-                return Polynomial(self.ctx, acc)
-            self.next()
-            for m, c in self.term().terms.items():
+        while toks[self.i] in ("+", "-"):
+            sign = -sign if toks[self.i] == "-" else sign
+            self.i += 1
+        acc = self.term(sign)
+        while toks[self.i] in ("+", "-"):
+            k = self.i
+            self.i += 1
+            for m, c in self.term(1 if toks[k] == "+" else -1).items():
                 s = acc.get(m)
-                c = c if val == "+" else -c
                 s = c if s is None else s + c
                 if s:
                     acc[m] = s
                 elif m in acc:
                     del acc[m]
             if len(acc) > TERM_CAP:
-                raise ParseError(f"sum of more than {TERM_CAP} terms", column=col + 1)
+                self.fail(f"sum of more than {TERM_CAP} terms", k)
+        return acc
 
-    def term(self):
-        # a product of single-term factors is built as one monomial and one
-        # coefficient, with no Polynomial per factor; a factor of more terms
-        # multiplies the Polynomial of the product so far
-        one = self.ctx.field.one
-        p = self.factor()
-        mono = coeff = None
-        if len(p.terms) == 1:
-            ((mono, coeff),) = p.terms.items()
+    def term(self, sign):
+        """The product of factors times sign: while they are single terms, the
+        monomial exps times num / den * c, integer literals in num and den and
+        other coefficients in the field element c (None for 1); else `terms`."""
+        toks, index, zero = self.toks, self.index, self.zero
+        exps, num, den, c, terms = [0] * len(zero), sign, 1, None, None
+        op = k = None   # the operator before the factor and its token
         while True:
-            kind, val, col = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-                q = self.factor()
-                if (1 if mono is not None else len(p.terms)) * len(q.terms) > PRODUCT_CAP:
-                    raise ParseError(f"product of more than {PRODUCT_CAP} pairs of terms",
-                                     column=col + 1)
-                if mono is not None and len(q.terms) == 1:
-                    ((m, c),) = q.terms.items()
-                    mono = mono_mul(mono, m)
-                    coeff = c if coeff is one else coeff if c is one else coeff * c
-                    continue
-                if mono is not None:
-                    p, mono = Polynomial(self.ctx, {mono: coeff}), None
-                p = p * q
-                if len(p.terms) > TERM_CAP:
-                    raise ParseError(f"product of more than {TERM_CAP} terms", column=col + 1)
-            elif kind == "op" and val == "/":
-                self.next()
-                q = self.factor()
-                if q.degree() not in (None, 0):
-                    raise ParseError("division by a non-constant", column=col + 1)
-                if not q:
-                    raise ParseError("division by zero", column=col + 1)
-                c = q.terms[(0,) * q.ctx.d]
-                if mono is not None:
-                    coeff = coeff / c
+            i = self.i
+            tok, after = toks[i], toks[i + 1]
+            v = index.get(tok) if terms is None and op != "/" else None
+            if v is not None and after != "^":
+                exps[v] += 1
+                self.i = i + 1
+            elif v is not None and "0" <= toks[i + 2][0] <= "9":
+                exps[v] += int(toks[i + 2])
+                self.i = i + 3
+            elif terms is None and "0" <= tok[0] <= "9" and after != "^":
+                n = int(tok)
+                self.i = i + 1
+                if op != "/":
+                    num *= n
+                elif n % self.p if self.p else n:
+                    den *= n
                 else:
-                    p = p.scale(one / c)
+                    self.fail("division by zero", k)
             else:
-                return p if mono is None else Polynomial(self.ctx, {mono: coeff})
+                q = self.factor()
+                if op == "/":
+                    if len(q) > 1 or q and zero not in q:
+                        self.fail("division by a non-constant", k)
+                    if not q:
+                        self.fail("division by zero", k)
+                    if terms is None:
+                        c = self.one / q[zero] if c is None else c / q[zero]
+                    else:
+                        terms = {m: x / q[zero] for m, x in terms.items()}
+                elif terms is None and len(q) == 1:
+                    ((m, x),) = q.items()
+                    exps = list(map(add, exps, m))
+                    c = x if c is None else c * x
+                else:
+                    # the first factor meets no cap: it has at most TERM_CAP terms
+                    if terms is None:
+                        terms = self.single(exps, num, den, c)
+                    if len(terms) * len(q) > PRODUCT_CAP:
+                        self.fail(f"product of more than {PRODUCT_CAP} pairs of terms", k)
+                    terms = _mul_terms(terms, q)
+                    if len(terms) > TERM_CAP:
+                        self.fail(f"product of more than {TERM_CAP} terms", k)
+            op = toks[self.i]
+            if op != "*" and op != "/":
+                return self.single(exps, num, den, c) if terms is None else terms
+            k = self.i
+            self.i += 1
+
+    def single(self, exps, num, den, c):
+        x = self.one if num == den else self.element(num, den)
+        x = x if c is None else x * c
+        return {tuple(exps): x} if x else {}
 
     def factor(self):
-        kind, val, col = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
-            return -self.factor()
+        toks = self.toks
+        if toks[self.i] == "-":
+            self.i += 1
+            return {m: -c for m, c in self.factor().items()}
         p = self.atom()
-        kind, val, col = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            kind, e, ecol = self.next()
-            if kind != "int":
-                raise ParseError("exponent must be a nonnegative integer", column=ecol + 1)
-            one = self.ctx.field.one
-            if len(p.terms) > 1 or any(c != one and c != -one for c in p.terms.values()):
-                if e > EXPONENT_CAP:
-                    raise ParseError(f"exponent {e} above {EXPONENT_CAP} on a base that is "
-                                     "not a monomial with coefficient +-1", column=col + 1)
-                terms, pairs = _power_cost(p, e)
-                if terms > TERM_CAP or pairs > PRODUCT_CAP:
-                    raise ParseError(f"power may have more than {TERM_CAP} terms or "
-                                     f"multiply more than {PRODUCT_CAP} pairs of terms",
-                                     column=col + 1)
-            p = p ** e
-        return p
+        k = self.i
+        if toks[k] != "^":
+            return p
+        if not toks[k + 1][0].isdecimal():
+            self.fail("exponent must be a nonnegative integer", k + 1)
+        e, self.i = int(toks[k + 1]), k + 2
+        one = self.one
+        if len(p) > 1 or any(c != one and c != -one for c in p.values()):
+            if e > EXPONENT_CAP:
+                self.fail(f"exponent {e} above {EXPONENT_CAP} on a base that is "
+                          "not a monomial with coefficient +-1", k)
+            terms, pairs = _power_cost(p, len(self.zero), e)
+            if terms > TERM_CAP or pairs > PRODUCT_CAP:
+                self.fail(f"power may have more than {TERM_CAP} terms or "
+                          f"multiply more than {PRODUCT_CAP} pairs of terms", k)
+        return _pow_terms(p, e, self.ctx)
 
     def atom(self):
-        kind, val, col = self.next()
-        if kind == "int":
-            return self.ctx.const(val)
-        if kind == "name":
-            if val in self.ctx.names:
-                return self.ctx.variable(self.ctx.names.index(val))
-            if val == "t" and self.ctx.field == QT:
-                return self.ctx.const(QT.t)
-            raise ParseError(f"unknown variable {val!r}", column=col + 1)
-        if kind == "op" and val == "(":
-            p = self.expr()
-            self.expect_op(")")
-            return p
-        raise ParseError(f"unexpected token {val!r}", column=col + 1)
+        k = self.i
+        tok, self.i = self.toks[k], k + 1
+        v = self.index.get(tok)
+        if v is not None:
+            return {self.zero[:v] + (1,) + self.zero[v + 1:]: self.one}
+        if tok[0].isdecimal():
+            x = self.ctx.field.from_int(int(tok))
+            return {self.zero: x} if x else {}
+        if tok == "t" and self.ctx.field == QT:
+            return {self.zero: QT.t}
+        if tok[0] == "_" or tok[0].isalpha():
+            self.fail(f"unknown variable {tok!r}", k)
+        if tok != "(":
+            self.fail(None, k)
+        p = self.expr()
+        if self.toks[self.i] != ")":
+            self.fail("expected ')'", self.i)
+        self.i += 1
+        return p
 
 
 def parse_polynomial(text, ctx):
     """Parse one polynomial in the ideal-file expression grammar."""
-    return _Parser(text, ctx).parse()
+    return _Parser(ctx).parse(text)
 
 
 # --- ideal file format --------------------------------------------------------
@@ -664,10 +683,10 @@ def parse_ideal_file(text):
         raise ParseError(str(exc), line=meat[1][0]) from None
     if header != "ideal:":
         raise ParseError("expected 'ideal:' line", line=hdrno)
-    polys = []
+    polys, parser = [], _Parser(ctx)
     for lineno, body in meat[3:]:
         try:
-            polys.append(parse_polynomial(body, ctx))
+            polys.append(parser.parse(body))
         except ParseError as exc:
             raise ParseError(f"{exc.args[0].split(' (line')[0]}", line=lineno,
                              column=exc.column) from None

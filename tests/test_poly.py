@@ -1,9 +1,10 @@
 import pathlib
 import random
+import re
+from math import comb
 
 import pytest
 
-from hilbcheck import poly
 from hilbcheck.errors import ParseError, PreconditionError
 from hilbcheck.fields import GF, QQ, QT
 from hilbcheck.poly import (EXPONENT_CAP, GREVLEX, LEX, PRODUCT_CAP, TERM_CAP, Polynomial,
@@ -334,9 +335,76 @@ def test_one_substitution_per_image_list_matches_per_call_substitute(monkeypatch
     assert gens > 100
 
 
-class _PairwiseParser(poly._Parser):
-    """The parser with its products built one Polynomial product per factor,
-    as before single-term products were built directly."""
+_REF_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
+_REF_TOKEN_KINDS = (None, "int", "name", "op")
+
+
+class _ReferenceParser:
+    """An independent reference parser for the same grammar, built the
+    direct way: (kind, value, column) tokens, a Polynomial per atom and one
+    Polynomial product per factor.  It differs from `poly._Parser` in one
+    known place: it puts the column of an unexpected character at the
+    whitespace before the character."""
+
+    def __init__(self, text, ctx):
+        self.text = text
+        self.ctx = ctx
+        self.tokens = []
+        pos = 0
+        while pos < len(text):
+            m = _REF_TOKEN.match(text, pos)
+            if m is None:
+                rest = text[pos:].strip()
+                if not rest:
+                    break
+                raise ParseError(f"unexpected character {rest[0]!r}", column=pos + 1)
+            g = m.lastindex
+            self.tokens.append((_REF_TOKEN_KINDS[g], int(m.group(g)) if g == 1 else m.group(g),
+                                m.start(g)))
+            pos = m.end()
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else ("end", None, len(self.text))
+
+    def next(self):
+        tok = self.peek()
+        self.i += 1
+        return tok
+
+    def parse(self):
+        p = self.expr()
+        kind, val, col = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected token {val!r}", column=col + 1)
+        return p
+
+    def expr(self):
+        sign = 1
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val in "+-":
+                self.next()
+                if val == "-":
+                    sign = -sign
+            else:
+                break
+        acc = {m: -c if sign < 0 else c for m, c in self.term().terms.items()}
+        while True:
+            kind, val, col = self.peek()
+            if kind != "op" or val not in "+-":
+                return Polynomial(self.ctx, acc)
+            self.next()
+            for m, c in self.term().terms.items():
+                s = acc.get(m)
+                c = c if val == "+" else -c
+                s = c if s is None else s + c
+                if s:
+                    acc[m] = s
+                elif m in acc:
+                    del acc[m]
+            if len(acc) > TERM_CAP:
+                raise ParseError(f"sum of more than {TERM_CAP} terms", column=col + 1)
 
     def term(self):
         p = self.factor()
@@ -362,6 +430,69 @@ class _PairwiseParser(poly._Parser):
                 p = p.scale(self.ctx.field.one / c)
             else:
                 return p
+
+    def factor(self):
+        kind, val, col = self.peek()
+        if kind == "op" and val == "-":
+            self.next()
+            return -self.factor()
+        p = self.atom()
+        kind, val, col = self.peek()
+        if kind == "op" and val == "^":
+            self.next()
+            kind, e, ecol = self.next()
+            if kind != "int":
+                raise ParseError("exponent must be a nonnegative integer", column=ecol + 1)
+            one = self.ctx.field.one
+            if len(p.terms) > 1 or any(c != one and c != -one for c in p.terms.values()):
+                if e > EXPONENT_CAP:
+                    raise ParseError(f"exponent {e} above {EXPONENT_CAP} on a base that is "
+                                     "not a monomial with coefficient +-1", column=col + 1)
+                terms, pairs = _reference_power_cost(p, e)
+                if terms > TERM_CAP or pairs > PRODUCT_CAP:
+                    raise ParseError(f"power may have more than {TERM_CAP} terms or "
+                                     f"multiply more than {PRODUCT_CAP} pairs of terms",
+                                     column=col + 1)
+            p = p ** e
+        return p
+
+    def atom(self):
+        kind, val, col = self.next()
+        if kind == "int":
+            return self.ctx.const(val)
+        if kind == "name":
+            if val in self.ctx.names:
+                return self.ctx.variable(self.ctx.names.index(val))
+            if val == "t" and self.ctx.field == QT:
+                return self.ctx.const(QT.t)
+            raise ParseError(f"unknown variable {val!r}", column=col + 1)
+        if kind == "op" and val == "(":
+            p = self.expr()
+            kind, val, col = self.next()
+            if kind != "op" or val != ")":
+                raise ParseError("expected ')'", column=col + 1)
+            return p
+        raise ParseError(f"unexpected token {val!r}", column=col + 1)
+
+
+def _reference_power_cost(p, e):
+    """The bounds of `poly._power_cost` on the terms of p^e and the pairs of
+    terms multiplied along its square-and-multiply chain."""
+    k, d, deg = len(p.terms), p.ctx.d, p.degree()
+
+    def terms(a):
+        return min(comb(k + a - 1, a), comb(a * deg + d, d))
+
+    pairs, a, b = 0, 0, 1
+    while e:
+        if e & 1:
+            pairs += terms(a) * terms(b)
+            a += b
+        e >>= 1
+        if e:
+            pairs += terms(b) ** 2
+            b *= 2
+    return terms(a), pairs
 
 
 def _expression_lines(text, skip):
@@ -390,13 +521,13 @@ def test_parser_builds_the_same_term_dicts_as_pairwise_products():
         bodies = _expression_lines(text, 3)
         assert len(bodies) == len(polys)
         for body, p in zip(bodies, polys):
-            ref = _PairwiseParser(body, ctx).parse()
+            ref = _ReferenceParser(body, ctx).parse()
             assert p.terms == ref.terms and list(p.terms) == list(ref.terms), body
             lines += 1
     point_ctx = context(QQ, ["_p0"])
     for body in _expression_lines((data / "points8.pts").read_text(), 0):
         for c in body.split(","):
-            ref = _PairwiseParser(c, point_ctx).parse()
+            ref = _ReferenceParser(c, point_ctx).parse()
             assert parse_polynomial(c, point_ctx).terms == ref.terms
     assert lines > 200
     # the caps and their columns are those of the pairwise parser
@@ -406,5 +537,105 @@ def test_parser_builds_the_same_term_dicts_as_pairwise_products():
         with pytest.raises(ParseError) as new:
             parse_polynomial(text, ctx)
         with pytest.raises(ParseError) as old:
-            _PairwiseParser(text, ctx).parse()
+            _ReferenceParser(text, ctx).parse()
         assert str(new.value) == str(old.value) and new.value.column == old.value.column
+
+
+def test_unexpected_character_reports_its_own_column():
+    ctx = context(QQ, "x y")
+    for text, column in (("x +   $", 7), ("x+$", 3), ("\t\té*x", 3), ("x*y .", 5)):
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse_polynomial(text, ctx)
+        assert err.value.column == column
+    with pytest.raises(ParseError) as err:
+        parse_ideal_file("field Q\nvars x y\nideal:\nx^2 +  y ,\n")
+    assert (err.value.line, err.value.column) == (4, 10)
+
+
+def test_parse_makes_one_polynomial_per_generator(monkeypatch):
+    made = []
+    init = Polynomial.__init__
+    monkeypatch.setattr(Polynomial, "__init__",
+                        lambda self, ctx, terms: made.append(1) or init(self, ctx, terms))
+    for r in _perfbench_workloads().make_requests("classify", 7, 1):
+        made.clear()
+        ctx, polys = parse_ideal_file(r.text)
+        assert len(made) == len(polys) > 0
+
+
+# expressions with groups, powers, divisions and signs, beside the bundled
+# and generated lines, for the mutation test
+_GROUPED_LINES = ("(x1 + 2*x2 - x3)^3", "x1^2*(x2 - 1/2)/3 - -(x3)^2*2^3",
+                  "(x1 - x2)*(x1 + x2)^2/(2) + x4^0 - 7/14*(-x1)", "-(x1*x2 - 3)^2/(4/6)*x3",
+                  "2^5*x1/(3^2)*(x2 + x4)*x3^2 + (0)*x1", "(x1 + x2)*(x3 - x4)*(x1 - 2)/5",
+                  "3*x1*x2/14 - x3", "x1 - 7*x2*(x3 + x4) + 14/(7 - 14)")
+
+
+def _mutated(line, rng):
+    chars = list(line)
+    for _ in range(rng.randint(1, 3)):
+        kind, pos = rng.randrange(3), rng.randrange(len(chars) + 1)
+        if kind == 1 or not chars:
+            chars.insert(pos, rng.choice("()+-*/^ 0123456789xyt_$.,é\t"))
+        elif kind == 0:
+            del chars[min(pos, len(chars) - 1)]
+        else:
+            chars[min(pos, len(chars) - 1)] = rng.choice("()+-*/^ 0123456789xyt_$.,é\t")
+    return "".join(chars)
+
+
+def test_parser_agrees_with_the_reference_on_seeded_mutations():
+    data = pathlib.Path(__file__).resolve().parent.parent / "src" / "hilbcheck" / "data"
+    texts = [f.read_text() for f in sorted(data.glob("*.ideal"))]
+    workloads = _perfbench_workloads()
+    texts += [r.text for workload in ("classify", "tangent")
+              for r in workloads.make_requests(workload, 7, 1)]
+    corpus = []
+    for text in texts:
+        ctx, _ = parse_ideal_file(text)
+        corpus += [(ctx, line) for line in _expression_lines(text, 3)]
+    corpus += [(context(QQ, "x1 x2 x3 x4"), line) for line in _GROUPED_LINES]
+    rng = random.Random(2929)
+    seen = {"same terms": 0, "same error": 0, "moved column": 0}
+    # the grouped lines as they are, over each field, then 2,000 mutations
+    cases = [(context(field, "x1 x2 x3 x4"), line, False)
+             for field in (QQ, GF(7), QT) for line in _GROUPED_LINES]
+    cases += [rng.choice(corpus) + (True,) for _ in range(2000)]
+    for ctx, line, mutate in cases:
+        # the file's own field, or its variables over F_7 or over Q(t)
+        field = rng.choice([ctx.field, GF(7)] + [QT] * ("t" not in ctx.names)) if mutate \
+            else ctx.field
+        ctx = context(field, list(ctx.names))
+        text = _mutated(line, rng) if mutate else line
+        try:
+            ref = _ReferenceParser(text, ctx).parse()
+        except ParseError as exc:
+            ref = exc
+        try:
+            got = parse_polynomial(text, ctx)
+        except ParseError as exc:
+            got = exc
+        if isinstance(ref, Polynomial):
+            assert isinstance(got, Polynomial), text
+            assert got.terms == ref.terms and list(got.terms) == list(ref.terms), text
+            seen["same terms"] += 1
+            continue
+        assert isinstance(got, ParseError) and str(got) == str(ref), text
+        if got.column == ref.column:
+            seen["same error"] += 1
+            continue
+        # the reference puts an unexpected character at the whitespace before it
+        assert str(got).startswith("unexpected character"), text
+        assert repr(text[got.column - 1]) in str(got), text
+        assert not text[ref.column - 1:got.column - 1].strip(), text
+        seen["moved column"] += 1
+    assert min(seen.values()) > 20, seen
+
+
+def test_product_cap_bounds_the_pairs_exactly():
+    ctx = context(GF(7), "x")
+    a, b = (" + ".join(f"x^{i}" for i in range(n)) for n in (400, 250))
+    assert parse_polynomial(f"({a})*({b})", ctx).degree() == 648   # 100,000 pairs
+    with pytest.raises(ParseError, match=f"more than {PRODUCT_CAP} pairs") as err:
+        parse_polynomial(f"({a} + x^400)*({b})", ctx)
+    assert err.value.column == len(a) + len(" + x^400") + 3
