@@ -3,8 +3,9 @@ recentering, local Hilbert functions, embedding reduction, splitting over
 rational support, and the staircase census of local Hilbert functions.
 
 The quotient S/I is carried as the list of multiplication operators X_i on
-the standard-monomial basis; powers of the maximal ideal are tracked as the
-chain of subspaces generated by 1 under products of at least j variables.
+the standard-monomial basis, as working operators of `fields`; powers of the
+maximal ideal are tracked as the chain of subspaces generated by 1 under
+products of at least j variables.
 """
 
 import random
@@ -48,13 +49,12 @@ class HilbertFunction(tuple):
 class LocalAlgebraModel:
     """Colength-n quotient presented by n x n multiplication operators.
 
-    `ops` are the variable operators as `DenseMatrix`es of field elements.
-    Products of them, the operators of polynomials, are built in the
-    working coefficients of `fields`: a working operator is (rows, den),
-    the matrix rows / den, with rows integers and den the one denominator
-    over Q, residues and den 1 over F_p, and field elements and den 1 over
-    Q(t).  The working form of each variable operator is derived from `ops`
-    once, on first use, and the powers X^m are cached in that form.
+    Every operator is a working operator of `fields`: (rows, den), the
+    matrix rows / den, with rows integers and den the one denominator over
+    Q, divided with them by their content, residues and den 1 over F_p, and
+    field elements and den 1 over Q(t).  `ops` are the variable operators
+    X_i; the operators of polynomials are sums of their powers X^m, which
+    are cached, X^(e_i) being X_i itself.
     """
 
     __slots__ = ("ctx", "qb", "ops", "n", "_powers")
@@ -76,26 +76,21 @@ class LocalAlgebraModel:
         """The model with operators X_i - a_i: multiplication by the
         variables of the chart centred at the point a."""
         field = self.ctx.field
-        ops = [DenseMatrix(field, [[x - ai if r == c else x for c, x in enumerate(row)]
-                                   for r, row in enumerate(X.rows)]) if ai else X
-               for X, ai in zip(self.ops, a)]
+        ops = [_shift(X, ai, field) if ai else X for X, ai in zip(self.ops, a)]
         return LocalAlgebraModel(self.ctx, self.qb, ops)
 
     def _power(self, m):
-        """Working X^m for a nonconstant monomial m, built once per model:
-        the working form of the variable operator in degree 1, else X_i
-        times the cached X^(m - e_i) for the first variable x_i dividing m."""
+        """X^m for a nonconstant monomial m, built once per model: the
+        variable operator X_i in degree 1, else X_i times the cached
+        X^(m - e_i) for the first variable x_i dividing m."""
         out = self._powers.get(m)
         if out is None:
             i = next(i for i, e in enumerate(m) if e)
             prev = list(m)
             prev[i] -= 1
             prev = tuple(prev)
-            if any(prev):
-                out = _product(self._power(tuple(int(j == i) for j in range(len(m)))),
-                               self._power(prev), self.ctx.field)
-            else:
-                out = _working(self.ops[i], self.ctx.field)
+            out = _product(self.ops[i], self._power(prev), self.ctx.field) if any(prev) \
+                else self.ops[i]
             self._powers[m] = out
         return out
 
@@ -135,24 +130,14 @@ class LocalAlgebraModel:
                         arow[j] = arow[j] + c * x
         return _normalized(acc, den, p)
 
-    def operator_of_polynomial(self, f):
-        """Matrix of multiplication by f on S/I: the `DenseMatrix` of field
-        elements of `working_operator(f)`, new on every call."""
-        field = self.ctx.field
-        rows, den = self.working_operator(f)
-        if field.modulus is not None:
-            element, zero = field.element, field.zero
-            rows = [[element(x, den) if x else zero for x in row] for row in rows]
-        return DenseMatrix(field, rows)
-
     def maximal_ideal_chain(self):
         """Dimensions of the images of m^0, m^1, ... in S/I, and the spaces.
 
         Stops when the chain stabilizes; it reaches 0 exactly when I is
         primary at the origin.  Each space is spanned by the products of the
         variable operators with the rows of the space before, all in working
-        coefficients: the rows of a working operator (`_power`) span what
-        the operator's do, whatever its denominator.
+        coefficients: the rows of a working operator span what the
+        operator's do, whatever its denominator.
         """
         field = self.ctx.field
         p = field.modulus
@@ -161,8 +146,7 @@ class LocalAlgebraModel:
         # the columns of each variable operator X as dicts: X w is the sum of
         # w[k] times column k over the entries of a row w
         columns = [[{j: x for j, x in enumerate(col) if x}
-                    for col in zip(*self._power(tuple(int(j == i) for j in range(d)))[0])]
-                   for i in range(d)]
+                    for col in zip(*rows)] for rows, _ in self.ops]
         current = RowSpace(field)
         for i in range(n):
             current.add_working({i: one}, one)
@@ -190,12 +174,13 @@ class LocalAlgebraModel:
                 return spaces
 
 
-def _working(X, field):
-    """The working operator of the `DenseMatrix` X."""
+def _working(rows, field):
+    """The working operator of the square matrix with these rows of field
+    elements, from one `Field.integers` pass."""
     if field.modulus is None:
-        return X.rows, 1
-    n = X.ncols
-    ints, den = field.integers([x for row in X.rows for x in row])
+        return rows, 1
+    n = len(rows)
+    ints, den = field.integers([x for row in rows for x in row])
     return [ints[i:i + n] for i in range(0, len(ints), n)], den
 
 
@@ -223,6 +208,18 @@ def _product(a, b, field):
     return _normalized(row_product(arows, brows, zero), aden * bden, p)
 
 
+def _shift(op, a, field):
+    """The working operator op - a for the field element a: over Q and F_p,
+    (aden rows - den num) / (aden den) for a = num / aden."""
+    rows, den = op
+    if field.modulus is None:
+        return [[x - a if r == c else x for c, x in enumerate(row)]
+                for r, row in enumerate(rows)], 1
+    (num,), aden = field.integers([a])
+    return _normalized([[aden * x - (den * num if r == c else 0) for c, x in enumerate(row)]
+                        for r, row in enumerate(rows)], aden * den, field.modulus)
+
+
 def _normalized(rows, den, p):
     """The working operator rows / den with its entries reduced mod p over
     F_p, and divided with den by their common content over Q."""
@@ -240,7 +237,7 @@ def _normalized(rows, den, p):
 
 
 def multiplication_operators(G):
-    """The d commuting matrices of multiplication by the variables on S/I."""
+    """The working operators X_i of multiplication by the variables on S/I."""
     qb = G.quotient_basis()
     ctx = G.ctx
     field = ctx.field
@@ -262,7 +259,7 @@ def multiplication_operators(G):
                 for mono, c in G.normal_form(ctx.monomial(mm, field.one)).terms.items():
                     col[qb.index[mono]] = c
             cols.append(col)
-        ops.append(DenseMatrix(field, [[cols[j][i2] for j in range(n)] for i2 in range(n)]))
+        ops.append(_working([list(row) for row in zip(*cols)], field))
     return LocalAlgebraModel(ctx, qb, ops)
 
 
@@ -305,12 +302,11 @@ def _commuting(model):
     working operators; the products X_i X_j, i < j, stay cached as powers."""
     field = model.ctx.field
     d = model.ctx.d
-    units = [tuple(int(j == i) for j in range(d)) for i in range(d)]
+    ops = model.ops
     for i in range(d):
         for j in range(i + 1, d):
-            both = tuple(a + b for a, b in zip(units[i], units[j]))
-            if model._power(both) != _product(model._power(units[j]),
-                                              model._power(units[i]), field):
+            both = tuple(int(k in (i, j)) for k in range(d))
+            if model._power(both) != _product(ops[j], ops[i], field):
                 return False
     return True
 
@@ -322,7 +318,11 @@ def centroid(model):
         raise PreconditionError(
             f"characteristic {field.characteristic} divides the colength {model.n}")
     inv_n = field.inv_int(model.n)
-    return tuple(X.trace() * inv_n for X in model.ops)
+    if field.modulus is None:
+        return tuple(sum((row[i] for i, row in enumerate(rows)), field.zero) * inv_n
+                     for rows, _ in model.ops)
+    return tuple(field.element(sum(row[i] for i, row in enumerate(rows)), den) * inv_n
+                 for rows, den in model.ops)
 
 
 def translate_ideal(I, a):
@@ -402,7 +402,7 @@ def _embedding_reduction(G, model, chain, a):
     d = ctx.d
     n = model.n
     one = field.one if field.modulus is None else 1
-    ops = [model._power(tuple(int(j == i) for j in range(d))) for i in range(d)]
+    ops = model.ops
     col = model.qb.index[(0,) * d]
     # x_i is redundant when its image lies in the span of m^2 and the images
     # of x_(i+1), ..., x_d: scanning from the last variable, keep the rest
@@ -450,7 +450,7 @@ def split_rational_support(I):
     out = []
     for point, basis in parts:
         start = _project_of_unit(bases, basis, model, field)
-        piece = cyclic_annihilator_gb(ctx, lambda j, v: model.ops[j].apply(v), start)
+        piece = cyclic_annihilator_gb(ctx, lambda j, v: _apply(model.ops[j], v, field), start)
         if len(piece.quotient_basis()) != len(basis):
             raise ArithmeticError("component colength mismatch")
         out.append((point, piece))
@@ -505,7 +505,7 @@ def _linear_form(model, weights=None):
     ctx = model.ctx
     if weights is None:
         weights = range(1, ctx.d + 1)
-    return model.operator_of_polynomial(sum(
+    return model.working_operator(sum(
         (ctx.monomial(tuple(int(j == i) for j in range(ctx.d)), w)
          for i, w in enumerate(weights)), start=ctx.zero()))
 
@@ -533,8 +533,9 @@ def _refine(ops, basis, field):
 
 
 def _restrict(X, basis, field):
-    """Matrix of X on the invariant subspace spanned by basis (columns)."""
-    if len(basis) == X.nrows and basis == _units(field, X.nrows):
+    """The working operator X on the invariant span of basis (columns)."""
+    n = len(X[0])
+    if len(basis) == n and basis == _units(field, n):
         return X
     rs = RowSpace(field, track=True)
     for v in basis:
@@ -543,11 +544,11 @@ def _restrict(X, basis, field):
     r = len(basis)
     cols = []
     for v in basis:
-        combo = rs.add(X.apply(v))
+        combo = rs.add(_apply(X, v, field))
         if combo is None:
             raise ArithmeticError("subspace is not invariant")
         cols.append([combo.get(idx, field.zero) for idx in range(r)])
-    return DenseMatrix(field, [[cols[j][i] for j in range(r)] for i in range(r)])
+    return _working([list(row) for row in zip(*cols)], field)
 
 
 def _split_by(X, basis, field):
@@ -558,7 +559,7 @@ def _split_by(X, basis, field):
         return []
     if len(basis) == 1:
         (v,) = basis
-        w = X.apply(v)
+        w = _apply(X, v, field)
         f = next(f for f, x in enumerate(v) if x)
         a = w[f] / v[f]
         if any(x != a * y for x, y in zip(w, v)):
@@ -572,26 +573,26 @@ def _split_by(X, basis, field):
 
 
 def _roots(R, field):
-    """Eigenvalues of R with multiplicities; all of them lie in the field."""
+    """Eigenvalues of the working operator R, with multiplicities, all in
+    the field."""
     _check_root_search(field)
-    roots = rational_roots(charpoly(R), field)
-    if sum(roots.values()) != R.nrows:
+    roots = rational_roots(charpoly(R, field), field)
+    if sum(roots.values()) != len(R[0]):
         raise IndeterminateSupport("support not rational")
     return roots
 
 
 def _eigenspace(R, a, k, basis, field):
-    """Generalized eigenspace of R for a, of multiplicity k, as combinations
-    of basis: the kernel of (R - a)^k, since k bounds the nilpotency index of
-    R - a there."""
-    r = len(basis)
-    shifted = DenseMatrix(field, [[R.rows[i][j] - (a if i == j else field.zero)
-                                   for j in range(r)] for i in range(r)])
+    """Generalized eigenspace of the working operator R for a, of
+    multiplicity k, as combinations of basis: the kernel of (R - a)^k, since
+    k bounds the nilpotency index of R - a there, which is the kernel of the
+    rows of its working operator."""
+    shifted = _shift(R, a, field)
     power = shifted
     for _ in range(k - 1):
-        power = shifted.matmul(power)
+        power = _product(shifted, power, field)
     out = []
-    for kv in kernel_basis(power):
+    for kv in kernel_basis(DenseMatrix(field, power[0])):
         vec = [field.zero] * len(basis[0])
         for c, bv in zip(kv, basis):
             if c:
@@ -620,19 +621,17 @@ def _project_of_unit(parts, target, model, field):
     return out
 
 
-def charpoly(M):
-    """Characteristic polynomial det(xI - M), coefficients descending, monic.
+def charpoly(op, field):
+    """Characteristic polynomial det(xI - M) of the working operator
+    op = (rows, den) over Q or F_p, M = rows / den, coefficients descending,
+    monic.
 
-    Berkowitz's division-free algorithm on the working integers of M over Q
-    or F_p (`Field.integers`).  Over Q that is the integer matrix D M, D the
-    lcm of the denominators, whose coefficient k is D^k times that of M;
-    over F_p the residues, whose coefficients are reduced mod p at the end.
+    Berkowitz's division-free algorithm on the integer rows: over Q,
+    coefficient k of their polynomial is den^k times that of M; over F_p
+    the residues' coefficients are reduced mod p at the end.
     """
-    field = M.field
-    n = M.nrows
-    ints, D = field.integers([x for row in M.rows for x in row])
-    A = [ints[i:i + n] for i in range(0, n * n, n)]
-    return [field.element(b, D ** k) for k, b in enumerate(_berkowitz(A))]
+    rows, den = op
+    return [field.element(b, den ** k) for k, b in enumerate(_berkowitz(rows))]
 
 
 def _berkowitz(A):

@@ -43,8 +43,8 @@ Q, which settles every rank that reaches min(rows, columns).  The tangent
 systems build their rows in that format.
 `rank(field, rows)` is its entry for rows of field elements, as the
 rank-only checks hold them, and `mat_rank(m)` is the `DenseMatrix` form of
-`rank`.  `row_product` is the one matrix-product loop, on field elements
-for `DenseMatrix.matmul` and on working integers for `artin`'s operators.
+`rank`.  `row_product` is the one matrix-product loop, on the working
+coefficients of `artin`'s operators.
 """
 
 import random
@@ -69,18 +69,8 @@ class DenseMatrix:
         if any(len(r) != self.ncols for r in self.rows):
             raise ValueError("ragged rows")
 
-    @staticmethod
-    def zero(field, nrows, ncols):
-        z = field.zero
-        return DenseMatrix(field, [[z] * ncols for _ in range(nrows)])
-
     def copy_rows(self):
         return [row[:] for row in self.rows]
-
-    def matmul(self, other):
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        return DenseMatrix(self.field, row_product(self.rows, other.rows, self.field.zero))
 
     def apply(self, vec):
         z = self.field.zero
@@ -95,12 +85,6 @@ class DenseMatrix:
             out.append(acc)
         return out
 
-    def trace(self):
-        acc = self.field.zero
-        for i in range(self.nrows):
-            acc = acc + self.rows[i][i]
-        return acc
-
     def __eq__(self, other):
         return (isinstance(other, DenseMatrix) and self.field == other.field
                 and self.rows == other.rows)
@@ -111,8 +95,8 @@ class DenseMatrix:
 
 def row_product(arows, brows, zero):
     """The rows of the product of the matrices whose rows are arows and
-    brows, zero being the zero of their entries: field elements, or the
-    working integers of `fields`."""
+    brows, zero being the zero of their entries: the working coefficients
+    of `fields`, integers over Q and F_p and field elements over Q(t)."""
     cols = list(zip(*brows))
     out = []
     for row in arows:
@@ -396,17 +380,18 @@ def mat_rank(m):
     return rank(m.field, [dict(enumerate(r)) for r in m.rows])
 
 
-def _bareiss(mat, reduce=False):
-    """Fraction-free (Bareiss) elimination of an integer matrix, in place.
+def _bareiss(mat):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of an integer
+    matrix, in place.
 
     Returns the original indices of the pivot rows, the pivot columns, and the
     minor on them up to sign; the sign is exact when the rows are independent,
     and that minor is then the determinant of the matrix on its pivot columns.
 
-    Forward only by default.  With reduce=True each pivot also clears the
-    rows above it (fraction-free Gauss-Jordan, with the same pivots and the
-    same exact divisions): the leading rows then hold d times the reduced
-    row echelon form, where d is the last pivot, d = +-(that minor).
+    Each pivot clears the rows below it and above it, with the divisions of
+    forward Bareiss elimination, which stay exact: the leading rows then
+    hold d times the reduced row echelon form, where d is the last pivot,
+    d = +-(that minor).
     """
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
@@ -426,7 +411,7 @@ def _bareiss(mat, reduce=False):
             sign = -sign
         piv = mat[r][c]
         row_r = mat[r]
-        for i in chain(range(r), range(r + 1, nrows)) if reduce else range(r + 1, nrows):
+        for i in chain(range(r), range(r + 1, nrows)):
             # a row above the pivot also rescales its earlier columns
             lo = c if i > r else 0
             row_i = mat[i]
@@ -800,7 +785,7 @@ class _PointKernel:
 
     def __init__(self, block):
         mat = [row[:] for row in block]
-        self.rows, self.pivots, self.det = _bareiss(mat, reduce=True)
+        self.rows, self.pivots, self.det = _bareiss(mat)
         self.dual = None
         if len(self.rows) < len(mat):
             return

@@ -7,6 +7,7 @@ case its elements are differential polynomials acting on the primal ring.
 """
 
 import re
+import sys
 from math import comb, inf
 from operator import add, ge, le, mul, neg
 
@@ -482,7 +483,9 @@ class _Parser:
     atom := int | name | '(' expr ')' in one context.  The tokens are the
     strings of one `findall`; a value is a term dict {monomial: coefficient}
     with no zero coefficient, and `parse` makes the one Polynomial.  A
-    token's column is found only for a ParseError, by tokenizing again."""
+    token's column is found only for a ParseError, by tokenizing again.  An
+    integer literal above Python's limit on the digits of a string that
+    `int` converts (`sys.get_int_max_str_digits`) is refused first."""
 
     def __init__(self, ctx):
         self.ctx, field = ctx, ctx.field
@@ -497,6 +500,12 @@ class _Parser:
         if bad:
             raise ParseError(f"unexpected character {bad.group()!r}", column=bad.start() + 1)
         self.text, self.toks, self.i = text, _TOKEN.findall(text) + [_END, _END], 0
+        limit = sys.get_int_max_str_digits()
+        if limit and len(max(self.toks, key=len)) > limit:
+            for k, tok in enumerate(self.toks):
+                if tok[0].isdecimal() and len(tok) > limit:
+                    self.fail(f"integer literal of {len(tok)} digits, above the limit "
+                              f"of {limit}", k)
         terms = self.expr()
         if self.toks[self.i] != _END:
             self.fail(None, self.i)
@@ -708,21 +717,28 @@ def format_ideal_file(ctx, polys, comment=None):
 
 
 def parse_points_file(text, field, d=None):
-    """One point per line, comma-separated field literals."""
+    """One point per line, comma-separated field literals.  A ParseError in
+    a coordinate gives its line, and its column in that line."""
     pts = []
     scratch = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
+        body = raw.split("#", 1)[0]
+        if not body.strip():
             continue
-        coords = [c.strip() for c in body.split(",")]
+        coords = body.split(",")
         if d is not None and len(coords) != d:
             raise ParseError(f"expected {d} coordinates, got {len(coords)}", line=lineno)
         if scratch is None:
             scratch = VariableContext(field, [f"_p{i}" for i in range(len(coords))])
         vals = []
+        start = 0       # the column before the coordinate's text
         for c in coords:
-            p = parse_polynomial(c, scratch)
+            try:
+                p = parse_polynomial(c, scratch)
+            except ParseError as exc:
+                raise ParseError(exc.args[0], line=lineno, column=start + exc.column) from None
+            start += len(c) + 1
+            c = c.strip()
             if p.degree() not in (None, 0):
                 raise ParseError(f"coordinate {c!r} is not a constant", line=lineno)
             vals.append(p.terms.get((0,) * scratch.d, field.zero))

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 from . import fixtures as fx
 from .apolarity import apply_operator, ideal_from_inverse_system, perp
-from .artin import centroid, multiplication_operators, quotient_model, translate_ideal
+from .artin import (_commuting, centroid, multiplication_operators, quotient_model,
+                    translate_ideal)
 from .census import census_report, chain_stratum_dims, fiber_dim, \
     grassmannian_stratum_dim, pencil_cubic_stratum_dims
 from .errors import HilbcheckError, PreconditionError
@@ -381,16 +382,13 @@ def _case_property_operators(seed):
         ideals.append(points_ideal(pts, ctx))
     for I in ideals:
         _, model = quotient_model(I)
-        for a in range(len(model.ops)):
-            for b in range(a + 1, len(model.ops)):
-                if model.ops[a].matmul(model.ops[b]) != model.ops[b].matmul(model.ops[a]):
-                    return "FAIL", "operators do not commute", ""
+        if not _commuting(model):
+            return "FAIL", "operators do not commute", ""
         center = centroid(model)
         recentered = translate_ideal(I, center)
         _, model2 = quotient_model(recentered)
-        for X in model2.ops:
-            if X.trace():
-                return "FAIL", "nonzero trace after recentering", ""
+        if any(centroid(model2)):
+            return "FAIL", "nonzero trace after recentering", ""
     return "PASS", f"{len(ideals)} algebras", "commuting operators, trace-zero recentering"
 
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -29,25 +30,44 @@ def ideal(ctx, *texts):
     return Ideal(ctx, [P(s, ctx) for s in texts])
 
 
+def field_rows(op, field):
+    """The rows of field elements of the working operator op = (rows, den)."""
+    rows, den = op
+    if field.modulus is None:
+        return rows
+    return [[field.element(x, den) for x in row] for row in rows]
+
+
+def working(field, rows):
+    """The working operator of the square matrix with these rows."""
+    return artin._working(DenseMatrix(field, rows).rows, field)
+
+
+def matmul(a, b, field):
+    """The product of the matrices with rows of field elements a and b."""
+    return [[sum((x * y for x, y in zip(row, col)), field.zero) for col in zip(*b)] for row in a]
+
+
 def test_multiplication_operators_jordan_and_point():
     c1 = context(QQ, "x")
     m = multiplication_operators(buchberger(ideal(c1, "x^2")))
-    X = m.ops[0]
-    assert X.rows == DenseMatrix(QQ, [[0, 0], [1, 0]]).rows   # nilpotent of size 2
+    X = field_rows(m.ops[0], QQ)
+    assert X == DenseMatrix(QQ, [[0, 0], [1, 0]]).rows   # nilpotent of size 2
     m2 = multiplication_operators(buchberger(ideal(c1, "x - 5")))
-    assert m2.ops[0].rows == [[rat(5)]]
+    assert field_rows(m2.ops[0], QQ) == [[rat(5)]]
 
 
 def test_operators_commute_and_are_nilpotent():
     G = buchberger(seven_quadrics_ideal(4))
     m = multiplication_operators(G)
+    X = [field_rows(op, QQ) for op in m.ops]
     for i in range(4):
         for j in range(i + 1, 4):
-            assert m.ops[i].matmul(m.ops[j]) == m.ops[j].matmul(m.ops[i])
-        power = DenseMatrix(QQ, [[int(r == c) for c in range(m.n)] for r in range(m.n)])
+            assert matmul(X[i], X[j], QQ) == matmul(X[j], X[i], QQ)
+        power = DenseMatrix(QQ, [[int(r == c) for c in range(m.n)] for r in range(m.n)]).rows
         for _ in range(m.n):
-            power = m.ops[i].matmul(power)
-        assert power.rows == DenseMatrix.zero(QQ, m.n, m.n).rows
+            power = matmul(X[i], power, QQ)
+        assert power == [[QQ.zero] * m.n for _ in range(m.n)]
 
 
 def test_column_at_one_is_variable():
@@ -55,7 +75,7 @@ def test_column_at_one_is_variable():
     G = buchberger(ideal(ctx, "x^2 - y", "y^2"))
     m = multiplication_operators(G)
     one_col = m.qb.index[(0, 0)]
-    x_vec = [m.ops[0].rows[i][one_col] for i in range(m.n)]
+    x_vec = [field_rows(m.ops[0], QQ)[i][one_col] for i in range(m.n)]
     assert x_vec == [rat(1) if mono == (1, 0) else rat(0) for mono in m.qb]
 
 
@@ -106,7 +126,7 @@ def test_recentering_kills_traces():
     I = Ideal(ctx, G.elements)
     center = centroid(multiplication_operators(G))
     m2 = multiplication_operators(buchberger(translate_ideal(I, center)))
-    assert all(not X.trace() for X in m2.ops)
+    assert all(not sum(row[i] for i, row in enumerate(field_rows(X, QQ))) for X in m2.ops)
 
 
 def test_local_hilbert_functions():
@@ -135,17 +155,17 @@ def test_is_primary_at_origin():
 
 
 def test_charpoly_and_roots():
-    m = DenseMatrix(QQ, [[0, 0], [1, 1]])
-    assert charpoly(m) == [rat(1), rat(-1), rat(0)]   # x^2 - x
-    roots = rational_roots(charpoly(m), QQ)
+    m = working(QQ, [[0, 0], [1, 1]])
+    assert charpoly(m, QQ) == [rat(1), rat(-1), rat(0)]   # x^2 - x
+    roots = rational_roots(charpoly(m, QQ), QQ)
     assert roots == {rat(0): 1, rat(1): 1}
     # (x-2)^2 (x+1/3)
-    m2 = DenseMatrix(QQ, [[2, 1, 0], [0, 2, 0], [0, 0, rat(-1, 3)]])
-    roots2 = rational_roots(charpoly(m2), QQ)
+    m2 = working(QQ, [[2, 1, 0], [0, 2, 0], [0, 0, rat(-1, 3)]])
+    roots2 = rational_roots(charpoly(m2, QQ), QQ)
     assert roots2 == {rat(2): 2, rat(-1, 3): 1}
     F = GF(7)
-    m3 = DenseMatrix(F, [[F.from_int(3), F.zero], [F.zero, F.from_int(3)]])
-    assert rational_roots(charpoly(m3), F) == {F.from_int(3): 2}
+    m3 = working(F, [[F.from_int(3), F.zero], [F.zero, F.from_int(3)]])
+    assert rational_roots(charpoly(m3, F), F) == {F.from_int(3): 2}
 
 
 def test_split_two_points():
@@ -266,7 +286,7 @@ def _kernel_rref_keep(model, chain, d):
     the pivot variables of its RREF are redundant."""
     field = model.ctx.field
     unit = model.unit_vector()
-    columns = [model.ops[i].apply(unit) for i in range(d)]
+    columns = [DenseMatrix(field, field_rows(model.ops[i], field)).apply(unit) for i in range(d)]
     if len(chain) > 2:
         columns += [[row.get(j, field.zero) for j in range(model.n)] for _, row, _ in chain[2].rows]
     mat = DenseMatrix(field, [list(row) for row in zip(*columns)])
@@ -335,6 +355,9 @@ def _random_polynomial(rng, ctx, degree):
 
 @pytest.mark.parametrize("field", [QQ, GF(7), GF(10007), QT], ids=str)
 def test_operator_of_polynomial_is_the_cached_quotient_ring_map(field):
+    # the working operator of f matches the normal forms of f times the
+    # standard monomials, is multiplicative, and a changed result changes no
+    # cached power
     rng = random.Random(718)
     for I in (seven_quadrics_ideal(4, field), squares_cube_ideal(field),
               weight753_ideal(field)):
@@ -342,47 +365,49 @@ def test_operator_of_polynomial_is_the_cached_quotient_ring_map(field):
         G = buchberger(change_coordinates(I, g))
         ctx, qb = G.ctx, G.quotient_basis()
         model = multiplication_operators(G)
-        ops = [X.copy_rows() for X in model.ops]
+        ops = [([row[:] for row in rows], den) for rows, den in model.ops]
         x1 = ctx.variables()[0]
+        one = field.one if field.modulus is None else 1
         for _ in range(3):
             f = _random_polynomial(rng, ctx, 3)
             h = _random_polynomial(rng, ctx, 3)
-            F = model.operator_of_polynomial(f)
+            F = field_rows(model.working_operator(f), field)
             for j, m in enumerate(qb):
                 nf = G.normal_form(f * ctx.monomial(m))
-                assert [F.rows[i][j] for i in range(model.n)] == \
+                assert [F[i][j] for i in range(model.n)] == \
                     [nf.terms.get(mm, field.zero) for mm in qb]
-            assert model.operator_of_polynomial(f * h) == \
-                F.matmul(model.operator_of_polynomial(h))
-            expected = F.copy_rows()
+            assert field_rows(model.working_operator(f * h), field) == \
+                matmul(F, field_rows(model.working_operator(h), field), field)
+            expected = [row[:] for row in F]
             for poly in (f, x1):
-                returned = model.operator_of_polynomial(poly)
-                assert returned == model.operator_of_polynomial(poly)
-                for row in returned.rows:
-                    row[:] = [field.one] * len(row)
-            assert model.operator_of_polynomial(f).rows == expected
-        assert [X.rows for X in model.ops] == ops
+                returned = model.working_operator(poly)
+                assert returned == model.working_operator(poly)
+                for row in returned[0]:
+                    row[:] = [one] * len(row)
+            assert field_rows(model.working_operator(f), field) == expected
+        assert model.ops == ops
 
 
 def _sum_of_powers(model, f):
-    """Sum of c X^m over the terms c x^m of f, with the powers X^m built by
-    `DenseMatrix.matmul` from the variable operators."""
+    """Sum of c X^m over the terms c x^m of f, with the powers X^m multiplied
+    out from the variable operators as matrices of field elements."""
     field = model.ctx.field
-    acc = DenseMatrix.zero(field, model.n, model.n).rows
+    acc = [[field.zero] * model.n for _ in range(model.n)]
     for m, c in f.terms.items():
         power = DenseMatrix(field, [[int(r == k) for k in range(model.n)]
-                                    for r in range(model.n)])
+                                    for r in range(model.n)]).rows
         for i, e in enumerate(m):
             for _ in range(e):
-                power = model.ops[i].matmul(power)
-        acc = [[a + c * x for a, x in zip(arow, prow)] for arow, prow in zip(acc, power.rows)]
+                power = matmul(field_rows(model.ops[i], field), power, field)
+        acc = [[a + c * x for a, x in zip(arow, prow)] for arow, prow in zip(acc, power)]
     return DenseMatrix(field, acc)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7), GF(10007), QT], ids=str)
 def test_working_operator_is_the_sum_of_matrix_powers(field):
     # the field view of the working operator, on a model and on its shift,
-    # is the sum of c X^m with the powers multiplied out as field matrices
+    # is the sum of c X^m with the powers multiplied out as field matrices,
+    # and the working operator is the working form of that view
     rng = random.Random(1818)
     I = squares_cube_ideal(field)
     g = random_invertible_matrix(rng.randint(0, 10 ** 9), I.ctx.d, field)
@@ -396,11 +421,9 @@ def test_working_operator_is_the_sum_of_matrix_powers(field):
         for _ in range(3):
             f = _random_polynomial(rng, ctx, 3) + ctx.const(field.from_int(rng.randint(1, 5)) - t)
             assert any(not any(mono) for mono in f.terms)
-            rows, den = m.working_operator(f)
-            if field.modulus is not None:
-                rows = [[field.element(x, den) for x in row] for row in rows]
-            assert DenseMatrix(field, rows) == _sum_of_powers(m, f)
-            assert m.operator_of_polynomial(f) == _sum_of_powers(m, f)
+            op = m.working_operator(f)
+            assert DenseMatrix(field, field_rows(op, field)) == _sum_of_powers(m, f)
+            assert op == working(field, _sum_of_powers(m, f).rows)
 
 
 def _poly_from_roots(lead, roots, quadratics=()):
@@ -520,6 +543,8 @@ def test_rational_roots_are_complete():
 
 
 def test_split_by_distinct_first_coordinates_multiplies_no_matrices(monkeypatch):
+    # the only operator products are those of the check that the given
+    # reduced basis has commuting operators
     rng = random.Random(4545)
     while True:
         pts = random_points(rng.randint(0, 10 ** 9))
@@ -527,14 +552,14 @@ def test_split_by_distinct_first_coordinates_multiplies_no_matrices(monkeypatch)
             break
     ctx = context(QQ, "x1 x2 x3 x4")
     I = Ideal(ctx, points_ideal(pts, ctx).gens)
-    products = []
-    matmul = DenseMatrix.matmul
-    monkeypatch.setattr(DenseMatrix, "matmul",
-                        lambda self, other: products.append(1) or matmul(self, other))
+    callers = []
+    product = artin._product
+    monkeypatch.setattr(artin, "_product", lambda a, b, field: callers.append(
+        sys._getframe(1).f_code.co_name) or product(a, b, field))
     pieces = split_rational_support(I)
     assert sorted(tuple(map(repr, pt)) for pt, _ in pieces) == \
         sorted(tuple(map(repr, q)) for q in pts)
-    assert products == []
+    assert sorted(set(callers)) == ["_commuting", "_power"] and len(callers) == 12
 
 
 def test_split_by_distinct_first_coordinates_takes_one_charpoly(monkeypatch):
@@ -548,7 +573,8 @@ def test_split_by_distinct_first_coordinates_takes_one_charpoly(monkeypatch):
     ctx = context(QQ, "x1 x2 x3 x4")
     I = Ideal(ctx, points_ideal(pts, ctx).gens)
     calls = []
-    monkeypatch.setattr(artin, "charpoly", lambda M: calls.append(M.nrows) or charpoly(M))
+    monkeypatch.setattr(artin, "charpoly",
+                        lambda op, field: calls.append(len(op[0])) or charpoly(op, field))
     assert len(split_rational_support(I)) == 8
     assert calls == [8]
 
@@ -591,7 +617,7 @@ def test_refinement_by_the_generic_form_keeps_the_parts():
 
 
 def test_refinement_refuses_a_line_that_is_not_invariant():
-    X = DenseMatrix(QQ, [[rat(0), rat(1)], [rat(0), rat(0)]])
+    X = working(QQ, [[rat(0), rat(1)], [rat(0), rat(0)]])
     with pytest.raises(ArithmeticError, match="not invariant"):
         artin._refine([X], [[rat(0), rat(1)]], QQ)
     assert artin._refine([X], [[rat(1), rat(0)]], QQ) == [((rat(0),), [[rat(1), rat(0)]])]
@@ -602,12 +628,12 @@ def test_charpoly_and_roots_over_fp_agree_with_q_reduced_mod_p():
     for _ in range(40):
         n = rng.randint(1, 8)
         rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        over_q = charpoly(DenseMatrix(QQ, rows))
+        over_q = charpoly(working(QQ, rows), QQ)
         assert all(c.denominator == 1 for c in over_q)
         ints = [int(c) for c in over_q]
         for p in (7, 13, 101, 10007):
             F = GF(p)
-            over_p = charpoly(DenseMatrix(F, rows))
+            over_p = charpoly(working(F, rows), F)
             assert over_p == [F.from_int(c) for c in ints]
             if p <= 101:    # the brute force is too slow at 10007
                 expected = {F.from_int(v): m for v, m in _roots_mod_p(ints, p).items()}

@@ -145,6 +145,25 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "line 4" in err
 
 
+@pytest.mark.parametrize("command, name, text, where", [
+    (["smoothable"], "long.ideal", "field Q\nvars x\nideal:\nx - " + "1" * 5000 + "\n",
+     "(line 4, column 5)"),
+    (["colength"], "long.ideal", "field Q\nvars x\nideal:\nx^" + "9" * 4400 + "\n",
+     "(line 4, column 3)"),
+    (["points-ideal", "-d", "4"], "long.pts", "1, 2, 3, 4\n5, " + "7" * 4500 + ", 0, 1\n",
+     "(line 2, column 4)"),
+])
+def test_an_oversized_integer_literal_is_a_parse_error(capsys, tmp_path, command, name,
+                                                       text, where):
+    # longer than Python's limit on converting a string to an int
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 2 and not out
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("parse error: integer literal of ") and err.rstrip().endswith(where)
+
+
 def test_smoothable_over_function_field_says_why_splitting_failed(capsys, tmp_path):
     path = tmp_path / "qt.ideal"
     path.write_text("field Qt\nvars x y\nideal:\nx^2 - 1\ny^2 - 4\n")

@@ -9,7 +9,7 @@ from hilbcheck.fixtures import random_skew_matrix
 from hilbcheck import linalg
 from hilbcheck.linalg import (DenseMatrix, RowSpace, _PointKernel, _nonzero_column_sets,
                               determinant, kernel_basis, mat_rank, minor_gcd_sample,
-                              pfaffian, t_adic_minor_valuation)
+                              pfaffian, row_product, t_adic_minor_valuation)
 from hilbcheck.tangent import family_machine
 from hilbcheck.scalars import rat
 from hilbcheck.upoly import RATFUNC_T as t, RatFunc, zgcd, zval
@@ -41,7 +41,7 @@ def identity(field, n):
 
 def test_rank_trivial():
     assert mat_rank(identity(QQ, 3)) == 3
-    assert mat_rank(DenseMatrix.zero(QQ, 4, 4)) == 0
+    assert mat_rank(DenseMatrix(QQ, [[0] * 4 for _ in range(4)])) == 0
 
 
 def test_rank_matches_naive_oracle():
@@ -92,22 +92,33 @@ def test_determinant_multiplicative():
     for _ in range(8):
         a = DenseMatrix(QQ, [[rat(rng.randint(-4, 4)) for _ in range(5)] for _ in range(5)])
         b = DenseMatrix(QQ, [[rat(rng.randint(-4, 4)) for _ in range(5)] for _ in range(5)])
-        assert determinant(a.matmul(b)) == determinant(a) * determinant(b)
+        ab = DenseMatrix(QQ, [[sum((x * y for x, y in zip(row, col)), QQ.zero)
+                               for col in zip(*b.rows)] for row in a.rows])
+        assert determinant(ab) == determinant(a) * determinant(b)
+
+
+def _working_rows(field, rows):
+    """(integer rows, den): den times the rows of field elements."""
+    ints, den = field.integers([x for row in rows for x in row])
+    n = len(rows[0])
+    return [ints[i:i + n] for i in range(0, len(ints), n)], den
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
-def test_matmul_matches_the_entrywise_sum(field):
+def test_row_product_matches_the_entrywise_sum(field):
+    # on the working integers of two matrices, row_product gives those of
+    # their product over the product of the denominators
     rng = random.Random(720)
     for rows, inner, cols in ((3, 4, 5), (5, 5, 5), (2, 3, 1), (1, 1, 1)):
-        a = [[field.from_int(rng.choice((0, 0, rng.randint(-4, 4)))) for _ in range(inner)]
-             for _ in range(rows)]
-        b = [[field.from_int(rng.choice((0, 0, rng.randint(-4, 4)))) for _ in range(cols)]
-             for _ in range(inner)]
+        a = [[field.element(rng.choice((0, 0, rng.randint(-4, 4))), rng.randint(1, 3))
+              for _ in range(inner)] for _ in range(rows)]
+        b = [[field.element(rng.choice((0, 0, rng.randint(-4, 4))), rng.randint(1, 3))
+              for _ in range(cols)] for _ in range(inner)]
         expected = [[sum((a[i][k] * b[k][j] for k in range(inner)), field.zero)
                      for j in range(cols)] for i in range(rows)]
-        assert DenseMatrix(field, a).matmul(DenseMatrix(field, b)).rows == expected
-    with pytest.raises(ValueError):
-        DenseMatrix(field, [[1, 2]]).matmul(DenseMatrix(field, [[1, 2]]))
+        (arows, aden), (brows, bden) = _working_rows(field, a), _working_rows(field, b)
+        got = row_product(arows, brows, 0)
+        assert [[field.element(x, aden * bden) for x in row] for row in got] == expected
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)

@@ -583,7 +583,7 @@ class ReferencePointKernel:
 
     def __init__(self, block):
         mat = [row[:] for row in block]
-        self.rows, self.pivots, self.det = _bareiss(mat, reduce=True)
+        self.rows, self.pivots, self.det = _bareiss(mat)
         self.dual = None
         if len(self.rows) < len(mat):
             return

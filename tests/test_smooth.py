@@ -452,13 +452,37 @@ def test_classify_splits_separated_points_with_one_charpoly(monkeypatch):
     assert calls == {"charpoly": 1, "kernel_basis": 0, "cyclic_annihilator_gb": 0}
 
 
+def test_classify_builds_no_dense_matrix_in_the_quotient_model(monkeypatch):
+    # the model's operators, shifts and splits are all working operators: on
+    # eight seeded points and on the witness moved to a seeded point, artin
+    # builds no DenseMatrix; perp and the Pfaffian of the witness still do
+    rng = random.Random(9292)
+    ctx = context(QQ, "x1 x2 x3 x4")
+    points = Ideal(ctx, points_ideal(random_points(rng.randint(0, 10 ** 9)), ctx).gens)
+    local = translate_ideal(seven_quadrics_ideal(4), [rng.randint(-5, 5) for _ in range(4)])
+    built = []
+    init = linalg.DenseMatrix.__init__
+
+    def recorded(self, field, rows):
+        built.append(sys._getframe(1).f_globals["__name__"])
+        init(self, field, rows)
+
+    monkeypatch.setattr(linalg.DenseMatrix, "__init__", recorded)
+    assert classify_smoothable(points).evidence == \
+        ("colength 8", "split into colengths [1, 1, 1, 1, 1, 1, 1, 1]")
+    assert classify_smoothable(local).outcome == "NotSmoothable"
+    assert "hilbcheck.artin" not in built
+    assert built
+
+
 def test_classify_computes_the_linear_forms_charpoly_once(monkeypatch):
     # L has one root of multiplicity 7 here: its eigenspaces come from the
     # roots of the shortcut, and the d = 3 variables take one charpoly each
     ctx, polys = parse_ideal_file((DATA / "squares_cube_d3.ideal").read_text())
     calls = []
     charpoly = artin.charpoly
-    monkeypatch.setattr(artin, "charpoly", lambda M: calls.append(M.nrows) or charpoly(M))
+    monkeypatch.setattr(artin, "charpoly",
+                        lambda op, field: calls.append(len(op[0])) or charpoly(op, field))
     v = classify_smoothable(Ideal(ctx, polys))
     assert v.evidence == ("colength 7", "split into colengths [7]")
     assert calls == [7] * 4
@@ -536,12 +560,20 @@ def _verdict_or_error(I):
     return v.outcome, v.evidence, v.pfaffian
 
 
+def _field_rows(op, field):
+    """The rows of field elements of the working operator op = (rows, den)."""
+    rows, den = op
+    if field.modulus is None:
+        return rows
+    return [[field.element(x, den) for x in row] for row in rows]
+
+
 def _model_or_error(make):
     try:
         G, model = make()
     except PreconditionError as exc:
         return str(exc)
-    return G.gens, model.qb.monomials, [X.rows for X in model.ops]
+    return G.gens, model.qb.monomials, [_field_rows(X, G.ctx.field) for X in model.ops]
 
 
 def _perturbed_points_bases():

@@ -13,9 +13,9 @@ from hilbcheck.fixtures import (family_limit_ideal, family_member_ideal,
                                 random_invertible_matrix,
                                 random_points, salmon_ideal,
                                 seven_quadrics_ideal, squares_cube_ideal,
-                                weight753_ideal)
+                                squares_ideal, weight753_ideal)
 from hilbcheck import artin, linalg, tangent, upoly
-from hilbcheck.artin import LocalAlgebraModel, multiplication_operators
+from hilbcheck.artin import LocalAlgebraModel, multiplication_operators, translate_ideal
 from hilbcheck.groebner import (GroebnerBasis, Ideal, SyzygyBasis, buchberger,
                                 intersect, points_ideal, schreyer_syzygies)
 from hilbcheck.linalg import DenseMatrix, RowSpace, determinant, kernel_basis, mat_rank
@@ -124,7 +124,8 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def test_tangent_dimension_builds_each_power_once(monkeypatch):
-    # a power is built from ops in degree 1 and as one product above
+    # the model builds each of its 6 variable operators once, by _working,
+    # and each power above degree 1 as one product
     built = [_count_calls(monkeypatch, artin, name) for name in ("_working", "_product")]
     assert tangent_dimension(seven_quadrics_ideal(6)) == 41
     assert sum(map(len, built)) <= 8
@@ -260,13 +261,22 @@ def test_pruned_hom_system_matches_every_s_pair_trace(field):
     assert pruned
 
 
+def _field_rows(op, field):
+    """The rows of field elements of the working operator op = (rows, den)."""
+    rows, den = op
+    if field.modulus is None:
+        return rows
+    return [[field.element(x, den) for x in row] for row in rows]
+
+
 def _commuting_tangent_dimension(G):
     """dim{(Y_1..Y_d) : [Y_i, X_j] + [X_i, Y_j] = 0 for i < j} + n - n^2 for
     the multiplication operators X_i of S/I: the tangent space of the
     commuting matrices with a cyclic vector, modulo the free GL_n action.
     It shares no syzygy and no Hom block with tangent_dimension."""
-    X = [op.rows for op in multiplication_operators(G).ops]
-    field, d, n = G.ctx.field, len(X), len(X[0])
+    field = G.ctx.field
+    X = [_field_rows(op, field) for op in multiplication_operators(G).ops]
+    d, n = len(X), len(X[0])
     rows = []
     for i, j in combinations(range(d), 2):
         for r in range(n):
@@ -282,9 +292,22 @@ def _commuting_tangent_dimension(G):
     return d * n * n - linalg.rank(field, rows) + n - n * n
 
 
-@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
+def _moved_local_bases(field):
+    """Reduced bases of local ideals of colength 8 moved off the origin to
+    seeded rational points: the (1,4,3) fixtures, and the (1,3,3,1) and
+    (1,3,2,1,1) bundled ideals."""
+    rng = random.Random(2706)
+    fixtures = graded_143_fixtures(field) + [("squares", squares_ideal(field)),
+                                             ("weight753", weight753_ideal(field))]
+    return [(f"{name}-moved", buchberger(translate_ideal(
+                I, [field.from_int(rng.randint(-5, 5)) for _ in range(I.ctx.d)])))
+            for name, I in fixtures]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(10007)], ids=str)
 def test_tangent_dimension_matches_the_commuting_matrices(field):
-    for name, G in _changed_tangent_fixtures(field) + _bundled_bases(field):
+    for name, G in _changed_tangent_fixtures(field) + _bundled_bases(field) + \
+            _moved_local_bases(field):
         assert tangent_dimension(G) == _commuting_tangent_dimension(G), name
 
 
@@ -333,8 +356,8 @@ def test_mat_rank_runs_no_dense_elimination(monkeypatch, field):
 
 
 def test_tangent_builds_no_dense_matrix_wider_than_the_colength(monkeypatch):
-    # the Hom system hands its rows to rank sparse: the only dense matrices
-    # are the 8 x 8 operators of the quotient model
+    # the Hom system hands its rows to rank sparse, and the quotient model
+    # holds its operators as working operators: no dense matrix at all
     widths = []
     init = DenseMatrix.__init__
 
@@ -344,7 +367,7 @@ def test_tangent_builds_no_dense_matrix_wider_than_the_colength(monkeypatch):
 
     monkeypatch.setattr(DenseMatrix, "__init__", recorded)
     assert tangent_dimension(seven_quadrics_ideal(5)) == 33
-    assert widths and max(widths) <= 8
+    assert widths == []
 
 
 @pytest.mark.parametrize("field", [QQ, GF(101), GF(10007)], ids=str)
