@@ -12,7 +12,7 @@ import random
 from math import gcd, lcm
 
 from .errors import HilbcheckError, InfiniteColengthError, PreconditionError
-from .linalg import DenseMatrix, RowSpace, kernel_basis, row_product
+from .linalg import RowSpace, kernel_basis, row_product
 from .poly import GREVLEX, Substitution, VariableContext, mono_deg
 from .groebner import (GroebnerBasis, Ideal, _complete, _input_records, _reduced_candidate,
                        buchberger, cyclic_annihilator_gb)
@@ -591,14 +591,7 @@ def _eigenspace(R, a, k, basis, field):
     power = shifted
     for _ in range(k - 1):
         power = _product(shifted, power, field)
-    out = []
-    for kv in kernel_basis(DenseMatrix(field, power[0])):
-        vec = [field.zero] * len(basis[0])
-        for c, bv in zip(kv, basis):
-            if c:
-                vec = [x + c * y for x, y in zip(vec, bv)]
-        out.append(vec)
-    return out
+    return row_product(kernel_basis(power[0], field), basis, field.zero)
 
 
 def _project_of_unit(parts, target, model, field):

@@ -95,8 +95,9 @@ class DenseMatrix:
 
 def row_product(arows, brows, zero):
     """The rows of the product of the matrices whose rows are arows and
-    brows, zero being the zero of their entries: the working coefficients
-    of `fields`, integers over Q and F_p and field elements over Q(t)."""
+    brows, zero being the zero of their entries: field elements, or the
+    working coefficients of `fields`, integers over Q and F_p and field
+    elements over Q(t)."""
     cols = list(zip(*brows))
     out = []
     for row in arows:
@@ -282,16 +283,23 @@ def _working_row(field, items):
     return {j: c for (j, _), c in zip(items, ints) if c}, den
 
 
+def _working_rows(field, rows):
+    """Rows of field elements as working coefficients, each in its own scale."""
+    return rows if field.modulus is None else [field.integers(row)[0] for row in rows]
+
+
 def _column_relations(rows, field):
     """One tracked `RowSpace` pass over the columns of the matrix with these
-    rows, column c added as vector c.  Returns the pivot columns, those
-    independent of the columns before them, and for every other column f its
-    unique coefficients {p: c} over the pivot columns: column f is the sum
-    of c * column p."""
+    rows of working coefficients, column c added as vector c; scaling a row
+    changes no relation among the columns, so each row may carry its own
+    scale.  Returns the pivot columns, those independent of the columns
+    before them, and for every other column f its unique coefficients
+    {p: c} over the pivot columns: column f is the sum of c * column p."""
     rs = RowSpace(field, track=True)
+    one = field.one if field.modulus is None else 1
     pivots, relations = [], {}
     for c, col in enumerate(zip(*rows)):
-        combo = rs.add(col)
+        combo = rs.add_working({i: x for i, x in enumerate(col) if x}, one)
         if combo is None:
             pivots.append(c)
         else:
@@ -304,7 +312,7 @@ def rref(rows, field):
 
     Row ops keep every relation among the columns, so column f of the RREF
     holds the coefficients of column f over the pivot columns."""
-    pivots, relations = _column_relations(rows, field)
+    pivots, relations = _column_relations(_working_rows(field, rows), field)
     ncols = len(rows[0]) if rows else 0
     out = [[field.zero] * ncols for _ in pivots]
     where = {p: i for i, p in enumerate(pivots)}
@@ -428,16 +436,20 @@ def _bareiss(mat):
     return order[:r], pivots, sign * prev
 
 
-def kernel_basis(m):
-    """Basis of the right null space; len == ncols - rank.
+def kernel_basis(m, field=None):
+    """Basis of the right null space of the `DenseMatrix` m, or, with field
+    given, of the rows m of working coefficients of field, each row in its
+    own scale; len == ncols - rank.
 
     One vector per non-pivot column f: e_f minus its coefficients over the
     pivot columns, so it is 1 at f and 0 at every other non-pivot column."""
-    field = m.field
-    _, relations = _column_relations(m.rows, field)
+    if field is None:
+        field, m = m.field, _working_rows(m.field, m.rows)
+    _, relations = _column_relations(m, field)
+    ncols = len(m[0]) if m else 0
     basis = []
     for f, combo in relations.items():
-        v = [field.zero] * m.ncols
+        v = [field.zero] * ncols
         v[f] = field.one
         for p, c in combo.items():
             v[p] = -c
@@ -872,8 +884,7 @@ def _minor_poly(polys, core, csel, kernel):
         minor = ztrim(_interpolate_scaled(ys))
     else:
         minor = (1,)    # every row peeled: the empty determinant
-    p = zprim(zmul(product, minor))
-    return p if not p or p[-1] > 0 else tuple(-c for c in p)
+    return zprim(zmul(product, minor))
 
 
 def _interpolate_scaled(ys):

@@ -2,12 +2,11 @@
 
 Z[t] polynomials are tuples of int coefficients, ascending degree, no trailing
 zeros, () for zero.  RatFunc is a reduced ratio of two such tuples; it is the
-coefficient type for computations along one-parameter families.
+coefficient type for computations along one-parameter families.  Its
+reduction makes no fraction: the gcd and the division by it stay in Z[t].
 """
 
-from math import gcd, lcm
-
-from .scalars import rat
+from math import gcd
 
 
 def ztrim(coeffs):
@@ -46,10 +45,9 @@ def zmul(a, b):
 
 
 def zprim(a):
-    g = gcd(*a)
-    if g <= 1:
-        return a
-    return tuple(c // g for c in a)
+    """The primitive part of a, with a positive leading coefficient."""
+    g = gcd(*a) if not a or a[-1] > 0 else -gcd(*a)
+    return a if g == 1 else tuple(c // g for c in a)
 
 
 def zval(a):
@@ -69,36 +67,34 @@ def zeval(a, x):
 
 
 def zdiv_exact(n, d):
-    """Quotient n/d when d divides n in Q[t]; result must land back in Z[t]."""
+    """Quotient n/d in Z[t]; ArithmeticError when d does not divide n there.
+    A primitive d that divides n in Q[t] divides it in Z[t] (Gauss's lemma)."""
     if not d:
         raise ZeroDivisionError("polynomial division by zero")
     if not n:
         return ()
-    num = [rat(c) for c in n]
-    q = [rat(0)] * (len(n) - len(d) + 1)
-    lead = rat(d[-1])
+    num = list(n)
+    q = [0] * (len(n) - len(d) + 1)
+    lead = d[-1]
     for i in range(len(q) - 1, -1, -1):
-        c = num[i + len(d) - 1] / lead
+        c, r = divmod(num[i + len(d) - 1], lead)
+        if r:
+            raise ArithmeticError("non-integer quotient in Z[t] division")
         q[i] = c
         if c:
             for j, dc in enumerate(d):
                 num[i + j] -= c * dc
     if any(num):
         raise ArithmeticError("inexact polynomial division")
-    out = []
-    for c in q:
-        if c.denominator != 1:
-            raise ArithmeticError("non-integer quotient in Z[t] division")
-        out.append(int(c))
-    return ztrim(out)
+    return ztrim(q)
 
 
 def zgcd(a, b):
     """Primitive gcd in Z[t], positive leading coefficient."""
     if not a:
-        return _poslc(zprim(b))
+        return zprim(b)
     if not b:
-        return _poslc(zprim(a))
+        return zprim(a)
     # against a monomial c t^k the gcd is t^min(k, val(other))
     va, vb = zval(a), zval(b)
     if va is not None and vb is not None and (va == len(a) - 1 or vb == len(b) - 1):
@@ -107,40 +103,31 @@ def zgcd(a, b):
 
 
 def _euclid(a, b):
-    """zgcd of nonzero a and b by a monic Euclid over Q, then the primitive
-    part; degrees stay small here."""
-    fa = [rat(c) for c in a]
-    fb = [rat(c) for c in b]
-    while fb and any(fb):
-        fa, fb = fb, _qrem(fa, fb)
-    num_lcm = lcm(*(int(c.denominator) for c in fa))
-    ints = ztrim([int(c * num_lcm) for c in fa])
-    return _poslc(zprim(ints))
-
-
-def _poslc(p):
-    if p and p[-1] < 0:
-        return zneg(p)
-    return p
-
-
-def _qrem(a, b):
-    a = list(a)
-    while a and not a[-1]:
-        a.pop()
-    bl = list(b)
-    while bl and not bl[-1]:
-        bl.pop()
-    lead = bl[-1]
-    while len(a) >= len(bl):
-        c = a[-1] / lead
-        off = len(a) - len(bl)
-        for j, dc in enumerate(bl):
-            a[off + j] -= c * dc
-        a.pop()
-        while a and not a[-1]:
-            a.pop()
+    """zgcd of nonzero a and b by the primitive pseudo-remainder sequence
+    (Knuth, TAOCP vol. 2, 4.6.1; Brown, JACM 1971): each remainder's content
+    is divided out, which keeps its coefficients from growing exponentially."""
+    a, b = zprim(a), zprim(b)
+    if zdeg(a) < zdeg(b):
+        a, b = b, a
+    while b:
+        a, b = b, zprim(_prem(a, b))
     return a
+
+
+def _prem(a, b):
+    """Pseudo-remainder of a by b, len(a) >= len(b): the remainder of
+    lc(b)^(deg a - deg b + 1) a, which stays in Z[t]."""
+    r = list(a)
+    lead, n = b[-1], len(b)
+    while len(r) >= n:
+        c = r.pop()
+        off = len(r) - n + 1
+        r = [lead * x for x in r]
+        for j in range(n - 1):
+            r[off + j] -= c * b[j]
+        while r and not r[-1]:
+            r.pop()
+    return tuple(r)
 
 
 def zpoly_str(p):
@@ -260,12 +247,10 @@ def _reduce(num, den):
         num, den = zneg(num), zneg(den)
     # a constant side has gcd 1 with the other in Q[t]: only content is shared
     if len(den) > 1 and len(num) > 1:
+        # g is primitive with lc > 0: integral quotients, and den's lc stays > 0
         g = zgcd(num, den)
-        if zdeg(g) > 0 or g != (1,):
-            num = zdiv_exact(num, g)
-            den = zdiv_exact(den, g)
-            if den[-1] < 0:
-                num, den = zneg(num), zneg(den)
+        if g != (1,):
+            num, den = zdiv_exact(num, g), zdiv_exact(den, g)
     c = gcd(*num, *den)
     if c > 1:
         num = tuple(x // c for x in num)

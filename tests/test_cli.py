@@ -173,6 +173,24 @@ def test_smoothable_over_function_field_says_why_splitting_failed(capsys, tmp_pa
                                 "  - splitting failed: root search is not available over Q(t)"]
 
 
+@pytest.mark.parametrize("command, lines", [
+    ("colength", ["1"]),
+    ("smoothable", ["Smoothable", "  - colength 1",
+                    "  - splitting failed: root search is not available over Q(t)"]),
+    ("tangent", ["3"])], ids=["colength", "smoothable", "tangent"])
+def test_function_field_commands_answer_fast(capsys, tmp_path, command, lines):
+    # a small ideal over Q(t) whose Buchberger run reduces many Q(t)
+    # coefficients: each gcd runs in Z[t]
+    path = tmp_path / "qt.ideal"
+    path.write_text("field Qt\nvars x y z\nideal:\nx^3 + t*z^2\n"
+                    "(3 - 2*t)*x + (2*t - 1)*y - t - 2\n(2 - t)*y*z + (2*t - 2)*x\n"
+                    "(t + 3)*x*y + (t + 2)*y*z + (2*t + 1)*z^2 + (t - 2)*x\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, command, str(path))
+    assert time.perf_counter() - start < 0.5
+    assert code == 0 and out.splitlines() == lines
+
+
 @pytest.mark.parametrize("p", [1000003, 2 ** 61 - 1])
 def test_smoothable_splits_support_over_a_large_prime_field(capsys, tmp_path, p):
     # x takes three values, one of them twice, and y two: six points, two of

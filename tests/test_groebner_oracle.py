@@ -9,7 +9,7 @@ sympy = pytest.importorskip("sympy")
 
 from hilbcheck.fields import GF, QQ
 from hilbcheck.groebner import Ideal, buchberger, intersect
-from hilbcheck.poly import GREVLEX, LEX, Polynomial, context
+from hilbcheck.poly import GREVLEX, LEX, Polynomial, context, parse_ideal_file
 from hilbcheck.scalars import rat
 
 
@@ -153,3 +153,28 @@ def test_reduced_bases_of_rational_generators_match_sympy():
         I = dense_ideal(ctx, rng, coeff)
         assert any(c.denominator != 1 for g in I.gens for c in g.terms.values())
         assert list(buchberger(I, GREVLEX).elements) == sympy_basis(I, GREVLEX, syms)
+
+
+# coefficients of degree <= 1 in t and colength 1, yet a gcd of the Q(t)
+# coefficients by a Euclid over Fractions made buchberger take 2 s in grevlex
+# and 8 s in lex
+QT_IDEAL = ("field Qt\nvars x y z\nideal:\nx^3 + t*z^2\n"
+            "(3 - 2*t)*x + (2*t - 1)*y - t - 2\n(2 - t)*y*z + (2*t - 2)*x\n"
+            "(t + 3)*x*y + (t + 2)*y*z + (2*t + 1)*z^2 + (t - 2)*x\n")
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=str)
+def test_reduced_bases_over_the_function_field_match_sympy(order):
+    ctx, gens = parse_ideal_file(QT_IDEAL)
+    t, *syms = sympy.symbols("t x y z")
+
+    def qt_poly(p):
+        def value(zpoly):
+            return sum(c * t ** i for i, c in enumerate(zpoly))
+        return sympy.Poly(sum(value(c.num) / value(c.den) * sympy.prod(
+            x ** e for x, e in zip(syms, m)) for m, c in p.terms.items()),
+            *syms, domain="QQ(t)")
+
+    theirs = sympy.groebner([qt_poly(g) for g in gens], *syms, order=str(order),
+                            domain="QQ(t)")
+    assert {qt_poly(g) for g in buchberger(Ideal(ctx, gens), order).gens} == set(theirs.polys)

@@ -54,6 +54,18 @@ def test_boundary_scan_sees_each_violation():
         (4, "comparison with QQ"), (5, ".v")]
 
 
+def test_upoly_is_integer_arithmetic():
+    # Z[t] and Q(t) arithmetic runs on int coefficients alone: upoly reads no
+    # scalar internal and takes nothing from scalars or fractions
+    source = (SRC / "upoly.py").read_text()
+    assert boundary_violations(source) == []
+    tree = ast.parse(source)
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
+    assert imported.isdisjoint({"scalars", "fractions"})
+
+
 ORDER_INTERNALS = {"kind", "weight", "tiebreak"}
 
 

@@ -146,3 +146,52 @@ def test_zgcd_against_a_monomial_matches_the_euclid(monkeypatch):
         assert zgcd(a, b) == zgcd(b, a) == want
         assert zgcd(a, ()) == zgcd((), a) == (0,) * (len(a) - 1) + (1,)
     assert euclids == []
+
+
+def test_zgcd_matches_sympy_over_the_integers():
+    # sympy's gcd over ZZ[t] keeps the integer content; zgcd is the primitive
+    # part with a positive leading coefficient
+    sympy = pytest.importorskip("sympy")
+    T = sympy.Symbol("t")
+    rng = random.Random(3107)
+
+    def poly(deg, bound):
+        return ztrim([rng.randint(-bound, bound) for _ in range(deg)]
+                     + [rng.choice((-1, 1)) * rng.randint(1, bound)])
+
+    def to_sympy(p):
+        return sympy.Poly(list(reversed(p)), T, domain="ZZ")
+
+    digits = []
+    for _ in range(300):
+        common = poly(rng.randint(0, 5), 10 ** 15)
+        a = zmul(zmul(common, poly(rng.randint(0, 7 - len(common)), 10 ** 13)),
+                 (rng.choice((1, 1, 6, -6)),))
+        b = zmul(common, poly(rng.randint(0, 13 - len(common)), 10 ** 13))
+        assert len(a) <= 13 and len(b) <= 13
+        digits.extend(len(str(abs(c))) for c in a + b)
+        _, prim = to_sympy(a).gcd(to_sympy(b)).primitive()
+        if prim.LC() < 0:
+            prim = -prim
+        want = tuple(int(c) for c in reversed(prim.all_coeffs()))
+        assert zgcd(a, b) == zgcd(b, a) == want, (a, b)
+    assert 25 <= max(digits) <= 30
+
+
+def test_zdiv_exact_divides_over_the_integers():
+    rng = random.Random(3108)
+
+    def poly(deg):
+        return ztrim([rng.randint(-99, 99) for _ in range(deg)] + [rng.randint(1, 99)])
+
+    for _ in range(200):
+        q, d = poly(rng.randint(0, 6)), poly(rng.randint(0, 6))
+        n = zmul(q, d)
+        quot = zdiv_exact(n, d)
+        assert quot == q and zmul(quot, d) == n
+        # a divisor with content c divides q d in Q[t], with the quotient
+        # q / c outside Z[t] when c does not divide q's content
+        c = rng.choice((2, 3, 5, 7))
+        if gcd(*q) % c:
+            with pytest.raises(ArithmeticError):
+                zdiv_exact(n, zmul(d, (c,)))
