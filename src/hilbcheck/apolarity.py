@@ -11,7 +11,7 @@ from math import factorial, perm, prod
 
 from .errors import PreconditionError
 from .groebner import Ideal, _monomials_of_degree
-from .linalg import DenseMatrix, RowSpace, kernel_basis
+from .linalg import RowSpace, _working_rows, kernel_basis
 from .poly import Polynomial, mono_mul
 
 
@@ -60,11 +60,9 @@ def _apolar_complement(rows, monos, ctx):
     if not rows:
         return [Polynomial(ctx, {m: field.one}) for m in monos]
     weights = [field.from_int(_factorial_int(m)) for m in monos]
-    mat = [[field.zero] * len(monos) for _ in rows]
-    for weighted, row in zip(mat, rows):
-        for k, x in row.items():
-            weighted[k] = x * weights[k]
-    ker = kernel_basis(DenseMatrix(field, mat))
+    mat = [[row[k] * w if k in row else field.zero for k, w in enumerate(weights)]
+           for row in rows]
+    ker = kernel_basis(_working_rows(field, mat), field)
     return [Polynomial(ctx, {m: c for m, c in zip(monos, v) if c}) for v in ker]
 
 

@@ -5,7 +5,8 @@ rational support, and the staircase census of local Hilbert functions.
 The quotient S/I is carried as the list of multiplication operators X_i on
 the standard-monomial basis, as working operators of `fields`; powers of the
 maximal ideal are tracked as the chain of subspaces generated by 1 under
-products of at least j variables.
+products of at least j variables.  One scan of that chain picks the kept
+variables of embedding reduction and of the (1,4,3) product kernel.
 """
 
 import random
@@ -333,18 +334,8 @@ def translate_ideal(I, a):
         raise PreconditionError("translation vector length must match")
     if not any(a):
         return I
-    translate = Substitution(_translation(ctx, a))
+    translate = Substitution([ctx.variable(i) + ctx.const(ai) for i, ai in enumerate(a)])
     return Ideal(ctx, [g.substitute(translate) for g in I.gens])
-
-
-def _translation(ctx, a):
-    """The images x_i + a_i of the variables."""
-    images = []
-    for i, ai in enumerate(a):
-        if isinstance(ai, int):
-            ai = ctx.field.from_int(ai)
-        images.append(ctx.variable(i) + ctx.const(ai))
-    return images
 
 
 def _local_model(I, required=True):
@@ -374,59 +365,51 @@ def local_hilbert_function(I):
 def embedding_reduction(I):
     """Isomorphic presentation in h_1 = dim m/m^2 variables.
 
-    Keeps variables whose images span m/m^2, so by Nakayama they generate
-    S/I; the result is the kernel of k[kept] -> S/I, read off the
-    multiplication operators as a reduced grevlex basis, so colength and
-    local Hilbert function are preserved.  I itself when nothing is dropped.
+    Keeps the variables of `_kept_variables`, whose images span m/m^2, so by
+    Nakayama they generate S/I; the result is the kernel of k[kept] -> S/I,
+    read off the multiplication operators as a reduced grevlex basis, so
+    colength and local Hilbert function are preserved.  Checked by colength
+    and by lifting each element back into the ideal.  I itself when nothing
+    is dropped.
     """
     ctx = I.ctx
+    field = ctx.field
     G = buchberger(I)
     model, chain = _local_model(G)
-    hf = HilbertFunction.of_chain(chain)
-    if (hf[1] if len(hf) > 1 else 0) == ctx.d:
+    keep = _kept_variables(model, chain)
+    if len(keep) == ctx.d:
         return I
-    return _embedding_reduction(G, model, chain, (ctx.field.zero,) * ctx.d)
+    new_ctx = VariableContext(field, [ctx.names[i] for i in keep], dual=ctx.dual)
+    R = cyclic_annihilator_gb(new_ctx, lambda j, v: _apply(model.ops[keep[j]], v, field),
+                              model.unit_vector())
+    if R.colength() != model.n:
+        raise ArithmeticError("kept variables do not generate the quotient")
+    lift = Substitution([ctx.variable(i) for i in keep])
+    for g in R.gens:
+        if G.normal_form(g.substitute(lift)):
+            raise ArithmeticError("reduced ideal is not contained in the original")
+    return R
 
 
-def _embedding_reduction(G, model, chain, a):
-    """Embedding reduction of the local ring of S/G at the point a.
-
-    model is the quotient model centred at a (operators X_i - a_i) and chain
-    its maximal-ideal chain, which reaches 0.  Returns the reduced grevlex
-    basis of the kernel of k[y_kept] -> S/G, y_k -> x_k - a_k, in the
-    context of G when every variable is kept.  Checked by colength and by
-    lifting each element, translated back by a, into G.
-    """
-    ctx = G.ctx
-    field = ctx.field
-    d = ctx.d
-    n = model.n
+def _kept_variables(model, chain):
+    """Indices, ascending, of variables whose images in the local model span
+    m/m^2, chain being its maximal-ideal chain: x_i is redundant when its
+    image lies in the span of m^2 and the images of x_(i+1), ..., x_d, so
+    the scan runs from the last variable and keeps the rest."""
+    field, d = model.ctx.field, model.ctx.d
     one = field.one if field.modulus is None else 1
-    ops = model.ops
     col = model.qb.index[(0,) * d]
-    # x_i is redundant when its image lies in the span of m^2 and the images
-    # of x_(i+1), ..., x_d: scanning from the last variable, keep the rest
     images = RowSpace(field)
     if len(chain) > 2:
         for _, w, _ in chain[2].working:
             images.add_working(dict(w), one)
     keep = []
     for i in reversed(range(d)):
-        if images.add_working({j: row[col] for j, row in enumerate(ops[i][0]) if row[col]},
+        rows, _ = model.ops[i]
+        if images.add_working({j: row[col] for j, row in enumerate(rows) if row[col]},
                               one) is None:
             keep.insert(0, i)
-    new_ctx = ctx if len(keep) == d else \
-        VariableContext(field, [ctx.names[i] for i in keep], dual=ctx.dual)
-    R = cyclic_annihilator_gb(new_ctx, lambda j, v: _apply(ops[keep[j]], v, field),
-                              model.unit_vector())
-    if R.colength() != n:
-        raise ArithmeticError("kept variables do not generate the quotient")
-    back = _translation(ctx, [-ai for ai in a])
-    lift = Substitution([back[i] for i in keep])
-    for g in R.gens:
-        if G.normal_form(g.substitute(lift)):
-            raise ArithmeticError("reduced ideal is not contained in the original")
-    return R
+    return keep
 
 
 def split_rational_support(I):

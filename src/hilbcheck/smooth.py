@@ -5,19 +5,20 @@ A colength-8 local algebra with Hilbert function (1,4,3) corresponds to a
 3-dimensional space of dual quadrics; the Pfaffian of the associated 12 x 12
 skew-symmetric matrix vanishes exactly on the ideals that are limits of
 distinct points.  Everything else of colength at most 8 is always such a
-limit, which the classifier turns into a decision procedure.
+limit, which the classifier turns into a decision procedure.  The dual
+quadrics are the apolar complement of the degree-2 part of the ideal, the
+kernel of the products of the centred operators on 1.
 """
 
 from dataclasses import dataclass
 
 from . import artin
 from .errors import PreconditionError
-from .apolarity import perp
-from .artin import (HilbertFunction, IndeterminateSupport, _embedding_reduction,
-                    centroid, local_hilbert_function, support_colengths)
-from .groebner import Ideal, buchberger, ideal_equal, initial_ideal
-from .linalg import DenseMatrix, determinant, pfaffian, rank
-from .poly import Substitution, mono_deg
+from .apolarity import _apolar_complement
+from .artin import HilbertFunction, IndeterminateSupport, centroid, support_colengths
+from .groebner import Ideal, _monomials_of_degree, buchberger, ideal_equal, initial_ideal
+from .linalg import DenseMatrix, _working_rows, determinant, kernel_basis, pfaffian, rank
+from .poly import Substitution, VariableContext, mono_deg
 
 
 @dataclass
@@ -46,14 +47,13 @@ def salmon_turnbull_pfaffian(arg):
     equal (12/2 is even) and vanish together, which is checked.
     """
     if isinstance(arg, Ideal):
-        G = buchberger(arg)
-        ctx = G.ctx
-        if ctx.d != 4:
+        if arg.ctx.d != 4:
             raise PreconditionError("the Pfaffian criterion lives in 4 variables")
-        hf = local_hilbert_function(G)
+        local, chain = artin._local_model(arg)
+        hf = HilbertFunction.of_chain(chain)
         if tuple(hf) != (1, 4, 3):
             raise PreconditionError(f"wrong Hilbert function {hf}, need (1,4,3)")
-        quadrics = perp(G, 2)
+        quadrics, _ = _dual_quadrics(local, chain)
     else:
         quadrics = list(arg)
     mats, block, pf_block = _block_pfaffian(quadrics)
@@ -209,8 +209,8 @@ def classify_smoothable(I):
     quotient model.  The model centred there decides it: when its maximal
     ideal is not nilpotent the support has several points; otherwise the
     local Hilbert function is read off the same chain, and a (1,4,3) piece
-    reduces to four variables, where it is already homogeneous, and is
-    decided by the vanishing of the Pfaffian of its three dual quadrics.
+    is decided by the vanishing of the Pfaffian of its three dual quadrics,
+    read off the products of the centred operators (`_dual_quadrics`).
     The split over rational support is only reported, as the colengths of
     its pieces (artin.support_colengths): the support is refined by the
     operators of a generic linear form L and then of the variables, and
@@ -219,16 +219,15 @@ def classify_smoothable(I):
     or over Q(t), the evidence says so and the verdict stands.
     Characteristic 2 and 3 never reach here: the prime fields start at 5.
     """
-    G, model = artin.quotient_model(I, check=_check_colength)
+    _, model = artin.quotient_model(I, check=_check_colength)
     n = model.n
     evidence = [f"colength {n}"]
     if n == 8:
-        a = centroid(model)
-        local = model.shifted(a)
+        local = model.shifted(centroid(model))
         chain = local.maximal_ideal_chain()
         if chain[-1].dim == 0:
             evidence += ["split into colengths [8]", "recentered colength-8 piece"]
-            return _decide_local(G, local, chain, a, evidence)
+            return _decide_local(local, chain, evidence)
     try:
         colengths = support_colengths(model)
     except IndeterminateSupport as exc:
@@ -247,21 +246,40 @@ def _check_colength(G):
         raise PreconditionError("colength > 8: outside the supported range")
 
 
-def _decide_local(G, local, chain, a, evidence):
-    """Verdict on S/G primary at the point a, of colength 8, from its model
-    centred at a and the maximal-ideal chain of that model."""
+def _decide_local(local, chain, evidence):
+    """Verdict on a colength-8 algebra primary at one point, from its model
+    centred there and the maximal-ideal chain of that model."""
     hf = HilbertFunction.of_chain(chain)
     evidence.append(f"local Hilbert function {hf}")
     if tuple(hf) != (1, 4, 3):
         return SmoothabilityVerdict("Smoothable", tuple(evidence))
-    reduced = _embedding_reduction(G, local, chain, a)
-    if reduced.ctx.d != 4:
-        raise ArithmeticError("embedding reduction did not reach 4 variables")
-    if reduced.ctx != G.ctx:
+    quadrics, dropped = _dual_quadrics(local, chain)
+    if dropped:
         evidence.append("reduced to 4 variables")
-    # h_1 = 4 puts the ideal in m^2 and h_3 = 0 puts m^3 in it, so it is
-    # homogeneous and its reduced basis is its own graded projection
-    _, _, pf = _block_pfaffian(perp(reduced, 2))
+    _, _, pf = _block_pfaffian(quadrics)
     evidence.append(f"pfaffian {pf}" if pf else "pfaffian zero")
     outcome = "NotSmoothable" if pf else "Smoothable"
     return SmoothabilityVerdict(outcome, tuple(evidence), pf)
+
+
+def _dual_quadrics(local, chain):
+    """The dual quadrics of a (1,4,3) algebra, from its model centred at
+    its point and that model's maximal-ideal chain, and whether a variable
+    was dropped.  The kept variables y (`artin._kept_variables`) generate
+    the algebra; its ideal J in k[y] lies in m^2 (h_1 = 4) and contains m^3
+    (h_3 = 0), so J_2 is the kernel of y_i y_j -> Y_i Y_j 1 on the
+    quadratic monomials, and its perp is that of J in degree 2."""
+    ctx = local.ctx
+    field = ctx.field
+    keep = artin._kept_variables(local, chain)
+    unit = local.unit_vector()
+    images = [artin._apply(local.ops[i], unit, field) for i in keep]
+    monos = list(_monomials_of_degree(len(keep), 2))
+    products = []
+    for m in monos:
+        i, j = (k for k, e in enumerate(m) for _ in range(e))
+        products.append(artin._apply(local.ops[keep[i]], images[j], field))
+    rows = _working_rows(field, [list(row) for row in zip(*products)])
+    kernel = [{k: c for k, c in enumerate(v) if c} for v in kernel_basis(rows, field)]
+    dual = VariableContext(field, [ctx.names[i] for i in keep], dual=True)
+    return _apolar_complement(kernel, monos, dual), len(keep) < ctx.d

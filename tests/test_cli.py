@@ -9,8 +9,12 @@ import time
 import pytest
 
 from hilbcheck.cli import COLENGTH_CAP, main
+from hilbcheck.errors import PreconditionError
+from hilbcheck.groebner import Ideal
+from hilbcheck.poly import parse_ideal_file
 from hilbcheck.reportschema import (ANALYZE_REPORT_SCHEMA, SchemaError,
                                     VERIFY_REPORT_SCHEMA, validate)
+from hilbcheck.smooth import salmon_turnbull_pfaffian
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "hilbcheck" / "data"
 
@@ -66,6 +70,28 @@ def test_pfaffian_and_smoothable_commands(capsys):
     assert code == 0 and out.splitlines()[0] == "NotSmoothable"
     code, out, _ = run(capsys, "smoothable", str(DATA / "monomial_143.ideal"))
     assert code == 0 and out.splitlines()[0] == "Smoothable"
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("seven_quadrics_d5.ideal", None, "the Pfaffian criterion lives in 4 variables"),
+    ("squares_cube_d3.ideal", None, "the Pfaffian criterion lives in 4 variables"),
+    ("squares_cube_d4.ideal", "field Q\nvars x y z w\nideal:\nx^2\ny^2\nz^2\nx*y*z\nw\n",
+     "wrong Hilbert function (1,3,3), need (1,4,3)"),
+    ("off_origin.ideal", "field Q\nvars x1 x2 x3 x4\nideal:\nx1 - 1\nx2\nx3\nx4\n",
+     "ideal is not primary at the origin"),
+], ids=["five-variables", "three-variables", "wrong-hf", "not-primary"])
+def test_pfaffian_refusals_keep_their_messages(capsys, tmp_path, name, text, message):
+    path = DATA / name
+    if text is not None:
+        path = tmp_path / name
+        path.write_text(text)
+    ctx, polys = parse_ideal_file(path.read_text())
+    with pytest.raises(PreconditionError) as exc:
+        salmon_turnbull_pfaffian(Ideal(ctx, polys))
+    assert str(exc.value) == message
+    code, out, err = run(capsys, "pfaffian", str(path))
+    assert code == 2 and not out
+    assert err == f"error: {message}\n"
 
 
 def test_points_ideal_command(capsys):

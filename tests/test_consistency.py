@@ -5,6 +5,8 @@ the splitting machinery must tell one consistent story."""
 import pathlib
 import random
 
+import pytest
+
 from hilbcheck.fields import GF, QQ
 from hilbcheck.fixtures import (monomial_143_ideal, random_invertible_matrix,
                                 random_points, seven_quadrics_ideal)
@@ -197,6 +199,25 @@ def test_classifier_agrees_with_split_reference():
     for I in samples:
         verdict = classify_smoothable(I)
         assert (verdict.outcome, verdict.evidence, verdict.pfaffian) == split_reference(I)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(10007)], ids=str)
+def test_classifier_agrees_with_split_reference_on_moved_witnesses(field):
+    """The same agreement on the seven-quadrics witness in 5 and 6
+    variables, which the classifier reduces to 4, as it is, under a seeded
+    GL_d change, and under a change and a seeded translation."""
+    rng = random.Random(317)
+    for d in (5, 6):
+        witness = seven_quadrics_ideal(d, field)
+        g, h = (random_invertible_matrix(rng.randint(0, 10 ** 9), d, field) for _ in range(2))
+        point = [field.from_int(rng.randint(-4, 4)) * field.inv_int(rng.randint(1, 3))
+                 for _ in range(d)]
+        for I in (witness, change_coordinates(witness, g),
+                  translate_ideal(change_coordinates(witness, h), point)):
+            verdict = classify_smoothable(I)
+            assert verdict.outcome == "NotSmoothable"
+            assert "reduced to 4 variables" in verdict.evidence
+            assert (verdict.outcome, verdict.evidence, verdict.pfaffian) == split_reference(I)
 
 
 def _classify_inputs():

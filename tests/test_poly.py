@@ -300,7 +300,7 @@ def test_substitute_matches_the_running_sum(field):
 def test_one_substitution_per_image_list_matches_per_call_substitute(monkeypatch):
     # translate_ideal and change_coordinates share one power cache over the
     # generators; each generator must come out as its own substitute would
-    from hilbcheck.artin import _translation, translate_ideal
+    from hilbcheck.artin import translate_ideal
     from hilbcheck.fixtures import random_invertible_matrix
     from hilbcheck.groebner import Ideal
     from hilbcheck.smooth import change_coordinates
@@ -323,7 +323,8 @@ def test_one_substitution_per_image_list_matches_per_call_substitute(monkeypatch
         xs = ctx.variables()
         change = [sum((xs[j].scale(g[i][j]) for j in range(ctx.d)), ctx.zero())
                   for i in range(ctx.d)]
-        for move, images in ((lambda: translate_ideal(I, a), _translation(ctx, a)),
+        shift = [x + ctx.const(ai) for x, ai in zip(xs, a)]
+        for move, images in ((lambda: translate_ideal(I, a), shift),
                              (lambda: change_coordinates(I, g), change)):
             made.clear()
             moved = move()

@@ -12,7 +12,7 @@ from hilbcheck.fixtures import (bundled_monomial_ideals, degeneration_753,
                                 random_invertible_matrix, random_points,
                                 salmon_ideal, seven_quadrics_ideal,
                                 squares_cube_ideal)
-from hilbcheck import artin, groebner, linalg, smooth
+from hilbcheck import apolarity, artin, groebner, linalg, smooth
 from hilbcheck.apolarity import perp
 from hilbcheck.artin import centroid, multiplication_operators, translate_ideal
 from hilbcheck.groebner import Ideal, buchberger, ideal_equal, points_ideal
@@ -453,9 +453,10 @@ def test_classify_splits_separated_points_with_one_charpoly(monkeypatch):
 
 
 def test_classify_builds_no_dense_matrix_in_the_quotient_model(monkeypatch):
-    # the model's operators, shifts and splits are all working operators: on
-    # eight seeded points and on the witness moved to a seeded point, artin
-    # builds no DenseMatrix; perp and the Pfaffian of the witness still do
+    # the model's operators, shifts and splits are all working operators, and
+    # the dual quadrics come from working rows: on eight seeded points and on
+    # the witness moved to a seeded point, neither artin nor apolarity builds
+    # a DenseMatrix; the Pfaffian of the witness still does
     rng = random.Random(9292)
     ctx = context(QQ, "x1 x2 x3 x4")
     points = Ideal(ctx, points_ideal(random_points(rng.randint(0, 10 ** 9)), ctx).gens)
@@ -471,8 +472,27 @@ def test_classify_builds_no_dense_matrix_in_the_quotient_model(monkeypatch):
     assert classify_smoothable(points).evidence == \
         ("colength 8", "split into colengths [1, 1, 1, 1, 1, 1, 1, 1]")
     assert classify_smoothable(local).outcome == "NotSmoothable"
-    assert "hilbcheck.artin" not in built
+    assert "hilbcheck.artin" not in built and "hilbcheck.apolarity" not in built
     assert built
+
+
+@pytest.mark.parametrize("name, reduced", [
+    ("family_t1", False), ("monomial_143", False), ("salmon", False),
+    ("seven_quadrics_d4", False), ("seven_quadrics_d5", True)])
+def test_classify_reads_the_dual_quadrics_off_the_model(monkeypatch, name, reduced):
+    # a (1,4,3) piece is decided from its model's products: no second
+    # Groebner basis of the piece and no echelon of its degree-2 part
+    calls = {"cyclic_annihilator_gb": 0, "homogeneous_component_basis": 0}
+    for module, fname in ((artin, "cyclic_annihilator_gb"), (groebner, "cyclic_annihilator_gb"),
+                          (apolarity, "homogeneous_component_basis")):
+        fn = getattr(module, fname)
+        monkeypatch.setattr(module, fname, lambda *a, fn=fn, fname=fname:
+                            calls.__setitem__(fname, calls[fname] + 1) or fn(*a))
+    ctx, polys = parse_ideal_file((DATA / f"{name}.ideal").read_text())
+    v = classify_smoothable(Ideal(ctx, polys))
+    assert v.evidence[3] == "local Hilbert function (1,4,3)"
+    assert ("reduced to 4 variables" in v.evidence) == reduced
+    assert calls == {"cyclic_annihilator_gb": 0, "homogeneous_component_basis": 0}
 
 
 def test_classify_computes_the_linear_forms_charpoly_once(monkeypatch):
