@@ -34,13 +34,15 @@ from .tangent import tangent_report
 from .verify import CASE_NAMES, run_suite
 
 
-# `colength`, `hf` and `initial` with a negative weight refuse a quotient of
-# dimension above this.  `hf` builds dense n x n multiplication operators, up
-# to about n^4 work: on a 2-core VM with the `fractions` backend, the Hilbert
-# function of <x^k, y^2> and of <x^k, y^2 - x^5 + 2x^3y> took 0.03-0.04 s at
-# n = 64 and 0.10-0.20 s at n = 100.  A negative weight normal-forms every
-# monomial below the socle degree.  Counting stops at COLENGTH_CAP + 1
-# standard monomials, so an ideal such as x^100000000 is refused at once.
+# `colength`, `hf`, `tangent`, `pfaffian` and `initial` with a negative
+# weight refuse a quotient of dimension above this.  `hf` builds dense n x n
+# multiplication operators, up to about n^4 work: on a 2-core VM with the
+# `fractions` backend, the Hilbert function of <x^k, y^2> and of
+# <x^k, y^2 - x^5 + 2x^3y> took 0.03-0.04 s at n = 64 and 0.10-0.20 s at
+# n = 100.  `tangent` and `pfaffian` build the quotient model, and a negative
+# weight normal-forms every monomial below the socle degree.  Counting stops
+# at COLENGTH_CAP + 1 standard monomials, so an ideal such as x^100000000 is
+# refused at once.
 COLENGTH_CAP = 64
 
 
@@ -67,8 +69,8 @@ def _capped_basis(ideal):
     COLENGTH_CAP."""
     G = buchberger(ideal)
     if G.colength(limit=COLENGTH_CAP + 1) > COLENGTH_CAP:
-        raise PreconditionError(f"colength > {COLENGTH_CAP}: above the cap of colength, hf "
-                                "and initial with a negative weight")
+        raise PreconditionError(f"colength > {COLENGTH_CAP}: above the cap of colength, hf, "
+                                "tangent, pfaffian and initial with a negative weight")
     return G
 
 
@@ -88,7 +90,7 @@ def cmd_hf(args):
 
 def cmd_tangent(args):
     _, ideal = _read_ideal(args.file)
-    rep = tangent_report(ideal, graded=args.graded)
+    rep = tangent_report(_capped_basis(ideal), graded=args.graded)
     if args.graded:
         payload = {"total": rep.total,
                    "graded": {str(k): v for k, v in sorted(rep.graded.items())}}
@@ -119,7 +121,7 @@ def cmd_initial(args):
 
 def cmd_pfaffian(args):
     _, ideal = _read_ideal(args.file)
-    rep = salmon_turnbull_pfaffian(ideal)
+    rep = salmon_turnbull_pfaffian(_capped_basis(ideal))
     payload = {"pfaffian": str(rep.pfaffian_block),
                "intrinsic": str(rep.pfaffian_intrinsic),
                "vanishes": rep.vanishes}

@@ -1,7 +1,7 @@
 """Exact linear algebra over the scalar fields.
 
-Everything here is exact, and four elimination loops do all of it.  One
-is the echelon; each of the other three runs an algorithm the echelon does
+Everything here is exact, and three elimination loops do all of it.  One
+is the echelon; each of the other two runs an algorithm the echelon does
 not:
 
 - `RowSpace`, the one sparse echelon, on the working coefficients of
@@ -11,31 +11,26 @@ not:
   every step), monic residues over F_p, monic elements over Q(t).  It is
   incremental, and can track each vector's coefficients over those added
   before it.
-  `rref` and `kernel_basis` read one tracked pass over the columns,
-  `determinant` one over the rows, `working_rank` one untracked pass over
-  the rows (the large, mostly zero tangent systems), and `artin` builds the
-  maximal-ideal chain in it.
-- `_bareiss`, fraction-free Gauss-Jordan elimination of integer matrices,
-  whose exact divisions keep every entry a minor of the input: the integer
-  kernels at a point that every sampled maximal minor is read from need
-  that scale, which primitive rows drop.  Each `_PointKernel` keeps one
-  table of the minors of its kernel on row subsets, filled by cofactor
-  expansion, so the screen and the interpolation share every minor they
-  both meet.
+  `rref`, `kernel_basis` and the integer point kernels (`_PointKernel`)
+  that every sampled maximal minor is read from use one tracked pass over
+  the columns, `determinant` one over the rows, `working_rank` one
+  untracked pass over the rows (the large, mostly zero tangent systems),
+  and `artin` builds the maximal-ideal chain in it.  `_echelon_det` reads
+  a determinant off a tracked pass.
 - `_pf`, fraction-free Schur steps for Pfaffians on working coefficients,
   which no echelon of a skew-symmetric matrix gives.
 - `_dvr_eliminate`, elimination over the local ring at t on integer power
   series, pivoting on an entry of least valuation rather than the first
-  nonzero one, for the t-adic valuation of the gcd of the minors of a
-  polynomial matrix.
+  nonzero one, for the t-adic valuation of the gcd of the maximal minors of
+  a polynomial matrix.
 
-Maximal minors are read off a block's core (`_peel`) by both
+Maximal minors are read off the core of a matrix (`_peel`) by both
 `minor_gcd_sample`, for its drawn minors, and `t_adic_minor_valuation`: a
 row whose one nonzero entry e lies in column c is in every nonzero maximal
 minor, with c, and such a minor is +-e times the minor without that row and
 that column, so peeling these rows one after another leaves a smaller matrix
-of lower degree.  The seeded screen and draws still read the whole blocks,
-so the drawn minors, and their gcd, do not change.
+of lower degree.  The seeded screen and draws read the whole matrix, so the
+peel changes no drawn minor and no gcd.
 
 `working_rank(field, rows)` ranks sparse rows {column: working coefficient}
 in the format of `fields`; over Q(t) it first ranks the rows at t = 7 over
@@ -293,8 +288,9 @@ def _column_relations(rows, field):
     rows of working coefficients, column c added as vector c; scaling a row
     changes no relation among the columns, so each row may carry its own
     scale.  Returns the pivot columns, those independent of the columns
-    before them, and for every other column f its unique coefficients
-    {p: c} over the pivot columns: column f is the sum of c * column p."""
+    before them, for every other column f its unique coefficients {p: c}
+    over the pivot columns (column f is the sum of c * column p), and the
+    `RowSpace`."""
     rs = RowSpace(field, track=True)
     one = field.one if field.modulus is None else 1
     pivots, relations = [], {}
@@ -304,7 +300,7 @@ def _column_relations(rows, field):
             pivots.append(c)
         else:
             relations[c] = combo
-    return pivots, relations
+    return pivots, relations, rs
 
 
 def rref(rows, field):
@@ -312,7 +308,7 @@ def rref(rows, field):
 
     Row ops keep every relation among the columns, so column f of the RREF
     holds the coefficients of column f over the pivot columns."""
-    pivots, relations = _column_relations(_working_rows(field, rows), field)
+    pivots, relations, _ = _column_relations(_working_rows(field, rows), field)
     ncols = len(rows[0]) if rows else 0
     out = [[field.zero] * ncols for _ in pivots]
     where = {p: i for i, p in enumerate(pivots)}
@@ -388,54 +384,6 @@ def mat_rank(m):
     return rank(m.field, [dict(enumerate(r)) for r in m.rows])
 
 
-def _bareiss(mat):
-    """Fraction-free (Bareiss) Gauss-Jordan elimination of an integer
-    matrix, in place.
-
-    Returns the original indices of the pivot rows, the pivot columns, and the
-    minor on them up to sign; the sign is exact when the rows are independent,
-    and that minor is then the determinant of the matrix on its pivot columns.
-
-    Each pivot clears the rows below it and above it, with the divisions of
-    forward Bareiss elimination, which stay exact: the leading rows then
-    hold d times the reduced row echelon form, where d is the last pivot,
-    d = +-(that minor).
-    """
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    order = list(range(nrows))
-    pivots = []
-    sign = prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        p = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if p is None:
-            continue
-        if p != r:
-            mat[r], mat[p] = mat[p], mat[r]
-            order[r], order[p] = order[p], order[r]
-            sign = -sign
-        piv = mat[r][c]
-        row_r = mat[r]
-        for i in chain(range(r), range(r + 1, nrows)):
-            # a row above the pivot also rescales its earlier columns
-            lo = c if i > r else 0
-            row_i = mat[i]
-            mic = row_i[c]
-            if mic:
-                for j in range(lo, ncols):
-                    row_i[j] = (row_i[j] * piv - mic * row_r[j]) // prev
-            else:
-                for j in range(lo, ncols):
-                    row_i[j] = row_i[j] * piv // prev
-        prev = piv
-        pivots.append(c)
-        r += 1
-    return order[:r], pivots, sign * prev
-
-
 def kernel_basis(m, field=None):
     """Basis of the right null space of the `DenseMatrix` m, or, with field
     given, of the rows m of working coefficients of field, each row in its
@@ -445,7 +393,7 @@ def kernel_basis(m, field=None):
     pivot columns, so it is 1 at f and 0 at every other non-pivot column."""
     if field is None:
         field, m = m.field, _working_rows(m.field, m.rows)
-    _, relations = _column_relations(m, field)
+    _, relations, _ = _column_relations(m, field)
     ncols = len(m[0]) if m else 0
     basis = []
     for f, combo in relations.items():
@@ -458,13 +406,7 @@ def kernel_basis(m, field=None):
 
 
 def determinant(m):
-    """Exact determinant from one tracked `RowSpace` pass over the rows.
-
-    Working row k is sum_i combo_k[i] * row i of m, with combo_k[i] = 0 for
-    i > k, and is zero left of its pivot.  So the working rows are a lower
-    triangular matrix times m, upper triangular on the pivot columns in
-    pivot order, and
-    det = sgn(pivot columns) * prod (pivot entry_k / combo_k[k])."""
+    """Exact determinant from one tracked `RowSpace` pass over the rows."""
     if m.nrows != m.ncols:
         raise ValueError("determinant of a non-square matrix")
     field = m.field
@@ -472,13 +414,26 @@ def determinant(m):
     for row in m.rows:
         if rs.add(row) is not None:
             return field.zero
-    num = den = 1 if field.modulus is not None else field.one
-    for k, (piv, row, combo) in enumerate(rs.working):
+    return rs._value(*_echelon_det(rs, range(m.nrows)))
+
+
+def _echelon_det(rs, added):
+    """(num, den), in working coefficients, of the determinant of the square
+    matrix whose row k is vector added[k] of the tracked `RowSpace` rs, where
+    added lists the indices of the vectors it stored, in order.
+
+    Working row k is sum_i combo_k[i] * vector added[i], with combo_k[i] = 0
+    for i > k, and is zero left of its pivot.  So the working rows are a
+    lower triangular matrix times that matrix, upper triangular on the pivot
+    columns in pivot order, and
+    det = sgn(pivot columns) * prod (pivot entry_k / combo_k[added[k]])."""
+    num = den = 1 if rs.field.modulus is not None else rs.field.one
+    for (piv, row, combo), i in zip(rs.working, added):
         num = num * row[piv]
-        den = den * combo[k]
-    det = rs._value(num, den)
-    inversions = sum(a > b for a, b in combinations(rs.pivots, 2))
-    return -det if inversions % 2 else det
+        den = den * combo[i]
+    if sum(a > b for a, b in combinations(rs.pivots, 2)) % 2:
+        num = -num
+    return num, den
 
 
 def pfaffian(m):
@@ -565,44 +520,28 @@ def _pf(a, field):
 # t-adic valuation of the gcd of maximal minors
 
 
-def t_adic_minor_valuation(m, size, cross_check=True):
-    """Valuation of gcd of all size x size minors of a Q[t]-matrix.
+def t_adic_minor_valuation(m):
+    """Valuation of the gcd of the maximal minors of a Q[t]-matrix with at
+    least as many columns as rows; None when its rank over Q(t) is below
+    the row count (the valuation is infinite).
 
-    Computed by elimination over the local ring at t (pivots of minimal
-    valuation; the answer is the sum of the pivot valuations), and optionally
-    cross-checked against a seeded sample of full minors.  Returns None when
-    the rank over Q(t) is below `size` (the valuation is infinite).
-
-    For maximal minors (size == nrows) the elimination runs on the core of
-    `_peel`: every nonzero maximal minor is +-product times a maximal minor
-    of the core, and the rank is the number of peeled rows plus the core's,
-    so the valuation is that of the product plus the core's.
+    Every nonzero maximal minor is +-product times a maximal minor of the
+    core of `_peel`, and the rank is the number of peeled rows plus the
+    core's, so the valuation is that of the product plus the core's, the
+    sum of the pivot valuations of its elimination over the local ring at t.
     """
     if m.field != QT:
         raise TypeError("t-adic valuation needs entries in Q(t)")
-    if m.nrows < size or m.ncols < size:
-        raise ValueError("matrix smaller than requested minor size")
+    if m.ncols < m.nrows:
+        raise ValueError("matrix has fewer columns than rows: no maximal minor")
     polys = _polynomial_entries(m)
-    if size == m.nrows:
-        rows, cols, product = _peel(polys, tuple(range(size)))
-        core = DenseMatrix(QT, [[m.rows[r][c] for c in cols] for r in rows])
-        if mat_rank(core) < len(rows):
-            return None
-        total = zval(product)
-        if rows:
-            total += _dvr_pivot_valuations([[polys[r][c] for c in cols] for r in rows],
-                                           len(rows))
-    elif mat_rank(m) < size:
+    rows, cols, product = _peel(polys)
+    core = DenseMatrix(QT, [[m.rows[r][c] for c in cols] for r in rows])
+    if mat_rank(core) < len(rows):
         return None
-    else:
-        total = _dvr_pivot_valuations(polys, size)
-    if cross_check:
-        g = minor_gcd_sample(m, size, count=32, seed=271828)
-        if not g:
-            raise ArithmeticError("sampled minors all vanish yet rank is full")
-        if zval(g) != total:
-            raise ArithmeticError(
-                f"valuation certificate {total} disagrees with sampled gcd t^{zval(g)}")
+    total = zval(product)
+    if rows:
+        total += _dvr_pivot_valuations([[polys[r][c] for c in cols] for r in rows])
     return total
 
 
@@ -619,10 +558,10 @@ def _polynomial_entries(m):
     return out
 
 
-def _dvr_pivot_valuations(polys, size):
+def _dvr_pivot_valuations(polys):
     prec = 48
     while True:
-        result = _dvr_eliminate(polys, size, prec)
+        result = _dvr_eliminate(polys, prec)
         if result is not None:
             return result
         prec *= 2
@@ -630,9 +569,9 @@ def _dvr_pivot_valuations(polys, size):
             raise ArithmeticError("t-adic precision exhausted")
 
 
-def _dvr_eliminate(polys, size, prec):
-    """Sum of the pivot valuations of `size` elimination steps over Z[[t]],
-    entries known mod t^p; None means precision ran out.
+def _dvr_eliminate(polys, prec):
+    """Sum of the pivot valuations of one elimination step per row over
+    Z[[t]], entries known mod t^p; None means precision ran out.
 
     Each step takes an entry t^v u of least valuation (u a unit) as pivot and
     sets row_r <- u row_r - (e / t^v) pivot_row for the entry e of row r in
@@ -646,7 +585,7 @@ def _dvr_eliminate(polys, size, prec):
     live_cols = list(range(len(rows[0])))
     total = 0
     p = prec
-    for _ in range(size):
+    for _ in range(len(rows)):
         best = None
         for r in live_rows:
             for c in live_cols:
@@ -691,40 +630,43 @@ def _series_mul(a, b, prec):
     return out
 
 
-def minor_gcd_sample(m, size, count=32, seed=271828):
-    """Gcd (primitive, in Z[t]) of a seeded sample of nonzero size x size minors.
+# The sample of `minor_gcd_sample`: the pivot minor and _SAMPLE_COUNT - 1
+# seeded draws, with this seed.
+_SAMPLE_COUNT = 32
+_SAMPLE_SEED = 271828
 
-    Every minor is read off integer eliminations at integer points t = x: a
-    fraction-free Gauss-Jordan pass gives a block's integer kernel at x, and
-    by Grassmann duality each of its maximal minors there is a complementary
-    (ncols - size)-minor of that kernel (`_PointKernel`).  The blocks are all
-    rows when size == nrows, else count - 1 seeded draws and the pivot rows
-    of one elimination at t = 3.  The screen uses the whole blocks' kernels
-    at t = 3 and t = 5: a minor is nonzero there exactly when its
-    complementary kernel minor is.  The sample is that pivot minor plus
-    count - 1 seeded draws from the pooled nonzero (rows, columns) subsets.
 
-    A drawn minor is interpolated off the block's core (`_peel`).  When a row
-    of the block has one nonzero entry e, in column c, every nonzero maximal
-    minor contains c and is +-e times the minor without that row and column;
-    peeling such rows until none is left gives a core and the product f of
-    the peeled entries, and each minor is prim(f * core minor).  The core
-    minor is interpolated, in integer arithmetic, from its values at
-    t = 0, 1, 2, ... up to the core's degree bound, read off the core's
-    kernels.  The peel changes how a drawn minor is evaluated, not which are
-    drawn: the screen and the draws stay on the whole blocks, so the sample
-    is the same, and a block with no singleton row is its own core.  Minors
-    that vanish identically are dropped.
+def minor_gcd_sample(m):
+    """Gcd (primitive, in Z[t]) of a seeded sample of nonzero maximal minors.
+
+    Every minor is read off the integer kernels at integer points t = x
+    (`_PointKernel`): by Grassmann duality each maximal minor there is a
+    complementary minor of the kernel.  The screen uses the kernels of the
+    whole matrix at t = 3 and t = 5: a minor is nonzero there exactly when
+    its complementary kernel minor is.  The sample is the minor on the pivot
+    columns at t = 3 plus _SAMPLE_COUNT - 1 draws, seeded by _SAMPLE_SEED,
+    from the pooled nonzero column subsets.
+
+    A drawn minor is interpolated off the core (`_peel`).  When a row has
+    one nonzero entry e, in column c, every nonzero maximal minor contains c
+    and is +-e times the minor without that row and column; peeling such
+    rows until none is left gives a core and the product f of the peeled
+    entries, and each minor is prim(f * core minor).  The core minor is
+    interpolated, in integer arithmetic, from its values at t = 0, 1, 2, ...
+    up to the core's degree bound, read off the core's kernels.  The peel
+    changes how a drawn minor is evaluated, not which are drawn: the screen
+    and the draws stay on the whole matrix, so the sample is the same, and a
+    matrix with no singleton row is its own core.  Minors that vanish
+    identically are dropped.
 
     Limit of the screen: a minor that vanishes at every screen point without
     vanishing identically is never drawn.
     """
-    rng = random.Random(seed)
+    rng = random.Random(_SAMPLE_SEED)
     polys = _polynomial_entries(m)
-    nrows, ncols = len(polys), len(polys[0])
-    every = tuple(range(ncols))
+    block = tuple(range(len(polys)))
+    every = tuple(range(len(polys[0])))
     kernels = {}
-    cores = {}
 
     def kernel(rows, cols, x):
         # one elimination per (rows, columns, point), shared by every minor on them
@@ -733,23 +675,17 @@ def minor_gcd_sample(m, size, count=32, seed=271828):
                 [[zeval(polys[r][c], x) for c in cols] for r in rows])
         return kernels[rows, cols, x]
 
-    blocks = {tuple(sorted(rng.sample(range(nrows), size))) for _ in range(count - 1)}
-    whole = kernel(tuple(range(nrows)), every, 3)
-    base = None
-    if len(whole.rows) >= size:
-        base = (tuple(sorted(whole.rows[:size])), tuple(sorted(whole.pivots[:size])))
-        blocks.add(base[0])
+    whole = kernel(block, every, 3)
+    base = tuple(whole.pivots) if whole.dual is not None else None
     found = set()
     for x in (3, 5):
-        for rsel in sorted(blocks):
-            found.update((rsel, csel) for csel in _nonzero_column_sets(kernel(rsel, every, x)))
+        found.update(_nonzero_column_sets(kernel(block, every, x)))
     found.discard(base)
-    picks = rng.sample(sorted(found), min(count - 1, len(found)))
+    picks = rng.sample(sorted(found), min(_SAMPLE_COUNT - 1, len(found)))
+    core = _peel(polys)
     g = ()
-    for rsel, csel in ([base] if base else []) + picks:
-        if rsel not in cores:
-            cores[rsel] = _peel(polys, rsel)
-        det = _minor_poly(polys, cores[rsel], csel, kernel)
+    for csel in ([base] if base else []) + picks:
+        det = _minor_poly(polys, core, csel, kernel)
         if det:
             g = zgcd(g, det)
             if g == (1,):
@@ -757,13 +693,13 @@ def minor_gcd_sample(m, size, count=32, seed=271828):
     return g
 
 
-def _peel(polys, rsel):
-    """The core of the block of rows rsel: (rows, columns, product).
+def _peel(polys):
+    """The core of the coefficient-list matrix polys: (rows, columns, product).
 
     Peels a row whose one nonzero entry lies in a column c, with c, until
     no row of what is left has exactly one; product is the product of the
     peeled entries."""
-    rows = list(rsel)
+    rows = list(range(len(polys)))
     cols = set(range(len(polys[0])))
     product = (1,)
     while True:
@@ -779,39 +715,42 @@ def _peel(polys, rsel):
 
 
 class _PointKernel:
-    """One fraction-free Gauss-Jordan pass over an integer matrix A.
+    """The integer kernel of an integer matrix A, from one tracked `RowSpace`
+    pass over its columns (`_column_relations`).
 
-    `rows` and `pivots` are its pivot rows and columns P.  When the rows are
-    independent, `dual[c]` is row c of the integer kernel K = d N, where d is
-    the last pivot and N the kernel basis that is the identity on the free
-    columns F; then every maximal minor of A is
+    `pivots` are its pivot columns P, each independent of the columns
+    before it.  When they are as many as the rows, `det` is det A[:, P]
+    (`_echelon_det`) and `dual[c]` is row c of the integer kernel K = D N,
+    where N is the kernel basis that is the identity on the free columns F
+    and minus their relations over P, and D is the lcm of the relations'
+    denominators (`Field.integers`); then every maximal minor of A is
 
-        det A[:, S] = sgn(P, F) sgn(S, S^c) det A[:, P] det K[S^c] / d^|F|,
+        det A[:, S] = sgn(P, F) sgn(S, S^c) det A[:, P] det K[S^c] / D^|F|,
 
-    with sgn(X, Y) the sign of the permutation listing X then Y.  `dual` is
+    with sgn(X, Y) the sign of the permutation listing X then Y.  Any
+    integer scale D of N serves: det K[S^c] = D^|F| det N[S^c].  `dual` is
     None when the rank is below the row count, and every maximal minor is 0.
     The minors of K come from one memoised table (`kernel_minor`).
     """
 
-    __slots__ = ("rows", "pivots", "det", "den", "dual", "table")
+    __slots__ = ("pivots", "det", "den", "dual", "table")
 
     def __init__(self, block):
-        mat = [row[:] for row in block]
-        self.rows, self.pivots, self.det = _bareiss(mat)
+        self.pivots, relations, rs = _column_relations(block, QQ)
         self.dual = None
-        if len(self.rows) < len(mat):
+        if len(self.pivots) < len(block):
             return
-        ncols = len(mat[0])
-        d = mat[0][self.pivots[0]]
-        pivset = set(self.pivots)
-        free = [c for c in range(ncols) if c not in pivset]
-        dual = [[0] * len(free) for _ in range(ncols)]
-        for k, f in enumerate(free):
-            dual[f][k] = d
-            for row, p in zip(mat, self.pivots):
-                dual[p][k] = -row[f]
+        num, den = _echelon_det(rs, self.pivots)
+        self.det = num // den
+        ints, scale = QQ.integers([c for combo in relations.values() for c in combo.values()])
+        ints = iter(ints)
+        dual = [[0] * len(relations) for _ in range(len(self.pivots) + len(relations))]
+        for k, (f, combo) in enumerate(relations.items()):
+            dual[f][k] = scale
+            for p in combo:
+                dual[p][k] = -next(ints)
         self.dual = dual
-        self.den = d ** len(free)
+        self.den = scale ** len(relations)
         self.table = {(): 1}
 
     def kernel_minor(self, rest):
@@ -847,7 +786,7 @@ class _PointKernel:
             num = -num
         q, rem = divmod(num, self.den)
         if rem:
-            raise ArithmeticError("complementary kernel minor is not divisible by the pivot power")
+            raise ArithmeticError("complementary kernel minor is not divisible by D^|F|")
         return q
 
 
@@ -856,7 +795,7 @@ def _nonzero_column_sets(kernel):
     maximal minor: those whose complementary minor of the kernel is nonzero."""
     dual = kernel.dual
     if dual is None:
-        return      # rank below size: every maximal minor vanishes here
+        return      # rank below the row count: every maximal minor vanishes here
     ncols, free = len(dual), len(dual[0])
     # a subset meeting a zero row of the kernel has a zero minor there
     support = [c for c in range(ncols) if any(dual[c])]
@@ -866,9 +805,9 @@ def _nonzero_column_sets(kernel):
 
 
 def _minor_poly(polys, core, csel, kernel):
-    """Minor of the coefficient-list matrix on a block's rows and columns csel,
+    """Maximal minor of the coefficient-list matrix polys on the columns csel,
     primitive in Z[t] with positive leading coefficient: prim(product * the
-    core's minor on csel without the peeled columns), for the block's core
+    core's minor on csel without the peeled columns), for its core
     (rows, columns, product) from `_peel`.  The core minor is interpolated
     from its values at t = 0, 1, 2, ... up to its degree bound;
     kernel(rows, columns, x) is the `_PointKernel` of the core at t = x."""

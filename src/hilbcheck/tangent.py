@@ -370,20 +370,27 @@ class CurveReport:
 
 def curve_multiplicity():
     """t-adic valuation of the gcd of the 24 x 24 minors of the family's
-    syzygy-constraint matrix, with a sampled-minor cross-check."""
+    syzygy-constraint matrix psi, with the gcd of psi's sampled minors as a
+    cross-check.
+
+    The family's 8 relations annihilate the quadrics (`SyzygyBasis` checks
+    each), and `linear_syzygies` gives a basis of the linear syzygies, 8 of
+    them; so when the relations have rank 8 over Q(t) they are a basis of
+    that space.  Their rank reaches min(rows, columns), so the rank at a
+    point settles it."""
     ctx = family_context()
     qs = family_quadrics()
     ours = linear_syzygies(qs, ctx)
     rels = family_syzygies()
     # each relation as its coefficient vector, keyed by (generator, monomial)
     dim = rank(QT, [{(k, m): c for k, l in enumerate(rel) for m, c in l.terms.items()}
-                    for basis in (rels, ours) for rel in basis])
+                    for rel in rels])
     if dim != 8 or len(ours) != 8:
         raise ArithmeticError("linear syzygy space of the family is not 8-dimensional")
     machine = family_machine()
     psi = machine.psi
-    val = t_adic_minor_valuation(psi, 24, cross_check=False)
-    gcd_poly = minor_gcd_sample(psi, 24, count=32, seed=271828)
+    val = t_adic_minor_valuation(psi)
+    gcd_poly = minor_gcd_sample(psi)
     sval = zval(gcd_poly) if gcd_poly else None
     at1 = family_machine(tval=1)
     return CurveReport(valuation=val, sampled_gcd=gcd_poly, sampled_valuation=sval,

@@ -264,12 +264,16 @@ BUNDLED = {
 def test_colength_and_hf_fail_fast_above_the_cap(tmp_path):
     big = tmp_path / "big.ideal"
     big.write_text("field Q\nvars x\nideal:\nx^100000000\n")
+    big4 = tmp_path / "big4.ideal"
+    big4.write_text("field Q\nvars x1 x2 x3 x4\nideal:\nx1^100000000\nx2\nx3\nx4\n")
     src = str(DATA.parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    for command in (["colength"], ["hf"], ["initial", "-w=-1"]):
+    for command, path in ((["colength"], big), (["hf"], big), (["initial", "-w=-1"], big),
+                          (["pfaffian"], big4), (["tangent"], big4),
+                          (["tangent", "--graded"], big4)):
         start = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "hilbcheck.cli", *command, str(big)],
+        proc = subprocess.run([sys.executable, "-m", "hilbcheck.cli", *command, str(path)],
                               capture_output=True, text=True, env=env, timeout=60)
         assert time.perf_counter() - start < 2.0, command
         assert proc.returncode == 2 and not proc.stdout, command

@@ -180,15 +180,15 @@ def test_mixed_domains_rejected():
 
 def test_t_adic_valuation_basics():
     one = QT.one
-    assert t_adic_minor_valuation(identity(QT, 3), 3) == 0
+    m = identity(QT, 3)
+    assert t_adic_minor_valuation(m) == zval(minor_gcd_sample(m)) == 0
     d = DenseMatrix(QT, [[t, QT.zero], [QT.zero, t ** 3]])
-    assert t_adic_minor_valuation(d, 2) == 4
-    assert t_adic_minor_valuation(d, 1) == 1
+    assert t_adic_minor_valuation(d) == zval(minor_gcd_sample(d)) == 4
     # rank defect: the distinct infinite outcome
     z = DenseMatrix(QT, [[t, t], [t ** 2, t ** 2]])
-    assert t_adic_minor_valuation(z, 2, cross_check=False) is None
+    assert t_adic_minor_valuation(z) is None
     with pytest.raises(ValueError):
-        t_adic_minor_valuation(DenseMatrix(QT, [[one]]), 2)
+        t_adic_minor_valuation(DenseMatrix(QT, [[one], [one]]))
 
 
 def test_t_adic_valuation_invariances():
@@ -196,31 +196,34 @@ def test_t_adic_valuation_invariances():
             [t ** 3, t ** 4 + t, t],
             [QT.zero, t ** 2, t ** 5]]
     m = DenseMatrix(QT, rows)
-    base = t_adic_minor_valuation(m, 3, cross_check=False)
+    base = t_adic_minor_valuation(m)
     perm = DenseMatrix(QT, [rows[2], rows[0], rows[1]])
-    assert t_adic_minor_valuation(perm, 3, cross_check=False) == base
+    assert t_adic_minor_valuation(perm) == base
     cols = DenseMatrix(QT, [[r[1], r[2], r[0]] for r in rows])
-    assert t_adic_minor_valuation(cols, 3, cross_check=False) == base
+    assert t_adic_minor_valuation(cols) == base
     unit = QT.from_int(-7)
     scaled = DenseMatrix(QT, [[x * unit for x in rows[0]]] + rows[1:])
-    assert t_adic_minor_valuation(scaled, 3, cross_check=False) == base
+    assert t_adic_minor_valuation(scaled) == base
 
 
-def test_t_adic_cross_check_agrees():
+def test_t_adic_cross_check_agrees(monkeypatch):
     rows = [[t, t ** 2, QT.one],
             [t ** 3, t ** 4 + t, t],
             [QT.zero, t ** 2, t ** 5]]
     m = DenseMatrix(QT, rows)
-    val = t_adic_minor_valuation(m, 3)   # internal sampled-minor cross-check on
-    g = minor_gcd_sample(m, 3, count=4)
+    val = t_adic_minor_valuation(m)
+    assert zval(minor_gcd_sample(m)) == val
+    monkeypatch.setattr(linalg, "_SAMPLE_COUNT", 4)
+    g = minor_gcd_sample(m)
     assert zval(g) == val
 
 
-def test_minor_gcd_sample_matches_direct_determinant():
+def test_minor_gcd_sample_matches_direct_determinant(monkeypatch):
     # oracle: the interpolated 2x2 minor against direct Q(t) arithmetic
     rows = [[t + QT.one, t ** 2], [t ** 3, t ** 4 + t]]
     m = DenseMatrix(QT, rows)
-    g = minor_gcd_sample(m, 2, count=4)
+    monkeypatch.setattr(linalg, "_SAMPLE_COUNT", 4)
+    g = minor_gcd_sample(m)
     direct = (t + QT.one) * (t ** 4 + t) - t ** 2 * t ** 3
     assert direct == t ** 4 + t ** 2 + t
     assert g == (0, 1, 1, 0, 1)
@@ -270,7 +273,7 @@ def test_maximal_minors_vanish_with_complementary_kernel_minors():
         cols = [c0, c1, c2, [t * x + y for x, y in zip(c0, c1)],
                 [t ** 2 * z for z in c2], [poly() for _ in range(3)]]
         m = DenseMatrix(QT, [[col[i] for col in cols] for i in range(3)])
-        if t_adic_minor_valuation(m, 3, cross_check=False) is not None:
+        if t_adic_minor_valuation(m) is not None:
             qt_cases.append(m)
     seen = set()
     for m in qq_cases + qt_cases:
@@ -280,7 +283,7 @@ def test_maximal_minors_vanish_with_complementary_kernel_minors():
     assert seen == {True, False}
 
 
-def test_minor_gcd_sample_finds_sparse_support():
+def test_minor_gcd_sample_finds_sparse_support(monkeypatch):
     # 2 nonzero maximal minors among C(24, 3) = 2024: t^5 (1 + t) and t^5 (1 - t)
     z = QT.zero
     rows = [[z] * 24 for _ in range(3)]
@@ -295,17 +298,20 @@ def test_minor_gcd_sample_finds_sparse_support():
         if minor:
             full = zgcd(full, minor.num)
     assert full == (0, 0, 0, 0, 0, 1)
-    assert minor_gcd_sample(m, 3, count=2) == full
-    assert t_adic_minor_valuation(m, 3) == 5
+    assert t_adic_minor_valuation(m) == zval(minor_gcd_sample(m)) == 5
+    monkeypatch.setattr(linalg, "_SAMPLE_COUNT", 2)
+    assert minor_gcd_sample(m) == full
 
 
-def test_minor_gcd_sample_is_seeded():
+def test_minor_gcd_sample_is_seeded(monkeypatch):
     rng = random.Random(31)
     m = DenseMatrix(QT, [[sum((QT.from_int(rng.randint(-2, 2)) * t ** e for e in range(3)),
-                              QT.zero) for _ in range(7)] for _ in range(4)])
+                              QT.zero) for _ in range(7)] for _ in range(3)])
+    monkeypatch.setattr(linalg, "_SAMPLE_COUNT", 5)
     for seed in (1, 2):
-        first = minor_gcd_sample(m, 3, count=5, seed=seed)
-        assert first and minor_gcd_sample(m, 3, count=5, seed=seed) == first
+        monkeypatch.setattr(linalg, "_SAMPLE_SEED", seed)
+        first = minor_gcd_sample(m)
+        assert first and minor_gcd_sample(m) == first
 
 
 def _integer_at(rows, x):
@@ -362,7 +368,7 @@ def test_point_kernel_minors_of_psi():
         assert bool(det) == (cols in nonzero)
 
 
-def test_minor_gcd_sample_with_every_minor_drawn_is_the_full_gcd():
+def test_minor_gcd_sample_with_every_minor_drawn_is_the_full_gcd(monkeypatch):
     rng = random.Random(59)
 
     def poly():
@@ -378,32 +384,33 @@ def test_minor_gcd_sample_with_every_minor_drawn_is_the_full_gcd():
             if minor:
                 full = zgcd(full, minor.num)
         assert full
-        assert minor_gcd_sample(DenseMatrix(QT, rows), nrows, count=total + 1) == full
+        monkeypatch.setattr(linalg, "_SAMPLE_COUNT", total + 1)
+        assert minor_gcd_sample(DenseMatrix(QT, rows)) == full
 
 
 def test_minor_gcd_sample_eliminates_each_block_once_per_point(monkeypatch):
-    # psi has one block (all 24 rows), screened whole at t = 3 and 5; its
-    # drawn minors are read off its 10 x 14 core at t = 0..16.  Every kernel
-    # minor comes from the kernel's memoised table: no elimination of 4 rows
-    # or fewer, and no table entry computed twice (3,008 of them)
+    # psi is screened whole (all 24 rows) at t = 3 and 5; its drawn minors
+    # are read off its 10 x 14 core at t = 0..16.  Every kernel minor comes
+    # from the kernel's memoised table: no elimination of 4 rows or fewer,
+    # and no table entry computed twice (3,127 of them)
     eliminated, entries = [], []
-    bareiss, kernel_minor = linalg._bareiss, _PointKernel.kernel_minor
+    init, kernel_minor = _PointKernel.__init__, _PointKernel.kernel_minor
 
-    def counted_bareiss(mat, *args, **kwargs):
-        eliminated.append(tuple(map(tuple, mat)))
-        return bareiss(mat, *args, **kwargs)
+    def counted_init(self, block):
+        eliminated.append(tuple(map(tuple, block)))
+        init(self, block)
 
     def counted_kernel_minor(self, rest):
         if rest not in self.table:
             entries.append((id(self), rest))
         return kernel_minor(self, rest)
 
-    monkeypatch.setattr(linalg, "_bareiss", counted_bareiss)
+    monkeypatch.setattr(_PointKernel, "__init__", counted_init)
     monkeypatch.setattr(_PointKernel, "kernel_minor", counted_kernel_minor)
-    assert minor_gcd_sample(family_machine().psi, 24) == (0,) * 16 + (1,)
+    assert minor_gcd_sample(family_machine().psi) == (0,) * 16 + (1,)
     assert len(eliminated) == len(set(eliminated))
     assert sorted(len(m) for m in eliminated) == [10] * 17 + [24] * 2
-    assert len(set(entries)) == len(entries) <= 3008
+    assert len(set(entries)) == len(entries) == 3127
 
 
 def _scalar(rng, p, big=False):
@@ -583,16 +590,24 @@ def test_t_adic_valuation_is_that_of_the_gcd_of_all_minors():
         elif kind == "dependent":
             rows[-1] = [x * t + y for x, y in zip(rows[0], rows[1])]
         for size in range(1, min(nrows, ncols) + 1):
-            g = ()
+            # the size x size minors are the maximal minors of the blocks of
+            # size rows, so their valuation is the least of the blocks'
+            g, valuations = (), []
             for rsel in combinations(range(nrows), size):
+                block = [rows[r] for r in rsel]
+                h = ()
                 for csel in combinations(range(ncols), size):
-                    minor = determinant(DenseMatrix(QT, [[rows[r][c] for c in csel]
-                                                         for r in rsel]))
+                    minor = determinant(DenseMatrix(QT, [[row[c] for c in csel]
+                                                         for row in block]))
                     assert minor.den == (1,)
-                    g = zgcd(g, minor.num)
+                    h = zgcd(h, minor.num)
+                got = t_adic_minor_valuation(DenseMatrix(QT, block))
+                assert got == (zval(h) if h else None), (rows, rsel)
+                if got is not None:
+                    valuations.append(got)
+                g = zgcd(g, h)
             expected = zval(g) if g else None
-            got = t_adic_minor_valuation(DenseMatrix(QT, rows), size, cross_check=False)
-            assert got == expected, (rows, size)
+            assert min(valuations, default=None) == expected, (rows, size)
             seen.add(expected if expected is None else expected > 0)
     assert seen == {None, True, False}
 
@@ -603,13 +618,13 @@ def test_t_adic_valuation_doubles_the_precision(monkeypatch):
     precs = []
     eliminate = linalg._dvr_eliminate
 
-    def counted(polys, size, prec):
+    def counted(polys, prec):
         precs.append(prec)
-        return eliminate(polys, size, prec)
+        return eliminate(polys, prec)
 
     monkeypatch.setattr(linalg, "_dvr_eliminate", counted)
     d = DenseMatrix(QT, [[t ** 25, t ** 25], [QT.one, QT.from_int(2)]])
-    assert t_adic_minor_valuation(d, 2) == 25
+    assert t_adic_minor_valuation(d) == 25
     assert precs == [48, 96]
 
 

@@ -9,10 +9,12 @@ Schur-complement recursion that divided by the pivot at every entry.  Both
 sides must return the same field elements; the echelons' rows differ, but
 span the same space.  `working_rank` over Q and F_p once ran a loop of its
 own on dict rows, `_sparse_rank`, kept here as the reference of the rank.
-`minor_gcd_sample` reads each drawn minor off its block's peeled core and
-each kernel minor off a memoised cofactor table; the reference reads it off
-the whole block, with one Bareiss pass per kernel minor, and both must draw
-the same minors and return the same gcd.  `t_adic_minor_valuation`
+`minor_gcd_sample` reads each drawn minor off the peeled core, its point
+kernels off a tracked `RowSpace` pass and each kernel minor off a memoised
+cofactor table; the reference reads it off the whole matrix, with the
+fraction-free (Bareiss) Gauss-Jordan pass that once built the point kernels
+and one such pass per kernel minor, and both must draw the same minors and
+return the same gcd.  `t_adic_minor_valuation`
 eliminates the peeled core of a block and `working_rank` over Q(t) first
 ranks the rows at a point; the references eliminate the whole matrix and
 rank it exactly.  Over Q `RowSpace` divides out the content of a vector
@@ -26,7 +28,7 @@ same rows, combinations, remainders, quotients and reduced bases.
 
 import pathlib
 import random
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd
 from operator import sub
 
@@ -38,7 +40,7 @@ from hilbcheck.fixtures import (monomial_143_ideal, random_invertible_matrix,
                                 seven_quadrics_ideal, squares_cube_ideal, weight753_ideal)
 from hilbcheck.groebner import (Ideal, _divide, _division_record, _subtract,
                                 _working_terms, buchberger)
-from hilbcheck.linalg import (DenseMatrix, RowSpace, _bareiss, _dvr_pivot_valuations,
+from hilbcheck.linalg import (DenseMatrix, RowSpace, _PointKernel, _dvr_pivot_valuations,
                               _interpolate_scaled, _peel, _polynomial_entries, determinant,
                               kernel_basis, minor_gcd_sample, pfaffian, rref,
                               t_adic_minor_valuation)
@@ -572,18 +574,68 @@ def test_pfaffian_agrees_with_the_field_element_recursion(field):
     assert values == {True, False}
 
 
+def reference_bareiss(mat):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of an integer
+    matrix, in place, as `linalg` ran it before the point kernels were read
+    off `RowSpace`.
+
+    Returns the original indices of the pivot rows, the pivot columns, and the
+    minor on them up to sign; the sign is exact when the rows are independent,
+    and that minor is then the determinant of the matrix on its pivot columns.
+
+    Each pivot clears the rows below it and above it, with the divisions of
+    forward Bareiss elimination, which stay exact: the leading rows then
+    hold d times the reduced row echelon form, where d is the last pivot,
+    d = +-(that minor).
+    """
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    order = list(range(nrows))
+    pivots = []
+    sign = prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        p = next((i for i in range(r, nrows) if mat[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            mat[r], mat[p] = mat[p], mat[r]
+            order[r], order[p] = order[p], order[r]
+            sign = -sign
+        piv = mat[r][c]
+        row_r = mat[r]
+        for i in chain(range(r), range(r + 1, nrows)):
+            # a row above the pivot also rescales its earlier columns
+            lo = c if i > r else 0
+            row_i = mat[i]
+            mic = row_i[c]
+            if mic:
+                for j in range(lo, ncols):
+                    row_i[j] = (row_i[j] * piv - mic * row_r[j]) // prev
+            else:
+                for j in range(lo, ncols):
+                    row_i[j] = row_i[j] * piv // prev
+        prev = piv
+        pivots.append(c)
+        r += 1
+    return order[:r], pivots, sign * prev
+
+
 def reference_det_int(a):
-    rows, _, det = _bareiss(a)
+    rows, _, det = reference_bareiss(a)
     return det if len(rows) == len(a) else 0
 
 
 class ReferencePointKernel:
-    """The kernel of `linalg._PointKernel` with one Bareiss pass per kernel
-    minor, as `minor` read it before the memoised table."""
+    """The kernel of `linalg._PointKernel` from a Bareiss pass, K = d N with
+    d the last pivot, with one Bareiss pass per kernel minor, as `minor`
+    read it before the memoised table."""
 
     def __init__(self, block):
         mat = [row[:] for row in block]
-        self.rows, self.pivots, self.det = _bareiss(mat)
+        self.rows, self.pivots, self.det = reference_bareiss(mat)
         self.dual = None
         if len(self.rows) < len(mat):
             return
@@ -612,6 +664,63 @@ class ReferencePointKernel:
         return q
 
 
+def _integer_block(rng):
+    """A seeded integer matrix with at least as many columns as rows: sparse
+    columns, at times a zero column, a column that combines two before it,
+    or a row that combines two others."""
+    nrows = rng.randint(1, 4)
+    cols = []
+    for _ in range(rng.randint(nrows, nrows + 3)):
+        kind = rng.random()
+        if kind < 0.15:
+            cols.append([0] * nrows)
+        elif kind < 0.35 and len(cols) >= 2:
+            a, b = rng.sample(cols, 2)
+            u, v = rng.choice((-2, 1, 3)), rng.choice((-1, 2, 5))
+            cols.append([u * x + v * y for x, y in zip(a, b)])
+        else:
+            cols.append([rng.randint(-6, 6) if rng.random() < 0.6 else 0
+                         for _ in range(nrows)])
+    block = [list(row) for row in zip(*cols)]
+    if nrows >= 3 and rng.random() < 0.2:
+        block[-1] = [2 * x - 3 * y for x, y in zip(block[0], block[1])]
+    return block
+
+
+def test_point_kernel_off_the_row_space_matches_the_bareiss_kernel():
+    # the pivot columns, det A[:, P] and every maximal minor of `_PointKernel`
+    # against the Bareiss pass and determinants; the seeded blocks include
+    # echelon pivots out of order, where the inversion sign flips det A[:, P],
+    # and kernels whose scale D is not the pivot of Bareiss
+    rng = random.Random(2501)
+    seen = set()
+    for _ in range(200):
+        block = _integer_block(rng)
+        nrows, ncols = len(block), len(block[0])
+        kernel = _PointKernel(block)
+        ref = ReferencePointKernel(block)
+        assert kernel.pivots == ref.pivots, block
+        full = len(ref.rows) == nrows
+        assert (kernel.dual is None) == (not full), block
+        for csel in combinations(range(ncols), nrows):
+            minor = reference_det_int([[row[c] for c in csel] for row in block])
+            assert kernel.minor(csel) == minor, (block, csel)
+            seen.add(("nonzero minor", bool(minor)))
+        seen.add(("rank below the rows", not full))
+        seen.add(("zero column", not all(map(any, zip(*block)))))
+        if full:
+            assert kernel.det == ref.det == reference_det_int(
+                [[row[c] for c in kernel.pivots] for row in block]), block
+            echelon = linalg._column_relations(block, QQ)[2].pivots
+            seen.add(("echelon pivots out of order", echelon != sorted(echelon)))
+            seen.add(("scale is not the pivot",
+                      kernel.den != kernel.det ** (ncols - nrows)))
+    assert {("nonzero minor", True), ("nonzero minor", False),
+            ("rank below the rows", True), ("rank below the rows", False),
+            ("zero column", True), ("echelon pivots out of order", True),
+            ("echelon pivots out of order", False), ("scale is not the pivot", True)} <= seen
+
+
 def reference_nonzero_column_sets(kernel):
     dual = kernel.dual
     if dual is None:
@@ -623,41 +732,35 @@ def reference_nonzero_column_sets(kernel):
             yield tuple(c for c in range(ncols) if c not in rest)
 
 
-def reference_minor_gcd_sample(m, size, count=32, seed=271828):
+def reference_minor_gcd_sample(m):
     """`minor_gcd_sample` before the peel and the minor table: every drawn
-    minor interpolated off eliminations of its whole block, at t = 0 up to
-    the block's degree bound, and every kernel minor a Bareiss pass."""
-    rng = random.Random(seed)
+    minor interpolated off eliminations of the whole matrix, at t = 0 up to
+    its degree bound, and every kernel minor a Bareiss pass.  It reads the
+    count and seed of the sample from `linalg`."""
+    rng = random.Random(linalg._SAMPLE_SEED)
+    count = linalg._SAMPLE_COUNT
     polys = _polynomial_entries(m)
-    values = {}
     kernels = {}
 
-    def kernel(rsel, x):
-        # one elimination per (block, point), shared by every minor on the block
-        if (rsel, x) not in kernels:
-            if x not in values:
-                values[x] = [[zeval(coeffs, x) for coeffs in prow] for prow in polys]
-            vals = values[x]
-            kernels[rsel, x] = ReferencePointKernel([vals[r] for r in rsel])
-        return kernels[rsel, x]
+    def kernel(x):
+        # one elimination per point, shared by every minor
+        if x not in kernels:
+            kernels[x] = ReferencePointKernel([[zeval(coeffs, x) for coeffs in prow]
+                                               for prow in polys])
+        return kernels[x]
 
-    nrows = len(polys)
-    blocks = {tuple(sorted(rng.sample(range(nrows), size))) for _ in range(count - 1)}
-    whole = kernel(tuple(range(nrows)), 3)
+    whole = kernel(3)
     base = None
-    if len(whole.rows) >= size:
-        base = (tuple(sorted(whole.rows[:size])), tuple(sorted(whole.pivots[:size])))
-        blocks.add(base[0])
+    if len(whole.rows) == len(polys):
+        base = tuple(sorted(whole.pivots))
     found = set()
     for x in (3, 5):
-        for rsel in sorted(blocks):
-            found.update((rsel, csel)
-                         for csel in reference_nonzero_column_sets(kernel(rsel, x)))
+        found.update(reference_nonzero_column_sets(kernel(x)))
     found.discard(base)
     picks = rng.sample(sorted(found), min(count - 1, len(found)))
     g = ()
-    for rsel, csel in ([base] if base else []) + picks:
-        det = reference_minor_poly(polys, rsel, csel, kernel)
+    for csel in ([base] if base else []) + picks:
+        det = reference_minor_poly(polys, csel, kernel)
         if det:
             g = zgcd(g, det)
             if g == (1,):
@@ -665,10 +768,10 @@ def reference_minor_gcd_sample(m, size, count=32, seed=271828):
     return g
 
 
-def reference_minor_poly(polys, rsel, csel, kernel):
-    row_deg = sum(max(len(polys[r][c]) for c in csel) - 1 for r in rsel)
-    col_deg = sum(max(len(polys[r][c]) for r in rsel) - 1 for c in csel)
-    ys = [kernel(rsel, x).minor(csel) for x in range(min(row_deg, col_deg) + 1)]
+def reference_minor_poly(polys, csel, kernel):
+    row_deg = sum(max(len(row[c]) for c in csel) - 1 for row in polys)
+    col_deg = sum(max(len(row[c]) for row in polys) - 1 for c in csel)
+    ys = [kernel(x).minor(csel) for x in range(min(row_deg, col_deg) + 1)]
     ints = ztrim(_interpolate_scaled(ys))
     if not ints:
         return ()
@@ -692,9 +795,9 @@ def _poly_entry(rng):
 
 
 def _sparse_qt_case(rng):
-    """(rows, size, count) of a sparse Q(t) matrix: a chain of rows whose
-    peels make the next one a singleton, singleton rows, denser rows, and at
-    times a zero row, with the rows shuffled."""
+    """(rows, count) of a sparse Q(t) matrix: a chain of rows whose peels
+    make the next one a singleton, singleton rows, denser rows, and at times
+    a zero row, with the rows shuffled."""
     nrows = rng.randint(2, 7)
     ncols = nrows + rng.randint(0, 3)
     rows = [[QT.zero] * ncols for _ in range(nrows)]
@@ -712,33 +815,31 @@ def _sparse_qt_case(rng):
     if rng.random() < 0.15:
         rows[rng.randrange(nrows)] = [QT.zero] * ncols
     rng.shuffle(rows)
-    size = rng.randint(1, nrows) if rng.random() < 0.4 else nrows
     # count at times above the number of nonzero minors, which caps the draws
     count = rng.choice((2, 4, 32, 200))
-    return rows, size, count
+    return rows, count
 
 
-def test_minor_gcd_sample_off_the_peeled_core_matches_the_whole_blocks():
+def test_minor_gcd_sample_off_the_peeled_core_matches_the_whole_blocks(monkeypatch):
     rng = random.Random(2301)
     seen = set()
     for _ in range(120):
-        rows, size, count = _sparse_qt_case(rng)
+        rows, count = _sparse_qt_case(rng)
         m = DenseMatrix(QT, rows)
-        seed = rng.randrange(10 ** 6)
-        got = minor_gcd_sample(m, size, count=count, seed=seed)
-        assert got == reference_minor_gcd_sample(m, size, count=count, seed=seed), (rows, size)
+        monkeypatch.setattr(linalg, "_SAMPLE_COUNT", count)
+        monkeypatch.setattr(linalg, "_SAMPLE_SEED", rng.randrange(10 ** 6))
+        got = minor_gcd_sample(m)
+        assert got == reference_minor_gcd_sample(m), rows
         polys = _polynomial_entries(m)
-        block = tuple(range(len(rows)))
-        core_rows, _, product = _peel(polys, block)
+        core_rows, _, product = _peel(polys)
         singletons = sum(sum(map(bool, row)) == 1 for row in polys)
         seen.add(("peels that make a singleton", len(rows) - len(core_rows) > singletons))
         seen.add(("fully peeled", not core_rows))
         seen.add(("zero row", not all(map(any, polys))))
-        seen.add(("partial block", size < len(rows)))
         seen.add(("gcd", len(got)))
         seen.update(("vanishes at", x) for x in (0, 3, 5) if zeval(product, x) == 0)
     assert {("peels that make a singleton", True), ("fully peeled", True),
-            ("partial block", True), ("zero row", True),
+            ("zero row", True),
             ("vanishes at", 0), ("vanishes at", 3), ("vanishes at", 5),
             ("gcd", 0), ("gcd", 1), ("gcd", 2)} <= seen
 
@@ -748,58 +849,55 @@ def test_minor_gcd_sample_reads_psis_drawn_minors_off_its_core(monkeypatch):
     drawn = {"core": [], "whole": []}
 
     def recorded(name, minor_poly):
-        def wrapper(polys, block, csel, kernel):
-            det = minor_poly(polys, block, csel, kernel)
-            drawn[name].append((csel, det))
+        def wrapper(*args):
+            det = minor_poly(*args)
+            drawn[name].append((args[-2], det))     # (csel, det)
             return det
         return wrapper
 
     monkeypatch.setattr(linalg, "_minor_poly", recorded("core", linalg._minor_poly))
     monkeypatch.setitem(globals(), "reference_minor_poly",
                         recorded("whole", reference_minor_poly))
-    got = minor_gcd_sample(psi, 24, count=32, seed=271828)
-    assert got == reference_minor_gcd_sample(psi, 24, count=32, seed=271828)
+    got = minor_gcd_sample(psi)
+    assert got == reference_minor_gcd_sample(psi)
     assert got == (0,) * 16 + (1,)
     assert len(drawn["core"]) == 32 and drawn["core"] == drawn["whole"]
-    core_rows, core_cols, product = _peel(_polynomial_entries(psi), tuple(range(24)))
+    core_rows, core_cols, product = _peel(_polynomial_entries(psi))
     assert (len(core_rows), len(core_cols)) == (10, 14) and product in {(0,) * 6 + (1,),
                                                                       (0,) * 6 + (-1,)}
 
 
-def reference_t_adic_minor_valuation(m, size):
+def reference_t_adic_minor_valuation(m):
     """The valuation before the peel: the exact rank over Q(t) by the field
     element echelon, then the local elimination of the whole matrix."""
     rs = ReferenceRowSpace(QT)
     for row in m.rows:
         rs.add(row)
-    if rs.dim < size:
+    if rs.dim < m.nrows:
         return None
-    return _dvr_pivot_valuations(_polynomial_entries(m), size)
+    return _dvr_pivot_valuations(_polynomial_entries(m))
 
 
 def test_t_adic_valuation_off_the_peeled_core_matches_the_whole_matrix():
     rng = random.Random(2401)
     seen = set()
     for _ in range(120):
-        rows, size, _ = _sparse_qt_case(rng)
+        rows, _ = _sparse_qt_case(rng)
         m = DenseMatrix(QT, rows)
-        got = t_adic_minor_valuation(m, size, cross_check=False)
-        assert got == reference_t_adic_minor_valuation(m, size), (rows, size)
+        got = t_adic_minor_valuation(m)
+        assert got == reference_t_adic_minor_valuation(m), rows
         polys = _polynomial_entries(m)
         seen.add(("zero row", not all(map(any, polys))))
         seen.add(("valuation", got if got is None else got > 0))
-        if size < len(rows):
-            seen.add("partial block")
-            continue
-        core_rows, _, product = _peel(polys, tuple(range(len(rows))))
+        core_rows, _, product = _peel(polys)
         seen.add(("fully peeled", not core_rows))
         seen.add(("product vanishes at 0", zeval(product, 0) == 0))
-    assert {"partial block", ("fully peeled", True), ("fully peeled", False),
+    assert {("fully peeled", True), ("fully peeled", False),
             ("zero row", True), ("product vanishes at 0", True),
             ("valuation", None), ("valuation", True), ("valuation", False)} <= seen
     psi = family_machine().psi
-    assert t_adic_minor_valuation(psi, 24, cross_check=False) == 16
-    assert reference_t_adic_minor_valuation(psi, 24) == 16
+    assert t_adic_minor_valuation(psi) == 16
+    assert reference_t_adic_minor_valuation(psi) == 16
 
 
 def _qt_entry(rng):

@@ -325,10 +325,10 @@ def test_graded_pieces_sum_to_total_under_coordinate_change(field):
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
 def test_mat_rank_runs_no_dense_elimination(monkeypatch, field):
     # the tangent ranks come from the sparse echelon on working integers: no
-    # Bareiss pass and no row of field elements (RowSpace.add) inside the
+    # point kernel and no row of field elements (RowSpace.add) inside the
     # linalg.working_rank call that tangent makes
     inside, calls, dense = [False], [], []
-    rank, bareiss, add = linalg.working_rank, linalg._bareiss, RowSpace.add
+    rank, init, add = linalg.working_rank, linalg._PointKernel.__init__, RowSpace.add
 
     def counted_rank(field, rows):
         calls.append(len(rows))
@@ -338,10 +338,10 @@ def test_mat_rank_runs_no_dense_elimination(monkeypatch, field):
         finally:
             inside[0] = False
 
-    def counted_bareiss(mat, *args, **kwargs):
+    def counted_init(self, block):
         if inside[0]:
-            dense.append("_bareiss")
-        return bareiss(mat, *args, **kwargs)
+            dense.append("_PointKernel")
+        init(self, block)
 
     def counted_add(self, vec):
         if inside[0]:
@@ -349,7 +349,7 @@ def test_mat_rank_runs_no_dense_elimination(monkeypatch, field):
         return add(self, vec)
 
     monkeypatch.setattr(tangent, "working_rank", counted_rank)
-    monkeypatch.setattr(linalg, "_bareiss", counted_bareiss)
+    monkeypatch.setattr(linalg._PointKernel, "__init__", counted_init)
     monkeypatch.setattr(RowSpace, "add", counted_add)
     assert tangent_dimension(seven_quadrics_ideal(5, field)) == 33
     assert calls and not dense
@@ -454,19 +454,20 @@ def test_curve_multiplicity_sixteen():
 def test_curve_multiplicity_eliminates_psi_whole_only_to_screen(monkeypatch):
     # psi is eliminated whole only at the screen points t = 3 and 5, and every
     # drawn minor is read off its peeled core.  Q(t) runs no gcd against a
-    # constant, so the request makes 145 gcds, not 567.
+    # constant and the relations are ranked at a point, so the request makes
+    # 46 gcds, not 567.
     whole, gcds = [], []
-    bareiss, zgcd = linalg._bareiss, upoly.zgcd
+    init, zgcd = linalg._PointKernel.__init__, upoly.zgcd
 
-    def counted_bareiss(mat, *args, **kwargs):
-        whole.append(len(mat) == 24)
-        return bareiss(mat, *args, **kwargs)
+    def counted_init(self, block):
+        whole.append(len(block) == 24)
+        init(self, block)
 
     def counted_zgcd(a, b):
         gcds.append(1)
         return zgcd(a, b)
 
-    monkeypatch.setattr(linalg, "_bareiss", counted_bareiss)
+    monkeypatch.setattr(linalg._PointKernel, "__init__", counted_init)
     monkeypatch.setattr(linalg, "zgcd", counted_zgcd)
     monkeypatch.setattr(upoly, "zgcd", counted_zgcd)
     assert curve_multiplicity().sampled_valuation == 16
@@ -482,7 +483,7 @@ def test_curve_degenerate_quadric_gives_infinite_valuation():
         for c in range(24, 28):
             r[c] = QT.zero
     z = DenseMatrix(QT, rows)
-    assert t_adic_minor_valuation(z, 24, cross_check=False) is None
+    assert t_adic_minor_valuation(z) is None
 
 
 def test_family_machine_evaluates_det_hbar_only_on_request(monkeypatch):
