@@ -655,10 +655,10 @@ def rational_roots(coeffs_desc, field):
     f = ztrim(ints[::-1])
     for pnum, qden in [(r, 1) for r in _roots_mod(f, p)] if p else _lifted_roots(zprim(f)):
         while len(ints) > 1:
-            value = _eval_homogeneous(ints, pnum, qden)
-            if value % p if p else value:
+            quotient = _deflate_linear(ints, pnum, qden, p)
+            if quotient is None:
                 break
-            ints = [c % p if p else c for c in _deflate_linear(ints, pnum, qden)]
+            ints = [c % p for c in quotient] if p else quotient
             root = field.element(pnum, qden)
             roots[root] = roots.get(root, 0) + 1
     return roots
@@ -751,26 +751,21 @@ def _powmod_mod(b, e, f, p):
     return _divmod_mod(zmul(square, b) if e & 1 else square, f, p)[1]
 
 
-def _eval_homogeneous(ints, pnum, qden):
-    """q^n f(P/q) for the descending integer coefficients of f."""
-    acc = 0
-    qpow = 1
-    for c in ints:
-        acc = acc * pnum + c * qpow
-        qpow *= qden
-    return acc
-
-
-def _deflate_linear(ints, pnum, qden):
-    """f / (q x - P) by exact synthetic division."""
+def _deflate_linear(ints, pnum, qden, p):
+    """f / (q x - P) for the descending integer coefficients ints of f, by
+    synthetic division, or None when q x - P does not divide f: over Z,
+    where gcd(P, q) = 1 and q > 0, so by Gauss's lemma it divides f exactly
+    when P/q is a root, and then every step divides exactly; over F_p,
+    where q = 1 and only the last value, f(P), is reduced mod p."""
     out = []
     acc = 0
     for c in ints[:-1]:
         acc, r = divmod(c + pnum * acc, qden)
         if r:
-            raise ArithmeticError("inexact deflation")
+            return None
         out.append(acc)
-    return out
+    last = ints[-1] + pnum * acc
+    return None if (last % p if p else last) else out
 
 
 def enumerate_local_hfs(d, n):

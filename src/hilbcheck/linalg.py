@@ -1,8 +1,7 @@
 """Exact linear algebra over the scalar fields.
 
-Everything here is exact, and three elimination loops do all of it.  One
-is the echelon; each of the other two runs an algorithm the echelon does
-not:
+Everything here is exact, and two elimination loops do all of it: the
+echelon, and one for the algorithm it does not run.
 
 - `RowSpace`, the one sparse echelon, on the working coefficients of
   `fields`: rows are dicts of their nonzero entries, primitive integers over
@@ -14,15 +13,18 @@ not:
   `rref`, `kernel_basis` and the integer point kernels (`_PointKernel`)
   that every sampled maximal minor is read from use one tracked pass over
   the columns, `determinant` one over the rows, `working_rank` one
-  untracked pass over the rows (the large, mostly zero tangent systems),
-  and `artin` builds the maximal-ideal chain in it.  `_echelon_det` reads
-  a determinant off a tracked pass.
+  untracked pass over the rows (the large, mostly zero tangent systems,
+  and the t-adic valuation below), and `artin` builds the maximal-ideal
+  chain in it.  `_echelon_det` reads a determinant off a tracked pass.
 - `_pf`, fraction-free Schur steps for Pfaffians on working coefficients,
   which no echelon of a skew-symmetric matrix gives.
-- `_dvr_eliminate`, elimination over the local ring at t on integer power
-  series, pivoting on an entry of least valuation rather than the first
-  nonzero one, for the t-adic valuation of the gcd of the maximal minors of
-  a polynomial matrix.
+
+The t-adic valuation of the gcd of the maximal minors of a polynomial
+matrix is a length: that of its cokernel over the local ring at t, mod a
+power t^n of t beyond the degree bound of its rows.  The image mod t^n is
+spanned over Q by the columns times 1, t, ..., t^(n-1), so one untracked
+`RowSpace` pass over Q ranks it, and the same pass decides the rank of the
+matrix (`t_adic_minor_valuation`).
 
 Maximal minors are read off the core of a matrix (`_peel`) by both
 `minor_gcd_sample`, for its drawn minors, and `t_adic_minor_valuation`: a
@@ -43,7 +45,7 @@ coefficients of `artin`'s operators.
 """
 
 import random
-from itertools import chain, combinations
+from itertools import combinations
 from math import factorial, gcd, lcm
 
 from .fields import QQ, QT
@@ -527,8 +529,23 @@ def t_adic_minor_valuation(m):
 
     Every nonzero maximal minor is +-product times a maximal minor of the
     core of `_peel`, and the rank is the number of peeled rows plus the
-    core's, so the valuation is that of the product plus the core's, the
-    sum of the pivot valuations of its elimination over the local ring at t.
+    core's, so the valuation is that of the product plus the core's.
+
+    The core's is a length (Eisenbud, Commutative Algebra, 20.2).  Over
+    the local ring R = Q[t]_(t), a principal ideal domain, the cokernel of
+    the r x c core A is the sum of the R/(t^a_i), t^a_i its invariant
+    factors, a_i infinite once per missing rank, and the valuation of its
+    r x r minors' gcd (the Fitting ideal) is sum a_i.  Mod t^n that
+    cokernel is the sum of the R/(t^min(a_i, n)), of length
+    L = sum min(a_i, n) over Q, and the image of A in (R/t^n)^r is the
+    Q-span of t^l times column j mod t^n for l < n.  So L is r n minus the
+    rank over Q of those c n integer vectors, whose entry (i, k) is the
+    coefficient of t^k in row i of t^l column j, read off one untracked
+    `RowSpace` pass (`working_rank`).  With n = D + 1, D the sum over the
+    rows of their largest entry degree: at full rank sum a_i is at most the
+    valuation of any nonzero maximal minor, at most its degree, at most D,
+    so every a_i < n and L = sum a_i <= D; below full rank some
+    min(a_i, n) = n, so L >= n > D, and the same pass decides the rank.
     """
     if m.field != QT:
         raise TypeError("t-adic valuation needs entries in Q(t)")
@@ -536,13 +553,16 @@ def t_adic_minor_valuation(m):
         raise ValueError("matrix has fewer columns than rows: no maximal minor")
     polys = _polynomial_entries(m)
     rows, cols, product = _peel(polys)
-    core = DenseMatrix(QT, [[m.rows[r][c] for c in cols] for r in rows])
-    if mat_rank(core) < len(rows):
-        return None
-    total = zval(product)
-    if rows:
-        total += _dvr_pivot_valuations([[polys[r][c] for c in cols] for r in rows])
-    return total
+    # n = D + 1, a zero row counted as of degree 0
+    n = sum(max(1, *(len(polys[r][c]) for c in cols)) - 1 for r in rows) + 1
+    vectors = []
+    for c in cols:
+        # (coordinate, degree, coefficient) of each nonzero term of column c
+        terms = [(i * n + k, k, a) for i, r in enumerate(rows)
+                 for k, a in enumerate(polys[r][c]) if a]
+        vectors += [{j + l: a for j, k, a in terms if k + l < n} for l in range(n)]
+    length = len(rows) * n - working_rank(QQ, vectors)
+    return None if length >= n else zval(product) + length
 
 
 def _polynomial_entries(m):
@@ -555,78 +575,6 @@ def _polynomial_entries(m):
             raise ValueError("entry is not a polynomial in t")
         den = lcm(*(x.den[0] for x in row))
         out.append([[c * (den // x.den[0]) for c in x.num] for x in row])
-    return out
-
-
-def _dvr_pivot_valuations(polys):
-    prec = 48
-    while True:
-        result = _dvr_eliminate(polys, prec)
-        if result is not None:
-            return result
-        prec *= 2
-        if prec > 4096:
-            raise ArithmeticError("t-adic precision exhausted")
-
-
-def _dvr_eliminate(polys, prec):
-    """Sum of the pivot valuations of one elimination step per row over
-    Z[[t]], entries known mod t^p; None means precision ran out.
-
-    Each step takes an entry t^v u of least valuation (u a unit) as pivot and
-    sets row_r <- u row_r - (e / t^v) pivot_row for the entry e of row r in
-    the pivot column, known mod t^(p - v), then divides row_r by its integer
-    content.  That is u times the field step row_r - (e / t^v) u^-1
-    pivot_row, up to a constant, and a unit or a constant changes no
-    valuation, so pivots and valuations are those of the field step.
-    """
-    rows = [[list(coeffs[:prec]) for coeffs in prow] for prow in polys]
-    live_rows = list(range(len(rows)))
-    live_cols = list(range(len(rows[0])))
-    total = 0
-    p = prec
-    for _ in range(len(rows)):
-        best = None
-        for r in live_rows:
-            for c in live_cols:
-                v = zval(rows[r][c][:p])
-                if v is not None and (best is None or v < best[0]):
-                    best = (v, r, c)
-        if best is None or best[0] * 2 + 8 > p:
-            return None
-        v, pr, pc = best
-        total += v
-        newp = p - v
-        unit = rows[pr][pc][v:p]
-        pivrow = {c: rows[pr][c][:p] for c in live_cols}
-        for r in live_rows:
-            if r == pr:
-                continue
-            e = rows[r][pc][:p]
-            if zval(e) is None:
-                continue
-            f = e[v:]
-            row = rows[r]
-            for c in live_cols:
-                row[c] = [a - b for a, b in zip(_series_mul(unit, row[c], newp),
-                                                _series_mul(f, pivrow[c], newp))]
-            content = gcd(*chain.from_iterable(row[c] for c in live_cols))
-            if content > 1:
-                for c in live_cols:
-                    row[c] = [x // content for x in row[c]]
-        live_rows.remove(pr)
-        live_cols.remove(pc)
-        p = newp
-    return total
-
-
-def _series_mul(a, b, prec):
-    out = [0] * prec
-    for i, ca in enumerate(a[:prec]):
-        if ca:
-            for j, cb in enumerate(b[:prec - i]):
-                if cb:
-                    out[i + j] += ca * cb
     return out
 
 

@@ -541,6 +541,20 @@ def test_rational_roots_are_complete():
     assert rational_roots([GF(10007).one, GF(10007).zero], GF(10007)) == {GF(10007).zero: 1}
 
 
+def test_deflation_by_a_candidate_root_is_exact_or_none():
+    # 2x^2 - 3x + 1 = (2x - 1)(x - 1)
+    assert artin._deflate_linear([2, -3, 1], 1, 2, 0) == [1, -1]
+    assert artin._deflate_linear([2, -3, 1], 1, 1, 0) == [2, -1]
+    assert artin._deflate_linear([2, -3, 1], 3, 2, 0) is None
+    # 3x - 1: the first step 3 / 2 is inexact, though floor division would
+    # leave a zero remainder
+    assert artin._deflate_linear([3, -1], 1, 2, 0) is None
+    # x^2 - 2 over F_7: 3 is a root, 2 is not; the quotient is not reduced
+    assert artin._deflate_linear([1, 0, -2], 3, 1, 7) == [1, 3]
+    assert artin._deflate_linear([1, 0, -2], 2, 1, 7) is None
+    assert artin._deflate_linear([1, 0, 5], 10, 1, 7) == [1, 10]
+
+
 def test_split_by_distinct_first_coordinates_multiplies_no_matrices(monkeypatch):
     # the only operator products are those of the check that the given
     # reduced basis has commuting operators

@@ -9,6 +9,9 @@ field with Q.
 A monomial order is read through its coordinates (`MonomialOrder.key`,
 `monomial`, `divisor_bound`, `within`): no module but `poly` reads its kind,
 weight or tiebreak.
+
+Every module-level import of a module but `__init__`, which re-exports, is
+used in it.
 """
 
 import ast
@@ -88,3 +91,35 @@ def test_order_scan_sees_each_violation():
               "        return order.weight, order.tiebreak\n"
               "    return order.key(m), order.within\n")
     assert order_violations(source) == [(2, ".kind"), (3, ".tiebreak"), (3, ".weight")]
+
+
+def unused_imports(source):
+    """(line, name) of each name a module-level import binds that the module
+    source never reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound.append((node.lineno, name))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for line, name in bound if name not in read)
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")
+                                          if p.stem != "__init__"))
+def test_every_import_is_used(module):
+    assert unused_imports((SRC / f"{module}.py").read_text()) == []
+
+
+def test_import_scan_sees_each_unused_name():
+    source = ("import random\n"
+              "import os.path\n"
+              "from itertools import chain, combinations\n"
+              "from .upoly import zgcd as gcd_of, zval\n"
+              "\n"
+              "def f(rows):\n"
+              "    import math\n"
+              "    return combinations(rows, 2), zval(rows), os.sep\n")
+    assert unused_imports(source) == [(1, "random"), (3, "chain"), (4, "gcd_of")]

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -184,6 +185,9 @@ def test_t_adic_valuation_basics():
     assert t_adic_minor_valuation(m) == zval(minor_gcd_sample(m)) == 0
     d = DenseMatrix(QT, [[t, QT.zero], [QT.zero, t ** 3]])
     assert t_adic_minor_valuation(d) == zval(minor_gcd_sample(d)) == 4
+    # neither row has a single nonzero entry, so nothing is peeled
+    d = DenseMatrix(QT, [[t ** 25, t ** 25], [one, QT.from_int(2)]])
+    assert t_adic_minor_valuation(d) == zval(minor_gcd_sample(d)) == 25
     # rank defect: the distinct infinite outcome
     z = DenseMatrix(QT, [[t, t], [t ** 2, t ** 2]])
     assert t_adic_minor_valuation(z) is None
@@ -612,20 +616,17 @@ def test_t_adic_valuation_is_that_of_the_gcd_of_all_minors():
     assert seen == {None, True, False}
 
 
-def test_t_adic_valuation_doubles_the_precision(monkeypatch):
-    # the second pivot t^25 needs 2 * 25 + 8 > 48 terms: the first pass gives
-    # up.  Neither row has a single nonzero entry, so nothing is peeled
-    precs = []
-    eliminate = linalg._dvr_eliminate
-
-    def counted(polys, prec):
-        precs.append(prec)
-        return eliminate(polys, prec)
-
-    monkeypatch.setattr(linalg, "_dvr_eliminate", counted)
-    d = DenseMatrix(QT, [[t ** 25, t ** 25], [QT.one, QT.from_int(2)]])
-    assert t_adic_minor_valuation(d) == 25
-    assert precs == [48, 96]
+def test_t_adic_valuation_has_no_precision_cap():
+    # the valuation is a length mod t^(D + 1), D = 3000 the degree bound of
+    # the rows: no precision to run out of
+    d = DenseMatrix(QT, [[t ** 3000, t ** 3000], [QT.one, QT.from_int(2)]])
+    start = time.perf_counter()
+    assert t_adic_minor_valuation(d) == 3000
+    assert time.perf_counter() - start < 2
+    # a core with no singleton row whose rows are dependent over Q(t), not
+    # over Q: the length reaches D + 1
+    rows = [[QT.one + t, t ** 2, QT.one], [t + t ** 2, t ** 3, t]]
+    assert t_adic_minor_valuation(DenseMatrix(QT, rows)) is None
 
 
 def _rank_entry(rng, field):

@@ -14,16 +14,20 @@ kernels off a tracked `RowSpace` pass and each kernel minor off a memoised
 cofactor table; the reference reads it off the whole matrix, with the
 fraction-free (Bareiss) Gauss-Jordan pass that once built the point kernels
 and one such pass per kernel minor, and both must draw the same minors and
-return the same gcd.  `t_adic_minor_valuation`
-eliminates the peeled core of a block and `working_rank` over Q(t) first
-ranks the rows at a point; the references eliminate the whole matrix and
-rank it exactly.  Over Q `RowSpace` divides out the content of a vector
-and its combination when it enters, after its entries have grown by
-`_CONTENT_BITS` bits and before its row is stored, and
-`groebner._divide` finds a term's first divisor in a table that divisions
-by the same, growing records share; the references divide out the content
-at every step and scan the records for every term, and both must give the
-same rows, combinations, remainders, quotients and reduced bases.
+return the same gcd.  `t_adic_minor_valuation` reads the valuation of the
+peeled core of a block off one untracked `RowSpace` pass over Q, as the
+length of a cokernel mod t^n, which decides the rank too; its reference
+ranks the whole matrix exactly over Q(t) and eliminates it over the local
+ring at t on integer power series, pivoting on an entry of least valuation,
+the loop `linalg` once ran for this number.  `working_rank` over Q(t) first
+ranks the rows at a point; its reference ranks them exactly.  Over Q
+`RowSpace` divides out the content of a vector and its combination when it
+enters, after its entries have grown by `_CONTENT_BITS` bits and before its
+row is stored, and `groebner._divide` finds a term's first divisor in a
+table that divisions by the same, growing records share; the references
+divide out the content at every step and scan the records for every term,
+and both must give the same rows, combinations, remainders, quotients and
+reduced bases.
 """
 
 import pathlib
@@ -40,16 +44,15 @@ from hilbcheck.fixtures import (monomial_143_ideal, random_invertible_matrix,
                                 seven_quadrics_ideal, squares_cube_ideal, weight753_ideal)
 from hilbcheck.groebner import (Ideal, _divide, _division_record, _subtract,
                                 _working_terms, buchberger)
-from hilbcheck.linalg import (DenseMatrix, RowSpace, _PointKernel, _dvr_pivot_valuations,
-                              _interpolate_scaled, _peel, _polynomial_entries, determinant,
-                              kernel_basis, minor_gcd_sample, pfaffian, rref,
-                              t_adic_minor_valuation)
+from hilbcheck.linalg import (DenseMatrix, RowSpace, _PointKernel, _interpolate_scaled, _peel,
+                              _polynomial_entries, determinant, kernel_basis, minor_gcd_sample,
+                              pfaffian, rref, t_adic_minor_valuation)
 from hilbcheck.poly import (GREVLEX, LEX, Polynomial, context, parse_ideal_file,
                             parse_polynomial, weight_order)
 from hilbcheck.scalars import rat
 from hilbcheck.smooth import change_coordinates
 from hilbcheck.tangent import family_context, family_machine, family_quadrics
-from hilbcheck.upoly import RATFUNC_T as t, RatFunc, zeval, zgcd, zprim, ztrim
+from hilbcheck.upoly import RATFUNC_T as t, RatFunc, zeval, zgcd, zprim, ztrim, zval
 
 
 class ReferenceRowSpace:
@@ -868,14 +871,83 @@ def test_minor_gcd_sample_reads_psis_drawn_minors_off_its_core(monkeypatch):
 
 
 def reference_t_adic_minor_valuation(m):
-    """The valuation before the peel: the exact rank over Q(t) by the field
-    element echelon, then the local elimination of the whole matrix."""
+    """The valuation before the peel and the cokernel length: the exact
+    rank over Q(t) by the field element echelon, then the elimination of
+    the whole matrix over the local ring at t on integer power series,
+    doubling the precision until it suffices."""
     rs = ReferenceRowSpace(QT)
     for row in m.rows:
         rs.add(row)
     if rs.dim < m.nrows:
         return None
-    return _dvr_pivot_valuations(_polynomial_entries(m))
+    polys = _polynomial_entries(m)
+    prec = 48
+    while True:
+        total = reference_dvr_eliminate(polys, prec)
+        if total is not None:
+            return total
+        prec *= 2
+
+
+def reference_dvr_eliminate(polys, prec):
+    """Sum of the pivot valuations of one elimination step per row over
+    Z[[t]], entries known mod t^p; None means precision ran out.
+
+    Each step takes an entry t^v u of least valuation (u a unit) as pivot and
+    sets row_r <- u row_r - (e / t^v) pivot_row for the entry e of row r in
+    the pivot column, known mod t^(p - v), then divides row_r by its integer
+    content.  That is u times the field step row_r - (e / t^v) u^-1
+    pivot_row, up to a constant, and a unit or a constant changes no
+    valuation, so pivots and valuations are those of the field step.
+    """
+    rows = [[list(coeffs[:prec]) for coeffs in prow] for prow in polys]
+    live_rows = list(range(len(rows)))
+    live_cols = list(range(len(rows[0])))
+    total = 0
+    p = prec
+    for _ in range(len(rows)):
+        best = None
+        for r in live_rows:
+            for c in live_cols:
+                v = zval(rows[r][c][:p])
+                if v is not None and (best is None or v < best[0]):
+                    best = (v, r, c)
+        if best is None or best[0] * 2 + 8 > p:
+            return None
+        v, pr, pc = best
+        total += v
+        newp = p - v
+        unit = rows[pr][pc][v:p]
+        pivrow = {c: rows[pr][c][:p] for c in live_cols}
+        for r in live_rows:
+            if r == pr:
+                continue
+            e = rows[r][pc][:p]
+            if zval(e) is None:
+                continue
+            f = e[v:]
+            row = rows[r]
+            for c in live_cols:
+                row[c] = [a - b for a, b in zip(_series_mul(unit, row[c], newp),
+                                                _series_mul(f, pivrow[c], newp))]
+            content = gcd(*chain.from_iterable(row[c] for c in live_cols))
+            if content > 1:
+                for c in live_cols:
+                    row[c] = [x // content for x in row[c]]
+        live_rows.remove(pr)
+        live_cols.remove(pc)
+        p = newp
+    return total
+
+
+def _series_mul(a, b, prec):
+    out = [0] * prec
+    for i, ca in enumerate(a[:prec]):
+        if ca:
+            for j, cb in enumerate(b[:prec - i]):
+                if cb:
+                    out[i + j] += ca * cb
+    return out
 
 
 def test_t_adic_valuation_off_the_peeled_core_matches_the_whole_matrix():
