@@ -117,7 +117,6 @@ def inverse_system(gens):
     if not ctx.dual:
         raise PreconditionError("inverse system generators must be dual elements")
     field = ctx.field
-    spaces = {}
     work = []
     for g in gens:
         if not g:

@@ -142,7 +142,7 @@ class LocalAlgebraModel:
         """
         field = self.ctx.field
         p = field.modulus
-        n, d = self.n, self.ctx.d
+        n = self.n
         zero, one = (field.zero, field.one) if p is None else (0, 1)
         # the columns of each variable operator X as dicts: X w is the sum of
         # w[k] times column k over the entries of a row w

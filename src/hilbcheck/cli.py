@@ -149,6 +149,8 @@ def cmd_points_ideal(args):
     else:
         if args.d is None:
             raise HilbcheckError("points-ideal needs -d or --ctx")
+        if args.d < 1:
+            raise ParseError(f"-d must be at least 1, got {args.d}")
         try:
             if args.field in ("Q", "Qt"):
                 field = field_from_tag(args.field)

@@ -11,8 +11,8 @@ echelon, and one for the algorithm it does not run.
   incremental, and can track each vector's coefficients over those added
   before it.
   `rref`, `kernel_basis` and the integer point kernels (`_PointKernel`)
-  that every sampled maximal minor is read from use one tracked pass over
-  the columns, `determinant` one over the rows, `working_rank` one
+  that the sample screens and reads its minors from use one tracked pass
+  over the columns, `determinant` one over the rows, `working_rank` one
   untracked pass over the rows (the large, mostly zero tangent systems,
   and the t-adic valuation below), and `artin` builds the maximal-ideal
   chain in it.  `_echelon_det` reads a determinant off a tracked pass.
@@ -27,12 +27,15 @@ spanned over Q by the columns times 1, t, ..., t^(n-1), so one untracked
 matrix (`t_adic_minor_valuation`).
 
 Maximal minors are read off the core of a matrix (`_peel`) by both
-`minor_gcd_sample`, for its drawn minors, and `t_adic_minor_valuation`: a
-row whose one nonzero entry e lies in column c is in every nonzero maximal
-minor, with c, and such a minor is +-e times the minor without that row and
-that column, so peeling these rows one after another leaves a smaller matrix
-of lower degree.  The seeded screen and draws read the whole matrix, so the
-peel changes no drawn minor and no gcd.
+`minor_gcd_sample`, for its screen and its drawn minors, and
+`t_adic_minor_valuation`: a row whose one nonzero entry e lies in column c
+is in every nonzero maximal minor, with c, and such a minor is +-e times
+the minor without that row and that column, so peeling these rows one
+after another leaves a smaller matrix of lower degree.  Where the product
+of the peeled entries does not vanish, the nonzero maximal minors are those
+on the peeled columns and a nonzero minor of the core, and they sort as the
+core's do, so the screen and draws on the core pick the minors that a
+screen of the whole matrix picks, and the gcd is the same.
 
 `working_rank(field, rows)` ranks sparse rows {column: working coefficient}
 in the format of `fields`; over Q(t) it first ranks the rows at t = 7 over
@@ -551,17 +554,15 @@ def t_adic_minor_valuation(m):
         raise TypeError("t-adic valuation needs entries in Q(t)")
     if m.ncols < m.nrows:
         raise ValueError("matrix has fewer columns than rows: no maximal minor")
-    polys = _polynomial_entries(m)
-    rows, cols, product = _peel(polys)
+    core, product = _peel(_polynomial_entries(m))
     # n = D + 1, a zero row counted as of degree 0
-    n = sum(max(1, *(len(polys[r][c]) for c in cols)) - 1 for r in rows) + 1
+    n = sum(max(1, *map(len, row)) - 1 for row in core) + 1
     vectors = []
-    for c in cols:
-        # (coordinate, degree, coefficient) of each nonzero term of column c
-        terms = [(i * n + k, k, a) for i, r in enumerate(rows)
-                 for k, a in enumerate(polys[r][c]) if a]
+    for column in zip(*core):
+        # (coordinate, degree, coefficient) of each nonzero term of the column
+        terms = [(i * n + k, k, a) for i, e in enumerate(column) for k, a in enumerate(e) if a]
         vectors += [{j + l: a for j, k, a in terms if k + l < n} for l in range(n)]
-    length = len(rows) * n - working_rank(QQ, vectors)
+    length = len(core) * n - working_rank(QQ, vectors)
     return None if length >= n else zval(product) + length
 
 
@@ -587,53 +588,51 @@ _SAMPLE_SEED = 271828
 def minor_gcd_sample(m):
     """Gcd (primitive, in Z[t]) of a seeded sample of nonzero maximal minors.
 
-    Every minor is read off the integer kernels at integer points t = x
-    (`_PointKernel`): by Grassmann duality each maximal minor there is a
-    complementary minor of the kernel.  The screen uses the kernels of the
-    whole matrix at t = 3 and t = 5: a minor is nonzero there exactly when
-    its complementary kernel minor is.  The sample is the minor on the pivot
-    columns at t = 3 plus _SAMPLE_COUNT - 1 draws, seeded by _SAMPLE_SEED,
-    from the pooled nonzero column subsets.
+    Everything is read off the core of m and the product f of its peeled
+    entries (`_peel`): the maximal minor of m on the peeled columns P and
+    core columns S is +-f times the core's on S, and every other one is 0.
+    So where f(x) != 0 the nonzero maximal minors of m at t = x are those
+    on P joined to the core's nonzero ones, and where f(x) = 0 there are none.
 
-    A drawn minor is interpolated off the core (`_peel`).  When a row has
-    one nonzero entry e, in column c, every nonzero maximal minor contains c
-    and is +-e times the minor without that row and column; peeling such
-    rows until none is left gives a core and the product f of the peeled
-    entries, and each minor is prim(f * core minor).  The core minor is
-    interpolated, in integer arithmetic, from its values at t = 0, 1, 2, ...
-    up to the core's degree bound, read off the core's kernels.  The peel
-    changes how a drawn minor is evaluated, not which are drawn: the screen
-    and the draws stay on the whole matrix, so the sample is the same, and a
-    matrix with no singleton row is its own core.  Minors that vanish
-    identically are dropped.
+    A core minor at an integer point t = x is a complementary minor of the
+    core's integer kernel there (`_PointKernel`, by Grassmann duality), and
+    nonzero exactly when that is.  The screen pools the core's nonzero
+    column sets at t = 3 and t = 5, each where f does not vanish; the sample
+    is the minor on the core's pivot columns at t = 3, unless f(3) = 0, plus
+    _SAMPLE_COUNT - 1 draws, seeded by _SAMPLE_SEED, from the sorted pool.
+    These are the minors a screen of m itself draws: two sorted sets of
+    equal size compare by the least element of their symmetric difference,
+    which joining P does not change, and the greedy pivot columns of m are P
+    joined to the core's.  A drawn minor is prim(f * core minor), the core
+    minor interpolated in integer arithmetic from its values at
+    t = 0, 1, 2, ... up to its degree bound, each off the one kernel at its
+    point.  Minors that vanish identically are dropped.
 
     Limit of the screen: a minor that vanishes at every screen point without
     vanishing identically is never drawn.
     """
     rng = random.Random(_SAMPLE_SEED)
-    polys = _polynomial_entries(m)
-    block = tuple(range(len(polys)))
-    every = tuple(range(len(polys[0])))
+    core, product = _peel(_polynomial_entries(m))
     kernels = {}
 
-    def kernel(rows, cols, x):
-        # one elimination per (rows, columns, point), shared by every minor on them
-        if (rows, cols, x) not in kernels:
-            kernels[rows, cols, x] = _PointKernel(
-                [[zeval(polys[r][c], x) for c in cols] for r in rows])
-        return kernels[rows, cols, x]
+    def kernel(x):
+        # one elimination of the core per point, shared by the screen and every minor
+        if x not in kernels:
+            kernels[x] = _PointKernel([[zeval(e, x) for e in row] for row in core])
+        return kernels[x]
 
-    whole = kernel(block, every, 3)
-    base = tuple(whole.pivots) if whole.dual is not None else None
+    screened = [x for x in (3, 5) if zeval(product, x)]
+    base = None
+    if 3 in screened and kernel(3).dual is not None:
+        base = tuple(kernel(3).pivots)
     found = set()
-    for x in (3, 5):
-        found.update(_nonzero_column_sets(kernel(block, every, x)))
+    for x in screened:
+        found.update(_nonzero_column_sets(kernel(x)))
     found.discard(base)
     picks = rng.sample(sorted(found), min(_SAMPLE_COUNT - 1, len(found)))
-    core = _peel(polys)
     g = ()
-    for csel in ([base] if base else []) + picks:
-        det = _minor_poly(polys, core, csel, kernel)
+    for csel in ([] if base is None else [base]) + picks:
+        det = _minor_poly(core, product, csel, kernel)
         if det:
             g = zgcd(g, det)
             if g == (1,):
@@ -642,11 +641,11 @@ def minor_gcd_sample(m):
 
 
 def _peel(polys):
-    """The core of the coefficient-list matrix polys: (rows, columns, product).
+    """The core of the coefficient-list matrix polys, as a coefficient-list
+    matrix, and the product of the peeled entries.
 
     Peels a row whose one nonzero entry lies in a column c, with c, until
-    no row of what is left has exactly one; product is the product of the
-    peeled entries."""
+    no row of what is left has exactly one."""
     rows = list(range(len(polys)))
     cols = set(range(len(polys[0])))
     product = (1,)
@@ -656,7 +655,8 @@ def _peel(polys):
             if len(support) == 1:
                 break
         else:
-            return tuple(rows), tuple(sorted(cols)), product
+            cols = sorted(cols)
+            return [[polys[r][c] for c in cols] for r in rows], product
         rows.remove(r)
         cols.remove(support[0])
         product = zmul(product, polys[r][support[0]])
@@ -744,30 +744,24 @@ def _nonzero_column_sets(kernel):
     dual = kernel.dual
     if dual is None:
         return      # rank below the row count: every maximal minor vanishes here
-    ncols, free = len(dual), len(dual[0])
+    ncols = len(dual)
     # a subset meeting a zero row of the kernel has a zero minor there
     support = [c for c in range(ncols) if any(dual[c])]
-    for rest in combinations(support, free):
+    for rest in combinations(support, ncols - len(kernel.pivots)):
         if kernel.kernel_minor(rest):
             yield tuple(c for c in range(ncols) if c not in rest)
 
 
-def _minor_poly(polys, core, csel, kernel):
-    """Maximal minor of the coefficient-list matrix polys on the columns csel,
-    primitive in Z[t] with positive leading coefficient: prim(product * the
-    core's minor on csel without the peeled columns), for its core
-    (rows, columns, product) from `_peel`.  The core minor is interpolated
-    from its values at t = 0, 1, 2, ... up to its degree bound;
-    kernel(rows, columns, x) is the `_PointKernel` of the core at t = x."""
-    rows, cols, product = core
-    chosen = set(csel)
-    sub = tuple(k for k, c in enumerate(cols) if c in chosen)
-    if len(sub) != len(rows):
-        return ()       # csel misses a peeled column, whose row is then zero
-    if rows:
-        row_deg = sum(max(len(polys[r][cols[k]]) for k in sub) - 1 for r in rows)
-        col_deg = sum(max(len(polys[r][cols[k]]) for r in rows) - 1 for k in sub)
-        ys = [kernel(rows, cols, x).minor(sub) for x in range(min(row_deg, col_deg) + 1)]
+def _minor_poly(core, product, csel, kernel):
+    """Maximal minor on the core columns csel of a matrix with this core and
+    product of peeled entries (`_peel`), primitive in Z[t] with positive
+    leading coefficient: prim(product * the core's minor on csel).  The core
+    minor is interpolated from its values at t = 0, 1, 2, ... up to its
+    degree bound; kernel(x) is the `_PointKernel` of the core at t = x."""
+    if core:
+        row_deg = sum(max(len(row[k]) for k in csel) - 1 for row in core)
+        col_deg = sum(max(len(row[k]) for row in core) - 1 for k in csel)
+        ys = [kernel(x).minor(csel) for x in range(min(row_deg, col_deg) + 1)]
         minor = ztrim(_interpolate_scaled(ys))
     else:
         minor = (1,)    # every row peeled: the empty determinant

@@ -378,16 +378,13 @@ def curve_multiplicity():
     them; so when the relations have rank 8 over Q(t) they are a basis of
     that space.  Their rank reaches min(rows, columns), so the rank at a
     point settles it."""
-    ctx = family_context()
-    qs = family_quadrics()
-    ours = linear_syzygies(qs, ctx)
-    rels = family_syzygies()
+    machine = family_machine()
+    ours = linear_syzygies(machine.quadrics, family_context())
     # each relation as its coefficient vector, keyed by (generator, monomial)
     dim = rank(QT, [{(k, m): c for k, l in enumerate(rel) for m, c in l.terms.items()}
-                    for rel in rels])
+                    for rel in machine.relations])
     if dim != 8 or len(ours) != 8:
         raise ArithmeticError("linear syzygy space of the family is not 8-dimensional")
-    machine = family_machine()
     psi = machine.psi
     val = t_adic_minor_valuation(psi)
     gcd_poly = minor_gcd_sample(psi)

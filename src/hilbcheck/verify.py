@@ -39,13 +39,11 @@ class CaseResult:
 
 
 def _case_tangent_8d_minus_7(seed):
-    values = []
     for field in (QQ, GF(5), GF(7)):
         for d in (4, 5, 6):
             td = tangent_dimension(fx.seven_quadrics_ideal(d, field))
             if td != 8 * d - 7:
                 return "FAIL", f"d={d} over {field}: {td}", "expected 8d-7"
-            values.append(td)
     return "PASS", "25/33/41", "over Q, F_5, F_7"
 
 

@@ -113,6 +113,13 @@ def test_points_ideal_bad_field_is_a_parse_error(capsys, tag, reason):
     assert err.startswith(f"parse error: bad --field {tag!r}") and reason in err
 
 
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_points_ideal_needs_a_positive_dimension(capsys, d):
+    code, out, err = run(capsys, "points-ideal", str(DATA / "points8.pts"), "-d", d)
+    assert code == 2 and not out
+    assert err == f"parse error: -d must be at least 1, got {d}\n"
+
+
 def test_census_command(capsys):
     code, out, _ = run(capsys, "census", "-d", "2", "-n", "4")
     assert code == 0

@@ -11,7 +11,7 @@ A monomial order is read through its coordinates (`MonomialOrder.key`,
 weight or tiebreak.
 
 Every module-level import of a module but `__init__`, which re-exports, is
-used in it.
+used in it, and every local a function assigns is read.
 """
 
 import ast
@@ -123,3 +123,68 @@ def test_import_scan_sees_each_unused_name():
               "    import math\n"
               "    return combinations(rows, 2), zval(rows), os.sep\n")
     assert unused_imports(source) == [(1, "random"), (3, "chain"), (4, "gcd_of")]
+
+
+def unused_locals(source):
+    """(line, name) of each name a function assigns in its own scope and
+    never reads there or in a function nested in it.  The placeholder `_`,
+    loop targets, comprehension variables, names declared global or nonlocal
+    and whatever a class body assigns are exempt."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    out = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, functions):
+            continue
+        assigned, exempt, read = {}, {"_"}, set()
+        stack = list(ast.iter_child_nodes(func))
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (*functions, ast.ClassDef)):
+                # their own scopes: only what they read counts here
+                read.update(n.id for n in ast.walk(node)
+                            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+                continue
+            if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+                exempt.update(n.id for n in ast.walk(node.target) if isinstance(n, ast.Name))
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                exempt.update(node.names)
+            elif isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node.ctx, ast.Store):
+                    assigned[node.id] = min(node.lineno, assigned.get(node.id, node.lineno))
+            stack.extend(ast.iter_child_nodes(node))
+        out += [(line, name) for name, line in assigned.items()
+                if name not in read and name not in exempt]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_every_local_is_read(module):
+    assert unused_locals((SRC / f"{module}.py").read_text()) == []
+
+
+def test_local_scan_sees_each_unread_name():
+    source = ("def f(rows, n):\n"
+              "    total, spare = 0, []\n"
+              "    seen = {}\n"
+              "    for i, row in enumerate(rows):\n"
+              "        total += len(row)\n"
+              "    size = len([x for x in rows if x])\n"
+              "    def g():\n"
+              "        unused = 1\n"
+              "        return seen\n"
+              "    class C:\n"
+              "        attr = 2\n"
+              "    while (k := n):\n"
+              "        n -= 1\n"
+              "    _, rest = rows\n"
+              "    return g, C\n"
+              "\n"
+              "def h():\n"
+              "    global cache\n"
+              "    cache = 3\n"
+              "    last = None\n"
+              "    return lambda: last\n")
+    assert unused_locals(source) == [(2, "spare"), (2, "total"), (6, "size"), (8, "unused"),
+                                     (12, "k"), (14, "rest")]

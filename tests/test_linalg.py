@@ -393,10 +393,11 @@ def test_minor_gcd_sample_with_every_minor_drawn_is_the_full_gcd(monkeypatch):
 
 
 def test_minor_gcd_sample_eliminates_each_block_once_per_point(monkeypatch):
-    # psi is screened whole (all 24 rows) at t = 3 and 5; its drawn minors
-    # are read off its 10 x 14 core at t = 0..16.  Every kernel minor comes
-    # from the kernel's memoised table: no elimination of 4 rows or fewer,
-    # and no table entry computed twice (3,127 of them)
+    # psi's 10 x 14 core is eliminated once at each of t = 0..16, and that
+    # one kernel serves the screen at t = 3 and 5 and every drawn minor; psi
+    # is never eliminated whole.  Every kernel minor comes from the kernel's
+    # memoised table: no elimination of 4 rows or fewer, and no table entry
+    # computed twice (2,929 of them)
     eliminated, entries = [], []
     init, kernel_minor = _PointKernel.__init__, _PointKernel.kernel_minor
 
@@ -413,8 +414,22 @@ def test_minor_gcd_sample_eliminates_each_block_once_per_point(monkeypatch):
     monkeypatch.setattr(_PointKernel, "kernel_minor", counted_kernel_minor)
     assert minor_gcd_sample(family_machine().psi) == (0,) * 16 + (1,)
     assert len(eliminated) == len(set(eliminated))
-    assert sorted(len(m) for m in eliminated) == [10] * 17 + [24] * 2
-    assert len(set(entries)) == len(entries) == 3127
+    assert [len(m) for m in eliminated] == [10] * 17
+    assert len(set(entries)) == len(entries) == 2929
+
+
+def test_minor_gcd_sample_of_a_fully_peeled_core():
+    # (t, 0, 0) peels column 0, then (1, t - 3, 0) column 1: the core is
+    # empty and its one maximal minor, the empty one, is 1.  The product
+    # t (t - 3) vanishes at the screen point 3, so the pool comes from t = 5
+    # alone and there is no pivot minor
+    three = QT.from_int(3)
+    m = DenseMatrix(QT, [[t, QT.zero, QT.zero], [QT.one, t - three, QT.zero]])
+    assert list(_nonzero_column_sets(_PointKernel([]))) == [()]
+    assert _PointKernel([]).minor(()) == 1
+    assert minor_gcd_sample(m) == (0, -3, 1)
+    assert determinant(DenseMatrix(QT, [row[:2] for row in m.rows])) == t * (t - three)
+    assert t_adic_minor_valuation(m) == 1
 
 
 def _scalar(rng, p, big=False):

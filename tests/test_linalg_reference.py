@@ -9,12 +9,12 @@ Schur-complement recursion that divided by the pivot at every entry.  Both
 sides must return the same field elements; the echelons' rows differ, but
 span the same space.  `working_rank` over Q and F_p once ran a loop of its
 own on dict rows, `_sparse_rank`, kept here as the reference of the rank.
-`minor_gcd_sample` reads each drawn minor off the peeled core, its point
-kernels off a tracked `RowSpace` pass and each kernel minor off a memoised
-cofactor table; the reference reads it off the whole matrix, with the
-fraction-free (Bareiss) Gauss-Jordan pass that once built the point kernels
-and one such pass per kernel minor, and both must draw the same minors and
-return the same gcd.  `t_adic_minor_valuation` reads the valuation of the
+`minor_gcd_sample` screens the peeled core and reads each drawn minor off
+it, its point kernels off a tracked `RowSpace` pass and each kernel minor
+off a memoised cofactor table; the reference screens and reads the whole
+matrix, with the fraction-free (Bareiss) Gauss-Jordan pass that once built
+the point kernels and one such pass per kernel minor, and both must draw
+the same minors and return the same gcd.  `t_adic_minor_valuation` reads the valuation of the
 peeled core of a block off one untracked `RowSpace` pass over Q, as the
 length of a cokernel mod t^n, which decides the rank too; its reference
 ranks the whole matrix exactly over Q(t) and eliminates it over the local
@@ -52,7 +52,7 @@ from hilbcheck.poly import (GREVLEX, LEX, Polynomial, context, parse_ideal_file,
 from hilbcheck.scalars import rat
 from hilbcheck.smooth import change_coordinates
 from hilbcheck.tangent import family_context, family_machine, family_quadrics
-from hilbcheck.upoly import RATFUNC_T as t, RatFunc, zeval, zgcd, zprim, ztrim, zval
+from hilbcheck.upoly import RATFUNC_T as t, RatFunc, zeval, zgcd, zmul, zprim, ztrim, zval
 
 
 class ReferenceRowSpace:
@@ -834,10 +834,10 @@ def test_minor_gcd_sample_off_the_peeled_core_matches_the_whole_blocks(monkeypat
         got = minor_gcd_sample(m)
         assert got == reference_minor_gcd_sample(m), rows
         polys = _polynomial_entries(m)
-        core_rows, _, product = _peel(polys)
+        core, product = _peel(polys)
         singletons = sum(sum(map(bool, row)) == 1 for row in polys)
-        seen.add(("peels that make a singleton", len(rows) - len(core_rows) > singletons))
-        seen.add(("fully peeled", not core_rows))
+        seen.add(("peels that make a singleton", len(rows) - len(core) > singletons))
+        seen.add(("fully peeled", not core))
         seen.add(("zero row", not all(map(any, polys))))
         seen.add(("gcd", len(got)))
         seen.update(("vanishes at", x) for x in (0, 3, 5) if zeval(product, x) == 0)
@@ -847,27 +847,53 @@ def test_minor_gcd_sample_off_the_peeled_core_matches_the_whole_blocks(monkeypat
             ("gcd", 0), ("gcd", 1), ("gcd", 2)} <= seen
 
 
+def reference_peel(polys):
+    """The core of `linalg._peel` as (rows, columns, product): the rows and
+    columns of the whole matrix it keeps, and the product of the peeled
+    entries."""
+    rows = list(range(len(polys)))
+    cols = set(range(len(polys[0])))
+    product = (1,)
+    while True:
+        for r in rows:
+            support = [c for c in cols if polys[r][c]]
+            if len(support) == 1:
+                break
+        else:
+            return rows, sorted(cols), product
+        rows.remove(r)
+        cols.remove(support[0])
+        product = zmul(product, polys[r][support[0]])
+
+
 def test_minor_gcd_sample_reads_psis_drawn_minors_off_its_core(monkeypatch):
+    # the core screens and draws psi's 32 minors, on core columns; with the
+    # peeled columns joined back they are the whole matrix's, minor by minor
     psi = family_machine().psi
+    polys = _polynomial_entries(psi)
+    core_rows, core_cols, product = reference_peel(polys)
+    assert _peel(polys) == ([[polys[r][c] for c in core_cols] for r in core_rows], product)
+    assert (len(core_rows), len(core_cols)) == (10, 14) and product in {(0,) * 6 + (1,),
+                                                                      (0,) * 6 + (-1,)}
+    peeled = set(range(28)) - set(core_cols)
     drawn = {"core": [], "whole": []}
 
-    def recorded(name, minor_poly):
+    def recorded(name, minor_poly, columns):
         def wrapper(*args):
             det = minor_poly(*args)
-            drawn[name].append((args[-2], det))     # (csel, det)
+            drawn[name].append((columns(args[-2]), det))     # (psi's columns, det)
             return det
         return wrapper
 
-    monkeypatch.setattr(linalg, "_minor_poly", recorded("core", linalg._minor_poly))
+    monkeypatch.setattr(linalg, "_minor_poly", recorded(
+        "core", linalg._minor_poly,
+        lambda csel: tuple(sorted(peeled | {core_cols[k] for k in csel}))))
     monkeypatch.setitem(globals(), "reference_minor_poly",
-                        recorded("whole", reference_minor_poly))
+                        recorded("whole", reference_minor_poly, tuple))
     got = minor_gcd_sample(psi)
     assert got == reference_minor_gcd_sample(psi)
     assert got == (0,) * 16 + (1,)
     assert len(drawn["core"]) == 32 and drawn["core"] == drawn["whole"]
-    core_rows, core_cols, product = _peel(_polynomial_entries(psi))
-    assert (len(core_rows), len(core_cols)) == (10, 14) and product in {(0,) * 6 + (1,),
-                                                                      (0,) * 6 + (-1,)}
 
 
 def reference_t_adic_minor_valuation(m):
@@ -961,8 +987,8 @@ def test_t_adic_valuation_off_the_peeled_core_matches_the_whole_matrix():
         polys = _polynomial_entries(m)
         seen.add(("zero row", not all(map(any, polys))))
         seen.add(("valuation", got if got is None else got > 0))
-        core_rows, _, product = _peel(polys)
-        seen.add(("fully peeled", not core_rows))
+        core, product = _peel(polys)
+        seen.add(("fully peeled", not core))
         seen.add(("product vanishes at 0", zeval(product, 0) == 0))
     assert {("fully peeled", True), ("fully peeled", False),
             ("zero row", True), ("product vanishes at 0", True),

@@ -451,11 +451,10 @@ def test_curve_multiplicity_sixteen():
     assert rep.syzygy_dimension == 8
 
 
-def test_curve_multiplicity_eliminates_psi_whole_only_to_screen(monkeypatch):
-    # psi is eliminated whole only at the screen points t = 3 and 5, and every
-    # drawn minor is read off its peeled core.  Q(t) runs no gcd against a
-    # constant and the relations are ranked at a point, so the request makes
-    # 46 gcds, not 567.
+def test_curve_multiplicity_never_eliminates_psi_whole(monkeypatch):
+    # the screen at t = 3 and 5 and every drawn minor are read off psi's
+    # peeled core.  Q(t) runs no gcd against a constant and the relations
+    # are ranked at a point, so the request makes 46 gcds, not 567.
     whole, gcds = [], []
     init, zgcd = linalg._PointKernel.__init__, upoly.zgcd
 
@@ -471,8 +470,23 @@ def test_curve_multiplicity_eliminates_psi_whole_only_to_screen(monkeypatch):
     monkeypatch.setattr(linalg, "zgcd", counted_zgcd)
     monkeypatch.setattr(upoly, "zgcd", counted_zgcd)
     assert curve_multiplicity().sampled_valuation == 16
-    assert 0 < sum(whole) <= 2
+    assert len(whole) == 17 and sum(whole) == 0
     assert len(gcds) <= 200
+
+
+def test_curve_multiplicity_checks_each_family_relation_once(monkeypatch):
+    # the quadrics and relations come from the one family machine, so the
+    # SyzygyBasis annihilation check runs once over Q(t) and once at t = 1
+    checked = []
+    syzygies = tangent.family_syzygies
+
+    def counted(tval=None):
+        checked.append(tval)
+        return syzygies(tval)
+
+    monkeypatch.setattr(tangent, "family_syzygies", counted)
+    assert curve_multiplicity().valuation == 16
+    assert checked == [None, 1]
 
 
 def test_curve_degenerate_quadric_gives_infinite_valuation():
