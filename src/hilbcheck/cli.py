@@ -20,7 +20,7 @@ import json
 import os
 import sys
 
-from .artin import local_hilbert_function
+from .artin import enumerate_local_hfs, local_hilbert_function
 from .census import census_report
 from .errors import HilbcheckError, ParseError, PreconditionError
 from .fields import field_from_tag
@@ -169,7 +169,6 @@ def cmd_points_ideal(args):
 
 
 def cmd_census(args):
-    from .artin import enumerate_local_hfs
     hfs = sorted(enumerate_local_hfs(args.d, args.n))
     if args.json:
         payload = {"d": args.d, "n": args.n, "functions": [list(h) for h in hfs]}

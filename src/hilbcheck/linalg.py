@@ -10,12 +10,12 @@ echelon, and one for the algorithm it does not run.
   every step), monic residues over F_p, monic elements over Q(t).  It is
   incremental, and can track each vector's coefficients over those added
   before it.
-  `rref`, `kernel_basis` and the integer point kernels (`_PointKernel`)
-  that the sample screens and reads its minors from use one tracked pass
-  over the columns, `determinant` one over the rows, `working_rank` one
-  untracked pass over the rows (the large, mostly zero tangent systems,
-  and the t-adic valuation below), and `artin` builds the maximal-ideal
-  chain in it.  `_echelon_det` reads a determinant off a tracked pass.
+  `rref`, `kernel_basis` and the sampled minors' pivot columns and integer
+  values use one tracked pass over the columns, `determinant` one over the
+  rows, `working_rank` one untracked pass over the rows (the large, mostly
+  zero tangent systems, and the t-adic valuation below), and `artin` builds
+  the maximal-ideal chain in it.  `_echelon_det` reads a determinant off a
+  tracked pass.
 - `_pf`, fraction-free Schur steps for Pfaffians on working coefficients,
   which no echelon of a skew-symmetric matrix gives.
 
@@ -27,15 +27,11 @@ spanned over Q by the columns times 1, t, ..., t^(n-1), so one untracked
 matrix (`t_adic_minor_valuation`).
 
 Maximal minors are read off the core of a matrix (`_peel`) by both
-`minor_gcd_sample`, for its screen and its drawn minors, and
-`t_adic_minor_valuation`: a row whose one nonzero entry e lies in column c
-is in every nonzero maximal minor, with c, and such a minor is +-e times
-the minor without that row and that column, so peeling these rows one
-after another leaves a smaller matrix of lower degree.  Where the product
-of the peeled entries does not vanish, the nonzero maximal minors are those
-on the peeled columns and a nonzero minor of the core, and they sort as the
-core's do, so the screen and draws on the core pick the minors that a
-screen of the whole matrix picks, and the gcd is the same.
+`minor_gcd_sample`, which draws pivot minors until their gcd is t^v, v the
+valuation, and `t_adic_minor_valuation`: a row whose one nonzero entry e
+lies in column c is in every nonzero maximal minor, with c, and such a
+minor is +-e times the minor without that row and that column, so peeling
+these rows one after another leaves a smaller matrix of lower degree.
 
 `working_rank(field, rows)` ranks sparse rows {column: working coefficient}
 in the format of `fields`; over Q(t) it first ranks the rows at t = 7 over
@@ -47,7 +43,6 @@ rank-only checks hold them, and `mat_rank(m)` is the `DenseMatrix` form of
 coefficients of `artin`'s operators.
 """
 
-import random
 from itertools import combinations
 from math import factorial, gcd, lcm
 
@@ -579,64 +574,60 @@ def _polynomial_entries(m):
     return out
 
 
-# The sample of `minor_gcd_sample`: the pivot minor and _SAMPLE_COUNT - 1
-# seeded draws, with this seed.
-_SAMPLE_COUNT = 32
-_SAMPLE_SEED = 271828
-
-
-def minor_gcd_sample(m):
-    """Gcd (primitive, in Z[t]) of a seeded sample of nonzero maximal minors.
+def minor_gcd_sample(m, v):
+    """Gcd (primitive, in Z[t]) of pivot maximal minors of m, drawn until it
+    is t^v, v being `t_adic_minor_valuation(m)`; () when v is None.
 
     Everything is read off the core of m and the product f of its peeled
-    entries (`_peel`): the maximal minor of m on the peeled columns P and
-    core columns S is +-f times the core's on S, and every other one is 0.
-    So where f(x) != 0 the nonzero maximal minors of m at t = x are those
-    on P joined to the core's nonzero ones, and where f(x) = 0 there are none.
+    entries (`_peel`): the maximal minor of m on the peeled columns and core
+    columns S is +-f times the core's on S, and every other one is 0.  The
+    gcd G of all maximal minors divides every drawn minor, and its
+    valuation is v, so once the running gcd is t^v it is G and no further
+    draw can change it.
 
-    A core minor at an integer point t = x is a complementary minor of the
-    core's integer kernel there (`_PointKernel`, by Grassmann duality), and
-    nonzero exactly when that is.  The screen pools the core's nonzero
-    column sets at t = 3 and t = 5, each where f does not vanish; the sample
-    is the minor on the core's pivot columns at t = 3, unless f(3) = 0, plus
-    _SAMPLE_COUNT - 1 draws, seeded by _SAMPLE_SEED, from the sorted pool.
-    These are the minors a screen of m itself draws: two sorted sets of
-    equal size compare by the least element of their symmetric difference,
-    which joining P does not change, and the greedy pivot columns of m are P
-    joined to the core's.  A drawn minor is prim(f * core minor), the core
-    minor interpolated in integer arithmetic from its values at
-    t = 0, 1, 2, ... up to its degree bound, each off the one kernel at its
-    point.  Minors that vanish identically are dropped.
-
-    Limit of the screen: a minor that vanishes at every screen point without
-    vanishing identically is never drawn.
+    The draws are read at x, the first integer from 3 on where the core has
+    full rank.  A nonzero r x r minor of the core vanishes at no more than D
+    points, D the sum of its rows' largest entry degrees, so D + 1 points
+    suffice; past them the core has no nonzero maximal minor and v was not
+    its valuation (`ValueError`).  Draw s takes the pivot columns at x of
+    the core's columns ordered s, s + 1, ..., 0, ..., s - 1, whose minor is
+    nonzero at x; a column set drawn before is skipped.  A drawn minor is
+    prim(f * core minor), the core minor interpolated in integer arithmetic
+    from its values at t = 0, 1, 2, ... up to its degree bound.
     """
-    rng = random.Random(_SAMPLE_SEED)
+    if v is None:
+        return ()
     core, product = _peel(_polynomial_entries(m))
-    kernels = {}
+    if not core:
+        return zprim(product)     # every row peeled: the empty core minor is 1
+    values = {}
 
-    def kernel(x):
-        # one elimination of the core per point, shared by the screen and every minor
-        if x not in kernels:
-            kernels[x] = _PointKernel([[zeval(e, x) for e in row] for row in core])
-        return kernels[x]
+    def at(x):
+        # the core's integer values at t = x, once per point
+        if x not in values:
+            values[x] = [[zeval(e, x) for e in row] for row in core]
+        return values[x]
 
-    screened = [x for x in (3, 5) if zeval(product, x)]
-    base = None
-    if 3 in screened and kernel(3).dual is not None:
-        base = tuple(kernel(3).pivots)
-    found = set()
-    for x in screened:
-        found.update(_nonzero_column_sets(kernel(x)))
-    found.discard(base)
-    picks = rng.sample(sorted(found), min(_SAMPLE_COUNT - 1, len(found)))
+    ncols = len(core[0])
+    bound = sum(max(1, *map(len, row)) - 1 for row in core)
+    for x in range(3, bound + 4):
+        if len(_column_relations(at(x), QQ)[0]) == len(core):
+            break
+    else:
+        raise ValueError("matrix has rank below its row count: its valuation is infinite")
+    target = (0,) * v + (1,)
+    drawn = set()
     g = ()
-    for csel in ([] if base is None else [base]) + picks:
-        det = _minor_poly(core, product, csel, kernel)
-        if det:
-            g = zgcd(g, det)
-            if g == (1,):
-                break
+    for s in range(ncols):
+        order = list(range(s, ncols)) + list(range(s))
+        pivots = _column_relations([[row[k] for k in order] for row in at(x)], QQ)[0]
+        csel = tuple(sorted(order[p] for p in pivots))
+        if csel in drawn:
+            continue
+        drawn.add(csel)
+        g = zgcd(g, _minor_poly(core, product, csel, at))
+        if g == target:
+            break
     return g
 
 
@@ -662,110 +653,24 @@ def _peel(polys):
         product = zmul(product, polys[r][support[0]])
 
 
-class _PointKernel:
-    """The integer kernel of an integer matrix A, from one tracked `RowSpace`
-    pass over its columns (`_column_relations`).
-
-    `pivots` are its pivot columns P, each independent of the columns
-    before it.  When they are as many as the rows, `det` is det A[:, P]
-    (`_echelon_det`) and `dual[c]` is row c of the integer kernel K = D N,
-    where N is the kernel basis that is the identity on the free columns F
-    and minus their relations over P, and D is the lcm of the relations'
-    denominators (`Field.integers`); then every maximal minor of A is
-
-        det A[:, S] = sgn(P, F) sgn(S, S^c) det A[:, P] det K[S^c] / D^|F|,
-
-    with sgn(X, Y) the sign of the permutation listing X then Y.  Any
-    integer scale D of N serves: det K[S^c] = D^|F| det N[S^c].  `dual` is
-    None when the rank is below the row count, and every maximal minor is 0.
-    The minors of K come from one memoised table (`kernel_minor`).
-    """
-
-    __slots__ = ("pivots", "det", "den", "dual", "table")
-
-    def __init__(self, block):
-        self.pivots, relations, rs = _column_relations(block, QQ)
-        self.dual = None
-        if len(self.pivots) < len(block):
-            return
-        num, den = _echelon_det(rs, self.pivots)
-        self.det = num // den
-        ints, scale = QQ.integers([c for combo in relations.values() for c in combo.values()])
-        ints = iter(ints)
-        dual = [[0] * len(relations) for _ in range(len(self.pivots) + len(relations))]
-        for k, (f, combo) in enumerate(relations.items()):
-            dual[f][k] = scale
-            for p in combo:
-                dual[p][k] = -next(ints)
-        self.dual = dual
-        self.den = scale ** len(relations)
-        self.table = {(): 1}
-
-    def kernel_minor(self, rest):
-        """det of K on the rows rest, an increasing tuple, and its last
-        len(rest) columns: det K[rest] when rest has |F| rows.
-
-        The table holds this minor for every row tuple met so far.
-        Expanding along the first of those columns writes a minor on k rows
-        as a sum over minors on k - 1 of them, so minors that share rows
-        share the work below them."""
-        table = self.table
-        m = table.get(rest)
-        if m is not None:
-            return m
-        col = len(self.dual[0]) - len(rest)
-        m = 0
-        for i, r in enumerate(rest):
-            a = self.dual[r][col]
-            if a:
-                b = self.kernel_minor(rest[:i] + rest[i + 1:])
-                m += -a * b if i & 1 else a * b
-        table[rest] = m
-        return m
-
-    def minor(self, csel):
-        """det A[:, csel] for an increasing tuple of len(A) columns."""
-        if self.dual is None:
-            return 0
-        chosen = set(csel)
-        rest = tuple(c for c in range(len(self.dual)) if c not in chosen)
-        num = self.det * self.kernel_minor(rest)
-        if (sum(self.pivots) + sum(csel)) % 2:
-            num = -num
-        q, rem = divmod(num, self.den)
-        if rem:
-            raise ArithmeticError("complementary kernel minor is not divisible by D^|F|")
-        return q
-
-
-def _nonzero_column_sets(kernel):
-    """Column subsets on which the block of a `_PointKernel` has a nonzero
-    maximal minor: those whose complementary minor of the kernel is nonzero."""
-    dual = kernel.dual
-    if dual is None:
-        return      # rank below the row count: every maximal minor vanishes here
-    ncols = len(dual)
-    # a subset meeting a zero row of the kernel has a zero minor there
-    support = [c for c in range(ncols) if any(dual[c])]
-    for rest in combinations(support, ncols - len(kernel.pivots)):
-        if kernel.kernel_minor(rest):
-            yield tuple(c for c in range(ncols) if c not in rest)
-
-
-def _minor_poly(core, product, csel, kernel):
-    """Maximal minor on the core columns csel of a matrix with this core and
-    product of peeled entries (`_peel`), primitive in Z[t] with positive
-    leading coefficient: prim(product * the core's minor on csel).  The core
-    minor is interpolated from its values at t = 0, 1, 2, ... up to its
-    degree bound; kernel(x) is the `_PointKernel` of the core at t = x."""
-    if core:
-        row_deg = sum(max(len(row[k]) for k in csel) - 1 for row in core)
-        col_deg = sum(max(len(row[k]) for row in core) - 1 for k in csel)
-        ys = [kernel(x).minor(csel) for x in range(min(row_deg, col_deg) + 1)]
-        minor = ztrim(_interpolate_scaled(ys))
-    else:
-        minor = (1,)    # every row peeled: the empty determinant
-    return zprim(zmul(product, minor))
+def _minor_poly(core, product, csel, at):
+    """Maximal minor on the core columns csel of a matrix with this nonempty
+    core and product of peeled entries (`_peel`), primitive in Z[t] with
+    positive leading coefficient: prim(product * the core's minor on csel).
+    The core minor is interpolated from its values at t = 0, 1, 2, ... up to
+    its degree bound, each from one tracked `RowSpace` pass over its columns
+    (`_echelon_det`); at(x) is the core's integer values at t = x."""
+    row_deg = sum(max(len(row[k]) for k in csel) - 1 for row in core)
+    col_deg = sum(max(len(row[k]) for row in core) - 1 for k in csel)
+    ys = []
+    for x in range(min(row_deg, col_deg) + 1):
+        pivots, _, rs = _column_relations([[row[k] for k in csel] for row in at(x)], QQ)
+        if len(pivots) < len(csel):
+            ys.append(0)
+        else:
+            num, den = _echelon_det(rs, pivots)
+            ys.append(num // den)
+    return zprim(zmul(product, ztrim(_interpolate_scaled(ys))))
 
 
 def _interpolate_scaled(ys):

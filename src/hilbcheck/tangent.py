@@ -369,9 +369,10 @@ class CurveReport:
 
 
 def curve_multiplicity():
-    """t-adic valuation of the gcd of the 24 x 24 minors of the family's
-    syzygy-constraint matrix psi, with the gcd of psi's sampled minors as a
-    cross-check.
+    """t-adic valuation v of the gcd G of the 24 x 24 minors of the family's
+    syzygy-constraint matrix psi, with the gcd of psi's pivot minors, drawn
+    until it is t^v (`minor_gcd_sample`), as a cross-check: when that gcd
+    is t^v, so is G.
 
     The family's 8 relations annihilate the quadrics (`SyzygyBasis` checks
     each), and `linear_syzygies` gives a basis of the linear syzygies, 8 of
@@ -387,7 +388,7 @@ def curve_multiplicity():
         raise ArithmeticError("linear syzygy space of the family is not 8-dimensional")
     psi = machine.psi
     val = t_adic_minor_valuation(psi)
-    gcd_poly = minor_gcd_sample(psi)
+    gcd_poly = minor_gcd_sample(psi, val)
     sval = zval(gcd_poly) if gcd_poly else None
     at1 = family_machine(tval=1)
     return CurveReport(valuation=val, sampled_gcd=gcd_poly, sampled_valuation=sval,

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,9 +9,9 @@ import pytest
 from hilbcheck.fields import GF, QQ, QT
 from hilbcheck.fixtures import random_skew_matrix
 from hilbcheck import linalg
-from hilbcheck.linalg import (DenseMatrix, RowSpace, _PointKernel, _nonzero_column_sets,
-                              determinant, kernel_basis, mat_rank, minor_gcd_sample,
-                              pfaffian, row_product, t_adic_minor_valuation)
+from hilbcheck.linalg import (DenseMatrix, RowSpace, _peel, _polynomial_entries, determinant,
+                              kernel_basis, mat_rank, minor_gcd_sample, pfaffian, row_product,
+                              t_adic_minor_valuation)
 from hilbcheck.tangent import family_machine
 from hilbcheck.scalars import rat
 from hilbcheck.upoly import RATFUNC_T as t, RatFunc, zgcd, zval
@@ -179,18 +180,23 @@ def test_mixed_domains_rejected():
     assert DenseMatrix(QT, [[rat(1, 2), 3]]).rows == [[QT.one / QT.from_int(2), QT.from_int(3)]]
 
 
+def _sampled_valuation(m):
+    return zval(minor_gcd_sample(m, t_adic_minor_valuation(m)))
+
+
 def test_t_adic_valuation_basics():
     one = QT.one
     m = identity(QT, 3)
-    assert t_adic_minor_valuation(m) == zval(minor_gcd_sample(m)) == 0
+    assert t_adic_minor_valuation(m) == _sampled_valuation(m) == 0
     d = DenseMatrix(QT, [[t, QT.zero], [QT.zero, t ** 3]])
-    assert t_adic_minor_valuation(d) == zval(minor_gcd_sample(d)) == 4
+    assert t_adic_minor_valuation(d) == _sampled_valuation(d) == 4
     # neither row has a single nonzero entry, so nothing is peeled
     d = DenseMatrix(QT, [[t ** 25, t ** 25], [one, QT.from_int(2)]])
-    assert t_adic_minor_valuation(d) == zval(minor_gcd_sample(d)) == 25
+    assert t_adic_minor_valuation(d) == _sampled_valuation(d) == 25
     # rank defect: the distinct infinite outcome
     z = DenseMatrix(QT, [[t, t], [t ** 2, t ** 2]])
     assert t_adic_minor_valuation(z) is None
+    assert minor_gcd_sample(z, None) == ()
     with pytest.raises(ValueError):
         t_adic_minor_valuation(DenseMatrix(QT, [[one], [one]]))
 
@@ -210,24 +216,20 @@ def test_t_adic_valuation_invariances():
     assert t_adic_minor_valuation(scaled) == base
 
 
-def test_t_adic_cross_check_agrees(monkeypatch):
+def test_t_adic_cross_check_agrees():
     rows = [[t, t ** 2, QT.one],
             [t ** 3, t ** 4 + t, t],
             [QT.zero, t ** 2, t ** 5]]
     m = DenseMatrix(QT, rows)
-    val = t_adic_minor_valuation(m)
-    assert zval(minor_gcd_sample(m)) == val
-    monkeypatch.setattr(linalg, "_SAMPLE_COUNT", 4)
-    g = minor_gcd_sample(m)
-    assert zval(g) == val
+    assert _sampled_valuation(m) == t_adic_minor_valuation(m)
 
 
-def test_minor_gcd_sample_matches_direct_determinant(monkeypatch):
+def test_minor_gcd_sample_matches_direct_determinant():
     # oracle: the interpolated 2x2 minor against direct Q(t) arithmetic
     rows = [[t + QT.one, t ** 2], [t ** 3, t ** 4 + t]]
     m = DenseMatrix(QT, rows)
-    monkeypatch.setattr(linalg, "_SAMPLE_COUNT", 4)
-    g = minor_gcd_sample(m)
+    assert t_adic_minor_valuation(m) == 1
+    g = minor_gcd_sample(m, 1)
     direct = (t + QT.one) * (t ** 4 + t) - t ** 2 * t ** 3
     assert direct == t ** 4 + t ** 2 + t
     assert g == (0, 1, 1, 0, 1)
@@ -253,7 +255,8 @@ def _maximal_minors_and_kernel_complements(m):
 
 
 def test_maximal_minors_vanish_with_complementary_kernel_minors():
-    # Grassmann duality, which screens the minors in minor_gcd_sample
+    # Grassmann duality: a maximal minor is nonzero exactly when the
+    # complementary minor of the kernel is
     rng = random.Random(29)
 
     def small():
@@ -287,7 +290,7 @@ def test_maximal_minors_vanish_with_complementary_kernel_minors():
     assert seen == {True, False}
 
 
-def test_minor_gcd_sample_finds_sparse_support(monkeypatch):
+def test_minor_gcd_sample_finds_sparse_support():
     # 2 nonzero maximal minors among C(24, 3) = 2024: t^5 (1 + t) and t^5 (1 - t)
     z = QT.zero
     rows = [[z] * 24 for _ in range(3)]
@@ -302,134 +305,63 @@ def test_minor_gcd_sample_finds_sparse_support(monkeypatch):
         if minor:
             full = zgcd(full, minor.num)
     assert full == (0, 0, 0, 0, 0, 1)
-    assert t_adic_minor_valuation(m) == zval(minor_gcd_sample(m)) == 5
-    monkeypatch.setattr(linalg, "_SAMPLE_COUNT", 2)
-    assert minor_gcd_sample(m) == full
-
-
-def test_minor_gcd_sample_is_seeded(monkeypatch):
-    rng = random.Random(31)
-    m = DenseMatrix(QT, [[sum((QT.from_int(rng.randint(-2, 2)) * t ** e for e in range(3)),
-                              QT.zero) for _ in range(7)] for _ in range(3)])
-    monkeypatch.setattr(linalg, "_SAMPLE_COUNT", 5)
-    for seed in (1, 2):
-        monkeypatch.setattr(linalg, "_SAMPLE_SEED", seed)
-        first = minor_gcd_sample(m)
-        assert first and minor_gcd_sample(m) == first
-
-
-def _integer_at(rows, x):
-    """Rows of Z[t] entries evaluated at t = x."""
-    out = []
-    for row in rows:
-        assert all(e.den == (1,) for e in row)
-        out.append([sum(c * x ** k for k, c in enumerate(e.num)) for e in row])
-    return out
-
-
-def test_point_kernel_minors_equal_the_determinants():
-    # every maximal minor of every block, read off one kernel per (block, point),
-    # against the minor's determinant over Q(t) evaluated there
-    rng = random.Random(43)
-
-    def poly():
-        return sum((QT.from_int(rng.randint(-3, 3)) * t ** e for e in range(3)), QT.zero)
-
-    seen = set()
-    # (nrows, ncols, size): size < nrows, size == nrows, size == ncols
-    for nrows, ncols, size in ((3, 5, 2), (3, 5, 3), (4, 3, 3), (2, 2, 2), (3, 6, 3)):
-        rows = [[poly() for _ in range(ncols)] for _ in range(nrows)]
-        if ncols >= 5:
-            for row in rows:
-                row[-1] = row[0] + row[0]           # minors on both vanish
-        rows[-1] = [t * x for x in rows[0]]         # the rank drops at t = 0
-        for rsel in combinations(range(nrows), size):
-            minors = {cols: determinant(DenseMatrix(
-                QT, [[rows[r][c] for c in cols] for r in rsel]))
-                for cols in combinations(range(ncols), size)}
-            for x in (-2, 0, 1, 3):
-                kernel = _PointKernel(_integer_at([rows[r] for r in rsel], x))
-                for cols, minor in minors.items():
-                    value = _integer_at([[minor]], x)[0][0]
-                    assert kernel.minor(cols) == value, (nrows, ncols, rsel, x, cols)
-                    seen.add((kernel.dual is None, bool(minor), bool(value)))
-    # full-rank points, rank-drop points with nonzero Q(t) minors, and zero minors
-    assert {(False, True, True), (True, True, False), (False, False, False)} <= seen
-
-
-def test_point_kernel_minors_of_psi():
-    psi = family_machine().psi
-    rng = random.Random(53)
-    at0 = _integer_at(psi.rows, 0)
-    assert _PointKernel(at0).dual is None and mat_rank(DenseMatrix(QQ, at0)) < 24
-    at3 = _integer_at(psi.rows, 3)
-    kernel = _PointKernel(at3)
-    nonzero = list(_nonzero_column_sets(kernel))
-    assert len(nonzero) == 121
-    for cols in rng.sample(nonzero, 4) + [tuple(range(24)), tuple(range(4, 28))]:
-        det = determinant(DenseMatrix(QQ, [[row[c] for c in cols] for row in at3]))
-        assert kernel.minor(cols) == det
-        assert bool(det) == (cols in nonzero)
-
-
-def test_minor_gcd_sample_with_every_minor_drawn_is_the_full_gcd(monkeypatch):
-    rng = random.Random(59)
-
-    def poly():
-        return sum((QT.from_int(rng.randint(-2, 2)) * t ** e for e in range(3)), QT.zero)
-
-    for nrows, ncols in ((2, 4), (3, 5), (3, 3)):
-        rows = [[poly() * t for _ in range(ncols)] for _ in range(nrows)]
-        full = ()
-        total = 0
-        for cols in combinations(range(ncols), nrows):
-            minor = determinant(DenseMatrix(QT, [[row[c] for c in cols] for row in rows]))
-            total += 1
-            if minor:
-                full = zgcd(full, minor.num)
-        assert full
-        monkeypatch.setattr(linalg, "_SAMPLE_COUNT", total + 1)
-        assert minor_gcd_sample(DenseMatrix(QT, rows)) == full
+    assert t_adic_minor_valuation(m) == 5
+    assert minor_gcd_sample(m, 5) == full
 
 
 def test_minor_gcd_sample_eliminates_each_block_once_per_point(monkeypatch):
-    # psi's 10 x 14 core is eliminated once at each of t = 0..16, and that
-    # one kernel serves the screen at t = 3 and 5 and every drawn minor; psi
-    # is never eliminated whole.  Every kernel minor comes from the kernel's
-    # memoised table: no elimination of 4 rows or fewer, and no table entry
-    # computed twice (2,929 of them)
-    eliminated, entries = [], []
-    init, kernel_minor = _PointKernel.__init__, _PointKernel.kernel_minor
+    # psi's 10 x 14 core is eliminated at the draw point t = 3 once for its
+    # rank and once per draw, 7 draws of which 2 repeat a column set, and
+    # each of the 5 drawn minors' 10 x 10 blocks once at each point of its
+    # interpolation; psi is never eliminated whole, and no block twice at
+    # one point
+    psi = family_machine().psi
+    eliminated = []
+    relations = linalg._column_relations
 
-    def counted_init(self, block):
-        eliminated.append(tuple(map(tuple, block)))
-        init(self, block)
+    def counted(rows, field):
+        eliminated.append(tuple(map(tuple, rows)))
+        return relations(rows, field)
 
-    def counted_kernel_minor(self, rest):
-        if rest not in self.table:
-            entries.append((id(self), rest))
-        return kernel_minor(self, rest)
+    monkeypatch.setattr(linalg, "_column_relations", counted)
+    assert minor_gcd_sample(psi, 16) == (0,) * 16 + (1,)
+    shapes = Counter((len(block), len(block[0])) for block in eliminated)
+    assert shapes == {(10, 14): 8, (10, 10): 82}
+    blocks = [block for block in eliminated if len(block[0]) == 10]
+    assert len(set(blocks)) == len(blocks)
 
-    monkeypatch.setattr(_PointKernel, "__init__", counted_init)
-    monkeypatch.setattr(_PointKernel, "kernel_minor", counted_kernel_minor)
-    assert minor_gcd_sample(family_machine().psi) == (0,) * 16 + (1,)
-    assert len(eliminated) == len(set(eliminated))
-    assert [len(m) for m in eliminated] == [10] * 17
-    assert len(set(entries)) == len(entries) == 2929
+
+def test_minor_gcd_sample_refuses_a_valuation_of_a_rank_deficient_matrix(monkeypatch):
+    # with psi's last 4 columns zeroed its rank drops; given a valuation
+    # anyway, the sample tries D + 1 points for a full-rank core, D the
+    # core's row-degree bound, and stops
+    psi = family_machine().psi
+    z = DenseMatrix(QT, [row[:24] + [QT.zero] * 4 for row in psi.rows])
+    assert t_adic_minor_valuation(z) is None
+    core, _ = _peel(_polynomial_entries(z))
+    bound = sum(max(1, *map(len, row)) - 1 for row in core)
+    tried = []
+    relations = linalg._column_relations
+
+    def counted(rows, field):
+        tried.append(len(rows))
+        return relations(rows, field)
+
+    monkeypatch.setattr(linalg, "_column_relations", counted)
+    with pytest.raises(ValueError):
+        minor_gcd_sample(z, 16)
+    assert tried == [len(core)] * (bound + 1)
 
 
 def test_minor_gcd_sample_of_a_fully_peeled_core():
     # (t, 0, 0) peels column 0, then (1, t - 3, 0) column 1: the core is
-    # empty and its one maximal minor, the empty one, is 1.  The product
-    # t (t - 3) vanishes at the screen point 3, so the pool comes from t = 5
-    # alone and there is no pivot minor
+    # empty and its one maximal minor, the empty one, is 1
     three = QT.from_int(3)
     m = DenseMatrix(QT, [[t, QT.zero, QT.zero], [QT.one, t - three, QT.zero]])
-    assert list(_nonzero_column_sets(_PointKernel([]))) == [()]
-    assert _PointKernel([]).minor(()) == 1
-    assert minor_gcd_sample(m) == (0, -3, 1)
-    assert determinant(DenseMatrix(QT, [row[:2] for row in m.rows])) == t * (t - three)
+    assert _peel(_polynomial_entries(m)) == ([], (0, -3, 1))
     assert t_adic_minor_valuation(m) == 1
+    assert minor_gcd_sample(m, 1) == (0, -3, 1)
+    assert determinant(DenseMatrix(QT, [row[:2] for row in m.rows])) == t * (t - three)
 
 
 def _scalar(rng, p, big=False):

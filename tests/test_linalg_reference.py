@@ -9,13 +9,11 @@ Schur-complement recursion that divided by the pivot at every entry.  Both
 sides must return the same field elements; the echelons' rows differ, but
 span the same space.  `working_rank` over Q and F_p once ran a loop of its
 own on dict rows, `_sparse_rank`, kept here as the reference of the rank.
-`minor_gcd_sample` screens the peeled core and reads each drawn minor off
-it, its point kernels off a tracked `RowSpace` pass and each kernel minor
-off a memoised cofactor table; the reference screens and reads the whole
-matrix, with the fraction-free (Bareiss) Gauss-Jordan pass that once built
-the point kernels and one such pass per kernel minor, and both must draw
-the same minors and return the same gcd.  `t_adic_minor_valuation` reads the valuation of the
-peeled core of a block off one untracked `RowSpace` pass over Q, as the
+`minor_gcd_sample` draws pivot minors of the peeled core until their gcd
+is t^v; its reference is the gcd G of every maximal minor of the whole
+matrix, each a determinant over Q(t), which must divide the sample and
+equal it when the sample is t^v.  `t_adic_minor_valuation` reads the
+valuation of the peeled core of a block off one untracked `RowSpace` pass over Q, as the
 length of a cokernel mod t^n, which decides the rank too; its reference
 ranks the whole matrix exactly over Q(t) and eliminates it over the local
 ring at t on integer power series, pivoting on an entry of least valuation,
@@ -32,6 +30,7 @@ reduced bases.
 
 import pathlib
 import random
+from functools import reduce
 from itertools import chain, combinations
 from math import gcd
 from operator import sub
@@ -44,15 +43,16 @@ from hilbcheck.fixtures import (monomial_143_ideal, random_invertible_matrix,
                                 seven_quadrics_ideal, squares_cube_ideal, weight753_ideal)
 from hilbcheck.groebner import (Ideal, _divide, _division_record, _subtract,
                                 _working_terms, buchberger)
-from hilbcheck.linalg import (DenseMatrix, RowSpace, _PointKernel, _interpolate_scaled, _peel,
-                              _polynomial_entries, determinant, kernel_basis, minor_gcd_sample,
-                              pfaffian, rref, t_adic_minor_valuation)
+from hilbcheck.linalg import (DenseMatrix, RowSpace, _peel, _polynomial_entries, determinant,
+                              kernel_basis, minor_gcd_sample, pfaffian, rref,
+                              t_adic_minor_valuation)
 from hilbcheck.poly import (GREVLEX, LEX, Polynomial, context, parse_ideal_file,
                             parse_polynomial, weight_order)
 from hilbcheck.scalars import rat
 from hilbcheck.smooth import change_coordinates
 from hilbcheck.tangent import family_context, family_machine, family_quadrics
-from hilbcheck.upoly import RATFUNC_T as t, RatFunc, zeval, zgcd, zmul, zprim, ztrim, zval
+from hilbcheck.upoly import (RATFUNC_T as t, RatFunc, zdiv_exact, zeval, zgcd, zmul, zprim,
+                             zval)
 
 
 class ReferenceRowSpace:
@@ -577,213 +577,8 @@ def test_pfaffian_agrees_with_the_field_element_recursion(field):
     assert values == {True, False}
 
 
-def reference_bareiss(mat):
-    """Fraction-free (Bareiss) Gauss-Jordan elimination of an integer
-    matrix, in place, as `linalg` ran it before the point kernels were read
-    off `RowSpace`.
-
-    Returns the original indices of the pivot rows, the pivot columns, and the
-    minor on them up to sign; the sign is exact when the rows are independent,
-    and that minor is then the determinant of the matrix on its pivot columns.
-
-    Each pivot clears the rows below it and above it, with the divisions of
-    forward Bareiss elimination, which stay exact: the leading rows then
-    hold d times the reduced row echelon form, where d is the last pivot,
-    d = +-(that minor).
-    """
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    order = list(range(nrows))
-    pivots = []
-    sign = prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        p = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if p is None:
-            continue
-        if p != r:
-            mat[r], mat[p] = mat[p], mat[r]
-            order[r], order[p] = order[p], order[r]
-            sign = -sign
-        piv = mat[r][c]
-        row_r = mat[r]
-        for i in chain(range(r), range(r + 1, nrows)):
-            # a row above the pivot also rescales its earlier columns
-            lo = c if i > r else 0
-            row_i = mat[i]
-            mic = row_i[c]
-            if mic:
-                for j in range(lo, ncols):
-                    row_i[j] = (row_i[j] * piv - mic * row_r[j]) // prev
-            else:
-                for j in range(lo, ncols):
-                    row_i[j] = row_i[j] * piv // prev
-        prev = piv
-        pivots.append(c)
-        r += 1
-    return order[:r], pivots, sign * prev
-
-
-def reference_det_int(a):
-    rows, _, det = reference_bareiss(a)
-    return det if len(rows) == len(a) else 0
-
-
-class ReferencePointKernel:
-    """The kernel of `linalg._PointKernel` from a Bareiss pass, K = d N with
-    d the last pivot, with one Bareiss pass per kernel minor, as `minor`
-    read it before the memoised table."""
-
-    def __init__(self, block):
-        mat = [row[:] for row in block]
-        self.rows, self.pivots, self.det = reference_bareiss(mat)
-        self.dual = None
-        if len(self.rows) < len(mat):
-            return
-        ncols = len(mat[0])
-        d = mat[0][self.pivots[0]]
-        pivset = set(self.pivots)
-        free = [c for c in range(ncols) if c not in pivset]
-        dual = [[0] * len(free) for _ in range(ncols)]
-        for k, f in enumerate(free):
-            dual[f][k] = d
-            for row, p in zip(mat, self.pivots):
-                dual[p][k] = -row[f]
-        self.dual = dual
-        self.den = d ** len(free)
-
-    def minor(self, csel):
-        if self.dual is None:
-            return 0
-        chosen = set(csel)
-        rest = [self.dual[c][:] for c in range(len(self.dual)) if c not in chosen]
-        num = self.det * reference_det_int(rest)
-        if (sum(self.pivots) + sum(csel)) % 2:
-            num = -num
-        q, rem = divmod(num, self.den)
-        assert not rem
-        return q
-
-
-def _integer_block(rng):
-    """A seeded integer matrix with at least as many columns as rows: sparse
-    columns, at times a zero column, a column that combines two before it,
-    or a row that combines two others."""
-    nrows = rng.randint(1, 4)
-    cols = []
-    for _ in range(rng.randint(nrows, nrows + 3)):
-        kind = rng.random()
-        if kind < 0.15:
-            cols.append([0] * nrows)
-        elif kind < 0.35 and len(cols) >= 2:
-            a, b = rng.sample(cols, 2)
-            u, v = rng.choice((-2, 1, 3)), rng.choice((-1, 2, 5))
-            cols.append([u * x + v * y for x, y in zip(a, b)])
-        else:
-            cols.append([rng.randint(-6, 6) if rng.random() < 0.6 else 0
-                         for _ in range(nrows)])
-    block = [list(row) for row in zip(*cols)]
-    if nrows >= 3 and rng.random() < 0.2:
-        block[-1] = [2 * x - 3 * y for x, y in zip(block[0], block[1])]
-    return block
-
-
-def test_point_kernel_off_the_row_space_matches_the_bareiss_kernel():
-    # the pivot columns, det A[:, P] and every maximal minor of `_PointKernel`
-    # against the Bareiss pass and determinants; the seeded blocks include
-    # echelon pivots out of order, where the inversion sign flips det A[:, P],
-    # and kernels whose scale D is not the pivot of Bareiss
-    rng = random.Random(2501)
-    seen = set()
-    for _ in range(200):
-        block = _integer_block(rng)
-        nrows, ncols = len(block), len(block[0])
-        kernel = _PointKernel(block)
-        ref = ReferencePointKernel(block)
-        assert kernel.pivots == ref.pivots, block
-        full = len(ref.rows) == nrows
-        assert (kernel.dual is None) == (not full), block
-        for csel in combinations(range(ncols), nrows):
-            minor = reference_det_int([[row[c] for c in csel] for row in block])
-            assert kernel.minor(csel) == minor, (block, csel)
-            seen.add(("nonzero minor", bool(minor)))
-        seen.add(("rank below the rows", not full))
-        seen.add(("zero column", not all(map(any, zip(*block)))))
-        if full:
-            assert kernel.det == ref.det == reference_det_int(
-                [[row[c] for c in kernel.pivots] for row in block]), block
-            echelon = linalg._column_relations(block, QQ)[2].pivots
-            seen.add(("echelon pivots out of order", echelon != sorted(echelon)))
-            seen.add(("scale is not the pivot",
-                      kernel.den != kernel.det ** (ncols - nrows)))
-    assert {("nonzero minor", True), ("nonzero minor", False),
-            ("rank below the rows", True), ("rank below the rows", False),
-            ("zero column", True), ("echelon pivots out of order", True),
-            ("echelon pivots out of order", False), ("scale is not the pivot", True)} <= seen
-
-
-def reference_nonzero_column_sets(kernel):
-    dual = kernel.dual
-    if dual is None:
-        return
-    ncols, free = len(dual), len(dual[0])
-    support = [c for c in range(ncols) if any(dual[c])]
-    for rest in combinations(support, free):
-        if reference_det_int([dual[c][:] for c in rest]):
-            yield tuple(c for c in range(ncols) if c not in rest)
-
-
-def reference_minor_gcd_sample(m):
-    """`minor_gcd_sample` before the peel and the minor table: every drawn
-    minor interpolated off eliminations of the whole matrix, at t = 0 up to
-    its degree bound, and every kernel minor a Bareiss pass.  It reads the
-    count and seed of the sample from `linalg`."""
-    rng = random.Random(linalg._SAMPLE_SEED)
-    count = linalg._SAMPLE_COUNT
-    polys = _polynomial_entries(m)
-    kernels = {}
-
-    def kernel(x):
-        # one elimination per point, shared by every minor
-        if x not in kernels:
-            kernels[x] = ReferencePointKernel([[zeval(coeffs, x) for coeffs in prow]
-                                               for prow in polys])
-        return kernels[x]
-
-    whole = kernel(3)
-    base = None
-    if len(whole.rows) == len(polys):
-        base = tuple(sorted(whole.pivots))
-    found = set()
-    for x in (3, 5):
-        found.update(reference_nonzero_column_sets(kernel(x)))
-    found.discard(base)
-    picks = rng.sample(sorted(found), min(count - 1, len(found)))
-    g = ()
-    for csel in ([base] if base else []) + picks:
-        det = reference_minor_poly(polys, csel, kernel)
-        if det:
-            g = zgcd(g, det)
-            if g == (1,):
-                break
-    return g
-
-
-def reference_minor_poly(polys, csel, kernel):
-    row_deg = sum(max(len(row[c]) for c in csel) - 1 for row in polys)
-    col_deg = sum(max(len(row[c]) for row in polys) - 1 for c in csel)
-    ys = [kernel(x).minor(csel) for x in range(min(row_deg, col_deg) + 1)]
-    ints = ztrim(_interpolate_scaled(ys))
-    if not ints:
-        return ()
-    p = zprim(ints)
-    return p if p[-1] > 0 else tuple(-c for c in p)
-
-
 # entries of the sparse matrices: the three that vanish at t = 0, 3 or 5,
-# where the minors are screened, and dense polynomials of degree <= 2
+# 3 being the sample's first draw point, and dense polynomials of degree <= 2
 _SPECIAL = (t, t - QT.from_int(3), t - QT.from_int(5))
 
 
@@ -798,9 +593,9 @@ def _poly_entry(rng):
 
 
 def _sparse_qt_case(rng):
-    """(rows, count) of a sparse Q(t) matrix: a chain of rows whose peels
-    make the next one a singleton, singleton rows, denser rows, and at times
-    a zero row, with the rows shuffled."""
+    """The rows of a sparse Q(t) matrix: a chain of rows whose peels make
+    the next one a singleton, singleton rows, denser rows, and at times a
+    zero row, with the rows shuffled."""
     nrows = rng.randint(2, 7)
     ncols = nrows + rng.randint(0, 3)
     rows = [[QT.zero] * ncols for _ in range(nrows)]
@@ -818,21 +613,63 @@ def _sparse_qt_case(rng):
     if rng.random() < 0.15:
         rows[rng.randrange(nrows)] = [QT.zero] * ncols
     rng.shuffle(rows)
-    # count at times above the number of nonzero minors, which caps the draws
-    count = rng.choice((2, 4, 32, 200))
-    return rows, count
+    rng.randrange(4)    # once a sample size, still drawn so the seeded cases stay the same
+    return rows
+
+
+def reference_minors(m):
+    """Every nonzero maximal minor of m by its columns, a determinant over
+    Q(t) made primitive in Z[t] with positive leading coefficient."""
+    out = {}
+    for cols in combinations(range(m.ncols), m.nrows):
+        minor = determinant(DenseMatrix(QT, [[row[c] for c in cols] for row in m.rows]))
+        if minor:
+            out[cols] = zprim(minor.num)
+    return out
+
+
+def drawn_minors(monkeypatch, m, v):
+    """`minor_gcd_sample(m, v)` and the minors it drew, each as (the columns
+    of m, with the peeled ones joined back, the minor)."""
+    _, core_cols, _ = reference_peel(_polynomial_entries(m))
+    peeled = set(range(m.ncols)) - set(core_cols)
+    drawn = []
+    minor_poly = linalg._minor_poly
+
+    def recorded(core, product, csel, at):
+        det = minor_poly(core, product, csel, at)
+        drawn.append((tuple(sorted(peeled | {core_cols[k] for k in csel})), det))
+        return det
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_minor_poly", recorded)
+        return minor_gcd_sample(m, v), drawn
 
 
 def test_minor_gcd_sample_off_the_peeled_core_matches_the_whole_blocks(monkeypatch):
+    # every drawn minor is the whole matrix's minor on the same columns; the
+    # gcd G of all of them divides the sample, which is G whenever it is t^v,
+    # and () exactly when v is None
     rng = random.Random(2301)
     seen = set()
     for _ in range(120):
-        rows, count = _sparse_qt_case(rng)
+        rows = _sparse_qt_case(rng)
         m = DenseMatrix(QT, rows)
-        monkeypatch.setattr(linalg, "_SAMPLE_COUNT", count)
-        monkeypatch.setattr(linalg, "_SAMPLE_SEED", rng.randrange(10 ** 6))
-        got = minor_gcd_sample(m)
-        assert got == reference_minor_gcd_sample(m), rows
+        v = t_adic_minor_valuation(m)
+        got, drawn = drawn_minors(monkeypatch, m, v)
+        minors = reference_minors(m)
+        full = reduce(zgcd, minors.values(), ())
+        assert (got == ()) == (v is None) == (full == ()), rows
+        for cols, det in drawn:
+            assert minors.get(cols) == det, (rows, cols)
+        if v is not None:
+            assert zval(full) == v and zprim(got) == got, rows
+            zdiv_exact(got, full)       # raises unless G divides the sample
+            reached = got == (0,) * v + (1,)
+            assert got == full or not reached, rows
+            seen.add(("reaches t^v", reached))
+            seen.add(("is G", got == full))
+            seen.add(("several draws", len(drawn) > 1))
         polys = _polynomial_entries(m)
         core, product = _peel(polys)
         singletons = sum(sum(map(bool, row)) == 1 for row in polys)
@@ -844,7 +681,9 @@ def test_minor_gcd_sample_off_the_peeled_core_matches_the_whole_blocks(monkeypat
     assert {("peels that make a singleton", True), ("fully peeled", True),
             ("zero row", True),
             ("vanishes at", 0), ("vanishes at", 3), ("vanishes at", 5),
-            ("gcd", 0), ("gcd", 1), ("gcd", 2)} <= seen
+            ("gcd", 0), ("gcd", 1), ("gcd", 2),
+            ("reaches t^v", True), ("reaches t^v", False),
+            ("is G", True), ("is G", False), ("several draws", True)} <= seen
 
 
 def reference_peel(polys):
@@ -867,33 +706,19 @@ def reference_peel(polys):
 
 
 def test_minor_gcd_sample_reads_psis_drawn_minors_off_its_core(monkeypatch):
-    # the core screens and draws psi's 32 minors, on core columns; with the
-    # peeled columns joined back they are the whole matrix's, minor by minor
+    # the core draws psi's 5 minors, on core columns; with the 14 peeled
+    # columns joined back they are psi's own minors on those columns
     psi = family_machine().psi
     polys = _polynomial_entries(psi)
     core_rows, core_cols, product = reference_peel(polys)
     assert _peel(polys) == ([[polys[r][c] for c in core_cols] for r in core_rows], product)
     assert (len(core_rows), len(core_cols)) == (10, 14) and product in {(0,) * 6 + (1,),
                                                                       (0,) * 6 + (-1,)}
-    peeled = set(range(28)) - set(core_cols)
-    drawn = {"core": [], "whole": []}
-
-    def recorded(name, minor_poly, columns):
-        def wrapper(*args):
-            det = minor_poly(*args)
-            drawn[name].append((columns(args[-2]), det))     # (psi's columns, det)
-            return det
-        return wrapper
-
-    monkeypatch.setattr(linalg, "_minor_poly", recorded(
-        "core", linalg._minor_poly,
-        lambda csel: tuple(sorted(peeled | {core_cols[k] for k in csel}))))
-    monkeypatch.setitem(globals(), "reference_minor_poly",
-                        recorded("whole", reference_minor_poly, tuple))
-    got = minor_gcd_sample(psi)
-    assert got == reference_minor_gcd_sample(psi)
-    assert got == (0,) * 16 + (1,)
-    assert len(drawn["core"]) == 32 and drawn["core"] == drawn["whole"]
+    got, drawn = drawn_minors(monkeypatch, psi, 16)
+    assert got == (0,) * 16 + (1,) and len(drawn) == 5
+    for cols, det in drawn:
+        minor = determinant(DenseMatrix(QT, [[row[c] for c in cols] for row in psi.rows]))
+        assert det == zprim(minor.num), cols
 
 
 def reference_t_adic_minor_valuation(m):
@@ -980,7 +805,7 @@ def test_t_adic_valuation_off_the_peeled_core_matches_the_whole_matrix():
     rng = random.Random(2401)
     seen = set()
     for _ in range(120):
-        rows, _ = _sparse_qt_case(rng)
+        rows = _sparse_qt_case(rng)
         m = DenseMatrix(QT, rows)
         got = t_adic_minor_valuation(m)
         assert got == reference_t_adic_minor_valuation(m), rows

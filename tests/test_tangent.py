@@ -325,10 +325,10 @@ def test_graded_pieces_sum_to_total_under_coordinate_change(field):
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
 def test_mat_rank_runs_no_dense_elimination(monkeypatch, field):
     # the tangent ranks come from the sparse echelon on working integers: no
-    # point kernel and no row of field elements (RowSpace.add) inside the
-    # linalg.working_rank call that tangent makes
+    # tracked pass over the columns and no row of field elements
+    # (RowSpace.add) inside the linalg.working_rank call that tangent makes
     inside, calls, dense = [False], [], []
-    rank, init, add = linalg.working_rank, linalg._PointKernel.__init__, RowSpace.add
+    rank, relations, add = linalg.working_rank, linalg._column_relations, RowSpace.add
 
     def counted_rank(field, rows):
         calls.append(len(rows))
@@ -338,10 +338,10 @@ def test_mat_rank_runs_no_dense_elimination(monkeypatch, field):
         finally:
             inside[0] = False
 
-    def counted_init(self, block):
+    def counted_relations(rows, field):
         if inside[0]:
-            dense.append("_PointKernel")
-        init(self, block)
+            dense.append("_column_relations")
+        return relations(rows, field)
 
     def counted_add(self, vec):
         if inside[0]:
@@ -349,7 +349,7 @@ def test_mat_rank_runs_no_dense_elimination(monkeypatch, field):
         return add(self, vec)
 
     monkeypatch.setattr(tangent, "working_rank", counted_rank)
-    monkeypatch.setattr(linalg._PointKernel, "__init__", counted_init)
+    monkeypatch.setattr(linalg, "_column_relations", counted_relations)
     monkeypatch.setattr(RowSpace, "add", counted_add)
     assert tangent_dimension(seven_quadrics_ideal(5, field)) == 33
     assert calls and not dense
@@ -452,25 +452,27 @@ def test_curve_multiplicity_sixteen():
 
 
 def test_curve_multiplicity_never_eliminates_psi_whole(monkeypatch):
-    # the screen at t = 3 and 5 and every drawn minor are read off psi's
-    # peeled core.  Q(t) runs no gcd against a constant and the relations
-    # are ranked at a point, so the request makes 46 gcds, not 567.
+    # the sample's pivot columns and every drawn minor are read off psi's
+    # peeled core, and the sample stops at t^16: 90 of the request's 93
+    # tracked column passes are the sample's, none of psi whole.  Q(t) runs
+    # no gcd against a constant and the relations are ranked at a point, so
+    # the request makes 19 gcds, not 567.
     whole, gcds = [], []
-    init, zgcd = linalg._PointKernel.__init__, upoly.zgcd
+    relations, zgcd = linalg._column_relations, upoly.zgcd
 
-    def counted_init(self, block):
-        whole.append(len(block) == 24)
-        init(self, block)
+    def counted_relations(rows, field):
+        whole.append(len(rows) == 24)
+        return relations(rows, field)
 
     def counted_zgcd(a, b):
         gcds.append(1)
         return zgcd(a, b)
 
-    monkeypatch.setattr(linalg._PointKernel, "__init__", counted_init)
+    monkeypatch.setattr(linalg, "_column_relations", counted_relations)
     monkeypatch.setattr(linalg, "zgcd", counted_zgcd)
     monkeypatch.setattr(upoly, "zgcd", counted_zgcd)
     assert curve_multiplicity().sampled_valuation == 16
-    assert len(whole) == 17 and sum(whole) == 0
+    assert len(whole) == 93 and sum(whole) == 0
     assert len(gcds) <= 200
 
 
