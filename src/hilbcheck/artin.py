@@ -18,7 +18,7 @@ from .poly import GREVLEX, Substitution, VariableContext, mono_deg
 from .groebner import (GroebnerBasis, Ideal, _complete, _input_records, _reduced_candidate,
                        buchberger, cyclic_annihilator_gb)
 from .scalars import is_prime
-from .upoly import zdiv_exact, zeval, zgcd, zmul, zprim, zsub, ztrim
+from .upoly import zdiv_exact, zdivmod, zeval, zgcd, zmul, zprim, zsub, ztrim
 
 
 class IndeterminateSupport(HilbcheckError):
@@ -640,8 +640,11 @@ def rational_roots(coeffs_desc, field):
     """Roots in the base field with multiplicities, on the working integers
     of the polynomial (`Field.integers`): after the zero roots, the roots
     mod p over F_p (`_roots_mod`), over Q those lifted from a prime
-    (`_lifted_roots`), each checked exactly and divided out with its
-    multiplicity.  Over Q(t) there is no search.
+    (`_lifted_roots`).  A candidate P/q counts once for each exact division
+    of the ascending coefficients by q x - P (`upoly.zdivmod`, over Z or
+    F_p): over Z, gcd(P, q) = 1 and q > 0, so by Gauss's lemma q x - P
+    divides f in Z[x] exactly when P/q is a root of f.  Over Q(t) there is
+    no search.
     """
     _check_root_search(field)
     p = field.modulus
@@ -654,11 +657,11 @@ def rational_roots(coeffs_desc, field):
         return roots
     f = ztrim(ints[::-1])
     for pnum, qden in [(r, 1) for r in _roots_mod(f, p)] if p else _lifted_roots(zprim(f)):
-        while len(ints) > 1:
-            quotient = _deflate_linear(ints, pnum, qden, p)
-            if quotient is None:
+        while len(f) > 1:
+            division = zdivmod(f, (-pnum, qden), p)
+            if division is None or division[1]:
                 break
-            ints = [c % p for c in quotient] if p else quotient
+            f = division[0]
             root = field.element(pnum, qden)
             roots[root] = roots.get(root, 0) + 1
     return roots
@@ -702,6 +705,7 @@ def _roots_mod(f, p):
     factor of which is split by its gcd with (x + a)^((p-1)/2) - 1, the
     roots r with r + a a nonzero square, for a drawn from a generator
     seeded by p (Cantor-Zassenhaus; Modern Computer Algebra, ch. 14).
+    Residue lists serve as F_p[x]: every division is `upoly.zdivmod` mod p.
     """
     f = _mod(f, p)
     rng = random.Random(p)
@@ -714,7 +718,7 @@ def _roots_mod(f, p):
         elif len(h) > 2:
             w = _powmod_mod((rng.randrange(p), 1), (p - 1) // 2, h, p)
             g = _gcd_mod(h, _mod(zsub(w, (1,)), p), p)
-            stack += [g, _divmod_mod(h, g, p)[0]] if 1 < len(g) < len(h) else [h]
+            stack += [g, zdivmod(h, g, p)[0]] if 1 < len(g) < len(h) else [h]
     return sorted(out)
 
 
@@ -722,24 +726,11 @@ def _mod(a, p):
     return ztrim([c % p for c in a])
 
 
-def _divmod_mod(a, b, p):
-    """Quotient and remainder of a by b over F_p, lc(b) nonzero mod p."""
-    n = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    r = list(a)
-    quot = [0] * max(len(r) - n, 0)
-    for i in range(len(r) - 1, n - 1, -1):
-        quot[i - n] = c = r[i] * inv % p
-        for j in range(n):
-            r[i - n + j] -= c * b[j]
-    return ztrim(quot), _mod(r[:n], p)
-
-
 def _gcd_mod(a, b, p):
     """Monic gcd over F_p of the residues a and b, trimmed, a nonzero."""
     while b:
-        a, b = b, _divmod_mod(a, b, p)[1]
-    return _divmod_mod(a, (a[-1],), p)[0]
+        a, b = b, zdivmod(a, b, p)[1]
+    return zdivmod(a, (a[-1],), p)[0]
 
 
 def _powmod_mod(b, e, f, p):
@@ -748,24 +739,7 @@ def _powmod_mod(b, e, f, p):
         return (1,)
     half = _powmod_mod(b, e // 2, f, p)
     square = zmul(half, half)
-    return _divmod_mod(zmul(square, b) if e & 1 else square, f, p)[1]
-
-
-def _deflate_linear(ints, pnum, qden, p):
-    """f / (q x - P) for the descending integer coefficients ints of f, by
-    synthetic division, or None when q x - P does not divide f: over Z,
-    where gcd(P, q) = 1 and q > 0, so by Gauss's lemma it divides f exactly
-    when P/q is a root, and then every step divides exactly; over F_p,
-    where q = 1 and only the last value, f(P), is reduced mod p."""
-    out = []
-    acc = 0
-    for c in ints[:-1]:
-        acc, r = divmod(c + pnum * acc, qden)
-        if r:
-            return None
-        out.append(acc)
-    last = ints[-1] + pnum * acc
-    return None if (last % p if p else last) else out
+    return zdivmod(zmul(square, b) if e & 1 else square, f, p)[1]
 
 
 def enumerate_local_hfs(d, n):

@@ -591,7 +591,8 @@ def minor_gcd_sample(m, v):
     suffice; past them the core has no nonzero maximal minor and v was not
     its valuation (`ValueError`).  Draw s takes the pivot columns at x of
     the core's columns ordered s, s + 1, ..., 0, ..., s - 1, whose minor is
-    nonzero at x; a column set drawn before is skipped.  A drawn minor is
+    nonzero at x; draw 0 keeps the pivots of the search's pass at x, and a
+    column set drawn before is skipped.  A drawn minor is
     prim(f * core minor), the core minor interpolated in integer arithmetic
     from its values at t = 0, 1, 2, ... up to its degree bound.
     """
@@ -611,7 +612,8 @@ def minor_gcd_sample(m, v):
     ncols = len(core[0])
     bound = sum(max(1, *map(len, row)) - 1 for row in core)
     for x in range(3, bound + 4):
-        if len(_column_relations(at(x), QQ)[0]) == len(core):
+        pivots = _column_relations(at(x), QQ)[0]
+        if len(pivots) == len(core):
             break
     else:
         raise ValueError("matrix has rank below its row count: its valuation is infinite")
@@ -620,7 +622,8 @@ def minor_gcd_sample(m, v):
     g = ()
     for s in range(ncols):
         order = list(range(s, ncols)) + list(range(s))
-        pivots = _column_relations([[row[k] for k in order] for row in at(x)], QQ)[0]
+        if s:     # draw 0's order is the identity: the search's pass at x
+            pivots = _column_relations([[row[k] for k in order] for row in at(x)], QQ)[0]
         csel = tuple(sorted(order[p] for p in pivots))
         if csel in drawn:
             continue

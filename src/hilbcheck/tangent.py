@@ -30,7 +30,8 @@ from itertools import combinations
 from math import lcm
 
 from .errors import PreconditionError
-from .fields import QQ, QT
+from .fields import QT
+from .fixtures import family_member_ideal
 from .linalg import (DenseMatrix, RowSpace, mat_rank, rank, rref,
                      minor_gcd_sample, t_adic_minor_valuation, working_rank)
 from .poly import context, mono_deg, mono_lcm
@@ -211,7 +212,12 @@ def build_tangent_machine(I):
     """Syzygy-constraint matrix psi and its reduction hbar for a (1,4,3) ideal.
 
     Requires four variables and an ideal generated in degree 2; the verdict
-    `singular` is dim Hom(I, S/I)_{-1} >= 5.
+    `singular` is dim Hom(I, S/I)_{-1} >= 5.  hbar drops the columns of psi
+    at the 4 pivots of the derivative columns T.  psi T = 0, and T's 4 x 4
+    block on those pivots is invertible, so each dropped column is a
+    combination of the 24 kept ones and rank(hbar) = rank(psi).  The corank
+    of hbar is thus dim Hom(I, S/I)_{-1} - 4, read off psi's one rank, and
+    `singular` holds exactly when hbar is singular.
     """
     G = buchberger(I)
     ctx = G.ctx
@@ -223,14 +229,8 @@ def build_tangent_machine(I):
     quadrics = [g for g in G.elements if g.degree() == 2]
     if len(quadrics) != 7:
         raise PreconditionError("requires cubic generator: ideal is not generated in degree 2")
-    try:
-        relations = linear_syzygies(quadrics, ctx)
-    except PreconditionError as exc:
-        if "cubic" in str(exc) or "Hilbert" in str(exc):
-            raise PreconditionError("requires cubic generator: " + str(exc)) from None
-        raise
     cobasis = [m for m in G.quotient_basis() if mono_deg(m) == 2]
-    return _assemble_machine(ctx, quadrics, relations, cobasis)
+    return _assemble_machine(ctx, quadrics, linear_syzygies(quadrics, ctx), cobasis)
 
 
 def _assemble_machine(ctx, quadrics, relations, cobasis):
@@ -291,11 +291,10 @@ def _assemble_machine(ctx, quadrics, relations, cobasis):
         raise ArithmeticError("derivative columns are dependent")
     keep = [c for c in range(28) if c not in set(tpivots)]
     hbar = DenseMatrix(field, [[psi.rows[r][c] for c in keep] for r in range(3 * nrel)])
-    corank = hbar.ncols - mat_rank(hbar)
     return TangentMachine143(
         quadrics=quadrics, relations=relations, cobasis=cobasis, psi=psi,
         t_columns=t_columns, hbar=hbar, rank_psi=rank_psi,
-        dim_hom_minus1=dim_hom_minus1, corank_hbar=corank,
+        dim_hom_minus1=dim_hom_minus1, corank_hbar=dim_hom_minus1 - 4,
         singular=dim_hom_minus1 >= 5)
 
 
@@ -308,16 +307,13 @@ def family_context():
 
 
 def family_quadrics(tval=None):
-    """The seven quadric generators of the family, in their fixed order.
+    """The seven quadric generators of the family, in their fixed order: those
+    of `fixtures.family_member_ideal`.
 
     Over Q(t) when tval is None; specialized to a rational tval otherwise.
     """
-    ctx = family_context() if tval is None else context(QQ, "x1 x2 x3 x4")
-    field = ctx.field
-    t = field.t if tval is None else field.from_int(tval) if isinstance(tval, int) else tval
-    x1, x2, x3, x4 = ctx.variables()
-    return [x1 * x1, x2 * x2, x3 * x3, x4 * x4, x1 * x2,
-            x2 * x3 + (x3 * x4).scale(t), x1 * x4 + (x3 * x4).scale(t)]
+    I = family_member_ideal(QT.t, QT) if tval is None else family_member_ideal(tval)
+    return list(I.gens)
 
 
 def family_syzygies(tval=None):
@@ -354,8 +350,8 @@ FAMILY_COBASIS = ((1, 0, 1, 0), (0, 1, 0, 1), (0, 0, 1, 1))
 
 
 def family_machine(tval=None):
-    qs = family_quadrics(tval=tval)
     rels = family_syzygies(tval=tval)
+    qs = list(rels.generators)
     return _assemble_machine(qs[0].ctx, qs, rels, list(FAMILY_COBASIS))
 
 
@@ -380,11 +376,12 @@ def curve_multiplicity():
     that space.  Their rank reaches min(rows, columns), so the rank at a
     point settles it."""
     machine = family_machine()
-    ours = linear_syzygies(machine.quadrics, family_context())
+    # raises unless the linear syzygies of the quadrics span 8 dimensions
+    linear_syzygies(machine.quadrics, family_context())
     # each relation as its coefficient vector, keyed by (generator, monomial)
     dim = rank(QT, [{(k, m): c for k, l in enumerate(rel) for m, c in l.terms.items()}
                     for rel in machine.relations])
-    if dim != 8 or len(ours) != 8:
+    if dim != 8:
         raise ArithmeticError("linear syzygy space of the family is not 8-dimensional")
     psi = machine.psi
     val = t_adic_minor_valuation(psi)

@@ -4,6 +4,9 @@ Z[t] polynomials are tuples of int coefficients, ascending degree, no trailing
 zeros, () for zero.  RatFunc is a reduced ratio of two such tuples; it is the
 coefficient type for computations along one-parameter families.  Its
 reduction makes no fraction: the gcd and the division by it stay in Z[t].
+Lists of residues mod a prime p serve as F_p[x]: `zdivmod` is the one
+schoolbook division, over Z and over F_p, behind `RatFunc`'s reduction and
+artin's root search alike.
 """
 
 from math import gcd
@@ -66,27 +69,41 @@ def zeval(a, x):
     return acc
 
 
-def zdiv_exact(n, d):
-    """Quotient n/d in Z[t]; ArithmeticError when d does not divide n there.
-    A primitive d that divides n in Q[t] divides it in Z[t] (Gauss's lemma)."""
-    if not d:
+def zdivmod(a, b, p):
+    """Quotient and remainder of a by b, nonzero, on ascending int lists.
+
+    Over Z when p is 0: None as soon as a leading division is inexact, so a
+    primitive b divides a in Z[t] exactly when the result is (q, ()), by
+    Gauss's lemma.  Over F_p when p is a prime, on residues: b's leading
+    coefficient is nonzero mod p, and the quotient and remainder are reduced.
+    """
+    if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    if not n:
-        return ()
-    num = list(n)
-    q = [0] * (len(n) - len(d) + 1)
-    lead = d[-1]
-    for i in range(len(q) - 1, -1, -1):
-        c, r = divmod(num[i + len(d) - 1], lead)
-        if r:
-            raise ArithmeticError("non-integer quotient in Z[t] division")
-        q[i] = c
+    n = len(b) - 1
+    lead = b[-1]
+    inv = pow(lead, -1, p) if p else 0
+    r = list(a)
+    q = [0] * max(len(r) - n, 0)
+    for k in range(len(q) - 1, -1, -1):
+        if p:
+            c = r[k + n] * inv % p
+        else:
+            c, rem = divmod(r[k + n], lead)
+            if rem:
+                return None
         if c:
-            for j, dc in enumerate(d):
-                num[i + j] -= c * dc
-    if any(num):
-        raise ArithmeticError("inexact polynomial division")
-    return ztrim(q)
+            q[k] = c
+            for j in range(n):
+                r[k + j] -= c * b[j]
+    return ztrim(q), ztrim([x % p for x in r[:n]] if p else r[:n])
+
+
+def zdiv_exact(n, d):
+    """Quotient n/d in Z[t]; ArithmeticError when d does not divide n there."""
+    out = zdivmod(n, d, 0)
+    if out is None or out[1]:
+        raise ArithmeticError("inexact polynomial division in Z[t]")
+    return out[0]
 
 
 def zgcd(a, b):

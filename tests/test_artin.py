@@ -20,6 +20,7 @@ from hilbcheck.poly import Polynomial, context, parse_polynomial
 from hilbcheck.scalars import rat
 from hilbcheck.smooth import change_coordinates
 from hilbcheck.tangent import tangent_dimension
+from hilbcheck.upoly import zdivmod
 
 
 def P(s, ctx):
@@ -542,17 +543,20 @@ def test_rational_roots_are_complete():
 
 
 def test_deflation_by_a_candidate_root_is_exact_or_none():
+    # rational_roots divides by q x - P with upoly.zdivmod, ascending;
     # 2x^2 - 3x + 1 = (2x - 1)(x - 1)
-    assert artin._deflate_linear([2, -3, 1], 1, 2, 0) == [1, -1]
-    assert artin._deflate_linear([2, -3, 1], 1, 1, 0) == [2, -1]
-    assert artin._deflate_linear([2, -3, 1], 3, 2, 0) is None
+    assert zdivmod((1, -3, 2), (-1, 2), 0) == ((-1, 1), ())
+    assert zdivmod((1, -3, 2), (-1, 1), 0) == ((-1, 2), ())
+    # 3/2 is no root: every leading division is exact, the remainder is not 0
+    assert zdivmod((1, -3, 2), (-3, 2), 0) == ((0, 1), (1,))
     # 3x - 1: the first step 3 / 2 is inexact, though floor division would
     # leave a zero remainder
-    assert artin._deflate_linear([3, -1], 1, 2, 0) is None
-    # x^2 - 2 over F_7: 3 is a root, 2 is not; the quotient is not reduced
-    assert artin._deflate_linear([1, 0, -2], 3, 1, 7) == [1, 3]
-    assert artin._deflate_linear([1, 0, -2], 2, 1, 7) is None
-    assert artin._deflate_linear([1, 0, 5], 10, 1, 7) == [1, 10]
+    assert zdivmod((-1, 3), (-1, 2), 0) is None
+    # x^2 - 2 over F_7: 3 is a root, 2 is not
+    assert zdivmod((-2, 0, 1), (-3, 1), 7) == ((3, 1), ())
+    assert zdivmod((-2, 0, 1), (-2, 1), 7) == ((2, 1), (2,))
+    # the quotient is reduced mod p
+    assert zdivmod((5, 0, 1), (-10, 1), 7) == ((3, 1), ())
 
 
 def test_split_by_distinct_first_coordinates_multiplies_no_matrices(monkeypatch):

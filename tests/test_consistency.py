@@ -8,19 +8,20 @@ import random
 import pytest
 
 from hilbcheck.fields import GF, QQ
-from hilbcheck.fixtures import (monomial_143_ideal, random_invertible_matrix,
-                                random_points, seven_quadrics_ideal)
+from hilbcheck.fixtures import (graded_143_fixtures, monomial_143_ideal,
+                                random_invertible_matrix, random_points, salmon_ideal,
+                                seven_quadrics_ideal)
 from hilbcheck.apolarity import ideal_from_inverse_system, perp
 from hilbcheck.artin import (embedding_reduction,
                              local_hilbert_function, split_rational_support,
                              translate_ideal)
 from hilbcheck.groebner import Ideal, buchberger, ideal_equal, intersect, points_ideal
-from hilbcheck.linalg import determinant
+from hilbcheck.linalg import determinant, mat_rank
 from hilbcheck.poly import Polynomial, context, parse_ideal_file
 from hilbcheck.scalars import rat
 from hilbcheck.smooth import (change_coordinates, classify_smoothable,
                               salmon_turnbull_pfaffian)
-from hilbcheck.tangent import build_tangent_machine, tangent_dimension
+from hilbcheck.tangent import build_tangent_machine, family_machine, tangent_dimension
 
 
 def random_quadric_span_ideal(rng, ctx):
@@ -307,3 +308,36 @@ def test_colength_at_most_seven_is_smoothable_with_large_tangent_space():
         assert buchberger(I).colength() == n
         assert classify_smoothable(I).outcome == "Smoothable"
         assert tangent_dimension(I) >= n * I.ctx.d, (n, I)
+
+
+def _machines():
+    """54 (1,4,3) machines: the graded fixtures and salmon over Q, F_101 and
+    F_7, each also under a seeded GL_4 change; the family at t = None, 0, 1,
+    2, 3 and -1; and 12 seeded quadric-span ideals."""
+    out = []
+    for field in (QQ, GF(101), GF(7)):
+        ideals = [I for _, I in graded_143_fixtures(field)] + [salmon_ideal(field)]
+        rng = random.Random(2718)
+        ideals += [change_coordinates(I, random_invertible_matrix(rng.randint(0, 10 ** 9), 4, field))
+                   for I in ideals]
+        out += [build_tangent_machine(I) for I in ideals]
+    out += [family_machine(tval) for tval in (None, 0, 1, 2, 3, -1)]
+    rng = random.Random(314)
+    ctx = context(QQ, "x1 x2 x3 x4")
+    spans = []
+    while len(spans) < 12:
+        I = random_quadric_span_ideal(rng, ctx)
+        if I is not None:
+            spans.append(I)
+    return out + [build_tangent_machine(I) for I in spans]
+
+
+def test_hbar_corank_is_read_off_the_rank_of_psi():
+    # hbar keeps the columns of psi off the derivative columns' pivots, and
+    # each dropped column is a combination of the kept ones: the rank of
+    # hbar is that of psi, so no second rank is needed
+    machines = _machines()
+    assert len(machines) == 54 and {m.singular for m in machines} == {False, True}
+    for m in machines:
+        assert m.corank_hbar == m.hbar.ncols - mat_rank(m.hbar)
+        assert m.singular == (m.corank_hbar > 0)

@@ -310,11 +310,11 @@ def test_minor_gcd_sample_finds_sparse_support():
 
 
 def test_minor_gcd_sample_eliminates_each_block_once_per_point(monkeypatch):
-    # psi's 10 x 14 core is eliminated at the draw point t = 3 once for its
-    # rank and once per draw, 7 draws of which 2 repeat a column set, and
-    # each of the 5 drawn minors' 10 x 10 blocks once at each point of its
-    # interpolation; psi is never eliminated whole, and no block twice at
-    # one point
+    # psi's 10 x 14 core is eliminated at the draw point t = 3 once per
+    # draw, the first of them its rank check, 7 draws of which 2 repeat a
+    # column set, and each of the 5 drawn minors' 10 x 10 blocks once at
+    # each point of its interpolation; psi is never eliminated whole, and no
+    # block twice at one point
     psi = family_machine().psi
     eliminated = []
     relations = linalg._column_relations
@@ -326,7 +326,7 @@ def test_minor_gcd_sample_eliminates_each_block_once_per_point(monkeypatch):
     monkeypatch.setattr(linalg, "_column_relations", counted)
     assert minor_gcd_sample(psi, 16) == (0,) * 16 + (1,)
     shapes = Counter((len(block), len(block[0])) for block in eliminated)
-    assert shapes == {(10, 14): 8, (10, 10): 82}
+    assert shapes == {(10, 14): 7, (10, 10): 82}
     blocks = [block for block in eliminated if len(block[0]) == 10]
     assert len(set(blocks)) == len(blocks)
 

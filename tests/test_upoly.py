@@ -5,8 +5,8 @@ import pytest
 
 from hilbcheck import upoly
 from hilbcheck.scalars import rat
-from hilbcheck.upoly import (RATFUNC_T as t, RatFunc, zdeg, zdiv_exact, zeval, zgcd, zmul,
-                             zneg, zpoly_str, ztrim, zval)
+from hilbcheck.upoly import (RATFUNC_T as t, RatFunc, zdeg, zdiv_exact, zdivmod, zeval, zgcd,
+                             zmul, zneg, zpoly_str, ztrim, zval)
 
 
 def test_zpoly_basics():
@@ -176,6 +176,43 @@ def test_zgcd_matches_sympy_over_the_integers():
         want = tuple(int(c) for c in reversed(prim.all_coeffs()))
         assert zgcd(a, b) == zgcd(b, a) == want, (a, b)
     assert 25 <= max(digits) <= 30
+
+
+def test_zdivmod_matches_sympy_over_the_integers_and_prime_fields():
+    # against sympy's Poly.div: exact products over ZZ, divisors scaled by a
+    # content that leaves Q[t]'s quotient outside Z[t] (None), and random
+    # residue pairs over GF(p)
+    sympy = pytest.importorskip("sympy")
+    T = sympy.Symbol("t")
+    rng = random.Random(3109)
+
+    def poly(deg, bound):
+        return ztrim([rng.randint(-bound, bound) for _ in range(deg)]
+                     + [rng.choice((-1, 1)) * rng.randint(1, bound)])
+
+    def coeffs(p, modulus=0):
+        return ztrim([int(c) % modulus if modulus else int(c) for c in reversed(p.all_coeffs())])
+
+    for _ in range(100):
+        q, d = poly(rng.randint(0, 6), 10 ** 9), poly(rng.randint(0, 6), 10 ** 9)
+        n = zmul(q, d)
+        want_q, want_r = sympy.Poly(list(reversed(n)), T, domain="ZZ").div(
+            sympy.Poly(list(reversed(d)), T, domain="ZZ"))
+        assert zdivmod(n, d, 0) == (coeffs(want_q), coeffs(want_r)) == (q, ())
+        c = rng.choice((2, 3, 5, 7))
+        if gcd(*q) % c:
+            cd = zmul(d, (c,))
+            want_q, want_r = sympy.Poly(list(reversed(n)), T, domain="QQ").div(
+                sympy.Poly(list(reversed(cd)), T, domain="QQ"))
+            assert not want_r and any(x.q != 1 for x in want_q.all_coeffs())
+            assert zdivmod(n, cd, 0) is None
+    for p in (7, 101, 10007):
+        for _ in range(100):
+            a = ztrim([rng.randrange(p) for _ in range(rng.randint(0, 9))])
+            b = ztrim([rng.randrange(p) for _ in range(rng.randint(0, 5))] + [rng.randrange(1, p)])
+            want_q, want_r = sympy.Poly(list(reversed(a)) or [0], T, modulus=p).div(
+                sympy.Poly(list(reversed(b)), T, modulus=p))
+            assert zdivmod(a, b, p) == (coeffs(want_q, p), coeffs(want_r, p)), (a, b, p)
 
 
 def test_zdiv_exact_divides_over_the_integers():

@@ -1,7 +1,13 @@
 import json
+import pathlib
+
+import pytest
 
 from hilbcheck.reportschema import VERIFY_REPORT_SCHEMA, validate
+from hilbcheck.scalars import RAT_BACKEND
 from hilbcheck.verify import CASE_NAMES, run_case, run_suite
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def test_case_registry_names_unique():
@@ -27,3 +33,12 @@ def test_report_rendering_and_schema():
     validate(obj, VERIFY_REPORT_SCHEMA)
     json.dumps(obj)   # serializable
 
+
+@pytest.mark.skipif(RAT_BACKEND != "fractions", reason="the pinned report names the fractions backend")
+def test_default_report_is_byte_identical_to_the_pinned_one():
+    # the default-seed report, as text and as sorted JSON, byte for byte;
+    # a change that alters any case's value or note must re-pin these files
+    rep = run_suite()
+    assert rep.to_text().encode() == (DATA / "verify_paper.txt").read_bytes()
+    text = json.dumps(rep.to_json_obj(), sort_keys=True)
+    assert text.encode() == (DATA / "verify_paper.json").read_bytes()
