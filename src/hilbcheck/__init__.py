@@ -21,8 +21,7 @@ from .artin import (HilbertFunction, LocalAlgebraModel, centroid,
                     is_primary_at_origin, local_hilbert_function,
                     multiplication_operators, quotient_model,
                     split_rational_support, translate_ideal)
-from .apolarity import (apply_operator, ideal_from_inverse_system,
-                        inverse_system, perp)
+from .apolarity import apply_operator, ideal_from_inverse_system, perp
 from .tangent import (build_tangent_machine, curve_multiplicity,
                       graded_tangent_dimension, tangent_dimension,
                       tangent_report)

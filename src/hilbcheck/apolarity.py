@@ -5,13 +5,21 @@ Dual elements are ordinary Polynomial values whose context carries the dual
 flag; the pairing of x^a with y^b is a! when a == b and 0 otherwise.  In
 characteristic p all degrees in play must stay below p, where the pairing is
 perfect; higher degrees are refused rather than silently degenerate.
+
+Every perpendicular space is one kernel of rows that span the space it is
+orthogonal to.  For `perp` these are the products g x^a in I_j; for
+`ideal_from_inverse_system` the derivatives x^c . g of order deg g - j,
+which span the degree-j part of the generators' differentiation closure
+(Iarrobino-Kanev 1999).  The kernel basis depends only on the space the rows
+span and on the column order, so any spanning rows give the same generators.
 """
 
 from math import factorial, perm, prod
+from operator import le, sub
 
 from .errors import PreconditionError
 from .groebner import Ideal, _monomials_of_degree
-from .linalg import RowSpace, _working_rows, kernel_basis
+from .linalg import _working_rows, kernel_basis
 from .poly import Polynomial, mono_mul
 
 
@@ -66,111 +74,72 @@ def _apolar_complement(rows, monos, ctx):
     return [Polynomial(ctx, {m: c for m, c in zip(monos, v) if c}) for v in ker]
 
 
-def homogeneous_component_basis(I, j):
-    """Echelonized coefficient rows, dicts {column: coefficient}, spanning
-    the degree-j part of a homogeneous ideal, together with the monomial
-    column list."""
+def perp(I, j):
+    """Basis of the subspace of degree-j dual forms annihilated by I_j.
+
+    I_j is spanned by the products g x^a with deg g + |a| = j, so their
+    coefficient rows are the kernel's rows as they are."""
     ctx = I.ctx
-    field = ctx.field
+    _char_guard(ctx.field, j)
     for g in I.gens:
         if not g.is_homogeneous():
             raise PreconditionError("ideal is not homogeneous")
-    monos = list(_monomials_of_degree(ctx.d, j))
-    col = {m: i for i, m in enumerate(monos)}
-    rs = RowSpace(field)
+    monos = [list(_monomials_of_degree(ctx.d, k)) for k in range(j + 1)]
+    col = {m: i for i, m in enumerate(monos[j])}
+    rows = []
     for g in I.gens:
         dg = g.degree()
         if dg is None or dg > j:
             continue
-        for am in _monomials_of_degree(ctx.d, j - dg):
-            vec = [field.zero] * len(monos)
-            for m, c in g.terms.items():
-                vec[col[mono_mul(m, am)]] = c
-            rs.add(vec)
-    return [row for _, row, _ in rs.rows], monos
-
-
-def perp(I, j):
-    """Basis of the subspace of degree-j dual forms annihilated by I_j."""
-    ctx = I.ctx
-    _char_guard(ctx.field, j)
-    rows, monos = homogeneous_component_basis(I, j)
+        for a in monos[j - dg]:
+            rows.append({col[mono_mul(m, a)]: c for m, c in g.terms.items()})
     dual_ctx = ctx.dual_context() if not ctx.dual else ctx
-    return _apolar_complement(rows, monos, dual_ctx)
+    return _apolar_complement(rows, monos[j], dual_ctx)
 
 
-class InverseSystem:
-    """Graded components of a differentiation-closed dual subspace."""
+def ideal_from_inverse_system(gens):
+    """The ideal orthogonal to the differentiation closure of dual forms.
 
-    __slots__ = ("ctx", "components")
-
-    def __init__(self, ctx, components):
-        self.ctx = ctx
-        self.components = {j: tuple(polys) for j, polys in components.items() if polys}
-
-
-def inverse_system(gens):
-    """Differentiation closure of homogeneous dual forms, echelonized by degree."""
+    The closure's degree-j part is spanned by the derivatives x^c . g with
+    |c| = deg g - j of the generators g, so each degree is one kernel of
+    their coefficient rows.  Degrees above the top generator degree are
+    filled with every form, so the result is zero-dimensional with Hilbert
+    function j -> dim of the closure in degree j.
+    """
     if not gens:
         raise PreconditionError("need at least one dual generator")
     ctx = gens[0].ctx
     if not ctx.dual:
         raise PreconditionError("inverse system generators must be dual elements")
     field = ctx.field
-    work = []
+    forms = []
     for g in gens:
         if not g:
             continue
+        if g.ctx != ctx:
+            raise PreconditionError("dual generator from a different context")
         if not g.is_homogeneous():
             raise PreconditionError("inverse system generators must be homogeneous")
         _char_guard(field, g.degree())
-        work.append(g)
-    monos_by_deg = {}
-    spans = {}
-
-    def insert(p):
-        j = p.degree()
-        if j not in spans:
-            monos_by_deg[j] = list(_monomials_of_degree(ctx.d, j))
-            spans[j] = (RowSpace(field), [])
-        rs, reps = spans[j]
-        vec = [p.terms.get(m, field.zero) for m in monos_by_deg[j]]
-        if rs.add(vec) is None:
-            reps.append(p)
-            return True
-        return False
-
-    while work:
-        p = work.pop()
-        if not p:
-            continue
-        if insert(p):
-            if p.degree() > 0:
-                for i in range(ctx.d):
-                    q = p.partial(i)
-                    if q:
-                        work.append(q)
-    comps = {j: reps for j, (rs, reps) in spans.items()}
-    return InverseSystem(ctx, comps)
-
-
-def ideal_from_inverse_system(gens):
-    """The ideal orthogonal to the differentiation closure of dual forms.
-
-    Degrees above the top generator degree are filled with every form, so the
-    result is zero-dimensional with Hilbert function j -> dim of the closure
-    in degree j.
-    """
-    system = inverse_system(gens)
-    ctx = system.ctx
+        forms.append(g)
+    top = max((g.degree() for g in forms), default=0)
+    monos = [list(_monomials_of_degree(ctx.d, j)) for j in range(top + 2)]
     primal = ctx.dual_context()
-    top = max(system.components, default=0)
     out = []
     # the closure has no form of degree top + 1, so every monomial of that
     # degree is in the ideal
     for j in range(top + 2):
-        monos = list(_monomials_of_degree(ctx.d, j))
-        rows = [{k: q.terms[m] for k, m in enumerate(monos) if m in q.terms}
-                for q in system.components.get(j, ())]
-        out.extend(_apolar_complement(rows, monos, primal))
+        col = {m: i for i, m in enumerate(monos[j])}
+        rows = []
+        for g in forms:
+            dg = g.degree()
+            if dg < j:
+                continue
+            for c in monos[dg - j]:
+                # x^c acts on e y^b as e prod(perm(b, c)) y^(b - c) when c <= b
+                row = {col[tuple(map(sub, b, c))]: e * field.from_int(prod(map(perm, b, c)))
+                       for b, e in g.terms.items() if all(map(le, c, b))}
+                if row:
+                    rows.append(row)
+        out.extend(_apolar_complement(rows, monos[j], primal))
     return Ideal(primal, out)

@@ -8,8 +8,10 @@ and coordinate changes with reproducible draws.
 
 import random
 
+from .apolarity import ideal_from_inverse_system
 from .fields import QQ
 from .groebner import Ideal
+from .linalg import DenseMatrix, determinant
 from .poly import context, parse_polynomial
 from .scalars import rat
 
@@ -88,7 +90,6 @@ def salmon_partials(field=QQ):
 
 
 def salmon_ideal(field=QQ):
-    from .apolarity import ideal_from_inverse_system
     return ideal_from_inverse_system(salmon_partials(field))
 
 
@@ -223,7 +224,6 @@ def random_points(seed, n=8, d=4, field=QQ):
 
 def random_invertible_matrix(seed, d, field=QQ):
     """Seeded invertible d x d matrix with small integer entries."""
-    from .linalg import DenseMatrix, determinant
     rng = random.Random(seed)
     while True:
         g = [[field.from_int(rng.randint(-3, 3)) for _ in range(d)] for _ in range(d)]

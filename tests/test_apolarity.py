@@ -5,8 +5,7 @@ import pytest
 from hilbcheck.errors import PreconditionError
 from hilbcheck.fields import GF, QQ
 from hilbcheck.fixtures import salmon_ideal, salmon_partials
-from hilbcheck.apolarity import (apply_operator, ideal_from_inverse_system,
-                                 inverse_system, perp)
+from hilbcheck.apolarity import apply_operator, ideal_from_inverse_system, perp
 from hilbcheck.artin import local_hilbert_function
 from hilbcheck.groebner import Ideal, ideal_equal
 from hilbcheck.poly import context, parse_polynomial
@@ -106,30 +105,6 @@ def test_perp_matches_local_hilbert_function_random():
         assert dims == tuple(hf)
 
 
-def test_inverse_system_closure():
-    pctx, dctx = dual_pair()
-    sys = inverse_system([parse_polynomial("y1*y2*y3", dctx)])
-    assert {j: len(c) for j, c in sys.components.items()} == {0: 1, 1: 3, 2: 3, 3: 1}
-    # closure under differentiation: components are already spans of partials
-    for j, comps in sys.components.items():
-        if j == 0:
-            continue
-        lower = sys.components.get(j - 1, ())
-        from hilbcheck.linalg import RowSpace
-        from hilbcheck.groebner import _monomials_of_degree
-        monos = list(_monomials_of_degree(3, j - 1))
-        rs = RowSpace(QQ)
-        for q in lower:
-            rs.add([q.terms.get(m, QQ.zero) for m in monos])
-        base = rs.dim
-        for q in comps:
-            for i in range(3):
-                dq = q.partial(i)
-                if dq:
-                    rs.add([dq.terms.get(m, QQ.zero) for m in monos])
-        assert rs.dim == base
-
-
 def test_ideal_from_inverse_system_examples():
     pctx, dctx = dual_pair()
     cube = parse_polynomial("(y1 + 2*y2 - y3)^3", dctx)
@@ -150,3 +125,17 @@ def test_double_perp_identity():
         comps.extend(perp(I, j))
     back = ideal_from_inverse_system(comps)
     assert ideal_equal(back, I)
+
+
+def test_ideal_from_inverse_system_refuses_generators_from_another_context():
+    _, three = dual_pair()
+    _, four = dual_pair("y1 y2 y3 y4")
+    _, mod = dual_pair(field=GF(101))
+    for gens in ([parse_polynomial("y1^2", three), parse_polynomial("y4^2", four)],
+                 [parse_polynomial("y4^2", four), parse_polynomial("y1^2", three)],
+                 [parse_polynomial("y1^2", three), parse_polynomial("y2^2", mod)]):
+        with pytest.raises(PreconditionError, match="different context"):
+            ideal_from_inverse_system(gens)
+    # a zero generator carries no form, whatever its context
+    I = ideal_from_inverse_system([parse_polynomial("y1^2", three), four.zero()])
+    assert local_hilbert_function(I) == (1, 1, 1)

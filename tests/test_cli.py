@@ -16,7 +16,8 @@ from hilbcheck.reportschema import (ANALYZE_REPORT_SCHEMA, SchemaError,
                                     VERIFY_REPORT_SCHEMA, validate)
 from hilbcheck.smooth import salmon_turnbull_pfaffian
 
-DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "hilbcheck" / "data"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DATA = ROOT / "src" / "hilbcheck" / "data"
 
 
 def run(capsys, *argv):
@@ -313,6 +314,35 @@ def test_colength_and_hf_keep_their_output_under_the_cap(capsys, tmp_path):
     above.write_text("field Q\nvars x y\nideal:\nx^13\ny^5\n")
     code, out, err = run(capsys, "colength", str(above))
     assert code == 2 and not out and f"colength > {COLENGTH_CAP}" in err
+
+
+def _pinned_commands():
+    """colength, hf, smoothable, tangent --graded --json and pfaffian --json
+    on each bundled .ideal file, points-ideal on points8.pts and a census,
+    with paths relative to the repository root."""
+    cmds = []
+    for path in sorted(DATA.glob("*.ideal")):
+        rel = f"src/hilbcheck/data/{path.name}"
+        cmds += [["colength", rel], ["hf", rel], ["smoothable", rel],
+                 ["tangent", "--graded", "--json", rel], ["pfaffian", "--json", rel]]
+    return cmds + [["points-ideal", "src/hilbcheck/data/points8.pts", "-d", "4"],
+                   ["census", "-d", "3", "-n", "6"]]
+
+
+def test_cli_outputs_are_byte_identical_to_the_pinned_ones(capsys, monkeypatch):
+    # stdout, stderr and exit code of each command, as pinned in
+    # tests/data/cli_outputs.json; a change that alters any of them must
+    # re-pin that file
+    pinned = json.loads((ROOT / "tests" / "data" / "cli_outputs.json").read_text(encoding="utf-8"))
+    assert [p["argv"] for p in pinned] == _pinned_commands()
+    assert len(pinned) == 47 and sum(p["code"] == 2 for p in pinned) == 6
+    monkeypatch.chdir(ROOT)
+    differ = []
+    for p in pinned:
+        code, out, err = run(capsys, *p["argv"])
+        if (code, out, err) != (p["code"], p["stdout"], p["stderr"]):
+            differ.append(" ".join(p["argv"]))
+    assert differ == []
 
 
 def test_unknown_case_errors(capsys):

@@ -268,10 +268,10 @@ def test_verdict_and_tangent_dimension_agree():
     assert outcomes == {"Smoothable", "NotSmoothable"}
 
 
-def _random_staircase(rng, d, n):
-    """The monomial ideal whose standard monomials are a random order ideal
-    of n monomials in d variables: each step adds a monomial all of whose
-    divisors are already in."""
+def _random_staircase(rng, d, n, field=QQ):
+    """The monomial ideal over field whose standard monomials are a random
+    order ideal of n monomials in d variables: each step adds a monomial all
+    of whose divisors are already in."""
     inside = {(0,) * d}
 
     def border():
@@ -283,7 +283,7 @@ def _random_staircase(rng, d, n):
 
     while len(inside) < n:
         inside.add(rng.choice(border()))
-    ctx = context(QQ, " ".join(f"x{i + 1}" for i in range(d)))
+    ctx = context(field, " ".join(f"x{i + 1}" for i in range(d)))
     return Ideal(ctx, [ctx.monomial(m) for m in border()])
 
 
@@ -305,6 +305,30 @@ def test_colength_at_most_seven_is_smoothable_with_large_tangent_space():
             random_points(rng.randint(0, 10 ** 9), npoints, d), local.ctx).gens)
         samples.append((n + npoints, intersect(local, points)))
     for n, I in samples:
+        assert buchberger(I).colength() == n
+        assert classify_smoothable(I).outcome == "Smoothable"
+        assert tangent_dimension(I) >= n * I.ctx.d, (n, I)
+
+
+def test_colength_at_most_seven_is_smoothable_with_large_tangent_space_over_a_prime_field():
+    """The same over F_10007: seeded staircases under a GL_d change and a
+    translation, and points beside a local piece, all over F_10007."""
+    field = GF(10007)
+    rng = random.Random(2504)
+    samples = []
+    for d, n in [(d, n) for d in (3, 4) for n in range(3, 8)] * 2:
+        I = _random_staircase(rng, d, n, field)
+        I = change_coordinates(I, random_invertible_matrix(rng.randint(0, 10 ** 9), d, field))
+        point = [field.from_int(rng.randint(-2, 2)) for _ in range(d)]
+        samples.append((n, translate_ideal(I, point)))
+    for d, npoints, n in ((3, 2, 3), (3, 1, 4), (4, 3, 3)):
+        local = _random_staircase(rng, d, n, field)
+        points = Ideal(local.ctx, points_ideal(
+            random_points(rng.randint(0, 10 ** 9), npoints, d, field=field), local.ctx).gens)
+        samples.append((n + npoints, intersect(local, points)))
+    assert len(samples) == 23
+    for n, I in samples:
+        assert I.ctx.field == field
         assert buchberger(I).colength() == n
         assert classify_smoothable(I).outcome == "Smoothable"
         assert tangent_dimension(I) >= n * I.ctx.d, (n, I)

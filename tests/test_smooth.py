@@ -481,10 +481,10 @@ def test_classify_builds_no_dense_matrix_in_the_quotient_model(monkeypatch):
     ("seven_quadrics_d4", False), ("seven_quadrics_d5", True)])
 def test_classify_reads_the_dual_quadrics_off_the_model(monkeypatch, name, reduced):
     # a (1,4,3) piece is decided from its model's products: no second
-    # Groebner basis of the piece and no echelon of its degree-2 part
-    calls = {"cyclic_annihilator_gb": 0, "homogeneous_component_basis": 0}
+    # Groebner basis of the piece and no perp of its degree-2 part
+    calls = {"cyclic_annihilator_gb": 0, "perp": 0}
     for module, fname in ((artin, "cyclic_annihilator_gb"), (groebner, "cyclic_annihilator_gb"),
-                          (apolarity, "homogeneous_component_basis")):
+                          (apolarity, "perp")):
         fn = getattr(module, fname)
         monkeypatch.setattr(module, fname, lambda *a, fn=fn, fname=fname:
                             calls.__setitem__(fname, calls[fname] + 1) or fn(*a))
@@ -492,7 +492,7 @@ def test_classify_reads_the_dual_quadrics_off_the_model(monkeypatch, name, reduc
     v = classify_smoothable(Ideal(ctx, polys))
     assert v.evidence[3] == "local Hilbert function (1,4,3)"
     assert ("reduced to 4 variables" in v.evidence) == reduced
-    assert calls == {"cyclic_annihilator_gb": 0, "homogeneous_component_basis": 0}
+    assert calls == {"cyclic_annihilator_gb": 0, "perp": 0}
 
 
 def test_classify_computes_the_linear_forms_charpoly_once(monkeypatch):
