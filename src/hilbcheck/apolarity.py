@@ -19,7 +19,7 @@ from operator import le, sub
 
 from .errors import PreconditionError
 from .groebner import Ideal, _monomials_of_degree
-from .linalg import _working_rows, kernel_basis
+from .linalg import _working_row, kernel_basis
 from .poly import Polynomial, mono_mul
 
 
@@ -68,9 +68,17 @@ def _apolar_complement(rows, monos, ctx):
     if not rows:
         return [Polynomial(ctx, {m: field.one}) for m in monos]
     weights = [field.from_int(_factorial_int(m)) for m in monos]
-    mat = [[row[k] * w if k in row else field.zero for k, w in enumerate(weights)]
-           for row in rows]
-    ker = kernel_basis(_working_rows(field, mat), field)
+    zero = field.zero if field.modulus is None else 0
+    mat = []
+    for row in rows:
+        # only the nonzero weighted entries are converted; a zero adds
+        # denominator 1 to the lcm, so the working row is the dense one's
+        working, _ = _working_row(field, ((k, x * weights[k]) for k, x in row.items()))
+        dense = [zero] * len(monos)
+        for k, c in working.items():
+            dense[k] = c
+        mat.append(dense)
+    ker = kernel_basis(mat, field)
     return [Polynomial(ctx, {m: c for m, c in zip(monos, v) if c}) for v in ker]
 
 

@@ -32,6 +32,13 @@ valuation, and `t_adic_minor_valuation`: a row whose one nonzero entry e
 lies in column c is in every nonzero maximal minor, with c, and such a
 minor is +-e times the minor without that row and that column, so peeling
 these rows one after another leaves a smaller matrix of lower degree.
+A drawn minor is t^low u: each Leibniz term is a product along one
+transversal of the block, so its valuation is at least low, the least sum
+of entry valuations over transversals of nonzero entries, and its degree
+at most high, the greatest sum of entry degrees (`_transversal_bounds`, two
+assignment problems solved by the Hungarian method on integers).  u is
+interpolated from the minor's integer values at t = 1, ..., high - low + 1,
+divided by t^low; on the curve16 matrix low = high, so one value suffices.
 
 `working_rank(field, rows)` ranks sparse rows {column: working coefficient}
 in the format of `fields`; over Q(t) it first ranks the rows at t = 7 over
@@ -593,8 +600,11 @@ def minor_gcd_sample(m, v):
     the core's columns ordered s, s + 1, ..., 0, ..., s - 1, whose minor is
     nonzero at x; draw 0 keeps the pivots of the search's pass at x, and a
     column set drawn before is skipped.  A drawn minor is
-    prim(f * core minor), the core minor interpolated in integer arithmetic
-    from its values at t = 0, 1, 2, ... up to its degree bound.
+    prim(f * core minor), the core minor t^low u with u interpolated in
+    integer arithmetic from its values at t = 1, ..., high - low + 1, low
+    and high the transversal bounds on its valuation and degree
+    (`_minor_poly`).  The minors do not depend on v, which only stops the
+    draws, so the sample stays a check of the valuation.
     """
     if v is None:
         return ()
@@ -659,34 +669,105 @@ def _peel(polys):
 def _minor_poly(core, product, csel, at):
     """Maximal minor on the core columns csel of a matrix with this nonempty
     core and product of peeled entries (`_peel`), primitive in Z[t] with
-    positive leading coefficient: prim(product * the core's minor on csel).
-    The core minor is interpolated from its values at t = 0, 1, 2, ... up to
-    its degree bound, each from one tracked `RowSpace` pass over its columns
-    (`_echelon_det`); at(x) is the core's integer values at t = x."""
-    row_deg = sum(max(len(row[k]) for k in csel) - 1 for row in core)
-    col_deg = sum(max(len(row[k]) for row in core) - 1 for k in csel)
+    positive leading coefficient: prim(product * the core's minor on csel),
+    which is nonzero (csel is a set of pivot columns at some point); at(x)
+    is the core's integer values at t = x.
+
+    Each Leibniz term of the core minor is a signed product along one
+    transversal of the block, so the minor is t^low u with deg u <= high -
+    low, low and high the `_transversal_bounds` of the block.  u is
+    interpolated from its values at t = 1, ..., high - low + 1: the minor's
+    value at x, from one tracked `RowSpace` pass over the block's columns
+    (`_echelon_det`), divided exactly by x^low."""
+    low, high = _transversal_bounds([[row[k] for k in csel] for row in core])
     ys = []
-    for x in range(min(row_deg, col_deg) + 1):
+    for x in range(1, high - low + 2):
         pivots, _, rs = _column_relations([[row[k] for k in csel] for row in at(x)], QQ)
         if len(pivots) < len(csel):
             ys.append(0)
-        else:
-            num, den = _echelon_det(rs, pivots)
-            ys.append(num // den)
-    return zprim(zmul(product, ztrim(_interpolate_scaled(ys))))
+            continue
+        num, den = _echelon_det(rs, pivots)
+        y, r = divmod(num // den, x ** low)
+        if r:
+            raise ArithmeticError(f"minor's value at {x} is not divisible by {x}^{low}")
+        ys.append(y)
+    return zprim(zmul(product, (0,) * low + ztrim(_interpolate_scaled(ys))))
+
+
+def _transversal_bounds(block):
+    """(low, high) for a square block of trimmed coefficient lists: the least
+    sum of t-adic valuations and the greatest sum of degrees of the entries
+    of a transversal of its nonzero entries (one per row and column); None
+    when there is none, and the determinant is 0.  Every term of the
+    determinant is the product along one such transversal, so its valuation
+    is at least low and its degree at most high."""
+    low = _least_transversal([[zval(e) for e in row] for row in block])
+    if low is None:
+        return None
+    high = -_least_transversal([[1 - len(e) if e else None for e in row] for row in block])
+    return low, high
+
+
+def _least_transversal(cost):
+    """Least sum of cost[i][p(i)] over the permutations p that meet no None
+    entry of the square integer matrix cost; None when each meets one.
+
+    The Hungarian method (Kuhn 1955) in its shortest-augmenting-path form,
+    on integer potentials u, v with cost[i][j] - u[i] - v[j] >= 0 on every
+    entry that is not None: row i is matched by the cheapest alternating path from it to a
+    free column, in reduced costs.  When no free column is reachable, the
+    rows met have fewer neighbouring columns than their number, so no
+    transversal exists (Hall)."""
+    n = len(cost)
+    u, v = [0] * (n + 1), [0] * (n + 1)
+    match = [0] * (n + 1)       # match[j]: row (from 1) on column j, 0 when free
+    for i in range(1, n + 1):
+        match[0] = i            # column 0 is the path's root
+        j0 = 0
+        least = [None] * (n + 1)    # least reduced cost into each column so far
+        way = [0] * (n + 1)
+        used = [False] * (n + 1)
+        while match[j0]:
+            used[j0] = True
+            i0 = match[j0]
+            row = cost[i0 - 1]
+            delta = j1 = None
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                if row[j - 1] is not None:
+                    cur = row[j - 1] - u[i0] - v[j]
+                    if least[j] is None or cur < least[j]:
+                        least[j], way[j] = cur, j0
+                if least[j] is not None and (delta is None or least[j] < delta):
+                    delta, j1 = least[j], j
+            if j1 is None:
+                return None
+            for j in range(n + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                elif least[j] is not None:
+                    least[j] -= delta
+            j0 = j1
+        while j0:
+            match[j0] = match[way[j0]]
+            j0 = way[j0]
+    return sum(cost[match[j] - 1][j - 1] for j in range(1, n + 1))
 
 
 def _interpolate_scaled(ys):
     """(n - 1)! times the polynomial of degree < n that takes the value ys[k]
-    at t = k, as integer coefficients (Newton's forward-difference form)."""
+    at t = k + 1, as integer coefficients (Newton's forward-difference form
+    on the points 1, ..., n)."""
     n = len(ys)
     poly = [0] * n
-    falling = [1]       # coefficients of t (t - 1) ... (t - j + 1)
+    falling = [1]       # coefficients of (t - 1) (t - 2) ... (t - j)
     diffs = list(ys)
     for j in range(n):
         f = diffs[0] * (factorial(n - 1) // factorial(j))
         for i, c in enumerate(falling):
             poly[i] += f * c
-        falling = [a - j * b for a, b in zip([0] + falling, falling + [0])]
+        falling = [a - (j + 1) * b for a, b in zip([0] + falling, falling + [0])]
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     return poly

@@ -1,10 +1,11 @@
 """Formats stay behind the module that owns them.
 
 The integer kernels read the working-coefficient format from `fields`:
-groebner, linalg, artin and tangent convert between field elements and
-integers only through `Field.integers`, `Field.element` and `Field.modulus`.
-They read no numerator, denominator or residue of a scalar and compare no
-field with Q.
+groebner, linalg, artin, tangent, apolarity and smooth convert between field
+elements and integers only through `Field.integers`, `Field.element` and
+`Field.modulus`.  They read no numerator, denominator or residue of a scalar
+and compare no field with Q.  linalg and upoly make no float, so every bound
+they compute is exact.
 
 A monomial order is read through its coordinates (`MonomialOrder.key`,
 `monomial`, `divisor_bound`, `within`): no module but `poly` reads its kind,
@@ -39,7 +40,8 @@ def boundary_violations(source):
     return sorted(out)
 
 
-@pytest.mark.parametrize("module", ["groebner", "linalg", "artin", "tangent"])
+@pytest.mark.parametrize("module", ["groebner", "linalg", "artin", "tangent", "apolarity",
+                                    "smooth"])
 def test_kernels_read_the_format_from_fields(module):
     source = (SRC / f"{module}.py").read_text()
     assert boundary_violations(source) == []
@@ -67,6 +69,45 @@ def test_upoly_is_integer_arithmetic():
     imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                  for alias in node.names}
     assert imported.isdisjoint({"scalars", "fractions"})
+
+
+FLOAT_NAMES = {"inf", "nan"}
+
+
+def float_violations(source):
+    """(line, what) of each float call, float literal and math infinity or
+    NaN in the module source."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "float"):
+            out.append((node.lineno, "float()"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+            out.append((node.lineno, "float literal"))
+        elif (isinstance(node, ast.Attribute) and node.attr in FLOAT_NAMES
+              and isinstance(node.value, ast.Name) and node.value.id == "math"):
+            out.append((node.lineno, f"math.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            out += [(node.lineno, f"math.{alias.name}") for alias in node.names
+                    if alias.name in FLOAT_NAMES]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("module", ["linalg", "upoly"])
+def test_exact_modules_make_no_float(module):
+    assert float_violations((SRC / f"{module}.py").read_text()) == []
+
+
+def test_float_scan_sees_each_violation():
+    source = ("import math\n"
+              "from math import gcd, inf\n"
+              "def f(x):\n"
+              "    if x > float('inf'):\n"
+              "        return 0.5, math.inf\n"
+              "    return math.nan, 1e3, x / 2, math.gcd(x, 2), x.inf\n")
+    assert float_violations(source) == [
+        (2, "math.inf"), (4, "float()"), (5, "float literal"), (5, "math.inf"),
+        (6, "float literal"), (6, "math.nan")]
 
 
 ORDER_INTERNALS = {"kind", "weight", "tiebreak"}

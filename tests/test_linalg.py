@@ -2,7 +2,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -14,7 +14,7 @@ from hilbcheck.linalg import (DenseMatrix, RowSpace, _peel, _polynomial_entries,
                               t_adic_minor_valuation)
 from hilbcheck.tangent import family_machine
 from hilbcheck.scalars import rat
-from hilbcheck.upoly import RATFUNC_T as t, RatFunc, zgcd, zval
+from hilbcheck.upoly import RATFUNC_T as t, RatFunc, zgcd, ztrim, zval
 
 
 def naive_rank(rows):
@@ -312,23 +312,84 @@ def test_minor_gcd_sample_finds_sparse_support():
 def test_minor_gcd_sample_eliminates_each_block_once_per_point(monkeypatch):
     # psi's 10 x 14 core is eliminated at the draw point t = 3 once per
     # draw, the first of them its rank check, 7 draws of which 2 repeat a
-    # column set, and each of the 5 drawn minors' 10 x 10 blocks once at
-    # each point of its interpolation; psi is never eliminated whole, and no
-    # block twice at one point
+    # column set; each of the 5 drawn core minors is a single term c t^k,
+    # k = 12, 12, 12, 11, 10, whose transversal bounds on valuation and
+    # degree meet, so its 10 x 10 block is eliminated at t = 1 alone.  psi
+    # is never eliminated whole, and no block twice at one point
     psi = family_machine().psi
-    eliminated = []
-    relations = linalg._column_relations
+    eliminated, bounds = [], []
+    relations, transversal_bounds = linalg._column_relations, linalg._transversal_bounds
 
     def counted(rows, field):
         eliminated.append(tuple(map(tuple, rows)))
         return relations(rows, field)
 
+    def recorded(block):
+        bounds.append(transversal_bounds(block))
+        return bounds[-1]
+
     monkeypatch.setattr(linalg, "_column_relations", counted)
+    monkeypatch.setattr(linalg, "_transversal_bounds", recorded)
     assert minor_gcd_sample(psi, 16) == (0,) * 16 + (1,)
     shapes = Counter((len(block), len(block[0])) for block in eliminated)
-    assert shapes == {(10, 14): 7, (10, 10): 82}
+    assert shapes == {(10, 14): 7, (10, 10): 5}
     blocks = [block for block in eliminated if len(block[0]) == 10]
     assert len(set(blocks)) == len(blocks)
+    assert bounds == [(12, 12), (12, 12), (12, 12), (11, 11), (10, 10)]
+
+
+def brute_force_bounds(block):
+    """(least sum of valuations, greatest sum of degrees) over the
+    permutations that meet only nonzero entries of the square block of
+    coefficient lists; None when there is none."""
+    n = len(block)
+    sums = [(sum(zval(block[i][p[i]]) for i in range(n)),
+             sum(len(block[i][p[i]]) - 1 for i in range(n)))
+            for p in permutations(range(n)) if all(any(block[i][p[i]]) for i in range(n))]
+    if not sums:
+        return None
+    return min(low for low, _ in sums), max(high for _, high in sums)
+
+
+def test_transversal_bounds_match_brute_force_and_bracket_the_determinant():
+    # the least and greatest transversal sums equal the brute-force extremes
+    # over all permutations, and bracket the valuation and degree of the
+    # determinant over Q(t); zero and constant entries, cancelling terms
+    # ([[t, t], [t, t + t^2]] has det t^3, bounds 2 and 3; [[1, t], [t, t^2]]
+    # has det 0) and blocks with no transversal are among the cases
+    rng = random.Random(3901)
+    fixed = [[[(0, 1), (0, 1)], [(0, 1), (0, 1, 1)]],
+             [[(1, 1), (0, 1)], [(1,), (1,)]],
+             [[(), (2,)], [(), (0, 0, 3)]],
+             [[(1,), (0, 1)], [(0, 1), (0, 0, 1)]],
+             [[(5,)]],
+             [[(0, 1), ()], [(), (0, 0, 1)]]]
+    cases = list(fixed)
+    for _ in range(120):
+        n = rng.randint(1, 6)
+        zeros = rng.choice([0.0, 0.3, 0.6])
+        cases.append([[() if rng.random() < zeros else
+                       ztrim([0] * rng.randint(0, 3) + [rng.randint(-3, 3)
+                                                        for _ in range(rng.randint(1, 3))]) or (1,)
+                       for _ in range(n)] for _ in range(n)])
+    seen = set()
+    for block in cases:
+        bounds = linalg._transversal_bounds(block)
+        assert bounds == brute_force_bounds(block), block
+        det = determinant(DenseMatrix(QT, [[RatFunc(e, (1,)) if e else QT.zero for e in row]
+                                           for row in block]))
+        if bounds is None:
+            assert not det, block
+            seen.add("no transversal")
+            continue
+        low, high = bounds
+        if det:
+            assert low <= zval(det.num) and len(det.num) - 1 <= high, block
+            seen.add(("tight", low == zval(det.num) and len(det.num) - 1 == high))
+        else:
+            seen.add("cancels to 0")
+    assert linalg._transversal_bounds(fixed[0]) == (2, 3)
+    assert {"no transversal", "cancels to 0", ("tight", True), ("tight", False)} <= seen
 
 
 def test_minor_gcd_sample_refuses_a_valuation_of_a_rank_deficient_matrix(monkeypatch):

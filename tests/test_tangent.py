@@ -464,8 +464,9 @@ def test_curve_multiplicity_sixteen():
 
 def test_curve_multiplicity_never_eliminates_psi_whole(monkeypatch):
     # the sample's pivot columns and every drawn minor are read off psi's
-    # peeled core, and the sample stops at t^16: 89 of the request's 92
-    # tracked column passes are the sample's, none of psi whole.  Q(t) runs
+    # peeled core, each minor at one point, and the sample stops at t^16:
+    # 12 of the request's 15 tracked column passes are the sample's, none
+    # of psi whole.  Q(t) runs
     # no gcd against a constant and the relations are ranked at a point, so
     # the request makes 19 gcds, not 567.
     whole, gcds = [], []
@@ -483,7 +484,7 @@ def test_curve_multiplicity_never_eliminates_psi_whole(monkeypatch):
     monkeypatch.setattr(linalg, "zgcd", counted_zgcd)
     monkeypatch.setattr(upoly, "zgcd", counted_zgcd)
     assert curve_multiplicity().sampled_valuation == 16
-    assert len(whole) == 92 and sum(whole) == 0
+    assert len(whole) == 15 and sum(whole) == 0
     assert len(gcds) <= 200
 
 
