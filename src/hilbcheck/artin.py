@@ -18,7 +18,7 @@ from .poly import GREVLEX, Substitution, VariableContext, mono_deg
 from .groebner import (GroebnerBasis, Ideal, _complete, _input_records, _reduced_candidate,
                        buchberger, cyclic_annihilator_gb)
 from .scalars import is_prime
-from .upoly import zdiv_exact, zdivmod, zeval, zgcd, zmul, zprim, zsub, ztrim
+from .upoly import zdiv_exact, zdivmod, zeval, zgcd, zmod, zpowmod, zprim, zsub, ztrim
 
 
 class IndeterminateSupport(HilbcheckError):
@@ -678,9 +678,9 @@ def _lifted_roots(f):
     and P | g(0), so lc(g) P / s is the symmetric residue of lc(g) r mod M.
     """
     q, df = 101, _derivative(f)
-    while not f[-1] % q or _gcd_mod(_mod(f, q), _mod(df, q), q) != (1,):
+    while not f[-1] % q or zgcd(zmod(f, q), zmod(df, q), q) != (1,):
         if q == 101:
-            f = zdiv_exact(f, zgcd(f, df))
+            f = zdiv_exact(f, zgcd(f, df, 0))
             df = _derivative(f)
         q = next(k for k in range(q + 2, 2 * q, 2) if is_prime(k))
     lc = f[-1]
@@ -705,41 +705,21 @@ def _roots_mod(f, p):
     factor of which is split by its gcd with (x + a)^((p-1)/2) - 1, the
     roots r with r + a a nonzero square, for a drawn from a generator
     seeded by p (Cantor-Zassenhaus; Modern Computer Algebra, ch. 14).
-    Residue lists serve as F_p[x]: every division is `upoly.zdivmod` mod p.
+    Residue lists serve as F_p[x]: every division and gcd is upoly's, mod p.
     """
-    f = _mod(f, p)
+    f = zmod(f, p)
     rng = random.Random(p)
     out = []
-    stack = [_gcd_mod(f, _mod(zsub(_powmod_mod((0, 1), p, f, p), (0, 1)), p), p)]
+    stack = [zgcd(f, zmod(zsub(zpowmod((0, 1), p, f, p), (0, 1)), p), p)]
     while stack:
         h = stack.pop()
         if len(h) == 2:
             out.append(-h[0] % p)
         elif len(h) > 2:
-            w = _powmod_mod((rng.randrange(p), 1), (p - 1) // 2, h, p)
-            g = _gcd_mod(h, _mod(zsub(w, (1,)), p), p)
+            w = zpowmod((rng.randrange(p), 1), (p - 1) // 2, h, p)
+            g = zgcd(h, zmod(zsub(w, (1,)), p), p)
             stack += [g, zdivmod(h, g, p)[0]] if 1 < len(g) < len(h) else [h]
     return sorted(out)
-
-
-def _mod(a, p):
-    return ztrim([c % p for c in a])
-
-
-def _gcd_mod(a, b, p):
-    """Monic gcd over F_p of the residues a and b, trimmed, a nonzero."""
-    while b:
-        a, b = b, zdivmod(a, b, p)[1]
-    return zdivmod(a, (a[-1],), p)[0]
-
-
-def _powmod_mod(b, e, f, p):
-    """b^e mod f over F_p, f of positive degree."""
-    if not e:
-        return (1,)
-    half = _powmod_mod(b, e // 2, f, p)
-    square = zmul(half, half)
-    return zdivmod(zmul(square, b) if e & 1 else square, f, p)[1]
 
 
 def enumerate_local_hfs(d, n):

@@ -46,8 +46,9 @@ Q, which settles every rank that reaches min(rows, columns).  The tangent
 systems build their rows in that format.
 `rank(field, rows)` is its entry for rows of field elements, as the
 rank-only checks hold them, and `mat_rank(m)` is the `DenseMatrix` form of
-`rank`.  `row_product` is the one matrix-product loop, on the working
-coefficients of `artin`'s operators.
+`rank`.  `row_product` is the one matrix-product loop: on the working
+coefficients of `artin`'s operators, and on the field elements of `tangent`'s
+check that psi kills the derivative columns.
 """
 
 from itertools import combinations
@@ -73,19 +74,6 @@ class DenseMatrix:
 
     def copy_rows(self):
         return [row[:] for row in self.rows]
-
-    def apply(self, vec):
-        z = self.field.zero
-        nonzero = [(k, v) for k, v in enumerate(vec) if v]
-        out = []
-        for row in self.rows:
-            acc = z
-            for k, v in nonzero:
-                a = row[k]
-                if a:
-                    acc = acc + a * v
-            out.append(acc)
-        return out
 
     def __eq__(self, other):
         return (isinstance(other, DenseMatrix) and self.field == other.field
@@ -638,7 +626,7 @@ def minor_gcd_sample(m, v):
         if csel in drawn:
             continue
         drawn.add(csel)
-        g = zgcd(g, _minor_poly(core, product, csel, at))
+        g = zgcd(g, _minor_poly(core, product, csel, at), 0)
         if g == target:
             break
     return g

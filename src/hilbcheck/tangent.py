@@ -5,15 +5,16 @@ to S/I.  With a reduced Groebner basis g_1..g_r and syzygy generators, such
 a homomorphism is an assignment g_k -> v_k in S/I annihilated by every
 syzygy, a finite exact linear system over the coefficient field.
 
-Both the total and the graded assembly read that system off one quotient
+Both the total and the graded pieces read that system off one quotient
 model of S/I: the block of a syzygy coefficient a is the operator of
 multiplication by a, built by `LocalAlgebraModel.working_operator` from
-monomial powers that the model caches, and a graded block is a sub-block
-of the same operator.  The blocks stay in the working coefficients of
-`fields` (integers over Q, residues over F_p, elements over Q(t)), those
-of one syzygy over one denominator, and the rows are assembled sparse, as
-dicts of their nonzero entries, for `linalg.working_rank`: no field element
-is made between the quotient model and the rank.  `tangent_report` shares
+monomial powers that the model caches, and one method builds the constraint
+rows from the blocks; a graded piece is the rows at one target degree.
+The blocks stay in the working coefficients of `fields` (integers over Q,
+residues over F_p, elements over Q(t)), those of one syzygy over one
+denominator, and the rows are assembled sparse, as dicts of their nonzero
+entries, for `linalg.working_rank`: no field element is made between the
+quotient model and the rank.  `tangent_report` shares
 one model and one syzygy basis between the total and every graded piece.
 The syzygies are the S-pair traces that `groebner.trace_syzygies` keeps: a
 pair whose Schreyer leading term another pair's divides is not built, and
@@ -32,7 +33,7 @@ from math import lcm
 from .errors import PreconditionError
 from .fields import QT
 from .fixtures import family_member_ideal
-from .linalg import (DenseMatrix, RowSpace, mat_rank, rank, rref,
+from .linalg import (DenseMatrix, RowSpace, mat_rank, rank, row_product, rref,
                      minor_gcd_sample, t_adic_minor_valuation, working_rank)
 from .poly import context, mono_deg, mono_lcm
 from .groebner import (buchberger, linear_syzygies, trace_syzygies,
@@ -86,59 +87,55 @@ class _HomSystem:
             self._blocks[r] = blocks
         return self._blocks[r]
 
-    def total(self):
-        """dim Hom_S(I, S/I): n unknowns per basis element, one block row of
-        n constraints per syzygy generator, holding the blocks present."""
+    def rows(self, e=None):
+        """The constraint rows {k n + j: coefficient of m_t in a_k m_j}, a_k
+        the coefficients of a syzygy generator r and m_j, m_t standard
+        monomials, as dicts of their nonzero working entries: one row per r
+        and target m_t, for every target, or for a degree e only the targets
+        with deg m_t = deg r + e.  For homogeneous G each a_k has degree
+        deg r - deg g_k, so these rows meet only the unknowns (k, j) with
+        deg m_j = deg g_k + e, those of the degree-e piece."""
         n = len(self.qb)
+        qdegs = [mono_deg(m) for m in self.qb]
+        gdegs = [g.degree() for g in self.G.elements]
         rows = []
-        for idx in range(len(self.relations)):
+        for idx, rel in enumerate(self.relations):
+            targets = range(n)
+            if e is not None:
+                # deg r, read off r's first nonzero coefficient
+                reldeg = next(a.degree() + gdegs[k] for k, a in enumerate(rel) if a)
+                targets = [t for t in targets if qdegs[t] == reldeg + e]
+                if not targets:
+                    continue
             blocks = [(k * n, brows) for k, brows in enumerate(self.blocks(idx))
                       if brows is not None]
-            for i in range(n):
+            for t in targets:
                 row = {}
                 for base, brows in blocks:
-                    row.update((base + j, x) for j, x in enumerate(brows[i]) if x)
+                    row.update((base + j, x) for j, x in enumerate(brows[t]) if x)
                 if row:
                     rows.append(row)
-        return len(self.G.elements) * n - working_rank(self.G.ctx.field, rows)
+        return rows
+
+    def total(self):
+        """dim Hom_S(I, S/I): n unknowns per basis element, less the rank of
+        all the constraint rows."""
+        return len(self.G.elements) * len(self.qb) - working_rank(self.G.ctx.field, self.rows())
 
     def graded(self, e):
-        """Dimension of the degree-e part of Hom_S(I, S/I) for homogeneous G.
-
-        The unknowns are the standard monomials m of degree deg g_k + e at
-        each g_k; a homogeneous syzygy of degree D constrains degree D + e,
-        and the entry at (mm, (k, m)) is the coefficient of mm in
-        a_k * m mod I, read off the operator of a_k.
-        """
-        qb = self.qb
-        degs = [g.degree() for g in self.G.elements]
-        unknowns = [(k, qb.index[m]) for k, dk in enumerate(degs)
-                    for m in qb if mono_deg(m) == dk + e]
+        """Dimension of the degree-e part of Hom_S(I, S/I) for homogeneous G:
+        the unknowns (k, j) with deg m_j = deg g_k + e, less the rank of the
+        rows at target degree deg r + e."""
+        qdegs = [mono_deg(m) for m in self.qb]
+        unknowns = sum(qdegs.count(g.degree() + e) for g in self.G.elements)
         if not unknowns:
             return 0
         # a syzygy of the pair (i, j) has degree deg lcm(lt_i, lt_j) and
         # constrains the standard monomials of that degree + e
-        top = max(mono_deg(m) for m in qb)
+        top = max(qdegs)
         if all(mono_deg(mono_lcm(a, b)) + e > top for a, b in combinations(self.G.lts, 2)):
-            return len(unknowns)
-        rows = []
-        for idx, rel in enumerate(self.relations):
-            reldeg = next(a.degree() + degs[k] for k, a in enumerate(rel) if a)
-            target = [qb.index[m] for m in qb if mono_deg(m) == reldeg + e]
-            if not target:
-                continue
-            blocks = self.blocks(idx)
-            present = [(u, blocks[k], j) for u, (k, j) in enumerate(unknowns)
-                       if blocks[k] is not None]
-            for t in target:
-                row = {}
-                for u, brows, j in present:
-                    x = brows[t][j]
-                    if x:
-                        row[u] = x
-                if row:
-                    rows.append(row)
-        return len(unknowns) - working_rank(self.G.ctx.field, rows)
+            return unknowns
+        return unknowns - working_rank(self.G.ctx.field, self.rows(e))
 
     def graded_pieces(self):
         """All nonzero graded pieces, as a dict degree -> dimension."""
@@ -281,9 +278,8 @@ def _assemble_machine(ctx, quadrics, relations, cobasis):
                 jv = next(v for v, ee in enumerate(m) if ee)
                 colvec[4 * k + jv] = c
         t_columns.append(colvec)
-    for tc in t_columns:
-        if any(psi.apply(tc)):
-            raise ArithmeticError("derivative column is not in the kernel of psi")
+    if any(map(any, row_product(psi.rows, list(zip(*t_columns)), field.zero))):
+        raise ArithmeticError("derivative column is not in the kernel of psi")
     rank_psi = mat_rank(psi)
     dim_hom_minus1 = 28 - rank_psi
     _, tpivots = rref(t_columns, field)

@@ -5,8 +5,8 @@ zeros, () for zero.  RatFunc is a reduced ratio of two such tuples; it is the
 coefficient type for computations along one-parameter families.  Its
 reduction makes no fraction: the gcd and the division by it stay in Z[t].
 Lists of residues mod a prime p serve as F_p[x]: `zdivmod` is the one
-schoolbook division, over Z and over F_p, behind `RatFunc`'s reduction and
-artin's root search alike.
+schoolbook division and `zgcd` the one Euclid, over Z and over F_p, behind
+`RatFunc`'s reduction and artin's root search alike.
 """
 
 from math import gcd
@@ -106,29 +106,52 @@ def zdiv_exact(n, d):
     return out[0]
 
 
-def zgcd(a, b):
-    """Primitive gcd in Z[t], positive leading coefficient."""
-    if not a:
-        return zprim(b)
-    if not b:
-        return zprim(a)
-    # against a monomial c t^k the gcd is t^min(k, val(other))
+def zmod(a, p):
+    """The residues mod p of the integer list a, trimmed."""
+    return ztrim([c % p for c in a])
+
+
+def zpowmod(b, e, f, p):
+    """b^e mod f over F_p, f of positive degree."""
+    if not e:
+        return (1,)
+    half = zpowmod(b, e // 2, f, p)
+    square = zmul(half, half)
+    return zdivmod(zmul(square, b) if e & 1 else square, f, p)[1]
+
+
+def zgcd(a, b, p):
+    """The gcd of a and b, () when both are zero.  Over Z when p is 0:
+    primitive in Z[t], with a positive leading coefficient.  Over F_p when p
+    is a prime, on residues: monic."""
+    if not (a and b):
+        return _normal(a or b, p)
+    # over Z, against a monomial c t^k the gcd is t^min(k, val(other))
     va, vb = zval(a), zval(b)
-    if va is not None and vb is not None and (va == len(a) - 1 or vb == len(b) - 1):
+    if not p and (va == len(a) - 1 or vb == len(b) - 1):
         return (0,) * min(va, vb) + (1,)
-    return _euclid(a, b)
+    return _euclid(a, b, p)
 
 
-def _euclid(a, b):
-    """zgcd of nonzero a and b by the primitive pseudo-remainder sequence
-    (Knuth, TAOCP vol. 2, 4.6.1; Brown, JACM 1971): each remainder's content
-    is divided out, which keeps its coefficients from growing exponentially."""
-    a, b = zprim(a), zprim(b)
+def _euclid(a, b, p):
+    """zgcd of nonzero a and b by Euclid's algorithm, each remainder made
+    primitive over Z or monic over F_p.  Over Z the remainders are
+    pseudo-remainders and their content is divided out, the primitive PRS
+    (Knuth, TAOCP vol. 2, 4.6.1; Brown, JACM 1971), which keeps the
+    coefficients from growing exponentially."""
+    a, b = _normal(a, p), _normal(b, p)
     if zdeg(a) < zdeg(b):
         a, b = b, a
     while b:
-        a, b = b, zprim(_prem(a, b))
+        a, b = b, _normal(zdivmod(a, b, p)[1] if p else _prem(a, b), p)
     return a
+
+
+def _normal(a, p):
+    """a primitive with a positive leading coefficient over Z, monic over F_p."""
+    if not p:
+        return zprim(a)
+    return zdivmod(a, (a[-1],), p)[0] if a else a
 
 
 def _prem(a, b):
@@ -265,7 +288,7 @@ def _reduce(num, den):
     # a constant side has gcd 1 with the other in Q[t]: only content is shared
     if len(den) > 1 and len(num) > 1:
         # g is primitive with lc > 0: integral quotients, and den's lc stays > 0
-        g = zgcd(num, den)
+        g = zgcd(num, den, 0)
         if g != (1,):
             num, den = zdiv_exact(num, g), zdiv_exact(den, g)
     c = gcd(*num, *den)

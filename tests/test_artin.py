@@ -15,7 +15,7 @@ from hilbcheck.artin import (HilbertFunction, IndeterminateSupport, centroid, ch
                              local_hilbert_function, multiplication_operators, rational_roots,
                              split_rational_support, translate_ideal)
 from hilbcheck.groebner import Ideal, buchberger, ideal_equal, intersect, points_ideal
-from hilbcheck.linalg import DenseMatrix, kernel_basis, rref
+from hilbcheck.linalg import DenseMatrix, kernel_basis, row_product, rref
 from hilbcheck.poly import Polynomial, context, parse_polynomial
 from hilbcheck.scalars import rat
 from hilbcheck.smooth import change_coordinates
@@ -286,8 +286,9 @@ def _kernel_rref_keep(model, chain, d):
     those columns and the rows of m^2, cut to the images' coordinates, and
     the pivot variables of its RREF are redundant."""
     field = model.ctx.field
-    unit = model.unit_vector()
-    columns = [DenseMatrix(field, field_rows(model.ops[i], field)).apply(unit) for i in range(d)]
+    unit = [[x] for x in model.unit_vector()]
+    columns = [[x for x, in row_product(field_rows(model.ops[i], field), unit, field.zero)]
+               for i in range(d)]
     if len(chain) > 2:
         columns += [[row.get(j, field.zero) for j in range(model.n)] for _, row, _ in chain[2].rows]
     mat = DenseMatrix(field, [list(row) for row in zip(*columns)])

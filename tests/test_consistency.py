@@ -268,6 +268,42 @@ def test_verdict_and_tangent_dimension_agree():
     assert outcomes == {"Smoothable", "NotSmoothable"}
 
 
+def test_verdict_and_tangent_dimension_agree_over_a_prime_field():
+    """The same bounds over F_10007, on 8 seeded points, the witness and the
+    monomial (1,4,3) ideal under seeded GL_4 changes, and 4 seeded points
+    with a local ideal of colength 4 translated off the origin."""
+    field = GF(10007)
+    rng = random.Random(4002)
+    ctx = context(field, "x1 x2 x3 x4")
+
+    def points(n):
+        return Ideal(ctx, points_ideal(random_points(rng.randint(0, 10 ** 9), n=n, field=field),
+                                       ctx).gens)
+
+    samples = [("points", points(8))]
+    for name, I in (("witness", seven_quadrics_ideal(4, field)),
+                    ("monomial143", monomial_143_ideal(field))):
+        samples.append((name, change_coordinates(I, random_invertible_matrix(
+            rng.randint(0, 10 ** 9), 4, field))))
+    local = Ideal(ctx, [ctx.monomial(m) for m in ((2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0),
+                                                   (0, 0, 2, 0), (1, 0, 1, 0), (0, 1, 1, 0),
+                                                   (0, 0, 0, 1))])
+    point = [field.from_int(rng.randint(-5, 5)) for _ in range(4)]
+    samples.append(("mixed", intersect(points(4), translate_ideal(local, point))))
+    outcomes = set()
+    for name, I in samples:
+        assert buchberger(I).colength() == 8, name
+        T = tangent_dimension(I)
+        verdict = classify_smoothable(I)
+        outcomes.add(verdict.outcome)
+        assert T >= 8 * 4 - 7, name
+        if verdict.outcome == "Smoothable":
+            assert T >= 8 * 4, name
+        if T < 8 * 4:
+            assert verdict.outcome == "NotSmoothable", name
+    assert outcomes == {"Smoothable", "NotSmoothable"}
+
+
 def _random_staircase(rng, d, n, field=QQ):
     """The monomial ideal over field whose standard monomials are a random
     order ideal of n monomials in d variables: each step adds a monomial all

@@ -658,7 +658,7 @@ def test_minor_gcd_sample_off_the_peeled_core_matches_the_whole_blocks(monkeypat
         v = t_adic_minor_valuation(m)
         got, drawn = drawn_minors(monkeypatch, m, v)
         minors = reference_minors(m)
-        full = reduce(zgcd, minors.values(), ())
+        full = reduce(lambda g, m: zgcd(g, m, 0), minors.values(), ())
         assert (got == ()) == (v is None) == (full == ()), rows
         for cols, det in drawn:
             assert minors.get(cols) == det, (rows, cols)

@@ -19,7 +19,7 @@ from hilbcheck.artin import LocalAlgebraModel, multiplication_operators, transla
 from hilbcheck.groebner import (GroebnerBasis, Ideal, SyzygyBasis, buchberger,
                                 intersect, points_ideal, schreyer_syzygies)
 from hilbcheck.linalg import DenseMatrix, RowSpace, determinant, kernel_basis, mat_rank
-from hilbcheck.poly import (context, mono_coprime, mono_deg, parse_ideal_file,
+from hilbcheck.poly import (context, mono_coprime, mono_deg, mono_lcm, parse_ideal_file,
                             parse_polynomial)
 from hilbcheck.smooth import change_coordinates
 from hilbcheck.tangent import (FAMILY_COBASIS, build_tangent_machine,
@@ -261,6 +261,63 @@ def test_pruned_hom_system_matches_every_s_pair_trace(field):
     assert pruned
 
 
+class _CompactGradedHomSystem(tangent._HomSystem):
+    """The degree-e piece assembled on its own compact index of the degree-e
+    unknowns, one entry read per unknown and target: the reference for the
+    graded pieces read off the constraint rows at one target degree."""
+
+    def graded(self, e):
+        qb = self.qb
+        degs = [g.degree() for g in self.G.elements]
+        unknowns = [(k, qb.index[m]) for k, dk in enumerate(degs)
+                    for m in qb if mono_deg(m) == dk + e]
+        if not unknowns:
+            return 0
+        # a syzygy of the pair (i, j) has degree deg lcm(lt_i, lt_j) and
+        # constrains the standard monomials of that degree + e
+        top = max(mono_deg(m) for m in qb)
+        if all(mono_deg(mono_lcm(a, b)) + e > top for a, b in combinations(self.G.lts, 2)):
+            return len(unknowns)
+        rows = []
+        for idx, rel in enumerate(self.relations):
+            reldeg = next(a.degree() + degs[k] for k, a in enumerate(rel) if a)
+            target = [qb.index[m] for m in qb if mono_deg(m) == reldeg + e]
+            if not target:
+                continue
+            blocks = self.blocks(idx)
+            present = [(u, blocks[k], j) for u, (k, j) in enumerate(unknowns)
+                       if blocks[k] is not None]
+            for t in target:
+                row = {}
+                for u, brows, j in present:
+                    x = brows[t][j]
+                    if x:
+                        row[u] = x
+                if row:
+                    rows.append(row)
+        return len(unknowns) - linalg.working_rank(self.G.ctx.field, rows)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(10007)], ids=str)
+def test_graded_pieces_match_the_compact_assembly(field):
+    # every degree of every homogeneous fixture, changed by a seeded GL_d,
+    # bundled, and the (1,4,3) fixtures under a seeded GL_4
+    rng = random.Random(4001)
+    changed = [(f"{name}-gl", buchberger(change_coordinates(
+                   I, random_invertible_matrix(rng.randint(0, 10 ** 9), 4, field))))
+               for name, I in graded_143_fixtures(field)]
+    checked = []
+    for name, G in _changed_tangent_fixtures(field) + _bundled_bases(field) + changed:
+        if not all(g.is_homogeneous() for g in G.elements):
+            continue
+        system, reference = tangent._HomSystem(G), _CompactGradedHomSystem(G)
+        top = max(mono_deg(m) for m in G.quotient_basis())
+        for e in range(-max(g.degree() for g in G.elements), top + 1):
+            assert system.graded(e) == reference.graded(e), (name, e)
+        checked.append(name)
+    assert len(checked) == 21, checked
+
+
 def _field_rows(op, field):
     """The rows of field elements of the working operator op = (rows, den)."""
     rows, den = op
@@ -476,9 +533,9 @@ def test_curve_multiplicity_never_eliminates_psi_whole(monkeypatch):
         whole.append(len(rows) == 24)
         return relations(rows, field)
 
-    def counted_zgcd(a, b):
+    def counted_zgcd(a, b, p):
         gcds.append(1)
-        return zgcd(a, b)
+        return zgcd(a, b, p)
 
     monkeypatch.setattr(linalg, "_column_relations", counted_relations)
     monkeypatch.setattr(linalg, "zgcd", counted_zgcd)

@@ -6,7 +6,7 @@ import pytest
 from hilbcheck import upoly
 from hilbcheck.scalars import rat
 from hilbcheck.upoly import (RATFUNC_T as t, RatFunc, zdeg, zdiv_exact, zdivmod, zeval, zgcd,
-                             zmul, zneg, zpoly_str, ztrim, zval)
+                             zmod, zmul, zneg, zpoly_str, ztrim, zval)
 
 
 def test_zpoly_basics():
@@ -20,12 +20,12 @@ def test_zpoly_basics():
 
 
 def test_zgcd():
-    assert zgcd((0, 0, 1), (-1, 0, 1)) == (1,)
-    assert zgcd((0, 0, 2), (0, 0, 0, 4)) == (0, 0, 1)
+    assert zgcd((0, 0, 1), (-1, 0, 1), 0) == (1,)
+    assert zgcd((0, 0, 2), (0, 0, 0, 4), 0) == (0, 0, 1)
     # gcd of (t^2-1)(t+2) and (t+1)(t+2) is (t+1)(t+2)
     a = zmul((-1, 0, 1), (2, 1))
     b = zmul((1, 1), (2, 1))
-    assert zgcd(a, b) == zmul((1, 1), (2, 1))
+    assert zgcd(a, b, 0) == zmul((1, 1), (2, 1))
 
 
 def test_ratfunc_normal_form():
@@ -65,7 +65,7 @@ def _reduce_through_the_gcd(num, den):
     if den[-1] < 0:
         num, den = zneg(num), zneg(den)
     if len(den) > 1 or len(num) > 1:
-        g = zgcd(num, den)
+        g = zgcd(num, den, 0)
         if zdeg(g) > 0 or g != (1,):
             num = zdiv_exact(num, g)
             den = zdiv_exact(den, g)
@@ -137,14 +137,14 @@ def test_zgcd_against_a_monomial_matches_the_euclid(monkeypatch):
         other = ztrim([0] * v + [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))]
                       + [rng.choice((-1, 1)) * rng.randint(1, 9)])
         cases.append((mono, other, (0,) * min(k, zval(other)) + (1,)))
-    expected = [(upoly._euclid(a, b), upoly._euclid(b, a)) for a, b, _ in cases]
+    expected = [(upoly._euclid(a, b, 0), upoly._euclid(b, a, 0)) for a, b, _ in cases]
     assert all(e == (want, want) for e, (_, _, want) in zip(expected, cases))
     assert {len(a) - 1 < zval(b) for a, b, _ in cases} == {False, True}
     euclids = []
-    monkeypatch.setattr(upoly, "_euclid", lambda a, b: euclids.append(1))
+    monkeypatch.setattr(upoly, "_euclid", lambda a, b, p: euclids.append(1))
     for a, b, want in cases:
-        assert zgcd(a, b) == zgcd(b, a) == want
-        assert zgcd(a, ()) == zgcd((), a) == (0,) * (len(a) - 1) + (1,)
+        assert zgcd(a, b, 0) == zgcd(b, a, 0) == want
+        assert zgcd(a, (), 0) == zgcd((), a, 0) == (0,) * (len(a) - 1) + (1,)
     assert euclids == []
 
 
@@ -174,8 +174,30 @@ def test_zgcd_matches_sympy_over_the_integers():
         if prim.LC() < 0:
             prim = -prim
         want = tuple(int(c) for c in reversed(prim.all_coeffs()))
-        assert zgcd(a, b) == zgcd(b, a) == want, (a, b)
+        assert zgcd(a, b, 0) == zgcd(b, a, 0) == want, (a, b)
     assert 25 <= max(digits) <= 30
+
+
+def test_zgcd_matches_sympy_over_prime_fields():
+    # the monic gcd over F_p of residue lists with a drawn common factor,
+    # either side possibly zero, against sympy's gcd with modulus=p
+    sympy = pytest.importorskip("sympy")
+    T = sympy.Symbol("t")
+    rng = random.Random(4003)
+
+    def poly(p, deg):
+        return ztrim([rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)])
+
+    for p in (7, 101, 10007):
+        for _ in range(100):
+            common = poly(p, rng.randint(0, 4))
+            a, b = (zmod(zmul(common, poly(p, rng.randint(0, 5))), p) if rng.random() < 0.9
+                    else () for _ in range(2))
+            want = sympy.Poly(list(reversed(a)) or [0], T, modulus=p).gcd(
+                sympy.Poly(list(reversed(b)) or [0], T, modulus=p))
+            want = ztrim([int(c) % p for c in reversed(want.all_coeffs())])
+            assert zgcd(a, b, p) == zgcd(b, a, p) == want, (a, b, p)
+            assert not want or want[-1] == 1
 
 
 def test_zdivmod_matches_sympy_over_the_integers_and_prime_fields():
